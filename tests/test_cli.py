@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -180,6 +181,40 @@ def test_run_writes_report_and_tables(tmp_path, scenario_file):
     assert obj["metrics"]["knn"]["per_class"]["Miner"]["recall"] >= 0.9
     assert (tmp_path / "report.clusters.csv").exists()
     assert (tmp_path / "report.metrics.csv").exists()
+
+
+#: sha256 of every output of the scenario above (train seed 7, eval seed
+#: 11); a refactor that changes any byte of them fails here
+GOLDEN_SHA256 = {
+    "report.json": "98df63d674c74754c7d492225cd175b8840beaad03e7265ffcd1bc7cbaac84a4",
+    "report.clusters.csv": "a0df280c91a6b45dd9e9c96aae5e1debcf4b8de674dcff26232a415a3948e1c8",
+    "report.metrics.csv": "ea3724bc9f35e283bbfaacf42921e09e52e5df19e966c71a7373c5238c3f5e6e",
+    "graph": "b4e093409b2ba04e20217171ab21419a3e9ac8876a0ef4a69fc2952ce3925170",
+    "features --truth": "a1da1d870e5e7205bb901f448a3f096817a3fcac56ce759c16f30065ad876aaf",
+}
+
+
+def test_outputs_match_golden_digests(tmp_path, scenario_file):
+    report = run_pipeline(tmp_path, scenario_file)
+    graph = tmp_path / "graph.txt"
+    assert dispatch(["graph", "--flows", str(tmp_path / "eval.csv"), "--out", str(graph)]) == 0
+    report_text = "".join(
+        line
+        for line in report.read_text().splitlines(keepends=True)
+        if '"generated_at"' not in line
+    )
+    outputs = {
+        "report.json": report_text,
+        "report.clusters.csv": (tmp_path / "report.clusters.csv").read_text(),
+        "report.metrics.csv": (tmp_path / "report.metrics.csv").read_text(),
+        "graph": graph.read_text(),
+        "features --truth": (tmp_path / "labeled.csv").read_text(),
+    }
+    digests = {
+        name: hashlib.sha256(text.encode("utf-8")).hexdigest()
+        for name, text in outputs.items()
+    }
+    assert digests == GOLDEN_SHA256
 
 
 def test_report_section_extraction(tmp_path, scenario_file, capsys):
