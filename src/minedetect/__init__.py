@@ -14,7 +14,6 @@ from .comm_graph import (
     StateParams,
     build_graph,
     clustering_coefficient,
-    evolve,
     graph_features,
     mining_volume,
     subnet_prefix_predicate,

@@ -18,7 +18,6 @@ import csv
 import dataclasses
 import io
 import json
-import math
 import os
 import sys
 import tempfile
@@ -96,32 +95,6 @@ def _load_flows(path: str, config: PipelineConfig):
     return flow_model.parse_flow_csv(_read_text(path), schema=config.schema())
 
 
-def _full_span(flows) -> tuple[float, float]:
-    t0 = min(f.start_time for f in flows)
-    t1 = max(f.end_time for f in flows) + 1e-6
-    return t0, t1
-
-
-def _aggregate_all(flows, truth_labels=None):
-    """Per-host vectors over the whole capture.
-
-    With ground truth, only labeled hosts are emitted (the labeled
-    universe); without it every observed host appears, Unlabeled.
-    """
-    span = _full_span(flows)
-    vectors = []
-    for host in sorted(flow_model.hosts_in(flows)):
-        if truth_labels is not None:
-            if host not in truth_labels:
-                continue
-            v = flow_model.aggregate_host_features(flows, host, span)
-            v = dataclasses.replace(v, label=truth_labels[host])
-        else:
-            v = flow_model.aggregate_host_features(flows, host, span)
-        vectors.append(v)
-    return vectors
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -145,10 +118,13 @@ def _cmd_features(args) -> int:
     flows = _load_flows(args.flows, config)
     if not flows:
         raise MineDetectError("no flows in input")
-    truth_labels = None
+    vectors = flow_model.host_vectors(flows)
     if args.truth:
-        truth_labels = synthgen.parse_truth_csv(_read_text(args.truth)).labels
-    vectors = _aggregate_all(flows, truth_labels)
+        # the labeled universe: only hosts with ground truth, relabeled
+        labels = synthgen.parse_truth_csv(_read_text(args.truth)).labels
+        vectors = [
+            dataclasses.replace(v, label=labels[v.host]) for v in vectors if v.host in labels
+        ]
     write_atomic(args.out, flow_model.features_to_csv(vectors))
     print(f"features: {len(vectors)} hosts -> {args.out}", file=sys.stderr)
     return 0
@@ -159,17 +135,9 @@ def _cmd_graph(args) -> int:
     flows = _load_flows(args.flows, config)
     if not flows:
         raise MineDetectError("no flows in input")
-    length = config.window_length
-    i_min = math.floor(min(f.start_time for f in flows) / length)
-    i_max = math.floor(max(f.start_time for f in flows) / length)
-    sections = []
-    for i in range(i_min, i_max + 1):
-        lo, hi = i * length, (i + 1) * length
-        in_window = [f for f in flows if lo <= f.start_time < hi]
-        g = comm_graph.build_graph(in_window, (lo, hi), timestamp=i - i_min)
-        sections.append(comm_graph.graph_to_text(g))
-    write_atomic(args.out, "".join(sections))
-    print(f"graph: {i_max - i_min + 1} windows -> {args.out}", file=sys.stderr)
+    snapshots = comm_graph.window_snapshots(flows, config.window_length)
+    write_atomic(args.out, "".join(comm_graph.graph_to_text(g) for g, _, _ in snapshots))
+    print(f"graph: {len(snapshots)} windows -> {args.out}", file=sys.stderr)
     return 0
 
 
@@ -249,21 +217,7 @@ def _cmd_evaluate(args) -> int:
     y_pred = [label for _, label, _ in evaluated]
     scores = [score for _, _, score in evaluated]
     table = pipeline._detector_metrics(y_true, y_pred, scores)
-
-    def from_obj(obj):
-        return metrics_mod.ClassMetrics(
-            **{k: obj[k] for k in metrics_mod.METRIC_COLUMNS},
-            zero_division=tuple(obj["zero_division"]),
-        )
-
-    text = metrics_mod.metrics_to_csv(
-        [
-            ("Not Miner", from_obj(table["per_class"]["NotMiner"])),
-            ("Miner", from_obj(table["per_class"]["Miner"])),
-        ],
-        avg=from_obj(table["avg"]),
-    )
-    write_atomic(args.out, text)
+    write_atomic(args.out, metrics_mod.table_to_csv(table))
     print(
         f"evaluate: {len(evaluated)} hosts, accuracy {table['accuracy']:.4f} -> {args.out}",
         file=sys.stderr,
@@ -297,66 +251,32 @@ def _cmd_run(args) -> int:
     return 0
 
 
+def _hosts_to_csv(hosts: dict) -> str:
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(["host", "label", "score", "state"])
+    for host in sorted(hosts):
+        row = hosts[host]
+        writer.writerow([host, row["label"], row["score"], row["state"]])
+    return out.getvalue()
+
+
 def _cmd_report(args) -> int:
     obj = json.loads(_read_text(args.infile))
     section = args.section
-    if section == "metrics":
-        if not obj.get("metrics"):
-            raise MineDetectError("report has no metrics section")
-        payload = obj["metrics"]
-        if args.format == "csv":
-            table = payload[args.detector]
-            rows = []
-            for name, key in (("Not Miner", "NotMiner"), ("Miner", "Miner")):
-                cm = table["per_class"][key]
-                rows.append([name] + [cm[c] for c in metrics_mod.METRIC_COLUMNS])
-            rows.append(["Avg."] + [table["avg"][c] for c in metrics_mod.METRIC_COLUMNS])
-            out = io.StringIO()
-            writer = csv.writer(out, lineterminator="\n")
-            writer.writerow(metrics_mod.CSV_HEADER)
-            writer.writerows(rows)
-            text = out.getvalue()
-        else:
-            text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    if section == "metrics" and not obj.get("metrics"):
+        raise MineDetectError("report has no metrics section")
+    payload = obj[section]
+    if args.format == "json":
+        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    elif section == "metrics":
+        text = metrics_mod.table_to_csv(payload[args.detector])
     elif section == "clusters":
-        payload = obj["clusters"]
-        if args.format == "csv":
-            out = io.StringIO()
-            writer = csv.writer(out, lineterminator="\n")
-            writer.writerow(["cluster", "size", "state", *flow_model.FEATURE_ORDER, "members"])
-            for c in payload:
-                centroid = c.get("centroid") or {}
-                writer.writerow(
-                    [
-                        c["id"],
-                        c["size"],
-                        c.get("state") or "",
-                        *[centroid.get(f, "") for f in flow_model.FEATURE_ORDER],
-                        "|".join(c["members"]),
-                    ]
-                )
-            text = out.getvalue()
-        else:
-            text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        text = snn_cluster.clusters_to_csv(snn_cluster.clusters_from_obj(payload))
     elif section == "hosts":
-        payload = obj["hosts"]
-        if args.format == "csv":
-            out = io.StringIO()
-            writer = csv.writer(out, lineterminator="\n")
-            writer.writerow(["host", "label", "score", "state"])
-            for host in sorted(payload):
-                row = payload[host]
-                writer.writerow([host, row["label"], row["score"], row["state"]])
-            text = out.getvalue()
-        else:
-            text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        text = _hosts_to_csv(payload)
     else:  # suspicious
-        payload = obj["suspicious"]
-        text = (
-            "\n".join(payload) + ("\n" if payload else "")
-            if args.format == "csv"
-            else json.dumps(payload, indent=2) + "\n"
-        )
+        text = "".join(host + "\n" for host in payload)
     write_atomic(args.out, text)
     return 0
 

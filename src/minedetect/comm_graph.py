@@ -12,15 +12,11 @@ machine in snn_cluster.
 from __future__ import annotations
 
 import io
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .errors import (
-    DanglingEdgeError,
-    InvalidConfigError,
-    UnknownVertexError,
-    WindowMismatchError,
-)
+from .errors import InvalidConfigError, UnknownVertexError, WindowMismatchError
 from .flow_model import FlowRecord, Protocol
 
 Edge = tuple[str, str]
@@ -256,44 +252,25 @@ def graph_features(g: CommGraph) -> dict[str, HostGraphFeatures]:
     }
 
 
-# ---------------------------------------------------------------------------
-# snapshot evolution
-# ---------------------------------------------------------------------------
+def window_snapshots(
+    flows: Sequence[FlowRecord],
+    length: float,
+) -> list[tuple[CommGraph, list[FlowRecord], tuple[float, float]]]:
+    """One graph per aligned window [i * length, (i + 1) * length).
 
-def evolve(
-    g: CommGraph,
-    add_v: Iterable[str] = (),
-    del_v: Iterable[str] = (),
-    add_e: Iterable[Edge] = (),
-    del_e: Iterable[Edge] = (),
-) -> CommGraph:
-    """Next snapshot: (V + added - deleted vertices, E + added - deleted edges).
-
-    Edges incident to deleted vertices are dropped; delete sets may name
-    absent elements (no-op). Added edges get weight 1; an added edge that
-    already exists keeps its weight. Raises DanglingEdgeError when an added
-    edge references a vertex absent after the vertex updates.
+    Windows run from the one holding the earliest start time to the one
+    holding the latest, empty windows included; graph timestamps count
+    from 0. Each entry is (graph, the window's flows, (lo, hi)).
     """
-    add_v, del_v = set(add_v), set(del_v)
-    vertices = (set(g.vertices) | add_v) - del_v
-
-    weights = {
-        e: w
-        for e, w in g.edge_weight.items()
-        if e[0] in vertices and e[1] in vertices
-    }
-    for a, b in add_e:
-        if a == b:
-            raise DanglingEdgeError(f"self-loop edge on {a!r}")
-        if a not in vertices or b not in vertices:
-            raise DanglingEdgeError(
-                f"edge ({a!r}, {b!r}) references a vertex absent after updates"
-            )
-        weights.setdefault(edge_key(a, b), 1)
-    for a, b in del_e:
-        weights.pop(edge_key(a, b), None)
-
-    return CommGraph(frozenset(vertices), weights, g.timestamp + 1)
+    i_min = math.floor(min(f.start_time for f in flows) / length)
+    i_max = math.floor(max(f.start_time for f in flows) / length)
+    snapshots = []
+    for i in range(i_min, i_max + 1):
+        lo, hi = i * length, (i + 1) * length
+        in_window = [f for f in flows if lo <= f.start_time < hi]
+        g = build_graph(in_window, (lo, hi), timestamp=i - i_min)
+        snapshots.append((g, in_window, (lo, hi)))
+    return snapshots
 
 
 # ---------------------------------------------------------------------------

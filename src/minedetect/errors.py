@@ -53,10 +53,6 @@ class SameVertexError(MineDetectError):
     """shared_neighbors() needs two distinct vertices."""
 
 
-class DanglingEdgeError(MineDetectError):
-    """An added edge references a vertex absent after vertex updates."""
-
-
 class WindowMismatchError(MineDetectError):
     """Graph snapshots passed to a delta computation are not consecutive."""
 

@@ -23,6 +23,7 @@ from __future__ import annotations
 import csv
 import enum
 import io
+import math
 from dataclasses import dataclass, replace
 from typing import Iterable, Mapping, Sequence
 
@@ -115,6 +116,10 @@ class FlowRecord:
     def __post_init__(self):
         if not (0 <= self.src_port <= 65535 and 0 <= self.dst_port <= 65535):
             raise ValueError("port outside 0-65535")
+        if not (math.isfinite(self.start_time) and math.isfinite(self.end_time)):
+            raise ValueError(
+                f"times must be finite, got start_time {self.start_time}, end_time {self.end_time}"
+            )
         if self.end_time < self.start_time:
             raise ValueError(
                 f"end_time {self.end_time} before start_time {self.start_time}"
@@ -348,6 +353,17 @@ def aggregate_host_features(
         rst_all=flag_ratio("RST"),
         fin_all=flag_ratio("FIN"),
     )
+
+
+def full_span(flows: Sequence[FlowRecord]) -> tuple[float, float]:
+    """The window [earliest start, latest end + 1e-6) holding every flow."""
+    return min(f.start_time for f in flows), max(f.end_time for f in flows) + 1e-6
+
+
+def host_vectors(flows: Sequence[FlowRecord]) -> list[FeatureVector]:
+    """Raw vectors of every host, sorted by host, each over the full span."""
+    span = full_span(flows)
+    return [aggregate_host_features(flows, host, span) for host in sorted(hosts_in(flows))]
 
 
 # ---------------------------------------------------------------------------

@@ -277,3 +277,20 @@ def metrics_to_obj(cm: ClassMetrics) -> dict:
     record = {col: getattr(cm, col) for col in METRIC_COLUMNS}
     record["zero_division"] = list(cm.zero_division)
     return record
+
+
+def metrics_from_obj(obj: dict) -> ClassMetrics:
+    """Inverse of metrics_to_obj."""
+    return ClassMetrics(
+        **{col: obj[col] for col in METRIC_COLUMNS},
+        zero_division=tuple(obj["zero_division"]),
+    )
+
+
+def table_to_csv(table: dict) -> str:
+    """Metric CSV of one detector table shaped as in report.json."""
+    rows = [
+        (name, metrics_from_obj(table["per_class"][key]))
+        for name, key in (("Not Miner", "NotMiner"), ("Miner", "Miner"))
+    ]
+    return metrics_to_csv(rows, avg=metrics_from_obj(table["avg"]))

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from typing import Mapping, Sequence
@@ -292,14 +291,7 @@ def run(
     # step 2: aggregate per-host vectors over the full span, then min-max
     # normalize labeled and unlabeled on a shared scale
     try:
-        raw_vectors: list[FeatureVector] = []
-        if flows:
-            t0 = min(f.start_time for f in flows)
-            t1 = max(f.end_time for f in flows) + 1e-6
-            for host in sorted(flow_model.hosts_in(flows)):
-                raw_vectors.append(
-                    flow_model.aggregate_host_features(flows, host, (t0, t1))
-                )
+        raw_vectors = flow_model.host_vectors(flows) if flows else []
         normalized: dict[str, FeatureVector] = {}
         labeled_norm: list[FeatureVector] = []
         if raw_vectors or labeled:
@@ -320,32 +312,15 @@ def run(
         graph_feats: dict[str, comm_graph.HostGraphFeatures] = {}
         full_graph = None
         if flows:
-            full_graph = comm_graph.build_graph(flows, (t0, t1))
+            full_graph = comm_graph.build_graph(flows, flow_model.full_span(flows))
             graph_feats = comm_graph.graph_features(full_graph)
             host_states = {v: State.S0 for v in full_graph.vertices}
 
-            length = config.window_length
-            i_min = math.floor(t0 / length)
-            i_max = math.floor(max(f.start_time for f in flows) / length)
-            snapshots = []
-            window_flows = []
-            for i in range(i_min, i_max + 1):
-                lo, hi = i * length, (i + 1) * length
-                in_window = [f for f in flows if lo <= f.start_time < hi]
-                snapshots.append(
-                    comm_graph.build_graph(in_window, (lo, hi), timestamp=i - i_min)
-                )
-                window_flows.append(in_window)
-
+            snapshots = comm_graph.window_snapshots(flows, config.window_length)
             dc_seen: dict[str, list[float]] = {}
-            for i in range(1, len(snapshots)):
+            for (g_prev, _, _), (g_next, next_flows, (_, hi)) in zip(snapshots, snapshots[1:]):
                 deltas = comm_graph.window_deltas(
-                    snapshots[i - 1],
-                    snapshots[i],
-                    state_params,
-                    window_flows[i],
-                    prior_dc=dc_seen,
-                    now=(i_min + i + 1) * length,
+                    g_prev, g_next, state_params, next_flows, prior_dc=dc_seen, now=hi
                 )
                 for host, d in deltas.items():
                     state = snn_cluster.assign_state(d, [], state_params)
@@ -394,10 +369,11 @@ def run(
         predictions: dict[str, Prediction] = {}
         cluster_verdicts: dict[str, Label] = {}
         if model is not None:
-            for host in sorted(normalized):
-                predictions[host] = model.predict(normalized[host])
+            # clusters partition the hosts, so their members' predictions
+            # cover every host exactly once
             for cluster in clusters:
-                _, verdict = model.predict_cluster(cluster, normalized)
+                member_predictions, verdict = model.predict_cluster(cluster, normalized)
+                predictions.update(member_predictions)
                 cluster_verdicts[cluster.id] = verdict
         record(8, len(normalized), len(predictions))
     except (MineDetectError, ValueError) as exc:
@@ -469,26 +445,7 @@ def report_metrics_csv(report: DetectionReport, detector: str = "knn") -> str:
     """The Table-IV-shaped metric CSV for one detector in the report."""
     if not report.metrics or detector not in report.metrics:
         return metrics_mod.metrics_to_csv([])
-    table = report.metrics[detector]
-
-    def from_obj(obj: dict) -> metrics_mod.ClassMetrics:
-        return metrics_mod.ClassMetrics(
-            tp_rate=obj["tp_rate"],
-            fp_rate=obj["fp_rate"],
-            precision=obj["precision"],
-            recall=obj["recall"],
-            f_measure=obj["f_measure"],
-            mcc=obj["mcc"],
-            roc_area=obj["roc_area"],
-            prc_area=obj["prc_area"],
-            zero_division=tuple(obj["zero_division"]),
-        )
-
-    rows = [
-        ("Not Miner", from_obj(table["per_class"]["NotMiner"])),
-        ("Miner", from_obj(table["per_class"]["Miner"])),
-    ]
-    return metrics_mod.metrics_to_csv(rows, avg=from_obj(table["avg"]))
+    return metrics_mod.table_to_csv(report.metrics[detector])
 
 
 def report_clusters_csv(report: DetectionReport) -> str:

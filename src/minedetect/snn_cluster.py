@@ -41,11 +41,10 @@ class State(str, enum.Enum):
     S1 = "S1"
     S2 = "S2"
     S3 = "S3"
-    BENIGN = "Benign"
 
 
 #: Severity order used by cluster_state and the suspicious-host rule.
-STATE_RANK = {State.S0: 0, State.S1: 1, State.S2: 2, State.S3: 3, State.BENIGN: 0}
+STATE_RANK = {State.S0: 0, State.S1: 1, State.S2: 2, State.S3: 3}
 
 
 @dataclass(frozen=True)
@@ -91,9 +90,9 @@ def shared_neighbors(g: CommGraph, i: str, j: str) -> int:
 def build_snn_graph(g: CommGraph, k_shared: int) -> SnnGraph:
     """Connect i and j in G* iff they share at least k_shared neighbors in G.
 
-    Common-neighbor counts for all pairs come from one boolean adjacency
-    matrix product, so the cost is one |V|^2 dense multiply rather than the
-    cubic pairwise scan.
+    Common-neighbor counts for all pairs come from one dense adjacency
+    matrix product. numpy has no BLAS path for int64 matmul, so this is
+    O(|V|^3) time and O(|V|^2) memory however sparse the graph is.
     """
     if k_shared < 1:
         raise ValueError("k_shared must be >= 1")
@@ -285,3 +284,20 @@ def clusters_to_obj(clusters: Sequence[Cluster]) -> list[dict]:
             }
         )
     return records
+
+
+def clusters_from_obj(records: Sequence[Mapping]) -> list[Cluster]:
+    """Inverse of clusters_to_obj."""
+    return [
+        Cluster(
+            id=r["id"],
+            members=frozenset(r["members"]),
+            state=State(r["state"]) if r["state"] is not None else None,
+            profile=(
+                tuple(r["centroid"][f] for f in FEATURE_ORDER)
+                if r["centroid"] is not None
+                else None
+            ),
+        )
+        for r in records
+    ]

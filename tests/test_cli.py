@@ -231,6 +231,17 @@ def test_report_section_extraction(tmp_path, scenario_file, capsys):
     assert json.loads(out) == json.loads(report.read_text())["suspicious"]
 
 
+@pytest.mark.parametrize("section", ["metrics", "clusters"])
+def test_report_csv_sections_equal_run_tables(tmp_path, scenario_file, section):
+    report = run_pipeline(tmp_path, scenario_file)
+    out = tmp_path / f"{section}.out.csv"
+    assert dispatch([
+        "report", "--in", str(report), "--section", section, "--format", "csv",
+        "--out", str(out),
+    ]) == 0
+    assert out.read_bytes() == (tmp_path / f"report.{section}.csv").read_bytes()
+
+
 def test_cli_overrides_beat_config_file(tmp_path, scenario_file):
     flows, _ = simulate(tmp_path, scenario_file, seed=5)
     cfg = tmp_path / "pipe.cfg"

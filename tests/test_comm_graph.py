@@ -11,7 +11,6 @@ from minedetect.comm_graph import (
     clustering_coefficient,
     dc_change_factor,
     edge_key,
-    evolve,
     graph_to_text,
     mining_volume,
     parse_graph_text,
@@ -19,12 +18,9 @@ from minedetect.comm_graph import (
     triangle_count,
     vertex_degree,
     window_deltas,
+    window_snapshots,
 )
-from minedetect.errors import (
-    DanglingEdgeError,
-    UnknownVertexError,
-    WindowMismatchError,
-)
+from minedetect.errors import UnknownVertexError, WindowMismatchError
 from minedetect.flow_model import Protocol
 
 from oracles import random_comm_graph, triangle_count_brute, clustering_fraction, fingerprint_match_brute
@@ -73,6 +69,50 @@ def test_build_window_filters_by_start_time():
     flows = [make_flow(start_time=10.0, end_time=20.0), make_flow(start_time=70.0, end_time=80.0)]
     g = build_graph(flows, (0.0, 60.0))
     assert g.edge_weight[edge_key("h1", "h2")] == 1
+
+
+def naive_windows(flows, length):
+    """Every aligned window from the first start to the last, by plain filtering."""
+    first = int(min(f.start_time for f in flows) // length)
+    last = int(max(f.start_time for f in flows) // length)
+    windows = []
+    for i in range(first, last + 1):
+        lo, hi = i * length, (i + 1) * length
+        windows.append(([f for f in flows if lo <= f.start_time < hi], (lo, hi)))
+    return windows
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_window_snapshots_match_naive_filter(seed):
+    rng = random.Random(seed)
+    length = rng.choice([7.5, 10.0, 60.0])
+    # the first window has index 4 and window 6 stays empty; two flows sit
+    # exactly on window edges
+    starts = [4 * length, 7 * length] + [
+        rng.choice([rng.uniform(4 * length, 6 * length), rng.uniform(7 * length, 10 * length)])
+        for _ in range(rng.randint(20, 60))
+    ]
+    hosts = [f"h{i}" for i in range(6)]
+    flows = [
+        make_flow(
+            src_host=rng.choice(hosts), dst_host=rng.choice(hosts), start_time=t, end_time=t + 1.0
+        )
+        for t in starts
+    ]
+    snapshots = window_snapshots(flows, length)
+    expected = naive_windows(flows, length)
+    assert len(snapshots) == len(expected)
+    for timestamp, (snapshot, (naive_flows, naive_span)) in enumerate(zip(snapshots, expected)):
+        g, in_window, span = snapshot
+        assert span == naive_span
+        assert in_window == naive_flows
+        assert g.timestamp == timestamp
+        assert g.vertices == {h for f in naive_flows for h in (f.src_host, f.dst_host)}
+        assert g.edge_weight == build_graph(naive_flows, naive_span).edge_weight
+    assert snapshots[0][2][0] == 4 * length
+    empty = [g for g, in_window, _ in snapshots if not in_window]
+    assert empty and all(not g.vertices for g in empty)
+    assert sum(len(in_window) for _, in_window, _ in snapshots) == len(flows)
 
 
 def test_graph_rejects_self_loop_and_dangling_edge():
@@ -138,53 +178,18 @@ def test_degree_sum_is_twice_edge_count():
 
 
 # ---------------------------------------------------------------------------
-# evolve
+# snapshot growth
 # ---------------------------------------------------------------------------
-
-def test_evolve_identity_bumps_timestamp():
-    g = graph_of([("a", "b"), ("b", "c")], timestamp=4)
-    g2 = evolve(g)
-    assert g2.vertices == g.vertices
-    assert g2.edge_weight == g.edge_weight
-    assert g2.timestamp == 5
-
-
-def test_evolve_vertex_deletion_drops_incident_edges():
-    g = graph_of([("x", "a"), ("x", "b"), ("x", "c"), ("a", "b")])
-    g2 = evolve(g, del_v={"x"})
-    assert len(g2.edge_weight) == len(g.edge_weight) - 3
-    assert "x" not in g2.vertices
-
-
-def test_evolve_dangling_edge_and_noop_deletes():
-    g = graph_of([("a", "b")])
-    with pytest.raises(DanglingEdgeError):
-        evolve(g, add_e={("a", "ghost")})
-    g2 = evolve(g, del_v={"ghost"}, del_e={("a", "zz")})
-    assert g2.vertices == g.vertices
-    assert g2.edge_weight == g.edge_weight
-
-
-def test_evolve_reverse_restores_vertices():
-    g = graph_of([("a", "b")], extra_vertices=["c"])
-    forward = evolve(g, add_v={"d"}, del_v={"c"})
-    back = evolve(forward, add_v={"c"}, del_v={"d"})
-    assert back.vertices == g.vertices
-
 
 def test_pool_growth_schedule_keeps_features_nondecreasing():
     # replay of the lifecycle picture: pool server + first victims appear,
     # then more victims join with intra-pool edges
-    g0 = CommGraph(frozenset(), {}, 0)
-    g1 = evolve(
-        g0,
-        add_v={"pool", "v1", "v2"},
-        add_e={("pool", "v1"), ("pool", "v2")},
-    )
-    g2 = evolve(
-        g1,
-        add_v={"v3", "v4"},
-        add_e={("pool", "v3"), ("pool", "v4"), ("v1", "v2"), ("v1", "v3"), ("v2", "v4"), ("v3", "v4")},
+    first = [("pool", "v1"), ("pool", "v2")]
+    g1 = graph_of(first, timestamp=1)
+    g2 = graph_of(
+        first
+        + [("pool", "v3"), ("pool", "v4"), ("v1", "v2"), ("v1", "v3"), ("v2", "v4"), ("v3", "v4")],
+        timestamp=2,
     )
     assert vertex_degree(g1, "pool") == 2 and vertex_degree(g2, "pool") == 4
     for member in ("v1", "v2"):

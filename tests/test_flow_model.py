@@ -113,6 +113,24 @@ def test_parse_rejects_end_before_start_with_line_number():
     assert exc.value.line_no == 3
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+def test_parse_rejects_non_finite_start_time_with_line_number(bad):
+    text = (
+        HEADER
+        + "\nh1,h2,1,2,TCP,0,60,5,100,,1\n"
+        + f"h1,c,1,2,TCP,{bad},1,5,100,,1\n"
+    )
+    with pytest.raises(MalformedRowError) as exc:
+        parse_flow_csv(text)
+    assert exc.value.line_no == 3
+    assert "finite" in str(exc.value)
+
+
+def test_flow_rejects_non_finite_end_time():
+    with pytest.raises(ValueError, match="finite"):
+        make_flow(end_time=float("inf"))
+
+
 def test_parse_missing_column():
     with pytest.raises(MissingColumnError):
         parse_flow_csv("src_host,dst_host\nh1,h2\n")

@@ -6,6 +6,7 @@ import pytest
 from minedetect.comm_graph import HostGraphFeatures, MiningFingerprint
 from minedetect.errors import InvalidConfigError
 from minedetect.flow_model import Label, aggregate_host_features, fit_normalizer, hosts_in, normalize
+from minedetect.knn_classify import KnnClassifier
 from minedetect.pipeline import (
     PipelineConfig,
     PipelineStepError,
@@ -105,6 +106,21 @@ def test_run_is_deterministic_modulo_timestamp():
     o1["provenance"].pop("generated_at")
     o2["provenance"].pop("generated_at")
     assert json.dumps(o1, sort_keys=True) == json.dumps(o2, sort_keys=True)
+
+
+def test_run_predicts_each_host_once(monkeypatch):
+    labeled, eval_flows, eval_truth = scenario_inputs()
+    calls = []
+    original = KnnClassifier.predict
+
+    def counting_predict(self, v):
+        calls.append(v.host)
+        return original(self, v)
+
+    monkeypatch.setattr(KnnClassifier, "predict", counting_predict)
+    report = run(eval_flows, labeled, PipelineConfig(), ground_truth=eval_truth.labels)
+    assert sorted(calls) == sorted(hosts_in(eval_flows))
+    assert set(report.predictions) == hosts_in(eval_flows)
 
 
 def test_run_empty_flows_gives_empty_report():
