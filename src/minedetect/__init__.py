@@ -22,7 +22,6 @@ from .comm_graph import (
 )
 from .flow_model import (
     FEATURE_ORDER,
-    FeatureNormalizer,
     FeatureVector,
     FlowRecord,
     Label,
@@ -45,11 +44,10 @@ from .metrics import (
     roc_auc,
     weighted_average,
 )
-from .pipeline import DetectionReport, PipelineConfig, map_labels, run
+from .pipeline import DetectionReport, PipelineConfig, run
 from .rng import SplitMix64
 from .snn_cluster import (
     Cluster,
-    SnnClusterer,
     SnnGraph,
     State,
     assign_state,

@@ -175,7 +175,7 @@ def _cmd_classify(args) -> int:
     if args.model:
         # a stored model holds normalized examples, so the query features
         # must already be normalized too
-        model = KnnClassifier.load(args.model)
+        model = KnnClassifier.from_text(_read_text(args.model))
         queries = flow_model.parse_feature_csv(_read_text(args.features), normalized=True)
     else:
         labeled = flow_model.parse_feature_csv(_read_text(args.labeled))
@@ -185,7 +185,7 @@ def _cmd_classify(args) -> int:
         model.fit([flow_model.normalize(v, params) for v in labeled])
         queries = [flow_model.normalize(v, params) for v in queries_raw]
 
-    predictions = model.predict_many(queries)
+    predictions = [model.predict(v) for v in queries]
     write_atomic(args.out, _predictions_to_csv(predictions))
     if args.save_model:
         write_atomic(args.save_model, model.to_text())
@@ -267,10 +267,13 @@ def _cmd_report(args) -> int:
     if section == "metrics" and not obj.get("metrics"):
         raise MineDetectError("report has no metrics section")
     payload = obj[section]
+    if section == "metrics" and (args.detector or args.format == "csv"):
+        # JSON without --detector keeps both tables; CSV holds one
+        payload = payload[args.detector or "knn"]
     if args.format == "json":
         text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     elif section == "metrics":
-        text = metrics_mod.table_to_csv(payload[args.detector])
+        text = metrics_mod.table_to_csv(payload)
     elif section == "clusters":
         text = snn_cluster.clusters_to_csv(snn_cluster.clusters_from_obj(payload))
     elif section == "hosts":
@@ -348,7 +351,11 @@ def build_parser() -> _Parser:
     p = sub.add_parser("report", help="extract sections from a report JSON")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--section", choices=("metrics", "clusters", "hosts", "suspicious"), default="metrics")
-    p.add_argument("--detector", choices=("knn", "state_detector"), default="knn")
+    p.add_argument(
+        "--detector",
+        choices=("knn", "state_detector"),
+        help="metric table to extract (default: both in JSON, knn in CSV)",
+    )
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--out", default="-")
     p.set_defaults(func=_cmd_report)

@@ -282,20 +282,14 @@ def mining_volume(
     host: str,
     delta_t: float,
     fingerprint: MiningFingerprint,
-    now: float | None = None,
+    now: float,
 ) -> int:
     """Count of the host's fingerprint-matching flows in the trailing window.
 
-    The window is [now - delta_t, now] over flow start times; ``now``
-    defaults to the latest end_time in ``flows``.
+    The window is [now - delta_t, now] over flow start times.
     """
     if delta_t <= 0:
         raise ValueError("delta_t must be > 0")
-    flows = list(flows)
-    if not flows:
-        return 0
-    if now is None:
-        now = max(f.end_time for f in flows)
     lo = now - delta_t
     return sum(
         1
@@ -328,16 +322,14 @@ def window_deltas(
     g_t1: CommGraph,
     params: StateParams,
     flows_t1: Sequence[FlowRecord],
+    now: float,
     prior_dc: Mapping[str, Sequence[float]] | None = None,
-    now: float | None = None,
 ) -> dict[str, HostDeltas]:
     """Per-host deltas between two consecutive snapshots.
 
     ``flows_t1`` are the flows of the arriving window (for mining volume)
     and ``now`` is the wall-clock end of that window, anchoring the
-    trailing mining-volume interval; without it the latest end_time in
-    ``flows_t1`` is used, which can spill past the window edge and drop
-    flows that started early in it. ``prior_dc`` optionally supplies each
+    trailing mining-volume interval. ``prior_dc`` optionally supplies each
     host's dc_factor values from earlier window pairs so
     HostDeltas.dc_history can be populated.
     """
@@ -382,29 +374,3 @@ def graph_to_text(g: CommGraph) -> str:
     for v in sorted(g.vertices - connected):
         out.write(f"{v}\n")
     return out.getvalue()
-
-
-def parse_graph_text(text: str) -> CommGraph:
-    """Inverse of graph_to_text."""
-    timestamp = 0
-    vertices: set[str] = set()
-    weights: dict[Edge, int] = {}
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            body = line.lstrip("#").strip()
-            if body.startswith("timestamp="):
-                timestamp = int(body.split("=", 1)[1])
-            continue
-        parts = line.split(",")
-        if len(parts) == 1:
-            vertices.add(parts[0])
-        elif len(parts) == 3:
-            a, b, w = parts[0], parts[1], int(parts[2])
-            vertices.update((a, b))
-            weights[edge_key(a, b)] = w
-        else:
-            raise ValueError(f"unrecognized graph line: {raw!r}")
-    return CommGraph(frozenset(vertices), weights, timestamp)

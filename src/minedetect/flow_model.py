@@ -27,7 +27,6 @@ import math
 from dataclasses import dataclass, replace
 from typing import Iterable, Mapping, Sequence
 
-from .base import ParamsMixin
 from .errors import (
     AlreadyNormalizedError,
     EmptyInputError,
@@ -402,28 +401,6 @@ def normalize(v: FeatureVector, params: NormalizationParams) -> FeatureVector:
         else:
             scaled[name] = min(1.0, max(0.0, (x - lo) / (hi - lo)))
     return replace(v, normalized=True, **scaled)
-
-
-class FeatureNormalizer(ParamsMixin):
-    """Min-max normalizer with the fit/transform estimator surface.
-
-    After ``fit`` the learned spans are available as ``params_``.
-    """
-
-    def __init__(self):
-        self.params_: NormalizationParams | None = None
-
-    def fit(self, vectors: Sequence[FeatureVector], y=None) -> "FeatureNormalizer":
-        self.params_ = fit_normalizer(vectors)
-        return self
-
-    def transform(self, vectors: Sequence[FeatureVector]) -> list[FeatureVector]:
-        if self.params_ is None:
-            raise RuntimeError("FeatureNormalizer is not fitted; call fit() first")
-        return [normalize(v, self.params_) for v in vectors]
-
-    def fit_transform(self, vectors: Sequence[FeatureVector], y=None) -> list[FeatureVector]:
-        return self.fit(vectors).transform(vectors)
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,6 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .base import ParamsMixin, check_fitted
 from .errors import (
     EmptyTrainingSetError,
     InvalidConfigError,
@@ -41,8 +40,8 @@ def _check_normalized(v: FeatureVector) -> None:
         raise UnnormalizedInputError(f"vector for {v.host!r} is not normalized")
 
 
-class KnnClassifier(ParamsMixin):
-    """KNN over normalized feature vectors (fit/predict estimator surface).
+class KnnClassifier:
+    """KNN over normalized feature vectors.
 
     After fit: ``examples_`` holds the training pairs verbatim and
     ``effective_k_`` the neighbor count actually used (k clamped to the
@@ -56,26 +55,22 @@ class KnnClassifier(ParamsMixin):
         self._matrix: np.ndarray | None = None
         self._miner: np.ndarray | None = None
 
-    def fit(self, vectors: Sequence[FeatureVector], labels: Sequence[Label] | None = None):
+    def fit(self, vectors: Sequence[FeatureVector]):
         """Store the labeled examples; vectors must be normalized.
 
-        Labels default to each vector's own ``label`` field and must be
-        Miner or NotMiner.
+        Each vector's own ``label`` field is its class and must be Miner or
+        NotMiner.
         """
         if self.k < 1:
             raise ValueError("k must be >= 1")
-        if labels is None:
-            labels = [v.label for v in vectors]
-        if len(labels) != len(vectors):
-            raise ValueError(f"{len(vectors)} vectors but {len(labels)} labels")
         if not vectors:
             raise EmptyTrainingSetError("fit() needs at least one labeled example")
-        for v, label in zip(vectors, labels):
+        for v in vectors:
             _check_normalized(v)
-            if label not in (Label.MINER, Label.NOT_MINER):
+            if v.label not in (Label.MINER, Label.NOT_MINER):
                 raise ValueError(f"training label for {v.host!r} must be Miner or NotMiner")
 
-        self.examples_ = list(zip(vectors, labels))
+        self.examples_ = [(v, v.label) for v in vectors]
         self.effective_k_ = min(self.k, len(vectors))
         if self.effective_k_ < self.k:
             warnings.warn(
@@ -83,8 +78,12 @@ class KnnClassifier(ParamsMixin):
                 stacklevel=2,
             )
         self._matrix = np.array([v.values() for v in vectors], dtype=np.float64)
-        self._miner = np.array([label is Label.MINER for label in labels], dtype=bool)
+        self._miner = np.array([v.label is Label.MINER for v in vectors], dtype=bool)
         return self
+
+    def _check_fitted(self) -> None:
+        if self.examples_ is None:
+            raise RuntimeError("KnnClassifier is not fitted; call fit() first")
 
     def _squared_distances(self, v: FeatureVector) -> np.ndarray:
         # accumulate per feature in canonical order so float rounding is
@@ -98,7 +97,7 @@ class KnnClassifier(ParamsMixin):
 
     def predict(self, v: FeatureVector) -> Prediction:
         """Majority vote of the k nearest training examples."""
-        check_fitted(self, "examples_")
+        self._check_fitted()
         _check_normalized(v)
         d = self._squared_distances(v)
         nearest = np.argsort(d, kind="stable")[: self.effective_k_]
@@ -110,9 +109,6 @@ class KnnClassifier(ParamsMixin):
         else:
             label = Label.MINER if self._miner[nearest[0]] else Label.NOT_MINER
         return Prediction(host=v.host, label=label, score=score)
-
-    def predict_many(self, vectors: Sequence[FeatureVector]) -> list[Prediction]:
-        return [self.predict(v) for v in vectors]
 
     def predict_cluster(
         self,
@@ -138,7 +134,7 @@ class KnnClassifier(ParamsMixin):
 
     def to_text(self) -> str:
         """Serialize the fitted model: header (k, feature order, count) + examples."""
-        check_fitted(self, "examples_")
+        self._check_fitted()
         lines = [
             FORMAT_TAG,
             f"k={self.k}",
@@ -173,7 +169,7 @@ class KnnClassifier(ParamsMixin):
         if len(rows) != count:
             raise InvalidConfigError(f"expected {count} examples, found {len(rows)}")
 
-        vectors, labels = [], []
+        vectors = []
         for row in rows:
             parts = row.split("\t")
             if len(parts) != len(FEATURE_ORDER) + 2:
@@ -187,18 +183,8 @@ class KnnClassifier(ParamsMixin):
                     normalized=True,
                 )
             )
-            labels.append(parse_label(label))
         model = cls(k=int(header["k"]))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            model.fit(vectors, labels)
+            model.fit(vectors)
         return model
-
-    def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(self.to_text())
-
-    @classmethod
-    def load(cls, path) -> "KnnClassifier":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_text(fh.read())

@@ -16,11 +16,11 @@ import math
 from dataclasses import dataclass, fields, replace
 from typing import Sequence
 
-from .base import check_equal_length
 from .errors import (
     DegenerateLabelsError,
     EmptyInputError,
     EmptyMatrixError,
+    LengthMismatchError,
     ZeroSupportError,
 )
 
@@ -85,9 +85,14 @@ class ClassMetrics:
     zero_division: tuple[str, ...] = ()
 
 
+def _check_equal_length(a, b, what: str) -> None:
+    if len(a) != len(b):
+        raise LengthMismatchError(f"{what}: {len(a)} vs {len(b)}")
+
+
 def confusion(y_true: Sequence, y_pred: Sequence, positive) -> ConfusionMatrix:
     """Standard counts of prediction outcomes w.r.t. the positive class."""
-    check_equal_length(y_true, y_pred, "y_true / y_pred")
+    _check_equal_length(y_true, y_pred, "y_true / y_pred")
     if len(y_true) == 0:
         raise EmptyInputError("confusion() needs at least one instance")
     tp = fp = fn = tn = 0
@@ -149,7 +154,7 @@ def accuracy(m: ConfusionMatrix) -> float:
 # ---------------------------------------------------------------------------
 
 def _check_ranking_input(scores, labels, positive) -> tuple[int, int]:
-    check_equal_length(scores, labels, "scores / labels")
+    _check_equal_length(scores, labels, "scores / labels")
     n_pos = sum(1 for label in labels if label == positive)
     n_neg = len(labels) - n_pos
     if n_pos == 0 or n_neg == 0:

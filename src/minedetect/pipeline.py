@@ -1,12 +1,12 @@
 """End-to-end detection pipeline.
 
 Ten fixed steps: parse, normalize (per-host aggregation + min-max scaling
-on the union of labeled and unlabeled data), extract graph features per
-window, map labels to graph features, SNN-cluster, assign lifecycle
-states, train KNN, classify hosts and clusters, compute metrics when
-ground truth is available, and assemble the report. There is no randomness
-anywhere, so identical inputs and config produce identical reports (up to
-the provenance timestamp).
+on the union of labeled and unlabeled data), build the full-span graph and
+the per-window lifecycle states, count labeled records whose host is not in
+the capture, SNN-cluster, attach states to clusters, train KNN, classify
+hosts and clusters, compute metrics when ground truth is available, and
+assemble the report. There is no randomness anywhere, so identical inputs
+and config produce identical reports (up to the provenance timestamp).
 """
 
 from __future__ import annotations
@@ -70,6 +70,10 @@ class PipelineConfig:
             raise InvalidConfigError("k_shared and knn_k must be >= 1")
         if not (0.0 <= self.suspicion_floor <= 1.0):
             raise InvalidConfigError("suspicion_floor must be in [0, 1]")
+        try:
+            self.state_params()
+        except ValueError as exc:
+            raise InvalidConfigError(f"bad state config: {exc}") from exc
 
     def state_params(self) -> StateParams:
         return StateParams(
@@ -146,19 +150,6 @@ class PipelineConfig:
         return cls(**kwargs)
 
 
-@dataclass(frozen=True)
-class EnrichedExample:
-    """A labeled vector joined (when possible) to its host's graph features."""
-
-    vector: FeatureVector
-    k: int | None = None
-    c: float | None = None
-
-    @property
-    def matched(self) -> bool:
-        return self.k is not None
-
-
 @dataclass
 class DetectionReport:
     config: dict
@@ -195,26 +186,6 @@ class DetectionReport:
 
     def to_json(self) -> str:
         return json.dumps(self.to_obj(), sort_keys=True, indent=2) + "\n"
-
-
-def map_labels(
-    labeled: Sequence[FeatureVector],
-    hosts: set[str],
-    graph_feats: Mapping[str, comm_graph.HostGraphFeatures],
-) -> list[EnrichedExample]:
-    """Join labeled vectors to the (k, c) of their host where it exists.
-
-    Records whose host is absent from the unlabeled universe are kept
-    without graph features; the pipeline counts them in the report.
-    """
-    enriched = []
-    for v in labeled:
-        if v.host in hosts and v.host in graph_feats:
-            gf = graph_feats[v.host]
-            enriched.append(EnrichedExample(vector=v, k=gf.k, c=gf.c))
-        else:
-            enriched.append(EnrichedExample(vector=v))
-    return enriched
 
 
 def _digest(text: str) -> str:
@@ -304,46 +275,45 @@ def run(
     except (MineDetectError, ValueError) as exc:
         fail(2, exc)
 
-    # step 3: full-span graph for k/c and clustering; windowed snapshots
-    # for the lifecycle deltas
+    # step 3: full-span graph for clustering; windowed snapshots for the
+    # lifecycle deltas. host_states has one entry per full-graph vertex.
     try:
         state_params = config.state_params()
         host_states: dict[str, State] = {}
-        graph_feats: dict[str, comm_graph.HostGraphFeatures] = {}
         full_graph = None
         if flows:
             full_graph = comm_graph.build_graph(flows, flow_model.full_span(flows))
-            graph_feats = comm_graph.graph_features(full_graph)
             host_states = {v: State.S0 for v in full_graph.vertices}
 
             snapshots = comm_graph.window_snapshots(flows, config.window_length)
             dc_seen: dict[str, list[float]] = {}
             for (g_prev, _, _), (g_next, next_flows, (_, hi)) in zip(snapshots, snapshots[1:]):
                 deltas = comm_graph.window_deltas(
-                    g_prev, g_next, state_params, next_flows, prior_dc=dc_seen, now=hi
+                    g_prev, g_next, state_params, next_flows, now=hi, prior_dc=dc_seen
                 )
                 for host, d in deltas.items():
-                    state = snn_cluster.assign_state(d, [], state_params)
+                    state = snn_cluster.assign_state(d, state_params)
                     prev = host_states.get(host, State.S0)
                     if STATE_RANK[state] > STATE_RANK[prev]:
                         host_states[host] = state
                     dc_seen.setdefault(host, []).append(d.dc_factor)
-        record(3, len(flows), len(graph_feats))
+        record(3, len(flows), len(host_states))
     except (MineDetectError, ValueError) as exc:
         fail(3, exc)
 
-    # step 4: join labeled records to graph features
-    enriched = map_labels(labeled_norm, set(normalized), graph_feats)
-    unmatched = sum(1 for e in enriched if not e.matched)
-    record(4, len(labeled_norm), len(enriched))
+    # step 4: count labeled records whose host is absent from the capture;
+    # they still train the KNN
+    unmatched = sum(1 for v in labeled_norm if v.host not in normalized)
+    record(4, len(labeled_norm), len(labeled_norm))
 
     # step 5: SNN clustering of the full-span graph
     try:
         clusters: list[Cluster] = []
         if full_graph is not None:
-            clusterer = snn_cluster.SnnClusterer(k_shared=config.k_shared)
-            clusters = clusterer.fit(full_graph).clusters_
-        record(5, len(graph_feats), len(clusters))
+            clusters = snn_cluster.extract_clusters(
+                snn_cluster.build_snn_graph(full_graph, config.k_shared)
+            )
+        record(5, len(host_states), len(clusters))
     except (MineDetectError, ValueError) as exc:
         fail(5, exc)
 
@@ -357,10 +327,10 @@ def run(
     # step 7: train the KNN on the labeled set
     try:
         model = None
-        if enriched and normalized:
+        if labeled_norm and normalized:
             model = KnnClassifier(k=config.knn_k)
-            model.fit([e.vector for e in enriched])
-        record(7, len(enriched), 0 if model is None else len(model.examples_))
+            model.fit(labeled_norm)
+        record(7, len(labeled_norm), 0 if model is None else len(model.examples_))
     except (MineDetectError, ValueError) as exc:
         fail(7, exc)
 

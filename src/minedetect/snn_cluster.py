@@ -24,7 +24,6 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .base import ParamsMixin, check_fitted
 from .comm_graph import CommGraph, Edge, HostDeltas, StateParams, edge_key
 from .errors import (
     MissingHostStateError,
@@ -144,56 +143,23 @@ def extract_clusters(snn: SnnGraph) -> list[Cluster]:
     return [Cluster(id=f"C{i}", members=comp) for i, comp in enumerate(components)]
 
 
-class SnnClusterer(ParamsMixin):
-    """Estimator wrapper: fit on a CommGraph, read clusters_/labels_."""
-
-    def __init__(self, k_shared: int = 2):
-        self.k_shared = k_shared
-        self.snn_graph_: SnnGraph | None = None
-        self.clusters_: list[Cluster] | None = None
-        self.labels_: dict[str, str] | None = None
-
-    def fit(self, g: CommGraph, y=None) -> "SnnClusterer":
-        self.snn_graph_ = build_snn_graph(g, self.k_shared)
-        self.clusters_ = extract_clusters(self.snn_graph_)
-        self.labels_ = {
-            member: cluster.id for cluster in self.clusters_ for member in cluster.members
-        }
-        return self
-
-    def fit_predict(self, g: CommGraph, y=None) -> dict[str, str]:
-        self.fit(g)
-        check_fitted(self, "labels_")
-        return dict(self.labels_)
-
-
 # ---------------------------------------------------------------------------
 # lifecycle states
 # ---------------------------------------------------------------------------
 
-def assign_state(
-    d: HostDeltas,
-    history: Sequence[HostDeltas],
-    params: StateParams,
-) -> State:
+def assign_state(d: HostDeltas, params: StateParams) -> State:
     """First-matching lifecycle state for one host's window deltas.
 
-    ``history`` holds the host's deltas from earlier window pairs (oldest
-    first) and supplies the clustering-change history; when it is empty the
-    values carried in ``d.dc_history`` are used instead.
+    The S2 test compares against ``d.dc_history``, the host's clustering-change
+    factors from earlier window pairs.
     """
-    if history:
-        dc_history = [h.dc_factor for h in history]
-    else:
-        dc_history = list(d.dc_history)
-
     at_t_star = params.t_star is None or d.window == params.t_star
     if d.dk_ext > 1 and at_t_star:
         return State.S1
     if (
         d.dk_int > d.dk_ext
         and d.dc_factor > 1.0
-        and (not dc_history or d.dc_factor > max(dc_history))
+        and (not d.dc_history or d.dc_factor > max(d.dc_history))
     ):
         return State.S2
     if d.dk_int > 1 and d.m_v > params.x_threshold:

@@ -333,7 +333,7 @@ def test_criterion_7_state_machine_replay():
                 prior_dc=dc_seen, now=(w + 1) * L,
             )
             actual = {
-                h: assign_state(deltas[h], [], params) if h in deltas else State.S0
+                h: assign_state(deltas[h], params) if h in deltas else State.S0
                 for h in truth.labels
             }
             for host, d in deltas.items():

@@ -231,6 +231,19 @@ def test_report_section_extraction(tmp_path, scenario_file, capsys):
     assert json.loads(out) == json.loads(report.read_text())["suspicious"]
 
 
+def test_report_metrics_json_honours_detector(tmp_path, scenario_file, capsys):
+    report = run_pipeline(tmp_path, scenario_file)
+    metrics = json.loads(report.read_text())["metrics"]
+    capsys.readouterr()
+    assert dispatch(["report", "--in", str(report), "--section", "metrics"]) == 0
+    assert json.loads(capsys.readouterr().out) == metrics
+    for detector in ("knn", "state_detector"):
+        assert dispatch([
+            "report", "--in", str(report), "--section", "metrics", "--detector", detector,
+        ]) == 0
+        assert json.loads(capsys.readouterr().out) == metrics[detector]
+
+
 @pytest.mark.parametrize("section", ["metrics", "clusters"])
 def test_report_csv_sections_equal_run_tables(tmp_path, scenario_file, section):
     report = run_pipeline(tmp_path, scenario_file)
@@ -301,6 +314,18 @@ def test_missing_input_file_exits_1(tmp_path, capsys):
         "--out", str(tmp_path / "r.json"),
     ]) == 1
     assert "error" in capsys.readouterr().err
+
+
+def test_bad_state_config_exits_1_before_reading_flows(tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("state.delta_t=0\n")
+    out = tmp_path / "feats.csv"
+    assert dispatch([
+        "features", "--flows", str(tmp_path / "absent.csv"), "--config", str(cfg),
+        "--out", str(out),
+    ]) == 1
+    assert "delta_t must be > 0" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_failed_run_leaves_no_partial_output(tmp_path, scenario_file):

@@ -12,7 +12,6 @@ from minedetect.errors import (
 )
 from minedetect.flow_model import (
     FEATURE_ORDER,
-    FeatureNormalizer,
     FeatureVector,
     FlowRecord,
     Label,
@@ -328,14 +327,6 @@ def test_normalize_monotone_per_feature():
     ordered = sorted(vectors, key=lambda v: v.bpp)
     outs = [normalize(v, params).bpp for v in ordered]
     assert outs == sorted(outs)
-
-
-def test_feature_normalizer_estimator_surface():
-    est = FeatureNormalizer()
-    assert est.get_params() == {}
-    out = est.fit_transform([make_vector(bpp=50.0), make_vector(bpp=150.0)])
-    assert all(v.normalized for v in out)
-    assert est.params_.bpp == (50.0, 150.0)
 
 
 # ---------------------------------------------------------------------------

@@ -200,13 +200,11 @@ def test_predict_cluster_verdicts():
 # persistence
 # ---------------------------------------------------------------------------
 
-def test_model_round_trip(tmp_path):
+def test_model_round_trip():
     rng = random.Random(9)
     train = two_blobs(rng, 10)
     model = KnnClassifier(k=3).fit(train)
-    path = tmp_path / "model.knn"
-    model.save(path)
-    loaded = KnnClassifier.load(path)
+    loaded = KnnClassifier.from_text(model.to_text())
     assert loaded.k == 3
     assert loaded.examples_ == model.examples_
     q = random_vec(rng, "q", Label.UNLABELED)

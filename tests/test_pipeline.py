@@ -3,14 +3,13 @@ import json
 
 import pytest
 
-from minedetect.comm_graph import HostGraphFeatures, MiningFingerprint
+from minedetect.comm_graph import MiningFingerprint
 from minedetect.errors import InvalidConfigError
 from minedetect.flow_model import Label, aggregate_host_features, fit_normalizer, hosts_in, normalize
 from minedetect.knn_classify import KnnClassifier
 from minedetect.pipeline import (
     PipelineConfig,
     PipelineStepError,
-    map_labels,
     report_clusters_csv,
     report_metrics_csv,
     run,
@@ -47,30 +46,6 @@ def labeled_vectors(flows, truth):
         v = aggregate_host_features(flows, host, (t0, t1))
         out.append(dataclasses.replace(v, label=truth.labels[host]))
     return out
-
-
-# ---------------------------------------------------------------------------
-# map_labels
-# ---------------------------------------------------------------------------
-
-def test_map_labels_joins_graph_features():
-    v = make_vector(host="a", label=Label.MINER)
-    feats = {"a": HostGraphFeatures("a", k=3, c=0.5)}
-    (e,) = map_labels([v], {"a"}, feats)
-    assert e.matched and e.k == 3 and e.c == 0.5
-
-
-def test_map_labels_unmatched_host_retained():
-    v = make_vector(host="ghost", label=Label.MINER)
-    (e,) = map_labels([v], {"a"}, {"a": HostGraphFeatures("a", 1, 0.0)})
-    assert not e.matched
-    assert e.vector is v
-
-
-def test_map_labels_disjoint_universes_all_unmatched():
-    vs = [make_vector(host=f"x{i}") for i in range(5)]
-    enriched = map_labels(vs, {"a", "b"}, {})
-    assert all(not e.matched for e in enriched)
 
 
 # ---------------------------------------------------------------------------
@@ -173,6 +148,18 @@ def test_run_tags_step_errors():
     assert exc.value.step == 7
 
 
+def test_run_counts_labeled_hosts_absent_from_capture_and_trains_on_them():
+    labeled, eval_flows, _ = scenario_inputs()
+    hosts = hosts_in(eval_flows)
+    ghost = dataclasses.replace(labeled[0], host="ghost")
+    assert ghost.host not in hosts
+    report = run(eval_flows, labeled + [ghost], PipelineConfig())
+    assert report.unmatched_labeled == 1 + sum(v.host not in hosts for v in labeled)
+    train = report.provenance["steps"][6]
+    assert train["name"] == "train_knn"
+    assert train["rows_out"] == len(labeled) + 1
+
+
 def test_single_window_leaves_all_hosts_s0():
     labeled, eval_flows, _ = scenario_inputs()
     one_window = [f for f in eval_flows if f.start_time < 60.0]
@@ -212,6 +199,9 @@ def test_pipeline_config_validation():
         PipelineConfig(k_shared=0)
     with pytest.raises(InvalidConfigError):
         PipelineConfig(suspicion_floor=2.0)
+    for kv in ({"state.delta_t": "0"}, {"state.delta_t": "-5"}, {"state.x_threshold": "0"}):
+        with pytest.raises(InvalidConfigError, match="bad state config"):
+            PipelineConfig.from_kv(kv)
 
 
 # ---------------------------------------------------------------------------

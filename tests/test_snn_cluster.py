@@ -13,7 +13,6 @@ from minedetect.errors import (
 from minedetect.flow_model import FEATURE_ORDER
 from minedetect.snn_cluster import (
     Cluster,
-    SnnClusterer,
     State,
     assign_state,
     build_snn_graph,
@@ -138,17 +137,6 @@ def test_clusters_partition_vertices_and_order_deterministically():
                 assert min(a.members) < min(b.members)
 
 
-def test_snn_clusterer_estimator_surface():
-    est = SnnClusterer(k_shared=1)
-    assert est.get_params() == {"k_shared": 1}
-    labels = est.fit_predict(path4())
-    assert labels["1"] == labels["3"]
-    assert labels["2"] == labels["4"]
-    assert labels["1"] != labels["2"]
-    est.set_params(k_shared=3)
-    assert est.k_shared == 3
-
-
 # ---------------------------------------------------------------------------
 # state machine
 # ---------------------------------------------------------------------------
@@ -166,45 +154,37 @@ def deltas(dk_ext=0, dk_int=0, dc=1.0, history=(), m_v=0, window=1):
 
 
 def test_assign_state_quiet_host_is_s0():
-    assert assign_state(deltas(), [], StateParams()) is State.S0
+    assert assign_state(deltas(), StateParams()) is State.S0
 
 
 def test_assign_state_s1_first_match_wins():
     d = deltas(dk_ext=3, dk_int=10, dc=5.0, m_v=100)
-    assert assign_state(d, [], StateParams()) is State.S1
+    assert assign_state(d, StateParams()) is State.S1
 
 
 def test_assign_state_s2_and_s3_branches():
     p = StateParams(x_threshold=5)
     d2 = deltas(dk_ext=0, dk_int=2, dc=1.5, history=[1.0, 1.2])
-    assert assign_state(d2, [], p) is State.S2
+    assert assign_state(d2, p) is State.S2
     # same shape but coefficient fell and mining volume is high -> S3
     d3 = deltas(dk_ext=0, dk_int=2, dc=0.9, history=[1.0, 1.2], m_v=50)
-    assert assign_state(d3, [], p) is State.S3
+    assert assign_state(d3, p) is State.S3
 
 
 def test_assign_state_s2_requires_strict_history_max():
     p = StateParams()
     d = deltas(dk_int=2, dc=1.5, history=[1.5])
-    assert assign_state(d, [], p) is not State.S2
+    assert assign_state(d, p) is not State.S2
     d = deltas(dk_int=2, dc=1.6, history=[1.5])
-    assert assign_state(d, [], p) is State.S2
+    assert assign_state(d, p) is State.S2
 
 
 def test_assign_state_t_star_gates_s1():
     p = StateParams(t_star=3)
     d = deltas(dk_ext=2, window=1)
-    assert assign_state(d, [], p) is State.S0
+    assert assign_state(d, p) is State.S0
     d = deltas(dk_ext=2, window=3)
-    assert assign_state(d, [], p) is State.S1
-
-
-def test_assign_state_history_argument_overrides_embedded():
-    p = StateParams()
-    d = deltas(dk_int=2, dc=1.5, history=[])
-    history = [deltas(dc=2.0, window=0)]
-    assert assign_state(d, history, p) is not State.S2  # 1.5 <= max(2.0)
-    assert assign_state(d, [], p) is State.S2
+    assert assign_state(d, p) is State.S1
 
 
 def test_assign_state_exactly_one_branch_fires():
@@ -229,7 +209,7 @@ def test_assign_state_exactly_one_branch_fires():
             expected = State.S3
         else:
             expected = State.S0
-        assert assign_state(d, [], p) is expected
+        assert assign_state(d, p) is expected
 
 
 # ---------------------------------------------------------------------------
