@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import InvalidConfigError, UnknownVertexError, WindowMismatchError
-from .flow_model import FlowRecord, Protocol
+from .flow_model import FlowRecord, Protocol, flows_by_host
 
 Edge = tuple[str, str]
 
@@ -260,17 +260,35 @@ def window_snapshots(
 
     Windows run from the one holding the earliest start time to the one
     holding the latest, empty windows included; graph timestamps count
-    from 0. Each entry is (graph, the window's flows, (lo, hi)).
+    from 0. Each entry is (graph, the window's flows, (lo, hi)); a window's
+    flows keep capture order.
+
+    Every flow is filed into its window in one pass. Its index i is the one
+    that passes the exact test ``i * length <= start_time < (i + 1) * length``,
+    which ``floor(start_time / length)`` can miss by one when the division
+    rounds (1.7 / 0.1 gives 17.0, but 17 * 0.1 > 1.7).
     """
-    i_min = math.floor(min(f.start_time for f in flows) / length)
-    i_max = math.floor(max(f.start_time for f in flows) / length)
+    buckets: dict[int, list[FlowRecord]] = {}
+    for f in flows:
+        buckets.setdefault(_window_index(f.start_time, length), []).append(f)
+    i_min, i_max = min(buckets), max(buckets)
     snapshots = []
     for i in range(i_min, i_max + 1):
         lo, hi = i * length, (i + 1) * length
-        in_window = [f for f in flows if lo <= f.start_time < hi]
+        in_window = buckets.get(i, [])
         g = build_graph(in_window, (lo, hi), timestamp=i - i_min)
         snapshots.append((g, in_window, (lo, hi)))
     return snapshots
+
+
+def _window_index(t: float, length: float) -> int:
+    """The i with i * length <= t < (i + 1) * length, in float arithmetic."""
+    i = math.floor(t / length)
+    while i * length > t:
+        i -= 1
+    while (i + 1) * length <= t:
+        i += 1
+    return i
 
 
 # ---------------------------------------------------------------------------
@@ -327,11 +345,15 @@ def window_deltas(
 ) -> dict[str, HostDeltas]:
     """Per-host deltas between two consecutive snapshots.
 
-    ``flows_t1`` are the flows of the arriving window (for mining volume)
-    and ``now`` is the wall-clock end of that window, anchoring the
-    trailing mining-volume interval. ``prior_dc`` optionally supplies each
-    host's dc_factor values from earlier window pairs so
-    HostDeltas.dc_history can be populated.
+    ``now`` is the wall-clock end of the arriving window and anchors the
+    trailing mining-volume interval [now - params.delta_t, now].
+    ``flows_t1`` must hold every flow starting in that interval: the
+    arriving window's flows, plus those of earlier windows when delta_t is
+    longer than a window. Flows outside the interval may be included; they
+    are not counted. The flows are indexed by host once, and each host's
+    mining_volume call reads only that host's flows. ``prior_dc``
+    optionally supplies each host's dc_factor values from earlier window
+    pairs so HostDeltas.dc_history can be populated.
     """
     if g_t1.timestamp != g_t.timestamp + 1:
         raise WindowMismatchError(
@@ -339,6 +361,7 @@ def window_deltas(
         )
     internal = params.monitored_subnet
     prior_dc = prior_dc or {}
+    by_host = flows_by_host(flows_t1)
 
     deltas: dict[str, HostDeltas] = {}
     for host in g_t1.vertices:
@@ -352,7 +375,9 @@ def window_deltas(
             dk_int=int_next - int_prev,
             dc_factor=dc_change_factor(c_prev, c_next, params.dc_cap),
             dc_history=tuple(prior_dc.get(host, ())),
-            m_v=mining_volume(flows_t1, host, params.delta_t, params.fingerprint, now=now),
+            m_v=mining_volume(
+                by_host.get(host, []), host, params.delta_t, params.fingerprint, now=now
+            ),
             window=g_t.timestamp,
         )
     return deltas

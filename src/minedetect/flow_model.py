@@ -309,6 +309,20 @@ def hosts_in(flows: Iterable[FlowRecord]) -> set[str]:
     return hosts
 
 
+def flows_by_host(flows: Iterable[FlowRecord]) -> dict[str, list[FlowRecord]]:
+    """Host -> the flows it takes part in, built in one pass over the flows.
+
+    Each list keeps input order; a loopback flow is filed once under its
+    host. The keys are exactly ``hosts_in(flows)``.
+    """
+    index: dict[str, list[FlowRecord]] = {}
+    for f in flows:
+        index.setdefault(f.src_host, []).append(f)
+        if f.dst_host != f.src_host:
+            index.setdefault(f.dst_host, []).append(f)
+    return index
+
+
 def aggregate_host_features(
     flows: Iterable[FlowRecord],
     host: str,
@@ -360,9 +374,14 @@ def full_span(flows: Sequence[FlowRecord]) -> tuple[float, float]:
 
 
 def host_vectors(flows: Sequence[FlowRecord]) -> list[FeatureVector]:
-    """Raw vectors of every host, sorted by host, each over the full span."""
+    """Raw vectors of every host, sorted by host, each over the full span.
+
+    Each host's vector is aggregated from its own flows in ``flows_by_host``,
+    so the whole call reads every flow once per endpoint, not once per host.
+    """
     span = full_span(flows)
-    return [aggregate_host_features(flows, host, span) for host in sorted(hosts_in(flows))]
+    index = flows_by_host(flows)
+    return [aggregate_host_features(index[host], host, span) for host in sorted(index)]
 
 
 # ---------------------------------------------------------------------------

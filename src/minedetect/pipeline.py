@@ -287,9 +287,16 @@ def run(
 
             snapshots = comm_graph.window_snapshots(flows, config.window_length)
             dc_seen: dict[str, list[float]] = {}
-            for (g_prev, _, _), (g_next, next_flows, (_, hi)) in zip(snapshots, snapshots[1:]):
+            for j in range(1, len(snapshots)):
+                g_prev = snapshots[j - 1][0]
+                g_next, _, (_, hi) = snapshots[j]
+                # mining volume reads every window overlapping [hi - delta_t, hi)
+                first = j
+                while first > 0 and snapshots[first - 1][2][1] > hi - state_params.delta_t:
+                    first -= 1
+                trailing = [f for _, in_window, _ in snapshots[first : j + 1] for f in in_window]
                 deltas = comm_graph.window_deltas(
-                    g_prev, g_next, state_params, next_flows, now=hi, prior_dc=dc_seen
+                    g_prev, g_next, state_params, trailing, now=hi, prior_dc=dc_seen
                 )
                 for host, d in deltas.items():
                     state = snn_cluster.assign_state(d, state_params)

@@ -21,6 +21,7 @@ from minedetect.comm_graph import (
 )
 from minedetect.errors import UnknownVertexError, WindowMismatchError
 from minedetect.flow_model import Protocol
+from minedetect.synthgen import ScenarioConfig, generate
 
 from oracles import random_comm_graph, triangle_count_brute, clustering_fraction, fingerprint_match_brute
 from test_flow_model import make_flow
@@ -112,6 +113,24 @@ def test_window_snapshots_match_naive_filter(seed):
     empty = [g for g, in_window, _ in snapshots if not in_window]
     assert empty and all(not g.vertices for g in empty)
     assert sum(len(in_window) for _, in_window, _ in snapshots) == len(flows)
+
+
+@pytest.mark.parametrize(
+    "starts",
+    [
+        # 1.7 / 0.1 rounds to 17.0, but 17 * 0.1 > 1.7: 1.7 sits in window 16
+        [1.7, 1.75],
+        # 4.3 / 0.1 rounds below 43, but 43 * 0.1 == 4.3: 4.3 sits in window 43
+        [4.25, 4.3],
+    ],
+)
+def test_window_snapshots_keep_flows_whose_index_division_rounds(starts):
+    flows = [make_flow(start_time=t, end_time=t + 1.0) for t in starts]
+    snapshots = window_snapshots(flows, 0.1)
+    assert [in_window for _, in_window, _ in snapshots] == [[flows[0]], [flows[1]]]
+    for g, in_window, (lo, hi) in snapshots:
+        assert all(lo <= f.start_time < hi for f in in_window)
+        assert g.edge_weight == {edge_key("h1", "h2"): 1}
 
 
 def test_graph_rejects_self_loop_and_dangling_edge():
@@ -353,6 +372,23 @@ def test_mining_volume_matches_brute_force_on_mixed_traffic():
             and fingerprint_match_brute(f, fp.ports, fp.min_duration, fp.required_flags, fp.pool_hosts)
         )
         assert mining_volume(flows, host, 60.0, fp, now=now) == expected
+
+
+def test_window_deltas_mining_volume_matches_scan_of_all_window_flows():
+    flows, truth = generate(ScenarioConfig(seed=9, n_hosts=30, ring_degree=4, n_windows=4,
+                                           recruitment_schedule=(0, 3, 2)))
+    fp = MiningFingerprint(pool_hosts=frozenset({"pool0"}))
+    params = StateParams(fingerprint=fp)
+    snapshots = window_snapshots(flows, 60.0)
+    counted = 0
+    for (g_prev, _, _), (g_next, in_window, (_, hi)) in zip(snapshots, snapshots[1:]):
+        deltas = window_deltas(g_prev, g_next, params, in_window, now=hi)
+        assert set(deltas) == g_next.vertices
+        for host, d in deltas.items():
+            assert d.m_v == mining_volume(in_window, host, 60.0, fp, now=hi)
+            counted += d.m_v
+    # the miners' pool flows were found, so the comparison was not all zeros
+    assert counted > 0 and truth.miners
 
 
 def test_fingerprint_kv_round_trip():

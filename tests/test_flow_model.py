@@ -19,11 +19,16 @@ from minedetect.flow_model import (
     aggregate_host_features,
     features_to_csv,
     fit_normalizer,
+    flows_by_host,
     flows_to_csv,
+    full_span,
+    host_vectors,
+    hosts_in,
     normalize,
     parse_feature_csv,
     parse_flow_csv,
 )
+from minedetect.synthgen import ScenarioConfig, generate
 
 HEADER = ",".join(flow_model.FLOW_FIELDS)
 
@@ -253,6 +258,49 @@ def test_aggregate_doubling_packets_doubles_rates_keeps_ratios():
     assert v2.ppf == pytest.approx(2 * v1.ppf)
     for name in ("ackpush_all", "req_all", "syn_all", "rst_all", "fin_all"):
         assert getattr(v2, name) == getattr(v1, name)
+
+
+def test_flows_by_host_keeps_input_order_and_files_loopback_once():
+    flows = [
+        make_flow(src_host="a", dst_host="b", start_time=3.0),
+        make_flow(src_host="c", dst_host="c", start_time=1.0),
+        make_flow(src_host="b", dst_host="c", start_time=2.0),
+        make_flow(src_host="a", dst_host="b", start_time=0.0),
+    ]
+    index = flows_by_host(flows)
+    assert set(index) == hosts_in(flows)
+    assert index["a"] == [flows[0], flows[3]]
+    assert index["b"] == [flows[0], flows[2], flows[3]]
+    assert index["c"] == [flows[1], flows[2]]
+
+
+def naive_host_vectors(flows):
+    """Every host's vector over the full span, each from a scan of all flows."""
+    span = full_span(flows)
+    return [aggregate_host_features(flows, host, span) for host in sorted(hosts_in(flows))]
+
+
+def test_host_vectors_match_per_host_full_scan():
+    flows, _ = generate(ScenarioConfig(seed=5, n_hosts=30, ring_degree=4, n_windows=3,
+                                       recruitment_schedule=(0, 2, 1)))
+    t_end = max(f.end_time for f in flows)
+    # loopback flows on a capture host and on a host seen nowhere else, and a
+    # host that only ever receives
+    extra = [
+        make_flow(src_host=flows[0].src_host, dst_host=flows[0].src_host,
+                  start_time=5.0, end_time=6.0, flags=frozenset({"ACK", "PUSH"})),
+        make_flow(src_host="loop-only", dst_host="loop-only", start_time=7.0, end_time=8.0),
+        make_flow(src_host=flows[1].src_host, dst_host="sink", start_time=9.0,
+                  end_time=t_end + 5.0, flags=frozenset({"FIN"}), is_request=True),
+        make_flow(src_host=flows[2].dst_host, dst_host="sink", start_time=0.5,
+                  end_time=1.0, packets=3, bytes=90, is_request=False),
+    ]
+    capture = flows[:40] + extra[:2] + flows[40:] + extra[2:]
+    vectors = host_vectors(capture)
+    assert vectors == naive_host_vectors(capture)
+    by_host = {v.host: v for v in vectors}
+    assert {"loop-only", "sink"} <= set(by_host)
+    assert by_host["sink"].req_all == 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,8 @@ import json
 
 import pytest
 
-from minedetect.comm_graph import MiningFingerprint
+from minedetect import comm_graph, flow_model
+from minedetect.comm_graph import MiningFingerprint, window_snapshots
 from minedetect.errors import InvalidConfigError
 from minedetect.flow_model import Label, aggregate_host_features, fit_normalizer, hosts_in, normalize
 from minedetect.knn_classify import KnnClassifier
@@ -165,6 +166,69 @@ def test_single_window_leaves_all_hosts_s0():
     one_window = [f for f in eval_flows if f.start_time < 60.0]
     report = run(one_window, labeled, PipelineConfig())
     assert set(report.host_states.values()) == {State.S0}
+
+
+def incidences(flows):
+    """Host-flow incidences: a flow counts once per distinct endpoint."""
+    return sum(1 if f.src_host == f.dst_host else 2 for f in flows)
+
+
+def test_run_reads_each_host_flow_incidence_once(monkeypatch):
+    labeled, eval_flows, eval_truth = scenario_inputs()
+    aggregated, mined = [], []
+    aggregate = flow_model.aggregate_host_features
+    mining_volume = comm_graph.mining_volume
+
+    def counting_aggregate(flows, *args, **kwargs):
+        aggregated.append(len(flows))
+        return aggregate(flows, *args, **kwargs)
+
+    def counting_mining_volume(flows, *args, **kwargs):
+        mined.append(len(flows))
+        return mining_volume(flows, *args, **kwargs)
+
+    monkeypatch.setattr(flow_model, "aggregate_host_features", counting_aggregate)
+    monkeypatch.setattr(comm_graph, "mining_volume", counting_mining_volume)
+    config = PipelineConfig()
+    run(eval_flows, labeled, config, ground_truth=eval_truth.labels)
+
+    assert len(aggregated) == len(hosts_in(eval_flows))
+    assert sum(aggregated) == incidences(eval_flows)
+    # with delta_t equal to the window, each pair's trailing windows are the
+    # arriving window alone
+    assert config.delta_t == config.window_length
+    windows = window_snapshots(eval_flows, config.window_length)
+    assert mined and sum(mined) <= sum(incidences(in_window) for _, in_window, _ in windows[1:])
+
+
+def fingerprint_flow(src, dst, start):
+    return make_flow(src_host=src, dst_host=dst, dst_port=3333, start_time=start,
+                     end_time=start + 45.0, flags=frozenset({"ACK", "PUSH"}))
+
+
+@pytest.mark.parametrize("delta_t, m_v, state", [(60.0, 1, State.S0), (120.0, 9, State.S3)])
+def test_mining_volume_reads_every_window_within_delta_t(monkeypatch, delta_t, m_v, state):
+    # eight pool flows in window 0, one in window 1, where the miner also
+    # gains two internal neighbors (dk_int = 2)
+    flows = [fingerprint_flow("miner", "pool0", float(t)) for t in range(1, 9)]
+    flows += [
+        fingerprint_flow("miner", "pool0", 61.0),
+        make_flow(src_host="miner", dst_host="h1", start_time=62.0, end_time=63.0),
+        make_flow(src_host="miner", dst_host="h2", start_time=64.0, end_time=65.0),
+    ]
+    seen = []
+    window_deltas = comm_graph.window_deltas
+
+    def recording_window_deltas(*args, **kwargs):
+        seen.append(window_deltas(*args, **kwargs))
+        return seen[-1]
+
+    monkeypatch.setattr(comm_graph, "window_deltas", recording_window_deltas)
+    report = run(flows, [], PipelineConfig(window_length=60.0, delta_t=delta_t))
+    assert len(seen) == 1
+    assert seen[0]["miner"].dk_int == 2
+    assert seen[0]["miner"].m_v == m_v
+    assert report.host_states["miner"] is state
 
 
 # ---------------------------------------------------------------------------
