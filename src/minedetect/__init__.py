@@ -16,7 +16,6 @@ from .comm_graph import (
     clustering_coefficient,
     graph_features,
     mining_volume,
-    subnet_prefix_predicate,
     vertex_degree,
     window_deltas,
 )

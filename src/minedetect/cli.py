@@ -23,7 +23,7 @@ import sys
 import tempfile
 
 from . import comm_graph, flow_model, metrics as metrics_mod, pipeline, snn_cluster, synthgen
-from .errors import InvalidConfigError, MineDetectError
+from .errors import InvalidConfigError, MalformedRowError, MineDetectError
 from .flow_model import Label
 from .knn_classify import KnnClassifier
 from .pipeline import PipelineConfig
@@ -200,10 +200,15 @@ def _parse_predictions_csv(text: str):
     if header is None or [h.strip() for h in header[:3]] != ["host", "label", "score"]:
         raise MineDetectError(f"prediction CSV header must be host,label,score, got {header}")
     rows = []
-    for row in reader:
+    for line_no, row in enumerate(reader, start=2):
         if not row or (len(row) == 1 and not row[0].strip()):
             continue
-        rows.append((row[0].strip(), flow_model.parse_label(row[1]), float(row[2])))
+        if len(row) < 3:
+            raise MalformedRowError(line_no, f"expected 3 fields, got {len(row)}")
+        try:
+            rows.append((row[0].strip(), flow_model.parse_label(row[1]), float(row[2])))
+        except ValueError as exc:
+            raise MalformedRowError(line_no, str(exc)) from exc
     return rows
 
 

@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .errors import InvalidConfigError, UnknownVertexError, WindowMismatchError
+from .errors import InvalidConfigError, UnknownVertexError
 from .flow_model import FlowRecord, Protocol, flows_by_host
 
 Edge = tuple[str, str]
@@ -77,11 +77,14 @@ class HostGraphFeatures:
 
 @dataclass(frozen=True)
 class HostDeltas:
-    """Window-to-window changes for one host.
+    """One host's changes between window ``window`` and window ``window + 1``.
 
-    ``window`` is the index of the earlier snapshot of the pair; a host's
-    ``dc_history`` holds the dc_factor values of all earlier window pairs
-    (so its length equals ``window``) when the caller tracks them.
+    ``dk_ext``/``dk_int`` are the changes of its external/internal degree,
+    ``dc_factor`` the multiplicative change of its clustering coefficient,
+    ``m_v`` its mining-fingerprint flow count over the trailing interval
+    that ends with the later window, and ``dc_history`` the dc_factor values
+    of its earlier window pairs, oldest first (so its length equals
+    ``window``).
     """
 
     host: str
@@ -91,26 +94,6 @@ class HostDeltas:
     dc_history: tuple[float, ...]
     m_v: int
     window: int
-
-
-def all_internal(host: str) -> bool:
-    """Default monitored-subnet predicate: every host is internal."""
-    return True
-
-
-def subnet_prefix_predicate(prefixes: Sequence[str]) -> Callable[[str], bool]:
-    """Internal iff the host id starts with one of the prefixes.
-
-    An empty prefix list means every host is internal.
-    """
-    prefixes = tuple(prefixes)
-    if not prefixes:
-        return all_internal
-
-    def predicate(host: str) -> bool:
-        return host.startswith(prefixes)
-
-    return predicate
 
 
 @dataclass(frozen=True)
@@ -170,13 +153,20 @@ class MiningFingerprint:
 class StateParams:
     """Free parameters of the S0-S3 state machine.
 
-    ``monitored_subnet`` returns True for internal hosts. ``t_star``
-    restricts the recruitment (S1) test to one window index; None means
-    any window. ``dc_cap`` bounds the clustering-change factor when the
-    coefficient rises from exactly zero.
+    A host is internal when its id starts with one of ``internal_prefixes``;
+    no prefixes make every host internal. S3 needs more than
+    ``x_threshold`` fingerprint flows in the trailing ``delta_t`` seconds.
+    ``t_star`` restricts the recruitment (S1) test to one window index;
+    None means any window. ``dc_cap`` is the clustering-change factor of a
+    rise from exactly zero.
+
+    Values that would silently switch a rule off are rejected: a NaN or
+    non-positive ``delta_t`` (no flow is counted), a ``dc_cap`` not above 1
+    (a rise from zero is no rise, so S2 cannot fire on it) and a negative
+    ``t_star`` (no window matches, so S1 never fires).
     """
 
-    monitored_subnet: Callable[[str], bool] = all_internal
+    internal_prefixes: tuple[str, ...] = ()
     x_threshold: int = 5
     delta_t: float = 60.0
     t_star: int | None = None
@@ -186,8 +176,15 @@ class StateParams:
     def __post_init__(self):
         if self.x_threshold < 1:
             raise ValueError("x_threshold must be >= 1")
-        if self.delta_t <= 0:
+        if not self.delta_t > 0:
             raise ValueError("delta_t must be > 0")
+        if not self.dc_cap > 1:
+            raise ValueError("dc_cap must be > 1")
+        if self.t_star is not None and self.t_star < 0:
+            raise ValueError("t_star must be >= 0")
+
+    def is_internal(self, host: str) -> bool:
+        return not self.internal_prefixes or host.startswith(self.internal_prefixes)
 
 
 # ---------------------------------------------------------------------------
@@ -336,51 +333,61 @@ def dc_change_factor(c_prev: float, c_next: float, cap: float = 1000.0) -> float
 
 
 def window_deltas(
-    g_t: CommGraph,
-    g_t1: CommGraph,
+    snapshots: Sequence[tuple[CommGraph, Sequence[FlowRecord], tuple[float, float]]],
     params: StateParams,
-    flows_t1: Sequence[FlowRecord],
-    now: float,
-    prior_dc: Mapping[str, Sequence[float]] | None = None,
-) -> dict[str, HostDeltas]:
-    """Per-host deltas between two consecutive snapshots.
+) -> list[dict[str, HostDeltas]]:
+    """Per-host deltas for every pair of consecutive windows.
 
-    ``now`` is the wall-clock end of the arriving window and anchors the
-    trailing mining-volume interval [now - params.delta_t, now].
-    ``flows_t1`` must hold every flow starting in that interval: the
-    arriving window's flows, plus those of earlier windows when delta_t is
-    longer than a window. Flows outside the interval may be included; they
-    are not counted. The flows are indexed by host once, and each host's
-    mining_volume call reads only that host's flows. ``prior_dc``
-    optionally supplies each host's dc_factor values from earlier window
-    pairs so HostDeltas.dc_history can be populated.
+    ``snapshots`` is the output of window_snapshots: (graph, the window's
+    flows, (lo, hi)) per window, in order. Entry j - 1 compares window j - 1
+    with window j and holds one HostDeltas per vertex of window j.
+
+    m_v counts the fingerprint flows starting in [hi - delta_t, hi), read
+    from every window that overlaps that interval; a flow starting exactly
+    at hi belongs to window j + 1. Each host's mining_volume call gets only
+    that host's flows. Each window's clustering coefficients are computed
+    once and reused as the earlier side of the next pair; a host absent
+    from window j - 1 has coefficient 0 there, whatever it had before.
     """
-    if g_t1.timestamp != g_t.timestamp + 1:
-        raise WindowMismatchError(
-            f"snapshots not consecutive: {g_t.timestamp} -> {g_t1.timestamp}"
+    if len(snapshots) < 2:
+        return []
+    history: dict[str, list[float]] = {}
+    coefficients = _coefficients(snapshots[0][0])
+    pairs = []
+    for j in range(1, len(snapshots)):
+        g_prev = snapshots[j - 1][0]
+        g_next, _, (_, hi) = snapshots[j]
+        first = j
+        while first > 0 and snapshots[first - 1][2][1] > hi - params.delta_t:
+            first -= 1
+        by_host = flows_by_host(
+            f for _, in_window, _ in snapshots[first : j + 1] for f in in_window
         )
-    internal = params.monitored_subnet
-    prior_dc = prior_dc or {}
-    by_host = flows_by_host(flows_t1)
+        c_prev, coefficients = coefficients, _coefficients(g_next)
+        deltas: dict[str, HostDeltas] = {}
+        for host in g_next.vertices:
+            ext_prev, int_prev = _split_degree(g_prev, host, params.is_internal)
+            ext_next, int_next = _split_degree(g_next, host, params.is_internal)
+            dc_factor = dc_change_factor(c_prev.get(host, 0.0), coefficients[host], params.dc_cap)
+            seen = history.setdefault(host, [])
+            deltas[host] = HostDeltas(
+                host=host,
+                dk_ext=ext_next - ext_prev,
+                dk_int=int_next - int_prev,
+                dc_factor=dc_factor,
+                dc_history=tuple(seen),
+                m_v=mining_volume(
+                    by_host.get(host, []), host, params.delta_t, params.fingerprint, now=hi
+                ),
+                window=j - 1,
+            )
+            seen.append(dc_factor)
+        pairs.append(deltas)
+    return pairs
 
-    deltas: dict[str, HostDeltas] = {}
-    for host in g_t1.vertices:
-        ext_prev, int_prev = _split_degree(g_t, host, internal)
-        ext_next, int_next = _split_degree(g_t1, host, internal)
-        c_prev = clustering_coefficient(g_t, host) if host in g_t.vertices else 0.0
-        c_next = clustering_coefficient(g_t1, host)
-        deltas[host] = HostDeltas(
-            host=host,
-            dk_ext=ext_next - ext_prev,
-            dk_int=int_next - int_prev,
-            dc_factor=dc_change_factor(c_prev, c_next, params.dc_cap),
-            dc_history=tuple(prior_dc.get(host, ())),
-            m_v=mining_volume(
-                by_host.get(host, []), host, params.delta_t, params.fingerprint, now=now
-            ),
-            window=g_t.timestamp,
-        )
-    return deltas
+
+def _coefficients(g: CommGraph) -> dict[str, float]:
+    return {v: clustering_coefficient(g, v) for v in g.vertices}
 
 
 # ---------------------------------------------------------------------------

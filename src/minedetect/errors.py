@@ -53,10 +53,6 @@ class SameVertexError(MineDetectError):
     """shared_neighbors() needs two distinct vertices."""
 
 
-class WindowMismatchError(MineDetectError):
-    """Graph snapshots passed to a delta computation are not consecutive."""
-
-
 class WindowOutOfRangeError(MineDetectError):
     """Window index outside the generated scenario."""
 

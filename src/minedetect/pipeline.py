@@ -18,7 +18,7 @@ from datetime import datetime, timezone
 from typing import Mapping, Sequence
 
 from . import comm_graph, flow_model, metrics as metrics_mod, snn_cluster
-from .comm_graph import MiningFingerprint, StateParams, subnet_prefix_predicate
+from .comm_graph import MiningFingerprint, StateParams
 from .errors import InvalidConfigError, MineDetectError
 from .flow_model import FeatureVector, FlowRecord, Label
 from .knn_classify import KnnClassifier, Prediction
@@ -49,58 +49,40 @@ class PipelineStepError(MineDetectError):
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    """Free parameters of the detection pipeline."""
+    """Free parameters of the detection pipeline; ``state`` holds the lifecycle ones."""
 
     window_length: float = 60.0
     k_shared: int = 2
     knn_k: int = 5
-    internal_prefixes: tuple[str, ...] = ()
-    x_threshold: int = 5
-    delta_t: float = 60.0
-    t_star: int | None = None
-    dc_cap: float = 1000.0
-    fingerprint: MiningFingerprint = field(default_factory=MiningFingerprint)
+    state: StateParams = field(default_factory=StateParams)
     suspicion_floor: float = 0.0
     flow_schema: tuple[tuple[str, str], ...] = ()
 
     def __post_init__(self):
-        if self.window_length <= 0:
+        if not self.window_length > 0:
             raise InvalidConfigError("window_length must be > 0")
         if self.k_shared < 1 or self.knn_k < 1:
             raise InvalidConfigError("k_shared and knn_k must be >= 1")
         if not (0.0 <= self.suspicion_floor <= 1.0):
             raise InvalidConfigError("suspicion_floor must be in [0, 1]")
-        try:
-            self.state_params()
-        except ValueError as exc:
-            raise InvalidConfigError(f"bad state config: {exc}") from exc
-
-    def state_params(self) -> StateParams:
-        return StateParams(
-            monitored_subnet=subnet_prefix_predicate(self.internal_prefixes),
-            x_threshold=self.x_threshold,
-            delta_t=self.delta_t,
-            t_star=self.t_star,
-            dc_cap=self.dc_cap,
-            fingerprint=self.fingerprint,
-        )
 
     def schema(self) -> dict[str, str] | None:
         return dict(self.flow_schema) if self.flow_schema else None
 
     def to_kv(self) -> dict[str, str]:
+        state = self.state
         kv = {
             "pipeline.window": str(self.window_length),
             "snn.k_shared": str(self.k_shared),
             "knn.k": str(self.knn_k),
-            "state.internal_prefixes": ",".join(self.internal_prefixes),
-            "state.x_threshold": str(self.x_threshold),
-            "state.delta_t": str(self.delta_t),
-            "state.t_star": "any" if self.t_star is None else str(self.t_star),
-            "state.dc_cap": str(self.dc_cap),
+            "state.internal_prefixes": ",".join(state.internal_prefixes),
+            "state.x_threshold": str(state.x_threshold),
+            "state.delta_t": str(state.delta_t),
+            "state.t_star": "any" if state.t_star is None else str(state.t_star),
+            "state.dc_cap": str(state.dc_cap),
             "report.suspicion_floor": str(self.suspicion_floor),
         }
-        for key, value in self.fingerprint.to_kv().items():
+        for key, value in state.fingerprint.to_kv().items():
             kv[f"fingerprint.{key}"] = value
         for fld, column in self.flow_schema:
             kv[f"schema.{fld}"] = column
@@ -110,6 +92,7 @@ class PipelineConfig:
     def from_kv(cls, kv: Mapping[str, str]) -> "PipelineConfig":
         try:
             kwargs: dict = {}
+            state: dict = {}
             if "pipeline.window" in kv:
                 kwargs["window_length"] = float(kv["pipeline.window"])
             if "snn.k_shared" in kv:
@@ -117,18 +100,18 @@ class PipelineConfig:
             if "knn.k" in kv:
                 kwargs["knn_k"] = int(kv["knn.k"])
             if "state.internal_prefixes" in kv:
-                kwargs["internal_prefixes"] = tuple(
+                state["internal_prefixes"] = tuple(
                     p for p in kv["state.internal_prefixes"].split(",") if p.strip()
                 )
             if "state.x_threshold" in kv:
-                kwargs["x_threshold"] = int(kv["state.x_threshold"])
+                state["x_threshold"] = int(kv["state.x_threshold"])
             if "state.delta_t" in kv:
-                kwargs["delta_t"] = float(kv["state.delta_t"])
+                state["delta_t"] = float(kv["state.delta_t"])
             if "state.t_star" in kv:
                 raw = kv["state.t_star"].strip().lower()
-                kwargs["t_star"] = None if raw in ("", "any", "none") else int(raw)
+                state["t_star"] = None if raw in ("", "any", "none") else int(raw)
             if "state.dc_cap" in kv:
-                kwargs["dc_cap"] = float(kv["state.dc_cap"])
+                state["dc_cap"] = float(kv["state.dc_cap"])
             if "report.suspicion_floor" in kv:
                 kwargs["suspicion_floor"] = float(kv["report.suspicion_floor"])
             fp_kv = {
@@ -137,7 +120,7 @@ class PipelineConfig:
                 if key.startswith("fingerprint.")
             }
             if fp_kv:
-                kwargs["fingerprint"] = MiningFingerprint.from_kv(fp_kv)
+                state["fingerprint"] = MiningFingerprint.from_kv(fp_kv)
             schema = tuple(
                 (key.split(".", 1)[1], value)
                 for key, value in sorted(kv.items())
@@ -147,6 +130,10 @@ class PipelineConfig:
                 kwargs["flow_schema"] = schema
         except ValueError as exc:
             raise InvalidConfigError(f"bad pipeline config value: {exc}") from exc
+        try:
+            kwargs["state"] = StateParams(**state)
+        except ValueError as exc:
+            raise InvalidConfigError(f"bad state config: {exc}") from exc
         return cls(**kwargs)
 
 
@@ -278,32 +265,17 @@ def run(
     # step 3: full-span graph for clustering; windowed snapshots for the
     # lifecycle deltas. host_states has one entry per full-graph vertex.
     try:
-        state_params = config.state_params()
         host_states: dict[str, State] = {}
         full_graph = None
         if flows:
             full_graph = comm_graph.build_graph(flows, flow_model.full_span(flows))
             host_states = {v: State.S0 for v in full_graph.vertices}
-
             snapshots = comm_graph.window_snapshots(flows, config.window_length)
-            dc_seen: dict[str, list[float]] = {}
-            for j in range(1, len(snapshots)):
-                g_prev = snapshots[j - 1][0]
-                g_next, _, (_, hi) = snapshots[j]
-                # mining volume reads every window overlapping [hi - delta_t, hi)
-                first = j
-                while first > 0 and snapshots[first - 1][2][1] > hi - state_params.delta_t:
-                    first -= 1
-                trailing = [f for _, in_window, _ in snapshots[first : j + 1] for f in in_window]
-                deltas = comm_graph.window_deltas(
-                    g_prev, g_next, state_params, trailing, now=hi, prior_dc=dc_seen
-                )
+            for deltas in comm_graph.window_deltas(snapshots, config.state):
                 for host, d in deltas.items():
-                    state = snn_cluster.assign_state(d, state_params)
-                    prev = host_states.get(host, State.S0)
-                    if STATE_RANK[state] > STATE_RANK[prev]:
+                    state = snn_cluster.assign_state(d, config.state)
+                    if STATE_RANK[state] > STATE_RANK[host_states.get(host, State.S0)]:
                         host_states[host] = state
-                    dc_seen.setdefault(host, []).append(d.dc_factor)
         record(3, len(flows), len(host_states))
     except (MineDetectError, ValueError) as exc:
         fail(3, exc)

@@ -439,6 +439,8 @@ def parse_truth_csv(text: str | Iterable[str], n_windows: int | None = None) -> 
     for line_no, row in enumerate(reader, start=2):
         if not row or (len(row) == 1 and not row[0].strip()):
             continue
+        if len(row) < 2:
+            raise MalformedRowError(line_no, f"expected at least 2 fields, got {len(row)}")
         try:
             host = row[0].strip()
             labels[host] = Label(row[1].strip())

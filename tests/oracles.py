@@ -167,3 +167,78 @@ def fingerprint_match_brute(flow, ports, min_duration, required_flags, pool_host
         if flag not in flow.flags:
             return False
     return flow.dst_port in ports or flow.dst_host in pool_hosts
+
+
+def window_deltas_naive(flows, bounds, internal_prefixes, delta_t, dc_cap, fingerprint):
+    """Per-pair host deltas recomputed from the raw flows, one pair at a time.
+
+    ``bounds`` lists the windows' (lo, hi) in order. For the pair (j - 1, j)
+    every quantity is rebuilt from scratch: both windows' adjacency from the
+    flows starting inside them, degree splits by prefix test, clustering
+    coefficients by checking every neighbour pair of both graphs, m_v by
+    scanning the whole capture for the host's fingerprint flows starting in
+    [hi - delta_t, hi), and dc_history as the host's dc factors of all
+    earlier pairs. Returns, per pair, host -> (dk_ext, dk_int, dc_factor,
+    dc_history, m_v, window).
+    """
+
+    def internal(host):
+        return not internal_prefixes or any(host.startswith(p) for p in internal_prefixes)
+
+    def adjacency(lo, hi):
+        adj = {}
+        for f in flows:
+            if lo <= f.start_time < hi:
+                adj.setdefault(f.src_host, set())
+                adj.setdefault(f.dst_host, set())
+                if f.src_host != f.dst_host:
+                    adj[f.src_host].add(f.dst_host)
+                    adj[f.dst_host].add(f.src_host)
+        return adj
+
+    def split(adj, host):
+        nbrs = adj.get(host, set())
+        ext = len([u for u in nbrs if not internal(u)])
+        return ext, len(nbrs) - ext
+
+    def coefficient(adj, host):
+        nbrs = sorted(adj.get(host, set()))
+        k = len(nbrs)
+        closed = 0
+        for i in range(k):
+            for j in range(i + 1, k):
+                if nbrs[j] in adj[nbrs[i]]:
+                    closed += 1
+        return float(clustering_fraction(k, closed))
+
+    history = {}
+    pairs = []
+    for j in range(1, len(bounds)):
+        adj_prev, adj_next = adjacency(*bounds[j - 1]), adjacency(*bounds[j])
+        hi = bounds[j][1]
+        out = {}
+        for host in adj_next:
+            ext_prev, int_prev = split(adj_prev, host)
+            ext_next, int_next = split(adj_next, host)
+            c_prev, c_next = coefficient(adj_prev, host), coefficient(adj_next, host)
+            if c_prev == 0.0:
+                factor = 1.0 if c_next == 0.0 else dc_cap
+            else:
+                factor = c_next / c_prev
+            m_v = len([
+                f for f in flows
+                if host in (f.src_host, f.dst_host)
+                and hi - delta_t <= f.start_time < hi
+                and fingerprint_match_brute(
+                    f, fingerprint.ports, fingerprint.min_duration,
+                    fingerprint.required_flags, fingerprint.pool_hosts,
+                )
+            ])
+            out[host] = (
+                ext_next - ext_prev, int_next - int_prev, factor,
+                tuple(history.get(host, ())), m_v, j - 1,
+            )
+        for host, row in out.items():
+            history.setdefault(host, []).append(row[2])
+        pairs.append(out)
+    return pairs

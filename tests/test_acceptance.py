@@ -20,7 +20,6 @@ from minedetect.comm_graph import (
     MiningFingerprint,
     StateParams,
     build_graph,
-    subnet_prefix_predicate,
     triangle_count,
     vertex_degree,
     window_deltas,
@@ -312,32 +311,27 @@ def test_criterion_7_state_machine_replay():
     cfg = ScenarioConfig(seed=42, **ACCEPTANCE_SCENARIO)
     flows, truth = generate(cfg)
     L = cfg.window_length
-    params = StateParams(monitored_subnet=subnet_prefix_predicate(["host"]))
+    params = StateParams(internal_prefixes=("host",))
 
-    snapshots, window_flows = [], []
+    snapshots = []
     for w in range(cfg.n_windows):
         in_window = [f for f in flows if w * L <= f.start_time < (w + 1) * L]
-        snapshots.append(build_graph(in_window, (w * L, (w + 1) * L), timestamp=w))
-        window_flows.append(in_window)
+        window = (w * L, (w + 1) * L)
+        snapshots.append((build_graph(in_window, window, timestamp=w), in_window, window))
+    pairs = window_deltas(snapshots, params)
 
     agree = total = 0
-    dc_seen: dict[str, list[float]] = {}
     mismatches = []
     for w in range(cfg.n_windows):
         expected = expected_states(truth, w)
         if w == 0:
             actual = {h: State.S0 for h in truth.labels}
         else:
-            deltas = window_deltas(
-                snapshots[w - 1], snapshots[w], params, window_flows[w],
-                prior_dc=dc_seen, now=(w + 1) * L,
-            )
+            deltas = pairs[w - 1]
             actual = {
                 h: assign_state(deltas[h], params) if h in deltas else State.S0
                 for h in truth.labels
             }
-            for host, d in deltas.items():
-                dc_seen.setdefault(host, []).append(d.dc_factor)
         for host in truth.labels:
             total += 1
             if actual[host] is expected[host]:

@@ -328,6 +328,44 @@ def test_bad_state_config_exits_1_before_reading_flows(tmp_path, capsys):
     assert not out.exists()
 
 
+TRUTH_OK = "host,label,recruitment_window\nhost000,Miner,1\n"
+
+
+@pytest.mark.parametrize("pred_row", ["host000,Miner", "host000,Miner,abc", "host000,Bogus,0.5"])
+def test_evaluate_bad_prediction_row_exits_1_with_line_number(tmp_path, capsys, pred_row):
+    pred = tmp_path / "pred.csv"
+    pred.write_text("host,label,score\n" + pred_row + "\n")
+    truth = tmp_path / "truth.csv"
+    truth.write_text(TRUTH_OK)
+    assert dispatch([
+        "evaluate", "--pred", str(pred), "--truth", str(truth), "--out", str(tmp_path / "m.csv"),
+    ]) == 1
+    assert "line 2" in capsys.readouterr().err
+
+
+def test_evaluate_short_truth_row_exits_1_with_line_number(tmp_path, capsys):
+    pred = tmp_path / "pred.csv"
+    pred.write_text("host,label,score\nhost000,Miner,1.0\n")
+    truth = tmp_path / "truth.csv"
+    truth.write_text(TRUTH_OK + "host001\n")
+    assert dispatch([
+        "evaluate", "--pred", str(pred), "--truth", str(truth), "--out", str(tmp_path / "m.csv"),
+    ]) == 1
+    assert "line 3" in capsys.readouterr().err
+
+
+def test_features_short_truth_row_exits_1_with_line_number(tmp_path, scenario_file, capsys):
+    flows, _ = simulate(tmp_path, scenario_file, seed=5)
+    truth = tmp_path / "short.truth.csv"
+    truth.write_text("host,label,recruitment_window\nhost000\n")
+    out = tmp_path / "feats.csv"
+    assert dispatch([
+        "features", "--flows", str(flows), "--truth", str(truth), "--out", str(out),
+    ]) == 1
+    assert "line 2" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_failed_run_leaves_no_partial_output(tmp_path, scenario_file):
     flows, _ = simulate(tmp_path, scenario_file, seed=5)
     bad_labeled = tmp_path / "bad.csv"

@@ -13,17 +13,22 @@ from minedetect.comm_graph import (
     edge_key,
     graph_to_text,
     mining_volume,
-    subnet_prefix_predicate,
     triangle_count,
     vertex_degree,
     window_deltas,
     window_snapshots,
 )
-from minedetect.errors import UnknownVertexError, WindowMismatchError
+from minedetect.errors import UnknownVertexError
 from minedetect.flow_model import Protocol
 from minedetect.synthgen import ScenarioConfig, generate
 
-from oracles import random_comm_graph, triangle_count_brute, clustering_fraction, fingerprint_match_brute
+from oracles import (
+    clustering_fraction,
+    fingerprint_match_brute,
+    random_comm_graph,
+    triangle_count_brute,
+    window_deltas_naive,
+)
 from test_flow_model import make_flow
 
 
@@ -223,15 +228,26 @@ def test_pool_growth_schedule_keeps_features_nondecreasing():
 # ---------------------------------------------------------------------------
 
 def mk_params(**overrides):
-    defaults = dict(monitored_subnet=subnet_prefix_predicate(["h"]), x_threshold=5, delta_t=60.0)
+    defaults = dict(internal_prefixes=("h",), x_threshold=5, delta_t=60.0)
     defaults.update(overrides)
     return StateParams(**defaults)
+
+
+def as_snapshots(graphs, length=60.0):
+    """window_snapshots-shaped entries for hand-built graphs without flows."""
+    return [(g, [], (i * length, (i + 1) * length)) for i, g in enumerate(graphs)]
+
+
+def pair_deltas(g0, g1, params):
+    """The deltas of the single pair (g0, g1)."""
+    [deltas] = window_deltas(as_snapshots([g0, g1]), params)
+    return deltas
 
 
 def test_deltas_unchanged_host():
     g0 = graph_of([("h1", "h2"), ("h2", "h3")], timestamp=0)
     g1 = graph_of([("h1", "h2"), ("h2", "h3")], timestamp=1)
-    deltas = window_deltas(g0, g1, mk_params(), [], now=60.0)
+    deltas = pair_deltas(g0, g1, mk_params())
     d = deltas["h2"]
     assert d.dk_ext == 0 and d.dk_int == 0
     assert d.dc_factor == 1.0
@@ -241,7 +257,7 @@ def test_deltas_unchanged_host():
 def test_deltas_external_gain():
     g0 = graph_of([("h1", "h2")], timestamp=0)
     g1 = graph_of([("h1", "h2"), ("h1", "x1"), ("h1", "x2")], timestamp=1)
-    deltas = window_deltas(g0, g1, mk_params(), [], now=60.0)
+    deltas = pair_deltas(g0, g1, mk_params())
     assert deltas["h1"].dk_ext == 2
     assert deltas["h1"].dk_int == 0
 
@@ -254,15 +270,8 @@ def test_deltas_dc_factor_from_coefficients():
     )
     assert clustering_coefficient(g0, "h") == pytest.approx(1 / 3)
     assert clustering_coefficient(g1, "h") == pytest.approx(2 / 3)
-    deltas = window_deltas(g0, g1, mk_params(), [], now=60.0)
+    deltas = pair_deltas(g0, g1, mk_params())
     assert deltas["h"].dc_factor == pytest.approx(2.0)
-
-
-def test_deltas_window_mismatch():
-    g0 = graph_of([("h1", "h2")], timestamp=0)
-    g2 = graph_of([("h1", "h2")], timestamp=2)
-    with pytest.raises(WindowMismatchError):
-        window_deltas(g0, g2, mk_params(), [], now=60.0)
 
 
 def test_dc_factor_conventions():
@@ -279,12 +288,9 @@ def test_dc_history_length_equals_window_index():
         graph_of([("h1", "h2"), ("h2", "h3")], timestamp=3),
     ]
     params = mk_params()
-    seen = {}
-    for i in range(1, len(graphs)):
-        deltas = window_deltas(graphs[i - 1], graphs[i], params, [], now=60.0, prior_dc=seen)
-        for host, d in deltas.items():
+    for deltas in window_deltas(as_snapshots(graphs), params):
+        for d in deltas.values():
             assert len(d.dc_history) == d.window
-            seen.setdefault(host, []).append(d.dc_factor)
 
 
 def test_deltas_invariant_under_host_relabeling():
@@ -303,8 +309,8 @@ def test_deltas_invariant_under_host_relabeling():
         )
 
     params = StateParams()  # all internal: predicate invariant under relabeling
-    d0 = window_deltas(g0, g1, params, [], now=60.0)
-    d1 = window_deltas(relabel(g0), relabel(g1), params, [], now=60.0)
+    d0 = pair_deltas(g0, g1, params)
+    d1 = pair_deltas(relabel(g0), relabel(g1), params)
     for host, d in d0.items():
         other = d1[mapping[host]]
         assert (d.dk_ext, d.dk_int, d.dc_factor, d.m_v) == (
@@ -381,14 +387,72 @@ def test_window_deltas_mining_volume_matches_scan_of_all_window_flows():
     params = StateParams(fingerprint=fp)
     snapshots = window_snapshots(flows, 60.0)
     counted = 0
-    for (g_prev, _, _), (g_next, in_window, (_, hi)) in zip(snapshots, snapshots[1:]):
-        deltas = window_deltas(g_prev, g_next, params, in_window, now=hi)
+    pairs = window_deltas(snapshots, params)
+    for (g_next, in_window, (_, hi)), deltas in zip(snapshots[1:], pairs):
         assert set(deltas) == g_next.vertices
         for host, d in deltas.items():
             assert d.m_v == mining_volume(in_window, host, 60.0, fp, now=hi)
             counted += d.m_v
     # the miners' pool flows were found, so the comparison was not all zeros
     assert counted > 0 and truth.miners
+
+
+def edge_case_capture():
+    """Five 60 s windows covering the cases window_deltas must get right.
+
+    Window 3 is empty. h1 closes a triangle in windows 0 and 2 but is absent
+    from window 1, so its earlier coefficient is 0 there. h5 appears in
+    window 1 only through a loopback flow, and h4 sends a loopback pool flow
+    in window 4. h4's pool flows start early and late in their windows, one
+    exactly on a window edge, so a delta_t above 60 s reaches back into the
+    previous window.
+    """
+    def link(a, b, t):
+        return make_flow(src_host=a, dst_host=b, start_time=t, end_time=t + 1.0)
+
+    def pool(a, t, dst="pool0"):
+        return mining_flow(src_host=a, dst_host=dst, start=t)
+
+    return [
+        link("h1", "h2", 1.0), link("h2", "h3", 2.0), link("h1", "h3", 3.0),
+        link("h1", "x1", 4.0), pool("h4", 10.0), pool("h4", 50.0),
+        link("h2", "h3", 61.0), link("h3", "h4", 62.0), link("h2", "h2", 63.0),
+        link("h5", "h5", 64.0), pool("h4", 70.0), pool("h4", 110.0), pool("h4", 120.0),
+        link("h1", "h2", 121.0), link("h1", "h3", 122.0), link("h2", "h3", 123.0),
+        link("h1", "x1", 124.0), link("h1", "x2", 125.0), link("h5", "h1", 126.0),
+        pool("h4", 170.0),
+        link("h1", "h2", 241.0), link("h2", "h4", 242.0), pool("h4", 250.0, dst="h4"),
+        pool("h4", 290.0),
+    ]
+
+
+@pytest.mark.parametrize("delta_t", [60.0, 90.0, 120.0, 150.0])
+@pytest.mark.parametrize("capture", ["edge_cases", "synthgen"])
+def test_window_deltas_match_naive_pairwise_recomputation(capture, delta_t):
+    if capture == "edge_cases":
+        flows = edge_case_capture()
+        prefixes, fp = ("h",), MiningFingerprint()
+    else:
+        flows, _ = generate(ScenarioConfig(seed=5, n_hosts=24, ring_degree=4, n_windows=5,
+                                           recruitment_schedule=(0, 2, 2)))
+        prefixes, fp = ("host",), MiningFingerprint(pool_hosts=frozenset({"pool0"}))
+    params = StateParams(internal_prefixes=prefixes, delta_t=delta_t, fingerprint=fp)
+    snapshots = window_snapshots(flows, 60.0)
+    expected = window_deltas_naive(
+        flows, [bounds for _, _, bounds in snapshots], prefixes, delta_t, params.dc_cap, fp
+    )
+    actual = [
+        {h: (d.dk_ext, d.dk_int, d.dc_factor, d.dc_history, d.m_v, d.window)
+         for h, d in deltas.items()}
+        for deltas in window_deltas(snapshots, params)
+    ]
+    assert actual == expected
+    assert len(actual) == len(snapshots) - 1
+    if capture == "edge_cases":
+        assert [len(in_window) for _, in_window, _ in snapshots][3] == 0
+        # h1 returns in window 2: factor from 0 is the cap, despite window 0
+        assert actual[1]["h1"][2] == params.dc_cap
+        assert sum(row[4] for pair in actual for row in pair.values()) > 0
 
 
 def test_fingerprint_kv_round_trip():
@@ -406,6 +470,13 @@ def test_state_params_validation():
         StateParams(x_threshold=0)
     with pytest.raises(ValueError):
         StateParams(delta_t=0.0)
+
+
+def test_state_params_internal_prefixes():
+    assert StateParams().is_internal("anything")
+    params = StateParams(internal_prefixes=("10.", "host"))
+    assert params.is_internal("10.0.0.1") and params.is_internal("host007")
+    assert not params.is_internal("pool0")
 
 
 # ---------------------------------------------------------------------------

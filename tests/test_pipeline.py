@@ -4,7 +4,7 @@ import json
 import pytest
 
 from minedetect import comm_graph, flow_model
-from minedetect.comm_graph import MiningFingerprint, window_snapshots
+from minedetect.comm_graph import MiningFingerprint, StateParams, window_snapshots
 from minedetect.errors import InvalidConfigError
 from minedetect.flow_model import Label, aggregate_host_features, fit_normalizer, hosts_in, normalize
 from minedetect.knn_classify import KnnClassifier
@@ -196,9 +196,27 @@ def test_run_reads_each_host_flow_incidence_once(monkeypatch):
     assert sum(aggregated) == incidences(eval_flows)
     # with delta_t equal to the window, each pair's trailing windows are the
     # arriving window alone
-    assert config.delta_t == config.window_length
+    assert config.state.delta_t == config.window_length
     windows = window_snapshots(eval_flows, config.window_length)
     assert mined and sum(mined) <= sum(incidences(in_window) for _, in_window, _ in windows[1:])
+
+
+def test_run_computes_each_window_coefficient_once(monkeypatch):
+    labeled, eval_flows, eval_truth = scenario_inputs()
+    calls = []
+    clustering_coefficient = comm_graph.clustering_coefficient
+
+    def counting_clustering_coefficient(g, v):
+        calls.append(v)
+        return clustering_coefficient(g, v)
+
+    monkeypatch.setattr(comm_graph, "clustering_coefficient", counting_clustering_coefficient)
+    config = PipelineConfig()
+    run(eval_flows, labeled, config, ground_truth=eval_truth.labels)
+
+    windows = window_snapshots(eval_flows, config.window_length)
+    assert len(windows) > 2
+    assert calls and len(calls) <= sum(len(g.vertices) for g, _, _ in windows)
 
 
 def fingerprint_flow(src, dst, start):
@@ -224,10 +242,11 @@ def test_mining_volume_reads_every_window_within_delta_t(monkeypatch, delta_t, m
         return seen[-1]
 
     monkeypatch.setattr(comm_graph, "window_deltas", recording_window_deltas)
-    report = run(flows, [], PipelineConfig(window_length=60.0, delta_t=delta_t))
-    assert len(seen) == 1
-    assert seen[0]["miner"].dk_int == 2
-    assert seen[0]["miner"].m_v == m_v
+    report = run(flows, [], PipelineConfig(window_length=60.0, state=StateParams(delta_t=delta_t)))
+    [pairs] = seen
+    assert len(pairs) == 1
+    assert pairs[0]["miner"].dk_int == 2
+    assert pairs[0]["miner"].m_v == m_v
     assert report.host_states["miner"] is state
 
 
@@ -240,10 +259,12 @@ def test_pipeline_config_kv_round_trip():
         window_length=30.0,
         k_shared=3,
         knn_k=7,
-        internal_prefixes=("10.", "192.168."),
-        x_threshold=4,
-        t_star=2,
-        fingerprint=MiningFingerprint(ports=frozenset({3333})),
+        state=StateParams(
+            internal_prefixes=("10.", "192.168."),
+            x_threshold=4,
+            t_star=2,
+            fingerprint=MiningFingerprint(ports=frozenset({3333})),
+        ),
         suspicion_floor=0.25,
         flow_schema=(("src_host", "SrcAddr"),),
     )
@@ -252,7 +273,7 @@ def test_pipeline_config_kv_round_trip():
 
 def test_pipeline_config_t_star_any_and_defaults():
     config = PipelineConfig.from_kv({"state.t_star": "any"})
-    assert config.t_star is None
+    assert config.state.t_star is None
     assert PipelineConfig.from_kv({}) == PipelineConfig()
 
 
@@ -263,7 +284,18 @@ def test_pipeline_config_validation():
         PipelineConfig(k_shared=0)
     with pytest.raises(InvalidConfigError):
         PipelineConfig(suspicion_floor=2.0)
-    for kv in ({"state.delta_t": "0"}, {"state.delta_t": "-5"}, {"state.x_threshold": "0"}):
+    with pytest.raises(InvalidConfigError, match="window_length"):
+        PipelineConfig.from_kv({"pipeline.window": "nan"})
+    for kv in (
+        {"state.delta_t": "0"},
+        {"state.delta_t": "-5"},
+        {"state.delta_t": "nan"},
+        {"state.x_threshold": "0"},
+        {"state.dc_cap": "1"},
+        {"state.dc_cap": "0.5"},
+        {"state.dc_cap": "nan"},
+        {"state.t_star": "-1"},
+    ):
         with pytest.raises(InvalidConfigError, match="bad state config"):
             PipelineConfig.from_kv(kv)
 
