@@ -191,13 +191,34 @@ GOLDEN_SHA256 = {
     "report.metrics.csv": "ea3724bc9f35e283bbfaacf42921e09e52e5df19e966c71a7373c5238c3f5e6e",
     "graph": "b4e093409b2ba04e20217171ab21419a3e9ac8876a0ef4a69fc2952ce3925170",
     "features --truth": "a1da1d870e5e7205bb901f448a3f096817a3fcac56ce759c16f30065ad876aaf",
+    "cluster": "a0df280c91a6b45dd9e9c96aae5e1debcf4b8de674dcff26232a415a3948e1c8",
+    "cluster --format json --snn-k 3": "ca36c95628efd53e3ab0f56c470c7dbcec4a563864762b4e3eaabce34e51b427",
+    "classify --labeled": "14eba17768bfeb9ab7a1ec9339b82ef6f5f668575dfac595393d9cb30d081ec4",
+    "classify --save-model": "20167e4dcc351b72c717a3b81632483f14b3871615886cee3ac2cd1e59372c8e",
+    "evaluate": "ea3724bc9f35e283bbfaacf42921e09e52e5df19e966c71a7373c5238c3f5e6e",
 }
 
 
 def test_outputs_match_golden_digests(tmp_path, scenario_file):
     report = run_pipeline(tmp_path, scenario_file)
-    graph = tmp_path / "graph.txt"
-    assert dispatch(["graph", "--flows", str(tmp_path / "eval.csv"), "--out", str(graph)]) == 0
+    eval_flows = str(tmp_path / "eval.csv")
+    out = {name: tmp_path / name for name in (
+        "graph.txt", "clusters.csv", "clusters.json", "eval_feats.csv", "pred.csv",
+        "model.knn", "eval_metrics.csv",
+    )}
+    for argv in (
+        ["graph", "--flows", eval_flows, "--out", str(out["graph.txt"])],
+        ["cluster", "--flows", eval_flows, "--out", str(out["clusters.csv"])],
+        ["cluster", "--flows", eval_flows, "--format", "json", "--snn-k", "3",
+         "--out", str(out["clusters.json"])],
+        ["features", "--flows", eval_flows, "--out", str(out["eval_feats.csv"])],
+        ["classify", "--labeled", str(tmp_path / "labeled.csv"),
+         "--features", str(out["eval_feats.csv"]), "--out", str(out["pred.csv"]),
+         "--save-model", str(out["model.knn"])],
+        ["evaluate", "--pred", str(out["pred.csv"]), "--truth", str(tmp_path / "eval.truth.csv"),
+         "--out", str(out["eval_metrics.csv"])],
+    ):
+        assert dispatch(argv) == 0
     report_text = "".join(
         line
         for line in report.read_text().splitlines(keepends=True)
@@ -207,8 +228,13 @@ def test_outputs_match_golden_digests(tmp_path, scenario_file):
         "report.json": report_text,
         "report.clusters.csv": (tmp_path / "report.clusters.csv").read_text(),
         "report.metrics.csv": (tmp_path / "report.metrics.csv").read_text(),
-        "graph": graph.read_text(),
+        "graph": out["graph.txt"].read_text(),
         "features --truth": (tmp_path / "labeled.csv").read_text(),
+        "cluster": out["clusters.csv"].read_text(),
+        "cluster --format json --snn-k 3": out["clusters.json"].read_text(),
+        "classify --labeled": out["pred.csv"].read_text(),
+        "classify --save-model": out["model.knn"].read_text(),
+        "evaluate": out["eval_metrics.csv"].read_text(),
     }
     digests = {
         name: hashlib.sha256(text.encode("utf-8")).hexdigest()
