@@ -54,7 +54,6 @@ from .snn_cluster import (
     cluster_profile,
     cluster_state,
     extract_clusters,
-    shared_neighbors,
 )
 from .synthgen import GroundTruth, ScenarioConfig, expected_states, generate
 

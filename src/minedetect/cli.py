@@ -146,13 +146,18 @@ def _cmd_cluster(args) -> int:
     flows = _load_flows(args.flows, config)
     if not flows:
         raise MineDetectError("no flows in input")
-    report = pipeline.run(flows, [], config)
+    # pipeline steps 2, 3, 5 and 6; without a labeled set the centroids use the capture's scale
+    host_norm, _ = pipeline.normalize_vectors(flow_model.host_vectors(flows), [])
+    graph, host_states = pipeline.lifecycle_states(flows, config)
+    clusters = snn_cluster.finalize_clusters(
+        pipeline.cluster_hosts(graph, config.k_shared), host_states, {v.host: v for v in host_norm}
+    )
     if args.format == "json":
-        text = json.dumps(snn_cluster.clusters_to_obj(report.clusters), indent=2, sort_keys=True) + "\n"
+        text = json.dumps(snn_cluster.clusters_to_obj(clusters), indent=2, sort_keys=True) + "\n"
     else:
-        text = snn_cluster.clusters_to_csv(report.clusters)
+        text = snn_cluster.clusters_to_csv(clusters)
     write_atomic(args.out, text)
-    print(f"cluster: {len(report.clusters)} clusters -> {args.out}", file=sys.stderr)
+    print(f"cluster: {len(clusters)} clusters -> {args.out}", file=sys.stderr)
     return 0
 
 
@@ -178,12 +183,12 @@ def _cmd_classify(args) -> int:
         model = KnnClassifier.from_text(_read_text(args.model))
         queries = flow_model.parse_feature_csv(_read_text(args.features), normalized=True)
     else:
+        # pipeline steps 2 and 7: one scale for both files, then train
         labeled = flow_model.parse_feature_csv(_read_text(args.labeled))
-        queries_raw = flow_model.parse_feature_csv(_read_text(args.features))
-        params = flow_model.fit_normalizer(labeled + queries_raw)
-        model = KnnClassifier(k=config.knn_k)
-        model.fit([flow_model.normalize(v, params) for v in labeled])
-        queries = [flow_model.normalize(v, params) for v in queries_raw]
+        queries, labeled = pipeline.normalize_vectors(
+            flow_model.parse_feature_csv(_read_text(args.features)), labeled
+        )
+        model = KnnClassifier(k=config.knn_k).fit(labeled)
 
     predictions = [model.predict(v) for v in queries]
     write_atomic(args.out, _predictions_to_csv(predictions))

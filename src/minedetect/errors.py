@@ -49,10 +49,6 @@ class UnknownVertexError(MineDetectError):
     """The vertex is not present in the graph."""
 
 
-class SameVertexError(MineDetectError):
-    """shared_neighbors() needs two distinct vertices."""
-
-
 class WindowOutOfRangeError(MineDetectError):
     """Window index outside the generated scenario."""
 

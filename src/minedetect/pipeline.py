@@ -7,6 +7,7 @@ the capture, SNN-cluster, attach states to clusters, train KNN, classify
 hosts and clusters, compute metrics when ground truth is available, and
 assemble the report. There is no randomness anywhere, so identical inputs
 and config produce identical reports (up to the provenance timestamp).
+Steps 2, 3, 5, 8 and 9 are stage functions that can be called on their own.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from datetime import datetime, timezone
 from typing import Mapping, Sequence
 
 from . import comm_graph, flow_model, metrics as metrics_mod, snn_cluster
-from .comm_graph import MiningFingerprint, StateParams
+from .comm_graph import CommGraph, MiningFingerprint, StateParams
 from .errors import InvalidConfigError, MineDetectError
 from .flow_model import FeatureVector, FlowRecord, Label
 from .knn_classify import KnnClassifier, Prediction
@@ -101,7 +102,7 @@ class PipelineConfig:
                 kwargs["knn_k"] = int(kv["knn.k"])
             if "state.internal_prefixes" in kv:
                 state["internal_prefixes"] = tuple(
-                    p for p in kv["state.internal_prefixes"].split(",") if p.strip()
+                    p.strip() for p in kv["state.internal_prefixes"].split(",") if p.strip()
                 )
             if "state.x_threshold" in kv:
                 state["x_threshold"] = int(kv["state.x_threshold"])
@@ -214,6 +215,94 @@ def _detector_metrics(
     }
 
 
+def _stage(step: int, fn, *args):
+    """Run one step's stage, tagging its errors with the step."""
+    try:
+        return fn(*args)
+    except (MineDetectError, ValueError) as exc:
+        raise PipelineStepError(step, STEP_NAMES[step - 1], exc) from exc
+
+
+def normalize_vectors(
+    raw: Sequence[FeatureVector],
+    labeled: Sequence[FeatureVector],
+) -> tuple[list[FeatureVector], list[FeatureVector]]:
+    """Step 2: min-max scale raw and labeled vectors on one shared scale, each list in order."""
+    if not raw and not labeled:
+        return [], []
+    params = flow_model.fit_normalizer([*raw, *labeled])
+    return (
+        [flow_model.normalize(v, params) for v in raw],
+        [flow_model.normalize(v, params) for v in labeled],
+    )
+
+
+def lifecycle_states(
+    flows: Sequence[FlowRecord],
+    config: PipelineConfig,
+) -> tuple[CommGraph, dict[str, State]]:
+    """Step 3: the full-span graph and each vertex's highest-ranked state over all window pairs."""
+    if not flows:
+        return CommGraph(frozenset(), {}), {}
+    graph = comm_graph.build_graph(flows, flow_model.full_span(flows))
+    host_states = {v: State.S0 for v in graph.vertices}
+    snapshots = comm_graph.window_snapshots(flows, config.window_length)
+    for deltas in comm_graph.window_deltas(snapshots, config.state):
+        for host, d in deltas.items():
+            state = snn_cluster.assign_state(d, config.state)
+            if STATE_RANK[state] > STATE_RANK[host_states.get(host, State.S0)]:
+                host_states[host] = state
+    return graph, host_states
+
+
+def cluster_hosts(graph: CommGraph, k_shared: int) -> list[Cluster]:
+    """Step 5: the connected components of G*, the SNN graph of ``graph``."""
+    return snn_cluster.extract_clusters(snn_cluster.build_snn_graph(graph, k_shared))
+
+
+def classify(
+    model: KnnClassifier | None,
+    clusters: Sequence[Cluster],
+    vectors: Mapping[str, FeatureVector],
+) -> tuple[dict[str, Prediction], dict[str, Label]]:
+    """Step 8: per-host predictions and per-cluster verdicts (both empty without a model)."""
+    predictions: dict[str, Prediction] = {}
+    verdicts: dict[str, Label] = {}
+    if model is not None:
+        # clusters partition the hosts, so their members' predictions cover
+        # every host exactly once
+        for cluster in clusters:
+            member_predictions, verdicts[cluster.id] = model.predict_cluster(cluster, vectors)
+            predictions.update(member_predictions)
+    return predictions, verdicts
+
+
+def evaluate(
+    predictions: Mapping[str, Prediction],
+    host_states: Mapping[str, State],
+    ground_truth: Mapping[str, Label] | None,
+) -> dict | None:
+    """Step 9: both detectors' metric tables, or None unless the truth covers both classes."""
+    truth = ground_truth or {}
+    evaluated = sorted(h for h in predictions if h in truth)
+    y_true = [truth[h] for h in evaluated]
+    if Label.MINER not in y_true or Label.NOT_MINER not in y_true:
+        return None
+    ranks = [STATE_RANK[host_states.get(h, State.S0)] for h in evaluated]
+    return {
+        "knn": _detector_metrics(
+            y_true,
+            [predictions[h].label for h in evaluated],
+            [predictions[h].score for h in evaluated],
+        ),
+        "state_detector": _detector_metrics(
+            y_true,
+            [Label.MINER if rank >= 1 else Label.NOT_MINER for rank in ranks],
+            [rank / 3.0 for rank in ranks],
+        ),
+    }
+
+
 def run(
     flows: Sequence[FlowRecord],
     labeled: Sequence[FeatureVector],
@@ -222,21 +311,6 @@ def run(
 ) -> DetectionReport:
     """Execute the ten pipeline steps and return the detection report."""
     config = config or PipelineConfig()
-    steps: list[dict] = []
-
-    def record(step: int, rows_in: int, rows_out: int) -> None:
-        steps.append(
-            {
-                "step": step,
-                "name": STEP_NAMES[step - 1],
-                "rows_in": rows_in,
-                "rows_out": rows_out,
-            }
-        )
-
-    def fail(step: int, exc: Exception):
-        raise PipelineStepError(step, STEP_NAMES[step - 1], exc) from exc
-
     # step 1: inputs arrive parsed; record sizes and digests
     flows = list(flows)
     labeled = list(labeled)
@@ -244,117 +318,20 @@ def run(
         "flows_sha256": _digest(flow_model.flows_to_csv(flows)),
         "labeled_sha256": _digest(flow_model.features_to_csv(labeled)),
     }
-    record(1, len(flows) + len(labeled), len(flows) + len(labeled))
-
-    # step 2: aggregate per-host vectors over the full span, then min-max
-    # normalize labeled and unlabeled on a shared scale
-    try:
-        raw_vectors = flow_model.host_vectors(flows) if flows else []
-        normalized: dict[str, FeatureVector] = {}
-        labeled_norm: list[FeatureVector] = []
-        if raw_vectors or labeled:
-            params = flow_model.fit_normalizer(raw_vectors + labeled)
-            normalized = {
-                v.host: flow_model.normalize(v, params) for v in raw_vectors
-            }
-            labeled_norm = [flow_model.normalize(v, params) for v in labeled]
-        record(2, len(flows) + len(labeled), len(normalized) + len(labeled_norm))
-    except (MineDetectError, ValueError) as exc:
-        fail(2, exc)
-
-    # step 3: full-span graph for clustering; windowed snapshots for the
-    # lifecycle deltas. host_states has one entry per full-graph vertex.
-    try:
-        host_states: dict[str, State] = {}
-        full_graph = None
-        if flows:
-            full_graph = comm_graph.build_graph(flows, flow_model.full_span(flows))
-            host_states = {v: State.S0 for v in full_graph.vertices}
-            snapshots = comm_graph.window_snapshots(flows, config.window_length)
-            for deltas in comm_graph.window_deltas(snapshots, config.state):
-                for host, d in deltas.items():
-                    state = snn_cluster.assign_state(d, config.state)
-                    if STATE_RANK[state] > STATE_RANK[host_states.get(host, State.S0)]:
-                        host_states[host] = state
-        record(3, len(flows), len(host_states))
-    except (MineDetectError, ValueError) as exc:
-        fail(3, exc)
-
-    # step 4: count labeled records whose host is absent from the capture;
-    # they still train the KNN
+    host_norm, labeled_norm = _stage(
+        2, lambda: normalize_vectors(flow_model.host_vectors(flows) if flows else [], labeled)
+    )
+    normalized = {v.host: v for v in host_norm}
+    graph, host_states = _stage(3, lifecycle_states, flows, config)
+    # labeled hosts absent from the capture still train the KNN
     unmatched = sum(1 for v in labeled_norm if v.host not in normalized)
-    record(4, len(labeled_norm), len(labeled_norm))
-
-    # step 5: SNN clustering of the full-span graph
-    try:
-        clusters: list[Cluster] = []
-        if full_graph is not None:
-            clusters = snn_cluster.extract_clusters(
-                snn_cluster.build_snn_graph(full_graph, config.k_shared)
-            )
-        record(5, len(host_states), len(clusters))
-    except (MineDetectError, ValueError) as exc:
-        fail(5, exc)
-
-    # step 6: lift host states onto clusters, attach centroids
-    try:
-        clusters = snn_cluster.finalize_clusters(clusters, host_states, normalized)
-        record(6, len(clusters), len(clusters))
-    except (MineDetectError, ValueError) as exc:
-        fail(6, exc)
-
-    # step 7: train the KNN on the labeled set
-    try:
-        model = None
-        if labeled_norm and normalized:
-            model = KnnClassifier(k=config.knn_k)
-            model.fit(labeled_norm)
-        record(7, len(labeled_norm), 0 if model is None else len(model.examples_))
-    except (MineDetectError, ValueError) as exc:
-        fail(7, exc)
-
-    # step 8: classify hosts and clusters
-    try:
-        predictions: dict[str, Prediction] = {}
-        cluster_verdicts: dict[str, Label] = {}
-        if model is not None:
-            # clusters partition the hosts, so their members' predictions
-            # cover every host exactly once
-            for cluster in clusters:
-                member_predictions, verdict = model.predict_cluster(cluster, normalized)
-                predictions.update(member_predictions)
-                cluster_verdicts[cluster.id] = verdict
-        record(8, len(normalized), len(predictions))
-    except (MineDetectError, ValueError) as exc:
-        fail(8, exc)
-
-    # step 9: metrics, only when ground truth covers both classes
-    try:
-        report_metrics = None
-        if ground_truth and predictions:
-            evaluated = sorted(h for h in predictions if h in ground_truth)
-            y_true = [ground_truth[h] for h in evaluated]
-            has_both = Label.MINER in y_true and Label.NOT_MINER in y_true
-            if has_both:
-                y_pred = [predictions[h].label for h in evaluated]
-                scores = [predictions[h].score for h in evaluated]
-                state_pred = [
-                    Label.MINER
-                    if STATE_RANK[host_states.get(h, State.S0)] >= 1
-                    else Label.NOT_MINER
-                    for h in evaluated
-                ]
-                state_scores = [
-                    STATE_RANK[host_states.get(h, State.S0)] / 3.0 for h in evaluated
-                ]
-                report_metrics = {
-                    "knn": _detector_metrics(y_true, y_pred, scores),
-                    "state_detector": _detector_metrics(y_true, state_pred, state_scores),
-                }
-        record(9, len(predictions), 0 if report_metrics is None else 1)
-    except (MineDetectError, ValueError) as exc:
-        fail(9, exc)
-
+    clusters = _stage(5, cluster_hosts, graph, config.k_shared)
+    clusters = _stage(6, snn_cluster.finalize_clusters, clusters, host_states, normalized)
+    model = None
+    if labeled_norm and normalized:
+        model = _stage(7, KnnClassifier(k=config.knn_k).fit, labeled_norm)
+    predictions, cluster_verdicts = _stage(8, classify, model, clusters, normalized)
+    report_metrics = _stage(9, evaluate, predictions, host_states, ground_truth)
     # step 10: suspicious hosts and report assembly
     suspicious = sorted(
         host
@@ -365,8 +342,23 @@ def run(
             and p.score >= config.suspicion_floor
         )
     )
-    record(10, len(predictions), len(suspicious))
-
+    n_inputs = len(flows) + len(labeled)
+    rows = (  # (rows_in, rows_out) of each step
+        (n_inputs, n_inputs),
+        (n_inputs, len(normalized) + len(labeled_norm)),
+        (len(flows), len(host_states)),
+        (len(labeled_norm), len(labeled_norm)),
+        (len(host_states), len(clusters)),
+        (len(clusters), len(clusters)),
+        (len(labeled_norm), 0 if model is None else len(model.examples_)),
+        (len(normalized), len(predictions)),
+        (len(predictions), int(report_metrics is not None)),
+        (len(predictions), len(suspicious)),
+    )
+    steps = [
+        {"step": step, "name": name, "rows_in": rows_in, "rows_out": rows_out}
+        for step, (name, (rows_in, rows_out)) in enumerate(zip(STEP_NAMES, rows), start=1)
+    ]
     provenance = {
         "steps": steps,
         "inputs": digests,

@@ -28,8 +28,6 @@ from .comm_graph import CommGraph, Edge, HostDeltas, StateParams, edge_key
 from .errors import (
     MissingHostStateError,
     MissingVectorError,
-    SameVertexError,
-    UnknownVertexError,
     UnnormalizedInputError,
 )
 from .flow_model import FEATURE_ORDER, FeatureVector
@@ -73,17 +71,6 @@ class Cluster:
     @property
     def size(self) -> int:
         return len(self.members)
-
-
-def shared_neighbors(g: CommGraph, i: str, j: str) -> int:
-    """|N(i) ∩ N(j)| for two distinct vertices."""
-    if i == j:
-        raise SameVertexError(f"shared_neighbors needs two distinct vertices, got {i!r}")
-    if i not in g.vertices:
-        raise UnknownVertexError(f"vertex {i!r} not in graph")
-    if j not in g.vertices:
-        raise UnknownVertexError(f"vertex {j!r} not in graph")
-    return len(g.neighbors(i) & g.neighbors(j))
 
 
 def build_snn_graph(g: CommGraph, k_shared: int) -> SnnGraph:

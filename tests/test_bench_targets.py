@@ -3,16 +3,56 @@
 import importlib.util
 from pathlib import Path
 
+from minedetect import pipeline
+from minedetect.pipeline import PipelineConfig
+
+from test_pipeline import scenario_inputs
+
 TRACER = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
 
+#: tracer targets that one pipeline.run with labeled data and two-class
+#: ground truth must reach; a stage that calls one through a name imported
+#: with ``from ... import`` bypasses the tracer's wrapper and shows 0 calls
+REACHED_BY_RUN = (
+    "flow_model.aggregate_host_features",
+    "flow_model.fit_normalizer",
+    "flow_model.normalize",
+    "comm_graph.build_graph",
+    "comm_graph.window_deltas",
+    "comm_graph.mining_volume",
+    "comm_graph.clustering_coefficient",
+    "snn_cluster.build_snn_graph",
+    "snn_cluster.extract_clusters",
+    "snn_cluster.finalize_clusters",
+    "knn_classify.KnnClassifier.fit",
+    "knn_classify.KnnClassifier.predict_cluster",
+    "knn_classify.KnnClassifier.predict",
+    "pipeline._detector_metrics",
+)
 
-def test_every_traced_target_is_a_direct_attribute():
+
+def load_tracer():
     spec = importlib.util.spec_from_file_location("bench_tracer", TRACER)
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
+    return tracer
+
+
+def test_every_traced_target_is_a_direct_attribute():
+    tracer = load_tracer()
     missing = [
         tracer.target_name(owner, attr)
         for owner, attr in tracer.TARGETS
         if not callable(vars(owner).get(attr))
     ]
     assert missing == []
+
+
+def test_run_reaches_every_traced_stage_target():
+    tracer = load_tracer()
+    labeled, flows, truth = scenario_inputs()
+    with tracer.Tracer() as trace:
+        pipeline.run(flows, labeled, PipelineConfig(), ground_truth=truth.labels)
+    targets = {tracer.target_name(owner, attr) for owner, attr in tracer.TARGETS}
+    assert set(REACHED_BY_RUN) <= targets
+    assert [name for name in REACHED_BY_RUN if trace.counts[name + ".calls"] == 0] == []

@@ -3,8 +3,11 @@ import json
 
 import pytest
 
+from minedetect import flow_model, pipeline, snn_cluster
 from minedetect.cli import CONFIG_ENV_VAR, build_parser, dispatch, read_kv_file, write_atomic
 from minedetect.errors import InvalidConfigError
+from minedetect.knn_classify import KnnClassifier
+from minedetect.pipeline import PipelineConfig
 
 SCENARIO = """\
 # desk-scale scenario
@@ -153,6 +156,37 @@ def test_graph_and_cluster_subcommands(tmp_path, scenario_file):
         "cluster", "--flows", str(flows), "--format", "json", "--out", str(clusters_json)
     ]) == 0
     assert isinstance(json.loads(clusters_json.read_text()), list)
+
+
+def test_cluster_runs_only_the_clustering_stages(tmp_path, scenario_file, monkeypatch):
+    flows_path, _ = simulate(tmp_path, scenario_file, seed=5)
+    calls = []
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for owner, attr in (
+        (pipeline, "run"),
+        (flow_model, "flows_to_csv"),
+        (KnnClassifier, "fit"),
+        (KnnClassifier, "predict"),
+    ):
+        monkeypatch.setattr(owner, attr, counting(attr, getattr(owner, attr)))
+    out = tmp_path / "clusters.json"
+    assert dispatch([
+        "cluster", "--flows", str(flows_path), "--format", "json", "--snn-k", "3",
+        "--out", str(out),
+    ]) == 0
+    assert calls == []
+
+    monkeypatch.undo()
+    flows = flow_model.parse_flow_csv(flows_path.read_text())
+    expected = pipeline.run(flows, [], PipelineConfig(k_shared=3)).clusters
+    assert len(expected) > 1
+    assert json.loads(out.read_text()) == snn_cluster.clusters_to_obj(expected)
 
 
 # ---------------------------------------------------------------------------

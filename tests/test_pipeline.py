@@ -269,6 +269,10 @@ def test_pipeline_config_kv_round_trip():
         flow_schema=(("src_host", "SrcAddr"),),
     )
     assert PipelineConfig.from_kv(config.to_kv()) == config
+    # blanks around list entries are not part of a prefix
+    spaced = PipelineConfig.from_kv({"state.internal_prefixes": "host, pool ,"})
+    assert spaced.state.internal_prefixes == ("host", "pool")
+    assert spaced.state.is_internal("pool0")
 
 
 def test_pipeline_config_t_star_any_and_defaults():

@@ -6,8 +6,6 @@ from minedetect.comm_graph import HostDeltas, StateParams
 from minedetect.errors import (
     MissingHostStateError,
     MissingVectorError,
-    SameVertexError,
-    UnknownVertexError,
     UnnormalizedInputError,
 )
 from minedetect.flow_model import FEATURE_ORDER
@@ -20,7 +18,6 @@ from minedetect.snn_cluster import (
     cluster_state,
     clusters_to_csv,
     extract_clusters,
-    shared_neighbors,
 )
 
 from oracles import random_comm_graph, snn_edges_pairwise_scan
@@ -37,35 +34,8 @@ def path4():
 
 
 # ---------------------------------------------------------------------------
-# shared neighbors / G*
+# G*
 # ---------------------------------------------------------------------------
-
-def test_shared_neighbors_cases():
-    g = graph_of([("a", "b")], extra_vertices=["c"])
-    assert shared_neighbors(g, "a", "c") == 0
-
-    for i in range(4):
-        for j in range(i + 1, 4):
-            assert shared_neighbors(k4(), f"v{i}", f"v{j}") == 2
-
-    p = path4()
-    assert shared_neighbors(p, "1", "3") == 1
-    assert shared_neighbors(p, "1", "2") == 0
-
-
-def test_shared_neighbors_errors_and_symmetry():
-    g = path4()
-    with pytest.raises(SameVertexError):
-        shared_neighbors(g, "1", "1")
-    with pytest.raises(UnknownVertexError):
-        shared_neighbors(g, "1", "ghost")
-    rng = random.Random(42)
-    gg = random_comm_graph(rng, 25, 0.2)
-    vs = sorted(gg.vertices)
-    for _ in range(50):
-        i, j = rng.sample(vs, 2)
-        assert shared_neighbors(gg, i, j) == shared_neighbors(gg, j, i)
-
 
 def test_build_snn_graph_examples():
     snn = build_snn_graph(k4(), 2)
