@@ -261,19 +261,18 @@ def cluster_hosts(graph: CommGraph, k_shared: int) -> list[Cluster]:
 
 
 def classify(
-    model: KnnClassifier | None,
+    model: KnnClassifier,
     clusters: Sequence[Cluster],
     vectors: Mapping[str, FeatureVector],
 ) -> tuple[dict[str, Prediction], dict[str, Label]]:
-    """Step 8: per-host predictions and per-cluster verdicts (both empty without a model)."""
+    """Step 8: per-host predictions and per-cluster verdicts."""
     predictions: dict[str, Prediction] = {}
     verdicts: dict[str, Label] = {}
-    if model is not None:
-        # clusters partition the hosts, so their members' predictions cover
-        # every host exactly once
-        for cluster in clusters:
-            member_predictions, verdicts[cluster.id] = model.predict_cluster(cluster, vectors)
-            predictions.update(member_predictions)
+    # clusters partition the hosts, so their members' predictions cover
+    # every host exactly once
+    for cluster in clusters:
+        member_predictions, verdicts[cluster.id] = model.predict_cluster(cluster, vectors)
+        predictions.update(member_predictions)
     return predictions, verdicts
 
 
@@ -328,9 +327,10 @@ def run(
     clusters = _stage(5, cluster_hosts, graph, config.k_shared)
     clusters = _stage(6, snn_cluster.finalize_clusters, clusters, host_states, normalized)
     model = None
+    predictions, cluster_verdicts = {}, {}
     if labeled_norm and normalized:
         model = _stage(7, KnnClassifier(k=config.knn_k).fit, labeled_norm)
-    predictions, cluster_verdicts = _stage(8, classify, model, clusters, normalized)
+        predictions, cluster_verdicts = _stage(8, classify, model, clusters, normalized)
     report_metrics = _stage(9, evaluate, predictions, host_states, ground_truth)
     # step 10: suspicious hosts and report assembly
     suspicious = sorted(
