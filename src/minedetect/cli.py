@@ -205,13 +205,20 @@ def _parse_predictions_csv(text: str):
     if header is None or [h.strip() for h in header[:3]] != ["host", "label", "score"]:
         raise MineDetectError(f"prediction CSV header must be host,label,score, got {header}")
     rows = []
+    first_line: dict[str, int] = {}
     for line_no, row in enumerate(reader, start=2):
         if not row or (len(row) == 1 and not row[0].strip()):
             continue
         if len(row) < 3:
             raise MalformedRowError(line_no, f"expected 3 fields, got {len(row)}")
+        host = row[0].strip()
+        if host in first_line:
+            raise MalformedRowError(
+                line_no, f"duplicate host {host!r} (first on line {first_line[host]})"
+            )
+        first_line[host] = line_no
         try:
-            rows.append((row[0].strip(), flow_model.parse_label(row[1]), float(row[2])))
+            rows.append((host, flow_model.parse_label(row[1]), float(row[2])))
         except ValueError as exc:
             raise MalformedRowError(line_no, str(exc)) from exc
     return rows

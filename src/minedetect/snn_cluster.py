@@ -24,7 +24,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .comm_graph import CommGraph, Edge, HostDeltas, StateParams, edge_key
+from .comm_graph import CommGraph, Edge, HostDeltas, StateParams
 from .errors import (
     MissingHostStateError,
     MissingVectorError,
@@ -73,30 +73,66 @@ class Cluster:
         return len(self.members)
 
 
+#: Most pair keys one block of first-endpoint rows may hold, unless a single
+#: row alone has more; bounds the key buffer of build_snn_graph.
+_BLOCK_KEYS = 1 << 15
+
+
 def build_snn_graph(g: CommGraph, k_shared: int) -> SnnGraph:
     """Connect i and j in G* iff they share at least k_shared neighbors in G.
 
-    Common-neighbor counts for all pairs come from one dense adjacency
-    matrix product. numpy has no BLAS path for int64 matmul, so this is
-    O(|V|^3) time and O(|V|^2) memory however sparse the graph is.
+    Every vertex m contributes each pair of its neighbors (i, j), i < j,
+    once, so the count of pair (i, j) is its number of common neighbors.
+    With vertices numbered in sorted order, the pairs whose first endpoint
+    is i are (i, j) for each neighbor m of i and each neighbor j > i of m.
+    Rows of first endpoints are taken in blocks; each block encodes its
+    pairs as ``i * n + j`` and counts them with one ``np.unique``. A pair
+    comes from exactly one row, hence from one block, so counts are never
+    merged across blocks.
+
+    Cost: sum over vertices of C(deg, 2) pair keys. Memory: the neighbor
+    arrays, one block of keys (``_BLOCK_KEYS``, or a single larger row,
+    which holds at most 2|E| keys), and the edges of G*.
     """
     if k_shared < 1:
         raise ValueError("k_shared must be >= 1")
-    order = sorted(g.vertices)
-    n = len(order)
-    if n == 0:
+    if not g.edge_weight:
         return SnnGraph(g, k_shared, frozenset())
 
+    order = sorted(g.vertices)
+    n = len(order)
     index = {v: i for i, v in enumerate(order)}
-    adj = np.zeros((n, n), dtype=np.uint8)
-    for a, b in g.edge_weight:
-        adj[index[a], index[b]] = 1
-        adj[index[b], index[a]] = 1
+    a = np.fromiter((index[u] for u, _ in g.edge_weight), np.int64, len(g.edge_weight))
+    b = np.fromiter((index[w] for _, w in g.edge_weight), np.int64, len(g.edge_weight))
+    # sorted CSR: arc p runs from src[p] to nbr[p]; each row's neighbors ascend
+    arcs = np.sort(np.concatenate([a * n + b, b * n + a]))
+    src, nbr = np.divmod(arcs, n)
+    indptr = np.searchsorted(src, np.arange(n + 1))
 
-    common = adj.astype(np.int64) @ adj.astype(np.int64)
-    ii, jj = np.nonzero(np.triu(common >= k_shared, k=1))
-    edges = frozenset(edge_key(order[i], order[j]) for i, j in zip(ii.tolist(), jj.tolist()))
-    return SnnGraph(g, k_shared, edges)
+    # Arc i -> m yields the pairs (i, j) for j in nbr[reverse + 1 : indptr[m + 1]],
+    # where reverse is the position of the arc m -> i.
+    starts = np.searchsorted(arcs, nbr * n + src) + 1
+    lengths = indptr[nbr + 1] - starts
+    row_ends = np.concatenate([[0], np.cumsum(lengths)])[indptr[1:]]  # keys of rows 0..i
+
+    pairs = [np.empty(0, np.int64)]
+    row, done = 0, 0
+    while done < row_ends[-1]:
+        # rows [row, stop) fill one block; a row larger than a block goes alone
+        stop = max(int(np.searchsorted(row_ends, done + _BLOCK_KEYS, side="right")), row + 1)
+        lo, hi = indptr[row], indptr[stop]
+        counts = lengths[lo:hi]
+        offsets = np.cumsum(counts) - counts  # of each arc's pairs within the block
+        gather = np.arange(row_ends[stop - 1] - done) + np.repeat(starts[lo:hi] - offsets, counts)
+        keys = np.repeat(src[lo:hi], counts) * n + nbr[gather]
+        keys, hits = np.unique(keys, return_counts=True)
+        pairs.append(keys[hits >= k_shared])
+        row, done = stop, int(row_ends[stop - 1])
+
+    # i < j, so (order[i], order[j]) is already the canonical edge_key order
+    first, second = np.divmod(np.concatenate(pairs), n)
+    edges = zip(map(order.__getitem__, first.tolist()), map(order.__getitem__, second.tolist()))
+    return SnnGraph(g, k_shared, frozenset(edges))
 
 
 def extract_clusters(snn: SnnGraph) -> list[Cluster]:

@@ -435,14 +435,20 @@ def parse_truth_csv(text: str | Iterable[str], n_windows: int | None = None) -> 
         )
     labels: dict[str, Label] = {}
     recruit: dict[str, int] = {}
+    first_line: dict[str, int] = {}
     max_window = -1
     for line_no, row in enumerate(reader, start=2):
         if not row or (len(row) == 1 and not row[0].strip()):
             continue
         if len(row) < 2:
             raise MalformedRowError(line_no, f"expected at least 2 fields, got {len(row)}")
+        host = row[0].strip()
+        if host in first_line:
+            raise MalformedRowError(
+                line_no, f"duplicate host {host!r} (first on line {first_line[host]})"
+            )
+        first_line[host] = line_no
         try:
-            host = row[0].strip()
             labels[host] = Label(row[1].strip())
             if len(row) > 2 and row[2].strip():
                 recruit[host] = int(row[2])

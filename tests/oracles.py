@@ -45,6 +45,24 @@ def snn_edges_pairwise_scan(g: CommGraph, k_shared: int) -> set[tuple[str, str]]
     return edges
 
 
+def snn_edges_dense_product(g: CommGraph, k_shared: int) -> set[tuple[str, str]]:
+    """Common-neighbor counts of all pairs from one dense adjacency product.
+
+    O(|V|^3) time and O(|V|^2) memory however sparse the graph is, so it
+    only referees graphs of a few hundred vertices.
+    """
+    import numpy as np
+
+    order = sorted(g.vertices)
+    index = {v: i for i, v in enumerate(order)}
+    adj = np.zeros((len(order), len(order)), dtype=np.int64)
+    for a, b in g.edge_weight:
+        adj[index[a], index[b]] = 1
+        adj[index[b], index[a]] = 1
+    ii, jj = np.nonzero(np.triu(adj @ adj >= k_shared, k=1))
+    return {edge_key(order[i], order[j]) for i, j in zip(ii.tolist(), jj.tolist())}
+
+
 def triangle_count_brute(g: CommGraph, v: str) -> int:
     """Edges among v's neighbors by checking every neighbor pair."""
     nbrs = sorted(g.neighbors(v))

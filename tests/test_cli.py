@@ -426,6 +426,45 @@ def test_features_short_truth_row_exits_1_with_line_number(tmp_path, scenario_fi
     assert not out.exists()
 
 
+def test_evaluate_duplicate_prediction_host_exits_1_with_line_number(tmp_path, capsys):
+    pred = tmp_path / "pred.csv"
+    pred.write_text(
+        "host,label,score\nhost000,Miner,0.9\nhost000,Miner,0.9\nhost001,NotMiner,0.1\n"
+    )
+    truth = tmp_path / "truth.csv"
+    truth.write_text(TRUTH_OK + "host001,NotMiner,\n")
+    out = tmp_path / "m.csv"
+    assert dispatch([
+        "evaluate", "--pred", str(pred), "--truth", str(truth), "--out", str(out),
+    ]) == 1
+    assert "line 3: duplicate host 'host000'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["evaluate", "run", "features"])
+def test_duplicate_truth_host_exits_1_with_line_number(tmp_path, scenario_file, capsys, command):
+    flows, truth = simulate(tmp_path, scenario_file, seed=5)
+    labeled = tmp_path / "labeled.csv"
+    assert dispatch([
+        "features", "--flows", str(flows), "--truth", str(truth), "--out", str(labeled),
+    ]) == 0
+    rows = truth.read_text().splitlines()
+    truth.write_text("\n".join(rows + [rows[1]]) + "\n")  # the first host again
+    host = rows[1].split(",")[0]
+    pred = tmp_path / "pred.csv"
+    pred.write_text(f"host,label,score\n{host},Miner,1.0\n")
+    out = tmp_path / "out"
+    argv = {
+        "evaluate": ["evaluate", "--pred", str(pred), "--truth", str(truth)],
+        "run": ["run", "--flows", str(flows), "--labeled", str(labeled),
+                "--ground-truth", str(truth)],
+        "features": ["features", "--flows", str(flows), "--truth", str(truth)],
+    }[command]
+    assert dispatch(argv + ["--out", str(out)]) == 1
+    assert f"line {len(rows) + 1}: duplicate host {host!r}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_failed_run_leaves_no_partial_output(tmp_path, scenario_file):
     flows, _ = simulate(tmp_path, scenario_file, seed=5)
     bad_labeled = tmp_path / "bad.csv"

@@ -1,14 +1,19 @@
 import random
+import tracemalloc
+from pathlib import Path
 
+import numpy as np
 import pytest
 
-from minedetect.comm_graph import HostDeltas, StateParams
+from minedetect import snn_cluster
+from minedetect.cli import read_kv_file
+from minedetect.comm_graph import HostDeltas, StateParams, build_graph, edge_key
 from minedetect.errors import (
     MissingHostStateError,
     MissingVectorError,
     UnnormalizedInputError,
 )
-from minedetect.flow_model import FEATURE_ORDER
+from minedetect.flow_model import FEATURE_ORDER, full_span
 from minedetect.snn_cluster import (
     Cluster,
     State,
@@ -19,8 +24,14 @@ from minedetect.snn_cluster import (
     clusters_to_csv,
     extract_clusters,
 )
+from minedetect.synthgen import ScenarioConfig, generate
 
-from oracles import random_comm_graph, snn_edges_pairwise_scan
+from oracles import (
+    adjacency_sets,
+    random_comm_graph,
+    snn_edges_dense_product,
+    snn_edges_pairwise_scan,
+)
 from test_comm_graph import graph_of
 from test_flow_model import make_vector
 
@@ -68,6 +79,96 @@ def test_raising_k_shared_never_adds_edges():
             current = build_snn_graph(g, k).edges
             assert current <= previous
             previous = current
+
+
+REFERENCE_SCENARIO = Path(__file__).resolve().parent.parent / "scenarios" / "reference.cfg"
+
+
+def full_span_graph(config):
+    flows, _ = generate(config)
+    return build_graph(flows, full_span(flows))
+
+
+@pytest.mark.parametrize("config", [
+    pytest.param(ScenarioConfig.from_kv(read_kv_file(str(REFERENCE_SCENARIO))), id="reference"),
+    pytest.param(
+        ScenarioConfig(seed=3, n_hosts=600, ring_degree=4, n_windows=4, benign_rate=1,
+                       recruitment_schedule=(0, 12, 12)),
+        id="ring600",
+    ),
+    pytest.param(
+        ScenarioConfig(seed=3, n_hosts=200, n_windows=4, recruitment_schedule=(0, 60, 60)),
+        id="pool_clique",
+    ),
+])
+def test_build_snn_graph_matches_dense_product_on_captures(config):
+    g = full_span_graph(config)
+    for k in range(1, 7):
+        assert build_snn_graph(g, k).edges == frozenset(snn_edges_dense_product(g, k))
+
+
+def first_endpoint_rows(g):
+    """Pair keys per first endpoint i: one per neighbor m of i and neighbor j > i of m."""
+    adj = adjacency_sets(g)
+    return {i: sum(1 for m in adj[i] for j in adj[m] if j > i) for i in adj}
+
+
+def test_build_snn_graph_blocks_split_rows(monkeypatch):
+    block = 6
+    monkeypatch.setattr(snn_cluster, "_BLOCK_KEYS", block)
+    sizes = []
+    unique = np.unique
+
+    def recording_unique(keys, **kwargs):
+        sizes.append(len(keys))
+        return unique(keys, **kwargs)
+
+    monkeypatch.setattr(np, "unique", recording_unique)
+    rng = random.Random(23)
+    for _ in range(30):
+        g = random_comm_graph(rng, rng.randint(12, 30), rng.uniform(0.3, 0.6))
+        rows = first_endpoint_rows(g)
+        assert sum(rows.values()) > 3 * block  # rows span several blocks
+        assert max(rows.values()) > block  # one row alone exceeds a block
+        sizes.clear()
+        for k in range(1, 5):
+            expected = frozenset(snn_edges_dense_product(g, k))
+            assert expected == frozenset(snn_edges_pairwise_scan(g, k))
+            assert build_snn_graph(g, k).edges == expected
+        # each key is counted once, and no buffer exceeds a block or one row
+        assert sum(sizes) == 4 * sum(rows.values())
+        assert max(sizes) <= max(block, max(rows.values()))
+
+
+def test_build_snn_graph_hub_and_ring_memory_follows_edges():
+    # The dense product would need n^2 cells: 400M for the ring, 9M for the
+    # star. Pair enumeration keeps the neighbor arrays, one block of keys
+    # (a few int64 buffers of 2^15 keys) and G*; counting the star's 4.5M
+    # pair keys in one buffer would take about 200 MiB.
+    block_bytes = 4 * 2**20
+
+    def traced(g, k):
+        tracemalloc.start()
+        try:
+            snn = build_snn_graph(g, k)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < block_bytes + 256 * (len(g.edge_weight) + len(snn.edges))
+        return snn.edges
+
+    n = 20_000
+    ring = graph_of([(f"r{i:05d}", f"r{(i + 1) % n:05d}") for i in range(n)])
+    assert traced(ring, 1) == frozenset(
+        edge_key(f"r{i:05d}", f"r{(i + 2) % n:05d}") for i in range(n)
+    )
+    assert traced(ring, 2) == frozenset()
+
+    leaves = 3000
+    star = graph_of([("hub", f"leaf{i:04d}") for i in range(leaves)])
+    degrees = [len(star.neighbors(v)) for v in star.vertices]
+    assert sum(d * (d - 1) // 2 for d in degrees) == 4_498_500  # pair keys, all from the hub
+    assert traced(star, 2) == frozenset()
 
 
 # ---------------------------------------------------------------------------
