@@ -200,7 +200,7 @@ def _cmd_classify(args) -> int:
 
 
 def _parse_predictions_csv(text: str):
-    reader = csv.reader(io.StringIO(text))
+    reader = csv.reader(flow_model._csv_lines(text))
     header = next(reader, None)
     if header is None or [h.strip() for h in header[:3]] != ["host", "label", "score"]:
         raise MineDetectError(f"prediction CSV header must be host,label,score, got {header}")

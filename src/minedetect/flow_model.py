@@ -25,7 +25,7 @@ import enum
 import io
 import math
 from dataclasses import dataclass, replace
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
     AlreadyNormalizedError,
@@ -36,6 +36,7 @@ from .errors import (
 )
 
 FLAG_NAMES = ("SYN", "ACK", "PUSH", "RST", "FIN")
+_FLAG_SET = frozenset(FLAG_NAMES)
 
 #: Feature column order used everywhere (CSV files, centroids, KNN distance).
 FEATURE_ORDER = (
@@ -96,9 +97,12 @@ def parse_label(text: str) -> Label:
     return _LABEL_ALIASES[key]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FlowRecord:
-    """One unidirectional network flow."""
+    """One unidirectional network flow.
+
+    Slotted: a record has no ``__dict__`` and takes no extra attributes.
+    """
 
     src_host: str
     dst_host: str
@@ -127,9 +131,8 @@ class FlowRecord:
             raise ValueError("packets must be >= 1")
         if self.bytes < 0:
             raise ValueError("bytes must be >= 0")
-        bad = set(self.flags) - set(FLAG_NAMES)
-        if bad:
-            raise ValueError(f"unknown TCP flags {sorted(bad)}")
+        if not _FLAG_SET.issuperset(self.flags):
+            raise ValueError(f"unknown TCP flags {sorted(set(self.flags) - _FLAG_SET)}")
         if self.protocol is Protocol.UDP and self.flags:
             raise ValueError("UDP flow cannot carry TCP flags")
 
@@ -212,6 +215,23 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"not a boolean: {text!r}")
 
 
+def _csv_lines(text: str | Iterable[str]) -> Iterator[str]:
+    """The lines of a CSV text, one at a time, newline kept.
+
+    A ``str`` is split exactly as ``io.StringIO(text)`` splits it (on "\\n"
+    only) without copying the whole text; any other iterable of lines is
+    passed through unchanged.
+    """
+    if not isinstance(text, str):
+        yield from text
+        return
+    find, start, size = text.find, 0, len(text)
+    while start < size:
+        end = find("\n", start) + 1 or size
+        yield text[start:end]
+        start = end
+
+
 def parse_flow_csv(
     text: str | Iterable[str],
     schema: Mapping[str, str] | None = None,
@@ -222,14 +242,15 @@ def parse_flow_csv(
     columns carry the field names themselves. Flags are '|'-joined names,
     times are decimal seconds. Rows violating a flow invariant raise
     MalformedRowError with the 1-based line number.
+
+    Equal host ids share one ``str`` and equal flags cells one ``frozenset``
+    across the returned records.
     """
     columns = dict(schema) if schema else {f: f for f in FLOW_FIELDS}
     for field in FLOW_FIELDS:
         columns.setdefault(field, field)
 
-    if isinstance(text, str):
-        text = io.StringIO(text)
-    reader = csv.reader(text)
+    reader = csv.reader(_csv_lines(text))
     try:
         header = next(reader)
     except StopIteration:
@@ -240,31 +261,65 @@ def parse_flow_csv(
     missing = [columns[f] for f in FLOW_FIELDS if columns[f] not in position]
     if missing:
         raise MissingColumnError(f"columns absent from header: {missing}")
-    idx = {f: position[columns[f]] for f in FLOW_FIELDS}
+    (
+        i_src, i_dst, i_sport, i_dport, i_proto, i_start,
+        i_end, i_packets, i_bytes, i_flags, i_request,
+    ) = (position[columns[f]] for f in FLOW_FIELDS)
+    width = len(header)
+
+    # Parses memoised by raw cell text. A bad cell raises before it is
+    # stored, so it raises again on every row that carries it; the
+    # FlowRecord checks run on every row whatever the memo holds.
+    hosts: dict[str, str] = {}
+    protocols: dict[str, Protocol] = {}
+    flag_sets: dict[str, frozenset[str]] = {}
+    requests: dict[str, bool] = {}
 
     flows = []
     for line_no, row in enumerate(reader, start=2):
         if not row or (len(row) == 1 and not row[0].strip()):
             continue
-        if len(row) < len(header):
-            raise MalformedRowError(line_no, f"expected {len(header)} fields, got {len(row)}")
+        if len(row) < width:
+            raise MalformedRowError(line_no, f"expected {width} fields, got {len(row)}")
         try:
+            # same order as the fields, so a row with two bad cells reports
+            # the first
+            src = row[i_src].strip()
+            dst = row[i_dst].strip()
+            src_port = int(row[i_sport])
+            dst_port = int(row[i_dport])
+            cell = row[i_proto]
+            protocol = protocols.get(cell)
+            if protocol is None:
+                protocol = protocols[cell] = Protocol(cell.strip().upper())
+            start_time = float(row[i_start])
+            end_time = float(row[i_end])
+            packets = int(row[i_packets])
+            n_bytes = int(row[i_bytes])
+            cell = row[i_flags]
+            flags = flag_sets.get(cell)
+            if flags is None:
+                flags = flag_sets[cell] = _parse_flags(cell)
+            cell = row[i_request]
+            is_request = requests.get(cell)
+            if is_request is None:
+                is_request = requests[cell] = _parse_bool(cell)
             flows.append(
                 FlowRecord(
-                    src_host=row[idx["src_host"]].strip(),
-                    dst_host=row[idx["dst_host"]].strip(),
-                    src_port=int(row[idx["src_port"]]),
-                    dst_port=int(row[idx["dst_port"]]),
-                    protocol=Protocol(row[idx["protocol"]].strip().upper()),
-                    start_time=float(row[idx["start_time"]]),
-                    end_time=float(row[idx["end_time"]]),
-                    packets=int(row[idx["packets"]]),
-                    bytes=int(row[idx["bytes"]]),
-                    flags=_parse_flags(row[idx["flags"]]),
-                    is_request=_parse_bool(row[idx["is_request"]]),
+                    hosts.setdefault(src, src),
+                    hosts.setdefault(dst, dst),
+                    src_port,
+                    dst_port,
+                    protocol,
+                    start_time,
+                    end_time,
+                    packets,
+                    n_bytes,
+                    flags,
+                    is_request,
                 )
             )
-        except (ValueError, KeyError) as exc:
+        except ValueError as exc:
             raise MalformedRowError(line_no, str(exc)) from exc
     return flows
 
@@ -275,25 +330,28 @@ def format_flags(flags: frozenset[str]) -> str:
 
 def flows_to_csv(flows: Sequence[FlowRecord]) -> str:
     """Serialize flows back to the canonical CSV schema (round-trips exactly)."""
+    flag_text = {flags: format_flags(flags) for flags in {f.flags for f in flows}}
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(FLOW_FIELDS)
-    for f in flows:
-        writer.writerow(
-            [
-                f.src_host,
-                f.dst_host,
-                f.src_port,
-                f.dst_port,
-                f.protocol.value,
-                f.start_time,
-                f.end_time,
-                f.packets,
-                f.bytes,
-                format_flags(f.flags),
-                int(f.is_request),
-            ]
+    # csv writes a str subclass by its characters, so a Protocol member
+    # writes its value without the slower ``.value`` lookup
+    writer.writerows(
+        (
+            f.src_host,
+            f.dst_host,
+            f.src_port,
+            f.dst_port,
+            f.protocol,
+            f.start_time,
+            f.end_time,
+            f.packets,
+            f.bytes,
+            flag_text[f.flags],
+            int(f.is_request),
         )
+        for f in flows
+    )
     return out.getvalue()
 
 
@@ -448,9 +506,7 @@ def parse_feature_csv(text: str | Iterable[str], normalized: bool = False) -> li
     a leading 'host' column is optional (rows without one get synthetic ids
     'row<N>' and cannot be joined to graph features later).
     """
-    if isinstance(text, str):
-        text = io.StringIO(text)
-    reader = csv.reader(text)
+    reader = csv.reader(_csv_lines(text))
     try:
         header = [h.strip() for h in next(reader)]
     except StopIteration:

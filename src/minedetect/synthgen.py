@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .errors import InvalidConfigError, MalformedRowError, MissingColumnError, WindowOutOfRangeError
-from .flow_model import FlowRecord, Label, Protocol
+from .flow_model import FlowRecord, Label, Protocol, _csv_lines
 from .rng import SplitMix64
 from .snn_cluster import State
 
@@ -422,9 +422,7 @@ def truth_to_csv(truth: GroundTruth) -> str:
 
 
 def parse_truth_csv(text: str | Iterable[str], n_windows: int | None = None) -> GroundTruth:
-    if isinstance(text, str):
-        text = io.StringIO(text)
-    reader = csv.reader(text)
+    reader = csv.reader(_csv_lines(text))
     try:
         header = [h.strip() for h in next(reader)]
     except StopIteration:

@@ -6,10 +6,14 @@ implementations it verifies.
 
 from __future__ import annotations
 
+import csv
+import io
 import random
 from fractions import Fraction
 
 from minedetect.comm_graph import CommGraph, edge_key
+from minedetect.errors import MalformedRowError, MissingColumnError
+from minedetect.flow_model import FLOW_FIELDS, FlowRecord, Protocol
 
 
 def random_comm_graph(rng: random.Random, n: int, p: float, timestamp: int = 0) -> CommGraph:
@@ -260,3 +264,71 @@ def window_deltas_naive(flows, bounds, internal_prefixes, delta_t, dc_cap, finge
             history.setdefault(host, []).append(row[2])
         pairs.append(out)
     return pairs
+
+
+def parse_flow_csv_naive(text, schema=None):
+    """The flow CSV parser as it was before memo tables and lazy lines.
+
+    Copies the whole text into an ``io.StringIO``, looks every column up by
+    name on every row and parses every cell afresh, with its own flags and
+    boolean parsers.
+    """
+
+    def parse_flags(cell):
+        cell = cell.strip()
+        if not cell:
+            return frozenset()
+        return frozenset(part.strip().upper() for part in cell.split("|"))
+
+    def parse_bool(cell):
+        key = cell.strip().lower()
+        if key in ("1", "true", "yes"):
+            return True
+        if key in ("0", "false", "no"):
+            return False
+        raise ValueError(f"not a boolean: {cell!r}")
+
+    columns = dict(schema) if schema else {f: f for f in FLOW_FIELDS}
+    for field in FLOW_FIELDS:
+        columns.setdefault(field, field)
+
+    if isinstance(text, str):
+        text = io.StringIO(text)
+    reader = csv.reader(text)
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise MissingColumnError("empty input: no header row")
+    header = [h.strip() for h in header]
+    position = {name: i for i, name in enumerate(header)}
+
+    missing = [columns[f] for f in FLOW_FIELDS if columns[f] not in position]
+    if missing:
+        raise MissingColumnError(f"columns absent from header: {missing}")
+    idx = {f: position[columns[f]] for f in FLOW_FIELDS}
+
+    flows = []
+    for line_no, row in enumerate(reader, start=2):
+        if not row or (len(row) == 1 and not row[0].strip()):
+            continue
+        if len(row) < len(header):
+            raise MalformedRowError(line_no, f"expected {len(header)} fields, got {len(row)}")
+        try:
+            flows.append(
+                FlowRecord(
+                    src_host=row[idx["src_host"]].strip(),
+                    dst_host=row[idx["dst_host"]].strip(),
+                    src_port=int(row[idx["src_port"]]),
+                    dst_port=int(row[idx["dst_port"]]),
+                    protocol=Protocol(row[idx["protocol"]].strip().upper()),
+                    start_time=float(row[idx["start_time"]]),
+                    end_time=float(row[idx["end_time"]]),
+                    packets=int(row[idx["packets"]]),
+                    bytes=int(row[idx["bytes"]]),
+                    flags=parse_flags(row[idx["flags"]]),
+                    is_request=parse_bool(row[idx["is_request"]]),
+                )
+            )
+        except (ValueError, KeyError) as exc:
+            raise MalformedRowError(line_no, str(exc)) from exc
+    return flows

@@ -1,8 +1,15 @@
+import dataclasses
+import io
+import pickle
 import random
+import tracemalloc
+from pathlib import Path
 
 import pytest
+from oracles import parse_flow_csv_naive
 
 from minedetect import flow_model
+from minedetect.cli import read_kv_file
 from minedetect.errors import (
     AlreadyNormalizedError,
     EmptyInputError,
@@ -86,6 +93,20 @@ def test_flow_rejects_zero_packets_and_bad_port():
         make_flow(packets=0)
     with pytest.raises(ValueError):
         make_flow(dst_port=70000)
+
+
+def test_flow_is_a_slotted_frozen_value():
+    flow = make_flow()
+    same = make_flow(flags=frozenset({"ACK", "SYN"}))
+    assert flow == same and hash(flow) == hash(same)
+    assert not hasattr(flow, "__dict__")
+    doubled = dataclasses.replace(flow, packets=20)
+    assert doubled.packets == 20 and doubled != flow and flow.packets == 10
+    assert pickle.loads(pickle.dumps(flow)) == flow
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        flow.packets = 5
+    with pytest.raises(ValueError, match=r"unknown TCP flags \['BOGUS', 'XMAS'\]"):
+        make_flow(flags=frozenset({"ACK", "XMAS", "BOGUS"}))
 
 
 # ---------------------------------------------------------------------------
@@ -189,6 +210,141 @@ def test_flow_csv_round_trip():
 
 
 # ---------------------------------------------------------------------------
+# the parser against the naive referee
+# ---------------------------------------------------------------------------
+
+REFERENCE_SCENARIO = Path(__file__).resolve().parent.parent / "scenarios" / "reference.cfg"
+
+
+@pytest.fixture(scope="module")
+def reference_csv():
+    flows, _ = generate(ScenarioConfig.from_kv(read_kv_file(str(REFERENCE_SCENARIO))))
+    return flows_to_csv(flows)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "",
+        "a\nb",
+        "a\r\nb\rc\n\n",
+        "\n\n x \n",
+        'h,"x\ny"\n\u2028\x0b\x85\n',
+    ],
+)
+def test_csv_lines_split_like_stringio(text):
+    assert list(flow_model._csv_lines(text)) == list(io.StringIO(text))
+
+
+_QUOTED = (
+    HEADER
+    + '\n"a,b",h2,1,2,TCP,0,60,5,100,SYN|ACK,1\n'
+    + '"x\ny",h2,1,2,TCP,0,60,5,100,,0\n'
+    + '"a,b","x\ny",3,4,UDP,1.5,2.25,7,700,,1\n'
+)
+_VARIANTS = (
+    HEADER
+    + "\n h1 ,h2 ,1,2, tcp ,0,60,5,100,ack | push,yes\n"
+    + "h1,h2,1,2,Tcp,0,60,5,100, ACK|PUSH ,True\n"
+    + "h2,h1,1,2,udp,0,60,5,100,,0\n"
+    + "h2,h1,1,2, UDP ,0,60,5,100,  ,no\n"
+    + "h1,h2,1,2,TCP,0,60,5,100,push|ack,1\n"
+)
+_SCHEMA_TEXT = (
+    "Req,Extra,Flags,Bytes,Pkts,End,Start,Proto,Dport,Sport,DstAddr,SrcAddr,More\n"
+    "1,x,SYN,300,3,1,0,TCP,2,1,b,a,\n"
+    "0,,,400,4,2,1,UDP,53,9,a,c,y\n"
+)
+_SCHEMA = {
+    "src_host": "SrcAddr",
+    "dst_host": "DstAddr",
+    "src_port": "Sport",
+    "dst_port": "Dport",
+    "protocol": "Proto",
+    "start_time": "Start",
+    "end_time": "End",
+    "packets": "Pkts",
+    "bytes": "Bytes",
+    "flags": "Flags",
+    "is_request": "Req",
+}
+
+
+@pytest.mark.parametrize(
+    "text, schema",
+    [
+        pytest.param(_QUOTED, None, id="quoted-comma-and-newline"),
+        pytest.param(_VARIANTS.replace("\n", "\r\n"), None, id="crlf"),
+        pytest.param(
+            _VARIANTS.replace("\n", "\n\n  \n").rstrip(" \n"), None, id="blank-lines-no-final-newline"
+        ),
+        pytest.param(_VARIANTS, None, id="cell-variants"),
+        pytest.param(_VARIANTS.splitlines(keepends=True), None, id="iterable-of-lines"),
+        pytest.param(_SCHEMA_TEXT, _SCHEMA, id="schema-reordered-extra-columns"),
+    ],
+)
+def test_parse_matches_naive_parser(text, schema):
+    flows = parse_flow_csv(text, schema=schema)
+    assert flows and flows == parse_flow_csv_naive(text, schema=schema)
+
+
+def test_parse_matches_naive_parser_on_synthgen_capture(reference_csv):
+    flows = parse_flow_csv(reference_csv)
+    assert len(flows) > 1000
+    assert flows == parse_flow_csv_naive(reference_csv)
+    assert flows_to_csv(flows) == reference_csv
+
+
+_GOOD_TCP = "h1,h2,1,2,TCP,0,60,5,100,ACK,1"
+_GOOD_UDP = "h1,h2,1,2,UDP,0,60,5,100,,1"
+
+
+@pytest.mark.parametrize(
+    "warm_up, bad, message",
+    [
+        ([_GOOD_UDP], "h1,h2,1,2,ICMP,0,60,5,100,,1", "'ICMP' is not a valid Protocol"),
+        ([_GOOD_TCP], "h1,h2,1,2,TCP,0,60,5,100,ACK|BOGUS,1", "unknown TCP flags ['BOGUS']"),
+        ([_GOOD_TCP, _GOOD_UDP], "h1,h2,1,2,UDP,0,60,5,100,ACK,1", "UDP flow cannot carry TCP flags"),
+        ([_GOOD_TCP], "h1,h2,1,2,TCP,nan,60,5,100,ACK,1", "times must be finite"),
+        ([_GOOD_TCP], "h1,h2,1,2,TCP,0,60,5,100,ACK", "expected 11 fields, got 10"),
+        ([_GOOD_TCP], "h1,h2,1,2,TCP,0,60,5,100,ACK,maybe", "not a boolean: 'maybe'"),
+        ([_GOOD_TCP], "h1,h2,1,2,ICMP,nan,60,x,100,ACK|BOGUS,maybe", "'ICMP' is not a valid Protocol"),
+    ],
+    ids=["protocol", "flag", "udp-flags", "non-finite", "short", "bool", "first-bad-cell"],
+)
+def test_parse_bad_rows_match_naive_parser(warm_up, bad, message):
+    # Each bad row is parsed once first and once after good rows that share
+    # its other cells, so the memo tables already hold those cells' parses.
+    for rows in ([bad], [*warm_up, bad]):
+        text = "\n".join([HEADER, *rows]) + "\n"
+        with pytest.raises(MalformedRowError) as fast:
+            parse_flow_csv(text)
+        with pytest.raises(MalformedRowError) as naive:
+            parse_flow_csv_naive(text)
+        assert fast.value.line_no == naive.value.line_no == len(rows) + 1
+        assert str(fast.value) == str(naive.value)
+        assert message in str(fast.value)
+
+
+def test_parse_memory_stays_small_and_shares_fields(reference_csv):
+    tracemalloc.start()
+    try:
+        flows = parse_flow_csv(reference_csv)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # no whole-text copy and no per-record dict, flags set or host string
+    assert peak - retained < 2**20
+    assert retained / len(flows) < 400
+    assert len({id(f.flags) for f in flows}) <= 32
+    host_objects = {}
+    for f in flows:
+        for host in (f.src_host, f.dst_host):
+            host_objects.setdefault(host, set()).add(id(host))
+    assert all(len(ids) == 1 for ids in host_objects.values())
+
+
+# ---------------------------------------------------------------------------
 # aggregation
 # ---------------------------------------------------------------------------
 
@@ -243,15 +399,7 @@ def test_aggregate_doubling_packets_doubles_rates_keeps_ratios():
         )
         for _ in range(20)
     ]
-    doubled = [
-        FlowRecord(
-            **{
-                **f.__dict__,
-                "packets": f.packets * 2,
-            }
-        )
-        for f in flows
-    ]
+    doubled = [dataclasses.replace(f, packets=f.packets * 2) for f in flows]
     v1 = aggregate_host_features(flows, "h1", (0.0, 60.0))
     v2 = aggregate_host_features(doubled, "h1", (0.0, 60.0))
     assert v2.ppm == pytest.approx(2 * v1.ppm)
