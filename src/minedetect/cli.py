@@ -206,9 +206,10 @@ def _parse_predictions_csv(text: str):
         raise MineDetectError(f"prediction CSV header must be host,label,score, got {header}")
     rows = []
     first_line: dict[str, int] = {}
-    for line_no, row in enumerate(reader, start=2):
+    for row in reader:
         if not row or (len(row) == 1 and not row[0].strip()):
             continue
+        line_no = reader.line_num
         if len(row) < 3:
             raise MalformedRowError(line_no, f"expected 3 fields, got {len(row)}")
         host = row[0].strip()

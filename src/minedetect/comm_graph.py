@@ -344,24 +344,32 @@ def window_deltas(
 
     m_v counts the fingerprint flows starting in [hi - delta_t, hi), read
     from every window that overlaps that interval; a flow starting exactly
-    at hi belongs to window j + 1. Each host's mining_volume call gets only
-    that host's flows. Each window's clustering coefficients are computed
-    once and reused as the earlier side of the next pair; a host absent
-    from window j - 1 has coefficient 0 there, whatever it had before.
+    at hi belongs to window j + 1. Each window's flows are tested against
+    the fingerprint once, and each host's mining_volume call gets only that
+    host's matching flows of the interval, so it counts every flow it reads.
+    Each window's clustering coefficients are computed once and reused as
+    the earlier side of the next pair; a host absent from window j - 1 has
+    coefficient 0 there, whatever it had before.
     """
     if len(snapshots) < 2:
         return []
+    matches = params.fingerprint.matches
+    matching: dict[int, list[FlowRecord]] = {}  # window index -> its fingerprint flows
     history: dict[str, list[float]] = {}
     coefficients = _coefficients(snapshots[0][0])
     pairs = []
     for j in range(1, len(snapshots)):
         g_prev = snapshots[j - 1][0]
         g_next, _, (_, hi) = snapshots[j]
+        lo = hi - params.delta_t
         first = j
-        while first > 0 and snapshots[first - 1][2][1] > hi - params.delta_t:
+        while first > 0 and snapshots[first - 1][2][1] > lo:
             first -= 1
+        for i in range(first, j + 1):
+            if i not in matching:
+                matching[i] = [f for f in snapshots[i][1] if matches(f)]
         by_host = flows_by_host(
-            f for _, in_window, _ in snapshots[first : j + 1] for f in in_window
+            f for i in range(first, j + 1) for f in matching[i] if lo <= f.start_time
         )
         c_prev, coefficients = coefficients, _coefficients(g_next)
         deltas: dict[str, HostDeltas] = {}

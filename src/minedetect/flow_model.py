@@ -97,7 +97,7 @@ def parse_label(text: str) -> Label:
     return _LABEL_ALIASES[key]
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class FlowRecord:
     """One unidirectional network flow.
 
@@ -116,25 +116,55 @@ class FlowRecord:
     flags: frozenset[str]
     is_request: bool
 
-    def __post_init__(self):
-        if not (0 <= self.src_port <= 65535 and 0 <= self.dst_port <= 65535):
+    def __init__(
+        self,
+        src_host: str,
+        dst_host: str,
+        src_port: int,
+        dst_port: int,
+        protocol: Protocol,
+        start_time: float,
+        end_time: float,
+        packets: int,
+        bytes: int,
+        flags: frozenset[str],
+        is_request: bool,
+    ):
+        # every check runs before any field is stored; the frozen class's
+        # __setattr__ refuses all stores, so they go through the slots'
+        # descriptors
+        if not (0 <= src_port <= 65535 and 0 <= dst_port <= 65535):
             raise ValueError("port outside 0-65535")
-        if not (math.isfinite(self.start_time) and math.isfinite(self.end_time)):
+        if not (math.isfinite(start_time) and math.isfinite(end_time)):
             raise ValueError(
-                f"times must be finite, got start_time {self.start_time}, end_time {self.end_time}"
+                f"times must be finite, got start_time {start_time}, end_time {end_time}"
             )
-        if self.end_time < self.start_time:
-            raise ValueError(
-                f"end_time {self.end_time} before start_time {self.start_time}"
-            )
-        if self.packets < 1:
+        if end_time < start_time:
+            raise ValueError(f"end_time {end_time} before start_time {start_time}")
+        if packets < 1:
             raise ValueError("packets must be >= 1")
-        if self.bytes < 0:
+        if bytes < 0:
             raise ValueError("bytes must be >= 0")
-        if not _FLAG_SET.issuperset(self.flags):
-            raise ValueError(f"unknown TCP flags {sorted(set(self.flags) - _FLAG_SET)}")
-        if self.protocol is Protocol.UDP and self.flags:
+        if not _FLAG_SET.issuperset(flags):
+            raise ValueError(f"unknown TCP flags {sorted(set(flags) - _FLAG_SET)}")
+        if protocol is Protocol.UDP and flags:
             raise ValueError("UDP flow cannot carry TCP flags")
+        (
+            set_src_host, set_dst_host, set_src_port, set_dst_port, set_protocol,
+            set_start_time, set_end_time, set_packets, set_bytes, set_flags,
+            set_is_request,
+        ) = _FLOW_SLOT_SETTERS
+        set_src_host(self, src_host)
+        set_dst_host(self, dst_host)
+        set_src_port(self, src_port)
+        set_dst_port(self, dst_port)
+        set_protocol(self, protocol)
+        set_start_time(self, start_time)
+        set_end_time(self, end_time)
+        set_packets(self, packets)
+        set_bytes(self, bytes)
+        set_flags(self, flags)
+        set_is_request(self, is_request)
 
     @property
     def duration(self) -> float:
@@ -142,6 +172,9 @@ class FlowRecord:
 
     def involves(self, host: str) -> bool:
         return self.src_host == host or self.dst_host == host
+
+
+_FLOW_SLOT_SETTERS = tuple(vars(FlowRecord)[name].__set__ for name in FLOW_FIELDS)
 
 
 @dataclass(frozen=True)
@@ -276,9 +309,10 @@ def parse_flow_csv(
     requests: dict[str, bool] = {}
 
     flows = []
-    for line_no, row in enumerate(reader, start=2):
+    for row in reader:
         if not row or (len(row) == 1 and not row[0].strip()):
             continue
+        line_no = reader.line_num  # physical line: a quoted cell may span lines
         if len(row) < width:
             raise MalformedRowError(line_no, f"expected {width} fields, got {len(row)}")
         try:
@@ -328,31 +362,35 @@ def format_flags(flags: frozenset[str]) -> str:
     return "|".join(f for f in FLAG_NAMES if f in flags)
 
 
+class _CsvCells(dict):
+    """Text -> its cell as ``csv.writer`` writes it, quoted once per text."""
+
+    def __missing__(self, text: str) -> str:
+        out = io.StringIO()
+        # a one-field row of "" would be written quoted, so add a second field
+        csv.writer(out, lineterminator="\n").writerow((text, ""))
+        cell = self[text] = out.getvalue()[:-2]
+        return cell
+
+
 def flows_to_csv(flows: Sequence[FlowRecord]) -> str:
-    """Serialize flows back to the canonical CSV schema (round-trips exactly)."""
-    flag_text = {flags: format_flags(flags) for flags in {f.flags for f in flows}}
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(FLOW_FIELDS)
-    # csv writes a str subclass by its characters, so a Protocol member
-    # writes its value without the slower ``.value`` lookup
-    writer.writerows(
-        (
-            f.src_host,
-            f.dst_host,
-            f.src_port,
-            f.dst_port,
-            f.protocol,
-            f.start_time,
-            f.end_time,
-            f.packets,
-            f.bytes,
-            flag_text[f.flags],
-            int(f.is_request),
-        )
+    """Serialize flows back to the canonical CSV schema (round-trips exactly).
+
+    The bytes are those ``csv.writer`` writes. Each row is one f-string:
+    numbers appear as ``csv.writer`` formats them, and each distinct host,
+    protocol and flags text is written by ``csv.writer`` once.
+    """
+    hosts, protocols, flag_cells = _CsvCells(), _CsvCells(), _CsvCells()
+    flag_text = {flags: flag_cells[format_flags(flags)] for flags in {f.flags for f in flows}}
+    rows = [",".join(FLOW_FIELDS) + "\n"]
+    # csv.writer writes a float by its repr and an int by its str
+    rows += [
+        f"{hosts[f.src_host]},{hosts[f.dst_host]},{f.src_port},{f.dst_port},"
+        f"{protocols[f.protocol]},{f.start_time!r},{f.end_time!r},{f.packets},{f.bytes},"
+        f"{flag_text[f.flags]},{int(f.is_request)}\n"
         for f in flows
-    )
-    return out.getvalue()
+    ]
+    return "".join(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -391,38 +429,46 @@ def aggregate_host_features(
     A flow belongs to the window when its start_time falls inside it.
     Raises NoFlowsError when the host has no flows there; callers decide
     whether to skip the host (the pipeline does) or substitute.
+
+    All eight statistics are accumulated in one loop over ``flows``, which
+    may hold other hosts' flows and flows outside the window.
     """
     t0, t1 = window
     if not t1 > t0:
         raise ValueError("window length must be > 0")
 
-    mine = [
-        f
-        for f in flows
-        if t0 <= f.start_time < t1 and f.involves(host)
-    ]
-    if not mine:
+    n = total_packets = total_bytes = requests = ackpush = syn = rst = fin = 0
+    for f in flows:
+        src = f.src_host
+        if (src == host or f.dst_host == host) and t0 <= f.start_time < t1:
+            n += 1
+            total_packets += f.packets
+            total_bytes += f.bytes
+            if f.is_request and src == host:
+                requests += 1
+            flags = f.flags
+            if "ACK" in flags and "PUSH" in flags:
+                ackpush += 1
+            if "SYN" in flags:
+                syn += 1
+            if "RST" in flags:
+                rst += 1
+            if "FIN" in flags:
+                fin += 1
+    if not n:
         raise NoFlowsError(f"host {host!r} has no flows in [{t0}, {t1})")
 
-    n = len(mine)
-    total_packets = sum(f.packets for f in mine)
-    total_bytes = sum(f.bytes for f in mine)
     minutes = (t1 - t0) / 60.0
-
-    def flag_ratio(*required: str) -> float:
-        need = set(required)
-        return sum(1 for f in mine if need <= f.flags) / n
-
     return FeatureVector(
         host=host,
         bpp=total_bytes / total_packets,
         ppm=total_packets / minutes,
         ppf=total_packets / n,
-        ackpush_all=flag_ratio("ACK", "PUSH"),
-        req_all=sum(1 for f in mine if f.is_request and f.src_host == host) / n,
-        syn_all=flag_ratio("SYN"),
-        rst_all=flag_ratio("RST"),
-        fin_all=flag_ratio("FIN"),
+        ackpush_all=ackpush / n,
+        req_all=requests / n,
+        syn_all=syn / n,
+        rst_all=rst / n,
+        fin_all=fin / n,
     )
 
 
@@ -520,14 +566,15 @@ def parse_feature_csv(text: str | Iterable[str], normalized: bool = False) -> li
         )
 
     vectors = []
-    for line_no, row in enumerate(reader, start=2):
+    for row_no, row in enumerate(reader, start=1):
         if not row or (len(row) == 1 and not row[0].strip()):
             continue
+        line_no = reader.line_num
         try:
             if with_host:
                 host, rest = row[0].strip(), row[1:]
             else:
-                host, rest = f"row{line_no - 1}", row
+                host, rest = f"row{row_no}", row
             feats = [float(x) for x in rest[: len(FEATURE_ORDER)]]
             label = parse_label(rest[len(FEATURE_ORDER)])
             vectors.append(

@@ -435,9 +435,10 @@ def parse_truth_csv(text: str | Iterable[str], n_windows: int | None = None) -> 
     recruit: dict[str, int] = {}
     first_line: dict[str, int] = {}
     max_window = -1
-    for line_no, row in enumerate(reader, start=2):
+    for row in reader:
         if not row or (len(row) == 1 and not row[0].strip()):
             continue
+        line_no = reader.line_num
         if len(row) < 2:
             raise MalformedRowError(line_no, f"expected at least 2 fields, got {len(row)}")
         host = row[0].strip()

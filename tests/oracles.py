@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from minedetect.comm_graph import CommGraph, edge_key
 from minedetect.errors import MalformedRowError, MissingColumnError
-from minedetect.flow_model import FLOW_FIELDS, FlowRecord, Protocol
+from minedetect.flow_model import FLAG_NAMES, FLOW_FIELDS, FeatureVector, FlowRecord, Protocol
 
 
 def random_comm_graph(rng: random.Random, n: int, p: float, timestamp: int = 0) -> CommGraph:
@@ -266,12 +266,40 @@ def window_deltas_naive(flows, bounds, internal_prefixes, delta_t, dc_cap, finge
     return pairs
 
 
+def aggregate_host_features_naive(flows, host, window):
+    """A host's raw vector over [t0, t1): one pass over its flows per statistic.
+
+    None when the host has no flow starting in the window.
+    """
+    t0, t1 = window
+    mine = [f for f in flows if t0 <= f.start_time < t1 and host in (f.src_host, f.dst_host)]
+    if not mine:
+        return None
+    n = len(mine)
+    packets = sum(f.packets for f in mine)
+
+    def share(*flags):
+        return sum(1 for f in mine if set(flags) <= f.flags) / n
+
+    return FeatureVector(
+        host=host,
+        bpp=sum(f.bytes for f in mine) / packets,
+        ppm=packets / ((t1 - t0) / 60.0),
+        ppf=packets / n,
+        ackpush_all=share("ACK", "PUSH"),
+        req_all=sum(1 for f in mine if f.is_request and f.src_host == host) / n,
+        syn_all=share("SYN"),
+        rst_all=share("RST"),
+        fin_all=share("FIN"),
+    )
+
+
 def parse_flow_csv_naive(text, schema=None):
     """The flow CSV parser as it was before memo tables and lazy lines.
 
     Copies the whole text into an ``io.StringIO``, looks every column up by
     name on every row and parses every cell afresh, with its own flags and
-    boolean parsers.
+    boolean parsers. Errors name the physical line, ``reader.line_num``.
     """
 
     def parse_flags(cell):
@@ -308,9 +336,10 @@ def parse_flow_csv_naive(text, schema=None):
     idx = {f: position[columns[f]] for f in FLOW_FIELDS}
 
     flows = []
-    for line_no, row in enumerate(reader, start=2):
+    for row in reader:
         if not row or (len(row) == 1 and not row[0].strip()):
             continue
+        line_no = reader.line_num
         if len(row) < len(header):
             raise MalformedRowError(line_no, f"expected {len(header)} fields, got {len(row)}")
         try:
@@ -332,3 +361,27 @@ def parse_flow_csv_naive(text, schema=None):
         except (ValueError, KeyError) as exc:
             raise MalformedRowError(line_no, str(exc)) from exc
     return flows
+
+
+def flows_to_csv_writer(flows):
+    """The canonical flow CSV as ``csv.writer`` writes it, one row per flow."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(FLOW_FIELDS)
+    for f in flows:
+        writer.writerow(
+            [
+                f.src_host,
+                f.dst_host,
+                f.src_port,
+                f.dst_port,
+                f.protocol.value,
+                f.start_time,
+                f.end_time,
+                f.packets,
+                f.bytes,
+                "|".join(name for name in FLAG_NAMES if name in f.flags),
+                int(f.is_request),
+            ]
+        )
+    return out.getvalue()

@@ -1,7 +1,10 @@
 """The benchmark tracer wraps program functions by name; keep those names."""
 
+import dataclasses
 import importlib.util
 from pathlib import Path
+
+import pytest
 
 from minedetect import pipeline
 from minedetect.pipeline import PipelineConfig
@@ -56,3 +59,21 @@ def test_run_reaches_every_traced_stage_target():
     targets = {tracer.target_name(owner, attr) for owner, attr in tracer.TARGETS}
     assert set(REACHED_BY_RUN) <= targets
     assert [name for name in REACHED_BY_RUN if trace.counts[name + ".calls"] == 0] == []
+
+
+# the fingerprint flows of this capture start in the first seconds of a
+# window, so a 100 s interval also reads the window before it, whose
+# fingerprint flows all start before the interval does
+@pytest.mark.parametrize("delta_t", [None, 100.0], ids=["one-window", "window-and-a-part"])
+def test_traced_mining_volume_reads_only_matching_flows(delta_t):
+    tracer = load_tracer()
+    labeled, flows, truth = scenario_inputs()
+    config = PipelineConfig()
+    if delta_t is not None:
+        config = dataclasses.replace(config, state=dataclasses.replace(config.state, delta_t=delta_t))
+    with tracer.Tracer() as trace:
+        pipeline.run(flows, labeled, config, ground_truth=truth.labels)
+    metrics = trace.layer_metrics()
+    matches = metrics["comm_graph.mining_volume_matches"][0]
+    assert matches > 0
+    assert metrics["comm_graph.mining_volume_rows_scanned"][0] == matches

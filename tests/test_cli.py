@@ -403,6 +403,18 @@ def test_evaluate_bad_prediction_row_exits_1_with_line_number(tmp_path, capsys, 
     assert "line 2" in capsys.readouterr().err
 
 
+def test_evaluate_prediction_row_line_number_counts_physical_lines(tmp_path, capsys):
+    # the host cell of line 2 runs on to line 3, so the bad score is on line 4
+    pred = tmp_path / "pred.csv"
+    pred.write_text('host,label,score\n"x\ny",Miner,0.5\nhost000,Miner,abc\n')
+    truth = tmp_path / "truth.csv"
+    truth.write_text(TRUTH_OK)
+    assert dispatch([
+        "evaluate", "--pred", str(pred), "--truth", str(truth), "--out", str(tmp_path / "m.csv"),
+    ]) == 1
+    assert "line 4" in capsys.readouterr().err
+
+
 def test_evaluate_short_truth_row_exits_1_with_line_number(tmp_path, capsys):
     pred = tmp_path / "pred.csv"
     pred.write_text("host,label,score\nhost000,Miner,1.0\n")

@@ -6,7 +6,7 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
-from oracles import parse_flow_csv_naive
+from oracles import aggregate_host_features_naive, flows_to_csv_writer, parse_flow_csv_naive
 
 from minedetect import flow_model
 from minedetect.cli import read_kv_file
@@ -109,6 +109,47 @@ def test_flow_is_a_slotted_frozen_value():
         make_flow(flags=frozenset({"ACK", "XMAS", "BOGUS"}))
 
 
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        ({"src_port": -1}, "port outside 0-65535"),
+        ({"dst_port": 65536}, "port outside 0-65535"),
+        ({"start_time": float("nan")}, "times must be finite, got start_time nan, end_time 10.0"),
+        ({"end_time": float("inf")}, "times must be finite, got start_time 0.0, end_time inf"),
+        ({"end_time": -1.0}, "end_time -1.0 before start_time 0.0"),
+        ({"packets": 0}, "packets must be >= 1"),
+        ({"bytes": -1}, "bytes must be >= 0"),
+        ({"flags": frozenset({"ACK", "XMAS"})}, "unknown TCP flags ['XMAS']"),
+        ({"protocol": Protocol.UDP}, "UDP flow cannot carry TCP flags"),
+        # several bad arguments: the checks run in a fixed order, the first failing one reports
+        ({"packets": 0, "src_port": 70000, "flags": frozenset({"XMAS"})}, "port outside 0-65535"),
+        ({"bytes": -1, "packets": 0}, "packets must be >= 1"),
+        ({"protocol": Protocol.UDP, "flags": frozenset({"XMAS"})}, "unknown TCP flags ['XMAS']"),
+    ],
+    ids=[
+        "src-port", "dst-port", "nan-start", "inf-end", "end-before-start", "packets",
+        "bytes", "unknown-flag", "udp-flags", "first-of-three", "packets-before-bytes",
+        "flag-before-udp",
+    ],
+)
+def test_flow_rejects_bad_argument_alike_by_every_route(bad, message):
+    fields = {**dataclasses.asdict(make_flow()), **bad}
+    routes = {
+        "positional": lambda: FlowRecord(*(fields[name] for name in flow_model.FLOW_FIELDS)),
+        "keyword": lambda: FlowRecord(**fields),
+        "replace": lambda: dataclasses.replace(make_flow(), **bad),
+    }
+    for route, build in routes.items():
+        with pytest.raises(ValueError) as exc:
+            build()
+        assert str(exc.value) == message, route
+    # the checks run before any field is stored
+    blank = object.__new__(FlowRecord)
+    with pytest.raises(ValueError):
+        blank.__init__(**fields)
+    assert [name for name in flow_model.FLOW_FIELDS if hasattr(blank, name)] == []
+
+
 # ---------------------------------------------------------------------------
 # CSV parsing
 # ---------------------------------------------------------------------------
@@ -149,6 +190,19 @@ def test_parse_rejects_non_finite_start_time_with_line_number(bad):
         parse_flow_csv(text)
     assert exc.value.line_no == 3
     assert "finite" in str(exc.value)
+
+
+def test_parse_names_physical_line_after_quoted_newline():
+    # the host cell of line 2 runs on to line 3, so the bad row is line 4
+    text = (
+        HEADER
+        + '\n"x\ny",h2,1,2,TCP,0,60,5,100,,0\n'
+        + "h1,h2,1,2,ICMP,0,60,5,100,,1\n"
+    )
+    for parse in (parse_flow_csv, parse_flow_csv_naive):
+        with pytest.raises(MalformedRowError) as exc:
+            parse(text)
+        assert exc.value.line_no == 4
 
 
 def test_flow_rejects_non_finite_end_time():
@@ -217,9 +271,14 @@ REFERENCE_SCENARIO = Path(__file__).resolve().parent.parent / "scenarios" / "ref
 
 
 @pytest.fixture(scope="module")
-def reference_csv():
+def reference_flows():
     flows, _ = generate(ScenarioConfig.from_kv(read_kv_file(str(REFERENCE_SCENARIO))))
-    return flows_to_csv(flows)
+    return flows
+
+
+@pytest.fixture(scope="module")
+def reference_csv(reference_flows):
+    return flows_to_csv(reference_flows)
 
 
 @pytest.mark.parametrize(
@@ -293,6 +352,66 @@ def test_parse_matches_naive_parser_on_synthgen_capture(reference_csv):
     assert len(flows) > 1000
     assert flows == parse_flow_csv_naive(reference_csv)
     assert flows_to_csv(flows) == reference_csv
+
+
+_HOSTS = ["a,b", 'say "hi"', "x\ny", "", "h1", '"q",\n"r"']
+_PADDED_HOSTS = [" lead", "trail ", ' "q", \n']
+_TIMES = [
+    (-0.0, -0.0),
+    (-0.0, 1e-07),
+    (1e-07, 1e16),
+    (5e-324, 5e-324),
+    (0.1 + 0.2, 1.7976931348623157e308),
+    (1.7976931348623157e308, 1.7976931348623157e308),
+]
+
+
+def awkward_flows(hosts):
+    """Flows over ``hosts`` with every edge case of the canonical row."""
+    flows = []
+    for i, (start, end) in enumerate(_TIMES):
+        for j, host in enumerate(hosts):
+            udp = (i + j) % 3 == 0
+            flows.append(
+                make_flow(
+                    src_host=host,
+                    dst_host=hosts[(j + i) % len(hosts)],
+                    src_port=(i * 7919 + j) % 65536,
+                    dst_port=65535 if j % 2 else 0,
+                    protocol=Protocol.UDP if udp else Protocol.TCP,
+                    start_time=start,
+                    end_time=end,
+                    packets=1 if j % 2 else 2**63 + j,
+                    bytes=0 if i % 2 else 10**30 + i,
+                    flags=frozenset() if udp or j == 1 else frozenset(flow_model.FLAG_NAMES[: j % 6]),
+                    is_request=bool((i + j) % 2),
+                )
+            )
+    return flows
+
+
+def test_flows_to_csv_matches_csv_writer_on_synthgen_capture(reference_flows):
+    text = flows_to_csv(reference_flows)
+    assert text == flows_to_csv_writer(reference_flows)
+    assert parse_flow_csv(text) == reference_flows
+
+
+def test_flows_to_csv_matches_csv_writer_on_awkward_cells():
+    flows = awkward_flows(_HOSTS)
+    assert {f.is_request for f in flows} == {True, False}
+    assert any(f.protocol is Protocol.UDP for f in flows)
+    text = flows_to_csv(flows)
+    assert text == flows_to_csv_writer(flows)
+    parsed = parse_flow_csv(text)
+    assert parsed == flows
+    assert [repr(f.start_time) for f in parsed] == [repr(f.start_time) for f in flows]
+
+
+def test_flows_to_csv_matches_csv_writer_on_padded_hosts():
+    # the parser strips host cells, so only the written bytes can be compared
+    flows = awkward_flows(_PADDED_HOSTS + _HOSTS)
+    assert flows_to_csv(flows) == flows_to_csv_writer(flows)
+    assert flows_to_csv([]) == flows_to_csv_writer([]) == HEADER + "\n"
 
 
 _GOOD_TCP = "h1,h2,1,2,TCP,0,60,5,100,ACK,1"
@@ -406,6 +525,38 @@ def test_aggregate_doubling_packets_doubles_rates_keeps_ratios():
     assert v2.ppf == pytest.approx(2 * v1.ppf)
     for name in ("ackpush_all", "req_all", "syn_all", "rst_all", "fin_all"):
         assert getattr(v2, name) == getattr(v1, name)
+
+
+def test_aggregate_matches_naive_per_statistic_passes():
+    rng = random.Random(11)
+    hosts = [f"h{i}" for i in range(5)]
+    flows = []
+    for _ in range(400):
+        udp = rng.random() < 0.2
+        start = rng.uniform(0, 200)
+        flows.append(
+            make_flow(
+                src_host=rng.choice(hosts),
+                dst_host=rng.choice(hosts),
+                protocol=Protocol.UDP if udp else Protocol.TCP,
+                flags=frozenset() if udp else frozenset(
+                    rng.sample(flow_model.FLAG_NAMES, rng.randint(0, 5))
+                ),
+                start_time=start,
+                end_time=start + rng.uniform(0, 30),
+                packets=rng.randint(1, 900),
+                bytes=rng.randint(0, 90_000),
+                is_request=rng.random() < 0.5,
+            )
+        )
+    for window in [(0.0, 60.0), (50.0, 130.5), (0.0, 250.0), (199.99, 200.0)]:
+        for host in hosts + ["absent"]:
+            expected = aggregate_host_features_naive(flows, host, window)
+            if expected is None:
+                with pytest.raises(NoFlowsError):
+                    aggregate_host_features(iter(flows), host, window)
+            else:
+                assert aggregate_host_features(iter(flows), host, window) == expected
 
 
 def test_flows_by_host_keeps_input_order_and_files_loopback_once():
@@ -541,6 +692,35 @@ def test_feature_csv_without_host_column():
     (v,) = parse_feature_csv(text)
     assert v.label is Label.MINER
     assert v.host == "row1"
+
+
+FEATURES = ",".join(["0.5"] * 8)
+
+
+def test_feature_csv_names_physical_line_after_quoted_newline():
+    text = (
+        "host," + ",".join(FEATURE_ORDER) + ",class\n"
+        + f'"x\ny",{FEATURES},Miner\n'
+        + f"h2,{FEATURES},Bogus\n"
+    )
+    with pytest.raises(MalformedRowError) as exc:
+        parse_feature_csv(text)
+    assert exc.value.line_no == 4
+
+
+def test_feature_csv_without_host_column_numbers_rows_not_lines():
+    # a quoted class cell spans lines 2-3 and line 5 is blank
+    text = (
+        ",".join(FEATURE_ORDER) + ",class\n"
+        + f'{FEATURES},"Miner\n"\n'
+        + f"{FEATURES},NotMiner\n"
+        + "\n"
+        + f"{FEATURES},Miner\n"
+    )
+    assert [v.host for v in parse_feature_csv(text)] == ["row1", "row2", "row4"]
+    with pytest.raises(MalformedRowError) as exc:
+        parse_feature_csv(text + f"{FEATURES},Bogus\n")
+    assert exc.value.line_no == 7
 
 
 def test_feature_csv_rejects_wrong_order():

@@ -197,8 +197,11 @@ def test_run_reads_each_host_flow_incidence_once(monkeypatch):
     # with delta_t equal to the window, each pair's trailing windows are the
     # arriving window alone
     assert config.state.delta_t == config.window_length
+    # each host's call reads exactly its fingerprint-matching flows
     windows = window_snapshots(eval_flows, config.window_length)
-    assert mined and sum(mined) <= sum(incidences(in_window) for _, in_window, _ in windows[1:])
+    matches = config.state.fingerprint.matches
+    matching = [f for _, in_window, _ in windows[1:] for f in in_window if matches(f)]
+    assert matching and sum(mined) == incidences(matching)
 
 
 def test_run_computes_each_window_coefficient_once(monkeypatch):

@@ -7,7 +7,7 @@ from minedetect.comm_graph import (
     mining_volume,
     vertex_degree,
 )
-from minedetect.errors import InvalidConfigError, WindowOutOfRangeError
+from minedetect.errors import InvalidConfigError, MalformedRowError, WindowOutOfRangeError
 from minedetect.flow_model import Label, flows_to_csv
 from minedetect.rng import SplitMix64
 from minedetect.snn_cluster import State
@@ -218,6 +218,16 @@ def test_truth_csv_round_trip():
     _, truth = generate(small_config())
     parsed = parse_truth_csv(truth_to_csv(truth), n_windows=truth.n_windows)
     assert parsed == truth
+
+
+def test_truth_csv_names_physical_lines_after_quoted_newline():
+    # the host cell of line 2 runs on to line 3
+    text = 'host,label,recruitment_window\n"x\ny",Miner,1\nh2,NotMiner,\n'
+    with pytest.raises(MalformedRowError) as exc:
+        parse_truth_csv(text + "h3\n")
+    assert exc.value.line_no == 5
+    with pytest.raises(MalformedRowError, match=r"line 5: duplicate host 'h2' \(first on line 4\)"):
+        parse_truth_csv(text + "h2,Miner,\n")
 
 
 def test_truth_csv_rejects_wrong_header():
