@@ -190,7 +190,7 @@ def _cmd_classify(args) -> int:
         )
         model = KnnClassifier(k=config.knn_k).fit(labeled)
 
-    predictions = [model.predict(v) for v in queries]
+    predictions = model.predict_all(queries)
     write_atomic(args.out, _predictions_to_csv(predictions))
     if args.save_model:
         write_atomic(args.save_model, model.to_text())

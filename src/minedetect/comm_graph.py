@@ -218,6 +218,21 @@ def build_graph(
     return CommGraph(frozenset(vertices), weights, timestamp)
 
 
+def merge_graphs(graphs: Iterable[CommGraph]) -> CommGraph:
+    """The union of the graphs' vertices, each edge weighted by its summed weight.
+
+    Merging the window graphs of window_snapshots gives the graph that
+    build_graph makes over the span of every flow, without reading a flow.
+    """
+    vertices: set[str] = set()
+    weights: dict[Edge, int] = {}
+    for g in graphs:
+        vertices.update(g.vertices)
+        for key, w in g.edge_weight.items():
+            weights[key] = weights.get(key, 0) + w
+    return CommGraph(frozenset(vertices), weights)
+
+
 def vertex_degree(g: CommGraph, v: str) -> int:
     """Number of distinct neighbors of v."""
     return len(g.neighbors(v))

@@ -205,8 +205,9 @@ class FeatureVector:
                     raise ValueError(f"normalized {name}={v} outside [0, 1]")
         else:
             for name in RAW_FEATURES:
-                if getattr(self, name) < 0.0:
-                    raise ValueError(f"{name} must be >= 0")
+                v = getattr(self, name)
+                if not (0.0 <= v < math.inf):
+                    raise ValueError(f"{name}={v} must be finite and >= 0")
 
     def values(self) -> tuple[float, ...]:
         """The eight features in FEATURE_ORDER."""

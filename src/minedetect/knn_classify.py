@@ -1,8 +1,12 @@
 """K-nearest-neighbor classification of host feature vectors.
 
 Lazy learner over normalized 8-feature vectors with Euclidean distance and
-an exhaustive linear scan; no spatial index, so predictions are exactly
-reproducible. Tie rules are part of the contract:
+an exhaustive scan; no spatial index, so predictions are exactly
+reproducible. The scan takes query vectors in blocks and scores each block
+against every training example at once; it is still exhaustive and exact,
+and each distance is accumulated feature by feature in FEATURE_ORDER, so
+every float is the one a per-query scan computes. Tie rules are part of the
+contract:
 
 * equal distances are broken by training-set order,
 * an exact 50/50 vote takes the label of the single nearest neighbor.
@@ -35,6 +39,12 @@ class Prediction:
     score: float  # fraction of the k neighbors labeled Miner
 
 
+#: Most distance cells (query rows x training examples) one block of
+#: predict_all may hold, unless a single query row alone has more; bounds
+#: the kernel's scratch memory.
+_BLOCK_CELLS = 1 << 15
+
+
 def _check_normalized(v: FeatureVector) -> None:
     if not v.normalized:
         raise UnnormalizedInputError(f"vector for {v.host!r} is not normalized")
@@ -52,7 +62,7 @@ class KnnClassifier:
         self.k = k
         self.examples_: list[tuple[FeatureVector, Label]] | None = None
         self.effective_k_: int | None = None
-        self._matrix: np.ndarray | None = None
+        self._columns: np.ndarray | None = None
         self._miner: np.ndarray | None = None
 
     def fit(self, vectors: Sequence[FeatureVector]):
@@ -77,7 +87,8 @@ class KnnClassifier:
                 f"k={self.k} larger than training set; clamped to {self.effective_k_}",
                 stacklevel=2,
             )
-        self._matrix = np.array([v.values() for v in vectors], dtype=np.float64)
+        # column-major: row j holds feature j of every example, contiguously
+        self._columns = np.array([v.values() for v in vectors], dtype=np.float64).T.copy()
         self._miner = np.array([v.label is Label.MINER for v in vectors], dtype=bool)
         return self
 
@@ -85,30 +96,67 @@ class KnnClassifier:
         if self.examples_ is None:
             raise RuntimeError("KnnClassifier is not fitted; call fit() first")
 
-    def _squared_distances(self, v: FeatureVector) -> np.ndarray:
-        # accumulate per feature in canonical order so float rounding is
-        # reproducible across implementations of the same scan
-        q = v.values()
-        x = self._matrix
-        d = (x[:, 0] - q[0]) ** 2
-        for j in range(1, len(FEATURE_ORDER)):
-            d += (x[:, j] - q[j]) ** 2
-        return d
-
     def predict(self, v: FeatureVector) -> Prediction:
         """Majority vote of the k nearest training examples."""
+        return self.predict_all([v])[0]
+
+    def predict_all(self, vectors: Sequence[FeatureVector]) -> list[Prediction]:
+        """One prediction per vector, in order: the majority vote of its k nearest examples."""
         self._check_fitted()
-        _check_normalized(v)
-        d = self._squared_distances(v)
-        nearest = np.argsort(d, kind="stable")[: self.effective_k_]
-        score = float(np.count_nonzero(self._miner[nearest])) / self.effective_k_
-        if score > 0.5:
-            label = Label.MINER
-        elif score < 0.5:
-            label = Label.NOT_MINER
-        else:
-            label = Label.MINER if self._miner[nearest[0]] else Label.NOT_MINER
-        return Prediction(host=v.host, label=label, score=score)
+        for v in vectors:
+            _check_normalized(v)
+        queries = np.array([v.values() for v in vectors], dtype=np.float64).reshape(
+            len(vectors), len(FEATURE_ORDER)
+        )
+        n_train = self._columns.shape[1]
+        block = max(1, _BLOCK_CELLS // n_train)
+        votes = np.empty(len(vectors), dtype=np.int64)
+        nearest_miner = np.empty(len(vectors), dtype=bool)
+        for lo in range(0, len(vectors), block):
+            hi = min(lo + block, len(vectors))
+            votes[lo:hi], nearest_miner[lo:hi] = self._score_block(queries[lo:hi])
+        k = self.effective_k_
+        predictions = []
+        for v, miner_votes, miner_nearest in zip(vectors, votes.tolist(), nearest_miner.tolist()):
+            score = miner_votes / k
+            if score > 0.5 or (score == 0.5 and miner_nearest):
+                label = Label.MINER
+            else:
+                label = Label.NOT_MINER
+            predictions.append(Prediction(host=v.host, label=label, score=score))
+        return predictions
+
+    def _score_block(self, queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Miner votes among each query's k nearest, and whether its nearest is a miner.
+
+        The k nearest are the set a stable argsort of the distances would
+        pick: every distance below the k-th smallest value, then the
+        earliest training indices equal to it, up to k. np.argmin returns
+        the first occurrence of the minimum, the stable nearest neighbor.
+        """
+        k = self.effective_k_
+        cols = self._columns
+        # accumulate per feature in canonical order so float rounding is
+        # reproducible across implementations of the same scan
+        d = cols[0] - queries[:, 0, None]
+        np.square(d, out=d)
+        term = np.empty_like(d)
+        for j in range(1, len(FEATURE_ORDER)):
+            np.subtract(cols[j], queries[:, j, None], out=term)
+            np.square(term, out=term)
+            d += term
+        kth = np.partition(d, k - 1, axis=1)[:, k - 1, None]
+        chosen = d <= kth
+        excess = np.count_nonzero(chosen, axis=1) - k
+        tied_rows = np.flatnonzero(excess)
+        if tied_rows.size:
+            # drop the latest training indices tied at the k-th value
+            tied = d[tied_rows] == kth[tied_rows]
+            from_end = np.cumsum(tied[:, ::-1], axis=1)[:, ::-1]
+            chosen[tied_rows] &= ~(tied & (from_end <= excess[tied_rows, None]))
+        chosen &= self._miner
+        votes = np.count_nonzero(chosen, axis=1)
+        return votes, self._miner[np.argmin(d, axis=1)]
 
     def predict_cluster(
         self,
@@ -119,11 +167,12 @@ class KnnClassifier:
 
         The cluster is Miner iff the mean member score exceeds 0.5.
         """
-        predictions: dict[str, Prediction] = {}
-        for member in sorted(cluster.members):
+        members = sorted(cluster.members)
+        for member in members:
             if member not in vectors:
                 raise MissingVectorError(f"no feature vector for cluster member {member!r}")
-            predictions[member] = self.predict(vectors[member])
+        scored = self.predict_all([vectors[member] for member in members])
+        predictions = dict(zip(members, scored))
         mean_score = sum(p.score for p in predictions.values()) / len(predictions)
         verdict = Label.MINER if mean_score > 0.5 else Label.NOT_MINER
         return predictions, verdict

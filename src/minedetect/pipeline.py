@@ -241,12 +241,16 @@ def lifecycle_states(
     flows: Sequence[FlowRecord],
     config: PipelineConfig,
 ) -> tuple[CommGraph, dict[str, State]]:
-    """Step 3: the full-span graph and each vertex's highest-ranked state over all window pairs."""
+    """Step 3: the full-span graph and each vertex's highest-ranked state over all window pairs.
+
+    The full-span graph is merged from the window graphs, so every flow is
+    read once, when it is filed into its window.
+    """
     if not flows:
         return CommGraph(frozenset(), {}), {}
-    graph = comm_graph.build_graph(flows, flow_model.full_span(flows))
-    host_states = {v: State.S0 for v in graph.vertices}
     snapshots = comm_graph.window_snapshots(flows, config.window_length)
+    graph = comm_graph.merge_graphs(g for g, _, _ in snapshots)
+    host_states = {v: State.S0 for v in graph.vertices}
     for deltas in comm_graph.window_deltas(snapshots, config.state):
         for host, d in deltas.items():
             state = snn_cluster.assign_state(d, config.state)

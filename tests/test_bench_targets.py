@@ -29,7 +29,6 @@ REACHED_BY_RUN = (
     "snn_cluster.finalize_clusters",
     "knn_classify.KnnClassifier.fit",
     "knn_classify.KnnClassifier.predict_cluster",
-    "knn_classify.KnnClassifier.predict",
     "pipeline._detector_metrics",
 )
 

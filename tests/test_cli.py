@@ -477,6 +477,44 @@ def test_duplicate_truth_host_exits_1_with_line_number(tmp_path, scenario_file, 
     assert not out.exists()
 
 
+@pytest.fixture(scope="module")
+def labeled_capture(tmp_path_factory):
+    """A simulated capture and its labeled feature CSV, shared by read-only tests."""
+    tmp_path = tmp_path_factory.mktemp("labeled_capture")
+    scenario = tmp_path / "scenario.cfg"
+    scenario.write_text(SCENARIO)
+    flows, truth = simulate(tmp_path, str(scenario), seed=5)
+    labeled = tmp_path / "labeled.csv"
+    assert dispatch([
+        "features", "--flows", str(flows), "--truth", str(truth), "--out", str(labeled),
+    ]) == 0
+    return flows, labeled
+
+
+@pytest.mark.parametrize("command", ["classify", "run"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("feature", ["bpp", "ppm", "ppf"])
+def test_non_finite_labeled_feature_exits_1_with_line_number(
+    tmp_path, capsys, labeled_capture, command, value, feature
+):
+    flows, labeled = labeled_capture
+    lines = labeled.read_text().splitlines()
+    cells = lines[3].split(",")
+    cells[1 + flow_model.FEATURE_ORDER.index(feature)] = value
+    lines[3] = ",".join(cells)
+    bad = tmp_path / "bad.csv"
+    bad.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "out"
+    argv = {
+        "classify": ["classify", "--labeled", str(bad), "--features", str(labeled)],
+        "run": ["run", "--flows", str(flows), "--labeled", str(bad)],
+    }[command]
+    assert dispatch(argv + ["--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "line 4" in err and f"{feature}=" in err and "finite" in err
+    assert not out.exists()
+
+
 def test_failed_run_leaves_no_partial_output(tmp_path, scenario_file):
     flows, _ = simulate(tmp_path, scenario_file, seed=5)
     bad_labeled = tmp_path / "bad.csv"

@@ -727,3 +727,23 @@ def test_feature_csv_rejects_wrong_order():
     header = "host," + ",".join(reversed(FEATURE_ORDER)) + ",class\n"
     with pytest.raises(MissingColumnError):
         parse_feature_csv(header)
+
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("feature", ["bpp", "ppm", "ppf"])
+def test_raw_feature_must_be_finite(feature, value):
+    with pytest.raises(ValueError, match="finite"):
+        make_vector(**{feature: float(value)})
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("feature", ["bpp", "ppm", "ppf"])
+def test_feature_csv_rejects_non_finite_raw_feature_with_line_number(feature, value):
+    lines = features_to_csv([make_vector(host=h) for h in "abc"]).splitlines()
+    cells = lines[2].split(",")
+    cells[1 + FEATURE_ORDER.index(feature)] = value
+    lines[2] = ",".join(cells)
+    with pytest.raises(MalformedRowError, match="finite") as exc:
+        parse_feature_csv("\n".join(lines) + "\n")
+    assert exc.value.line_no == 3

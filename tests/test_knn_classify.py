@@ -1,7 +1,9 @@
 import random
+import tracemalloc
 
 import pytest
 
+from minedetect import knn_classify
 from minedetect.errors import (
     EmptyTrainingSetError,
     InvalidConfigError,
@@ -96,6 +98,29 @@ def test_predict_rejects_raw_query():
     model = KnnClassifier(k=1).fit([vec("a", [0.5] * 8, Label.MINER)])
     with pytest.raises(UnnormalizedInputError):
         model.predict(vec("q", [0.5] * 8, normalized=False))
+    # every vector of a batch is checked, not only the first
+    with pytest.raises(UnnormalizedInputError):
+        model.predict_all([vec("a", [0.5] * 8), vec("q", [0.5] * 8, normalized=False)])
+
+
+def test_predict_all_needs_a_fitted_model():
+    with pytest.raises(RuntimeError, match="not fitted"):
+        KnnClassifier(k=1).predict_all([vec("q", [0.5] * 8)])
+
+
+def oracle_votes(train, queries, k):
+    """(is_miner, score) per query from the brute-force scan and stable-sort vote."""
+    matrix = [list(v.values()) for v in train]
+    miner_flags = [v.label is Label.MINER for v in train]
+    rows = squared_distances_rowwise([q.values() for q in queries], matrix)
+    return [knn_vote_oracle(row.tolist(), miner_flags, min(k, len(train))) for row in rows]
+
+
+def assert_matches_oracle(model, train, queries):
+    got = model.predict_all(queries)
+    assert [p.host for p in got] == [q.host for q in queries]
+    assert [(p.label is Label.MINER, p.score) for p in got] == oracle_votes(train, queries, model.k)
+    return got
 
 
 def test_predict_agrees_with_exhaustive_scan_oracle():
@@ -105,17 +130,95 @@ def test_predict_agrees_with_exhaustive_scan_oracle():
         for i in range(200)
     ]
     queries = [random_vec(rng, f"q{i}", Label.UNLABELED) for i in range(50)]
-    matrix = [list(v.values()) for v in train]
-    miner_flags = [label is Label.MINER for _, label in KnnClassifier(k=1).fit(train).examples_]
-    rows = squared_distances_rowwise([q.values() for q in queries], matrix)
-
     for k in (1, 3, 5, 8):
         model = KnnClassifier(k=k).fit(train)
-        for q, row in zip(queries, rows):
-            expected_miner, expected_score = knn_vote_oracle(row.tolist(), miner_flags, k)
-            got = model.predict(q)
-            assert (got.label is Label.MINER) == expected_miner
-            assert got.score == pytest.approx(expected_score)
+        got = assert_matches_oracle(model, train, queries)
+        assert [model.predict(q) for q in queries] == got
+
+
+def tied_set(rng, n, grid):
+    """Examples on a coarse grid, a third of them copies of earlier rows: many equal distances."""
+    train = []
+    for i in range(n):
+        label = Label.MINER if rng.random() < 0.5 else Label.NOT_MINER
+        if train and rng.random() < 0.33:
+            values = rng.choice(train).values()
+        else:
+            values = [round(rng.random() * grid) / grid for _ in FEATURE_ORDER]
+        train.append(vec(f"t{i}", values, label))
+    return train
+
+
+@pytest.mark.parametrize("grid", [1, 2, 4])
+@pytest.mark.parametrize("k", [1, 2, 3, 5, 8])
+def test_predict_all_breaks_heavy_ties_like_the_stable_sort_oracle(grid, k):
+    rng = random.Random(grid * 100 + k)
+    train = tied_set(rng, 60, grid)
+    queries = [
+        vec(f"q{i}", [round(rng.random() * grid) / grid for _ in FEATURE_ORDER])
+        for i in range(80)
+    ] + [vec(f"d{i}", v.values()) for i, v in enumerate(tied_set(rng, 10, grid))]
+    assert_matches_oracle(KnnClassifier(k=k).fit(train), train, queries)
+
+
+@pytest.mark.parametrize("k", [2, 4, 6])
+def test_predict_all_even_k_split_votes_take_the_stable_nearest(k):
+    rng = random.Random(k)
+    train = tied_set(rng, 40, 2) + two_blobs(rng, 10)
+    queries = [random_vec(rng, f"q{i}", Label.UNLABELED) for i in range(100)]
+    queries += [vec(f"g{i}", [round(rng.random() * 2) / 2 for _ in FEATURE_ORDER]) for i in range(100)]
+    got = assert_matches_oracle(KnnClassifier(k=k).fit(train), train, queries)
+    split = [p for p in got if p.score == 0.5]
+    assert {p.label for p in split} == {Label.MINER, Label.NOT_MINER}
+
+
+def test_predict_all_with_k_clamped_to_the_training_set():
+    rng = random.Random(12)
+    train = tied_set(rng, 4, 1)
+    with pytest.warns(UserWarning, match="clamped"):
+        model = KnnClassifier(k=9).fit(train)
+    queries = [random_vec(rng, f"q{i}", Label.UNLABELED) for i in range(20)]
+    got = assert_matches_oracle(model, train, queries)
+    miners = sum(v.label is Label.MINER for v in train)
+    assert {p.score for p in got} == {miners / 4}
+
+
+# with 30 examples: one query row per block, or 3 or 7 rows, so blocks split the cluster
+@pytest.mark.parametrize("cells", [1, 30, 90, 210])
+def test_predict_all_is_independent_of_the_block_size(monkeypatch, cells):
+    rng = random.Random(cells)
+    train = tied_set(rng, 30, 2)
+    queries = {f"q{i}": random_vec(rng, f"q{i}", Label.UNLABELED) for i in range(25)}
+    cluster = Cluster(id="C0", members=frozenset(queries))
+    model = KnnClassifier(k=4).fit(train)
+    whole = model.predict_cluster(cluster, queries)
+    monkeypatch.setattr(knn_classify, "_BLOCK_CELLS", cells)
+    assert model.predict_cluster(cluster, queries) == whole
+    assert_matches_oracle(model, train, list(queries.values()))
+
+
+def test_predict_all_of_no_vectors_is_empty():
+    model = KnnClassifier(k=1).fit([vec("a", [0.5] * 8, Label.MINER)])
+    assert model.predict_all([]) == []
+
+
+def test_predict_all_memory_is_bounded_by_blocks():
+    # a dense 4000 x 4000 float64 distance matrix alone would take 128 MB
+    rng = random.Random(14)
+    train = [
+        random_vec(rng, f"t{i}", Label.MINER if rng.random() < 0.5 else Label.NOT_MINER)
+        for i in range(4000)
+    ]
+    queries = [random_vec(rng, f"q{i}", Label.UNLABELED) for i in range(4000)]
+    model = KnnClassifier(k=5).fit(train)
+    tracemalloc.start()
+    try:
+        predictions = model.predict_all(queries)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(predictions) == 4000
+    assert peak < 4 * 2**20
 
 
 def test_score_bounds_are_multiples_of_inverse_k():

@@ -11,6 +11,7 @@ from minedetect.knn_classify import KnnClassifier
 from minedetect.pipeline import (
     PipelineConfig,
     PipelineStepError,
+    lifecycle_states,
     report_clusters_csv,
     report_metrics_csv,
     run,
@@ -86,16 +87,16 @@ def test_run_is_deterministic_modulo_timestamp():
 
 def test_run_predicts_each_host_once(monkeypatch):
     labeled, eval_flows, eval_truth = scenario_inputs()
-    calls = []
-    original = KnnClassifier.predict
+    scored = []
+    original = KnnClassifier.predict_all
 
-    def counting_predict(self, v):
-        calls.append(v.host)
-        return original(self, v)
+    def counting_predict_all(self, vectors):
+        scored.extend(v.host for v in vectors)
+        return original(self, vectors)
 
-    monkeypatch.setattr(KnnClassifier, "predict", counting_predict)
+    monkeypatch.setattr(KnnClassifier, "predict_all", counting_predict_all)
     report = run(eval_flows, labeled, PipelineConfig(), ground_truth=eval_truth.labels)
-    assert sorted(calls) == sorted(hosts_in(eval_flows))
+    assert sorted(scored) == sorted(hosts_in(eval_flows))
     assert set(report.predictions) == hosts_in(eval_flows)
 
 
@@ -220,6 +221,57 @@ def test_run_computes_each_window_coefficient_once(monkeypatch):
     windows = window_snapshots(eval_flows, config.window_length)
     assert len(windows) > 2
     assert calls and len(calls) <= sum(len(g.vertices) for g, _, _ in windows)
+
+
+def plain_flow(src, dst, start):
+    return make_flow(src_host=src, dst_host=dst, start_time=start, end_time=start + 5.0)
+
+
+def step3_captures():
+    _, synth, _ = scenario_inputs()
+    loopback = [
+        plain_flow("a", "b", 1.0),
+        plain_flow("lonely", "lonely", 70.0),  # the only flow of its host
+        plain_flow("a", "b", 130.0),
+        plain_flow("b", "c", 131.0),
+    ]
+    # windows 0 and 2 hold flows, window 1 none; the last flow ends late
+    gap = [plain_flow("a", "b", 10.0), plain_flow("c", "a", 20.0), plain_flow("b", "a", 150.0)]
+    gap.append(make_flow(src_host="c", dst_host="d", start_time=170.0, end_time=900.0))
+    return {
+        "synthgen": synth,
+        "out-of-order": synth[::-1][:400] + synth[:-400],
+        "loopback-only-host": loopback,
+        "empty-middle-window": gap,
+    }
+
+
+@pytest.mark.parametrize("name", ["synthgen", "out-of-order", "loopback-only-host", "empty-middle-window"])
+def test_full_span_graph_merged_from_windows_equals_one_pass_build(name):
+    flows = step3_captures()[name]
+    graph, host_states = lifecycle_states(flows, PipelineConfig())
+    expected = comm_graph.build_graph(flows, flow_model.full_span(flows))
+    assert graph.vertices == expected.vertices
+    assert graph.edge_weight == expected.edge_weight
+    assert graph.timestamp == expected.timestamp
+    assert set(host_states) == graph.vertices
+
+
+def test_step3_reads_each_flow_once(monkeypatch):
+    labeled, eval_flows, eval_truth = scenario_inputs()
+    n_windows = len(window_snapshots(eval_flows, PipelineConfig().window_length))
+    rows = []
+    build_graph = comm_graph.build_graph
+
+    def counting_build_graph(flows, *args, **kwargs):
+        flows = list(flows)
+        rows.append(len(flows))
+        return build_graph(flows, *args, **kwargs)
+
+    monkeypatch.setattr(comm_graph, "build_graph", counting_build_graph)
+    run(eval_flows, labeled, PipelineConfig(), ground_truth=eval_truth.labels)
+    assert len(rows) == n_windows
+    assert sum(rows) == len(eval_flows)
 
 
 def fingerprint_flow(src, dst, start):
