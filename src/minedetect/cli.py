@@ -100,6 +100,8 @@ def _load_flows(path: str, config: PipelineConfig):
 # ---------------------------------------------------------------------------
 
 def _cmd_simulate(args) -> int:
+    if args.out == "-" and not args.truth:
+        raise InvalidConfigError("--out - writes the flows to stdout; give --truth a path")
     kv = read_kv_file(args.scenario)
     config = synthgen.ScenarioConfig.from_kv(kv)
     flows, truth = synthgen.generate(config, seed=args.seed)
@@ -244,8 +246,7 @@ def _cmd_evaluate(args) -> int:
 
 
 def _sibling(path: str, suffix: str) -> str:
-    stem, ext = os.path.splitext(path)
-    return stem + suffix
+    return os.path.splitext(path)[0] + suffix
 
 
 def _cmd_run(args) -> int:
@@ -258,9 +259,16 @@ def _cmd_run(args) -> int:
 
     report = pipeline.run(flows, labeled, config, ground_truth=ground_truth)
     write_atomic(args.out, report.to_json())
-    write_atomic(_sibling(args.out, ".clusters.csv"), pipeline.report_clusters_csv(report))
-    if report.metrics:
-        write_atomic(_sibling(args.out, ".metrics.csv"), pipeline.report_metrics_csv(report))
+    if args.out == "-":
+        print(
+            "run: tables not written; `minedetect report --section clusters|metrics "
+            "--format csv` extracts them",
+            file=sys.stderr,
+        )
+    else:
+        write_atomic(_sibling(args.out, ".clusters.csv"), pipeline.report_clusters_csv(report))
+        if report.metrics:
+            write_atomic(_sibling(args.out, ".metrics.csv"), pipeline.report_metrics_csv(report))
     print(
         f"run: {len(report.predictions)} hosts, {len(report.clusters)} clusters, "
         f"{len(report.suspicious)} suspicious -> {args.out}",

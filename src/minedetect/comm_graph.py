@@ -14,6 +14,7 @@ from __future__ import annotations
 import io
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import InvalidConfigError, UnknownVertexError
@@ -29,7 +30,11 @@ def edge_key(a: str, b: str) -> Edge:
 
 @dataclass(frozen=True)
 class CommGraph:
-    """Immutable undirected host graph at one time window."""
+    """Immutable undirected host graph at one time window.
+
+    The adjacency sets are built on the first ``neighbors`` call, so a graph
+    read only through ``vertices`` and ``edge_weight`` never builds them.
+    """
 
     vertices: frozenset[str]
     edge_weight: dict[Edge, int]
@@ -45,27 +50,19 @@ class CommGraph:
                 raise ValueError(f"edge ({a!r}, {b!r}) endpoint outside vertex set")
             if w < 1:
                 raise ValueError(f"edge ({a!r}, {b!r}) weight {w} < 1")
-        object.__setattr__(self, "_adj", _adjacency(self.vertices, self.edge_weight))
 
-    @property
-    def edges(self) -> set[Edge]:
-        return set(self.edge_weight)
+    @cached_property
+    def _adj(self) -> dict[str, frozenset[str]]:
+        adj: dict[str, set[str]] = {v: set() for v in self.vertices}
+        for a, b in self.edge_weight:
+            adj[a].add(b)
+            adj[b].add(a)
+        return {v: frozenset(ns) for v, ns in adj.items()}
 
     def neighbors(self, v: str) -> frozenset[str]:
         if v not in self.vertices:
             raise UnknownVertexError(f"vertex {v!r} not in graph")
         return self._adj[v]
-
-    def has_edge(self, a: str, b: str) -> bool:
-        return edge_key(a, b) in self.edge_weight
-
-
-def _adjacency(vertices, edge_weight) -> dict[str, frozenset[str]]:
-    adj: dict[str, set[str]] = {v: set() for v in vertices}
-    for a, b in edge_weight:
-        adj[a].add(b)
-        adj[b].add(a)
-    return {v: frozenset(ns) for v, ns in adj.items()}
 
 
 @dataclass(frozen=True)
@@ -82,16 +79,16 @@ class HostDeltas:
     ``dk_ext``/``dk_int`` are the changes of its external/internal degree,
     ``dc_factor`` the multiplicative change of its clustering coefficient,
     ``m_v`` its mining-fingerprint flow count over the trailing interval
-    that ends with the later window, and ``dc_history`` the dc_factor values
-    of its earlier window pairs, oldest first (so its length equals
-    ``window``).
+    that ends with the later window, and ``dc_peak`` the largest dc_factor
+    of its earlier window pairs (0.0 when there is none; factors are never
+    negative).
     """
 
     host: str
     dk_ext: int
     dk_int: int
     dc_factor: float
-    dc_history: tuple[float, ...]
+    dc_peak: float
     m_v: int
     window: int
 
@@ -328,14 +325,6 @@ def mining_volume(
     )
 
 
-def _split_degree(g: CommGraph, v: str, internal: Callable[[str], bool]) -> tuple[int, int]:
-    """(external, internal) neighbor counts; (0, 0) for absent vertices."""
-    if v not in g.vertices:
-        return 0, 0
-    ext = sum(1 for u in g.neighbors(v) if not internal(u))
-    return ext, len(g.neighbors(v)) - ext
-
-
 def dc_change_factor(c_prev: float, c_next: float, cap: float = 1000.0) -> float:
     """Multiplicative clustering-coefficient change c(t+1) / c(t).
 
@@ -362,19 +351,20 @@ def window_deltas(
     at hi belongs to window j + 1. Each window's flows are tested against
     the fingerprint once, and each host's mining_volume call gets only that
     host's matching flows of the interval, so it counts every flow it reads.
-    Each window's clustering coefficients are computed once and reused as
-    the earlier side of the next pair; a host absent from window j - 1 has
-    coefficient 0 there, whatever it had before.
+    Each window's host rows (degree split and clustering coefficient) are
+    computed once and reused as the earlier side of the next pair; a host
+    absent from window j - 1 reads (0, 0, 0.0) there, whatever it had
+    before. dc_peak is a running maximum per host, so the state kept across
+    pairs is one float per host.
     """
     if len(snapshots) < 2:
         return []
     matches = params.fingerprint.matches
     matching: dict[int, list[FlowRecord]] = {}  # window index -> its fingerprint flows
-    history: dict[str, list[float]] = {}
-    coefficients = _coefficients(snapshots[0][0])
+    peak: dict[str, float] = {}  # host -> largest dc factor of its pairs so far
+    rows = _host_rows(snapshots[0][0], params.is_internal)
     pairs = []
     for j in range(1, len(snapshots)):
-        g_prev = snapshots[j - 1][0]
         g_next, _, (_, hi) = snapshots[j]
         lo = hi - params.delta_t
         first = j
@@ -386,31 +376,38 @@ def window_deltas(
         by_host = flows_by_host(
             f for i in range(first, j + 1) for f in matching[i] if lo <= f.start_time
         )
-        c_prev, coefficients = coefficients, _coefficients(g_next)
+        rows_prev, rows = rows, _host_rows(g_next, params.is_internal)
         deltas: dict[str, HostDeltas] = {}
-        for host in g_next.vertices:
-            ext_prev, int_prev = _split_degree(g_prev, host, params.is_internal)
-            ext_next, int_next = _split_degree(g_next, host, params.is_internal)
-            dc_factor = dc_change_factor(c_prev.get(host, 0.0), coefficients[host], params.dc_cap)
-            seen = history.setdefault(host, [])
+        for host, (ext_next, int_next, c_next) in rows.items():
+            ext_prev, int_prev, c_prev = rows_prev.get(host, (0, 0, 0.0))
+            dc_factor = dc_change_factor(c_prev, c_next, params.dc_cap)
+            dc_peak = peak.get(host, 0.0)
             deltas[host] = HostDeltas(
                 host=host,
                 dk_ext=ext_next - ext_prev,
                 dk_int=int_next - int_prev,
                 dc_factor=dc_factor,
-                dc_history=tuple(seen),
+                dc_peak=dc_peak,
                 m_v=mining_volume(
                     by_host.get(host, []), host, params.delta_t, params.fingerprint, now=hi
                 ),
                 window=j - 1,
             )
-            seen.append(dc_factor)
+            peak[host] = max(dc_peak, dc_factor)
         pairs.append(deltas)
     return pairs
 
 
-def _coefficients(g: CommGraph) -> dict[str, float]:
-    return {v: clustering_coefficient(g, v) for v in g.vertices}
+def _host_rows(
+    g: CommGraph, is_internal: Callable[[str], bool]
+) -> dict[str, tuple[int, int, float]]:
+    """(external degree, internal degree, clustering coefficient) of every vertex."""
+    rows = {}
+    for v in g.vertices:
+        nbrs = g.neighbors(v)
+        ext = sum(1 for u in nbrs if not is_internal(u))
+        rows[v] = (ext, len(nbrs) - ext, clustering_coefficient(g, v))
+    return rows
 
 
 # ---------------------------------------------------------------------------

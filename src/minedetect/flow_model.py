@@ -571,6 +571,8 @@ def parse_feature_csv(text: str | Iterable[str], normalized: bool = False) -> li
         if not row or (len(row) == 1 and not row[0].strip()):
             continue
         line_no = reader.line_num
+        if len(row) < len(expected):
+            raise MalformedRowError(line_no, f"expected {len(expected)} fields, got {len(row)}")
         try:
             if with_host:
                 host, rest = row[0].strip(), row[1:]
@@ -586,6 +588,6 @@ def parse_feature_csv(text: str | Iterable[str], normalized: bool = False) -> li
                     normalized=normalized,
                 )
             )
-        except (ValueError, IndexError) as exc:
+        except ValueError as exc:
             raise MalformedRowError(line_no, str(exc)) from exc
     return vectors

@@ -197,43 +197,61 @@ class KnnClassifier:
 
     @classmethod
     def from_text(cls, text: str) -> "KnnClassifier":
-        """Load a model file; a different feature order is an error, not a remap."""
+        """Load a model file; a different feature order is an error, not a remap.
+
+        Every error names the model-file line it comes from.
+        """
         lines = text.splitlines()
         if not lines or lines[0].strip() != FORMAT_TAG:
             raise InvalidConfigError(f"not a {FORMAT_TAG} file")
-        header: dict[str, str] = {}
-        for line in lines[1:4]:
+        header: dict[str, tuple[int, str]] = {}  # key -> (line number, value)
+        for line_no, line in enumerate(lines[1:4], start=2):
             key, _, value = line.partition("=")
-            header[key.strip()] = value.strip()
+            header[key.strip()] = (line_no, value.strip())
         for needed in ("k", "features", "count"):
             if needed not in header:
                 raise InvalidConfigError(f"model file missing {needed}= header line")
-        stored_order = tuple(header["features"].split(","))
+        stored_order = tuple(header["features"][1].split(","))
         if stored_order != FEATURE_ORDER:
             raise InvalidConfigError(
-                f"model feature order {stored_order} differs from {FEATURE_ORDER}"
+                f"model line {header['features'][0]}: feature order {stored_order} "
+                f"differs from {FEATURE_ORDER}"
             )
-        count = int(header["count"])
-        rows = [line for line in lines[4:] if line.strip()]
+        count = _header_int(header, "count", 0)
+        rows = [(n, line) for n, line in enumerate(lines[4:], start=5) if line.strip()]
         if len(rows) != count:
             raise InvalidConfigError(f"expected {count} examples, found {len(rows)}")
 
         vectors = []
-        for row in rows:
+        for line_no, row in rows:
             parts = row.split("\t")
             if len(parts) != len(FEATURE_ORDER) + 2:
-                raise InvalidConfigError(f"malformed example line: {row!r}")
+                raise InvalidConfigError(f"model line {line_no}: malformed example {row!r}")
             host, *feats, label = parts
-            vectors.append(
-                FeatureVector(
-                    host=host,
-                    **dict(zip(FEATURE_ORDER, (float(x) for x in feats))),
-                    label=parse_label(label),
-                    normalized=True,
+            try:
+                vectors.append(
+                    FeatureVector(
+                        host=host,
+                        **dict(zip(FEATURE_ORDER, (float(x) for x in feats))),
+                        label=parse_label(label),
+                        normalized=True,
+                    )
                 )
-            )
-        model = cls(k=int(header["k"]))
+            except ValueError as exc:
+                raise InvalidConfigError(f"model line {line_no}: {exc}") from exc
+        model = cls(k=_header_int(header, "k", 1))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             model.fit(vectors)
         return model
+
+
+def _header_int(header: dict[str, tuple[int, str]], key: str, minimum: int) -> int:
+    line_no, value = header[key]
+    try:
+        n = int(value)
+    except ValueError as exc:
+        raise InvalidConfigError(f"model line {line_no}: {key}={value!r} is not an integer") from exc
+    if n < minimum:
+        raise InvalidConfigError(f"model line {line_no}: {key} must be >= {minimum}")
+    return n

@@ -173,17 +173,13 @@ def extract_clusters(snn: SnnGraph) -> list[Cluster]:
 def assign_state(d: HostDeltas, params: StateParams) -> State:
     """First-matching lifecycle state for one host's window deltas.
 
-    The S2 test compares against ``d.dc_history``, the host's clustering-change
-    factors from earlier window pairs.
+    The S2 test compares against ``d.dc_peak``, the largest of the host's
+    clustering-change factors from earlier window pairs.
     """
     at_t_star = params.t_star is None or d.window == params.t_star
     if d.dk_ext > 1 and at_t_star:
         return State.S1
-    if (
-        d.dk_int > d.dk_ext
-        and d.dc_factor > 1.0
-        and (not d.dc_history or d.dc_factor > max(d.dc_history))
-    ):
+    if d.dk_int > d.dk_ext and d.dc_factor > 1.0 and d.dc_factor > d.dc_peak:
         return State.S2
     if d.dk_int > 1 and d.m_v > params.x_threshold:
         return State.S3

@@ -73,7 +73,7 @@ def triangle_count_brute(g: CommGraph, v: str) -> int:
     count = 0
     for i in range(len(nbrs)):
         for j in range(i + 1, len(nbrs)):
-            if g.has_edge(nbrs[i], nbrs[j]):
+            if edge_key(nbrs[i], nbrs[j]) in g.edge_weight:
                 count += 1
     return count
 

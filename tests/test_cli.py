@@ -533,3 +533,64 @@ def test_help_lists_every_flag():
     assert "simulate" in text and "evaluate" in text
     for sub in ("run", "simulate", "cluster"):
         assert sub in text
+
+
+def test_run_out_dash_writes_only_the_report_to_stdout(
+    tmp_path, monkeypatch, capsys, labeled_capture
+):
+    flows, labeled = labeled_capture
+    monkeypatch.chdir(tmp_path)
+    capsys.readouterr()
+    assert dispatch(["run", "--flows", str(flows), "--labeled", str(labeled), "--out", "-"]) == 0
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["clusters"]
+    assert "minedetect report --section clusters|metrics --format csv" in captured.err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_simulate_out_dash_needs_truth_path(tmp_path, monkeypatch, capsys):
+    scenario = tmp_path / "scenario.cfg"
+    scenario.write_text(SCENARIO)
+    cwd = tmp_path / "cwd"
+    cwd.mkdir()
+    monkeypatch.chdir(cwd)
+    assert dispatch(["simulate", "--scenario", str(scenario), "--out", "-"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--truth" in captured.err
+    truth = tmp_path / "truth.csv"
+    assert dispatch(["simulate", "--scenario", str(scenario), "--out", "-", "--truth", str(truth)]) == 0
+    assert flow_model.parse_flow_csv(capsys.readouterr().out)
+    assert truth.exists()
+    assert list(cwd.iterdir()) == []
+
+
+@pytest.mark.parametrize("line, old, new, message", [
+    (2, "k=5", "k=zero", "k='zero' is not an integer"),
+    (2, "k=5", "k=0", "k must be >= 1"),
+    (6, None, "abc", "could not convert string to float: 'abc'"),
+])
+def test_bad_model_file_exits_1_with_line_number(
+    tmp_path, capsys, labeled_capture, line, old, new, message
+):
+    _, labeled = labeled_capture
+    model = tmp_path / "model.knn"
+    assert dispatch([
+        "classify", "--labeled", str(labeled), "--features", str(labeled),
+        "--out", str(tmp_path / "p.csv"), "--save-model", str(model),
+    ]) == 0
+    lines = model.read_text().splitlines()
+    if old is None:  # the first feature cell of the example on that line
+        cells = lines[line - 1].split("\t")
+        cells[1] = new
+        lines[line - 1] = "\t".join(cells)
+    else:
+        assert lines[line - 1] == old
+        lines[line - 1] = new
+    model.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    out = tmp_path / "out.csv"
+    assert dispatch([
+        "classify", "--model", str(model), "--features", str(labeled), "--out", str(out),
+    ]) == 1
+    assert f"model line {line}: {message}" in capsys.readouterr().err
+    assert not out.exists()

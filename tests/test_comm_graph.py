@@ -280,17 +280,21 @@ def test_dc_factor_conventions():
     assert dc_change_factor(0.5, 0.25) == 0.5
 
 
-def test_dc_history_length_equals_window_index():
+def test_dc_peak_equals_max_of_earlier_factors():
     graphs = [
         graph_of([("h1", "h2")], timestamp=0),
         graph_of([("h1", "h2"), ("h1", "h3")], timestamp=1),
         graph_of([("h1", "h2"), ("h1", "h3"), ("h2", "h3")], timestamp=2),
         graph_of([("h1", "h2"), ("h2", "h3")], timestamp=3),
+        graph_of([("h1", "h2"), ("h1", "h3"), ("h2", "h3"), ("h1", "h4")], timestamp=4),
     ]
-    params = mk_params()
-    for deltas in window_deltas(as_snapshots(graphs), params):
-        for d in deltas.values():
-            assert len(d.dc_history) == d.window
+    earlier: dict[str, list[float]] = {}
+    for deltas in window_deltas(as_snapshots(graphs), mk_params()):
+        for host, d in deltas.items():
+            assert d.dc_peak == max(earlier.get(host, []), default=0.0)
+            earlier.setdefault(host, []).append(d.dc_factor)
+    # h1's rise from zero in pair 1 is the peak its later pairs compare against
+    assert earlier["h1"] == [1.0, 1000.0, 0.0, 1000.0]
 
 
 def test_deltas_invariant_under_host_relabeling():
@@ -426,11 +430,40 @@ def edge_case_capture():
     ]
 
 
+def returning_host_capture():
+    """24 windows of random links among h0-h7 and x1, x2.
+
+    h3 meets h0 and h1 in every window but windows 5-14, where it sends
+    nothing; from window 15 on it also sends pool flows.
+    """
+    def link(a, b, t):
+        return make_flow(src_host=a, dst_host=b, start_time=t, end_time=t + 1.0)
+
+    rng = random.Random(29)
+    others = ["h0", "h1", "h2", "h4", "h5", "h6", "h7", "x1", "x2"]
+    flows = []
+    for w in range(24):
+        t0 = w * 60.0
+        for _ in range(10):
+            a, b = rng.sample(others, 2)
+            flows.append(link(a, b, t0 + rng.uniform(0, 59)))
+        if 5 <= w < 15:
+            continue
+        for peer in ["h0", "h1", *rng.sample(others, 2)]:
+            flows.append(link("h3", peer, t0 + rng.uniform(0, 59)))
+        if w >= 15:
+            flows.append(mining_flow(src_host="h3", dst_host="pool0", start=t0 + 5.0))
+    return flows
+
+
 @pytest.mark.parametrize("delta_t", [60.0, 90.0, 120.0, 150.0])
-@pytest.mark.parametrize("capture", ["edge_cases", "synthgen"])
+@pytest.mark.parametrize("capture", ["edge_cases", "synthgen", "returning_host"])
 def test_window_deltas_match_naive_pairwise_recomputation(capture, delta_t):
     if capture == "edge_cases":
         flows = edge_case_capture()
+        prefixes, fp = ("h",), MiningFingerprint()
+    elif capture == "returning_host":
+        flows = returning_host_capture()
         prefixes, fp = ("h",), MiningFingerprint()
     else:
         flows, _ = generate(ScenarioConfig(seed=5, n_hosts=24, ring_degree=4, n_windows=5,
@@ -438,11 +471,16 @@ def test_window_deltas_match_naive_pairwise_recomputation(capture, delta_t):
         prefixes, fp = ("host",), MiningFingerprint(pool_hosts=frozenset({"pool0"}))
     params = StateParams(internal_prefixes=prefixes, delta_t=delta_t, fingerprint=fp)
     snapshots = window_snapshots(flows, 60.0)
-    expected = window_deltas_naive(
+    naive = window_deltas_naive(
         flows, [bounds for _, _, bounds in snapshots], prefixes, delta_t, params.dc_cap, fp
     )
+    # the oracle keeps each host's whole history; dc_peak is its maximum
+    expected = [
+        {h: (*row[:3], max(row[3], default=0.0), *row[4:]) for h, row in pair.items()}
+        for pair in naive
+    ]
     actual = [
-        {h: (d.dk_ext, d.dk_int, d.dc_factor, d.dc_history, d.m_v, d.window)
+        {h: (d.dk_ext, d.dk_int, d.dc_factor, d.dc_peak, d.m_v, d.window)
          for h, d in deltas.items()}
         for deltas in window_deltas(snapshots, params)
     ]
@@ -453,6 +491,13 @@ def test_window_deltas_match_naive_pairwise_recomputation(capture, delta_t):
         # h1 returns in window 2: factor from 0 is the cap, despite window 0
         assert actual[1]["h1"][2] == params.dc_cap
         assert sum(row[4] for pair in actual for row in pair.values()) > 0
+    if capture == "returning_host":
+        assert len(snapshots) == 24
+        assert [j for j, pair in enumerate(actual) if "h3" not in pair] == list(range(4, 14))
+        # back in window 15, h3 still compares against the peak of windows 0-4
+        before = [pair["h3"][2] for pair in actual[:4]]
+        assert actual[14]["h3"][3] == max(before) > 1.0
+        assert sum(pair["h3"][4] for pair in actual[14:]) > 0
 
 
 def test_fingerprint_kv_round_trip():

@@ -723,6 +723,14 @@ def test_feature_csv_without_host_column_numbers_rows_not_lines():
     assert exc.value.line_no == 7
 
 
+@pytest.mark.parametrize("with_host, width", [(True, 10), (False, 9)])
+def test_feature_csv_short_row_names_field_count(with_host, width):
+    header = ("host," if with_host else "") + ",".join(FEATURE_ORDER) + ",class\n"
+    with pytest.raises(MalformedRowError, match=f"expected {width} fields, got 6") as exc:
+        parse_feature_csv(header + ",".join(["0.5"] * 6) + "\n")
+    assert exc.value.line_no == 2
+
+
 def test_feature_csv_rejects_wrong_order():
     header = "host," + ",".join(reversed(FEATURE_ORDER)) + ",class\n"
     with pytest.raises(MissingColumnError):

@@ -213,12 +213,13 @@ def test_clusters_partition_vertices_and_order_deterministically():
 # ---------------------------------------------------------------------------
 
 def deltas(dk_ext=0, dk_int=0, dc=1.0, history=(), m_v=0, window=1):
+    """HostDeltas whose earlier dc factors were ``history``."""
     return HostDeltas(
         host="h",
         dk_ext=dk_ext,
         dk_int=dk_int,
         dc_factor=dc,
-        dc_history=tuple(history),
+        dc_peak=max(history, default=0.0),
         m_v=m_v,
         window=window,
     )
@@ -263,17 +264,18 @@ def test_assign_state_exactly_one_branch_fires():
     rng = random.Random(19)
     p = StateParams(x_threshold=5)
     for _ in range(500):
+        history = [rng.choice([0.0, 0.5, 1.0, 1.5]) for _ in range(rng.randint(0, 4))]
         d = deltas(
             dk_ext=rng.randint(-3, 4),
             dk_int=rng.randint(-3, 6),
             dc=rng.choice([0.0, 0.5, 1.0, 1.2, 2.0, 1000.0]),
-            history=[rng.choice([0.5, 1.0, 1.5]) for _ in range(rng.randint(0, 4))],
+            history=history,
             m_v=rng.randint(0, 12),
         )
         if d.dk_ext > 1:
             expected = State.S1
         elif d.dk_int > d.dk_ext and d.dc_factor > 1.0 and (
-            not d.dc_history or d.dc_factor > max(d.dc_history)
+            not history or d.dc_factor > max(history)
         ):
             expected = State.S2
         elif d.dk_int > 1 and d.m_v > p.x_threshold:
