@@ -12,10 +12,13 @@ machine in snn_cluster.
 from __future__ import annotations
 
 import io
+import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
+
+import numpy as np
 
 from .errors import InvalidConfigError, UnknownVertexError
 from .flow_model import FlowRecord, Protocol, flows_by_host
@@ -247,18 +250,113 @@ def clustering_coefficient(g: CommGraph, v: str) -> float:
 
     Zero by definition for degree < 2.
     """
-    k = vertex_degree(g, v)
-    if k < 2:
-        return 0.0
-    return 2.0 * triangle_count(g, v) / (k * (k - 1))
+    return _coefficient(vertex_degree(g, v), triangle_count(g, v))
+
+
+def _coefficient(k: int, t: int) -> float:
+    """c = 2t / (k(k - 1)) from exact integers; 0.0 below degree 2."""
+    return 2.0 * t / (k * (k - 1)) if k >= 2 else 0.0
+
+
+#: Most wedges one block of graph_features may hold, unless a single vertex
+#: has more out-neighbours than that; bounds its key buffers.
+_BLOCK_KEYS = 1 << 14
 
 
 def graph_features(g: CommGraph) -> dict[str, HostGraphFeatures]:
-    """Degree and clustering coefficient for every vertex."""
+    """Degree and clustering coefficient of every vertex, in sorted vertex order.
+
+    One pass over the edges, without adjacency sets (the degree-ordered
+    forward algorithm of Chiba & Nishizeki 1985; Latapy 2008). Each edge is
+    oriented from the lower to the higher (degree, id) rank, so a vertex has
+    d+(v) out-neighbours, and every triangle is the wedge of exactly one
+    vertex, its lowest-ranked corner: the two out-arcs v -> u, v -> w with
+    u -> w also an arc. The wedges of the sorted out-arc CSR come from
+    _Csr.wedges in blocks of at most ``_BLOCK_KEYS``; ``searchsorted`` on
+    the sorted arc keys tests each for its closing edge, and ``bincount``
+    adds each triangle to all three corners. c comes from the exact integer
+    counts, so it equals clustering_coefficient bit for bit.
+
+    Cost: Σ C(d+(v), 2) wedges, at most O(|E|^1.5), against Σ C(deg(v), 2)
+    for a per-vertex count (a 3,000-leaf star has 0 against 4,498,500).
+    Memory: O(|V| + |E|) index arrays and one block.
+    """
+    order, a, b = _edge_index(g)
+    n = len(order)
+    degree = np.bincount(np.concatenate([a, b]), minlength=n)
+    # rank[i]: the position of vertex i in (degree, id) order; ids are sorted already
+    rank = np.empty(n, np.int64)
+    rank[np.argsort(degree, kind="stable")] = np.arange(n)
+    ra, rb = rank[a], rank[b]
+    csr = _Csr(np.sort(np.minimum(ra, rb) * n + np.maximum(ra, rb)), n)
+    m = len(csr.arcs)
+    triangles = np.zeros(n, np.int64)  # by rank
+    # no wedge depends on another, so a block may end after any first arc
+    for keys, second in csr.wedges(np.arange(m), np.arange(m + 1), _BLOCK_KEYS):
+        found = csr.arcs[np.minimum(np.searchsorted(csr.arcs, keys), m - 1)] == keys
+        u, w = np.divmod(keys[found], n)
+        triangles += np.bincount(np.concatenate([csr.src[second[found]], u, w]), minlength=n)
     return {
-        v: HostGraphFeatures(v, vertex_degree(g, v), clustering_coefficient(g, v))
-        for v in g.vertices
+        v: HostGraphFeatures(v, k, _coefficient(k, t))
+        for v, k, t in zip(order, degree.tolist(), triangles[rank].tolist())
     }
+
+
+def _edge_index(g: CommGraph) -> tuple[list[str], np.ndarray, np.ndarray]:
+    """The vertices in sorted order and each edge's two endpoint positions in it."""
+    order = sorted(g.vertices)
+    index = {v: i for i, v in enumerate(order)}
+    ends = np.fromiter(
+        map(index.__getitem__, itertools.chain.from_iterable(g.edge_weight)),
+        np.int64,
+        2 * len(g.edge_weight),
+    )
+    return order, ends[0::2], ends[1::2]
+
+
+class _Csr:
+    """Sorted CSR over arc keys ``src * n + nbr``, and its wedges in blocks.
+
+    Arc p runs from ``src[p]`` to ``nbr[p]``; row s holds arcs
+    ``indptr[s]:indptr[s + 1]``, with ascending ``nbr``. A wedge is a pair
+    of arcs p < q of one row: two neighbours x = nbr[p] < y = nbr[q] of
+    that row's vertex. build_snn_graph counts wedges per pair (x, y) over
+    the symmetric CSR; graph_features tests them for a closing edge over
+    the degree-oriented one.
+    """
+
+    __slots__ = ("n", "arcs", "src", "nbr", "indptr")
+
+    def __init__(self, arcs: np.ndarray, n: int):
+        self.n = n
+        self.arcs = arcs
+        self.src, self.nbr = np.divmod(arcs, n)
+        self.indptr = np.searchsorted(self.src, np.arange(n + 1))
+
+    def wedges(
+        self, first: np.ndarray, runs: np.ndarray, block_keys: int
+    ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """Every wedge (p, q) whose first arc p is in ``first``, block by block.
+
+        ``first`` lists the first arcs in the order their wedges are wanted;
+        ``runs`` cuts it into runs ``first[runs[r]:runs[r + 1]]`` that a
+        block never splits. A block holds at most ``block_keys`` wedges
+        unless a single run has more. Yields (keys, second): each wedge's
+        pair key ``x * n + y`` and the index q of its second arc.
+        """
+        starts = first + 1
+        lengths = self.indptr[self.src[first] + 1] - starts
+        ends = np.concatenate([[0], np.cumsum(lengths)])[runs]  # wedges before each run
+        run, done = 0, 0
+        while done < ends[-1]:
+            # runs [run, stop) fill one block; a run larger than a block goes alone
+            stop = max(int(np.searchsorted(ends, done + block_keys, side="right")) - 1, run + 1)
+            lo, hi = runs[run], runs[stop]
+            counts = lengths[lo:hi]
+            offsets = np.cumsum(counts) - counts  # of each first arc's wedges within the block
+            second = np.arange(ends[stop] - done) + np.repeat(starts[lo:hi] - offsets, counts)
+            yield np.repeat(self.nbr[first[lo:hi]], counts) * self.n + self.nbr[second], second
+            run, done = stop, int(ends[stop])
 
 
 def window_snapshots(
@@ -313,7 +411,8 @@ def mining_volume(
 ) -> int:
     """Count of the host's fingerprint-matching flows in the trailing window.
 
-    The window is [now - delta_t, now] over flow start times.
+    The window is [now - delta_t, now) over flow start times, so a flow
+    starting exactly at ``now`` belongs to the next interval.
     """
     if delta_t <= 0:
         raise ValueError("delta_t must be > 0")
@@ -321,7 +420,7 @@ def mining_volume(
     return sum(
         1
         for f in flows
-        if f.involves(host) and lo <= f.start_time <= now and fingerprint.matches(f)
+        if f.involves(host) and lo <= f.start_time < now and fingerprint.matches(f)
     )
 
 
@@ -402,12 +501,14 @@ def _host_rows(
     g: CommGraph, is_internal: Callable[[str], bool]
 ) -> dict[str, tuple[int, int, float]]:
     """(external degree, internal degree, clustering coefficient) of every vertex."""
-    rows = {}
-    for v in g.vertices:
-        nbrs = g.neighbors(v)
-        ext = sum(1 for u in nbrs if not is_internal(u))
-        rows[v] = (ext, len(nbrs) - ext, clustering_coefficient(g, v))
-    return rows
+    features = graph_features(g)  # in sorted vertex order, as _edge_index numbers them
+    external = np.fromiter((not is_internal(v) for v in features), bool, len(features))
+    if not external.any():
+        return {v: (0, f.k, f.c) for v, f in features.items()}
+    _, a, b = _edge_index(g)
+    # an edge adds to an endpoint's external degree when its other endpoint is external
+    ext = np.bincount(np.concatenate([a[external[b]], b[external[a]]]), minlength=len(features))
+    return {v: (e, f.k - e, f.c) for (v, f), e in zip(features.items(), ext.tolist())}
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .comm_graph import CommGraph, Edge, HostDeltas, StateParams
+from .comm_graph import CommGraph, Edge, HostDeltas, StateParams, _Csr, _edge_index
 from .errors import (
     MissingHostStateError,
     MissingVectorError,
@@ -82,13 +82,15 @@ def build_snn_graph(g: CommGraph, k_shared: int) -> SnnGraph:
     """Connect i and j in G* iff they share at least k_shared neighbors in G.
 
     Every vertex m contributes each pair of its neighbors (i, j), i < j,
-    once, so the count of pair (i, j) is its number of common neighbors.
-    With vertices numbered in sorted order, the pairs whose first endpoint
-    is i are (i, j) for each neighbor m of i and each neighbor j > i of m.
-    Rows of first endpoints are taken in blocks; each block encodes its
-    pairs as ``i * n + j`` and counts them with one ``np.unique``. A pair
-    comes from exactly one row, hence from one block, so counts are never
-    merged across blocks.
+    once: a wedge of comm_graph._Csr, the sorted CSR that this and
+    comm_graph.graph_features share, built here over both directions of
+    every edge with vertices numbered in sorted order. So the count of pair
+    (i, j) is its number of common neighbors. The wedges are taken grouped
+    by first endpoint: arc i -> m opens the wedge of row m whose first arc
+    is m -> i. Each block of rows of first endpoints encodes its pairs as
+    ``i * n + j`` and counts them with one ``np.unique``. A pair comes from
+    exactly one row, hence from one block, so counts are never merged
+    across blocks.
 
     Cost: sum over vertices of C(deg, 2) pair keys. Memory: the neighbor
     arrays, one block of keys (``_BLOCK_KEYS``, or a single larger row,
@@ -99,35 +101,14 @@ def build_snn_graph(g: CommGraph, k_shared: int) -> SnnGraph:
     if not g.edge_weight:
         return SnnGraph(g, k_shared, frozenset())
 
-    order = sorted(g.vertices)
+    order, a, b = _edge_index(g)
     n = len(order)
-    index = {v: i for i, v in enumerate(order)}
-    a = np.fromiter((index[u] for u, _ in g.edge_weight), np.int64, len(g.edge_weight))
-    b = np.fromiter((index[w] for _, w in g.edge_weight), np.int64, len(g.edge_weight))
-    # sorted CSR: arc p runs from src[p] to nbr[p]; each row's neighbors ascend
-    arcs = np.sort(np.concatenate([a * n + b, b * n + a]))
-    src, nbr = np.divmod(arcs, n)
-    indptr = np.searchsorted(src, np.arange(n + 1))
-
-    # Arc i -> m yields the pairs (i, j) for j in nbr[reverse + 1 : indptr[m + 1]],
-    # where reverse is the position of the arc m -> i.
-    starts = np.searchsorted(arcs, nbr * n + src) + 1
-    lengths = indptr[nbr + 1] - starts
-    row_ends = np.concatenate([[0], np.cumsum(lengths)])[indptr[1:]]  # keys of rows 0..i
-
+    csr = _Csr(np.sort(np.concatenate([a * n + b, b * n + a])), n)
+    reverse = np.searchsorted(csr.arcs, csr.nbr * n + csr.src)  # arc m -> i of each arc i -> m
     pairs = [np.empty(0, np.int64)]
-    row, done = 0, 0
-    while done < row_ends[-1]:
-        # rows [row, stop) fill one block; a row larger than a block goes alone
-        stop = max(int(np.searchsorted(row_ends, done + _BLOCK_KEYS, side="right")), row + 1)
-        lo, hi = indptr[row], indptr[stop]
-        counts = lengths[lo:hi]
-        offsets = np.cumsum(counts) - counts  # of each arc's pairs within the block
-        gather = np.arange(row_ends[stop - 1] - done) + np.repeat(starts[lo:hi] - offsets, counts)
-        keys = np.repeat(src[lo:hi], counts) * n + nbr[gather]
+    for keys, _ in csr.wedges(reverse, csr.indptr, _BLOCK_KEYS):
         keys, hits = np.unique(keys, return_counts=True)
         pairs.append(keys[hits >= k_shared])
-        row, done = stop, int(row_ends[stop - 1])
 
     # i < j, so (order[i], order[j]) is already the canonical edge_key order
     first, second = np.divmod(np.concatenate(pairs), n)

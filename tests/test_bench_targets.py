@@ -23,7 +23,7 @@ REACHED_BY_RUN = (
     "comm_graph.build_graph",
     "comm_graph.window_deltas",
     "comm_graph.mining_volume",
-    "comm_graph.clustering_coefficient",
+    "comm_graph.graph_features",
     "snn_cluster.build_snn_graph",
     "snn_cluster.extract_clusters",
     "snn_cluster.finalize_clusters",

@@ -1,8 +1,10 @@
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
+from minedetect import comm_graph
 from minedetect.comm_graph import (
     CommGraph,
     MiningFingerprint,
@@ -11,6 +13,7 @@ from minedetect.comm_graph import (
     clustering_coefficient,
     dc_change_factor,
     edge_key,
+    graph_features,
     graph_to_text,
     mining_volume,
     triangle_count,
@@ -23,6 +26,7 @@ from minedetect.flow_model import Protocol
 from minedetect.synthgen import ScenarioConfig, generate
 
 from oracles import (
+    adjacency_sets,
     clustering_fraction,
     fingerprint_match_brute,
     random_comm_graph,
@@ -201,6 +205,155 @@ def test_degree_sum_is_twice_edge_count():
 
 
 # ---------------------------------------------------------------------------
+# graph_features: the degree-ordered triangle pass
+# ---------------------------------------------------------------------------
+
+def clique_and_hub(size=120):
+    members = [f"m{i:03d}" for i in range(size)]
+    edges = [(a, b) for i, a in enumerate(members) for b in members[i + 1 :]]
+    return graph_of(edges + [("hub", m) for m in members])
+
+
+def star(leaves=3000):
+    return graph_of([("hub", f"leaf{i:04d}") for i in range(leaves)])
+
+
+def out_degrees(g):
+    """d+(v) of every vertex, with every edge oriented to its higher (degree, id) end."""
+    adj = adjacency_sets(g)
+    rank = {v: (len(adj[v]), v) for v in adj}
+    return [sum(1 for u in adj[v] if rank[u] > rank[v]) for v in adj]
+
+
+def out_degree_wedges(g):
+    """Σ C(d+(v), 2)."""
+    return sum(d * (d - 1) // 2 for d in out_degrees(g))
+
+
+def assert_features_match_oracle(g):
+    features = graph_features(g)
+    assert list(features) == sorted(g.vertices)
+    adj = adjacency_sets(g)
+    for v, f in features.items():
+        k, t = len(adj[v]), triangle_count_brute(g, v)
+        assert (f.host, f.k) == (v, k)
+        assert f.c == (0.0 if k < 2 else 2.0 * t / (k * (k - 1)))
+        assert f.c == float(clustering_fraction(k, t))
+
+
+def tie_graph():
+    # every vertex of the two 4-cycles has degree 2, and each triangle's
+    # corners share a degree too; one chord gives two degree-3 vertices
+    cycles = [("a", "b"), ("b", "c"), ("c", "d"), ("d", "a"), ("p", "q"), ("q", "r"), ("r", "s"), ("s", "p")]
+    triangles = [("t1", "t2"), ("t2", "t3"), ("t1", "t3"), ("u1", "u2"), ("u2", "u3"), ("u1", "u3")]
+    return graph_of(cycles + triangles + [("a", "c")])
+
+
+GRAPH_CASES = {
+    "clique-and-hub": clique_and_hub,
+    "star": star,
+    "no-edges": lambda: CommGraph(frozenset({"a", "b", "c"}), {}),
+    "empty": lambda: CommGraph(frozenset(), {}),
+    "isolated-vertices": lambda: graph_of(
+        [("a", "b"), ("b", "c"), ("a", "c"), ("c", "d")], extra_vertices=["x", "y", "z"]
+    ),
+    "equal-degree-ties": tie_graph,
+}
+
+
+@pytest.mark.parametrize("name", list(GRAPH_CASES))
+def test_graph_features_match_brute_force_triangles(name):
+    assert_features_match_oracle(GRAPH_CASES[name]())
+
+
+def test_graph_features_match_brute_force_on_random_graphs():
+    rng = random.Random(202)
+    for _ in range(40):
+        assert_features_match_oracle(random_comm_graph(rng, rng.randint(1, 70), rng.uniform(0.0, 0.6)))
+
+
+@pytest.mark.parametrize("block", [1, 7])
+def test_graph_features_blocks_split_a_vertex_wedges(monkeypatch, block):
+    monkeypatch.setattr(comm_graph, "_BLOCK_KEYS", block)
+    rows_per_block, sizes = [], []
+    wedges = comm_graph._Csr.wedges
+
+    def recording_wedges(csr, *args):
+        for keys, second in wedges(csr, *args):
+            rows_per_block.append(set(csr.src[second].tolist()))
+            sizes.append(len(keys))
+            yield keys, second
+
+    monkeypatch.setattr(comm_graph._Csr, "wedges", recording_wedges)
+    rng = random.Random(31)
+    graphs = [random_comm_graph(rng, rng.randint(15, 40), rng.uniform(0.4, 0.7)) for _ in range(15)]
+    for g in graphs + [clique_and_hub(30)]:
+        rows_per_block.clear()
+        sizes.clear()
+        assert_features_match_oracle(g)
+        # some vertex's wedges cross a block seam, and a block outgrows the
+        # bound only by the wedges of one out-arc (fewer than d+)
+        assert any(a & b for a, b in zip(rows_per_block, rows_per_block[1:]))
+        assert max(sizes) <= max(block, max(out_degrees(g)) - 1)
+    assert_features_match_oracle(tie_graph())
+
+
+def counted_wedges(monkeypatch, g):
+    """graph_features(g) and the number of pair keys it enumerated."""
+    total = []
+    wedges = comm_graph._Csr.wedges
+
+    def counting_wedges(csr, *args):
+        for keys, second in wedges(csr, *args):
+            total.append(len(keys))
+            yield keys, second
+
+    monkeypatch.setattr(comm_graph._Csr, "wedges", counting_wedges)
+    try:
+        return graph_features(g), sum(total)
+    finally:
+        monkeypatch.undo()
+
+
+def test_graph_features_enumerates_out_degree_pairs_only(monkeypatch):
+    rng = random.Random(47)
+    for _ in range(20):
+        g = random_comm_graph(rng, rng.randint(1, 60), rng.uniform(0.0, 0.5))
+        assert counted_wedges(monkeypatch, g)[1] == out_degree_wedges(g)
+    # the hub ranks last, so no vertex has two out-neighbours
+    g = star()
+    degrees = [len(ns) for ns in adjacency_sets(g).values()]
+    assert sum(d * (d - 1) // 2 for d in degrees) == 4_498_500
+    assert counted_wedges(monkeypatch, g)[1] == out_degree_wedges(g) == 0
+    # a clique has C(n, 3) wedges, one per triangle
+    assert counted_wedges(monkeypatch, clique_and_hub())[1] == out_degree_wedges(clique_and_hub()) == 121 * 120 * 119 // 6
+
+
+def test_graph_features_memory_follows_edges():
+    # the key buffers hold one block (_BLOCK_KEYS wedges, a few int64
+    # arrays); the rest is the edge arrays and one result per vertex. The
+    # star's 4.5M unoriented pairs in one int64 buffer would be 34 MiB.
+    block_bytes = 2 * 2**20
+
+    def traced(g):
+        tracemalloc.start()
+        try:
+            features = graph_features(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < block_bytes + 200 * (len(g.vertices) + len(g.edge_weight))
+        return features
+
+    n = 20_000
+    ring = graph_of([(f"r{i:05d}", f"r{(i + 1) % n:05d}") for i in range(n)])
+    assert {(f.k, f.c) for f in traced(ring).values()} == {(2, 0.0)}
+    features = traced(star())
+    assert (features["hub"].k, features["hub"].c) == (3000, 0.0)
+    assert {(f.k, f.c) for v, f in features.items() if v != "hub"} == {(1, 0.0)}
+
+
+# ---------------------------------------------------------------------------
 # snapshot growth
 # ---------------------------------------------------------------------------
 
@@ -349,6 +502,13 @@ def test_mining_volume_counts_matching_flows():
     assert mining_volume(flows, "h1", 60.0, MiningFingerprint(), now=60.0) == 5
 
 
+def test_mining_volume_interval_is_half_open():
+    fp = MiningFingerprint()
+    assert mining_volume([mining_flow(start=60.0)], "h1", 60.0, fp, now=60.0) == 0
+    assert mining_volume([mining_flow(start=0.0)], "h1", 60.0, fp, now=60.0) == 1
+    assert mining_volume([mining_flow(start=-0.5)], "h1", 60.0, fp, now=60.0) == 0
+
+
 def test_mining_volume_matches_brute_force_on_mixed_traffic():
     rng = random.Random(77)
     fp = MiningFingerprint()
@@ -378,7 +538,7 @@ def test_mining_volume_matches_brute_force_on_mixed_traffic():
             1
             for f in flows
             if (f.src_host == host or f.dst_host == host)
-            and now - 60.0 <= f.start_time <= now
+            and now - 60.0 <= f.start_time < now
             and fingerprint_match_brute(f, fp.ports, fp.min_duration, fp.required_flags, fp.pool_hosts)
         )
         assert mining_volume(flows, host, 60.0, fp, now=now) == expected
@@ -399,6 +559,16 @@ def test_window_deltas_mining_volume_matches_scan_of_all_window_flows():
             counted += d.m_v
     # the miners' pool flows were found, so the comparison was not all zeros
     assert counted > 0 and truth.miners
+
+
+def test_window_deltas_build_no_adjacency_sets():
+    flows, _ = generate(ScenarioConfig(seed=9, n_hosts=30, ring_degree=4, n_windows=4,
+                                       recruitment_schedule=(0, 3, 2)))
+    snapshots = window_snapshots(flows, 60.0)
+    pairs = window_deltas(snapshots, StateParams(internal_prefixes=("host",)))
+    assert len(pairs) == len(snapshots) - 1 > 1
+    assert sum(d.dk_ext != 0 for deltas in pairs for d in deltas.values()) > 0
+    assert [g.timestamp for g, _, _ in snapshots if "_adj" in vars(g)] == []
 
 
 def edge_case_capture():

@@ -208,19 +208,22 @@ def test_run_reads_each_host_flow_incidence_once(monkeypatch):
 def test_run_computes_each_window_coefficient_once(monkeypatch):
     labeled, eval_flows, eval_truth = scenario_inputs()
     calls = []
-    clustering_coefficient = comm_graph.clustering_coefficient
+    graph_features = comm_graph.graph_features
 
-    def counting_clustering_coefficient(g, v):
-        calls.append(v)
-        return clustering_coefficient(g, v)
+    def counting_graph_features(g):
+        calls.append(g)
+        return graph_features(g)
 
-    monkeypatch.setattr(comm_graph, "clustering_coefficient", counting_clustering_coefficient)
+    monkeypatch.setattr(comm_graph, "graph_features", counting_graph_features)
     config = PipelineConfig()
     run(eval_flows, labeled, config, ground_truth=eval_truth.labels)
 
     windows = window_snapshots(eval_flows, config.window_length)
     assert len(windows) > 2
-    assert calls and len(calls) <= sum(len(g.vertices) for g, _, _ in windows)
+    # one pass per window graph, none for the full-span graph
+    assert [(g.timestamp, g.vertices, g.edge_weight) for g in calls] == [
+        (g.timestamp, g.vertices, g.edge_weight) for g, _, _ in windows
+    ]
 
 
 def plain_flow(src, dst, start):
