@@ -54,6 +54,21 @@ class CommGraph:
             if w < 1:
                 raise ValueError(f"edge ({a!r}, {b!r}) weight {w} < 1")
 
+    @classmethod
+    def _built(
+        cls, vertices: frozenset[str], edge_weight: dict[Edge, int], timestamp: int = 0
+    ) -> "CommGraph":
+        """A graph the library built itself, stored without __post_init__'s edge checks.
+
+        For build_graph and merge_graphs only: their edges are canonical,
+        between distinct vertices of the set and of weight >= 1 by
+        construction.
+        """
+        g = object.__new__(cls)
+        # the frozen class refuses attribute stores; its fields live in __dict__
+        g.__dict__.update(vertices=vertices, edge_weight=edge_weight, timestamp=timestamp)
+        return g
+
     @cached_property
     def _adj(self) -> dict[str, frozenset[str]]:
         adj: dict[str, set[str]] = {v: set() for v in self.vertices}
@@ -215,7 +230,7 @@ def build_graph(
         if f.src_host != f.dst_host:
             key = edge_key(f.src_host, f.dst_host)
             weights[key] = weights.get(key, 0) + 1
-    return CommGraph(frozenset(vertices), weights, timestamp)
+    return CommGraph._built(frozenset(vertices), weights, timestamp)
 
 
 def merge_graphs(graphs: Iterable[CommGraph]) -> CommGraph:
@@ -230,7 +245,7 @@ def merge_graphs(graphs: Iterable[CommGraph]) -> CommGraph:
         vertices.update(g.vertices)
         for key, w in g.edge_weight.items():
             weights[key] = weights.get(key, 0) + w
-    return CommGraph(frozenset(vertices), weights)
+    return CommGraph._built(frozenset(vertices), weights)
 
 
 def vertex_degree(g: CommGraph, v: str) -> int:

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import csv
 import enum
+import hashlib
 import io
 import math
 from dataclasses import dataclass, replace
@@ -374,8 +375,12 @@ class _CsvCells(dict):
         return cell
 
 
-def flows_to_csv(flows: Sequence[FlowRecord]) -> str:
-    """Serialize flows back to the canonical CSV schema (round-trips exactly).
+#: Most rows one chunk of _flow_csv_chunks holds.
+_CHUNK_ROWS = 1 << 10
+
+
+def _flow_csv_chunks(flows: Sequence[FlowRecord]) -> Iterator[str]:
+    """The canonical flow CSV in pieces: the header, then at most ``_CHUNK_ROWS`` rows each.
 
     The bytes are those ``csv.writer`` writes. Each row is one f-string:
     numbers appear as ``csv.writer`` formats them, and each distinct host,
@@ -383,15 +388,39 @@ def flows_to_csv(flows: Sequence[FlowRecord]) -> str:
     """
     hosts, protocols, flag_cells = _CsvCells(), _CsvCells(), _CsvCells()
     flag_text = {flags: flag_cells[format_flags(flags)] for flags in {f.flags for f in flows}}
-    rows = [",".join(FLOW_FIELDS) + "\n"]
-    # csv.writer writes a float by its repr and an int by its str
-    rows += [
-        f"{hosts[f.src_host]},{hosts[f.dst_host]},{f.src_port},{f.dst_port},"
-        f"{protocols[f.protocol]},{f.start_time!r},{f.end_time!r},{f.packets},{f.bytes},"
-        f"{flag_text[f.flags]},{int(f.is_request)}\n"
-        for f in flows
-    ]
-    return "".join(rows)
+    yield ",".join(FLOW_FIELDS) + "\n"
+    size = _CHUNK_ROWS
+    for lo in range(0, len(flows), size):
+        # csv.writer writes a float by its repr and an int by its str
+        yield "".join([
+            f"{hosts[f.src_host]},{hosts[f.dst_host]},{f.src_port},{f.dst_port},"
+            f"{protocols[f.protocol]},{f.start_time!r},{f.end_time!r},{f.packets},{f.bytes},"
+            f"{flag_text[f.flags]},{int(f.is_request)}\n"
+            for f in flows[lo : lo + size]
+        ])
+
+
+def flows_to_csv(flows: Sequence[FlowRecord]) -> str:
+    """Serialize flows back to the canonical CSV schema (round-trips exactly).
+
+    The bytes are those ``csv.writer`` writes; the text is built whole, for
+    export. flows_sha256 hashes the same bytes without building it.
+    """
+    return "".join(_flow_csv_chunks(flows))
+
+
+def flows_sha256(flows: Sequence[FlowRecord]) -> str:
+    """Hex sha256 of the UTF-8 bytes of ``flows_to_csv(flows)``.
+
+    The text is hashed chunk by chunk as _flow_csv_chunks writes it, so
+    at most one chunk of ``_CHUNK_ROWS`` rows is held at a time, whatever
+    the size of the capture.
+    """
+    digest = hashlib.sha256()
+    for chunk in _flow_csv_chunks(flows):
+        digest.update(chunk.encode("utf-8"))
+        del chunk  # so the next chunk is not built while this one is held
+    return digest.hexdigest()
 
 
 # ---------------------------------------------------------------------------

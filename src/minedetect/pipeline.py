@@ -318,7 +318,7 @@ def run(
     flows = list(flows)
     labeled = list(labeled)
     digests = {
-        "flows_sha256": _digest(flow_model.flows_to_csv(flows)),
+        "flows_sha256": flow_model.flows_sha256(flows),
         "labeled_sha256": _digest(flow_model.features_to_csv(labeled)),
     }
     host_norm, labeled_norm = _stage(

@@ -171,6 +171,7 @@ def test_cluster_runs_only_the_clustering_stages(tmp_path, scenario_file, monkey
     for owner, attr in (
         (pipeline, "run"),
         (flow_model, "flows_to_csv"),
+        (flow_model, "flows_sha256"),
         (KnnClassifier, "fit"),
         (KnnClassifier, "predict"),
     ):

@@ -15,6 +15,7 @@ from minedetect.comm_graph import (
     edge_key,
     graph_features,
     graph_to_text,
+    merge_graphs,
     mining_volume,
     triangle_count,
     vertex_degree,
@@ -22,7 +23,7 @@ from minedetect.comm_graph import (
     window_snapshots,
 )
 from minedetect.errors import UnknownVertexError
-from minedetect.flow_model import Protocol
+from minedetect.flow_model import Protocol, full_span
 from minedetect.synthgen import ScenarioConfig, generate
 
 from oracles import (
@@ -142,11 +143,36 @@ def test_window_snapshots_keep_flows_whose_index_division_rounds(starts):
         assert g.edge_weight == {edge_key("h1", "h2"): 1}
 
 
-def test_graph_rejects_self_loop_and_dangling_edge():
-    with pytest.raises(ValueError):
-        CommGraph(frozenset({"a"}), {("a", "a"): 1})
-    with pytest.raises(ValueError):
-        CommGraph(frozenset({"a"}), {("a", "b"): 1})
+@pytest.mark.parametrize(
+    "vertices, weights, message",
+    [
+        ({"a"}, {("a", "a"): 1}, "self-loop"),
+        ({"a", "b"}, {("b", "a"): 1}, "not in canonical order"),
+        ({"a"}, {("a", "b"): 1}, "endpoint outside vertex set"),
+        ({"a", "b"}, {("a", "b"): 0}, "weight 0 < 1"),
+    ],
+    ids=["self-loop", "order", "endpoint", "weight"],
+)
+def test_graph_rejects_each_malformed_edge(vertices, weights, message):
+    with pytest.raises(ValueError, match=message):
+        CommGraph(frozenset(vertices), weights)
+
+
+def test_built_graphs_skip_the_checks_and_equal_validated_graphs(monkeypatch):
+    flows, _ = generate(ScenarioConfig(seed=9, n_hosts=30, ring_degree=4, n_windows=4,
+                                       recruitment_schedule=(0, 3, 2)))
+
+    def refuse(self):
+        raise AssertionError("a library-built graph was re-validated")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(CommGraph, "__post_init__", refuse)
+        windows = [g for g, _, _ in window_snapshots(flows, 60.0)]
+        built = [*windows, merge_graphs(windows), build_graph(flows, full_span(flows))]
+    assert len(windows) > 1 and built[-2] == built[-1]
+    for g in built:
+        assert g == CommGraph(g.vertices, g.edge_weight, g.timestamp)
+        assert sum(len(g.neighbors(v)) for v in g.vertices) == 2 * len(g.edge_weight)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import io
 import pickle
 import random
@@ -412,6 +413,43 @@ def test_flows_to_csv_matches_csv_writer_on_padded_hosts():
     flows = awkward_flows(_PADDED_HOSTS + _HOSTS)
     assert flows_to_csv(flows) == flows_to_csv_writer(flows)
     assert flows_to_csv([]) == flows_to_csv_writer([]) == HEADER + "\n"
+
+
+#: captures for the streamed digest; multi-byte UTF-8 hosts put rows of
+#: several byte lengths on every chunk seam
+_DIGEST_CAPTURES = {
+    "awkward-cells": lambda request: awkward_flows(_HOSTS + ["hôst", "主机"]),
+    "padded-hosts": lambda request: awkward_flows(_PADDED_HOSTS + _HOSTS),
+    "empty": lambda request: [],
+    "synthgen": lambda request: request.getfixturevalue("reference_flows"),
+}
+
+
+@pytest.mark.parametrize("chunk_rows", [None, 1, 3])
+@pytest.mark.parametrize("capture", sorted(_DIGEST_CAPTURES))
+def test_flows_sha256_hashes_the_bytes_of_flows_to_csv(request, monkeypatch, capture, chunk_rows):
+    flows = _DIGEST_CAPTURES[capture](request)
+    if chunk_rows is not None:
+        monkeypatch.setattr(flow_model, "_CHUNK_ROWS", chunk_rows)
+    text = flows_to_csv(flows)
+    assert text == flows_to_csv_writer(flows)
+    assert flow_model.flows_sha256(flows) == hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def test_flows_sha256_memory_does_not_grow_with_the_capture(reference_flows):
+    doubled = reference_flows * 2
+    peaks = []
+    for flows in (reference_flows, doubled):
+        flow_model.flows_sha256(flows)  # so one-time allocations are not counted
+        tracemalloc.start()
+        try:
+            flow_model.flows_sha256(flows)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    single, double = peaks
+    assert double <= single + 64 * 1024
+    assert double < len(flows_to_csv(doubled)) / 2
 
 
 _GOOD_TCP = "h1,h2,1,2,TCP,0,60,5,100,ACK,1"

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 
 import pytest
@@ -83,6 +84,18 @@ def test_run_is_deterministic_modulo_timestamp():
     o1["provenance"].pop("generated_at")
     o2["provenance"].pop("generated_at")
     assert json.dumps(o1, sort_keys=True) == json.dumps(o2, sort_keys=True)
+
+
+def test_run_digests_the_capture_without_serializing_it(monkeypatch):
+    labeled, eval_flows, eval_truth = scenario_inputs()
+    expected = hashlib.sha256(flow_model.flows_to_csv(eval_flows).encode("utf-8")).hexdigest()
+
+    def refuse(flows):
+        raise AssertionError("run built the whole capture CSV")
+
+    monkeypatch.setattr(flow_model, "flows_to_csv", refuse)
+    report = run(eval_flows, labeled, PipelineConfig(), ground_truth=eval_truth.labels)
+    assert report.provenance["inputs"]["flows_sha256"] == expected
 
 
 def test_run_predicts_each_host_once(monkeypatch):
