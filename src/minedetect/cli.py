@@ -14,9 +14,7 @@ config path when --config is not given. Explicit flags win over the file.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
-import io
 import json
 import os
 import sys
@@ -164,12 +162,9 @@ def _cmd_cluster(args) -> int:
 
 
 def _predictions_to_csv(predictions) -> str:
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["host", "label", "score"])
-    for p in predictions:
-        writer.writerow([p.host, p.label.value, p.score])
-    return out.getvalue()
+    return flow_model.csv_text(
+        ("host", "label", "score"), ((p.host, p.label.value, p.score) for p in predictions)
+    )
 
 
 def _cmd_classify(args) -> int:
@@ -202,26 +197,13 @@ def _cmd_classify(args) -> int:
 
 
 def _parse_predictions_csv(text: str):
-    reader = csv.reader(flow_model._csv_lines(text))
-    header = next(reader, None)
-    if header is None or [h.strip() for h in header[:3]] != ["host", "label", "score"]:
-        raise MineDetectError(f"prediction CSV header must be host,label,score, got {header}")
+    table = flow_model.CsvTable(text)
+    if table.header[:3] != ["host", "label", "score"]:
+        raise MineDetectError(f"prediction CSV header must be host,label,score, got {table.header}")
     rows = []
-    first_line: dict[str, int] = {}
-    for row in reader:
-        if not row or (len(row) == 1 and not row[0].strip()):
-            continue
-        line_no = reader.line_num
-        if len(row) < 3:
-            raise MalformedRowError(line_no, f"expected 3 fields, got {len(row)}")
-        host = row[0].strip()
-        if host in first_line:
-            raise MalformedRowError(
-                line_no, f"duplicate host {host!r} (first on line {first_line[host]})"
-            )
-        first_line[host] = line_no
+    for _, line_no, row in table.rows(3, unique_host=True):
         try:
-            rows.append((host, flow_model.parse_label(row[1]), float(row[2])))
+            rows.append((row[0].strip(), flow_model.parse_label(row[1]), float(row[2])))
         except ValueError as exc:
             raise MalformedRowError(line_no, str(exc)) from exc
     return rows
@@ -278,13 +260,8 @@ def _cmd_run(args) -> int:
 
 
 def _hosts_to_csv(hosts: dict) -> str:
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["host", "label", "score", "state"])
-    for host in sorted(hosts):
-        row = hosts[host]
-        writer.writerow([host, row["label"], row["score"], row["state"]])
-    return out.getvalue()
+    rows = ((h, hosts[h]["label"], hosts[h]["score"], hosts[h]["state"]) for h in sorted(hosts))
+    return flow_model.csv_text(("host", "label", "score", "state"), rows)
 
 
 def _cmd_report(args) -> int:

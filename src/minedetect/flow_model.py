@@ -23,9 +23,9 @@ from __future__ import annotations
 import csv
 import enum
 import hashlib
-import io
 import math
 from dataclasses import dataclass, replace
+from itertools import islice
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
@@ -267,6 +267,86 @@ def _csv_lines(text: str | Iterable[str]) -> Iterator[str]:
         start = end
 
 
+class CsvTable:
+    """A CSV table read row by row: every table the tool reads goes through here.
+
+    ``header`` is the header row, each cell stripped; empty input raises
+    MissingColumnError. rows() then yields the data rows.
+    """
+
+    def __init__(self, text: str | Iterable[str]):
+        self._reader = csv.reader(_csv_lines(text))
+        try:
+            self.header = [h.strip() for h in next(self._reader)]
+        except StopIteration:
+            raise MissingColumnError("empty input: no header row")
+
+    def rows(self, width: int, unique_host: bool = False) -> Iterator[tuple[int, int, list[str]]]:
+        """Each data row as (record number, physical line, cells).
+
+        Blank and whitespace-only rows are skipped but still numbered as
+        records; the line is the row's last physical line, as a quoted cell
+        may span lines. A row of fewer than ``width`` cells raises
+        MalformedRowError, and so does a repeated first (host) cell when
+        ``unique_host`` is set. Extra cells are passed on.
+        """
+        reader = self._reader
+        first_line: dict[str, int] = {}
+        for record_no, row in enumerate(reader, start=1):
+            if not row or (len(row) == 1 and not row[0].strip()):
+                continue
+            line_no = reader.line_num
+            if len(row) < width:
+                raise MalformedRowError(line_no, f"expected {width} fields, got {len(row)}")
+            if unique_host:
+                host = row[0].strip()
+                if host in first_line:
+                    raise MalformedRowError(
+                        line_no, f"duplicate host {host!r} (first on line {first_line[host]})"
+                    )
+                first_line[host] = line_no
+            yield record_no, line_no, row
+
+
+#: Most rows one chunk of a written table holds.
+_CHUNK_ROWS = 1 << 10
+
+
+class _Lines(list):
+    """The rows ``csv.writer`` writes, one str each: an ``io.StringIO`` may take 4 B a character."""
+
+    write = list.append
+
+
+def _csv_chunks(header: Sequence, rows: Iterable[Sequence]) -> Iterator[str]:
+    """The table as ``csv.writer`` writes it, "\\n" ending each row.
+
+    The header comes first, then chunks of at most ``_CHUNK_ROWS`` rows.
+    """
+    lines = _Lines()
+    writer = csv.writer(lines, lineterminator="\n")
+    writer.writerow(header)
+    rows = iter(rows)
+    while lines:
+        yield "".join(lines)
+        lines.clear()
+        writer.writerows(islice(rows, _CHUNK_ROWS))
+
+
+def csv_text(header: Sequence, rows: Iterable[Sequence] = ()) -> str:
+    """The whole CSV text of a table: every table the tool writes goes through here."""
+    return "".join(_csv_chunks(header, rows))
+
+
+def _sha256(chunks: Iterable[str]) -> str:
+    """Hex sha256 of the UTF-8 bytes of the joined chunks, holding one chunk at a time."""
+    digest = hashlib.sha256()
+    for chunk in chunks:
+        digest.update(chunk.encode("utf-8"))
+        del chunk  # so the next chunk is not built while this one is held
+    return digest.hexdigest()
+
+
 def parse_flow_csv(
     text: str | Iterable[str],
     schema: Mapping[str, str] | None = None,
@@ -285,13 +365,8 @@ def parse_flow_csv(
     for field in FLOW_FIELDS:
         columns.setdefault(field, field)
 
-    reader = csv.reader(_csv_lines(text))
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise MissingColumnError("empty input: no header row")
-    header = [h.strip() for h in header]
-    position = {name: i for i, name in enumerate(header)}
+    table = CsvTable(text)
+    position = {name: i for i, name in enumerate(table.header)}
 
     missing = [columns[f] for f in FLOW_FIELDS if columns[f] not in position]
     if missing:
@@ -300,7 +375,6 @@ def parse_flow_csv(
         i_src, i_dst, i_sport, i_dport, i_proto, i_start,
         i_end, i_packets, i_bytes, i_flags, i_request,
     ) = (position[columns[f]] for f in FLOW_FIELDS)
-    width = len(header)
 
     # Parses memoised by raw cell text. A bad cell raises before it is
     # stored, so it raises again on every row that carries it; the
@@ -311,12 +385,7 @@ def parse_flow_csv(
     requests: dict[str, bool] = {}
 
     flows = []
-    for row in reader:
-        if not row or (len(row) == 1 and not row[0].strip()):
-            continue
-        line_no = reader.line_num  # physical line: a quoted cell may span lines
-        if len(row) < width:
-            raise MalformedRowError(line_no, f"expected {width} fields, got {len(row)}")
+    for _, line_no, row in table.rows(len(table.header)):
         try:
             # same order as the fields, so a row with two bad cells reports
             # the first
@@ -368,15 +437,9 @@ class _CsvCells(dict):
     """Text -> its cell as ``csv.writer`` writes it, quoted once per text."""
 
     def __missing__(self, text: str) -> str:
-        out = io.StringIO()
         # a one-field row of "" would be written quoted, so add a second field
-        csv.writer(out, lineterminator="\n").writerow((text, ""))
-        cell = self[text] = out.getvalue()[:-2]
+        cell = self[text] = csv_text((text, ""))[:-2]
         return cell
-
-
-#: Most rows one chunk of _flow_csv_chunks holds.
-_CHUNK_ROWS = 1 << 10
 
 
 def _flow_csv_chunks(flows: Sequence[FlowRecord]) -> Iterator[str]:
@@ -410,17 +473,8 @@ def flows_to_csv(flows: Sequence[FlowRecord]) -> str:
 
 
 def flows_sha256(flows: Sequence[FlowRecord]) -> str:
-    """Hex sha256 of the UTF-8 bytes of ``flows_to_csv(flows)``.
-
-    The text is hashed chunk by chunk as _flow_csv_chunks writes it, so
-    at most one chunk of ``_CHUNK_ROWS`` rows is held at a time, whatever
-    the size of the capture.
-    """
-    digest = hashlib.sha256()
-    for chunk in _flow_csv_chunks(flows):
-        digest.update(chunk.encode("utf-8"))
-        del chunk  # so the next chunk is not built while this one is held
-    return digest.hexdigest()
+    """Hex sha256 of the UTF-8 bytes of ``flows_to_csv(flows)``, hashed chunk by chunk."""
+    return _sha256(_flow_csv_chunks(flows))
 
 
 # ---------------------------------------------------------------------------
@@ -565,14 +619,20 @@ def feature_csv_header(with_host: bool = True) -> list[str]:
     return (["host"] + cols) if with_host else cols
 
 
+def _feature_csv_chunks(vectors: Sequence[FeatureVector]) -> Iterator[str]:
+    return _csv_chunks(
+        feature_csv_header(), ([v.host, *v.values(), v.label.value] for v in vectors)
+    )
+
+
 def features_to_csv(vectors: Sequence[FeatureVector]) -> str:
     """One row per host: a host id column followed by the eight features and class."""
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(feature_csv_header())
-    for v in vectors:
-        writer.writerow([v.host, *v.values(), v.label.value])
-    return out.getvalue()
+    return "".join(_feature_csv_chunks(vectors))
+
+
+def features_sha256(vectors: Sequence[FeatureVector]) -> str:
+    """Hex sha256 of the UTF-8 bytes of ``features_to_csv(vectors)``, hashed chunk by chunk."""
+    return _sha256(_feature_csv_chunks(vectors))
 
 
 def parse_feature_csv(text: str | Iterable[str], normalized: bool = False) -> list[FeatureVector]:
@@ -582,12 +642,8 @@ def parse_feature_csv(text: str | Iterable[str], normalized: bool = False) -> li
     a leading 'host' column is optional (rows without one get synthetic ids
     'row<N>' and cannot be joined to graph features later).
     """
-    reader = csv.reader(_csv_lines(text))
-    try:
-        header = [h.strip() for h in next(reader)]
-    except StopIteration:
-        raise MissingColumnError("empty input: no header row")
-
+    table = CsvTable(text)
+    header = table.header
     with_host = bool(header) and header[0] == "host"
     expected = feature_csv_header(with_host=with_host)
     if header != expected:
@@ -596,12 +652,7 @@ def parse_feature_csv(text: str | Iterable[str], normalized: bool = False) -> li
         )
 
     vectors = []
-    for row_no, row in enumerate(reader, start=1):
-        if not row or (len(row) == 1 and not row[0].strip()):
-            continue
-        line_no = reader.line_num
-        if len(row) < len(expected):
-            raise MalformedRowError(line_no, f"expected {len(expected)} fields, got {len(row)}")
+    for row_no, line_no, row in table.rows(len(expected), unique_host=with_host):
         try:
             if with_host:
                 host, rest = row[0].strip(), row[1:]

@@ -10,8 +10,6 @@ silently numeric.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass, fields, replace
 from typing import Sequence
@@ -23,6 +21,7 @@ from .errors import (
     LengthMismatchError,
     ZeroSupportError,
 )
+from .flow_model import csv_text
 
 METRIC_COLUMNS = (
     "tp_rate",
@@ -267,14 +266,11 @@ def _fmt(value: float | None) -> str:
 
 def metrics_to_csv(rows: Sequence[tuple[str, ClassMetrics]], avg: ClassMetrics | None = None) -> str:
     """Metric table: one row per class plus an Avg. row."""
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(CSV_HEADER)
-    for name, cm in rows:
-        writer.writerow([name, *(_fmt(getattr(cm, col)) for col in METRIC_COLUMNS)])
-    if avg is not None:
-        writer.writerow(["Avg.", *(_fmt(getattr(avg, col)) for col in METRIC_COLUMNS)])
-    return out.getvalue()
+    named = [*rows, ("Avg.", avg)] if avg is not None else rows
+    return csv_text(
+        CSV_HEADER,
+        ([name, *(_fmt(getattr(cm, col)) for col in METRIC_COLUMNS)] for name, cm in named),
+    )
 
 
 def metrics_to_obj(cm: ClassMetrics) -> dict:

@@ -12,7 +12,6 @@ Steps 2, 3, 5, 8 and 9 are stage functions that can be called on their own.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
@@ -176,10 +175,6 @@ class DetectionReport:
         return json.dumps(self.to_obj(), sort_keys=True, indent=2) + "\n"
 
 
-def _digest(text: str) -> str:
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
-
-
 def _detector_metrics(
     y_true: list[Label],
     y_pred: list[Label],
@@ -319,7 +314,7 @@ def run(
     labeled = list(labeled)
     digests = {
         "flows_sha256": flow_model.flows_sha256(flows),
-        "labeled_sha256": _digest(flow_model.features_to_csv(labeled)),
+        "labeled_sha256": flow_model.features_sha256(labeled),
     }
     host_norm, labeled_norm = _stage(
         2, lambda: normalize_vectors(flow_model.host_vectors(flows) if flows else [], labeled)

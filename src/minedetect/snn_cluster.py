@@ -16,9 +16,7 @@ Rules are evaluated in exactly that order; the first match wins.
 
 from __future__ import annotations
 
-import csv
 import enum
-import io
 from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
 
@@ -30,7 +28,7 @@ from .errors import (
     MissingVectorError,
     UnnormalizedInputError,
 )
-from .flow_model import FEATURE_ORDER, FeatureVector
+from .flow_model import FEATURE_ORDER, FeatureVector, csv_text
 
 
 class State(str, enum.Enum):
@@ -217,21 +215,17 @@ def finalize_clusters(
 
 def clusters_to_csv(clusters: Sequence[Cluster]) -> str:
     """One row per cluster: id, size, state, centroid columns, member list."""
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["cluster", "size", "state", *FEATURE_ORDER, "members"])
-    for c in clusters:
-        profile = c.profile if c.profile is not None else [""] * len(FEATURE_ORDER)
-        writer.writerow(
-            [
-                c.id,
-                c.size,
-                c.state.value if c.state is not None else "",
-                *profile,
-                "|".join(sorted(c.members)),
-            ]
-        )
-    return out.getvalue()
+    rows = (
+        [
+            c.id,
+            c.size,
+            c.state.value if c.state is not None else "",
+            *(c.profile if c.profile is not None else [""] * len(FEATURE_ORDER)),
+            "|".join(sorted(c.members)),
+        ]
+        for c in clusters
+    )
+    return csv_text(["cluster", "size", "state", *FEATURE_ORDER, "members"], rows)
 
 
 def clusters_to_obj(clusters: Sequence[Cluster]) -> list[dict]:

@@ -22,13 +22,11 @@ bit for bit.
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .errors import InvalidConfigError, MalformedRowError, MissingColumnError, WindowOutOfRangeError
-from .flow_model import FlowRecord, Label, Protocol, _csv_lines
+from .flow_model import CsvTable, FlowRecord, Label, Protocol, csv_text, parse_label
 from .rng import SplitMix64
 from .snn_cluster import State
 
@@ -412,43 +410,30 @@ def generate(config: ScenarioConfig, seed: int | None = None) -> tuple[list[Flow
 # ---------------------------------------------------------------------------
 
 def truth_to_csv(truth: GroundTruth) -> str:
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["host", "label", "recruitment_window"])
-    for host in sorted(truth.labels):
-        r = truth.recruitment_window.get(host)
-        writer.writerow([host, truth.labels[host].value, "" if r is None else r])
-    return out.getvalue()
+    rows = (
+        (host, truth.labels[host].value, truth.recruitment_window.get(host, ""))
+        for host in sorted(truth.labels)
+    )
+    return csv_text(("host", "label", "recruitment_window"), rows)
 
 
 def parse_truth_csv(text: str | Iterable[str], n_windows: int | None = None) -> GroundTruth:
-    reader = csv.reader(_csv_lines(text))
-    try:
-        header = [h.strip() for h in next(reader)]
-    except StopIteration:
-        raise MissingColumnError("empty input: no header row")
+    """Parse a ground-truth CSV; every host needs a Miner or NotMiner label."""
+    table = CsvTable(text)
+    header = table.header
     if header[:3] != ["host", "label", "recruitment_window"]:
         raise MissingColumnError(
             f"ground truth header must be host,label,recruitment_window, got {header}"
         )
     labels: dict[str, Label] = {}
     recruit: dict[str, int] = {}
-    first_line: dict[str, int] = {}
     max_window = -1
-    for row in reader:
-        if not row or (len(row) == 1 and not row[0].strip()):
-            continue
-        line_no = reader.line_num
-        if len(row) < 2:
-            raise MalformedRowError(line_no, f"expected at least 2 fields, got {len(row)}")
+    for _, line_no, row in table.rows(2, unique_host=True):
         host = row[0].strip()
-        if host in first_line:
-            raise MalformedRowError(
-                line_no, f"duplicate host {host!r} (first on line {first_line[host]})"
-            )
-        first_line[host] = line_no
         try:
-            labels[host] = Label(row[1].strip())
+            labels[host] = parse_label(row[1])
+            if labels[host] is Label.UNLABELED:
+                raise ValueError(f"ground truth label must be Miner or NotMiner, got {row[1]!r}")
             if len(row) > 2 and row[2].strip():
                 recruit[host] = int(row[2])
                 max_window = max(max_window, recruit[host])

@@ -13,7 +13,14 @@ from fractions import Fraction
 
 from minedetect.comm_graph import CommGraph, edge_key
 from minedetect.errors import MalformedRowError, MissingColumnError
-from minedetect.flow_model import FLAG_NAMES, FLOW_FIELDS, FeatureVector, FlowRecord, Protocol
+from minedetect.flow_model import (
+    FEATURE_ORDER,
+    FLAG_NAMES,
+    FLOW_FIELDS,
+    FeatureVector,
+    FlowRecord,
+    Protocol,
+)
 
 
 def random_comm_graph(rng: random.Random, n: int, p: float, timestamp: int = 0) -> CommGraph:
@@ -384,4 +391,14 @@ def flows_to_csv_writer(flows):
                 int(f.is_request),
             ]
         )
+    return out.getvalue()
+
+
+def features_to_csv_writer(vectors):
+    """The feature CSV as ``csv.writer`` writes it, one row per vector."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(["host", *FEATURE_ORDER, "class"])
+    for v in vectors:
+        writer.writerow([v.host, *v.values(), v.label.value])
     return out.getvalue()

@@ -454,28 +454,77 @@ def test_evaluate_duplicate_prediction_host_exits_1_with_line_number(tmp_path, c
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command", ["evaluate", "run", "features"])
-def test_duplicate_truth_host_exits_1_with_line_number(tmp_path, scenario_file, capsys, command):
+def truth_commands(tmp_path, scenario_file):
+    """A simulated truth file, its rows, and the argv of each command that reads it.
+
+    Every argv lacks only ``--out``; the prediction file predicts the first host.
+    """
     flows, truth = simulate(tmp_path, scenario_file, seed=5)
     labeled = tmp_path / "labeled.csv"
     assert dispatch([
         "features", "--flows", str(flows), "--truth", str(truth), "--out", str(labeled),
     ]) == 0
     rows = truth.read_text().splitlines()
-    truth.write_text("\n".join(rows + [rows[1]]) + "\n")  # the first host again
-    host = rows[1].split(",")[0]
     pred = tmp_path / "pred.csv"
-    pred.write_text(f"host,label,score\n{host},Miner,1.0\n")
-    out = tmp_path / "out"
+    pred.write_text(f"host,label,score\n{rows[1].split(',')[0]},Miner,1.0\n")
     argv = {
         "evaluate": ["evaluate", "--pred", str(pred), "--truth", str(truth)],
         "run": ["run", "--flows", str(flows), "--labeled", str(labeled),
                 "--ground-truth", str(truth)],
         "features": ["features", "--flows", str(flows), "--truth", str(truth)],
-    }[command]
-    assert dispatch(argv + ["--out", str(out)]) == 1
+    }
+    return truth, rows, argv
+
+
+@pytest.mark.parametrize("command", ["evaluate", "run", "features"])
+def test_duplicate_truth_host_exits_1_with_line_number(tmp_path, scenario_file, capsys, command):
+    truth, rows, argv = truth_commands(tmp_path, scenario_file)
+    truth.write_text("\n".join(rows + [rows[1]]) + "\n")  # the first host again
+    host = rows[1].split(",")[0]
+    out = tmp_path / "out"
+    assert dispatch(argv[command] + ["--out", str(out)]) == 1
     assert f"line {len(rows) + 1}: duplicate host {host!r}" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["evaluate", "run", "features"])
+def test_unlabeled_truth_row_exits_1_with_line_number(tmp_path, scenario_file, capsys, command):
+    truth, rows, argv = truth_commands(tmp_path, scenario_file)
+    line = next(i for i, row in enumerate(rows) if ",NotMiner," in row)
+    rows[line] = rows[line].replace(",NotMiner,", ",Unlabeled,")
+    truth.write_text("\n".join(rows) + "\n")
+    out = tmp_path / "out"
+    assert dispatch(argv[command] + ["--out", str(out)]) == 1
+    expected = f"line {line + 1}: ground truth label must be Miner or NotMiner"
+    assert expected in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_evaluate_empty_prediction_csv_exits_1(tmp_path, capsys):
+    pred = tmp_path / "pred.csv"
+    pred.write_text("")
+    truth = tmp_path / "truth.csv"
+    truth.write_text(TRUTH_OK)
+    assert dispatch([
+        "evaluate", "--pred", str(pred), "--truth", str(truth), "--out", str(tmp_path / "m.csv"),
+    ]) == 1
+    assert "error: empty input: no header row" in capsys.readouterr().err
+
+
+def test_evaluate_skips_whitespace_only_prediction_lines(tmp_path):
+    truth = tmp_path / "truth.csv"
+    truth.write_text(TRUTH_OK + "host001,NotMiner,\n")
+    outs = []
+    for name, blank in (("plain", ""), ("spaced", "  \t\n")):
+        pred = tmp_path / f"{name}.pred.csv"
+        pred.write_text(
+            f"host,label,score\n{blank}host000,Miner,0.9\n{blank}host001,NotMiner,0.2\n"
+        )
+        out = tmp_path / f"{name}.m.csv"
+        argv = ["evaluate", "--pred", str(pred), "--truth", str(truth), "--out", str(out)]
+        assert dispatch(argv) == 0
+        outs.append(out.read_text())
+    assert outs[0] == outs[1]
 
 
 @pytest.fixture(scope="module")
@@ -513,6 +562,26 @@ def test_non_finite_labeled_feature_exits_1_with_line_number(
     assert dispatch(argv + ["--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert "line 4" in err and f"{feature}=" in err and "finite" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["classify", "run"])
+def test_repeated_feature_host_exits_1_with_line_number(
+    tmp_path, capsys, labeled_capture, command
+):
+    flows, labeled = labeled_capture
+    lines = labeled.read_text().splitlines()
+    bad = tmp_path / "bad.csv"
+    bad.write_text("\n".join(lines + [lines[1]]) + "\n")  # the first host again
+    host = lines[1].split(",")[0]
+    out = tmp_path / "out"
+    argv = {
+        "classify": ["classify", "--labeled", str(labeled), "--features", str(bad)],
+        "run": ["run", "--flows", str(flows), "--labeled", str(bad)],
+    }[command]
+    assert dispatch(argv + ["--out", str(out)]) == 1
+    expected = f"line {len(lines) + 1}: duplicate host {host!r} (first on line 2)"
+    assert expected in capsys.readouterr().err
     assert not out.exists()
 
 

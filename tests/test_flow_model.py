@@ -3,11 +3,17 @@ import hashlib
 import io
 import pickle
 import random
+import re
 import tracemalloc
 from pathlib import Path
 
 import pytest
-from oracles import aggregate_host_features_naive, flows_to_csv_writer, parse_flow_csv_naive
+from oracles import (
+    aggregate_host_features_naive,
+    features_to_csv_writer,
+    flows_to_csv_writer,
+    parse_flow_csv_naive,
+)
 
 from minedetect import flow_model
 from minedetect.cli import read_kv_file
@@ -773,6 +779,54 @@ def test_feature_csv_rejects_wrong_order():
     header = "host," + ",".join(reversed(FEATURE_ORDER)) + ",class\n"
     with pytest.raises(MissingColumnError):
         parse_feature_csv(header)
+
+
+def test_feature_csv_skips_whitespace_only_lines():
+    vectors = [make_vector(host="a", label=Label.MINER), make_vector(host="b")]
+    header, *rows = features_to_csv(vectors).splitlines(keepends=True)
+    assert parse_feature_csv("".join([header, " \t \n", rows[0], "   \n", rows[1]])) == vectors
+
+
+def test_feature_csv_rejects_repeated_host_with_line_number():
+    text = features_to_csv([make_vector(host=h) for h in ("a", "b", " a ")])
+    with pytest.raises(MalformedRowError, match=r"line 4: duplicate host 'a' \(first on line 2\)"):
+        parse_feature_csv(text)
+
+
+def test_feature_csv_without_host_column_allows_equal_rows():
+    text = ",".join(FEATURE_ORDER) + ",class\n" + f"{FEATURES},Miner\n" * 2
+    assert [v.host for v in parse_feature_csv(text)] == ["row1", "row2"]
+
+
+#: feature vectors with every awkward host cell, multi-byte UTF-8 included
+_AWKWARD_VECTORS = [
+    make_vector(host=host, bpp=0.1 * i, ppm=1e300 if i % 2 else 5e-324, label=list(Label)[i % 3])
+    for i, host in enumerate(_HOSTS + _PADDED_HOSTS + ["hôst", "主机"])
+]
+
+
+@pytest.mark.parametrize("chunk_rows", [None, 1, 3])
+@pytest.mark.parametrize("n_vectors", [0, 1, 3, len(_AWKWARD_VECTORS)])
+def test_features_sha256_hashes_the_bytes_of_features_to_csv(monkeypatch, chunk_rows, n_vectors):
+    vectors = _AWKWARD_VECTORS[:n_vectors]
+    if chunk_rows is not None:
+        monkeypatch.setattr(flow_model, "_CHUNK_ROWS", chunk_rows)
+    text = features_to_csv(vectors)
+    assert text == features_to_csv_writer(vectors)
+    assert flow_model.features_sha256(vectors) == hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def test_only_flow_model_builds_csv_readers_and_writers():
+    # every table is read and written by flow_model.CsvTable and flow_model.csv_text,
+    # so the row rules live in one place
+    package = Path(flow_model.__file__).parent
+    builders = re.compile(r"\bcsv\.(reader|writer)\(")
+    offenders = [
+        path.name
+        for path in sorted(package.glob("*.py"))
+        if path.name != "flow_model.py" and builders.search(path.read_text(encoding="utf-8"))
+    ]
+    assert offenders == []
 
 
 

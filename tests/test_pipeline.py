@@ -98,6 +98,18 @@ def test_run_digests_the_capture_without_serializing_it(monkeypatch):
     assert report.provenance["inputs"]["flows_sha256"] == expected
 
 
+def test_run_digests_the_labeled_set_without_serializing_it(monkeypatch):
+    labeled, eval_flows, eval_truth = scenario_inputs()
+    expected = hashlib.sha256(flow_model.features_to_csv(labeled).encode("utf-8")).hexdigest()
+
+    def refuse(vectors):
+        raise AssertionError("run built the whole labeled feature CSV")
+
+    monkeypatch.setattr(flow_model, "features_to_csv", refuse)
+    report = run(eval_flows, labeled, PipelineConfig(), ground_truth=eval_truth.labels)
+    assert report.provenance["inputs"]["labeled_sha256"] == expected
+
+
 def test_run_predicts_each_host_once(monkeypatch):
     labeled, eval_flows, eval_truth = scenario_inputs()
     scored = []

@@ -233,3 +233,24 @@ def test_truth_csv_names_physical_lines_after_quoted_newline():
 def test_truth_csv_rejects_wrong_header():
     with pytest.raises(Exception):
         parse_truth_csv("host,class\nh,Miner\n")
+
+
+def test_truth_csv_skips_whitespace_only_lines():
+    _, truth = generate(small_config())
+    header, *rows = truth_to_csv(truth).splitlines(keepends=True)
+    text = "".join([header, "  \n", *rows[:3], " \t\n", *rows[3:]])
+    assert parse_truth_csv(text, n_windows=truth.n_windows) == truth
+
+
+def test_truth_csv_takes_the_feature_table_label_spellings():
+    text = "host,label,recruitment_window\na, miner ,1\nb,not-miner,\nc,NOTMINER,\n"
+    truth = parse_truth_csv(text)
+    assert truth.labels == {"a": Label.MINER, "b": Label.NOT_MINER, "c": Label.NOT_MINER}
+
+
+@pytest.mark.parametrize("label", ["Unlabeled", " unlabeled ", "", "Bogus"])
+def test_truth_csv_rejects_other_labels_with_line_number(label):
+    text = f"host,label,recruitment_window\na,Miner,1\nb,NotMiner,\nc,{label},\n"
+    with pytest.raises(MalformedRowError, match="line 4: ") as exc:
+        parse_truth_csv(text)
+    assert exc.value.line_no == 4
