@@ -20,8 +20,9 @@ import os
 import sys
 import tempfile
 
-from . import comm_graph, flow_model, metrics as metrics_mod, pipeline, snn_cluster, synthgen
-from .errors import InvalidConfigError, MalformedRowError, MineDetectError
+from . import comm_graph, flow_model, knn_classify, pipeline, snn_cluster, synthgen
+from . import metrics as metrics_mod
+from .errors import InvalidConfigError, MineDetectError
 from .flow_model import Label
 from .knn_classify import KnnClassifier
 from .pipeline import PipelineConfig
@@ -152,19 +153,14 @@ def _cmd_cluster(args) -> int:
     clusters = snn_cluster.finalize_clusters(
         pipeline.cluster_hosts(graph, config.k_shared), host_states, {v.host: v for v in host_norm}
     )
+    records = snn_cluster.clusters_to_obj(clusters)
     if args.format == "json":
-        text = json.dumps(snn_cluster.clusters_to_obj(clusters), indent=2, sort_keys=True) + "\n"
+        text = json.dumps(records, indent=2, sort_keys=True) + "\n"
     else:
-        text = snn_cluster.clusters_to_csv(clusters)
+        text = snn_cluster.clusters_to_csv(records)
     write_atomic(args.out, text)
     print(f"cluster: {len(clusters)} clusters -> {args.out}", file=sys.stderr)
     return 0
-
-
-def _predictions_to_csv(predictions) -> str:
-    return flow_model.csv_text(
-        ("host", "label", "score"), ((p.host, p.label.value, p.score) for p in predictions)
-    )
 
 
 def _cmd_classify(args) -> int:
@@ -188,7 +184,7 @@ def _cmd_classify(args) -> int:
         model = KnnClassifier(k=config.knn_k).fit(labeled)
 
     predictions = model.predict_all(queries)
-    write_atomic(args.out, _predictions_to_csv(predictions))
+    write_atomic(args.out, knn_classify.predictions_to_csv(predictions))
     if args.save_model:
         write_atomic(args.save_model, model.to_text())
     miners = sum(1 for p in predictions if p.label is Label.MINER)
@@ -196,34 +192,13 @@ def _cmd_classify(args) -> int:
     return 0
 
 
-def _parse_predictions_csv(text: str):
-    table = flow_model.CsvTable(text)
-    if table.header[:3] != ["host", "label", "score"]:
-        raise MineDetectError(f"prediction CSV header must be host,label,score, got {table.header}")
-    rows = []
-    for _, line_no, row in table.rows(3, unique_host=True):
-        try:
-            rows.append((row[0].strip(), flow_model.parse_label(row[1]), float(row[2])))
-        except ValueError as exc:
-            raise MalformedRowError(line_no, str(exc)) from exc
-    return rows
-
-
 def _cmd_evaluate(args) -> int:
-    predictions = _parse_predictions_csv(_read_text(args.pred))
+    predictions = knn_classify.parse_predictions_csv(_read_text(args.pred))
     truth = synthgen.parse_truth_csv(_read_text(args.truth))
-    evaluated = [(h, label, score) for h, label, score in predictions if h in truth.labels]
-    if not evaluated:
-        raise MineDetectError("no overlap between predictions and ground truth")
-    y_true = [truth.labels[h] for h, _, _ in evaluated]
-    y_pred = [label for _, label, _ in evaluated]
-    scores = [score for _, _, score in evaluated]
-    table = pipeline._detector_metrics(y_true, y_pred, scores)
+    table = pipeline._detector_metrics(truth.labels, predictions)
     write_atomic(args.out, metrics_mod.table_to_csv(table))
-    print(
-        f"evaluate: {len(evaluated)} hosts, accuracy {table['accuracy']:.4f} -> {args.out}",
-        file=sys.stderr,
-    )
+    hosts, accuracy = table["evaluated_hosts"], table["accuracy"]
+    print(f"evaluate: {hosts} hosts, accuracy {accuracy:.4f} -> {args.out}", file=sys.stderr)
     return 0
 
 
@@ -259,11 +234,6 @@ def _cmd_run(args) -> int:
     return 0
 
 
-def _hosts_to_csv(hosts: dict) -> str:
-    rows = ((h, hosts[h]["label"], hosts[h]["score"], hosts[h]["state"]) for h in sorted(hosts))
-    return flow_model.csv_text(("host", "label", "score", "state"), rows)
-
-
 def _cmd_report(args) -> int:
     obj = json.loads(_read_text(args.infile))
     section = args.section
@@ -278,9 +248,9 @@ def _cmd_report(args) -> int:
     elif section == "metrics":
         text = metrics_mod.table_to_csv(payload)
     elif section == "clusters":
-        text = snn_cluster.clusters_to_csv(snn_cluster.clusters_from_obj(payload))
+        text = snn_cluster.clusters_to_csv(payload)
     elif section == "hosts":
-        text = _hosts_to_csv(payload)
+        text = pipeline.hosts_to_csv(payload)
     else:  # suspicious
         text = "".join(host + "\n" for host in payload)
     write_atomic(args.out, text)

@@ -14,7 +14,7 @@ from __future__ import annotations
 import io
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -143,6 +143,9 @@ class MiningFingerprint:
 
     @classmethod
     def from_kv(cls, kv: Mapping[str, str]) -> "MiningFingerprint":
+        unknown = sorted(set(kv) - {f.name for f in fields(cls)})
+        if unknown:
+            raise InvalidConfigError(f"unknown fingerprint config key {unknown[0]!r}")
         try:
             kwargs = {}
             if "ports" in kv:

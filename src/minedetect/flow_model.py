@@ -98,6 +98,14 @@ def parse_label(text: str) -> Label:
     return _LABEL_ALIASES[key]
 
 
+def parse_class_label(text: str, table: str) -> Label:
+    """Parse a label cell of a ``table`` that knows every host's class: Miner or NotMiner only."""
+    label = parse_label(text)
+    if label is Label.UNLABELED:
+        raise ValueError(f"{table} label must be Miner or NotMiner, got {text!r}")
+    return label
+
+
 @dataclass(frozen=True, slots=True, init=False)
 class FlowRecord:
     """One unidirectional network flow.

@@ -16,17 +16,27 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .errors import (
     EmptyTrainingSetError,
     InvalidConfigError,
+    MalformedRowError,
+    MissingColumnError,
     MissingVectorError,
     UnnormalizedInputError,
 )
-from .flow_model import FEATURE_ORDER, FeatureVector, Label, parse_label
+from .flow_model import (
+    FEATURE_ORDER,
+    CsvTable,
+    FeatureVector,
+    Label,
+    csv_text,
+    parse_class_label,
+    parse_label,
+)
 from .snn_cluster import Cluster
 
 FORMAT_TAG = "minedetect-knn v1"
@@ -36,7 +46,34 @@ FORMAT_TAG = "minedetect-knn v1"
 class Prediction:
     host: str
     label: Label
-    score: float  # fraction of the k neighbors labeled Miner
+    score: float  # Miner confidence in [0, 1]: the KNN's share of the k neighbors labeled Miner
+
+
+PREDICTION_HEADER = ("host", "label", "score")
+
+
+def predictions_to_csv(predictions: Sequence[Prediction]) -> str:
+    """The prediction table: one host,label,score row per prediction, in order."""
+    return csv_text(PREDICTION_HEADER, ((p.host, p.label.value, p.score) for p in predictions))
+
+
+def parse_predictions_csv(text: str | Iterable[str]) -> list[Prediction]:
+    """Parse a prediction table: each host once, Miner or NotMiner, a score in [0, 1]."""
+    table = CsvTable(text)
+    if table.header[:3] != list(PREDICTION_HEADER):
+        header = table.header
+        raise MissingColumnError(f"prediction CSV header must be host,label,score, got {header}")
+    predictions = []
+    for _, line_no, row in table.rows(3, unique_host=True):
+        try:
+            label = parse_class_label(row[1], "prediction")
+            score = float(row[2])
+            if not 0.0 <= score <= 1.0:
+                raise ValueError(f"score must be a finite number in [0, 1], got {row[2]!r}")
+        except ValueError as exc:
+            raise MalformedRowError(line_no, str(exc)) from exc
+        predictions.append(Prediction(row[0].strip(), label, score))
+    return predictions
 
 
 #: Most distance cells (query rows x training examples) one block of

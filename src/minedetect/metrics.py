@@ -264,15 +264,6 @@ def _fmt(value: float | None) -> str:
     return format(value, ".6g")
 
 
-def metrics_to_csv(rows: Sequence[tuple[str, ClassMetrics]], avg: ClassMetrics | None = None) -> str:
-    """Metric table: one row per class plus an Avg. row."""
-    named = [*rows, ("Avg.", avg)] if avg is not None else rows
-    return csv_text(
-        CSV_HEADER,
-        ([name, *(_fmt(getattr(cm, col)) for col in METRIC_COLUMNS)] for name, cm in named),
-    )
-
-
 def metrics_to_obj(cm: ClassMetrics) -> dict:
     """JSON-ready metric record."""
     record = {col: getattr(cm, col) for col in METRIC_COLUMNS}
@@ -280,18 +271,17 @@ def metrics_to_obj(cm: ClassMetrics) -> dict:
     return record
 
 
-def metrics_from_obj(obj: dict) -> ClassMetrics:
-    """Inverse of metrics_to_obj."""
-    return ClassMetrics(
-        **{col: obj[col] for col in METRIC_COLUMNS},
-        zero_division=tuple(obj["zero_division"]),
+def table_to_csv(table: dict | None) -> str:
+    """Metric CSV of one detector table shaped as in report.json; no table gives the header alone.
+
+    The rows are Not Miner, Miner and Avg., each from its metrics_to_obj record.
+    """
+    records = []
+    if table:
+        per_class = table["per_class"]
+        records = [("Not Miner", per_class["NotMiner"]), ("Miner", per_class["Miner"])]
+        records.append(("Avg.", table["avg"]))
+    return csv_text(
+        CSV_HEADER,
+        ([name, *(_fmt(record[col]) for col in METRIC_COLUMNS)] for name, record in records),
     )
-
-
-def table_to_csv(table: dict) -> str:
-    """Metric CSV of one detector table shaped as in report.json."""
-    rows = [
-        (name, metrics_from_obj(table["per_class"][key]))
-        for name, key in (("Not Miner", "NotMiner"), ("Miner", "Miner"))
-    ]
-    return metrics_to_csv(rows, avg=metrics_from_obj(table["avg"]))

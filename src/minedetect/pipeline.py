@@ -90,6 +90,10 @@ class PipelineConfig:
 
     @classmethod
     def from_kv(cls, kv: Mapping[str, str]) -> "PipelineConfig":
+        known = {*cls().to_kv(), *(f"schema.{f}" for f in flow_model.FLOW_FIELDS)}
+        unknown = sorted(set(kv) - known)
+        if unknown:
+            raise InvalidConfigError(f"unknown config key {unknown[0]!r}")
         try:
             kwargs: dict = {}
             state: dict = {}
@@ -175,12 +179,14 @@ class DetectionReport:
         return json.dumps(self.to_obj(), sort_keys=True, indent=2) + "\n"
 
 
-def _detector_metrics(
-    y_true: list[Label],
-    y_pred: list[Label],
-    scores: list[float],
-) -> dict:
-    """Both-class metric tables plus the support-weighted average."""
+def _detector_metrics(truth: Mapping[str, Label], predictions: Sequence[Prediction]) -> dict:
+    """Both-class metric tables and their support-weighted average, over the truth-labeled hosts."""
+    scored = [p for p in predictions if p.host in truth]
+    if not scored:
+        raise MineDetectError("no overlap between predictions and ground truth")
+    y_true = [truth[p.host] for p in scored]
+    y_pred = [p.label for p in scored]
+    scores = [p.score for p in scored]
     matrix = metrics_mod.confusion(y_true, y_pred, positive=Label.MINER)
     miner = metrics_mod.class_metrics(matrix)
     nonminer = metrics_mod.class_metrics(matrix.swapped())
@@ -282,22 +288,18 @@ def evaluate(
 ) -> dict | None:
     """Step 9: both detectors' metric tables, or None unless the truth covers both classes."""
     truth = ground_truth or {}
-    evaluated = sorted(h for h in predictions if h in truth)
-    y_true = [truth[h] for h in evaluated]
+    evaluated = [predictions[h] for h in sorted(predictions) if h in truth]
+    y_true = [truth[p.host] for p in evaluated]
     if Label.MINER not in y_true or Label.NOT_MINER not in y_true:
         return None
-    ranks = [STATE_RANK[host_states.get(h, State.S0)] for h in evaluated]
+    ranks = [(p.host, STATE_RANK[host_states.get(p.host, State.S0)]) for p in evaluated]
+    state_verdicts = [
+        Prediction(host, Label.MINER if rank >= 1 else Label.NOT_MINER, rank / 3.0)
+        for host, rank in ranks
+    ]
     return {
-        "knn": _detector_metrics(
-            y_true,
-            [predictions[h].label for h in evaluated],
-            [predictions[h].score for h in evaluated],
-        ),
-        "state_detector": _detector_metrics(
-            y_true,
-            [Label.MINER if rank >= 1 else Label.NOT_MINER for rank in ranks],
-            [rank / 3.0 for rank in ranks],
-        ),
+        "knn": _detector_metrics(truth, evaluated),
+        "state_detector": _detector_metrics(truth, state_verdicts),
     }
 
 
@@ -383,10 +385,14 @@ def run(
 
 def report_metrics_csv(report: DetectionReport, detector: str = "knn") -> str:
     """The Table-IV-shaped metric CSV for one detector in the report."""
-    if not report.metrics or detector not in report.metrics:
-        return metrics_mod.metrics_to_csv([])
-    return metrics_mod.table_to_csv(report.metrics[detector])
+    return metrics_mod.table_to_csv((report.metrics or {}).get(detector))
 
 
 def report_clusters_csv(report: DetectionReport) -> str:
-    return snn_cluster.clusters_to_csv(report.clusters)
+    return snn_cluster.clusters_to_csv(snn_cluster.clusters_to_obj(report.clusters))
+
+
+def hosts_to_csv(hosts: Mapping[str, Mapping]) -> str:
+    """The hosts table of report.json: one host,label,score,state row per host, sorted."""
+    rows = ((h, hosts[h]["label"], hosts[h]["score"], hosts[h]["state"]) for h in sorted(hosts))
+    return flow_model.csv_text(("host", "label", "score", "state"), rows)

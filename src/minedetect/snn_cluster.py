@@ -213,51 +213,33 @@ def finalize_clusters(
 # cluster report emission
 # ---------------------------------------------------------------------------
 
-def clusters_to_csv(clusters: Sequence[Cluster]) -> str:
-    """One row per cluster: id, size, state, centroid columns, member list."""
-    rows = (
-        [
-            c.id,
-            c.size,
-            c.state.value if c.state is not None else "",
-            *(c.profile if c.profile is not None else [""] * len(FEATURE_ORDER)),
-            "|".join(sorted(c.members)),
-        ]
-        for c in clusters
-    )
-    return csv_text(["cluster", "size", "state", *FEATURE_ORDER, "members"], rows)
-
-
 def clusters_to_obj(clusters: Sequence[Cluster]) -> list[dict]:
     """JSON-ready cluster records."""
-    records = []
-    for c in clusters:
-        records.append(
-            {
-                "id": c.id,
-                "size": c.size,
-                "state": c.state.value if c.state is not None else None,
-                "centroid": (
-                    dict(zip(FEATURE_ORDER, c.profile)) if c.profile is not None else None
-                ),
-                "members": sorted(c.members),
-            }
-        )
-    return records
-
-
-def clusters_from_obj(records: Sequence[Mapping]) -> list[Cluster]:
-    """Inverse of clusters_to_obj."""
     return [
-        Cluster(
-            id=r["id"],
-            members=frozenset(r["members"]),
-            state=State(r["state"]) if r["state"] is not None else None,
-            profile=(
-                tuple(r["centroid"][f] for f in FEATURE_ORDER)
-                if r["centroid"] is not None
-                else None
-            ),
-        )
-        for r in records
+        {
+            "id": c.id,
+            "size": c.size,
+            "state": c.state.value if c.state is not None else None,
+            "centroid": dict(zip(FEATURE_ORDER, c.profile)) if c.profile is not None else None,
+            "members": sorted(c.members),
+        }
+        for c in clusters
     ]
+
+
+def clusters_to_csv(records: Sequence[Mapping]) -> str:
+    """One row per clusters_to_obj record: id, size, state, centroid columns, member list.
+
+    A null state or centroid is written as empty cells.
+    """
+    rows = (
+        [
+            r["id"],
+            r["size"],
+            r["state"] or "",
+            *(r["centroid"][f] if r["centroid"] is not None else "" for f in FEATURE_ORDER),
+            "|".join(r["members"]),
+        ]
+        for r in records
+    )
+    return csv_text(["cluster", "size", "state", *FEATURE_ORDER, "members"], rows)

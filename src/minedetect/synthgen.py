@@ -22,11 +22,11 @@ bit for bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Iterable, Mapping
 
 from .errors import InvalidConfigError, MalformedRowError, MissingColumnError, WindowOutOfRangeError
-from .flow_model import CsvTable, FlowRecord, Label, Protocol, csv_text, parse_label
+from .flow_model import CsvTable, FlowRecord, Label, Protocol, csv_text, parse_class_label
 from .rng import SplitMix64
 from .snn_cluster import State
 
@@ -111,9 +111,13 @@ class ScenarioConfig:
     @classmethod
     def from_kv(cls, kv: Mapping[str, str]) -> "ScenarioConfig":
         # accept both bare keys and 'scenario.' prefixed keys
+        known = {f.name for f in fields(cls)}
         plain = {}
         for key, value in kv.items():
-            plain[key.split(".", 1)[1] if key.startswith("scenario.") else key] = value
+            name = key.split(".", 1)[1] if key.startswith("scenario.") else key
+            if name not in known:
+                raise InvalidConfigError(f"unknown scenario config key {key!r}")
+            plain[name] = value
         if "seed" not in plain:
             raise InvalidConfigError("scenario config must set a seed")
         try:
@@ -431,9 +435,7 @@ def parse_truth_csv(text: str | Iterable[str], n_windows: int | None = None) -> 
     for _, line_no, row in table.rows(2, unique_host=True):
         host = row[0].strip()
         try:
-            labels[host] = parse_label(row[1])
-            if labels[host] is Label.UNLABELED:
-                raise ValueError(f"ground truth label must be Miner or NotMiner, got {row[1]!r}")
+            labels[host] = parse_class_label(row[1], "ground truth")
             if len(row) > 2 and row[2].strip():
                 recruit[host] = int(row[2])
                 max_window = max(max_window, recruit[host])

@@ -1,9 +1,11 @@
 import hashlib
 import json
+import re
+from pathlib import Path
 
 import pytest
 
-from minedetect import flow_model, pipeline, snn_cluster
+from minedetect import cli, flow_model, pipeline, snn_cluster
 from minedetect.cli import CONFIG_ENV_VAR, build_parser, dispatch, read_kv_file, write_atomic
 from minedetect.errors import InvalidConfigError
 from minedetect.knn_classify import KnnClassifier
@@ -389,10 +391,41 @@ def test_bad_state_config_exits_1_before_reading_flows(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_unknown_config_key_exits_1_before_reading_flows(tmp_path, capsys):
+    cfg = tmp_path / "typo.cfg"
+    cfg.write_text("snn.k_shared=2\nstate.internal_prefix=host\n")
+    out = tmp_path / "report.json"
+    assert dispatch([
+        "run", "--flows", str(tmp_path / "absent.csv"), "--labeled", str(tmp_path / "absent.csv"),
+        "--config", str(cfg), "--out", str(out),
+    ]) == 1
+    err = capsys.readouterr().err
+    assert "unknown config key 'state.internal_prefix'" in err
+    assert "absent.csv" not in err
+    assert not out.exists()
+
+
+def test_unknown_scenario_key_exits_1(tmp_path, capsys):
+    scenario = tmp_path / "typo.cfg"
+    scenario.write_text(SCENARIO + "scenario.n_host=50\n")
+    out = tmp_path / "flows.csv"
+    assert dispatch(["simulate", "--scenario", str(scenario), "--out", str(out)]) == 1
+    assert "unknown scenario config key 'scenario.n_host'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 TRUTH_OK = "host,label,recruitment_window\nhost000,Miner,1\n"
 
 
-@pytest.mark.parametrize("pred_row", ["host000,Miner", "host000,Miner,abc", "host000,Bogus,0.5"])
+@pytest.mark.parametrize("pred_row", [
+    "host000,Miner",
+    "host000,Miner,abc",
+    "host000,Bogus,0.5",
+    "host000,Miner,nan",
+    "host000,Miner,7",
+    "host000,Unlabeled,0.5",
+    "host000,,0.5",
+])
 def test_evaluate_bad_prediction_row_exits_1_with_line_number(tmp_path, capsys, pred_row):
     pred = tmp_path / "pred.csv"
     pred.write_text("host,label,score\n" + pred_row + "\n")
@@ -664,3 +697,10 @@ def test_bad_model_file_exits_1_with_line_number(
     ]) == 1
     assert f"model line {line}: {message}" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_cli_reads_and_writes_no_table_itself():
+    # the prediction, hosts, cluster and metric tables are read and written by the
+    # library, so the CLI keeps no table code of its own
+    source = Path(cli.__file__).read_text(encoding="utf-8")
+    assert re.findall(r"\b(?:CsvTable|csv_text)\(", source) == []

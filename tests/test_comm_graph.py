@@ -22,7 +22,7 @@ from minedetect.comm_graph import (
     window_deltas,
     window_snapshots,
 )
-from minedetect.errors import UnknownVertexError
+from minedetect.errors import InvalidConfigError, UnknownVertexError
 from minedetect.flow_model import Protocol, full_span
 from minedetect.synthgen import ScenarioConfig, generate
 
@@ -704,6 +704,11 @@ def test_fingerprint_kv_round_trip():
         pool_hosts=frozenset({"pool.example"}),
     )
     assert MiningFingerprint.from_kv(fp.to_kv()) == fp
+
+
+def test_fingerprint_kv_rejects_unknown_key():
+    with pytest.raises(InvalidConfigError, match="unknown fingerprint config key 'port'"):
+        MiningFingerprint.from_kv({"ports": "3333", "port": "9999"})
 
 
 def test_state_params_validation():

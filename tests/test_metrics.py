@@ -17,9 +17,10 @@ from minedetect.metrics import (
     accuracy,
     class_metrics,
     confusion,
-    metrics_to_csv,
+    metrics_to_obj,
     prc_auc,
     roc_auc,
+    table_to_csv,
     weighted_average,
 )
 
@@ -262,8 +263,16 @@ def test_weighted_average_zero_support():
 # ---------------------------------------------------------------------------
 
 def test_metrics_csv_column_order():
-    text = metrics_to_csv([("Miner", flat(0.5))], avg=flat(0.5))
-    lines = text.splitlines()
+    table = {
+        "per_class": {"NotMiner": metrics_to_obj(flat(0.25)), "Miner": metrics_to_obj(flat(0.5))},
+        "avg": metrics_to_obj(flat(0.5)),
+    }
+    lines = table_to_csv(table).splitlines()
     assert lines[0] == ",".join(CSV_HEADER)
-    assert lines[1].startswith("Miner,0.5,")
-    assert lines[2].startswith("Avg.,")
+    assert lines[1].startswith("Not Miner,0.25,")
+    assert lines[2].startswith("Miner,0.5,")
+    assert lines[3].startswith("Avg.,")
+
+
+def test_metrics_csv_without_a_table_is_the_header_alone():
+    assert table_to_csv(None) == ",".join(CSV_HEADER) + "\n"

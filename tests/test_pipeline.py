@@ -396,6 +396,16 @@ def test_pipeline_config_validation():
             PipelineConfig.from_kv(kv)
 
 
+# a misspelt key must fail, not leave its setting at the default
+@pytest.mark.parametrize(
+    "key",
+    ["state.internal_prefix", "snn.kshared", "fingerprint.port", "schema.src_hots", "window"],
+)
+def test_pipeline_config_rejects_unknown_key(key):
+    with pytest.raises(InvalidConfigError, match=f"unknown config key '{key}'"):
+        PipelineConfig.from_kv({"knn.k": "3", key: "5"})
+
+
 # ---------------------------------------------------------------------------
 # emission helpers
 # ---------------------------------------------------------------------------

@@ -22,6 +22,7 @@ from minedetect.snn_cluster import (
     cluster_profile,
     cluster_state,
     clusters_to_csv,
+    clusters_to_obj,
     extract_clusters,
 )
 from minedetect.synthgen import ScenarioConfig, generate
@@ -341,7 +342,14 @@ def test_registration_heavy_cluster_profile_shape():
 def test_clusters_to_csv_shape():
     a = normalize_vec(make_vector(host="a"))
     c = Cluster(id="C0", members=frozenset({"a"}), state=State.S1, profile=a.values())
-    text = clusters_to_csv([c])
+    text = clusters_to_csv(clusters_to_obj([c]))
     lines = text.splitlines()
     assert lines[0] == "cluster,size,state," + ",".join(FEATURE_ORDER) + ",members"
     assert lines[1].startswith("C0,1,S1,")
+
+
+def test_clusters_to_csv_writes_null_state_and_centroid_as_empty_cells():
+    c = Cluster(id="C0", members=frozenset({"b", "a"}))
+    (record,) = clusters_to_obj([c])
+    assert record["state"] is None and record["centroid"] is None
+    assert clusters_to_csv([record]).splitlines()[1] == "C0,2,," + "," * len(FEATURE_ORDER) + "a|b"

@@ -63,6 +63,12 @@ def test_config_kv_round_trip():
     assert ScenarioConfig.from_kv(prefixed) == cfg
 
 
+@pytest.mark.parametrize("key", ["n_host", "scenario.n_host", "scenario.seeds"])
+def test_config_rejects_unknown_key(key):
+    with pytest.raises(InvalidConfigError, match=f"unknown scenario config key '{key}'"):
+        ScenarioConfig.from_kv({"seed": "1", key: "50"})
+
+
 def test_config_requires_seed():
     with pytest.raises(InvalidConfigError):
         ScenarioConfig.from_kv({"n_hosts": "10"})
