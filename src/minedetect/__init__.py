@@ -16,7 +16,6 @@ from .comm_graph import (
     clustering_coefficient,
     graph_features,
     mining_volume,
-    vertex_degree,
     window_deltas,
 )
 from .flow_model import (

@@ -39,8 +39,9 @@ class _Parser(argparse.ArgumentParser):
 
 
 def read_kv_file(path: str) -> dict[str, str]:
-    """Parse a flat key=value config file ('#' starts a comment line)."""
+    """Parse a flat key=value config file ('#' starts a comment line); a key may appear once."""
     kv: dict[str, str] = {}
+    first_line: dict[str, int] = {}
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, raw in enumerate(fh, start=1):
             line = raw.strip()
@@ -49,7 +50,13 @@ def read_kv_file(path: str) -> dict[str, str]:
             if "=" not in line:
                 raise InvalidConfigError(f"{path}:{line_no}: expected key=value, got {line!r}")
             key, _, value = line.partition("=")
-            kv[key.strip()] = value.strip()
+            key = key.strip()
+            if key in first_line:
+                raise InvalidConfigError(
+                    f"{path}:{line_no}: key {key!r} repeated (first on line {first_line[key]})"
+                )
+            first_line[key] = line_no
+            kv[key] = value.strip()
     return kv
 
 
@@ -237,9 +244,10 @@ def _cmd_run(args) -> int:
 def _cmd_report(args) -> int:
     obj = json.loads(_read_text(args.infile))
     section = args.section
-    if section == "metrics" and not obj.get("metrics"):
-        raise MineDetectError("report has no metrics section")
-    payload = obj[section]
+    payload = obj.get(section) if isinstance(obj, dict) else None
+    # a report run without ground truth stores its metrics as null
+    if payload is None or (section == "metrics" and not payload):
+        raise MineDetectError(f"report has no {section} section")
     if section == "metrics" and (args.detector or args.format == "csv"):
         # JSON without --detector keeps both tables; CSV holds one
         payload = payload[args.detector or "knn"]

@@ -35,7 +35,6 @@ from .flow_model import (
     Label,
     csv_text,
     parse_class_label,
-    parse_label,
 )
 from .snn_cluster import Cluster
 
@@ -270,7 +269,7 @@ class KnnClassifier:
                     FeatureVector(
                         host=host,
                         **dict(zip(FEATURE_ORDER, (float(x) for x in feats))),
-                        label=parse_label(label),
+                        label=parse_class_label(label, "model"),
                         normalized=True,
                     )
                 )

@@ -117,6 +117,10 @@ class ScenarioConfig:
             name = key.split(".", 1)[1] if key.startswith("scenario.") else key
             if name not in known:
                 raise InvalidConfigError(f"unknown scenario config key {key!r}")
+            if name in plain:
+                raise InvalidConfigError(
+                    f"scenario config gives both {name!r} and 'scenario.{name}'"
+                )
             plain[name] = value
         if "seed" not in plain:
             raise InvalidConfigError("scenario config must set a seed")

@@ -74,13 +74,16 @@ def snn_edges_dense_product(g: CommGraph, k_shared: int) -> set[tuple[str, str]]
     return {edge_key(order[i], order[j]) for i, j in zip(ii.tolist(), jj.tolist())}
 
 
-def triangle_count_brute(g: CommGraph, v: str) -> int:
-    """Edges among v's neighbors by checking every neighbor pair."""
-    nbrs = sorted(g.neighbors(v))
+def triangles_brute(adj: dict[str, set[str]], v: str) -> int:
+    """Edges among v's neighbors by checking every neighbor pair.
+
+    ``adj`` is the graph's ``adjacency_sets``.
+    """
+    nbrs = sorted(adj[v])
     count = 0
     for i in range(len(nbrs)):
         for j in range(i + 1, len(nbrs)):
-            if edge_key(nbrs[i], nbrs[j]) in g.edge_weight:
+            if nbrs[j] in adj[nbrs[i]]:
                 count += 1
     return count
 

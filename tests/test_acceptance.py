@@ -11,7 +11,6 @@ import os
 import random
 import re
 import time
-from fractions import Fraction
 
 import pytest
 
@@ -20,8 +19,7 @@ from minedetect.comm_graph import (
     MiningFingerprint,
     StateParams,
     build_graph,
-    triangle_count,
-    vertex_degree,
+    graph_features,
     window_deltas,
 )
 from minedetect.flow_model import (
@@ -84,12 +82,14 @@ def test_criterion_2_clustering_coefficient_oracle():
         # cap the average degree so the O(k^2) enumeration stays desk-scale
         p = rng.uniform(0.02, min(0.3, 20.0 / n))
         g = oracles.random_comm_graph(rng, n, p)
+        adj = oracles.adjacency_sets(g)
+        features = graph_features(g)
         for v in g.vertices:
-            k = vertex_degree(g, v)
-            t_impl = triangle_count(g, v)
-            t_oracle = oracles.triangle_count_brute(g, v)
-            exact_impl = Fraction(2 * t_impl, k * (k - 1)) if k >= 2 else Fraction(0)
-            if exact_impl != oracles.clustering_fraction(k, t_oracle):
+            f, k = features[v], len(adj[v])
+            t = oracles.triangles_brute(adj, v)
+            # c is exact when it is the correctly rounded 2t / (k(k - 1)); at
+            # these sizes distinct t give distinct floats, so this pins t too
+            if f.k != k or f.c != float(oracles.clustering_fraction(k, t)):
                 bad += 1
             checked += 1
     report_line(

@@ -58,6 +58,31 @@ def test_read_kv_file_rejects_garbage(tmp_path):
         read_kv_file(str(path))
 
 
+def test_repeated_config_key_exits_1_with_line_numbers(tmp_path, capsys):
+    cfg = tmp_path / "twice.cfg"
+    cfg.write_text("snn.k_shared=2\n# a comment\nsnn.k_shared = 3\n")
+    out = tmp_path / "report.json"
+    assert dispatch([
+        "run", "--flows", str(tmp_path / "absent.csv"), "--labeled", str(tmp_path / "absent.csv"),
+        "--config", str(cfg), "--out", str(out),
+    ]) == 1
+    assert f"{cfg}:3: key 'snn.k_shared' repeated (first on line 1)" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("extra, message", [
+    ("scenario.seed=2\n", "twice.cfg:9: key 'scenario.seed' repeated (first on line 2)"),
+    ("seed=2\n", "scenario config gives both 'seed' and 'scenario.seed'"),
+])
+def test_repeated_scenario_key_exits_1(tmp_path, capsys, extra, message):
+    scenario = tmp_path / "twice.cfg"
+    scenario.write_text(SCENARIO + extra)
+    out = tmp_path / "flows.csv"
+    assert dispatch(["simulate", "--scenario", str(scenario), "--out", str(out)]) == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_write_atomic_leaves_no_temp_files(tmp_path):
     target = tmp_path / "out.txt"
     write_atomic(str(target), "payload")
@@ -316,6 +341,22 @@ def test_report_csv_sections_equal_run_tables(tmp_path, scenario_file, section):
         "--out", str(out),
     ]) == 0
     assert out.read_bytes() == (tmp_path / f"report.{section}.csv").read_bytes()
+
+
+@pytest.mark.parametrize("text, section", [
+    ("{}", "clusters"),
+    ("{}", "hosts"),
+    ("{}", "suspicious"),
+    ('{"metrics": null}', "metrics"),
+    ("[1]", "clusters"),
+    ("[1]", "metrics"),
+    ('"report"', "hosts"),
+])
+def test_report_of_json_that_is_no_report_exits_1(tmp_path, capsys, text, section):
+    report = tmp_path / "not-a-report.json"
+    report.write_text(text)
+    assert dispatch(["report", "--in", str(report), "--section", section]) == 1
+    assert f"report: error: report has no {section} section" in capsys.readouterr().err
 
 
 def test_cli_overrides_beat_config_file(tmp_path, scenario_file):

@@ -329,3 +329,15 @@ def test_model_file_rejects_bad_count_and_tag():
         KnnClassifier.from_text(text.replace("count=1", "count=2"))
     with pytest.raises(InvalidConfigError):
         KnnClassifier.from_text("something else\n" + text)
+
+
+def test_model_file_rejects_unlabeled_example_with_line_number():
+    model = KnnClassifier(k=1).fit(
+        [vec("a", [0.5] * 8, Label.MINER), vec("b", [0.25] * 8, Label.NOT_MINER)]
+    )
+    text = model.to_text().replace("\tNotMiner\n", "\tUnlabeled\n")
+    with pytest.raises(
+        InvalidConfigError,
+        match="^model line 6: model label must be Miner or NotMiner, got 'Unlabeled'$",
+    ):
+        KnnClassifier.from_text(text)

@@ -285,15 +285,6 @@ def test_full_span_graph_merged_from_windows_equals_one_pass_build(name):
     assert set(host_states) == graph.vertices
 
 
-def test_step3_leaves_the_full_span_graph_without_adjacency():
-    # the merged graph is read only through vertices and edge_weight
-    graph, _ = lifecycle_states(step3_captures()["synthgen"], PipelineConfig())
-    assert "_adj" not in vars(graph)
-    host = min(graph.vertices)
-    assert graph.neighbors(host) == {u for e in graph.edge_weight if host in e for u in e} - {host}
-    assert "_adj" in vars(graph)
-
-
 def test_step3_reads_each_flow_once(monkeypatch):
     labeled, eval_flows, eval_truth = scenario_inputs()
     n_windows = len(window_snapshots(eval_flows, PipelineConfig().window_length))

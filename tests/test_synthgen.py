@@ -4,8 +4,8 @@ from minedetect.comm_graph import (
     MiningFingerprint,
     build_graph,
     clustering_coefficient,
+    graph_features,
     mining_volume,
-    vertex_degree,
 )
 from minedetect.errors import InvalidConfigError, MalformedRowError, WindowOutOfRangeError
 from minedetect.flow_model import Label, flows_to_csv
@@ -118,7 +118,7 @@ def test_benign_only_scenario_mean_degree_near_ring_degree():
         flows, truth = generate(cfg)
         assert all(label is Label.NOT_MINER for label in truth.labels.values())
         g = build_graph(flows, (0.0, cfg.window_length))
-        means.append(sum(vertex_degree(g, v) for v in g.vertices) / len(g.vertices))
+        means.append(sum(f.k for f in graph_features(g).values()) / len(g.vertices))
     assert abs(sum(means) / len(means) - 6) <= 1
 
 
