@@ -185,6 +185,13 @@ def test_degree_cases():
     assert [f.k for f in k5.values()] == [4] * 5
 
 
+def test_degree_sum_is_twice_edge_count():
+    rng = random.Random(5)
+    for _ in range(20):
+        g = random_comm_graph(rng, rng.randint(1, 80), rng.uniform(0, 0.3))
+        assert sum(f.k for f in graph_features(g).values()) == 2 * len(g.edge_weight)
+
+
 def test_clustering_triangle_and_star():
     triangle = graph_of([("a", "b"), ("b", "c"), ("a", "c")])
     assert clustering_coefficient(triangle, "a") == 1.0
