@@ -6,9 +6,9 @@ error. Diagnostics go to stderr; data goes to the --out path (or stdout
 when --out is '-'). Output files are written to a temp file and renamed,
 so failures never leave partial outputs behind.
 
-Config files are flat ``section.key=value`` text (see PipelineConfig /
-ScenarioConfig); the MINEDETECT_CONFIG environment variable supplies a
-config path when --config is not given. Explicit flags win over the file.
+Config files are flat ``section.key=value`` text (see kvconfig); the
+MINEDETECT_CONFIG environment variable supplies a config path when
+--config is not given. Explicit flags win over the file.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from . import metrics as metrics_mod
 from .errors import InvalidConfigError, MineDetectError
 from .flow_model import Label
 from .knn_classify import KnnClassifier
+from .kvconfig import read_kv_file
 from .pipeline import PipelineConfig
 
 CONFIG_ENV_VAR = "MINEDETECT_CONFIG"
@@ -36,28 +37,6 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(1)
-
-
-def read_kv_file(path: str) -> dict[str, str]:
-    """Parse a flat key=value config file ('#' starts a comment line); a key may appear once."""
-    kv: dict[str, str] = {}
-    first_line: dict[str, int] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise InvalidConfigError(f"{path}:{line_no}: expected key=value, got {line!r}")
-            key, _, value = line.partition("=")
-            key = key.strip()
-            if key in first_line:
-                raise InvalidConfigError(
-                    f"{path}:{line_no}: key {key!r} repeated (first on line {first_line[key]})"
-                )
-            first_line[key] = line_no
-            kv[key] = value.strip()
-    return kv
 
 
 def write_atomic(path: str, text: str) -> None:
@@ -85,16 +64,8 @@ def _read_text(path: str) -> str:
 def _load_pipeline_config(args) -> PipelineConfig:
     path = getattr(args, "config", None) or os.environ.get(CONFIG_ENV_VAR)
     config = PipelineConfig.from_kv(read_kv_file(path)) if path else PipelineConfig()
-    overrides = {}
-    if getattr(args, "window", None) is not None:
-        overrides["window_length"] = args.window
-    if getattr(args, "snn_k", None) is not None:
-        overrides["k_shared"] = args.snn_k
-    if getattr(args, "knn_k", None) is not None:
-        overrides["knn_k"] = args.knn_k
-    if overrides:
-        config = dataclasses.replace(config, **overrides)
-    return config
+    flags = {"window_length": args.window, "k_shared": args.snn_k, "knn_k": args.knn_k}
+    return dataclasses.replace(config, **{k: v for k, v in flags.items() if v is not None})
 
 
 def _load_flows(path: str, config: PipelineConfig):
@@ -108,8 +79,7 @@ def _load_flows(path: str, config: PipelineConfig):
 def _cmd_simulate(args) -> int:
     if args.out == "-" and not args.truth:
         raise InvalidConfigError("--out - writes the flows to stdout; give --truth a path")
-    kv = read_kv_file(args.scenario)
-    config = synthgen.ScenarioConfig.from_kv(kv)
+    config = synthgen.ScenarioConfig.from_kv(read_kv_file(args.scenario))
     flows, truth = synthgen.generate(config, seed=args.seed)
     write_atomic(args.out, flow_model.flows_to_csv(flows))
     truth_path = args.truth or _sibling(args.out, ".truth.csv")
@@ -241,6 +211,15 @@ def _cmd_run(args) -> int:
     return 0
 
 
+# section -> its CSV writer and the shape of the report.json record it reads
+_CSV_SECTIONS = {
+    "metrics": (metrics_mod.table_to_csv, "a metric table"),
+    "clusters": (snn_cluster.clusters_to_csv, "a list of cluster records"),
+    "hosts": (pipeline.hosts_to_csv, "an object of host records"),
+    "suspicious": (lambda hosts: "".join(host + "\n" for host in hosts), "a list of host names"),
+}
+
+
 def _cmd_report(args) -> int:
     obj = json.loads(_read_text(args.infile))
     section = args.section
@@ -250,17 +229,19 @@ def _cmd_report(args) -> int:
         raise MineDetectError(f"report has no {section} section")
     if section == "metrics" and (args.detector or args.format == "csv"):
         # JSON without --detector keeps both tables; CSV holds one
-        payload = payload[args.detector or "knn"]
+        detector = args.detector or "knn"
+        if not isinstance(payload, dict) or detector not in payload:
+            raise MineDetectError(f"report metrics section has no {detector} table")
+        payload = payload[detector]
     if args.format == "json":
         text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    elif section == "metrics":
-        text = metrics_mod.table_to_csv(payload)
-    elif section == "clusters":
-        text = snn_cluster.clusters_to_csv(payload)
-    elif section == "hosts":
-        text = pipeline.hosts_to_csv(payload)
-    else:  # suspicious
-        text = "".join(host + "\n" for host in payload)
+    else:
+        write_csv, shape = _CSV_SECTIONS[section]
+        try:
+            text = write_csv(payload)
+        except (LookupError, TypeError) as exc:
+            missing = f": no {exc.args[0]!r} field" if isinstance(exc, KeyError) else ""
+            raise MineDetectError(f"report {section} section is not {shape}{missing}") from exc
     write_atomic(args.out, text)
     return 0
 

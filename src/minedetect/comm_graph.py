@@ -14,13 +14,13 @@ from __future__ import annotations
 import io
 import itertools
 import math
-from dataclasses import dataclass, field, fields
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from dataclasses import dataclass, field
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import InvalidConfigError, UnknownVertexError
-from .flow_model import FlowRecord, Protocol, flows_by_host
+from .errors import UnknownVertexError
+from .flow_model import FLAG_NAMES, FlowRecord, Protocol, flows_by_host
 
 Edge = tuple[str, str]
 
@@ -100,12 +100,28 @@ class MiningFingerprint:
     A flow matches when it is TCP, at least ``min_duration`` seconds long,
     carries all ``required_flags``, and either targets one of ``ports`` or
     one of the known ``pool_hosts``.
+
+    Values that would silently switch S3 off are rejected: a flag no flow
+    can carry, a non-finite ``min_duration``, a port outside 0-65535 and
+    neither a port nor a pool host to match.
     """
 
     ports: frozenset[int] = frozenset({3333, 4444, 5555, 8333, 80, 443, 25})
     min_duration: float = 30.0
     required_flags: frozenset[str] = frozenset({"ACK", "PUSH"})
     pool_hosts: frozenset[str] = frozenset()
+
+    def __post_init__(self):
+        unknown = sorted(self.required_flags - set(FLAG_NAMES))
+        if unknown:
+            raise ValueError(f"required flag {unknown[0]!r} is not one of {', '.join(FLAG_NAMES)}")
+        if not math.isfinite(self.min_duration):
+            raise ValueError("min_duration must be finite")
+        outside = sorted(p for p in self.ports if not 0 <= p <= 65535)
+        if outside:
+            raise ValueError(f"port {outside[0]} outside 0-65535")
+        if not self.ports and not self.pool_hosts:
+            raise ValueError("fingerprint needs a port or a pool host")
 
     def matches(self, flow: FlowRecord) -> bool:
         return (
@@ -114,39 +130,6 @@ class MiningFingerprint:
             and self.required_flags <= flow.flags
             and (flow.dst_port in self.ports or flow.dst_host in self.pool_hosts)
         )
-
-    def to_kv(self) -> dict[str, str]:
-        return {
-            "ports": ",".join(str(p) for p in sorted(self.ports)),
-            "min_duration": str(self.min_duration),
-            "required_flags": ",".join(sorted(self.required_flags)),
-            "pool_hosts": ",".join(sorted(self.pool_hosts)),
-        }
-
-    @classmethod
-    def from_kv(cls, kv: Mapping[str, str]) -> "MiningFingerprint":
-        unknown = sorted(set(kv) - {f.name for f in fields(cls)})
-        if unknown:
-            raise InvalidConfigError(f"unknown fingerprint config key {unknown[0]!r}")
-        try:
-            kwargs = {}
-            if "ports" in kv:
-                kwargs["ports"] = frozenset(
-                    int(p) for p in kv["ports"].split(",") if p.strip()
-                )
-            if "min_duration" in kv:
-                kwargs["min_duration"] = float(kv["min_duration"])
-            if "required_flags" in kv:
-                kwargs["required_flags"] = frozenset(
-                    f.strip().upper() for f in kv["required_flags"].split(",") if f.strip()
-                )
-            if "pool_hosts" in kv:
-                kwargs["pool_hosts"] = frozenset(
-                    h.strip() for h in kv["pool_hosts"].split(",") if h.strip()
-                )
-            return cls(**kwargs)
-        except ValueError as exc:
-            raise InvalidConfigError(f"bad fingerprint config: {exc}") from exc
 
 
 @dataclass(frozen=True)

@@ -13,15 +13,17 @@ Steps 2, 3, 5, 8 and 9 are stage functions that can be called on their own.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from typing import Mapping, Sequence
 
-from . import comm_graph, flow_model, metrics as metrics_mod, snn_cluster
-from .comm_graph import CommGraph, MiningFingerprint, StateParams
+from . import comm_graph, flow_model, kvconfig, metrics as metrics_mod, snn_cluster
+from .comm_graph import CommGraph, StateParams
 from .errors import InvalidConfigError, MineDetectError
 from .flow_model import FeatureVector, FlowRecord, Label
 from .knn_classify import KnnClassifier, Prediction
+from .kvconfig import Key, comma_list, optional_int
 from .snn_cluster import Cluster, State, STATE_RANK
 
 STEP_NAMES = (
@@ -59,8 +61,8 @@ class PipelineConfig:
     flow_schema: tuple[tuple[str, str], ...] = ()
 
     def __post_init__(self):
-        if not self.window_length > 0:
-            raise InvalidConfigError("window_length must be > 0")
+        if not 0 < self.window_length < math.inf:
+            raise InvalidConfigError("window_length must be finite and > 0")
         if self.k_shared < 1 or self.knn_k < 1:
             raise InvalidConfigError("k_shared and knn_k must be >= 1")
         if not (0.0 <= self.suspicion_floor <= 1.0):
@@ -70,75 +72,33 @@ class PipelineConfig:
         return dict(self.flow_schema) if self.flow_schema else None
 
     def to_kv(self) -> dict[str, str]:
-        state = self.state
-        kv = {
-            "pipeline.window": str(self.window_length),
-            "snn.k_shared": str(self.k_shared),
-            "knn.k": str(self.knn_k),
-            "state.internal_prefixes": ",".join(state.internal_prefixes),
-            "state.x_threshold": str(state.x_threshold),
-            "state.delta_t": str(state.delta_t),
-            "state.t_star": "any" if state.t_star is None else str(state.t_star),
-            "state.dc_cap": str(state.dc_cap),
-            "report.suspicion_floor": str(self.suspicion_floor),
-        }
-        for key, value in state.fingerprint.to_kv().items():
-            kv[f"fingerprint.{key}"] = value
-        for fld, column in self.flow_schema:
-            kv[f"schema.{fld}"] = column
-        return kv
+        return kvconfig.encode(self, CONFIG_KEYS)
 
     @classmethod
     def from_kv(cls, kv: Mapping[str, str]) -> "PipelineConfig":
-        known = {*cls().to_kv(), *(f"schema.{f}" for f in flow_model.FLOW_FIELDS)}
-        unknown = sorted(set(kv) - known)
-        if unknown:
-            raise InvalidConfigError(f"unknown config key {unknown[0]!r}")
-        try:
-            kwargs: dict = {}
-            state: dict = {}
-            if "pipeline.window" in kv:
-                kwargs["window_length"] = float(kv["pipeline.window"])
-            if "snn.k_shared" in kv:
-                kwargs["k_shared"] = int(kv["snn.k_shared"])
-            if "knn.k" in kv:
-                kwargs["knn_k"] = int(kv["knn.k"])
-            if "state.internal_prefixes" in kv:
-                state["internal_prefixes"] = tuple(
-                    p.strip() for p in kv["state.internal_prefixes"].split(",") if p.strip()
-                )
-            if "state.x_threshold" in kv:
-                state["x_threshold"] = int(kv["state.x_threshold"])
-            if "state.delta_t" in kv:
-                state["delta_t"] = float(kv["state.delta_t"])
-            if "state.t_star" in kv:
-                raw = kv["state.t_star"].strip().lower()
-                state["t_star"] = None if raw in ("", "any", "none") else int(raw)
-            if "state.dc_cap" in kv:
-                state["dc_cap"] = float(kv["state.dc_cap"])
-            if "report.suspicion_floor" in kv:
-                kwargs["suspicion_floor"] = float(kv["report.suspicion_floor"])
-            fp_kv = {
-                key.split(".", 1)[1]: value
-                for key, value in kv.items()
-                if key.startswith("fingerprint.")
-            }
-            if fp_kv:
-                state["fingerprint"] = MiningFingerprint.from_kv(fp_kv)
-            schema = tuple(
-                (key.split(".", 1)[1], value)
-                for key, value in sorted(kv.items())
-                if key.startswith("schema.")
-            )
-            if schema:
-                kwargs["flow_schema"] = schema
-        except ValueError as exc:
-            raise InvalidConfigError(f"bad pipeline config value: {exc}") from exc
-        try:
-            kwargs["state"] = StateParams(**state)
-        except ValueError as exc:
-            raise InvalidConfigError(f"bad state config: {exc}") from exc
-        return cls(**kwargs)
+        return kvconfig.decode(cls, CONFIG_KEYS, kv)
+
+
+# every PipelineConfig key, once; a state.* key is its own attribute path
+CONFIG_KEYS = (
+    Key("pipeline.window", "window_length", float),
+    Key("snn.k_shared", "k_shared", int),
+    Key("knn.k", "knn_k", int),
+    Key("state.internal_prefixes", parse=comma_list()),
+    Key("state.x_threshold", parse=int),
+    Key("state.delta_t", parse=float),
+    Key("state.t_star", parse=optional_int),
+    Key("state.dc_cap", parse=float),
+    Key("report.suspicion_floor", "suspicion_floor", float),
+    Key("fingerprint.ports", "state.fingerprint.ports", comma_list(int, frozenset)),
+    Key("fingerprint.min_duration", "state.fingerprint.min_duration", float),
+    Key(
+        "fingerprint.required_flags", "state.fingerprint.required_flags",
+        comma_list(str.upper, frozenset),
+    ),
+    Key("fingerprint.pool_hosts", "state.fingerprint.pool_hosts", comma_list(into=frozenset)),
+    Key("schema.", "flow_schema", names=flow_model.FLOW_FIELDS),
+)
 
 
 @dataclass

@@ -22,11 +22,14 @@ bit for bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+import math
+from dataclasses import dataclass
 from typing import Iterable, Mapping
 
+from . import kvconfig
 from .errors import InvalidConfigError, MalformedRowError, MissingColumnError, WindowOutOfRangeError
 from .flow_model import CsvTable, FlowRecord, Label, Protocol, csv_text, parse_class_label
+from .kvconfig import Key, comma_list
 from .rng import SplitMix64
 from .snn_cluster import State
 
@@ -69,8 +72,8 @@ class ScenarioConfig:
             raise InvalidConfigError("rewire_prob must be in [0, 1]")
         if self.n_windows < 1:
             raise InvalidConfigError("n_windows must be >= 1")
-        if self.window_length <= 0:
-            raise InvalidConfigError("window_length must be > 0")
+        if not 0 < self.window_length < math.inf:
+            raise InvalidConfigError("window_length must be finite and > 0")
         if len(self.recruitment_schedule) > self.n_windows:
             raise InvalidConfigError("recruitment schedule longer than n_windows")
         if any(r < 0 for r in self.recruitment_schedule):
@@ -81,8 +84,12 @@ class ScenarioConfig:
             raise InvalidConfigError("need a primary and a backup pool host")
         if self.benign_rate < 1:
             raise InvalidConfigError("benign_rate must be >= 1")
-        if self.mining_flow_duration <= 0 or self.mining_flows_per_window < 1:
-            raise InvalidConfigError("mining flow parameters must be positive")
+        if not 0 < self.mining_flow_duration < math.inf:
+            raise InvalidConfigError("mining_flow_duration must be finite and > 0")
+        if self.mining_flows_per_window < 1:
+            raise InvalidConfigError("mining_flows_per_window must be >= 1")
+        if not 0 <= self.mining_port <= 65535:
+            raise InvalidConfigError("mining_port must be in 0-65535")
 
     @property
     def n_victims(self) -> int:
@@ -93,63 +100,30 @@ class ScenarioConfig:
         return f"host{i:0{width}d}"
 
     def to_kv(self) -> dict[str, str]:
-        return {
-            "seed": str(self.seed),
-            "n_hosts": str(self.n_hosts),
-            "ring_degree": str(self.ring_degree),
-            "rewire_prob": str(self.rewire_prob),
-            "n_windows": str(self.n_windows),
-            "window_length": str(self.window_length),
-            "recruitment_schedule": ",".join(str(r) for r in self.recruitment_schedule),
-            "pool_hosts": ",".join(self.pool_hosts),
-            "mining_port": str(self.mining_port),
-            "mining_flow_duration": str(self.mining_flow_duration),
-            "mining_flows_per_window": str(self.mining_flows_per_window),
-            "benign_rate": str(self.benign_rate),
-        }
+        return kvconfig.encode(self, SCENARIO_KEYS)
 
     @classmethod
     def from_kv(cls, kv: Mapping[str, str]) -> "ScenarioConfig":
-        # accept both bare keys and 'scenario.' prefixed keys
-        known = {f.name for f in fields(cls)}
-        plain = {}
-        for key, value in kv.items():
-            name = key.split(".", 1)[1] if key.startswith("scenario.") else key
-            if name not in known:
-                raise InvalidConfigError(f"unknown scenario config key {key!r}")
-            if name in plain:
-                raise InvalidConfigError(
-                    f"scenario config gives both {name!r} and 'scenario.{name}'"
-                )
-            plain[name] = value
-        if "seed" not in plain:
+        """A scenario from bare or 'scenario.'-prefixed keys; the seed is required."""
+        if not {"seed", "scenario.seed"} & kv.keys():
             raise InvalidConfigError("scenario config must set a seed")
-        try:
-            kwargs: dict = {"seed": int(plain["seed"])}
-            for name, conv in (
-                ("n_hosts", int),
-                ("ring_degree", int),
-                ("n_windows", int),
-                ("mining_port", int),
-                ("mining_flows_per_window", int),
-                ("benign_rate", int),
-                ("rewire_prob", float),
-                ("window_length", float),
-                ("mining_flow_duration", float),
-            ):
-                if name in plain:
-                    kwargs[name] = conv(plain[name])
-            if "recruitment_schedule" in plain:
-                kwargs["recruitment_schedule"] = tuple(
-                    int(x) for x in plain["recruitment_schedule"].split(",") if x.strip()
-                )
-            if "pool_hosts" in plain:
-                kwargs["pool_hosts"] = tuple(
-                    h.strip() for h in plain["pool_hosts"].split(",") if h.strip()
-                )
-        except ValueError as exc:
-            raise InvalidConfigError(f"bad scenario value: {exc}") from exc
-        return cls(**kwargs)
+        return kvconfig.decode(cls, SCENARIO_KEYS, kv, "scenario config", prefix="scenario.")
+
+
+SCENARIO_KEYS = (
+    Key("seed", parse=int),
+    Key("n_hosts", parse=int),
+    Key("ring_degree", parse=int),
+    Key("rewire_prob", parse=float),
+    Key("n_windows", parse=int),
+    Key("window_length", parse=float),
+    Key("recruitment_schedule", parse=comma_list(int)),
+    Key("pool_hosts", parse=comma_list()),
+    Key("mining_port", parse=int),
+    Key("mining_flow_duration", parse=float),
+    Key("mining_flows_per_window", parse=int),
+    Key("benign_rate", parse=int),
+)
 
 
 @dataclass(frozen=True)

@@ -359,6 +359,22 @@ def test_report_of_json_that_is_no_report_exits_1(tmp_path, capsys, text, sectio
     assert f"report: error: report has no {section} section" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text, section, message", [
+    ('{"metrics": {"x": 1}}', "metrics", "report metrics section has no knn table"),
+    ('{"metrics": {"knn": {"x": 1}}}', "metrics", "is not a metric table: no 'per_class' field"),
+    ('{"clusters": 5}', "clusters", "report clusters section is not a list of cluster records"),
+    ('{"hosts": {"a": 1}}', "hosts", "report hosts section is not an object of host records"),
+    ('{"hosts": {"a": {"label": "Miner"}}}', "hosts", "host records: no 'score' field"),
+    ('{"suspicious": [1]}', "suspicious", "report suspicious section is not a list of host names"),
+])
+def test_report_csv_of_malformed_section_exits_1(tmp_path, capsys, text, section, message):
+    report = tmp_path / "bad-section.json"
+    report.write_text(text)
+    argv = ["report", "--in", str(report), "--section", section, "--format", "csv"]
+    assert dispatch(argv) == 1
+    assert message in capsys.readouterr().err
+
+
 def test_cli_overrides_beat_config_file(tmp_path, scenario_file):
     flows, _ = simulate(tmp_path, scenario_file, seed=5)
     cfg = tmp_path / "pipe.cfg"
@@ -430,6 +446,42 @@ def test_bad_state_config_exits_1_before_reading_flows(tmp_path, capsys):
     ]) == 1
     assert "delta_t must be > 0" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("config, flags, message", [
+    ("fingerprint.required_flags=ACK,PSH\n", [], "bad fingerprint config: required flag 'PSH'"),
+    ("fingerprint.min_duration=nan\n", [], "bad fingerprint config: min_duration must be finite"),
+    ("fingerprint.ports=\n", [], "bad fingerprint config: fingerprint needs a port or a pool host"),
+    ("", ["--window", "inf"], "window_length must be finite and > 0"),
+])
+def test_config_that_switches_a_rule_off_exits_1(
+    tmp_path, scenario_file, capsys, config, flags, message
+):
+    flows, truth = simulate(tmp_path, scenario_file, seed=5)
+    labeled = tmp_path / "labeled.csv"
+    assert dispatch([
+        "features", "--flows", str(flows), "--truth", str(truth), "--out", str(labeled)
+    ]) == 0
+    cfg = tmp_path / "off.cfg"
+    cfg.write_text(config)
+    out = tmp_path / "report.json"
+    assert dispatch([
+        "run", "--flows", str(flows), "--labeled", str(labeled), "--ground-truth", str(truth),
+        "--config", str(cfg), *flags, "--out", str(out),
+    ]) == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_readme_config_example_loads_and_names_every_key(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    example = re.search(r"## Config file\n.*?```\n(.*?)```", readme, re.S).group(1)
+    cfg = tmp_path / "readme.cfg"
+    cfg.write_text(example)
+    kv = read_kv_file(str(cfg))
+    PipelineConfig.from_kv(kv)
+    for row in pipeline.CONFIG_KEYS:
+        assert any(k == row.key or (row.names and k.startswith(row.key)) for k in kv), row.key
 
 
 def test_unknown_config_key_exits_1_before_reading_flows(tmp_path, capsys):

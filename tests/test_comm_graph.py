@@ -676,21 +676,6 @@ def test_window_deltas_match_naive_pairwise_recomputation(capture, delta_t):
         assert sum(pair["h3"][4] for pair in actual[14:]) > 0
 
 
-def test_fingerprint_kv_round_trip():
-    fp = MiningFingerprint(
-        ports=frozenset({3333, 443}),
-        min_duration=20.0,
-        required_flags=frozenset({"ACK"}),
-        pool_hosts=frozenset({"pool.example"}),
-    )
-    assert MiningFingerprint.from_kv(fp.to_kv()) == fp
-
-
-def test_fingerprint_kv_rejects_unknown_key():
-    with pytest.raises(InvalidConfigError, match="unknown fingerprint config key 'port'"):
-        MiningFingerprint.from_kv({"ports": "3333", "port": "9999"})
-
-
 def test_state_params_validation():
     with pytest.raises(ValueError):
         StateParams(x_threshold=0)

@@ -346,7 +346,12 @@ def test_pipeline_config_kv_round_trip():
             internal_prefixes=("10.", "192.168."),
             x_threshold=4,
             t_star=2,
-            fingerprint=MiningFingerprint(ports=frozenset({3333})),
+            fingerprint=MiningFingerprint(
+                ports=frozenset({3333, 443}),
+                min_duration=20.0,
+                required_flags=frozenset({"ACK"}),
+                pool_hosts=frozenset({"pool.example"}),
+            ),
         ),
         suspicion_floor=0.25,
         flow_schema=(("src_host", "SrcAddr"),),
@@ -371,8 +376,9 @@ def test_pipeline_config_validation():
         PipelineConfig(k_shared=0)
     with pytest.raises(InvalidConfigError):
         PipelineConfig(suspicion_floor=2.0)
-    with pytest.raises(InvalidConfigError, match="window_length"):
-        PipelineConfig.from_kv({"pipeline.window": "nan"})
+    for window in ("nan", "inf"):
+        with pytest.raises(InvalidConfigError, match="window_length"):
+            PipelineConfig.from_kv({"pipeline.window": window})
     for kv in (
         {"state.delta_t": "0"},
         {"state.delta_t": "-5"},
@@ -385,16 +391,47 @@ def test_pipeline_config_validation():
     ):
         with pytest.raises(InvalidConfigError, match="bad state config"):
             PipelineConfig.from_kv(kv)
+    # each of these leaves no flow able to match, so S3 could never fire
+    for kv in (
+        {"fingerprint.required_flags": "ACK,PSH"},
+        {"fingerprint.min_duration": "nan"},
+        {"fingerprint.min_duration": "inf"},
+        {"fingerprint.ports": "3333,70000"},
+        {"fingerprint.ports": "-1"},
+        {"fingerprint.ports": ""},
+    ):
+        with pytest.raises(InvalidConfigError, match="bad fingerprint config"):
+            PipelineConfig.from_kv(kv)
+    pool_only = PipelineConfig.from_kv({"fingerprint.ports": "", "fingerprint.pool_hosts": "p0"})
+    assert pool_only.state.fingerprint.ports == frozenset()
 
 
 # a misspelt key must fail, not leave its setting at the default
 @pytest.mark.parametrize(
     "key",
-    ["state.internal_prefix", "snn.kshared", "fingerprint.port", "schema.src_hots", "window"],
+    [
+        "state.internal_prefix",
+        "snn.kshared",
+        "fingerprint.port",
+        "schema.src_hots",
+        "window",
+        "src_host",
+    ],
 )
 def test_pipeline_config_rejects_unknown_key(key):
     with pytest.raises(InvalidConfigError, match=f"unknown config key '{key}'"):
         PipelineConfig.from_kv({"knn.k": "3", key: "5"})
+
+
+@pytest.mark.parametrize("key, value", [
+    ("pipeline.window", "60              # graph window length, seconds"),
+    ("knn.k", "five"),
+    ("state.t_star", "first"),
+    ("fingerprint.ports", "3333,http"),
+])
+def test_pipeline_config_bad_value_names_its_key(key, value):
+    with pytest.raises(InvalidConfigError, match=f"bad value for '{key}': "):
+        PipelineConfig.from_kv({key: value})
 
 
 # ---------------------------------------------------------------------------

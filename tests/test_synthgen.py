@@ -53,6 +53,16 @@ def test_config_rejects_bad_values():
         small_config(pool_hosts=("only-one",))
     with pytest.raises(InvalidConfigError):
         small_config(rewire_prob=1.5)
+    # values generate() would fail on later without naming the field
+    for field, value in (
+        ("window_length", float("nan")),
+        ("window_length", float("inf")),
+        ("mining_flow_duration", float("nan")),
+        ("mining_flow_duration", float("inf")),
+        ("mining_port", 70000),
+    ):
+        with pytest.raises(InvalidConfigError, match=field):
+            small_config(**{field: value})
 
 
 def test_config_kv_round_trip():
