@@ -230,7 +230,7 @@ def _cmd_report(args) -> int:
     if section == "metrics" and (args.detector or args.format == "csv"):
         # JSON without --detector keeps both tables; CSV holds one
         detector = args.detector or "knn"
-        if not isinstance(payload, dict) or detector not in payload:
+        if not isinstance(payload, dict) or payload.get(detector) is None:
             raise MineDetectError(f"report metrics section has no {detector} table")
         payload = payload[detector]
     if args.format == "json":

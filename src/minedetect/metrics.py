@@ -277,7 +277,7 @@ def table_to_csv(table: dict | None) -> str:
     The rows are Not Miner, Miner and Avg., each from its metrics_to_obj record.
     """
     records = []
-    if table:
+    if table is not None:
         per_class = table["per_class"]
         records = [("Not Miner", per_class["NotMiner"]), ("Miner", per_class["Miner"])]
         records.append(("Avg.", table["avg"]))

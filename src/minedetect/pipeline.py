@@ -343,9 +343,9 @@ def run(
 # report table emission
 # ---------------------------------------------------------------------------
 
-def report_metrics_csv(report: DetectionReport, detector: str = "knn") -> str:
-    """The Table-IV-shaped metric CSV for one detector in the report."""
-    return metrics_mod.table_to_csv((report.metrics or {}).get(detector))
+def report_metrics_csv(report: DetectionReport) -> str:
+    """The Table-IV-shaped metric CSV of the report's KNN detector."""
+    return metrics_mod.table_to_csv((report.metrics or {}).get("knn"))
 
 
 def report_clusters_csv(report: DetectionReport) -> str:

@@ -16,8 +16,8 @@ recruited victim walks the lifecycle:
                   mesh connections persist
 
 Everything is drawn from one SplitMix64 stream (see rng.py) in the fixed
-order implemented here, so a (config, seed) pair reproduces the flow list
-bit for bit.
+order implemented here (each flow kind's docstring lists its draws), so a
+(config, seed) pair reproduces the flow list bit for bit.
 """
 
 from __future__ import annotations
@@ -44,6 +44,13 @@ _BENIGN_FLAG_COMBOS = (
 _BENIGN_TCP_PORTS = (80, 443, 22, 8080, 8443, 993)
 _BENIGN_UDP_PORTS = (53, 123)
 _COORDINATION_PORT = 7777
+_SYN = frozenset({"SYN"})
+_ACK = frozenset({"ACK"})
+_ACK_PUSH = frozenset({"ACK", "PUSH"})
+# the two short lifecycle flow kinds drawn by _Emitter.short:
+# (start offset span, packets, duration, bytes per packet, flags)
+_REGISTRATION = (10.0, (2, 6), (0.2, 2.0), (40, 120), _SYN)
+_COORDINATION = (20.0, (10, 40), (3.0, 8.0), (80, 300), _ACK)
 
 
 @dataclass(frozen=True)
@@ -146,30 +153,26 @@ class GroundTruth:
         return sorted(h for h, label in self.labels.items() if label is Label.MINER)
 
 
+def _state_at(recruited: int, window: int) -> State:
+    """Lifecycle state at ``window`` of a victim recruited at ``recruited``."""
+    offset = window - recruited
+    return State.S0 if offset < 0 else (State.S1, State.S2, State.S3)[min(offset, 2)]
+
+
 def expected_states(truth: GroundTruth, window: int) -> dict[str, State]:
     """Idealized lifecycle state of every labeled host at one window.
 
     S0 before recruitment, S1 at the recruitment window, S2 while the
     victim is joining the pool mesh, S3 once sustained mining flows are
-    active. ``window`` means the graph snapshot arriving at that index.
+    active; ``generate`` emits flows by the same schedule. ``window`` means
+    the graph snapshot arriving at that index.
     """
     if not (0 <= window < truth.n_windows):
         raise WindowOutOfRangeError(f"window {window} outside [0, {truth.n_windows})")
-    states: dict[str, State] = {}
-    for host, label in truth.labels.items():
-        if label is not Label.MINER:
-            states[host] = State.S0
-            continue
-        r = truth.recruitment_window[host]
-        if window < r:
-            states[host] = State.S0
-        elif window == r:
-            states[host] = State.S1
-        elif window == r + 1:
-            states[host] = State.S2
-        else:
-            states[host] = State.S3
-    return states
+    return {
+        host: _state_at(truth.recruitment_window[host], window) if label is Label.MINER else State.S0
+        for host, label in truth.labels.items()
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -221,7 +224,16 @@ class _Emitter:
         self.rng = rng
         self.flows: list[FlowRecord] = []
 
+    def _flow(self, src: str, dst: str, src_port: int, dst_port: int, start: float, end: float,
+              packets: int, bytes_: int, flags: frozenset[str], protocol: Protocol = Protocol.TCP) -> None:
+        self.flows.append(FlowRecord(
+            src_host=src, dst_host=dst, src_port=src_port, dst_port=dst_port, protocol=protocol,
+            start_time=start, end_time=end, packets=packets, bytes=bytes_, flags=flags, is_request=True,
+        ))
+
     def benign(self, a: str, b: str, window_start: float, window_len: float) -> None:
+        """Draw order: direction, start offset, duration, packets, bytes per
+        packet, protocol, flags (TCP only), destination port, source port."""
         rng = self.rng
         src, dst = (a, b) if rng.randbelow(2) == 0 else (b, a)
         start = window_start + rng.uniform(0.0, window_len * 0.8)
@@ -235,91 +247,39 @@ class _Emitter:
             proto = Protocol.TCP
             flags = rng.choice(_BENIGN_FLAG_COMBOS)
             dst_port = rng.choice(_BENIGN_TCP_PORTS)
-        self.flows.append(
-            FlowRecord(
-                src_host=src,
-                dst_host=dst,
-                src_port=rng.randint(1024, 65535),
-                dst_port=dst_port,
-                protocol=proto,
-                start_time=start,
-                end_time=start + duration,
-                packets=packets,
-                bytes=bytes_,
-                flags=flags,
-                is_request=True,
-            )
-        )
+        src_port = rng.randint(1024, 65535)
+        self._flow(src, dst, src_port, dst_port, start, start + duration, packets, bytes_, flags, proto)
 
-    def registration(self, victim: str, pool: str, port: int, window_start: float) -> None:
+    def short(self, src: str, dst: str, port: int, window_start: float, kind: tuple) -> None:
+        """A registration or coordination flow (``kind``). Draw order: start
+        offset, packets, source port, duration, bytes per packet."""
+        start_span, packets, duration, per_packet, flags = kind
         rng = self.rng
-        for _ in range(4):
-            start = window_start + rng.uniform(0.0, 10.0)
-            packets = rng.randint(2, 6)
-            self.flows.append(
-                FlowRecord(
-                    src_host=victim,
-                    dst_host=pool,
-                    src_port=rng.randint(1024, 65535),
-                    dst_port=port,
-                    protocol=Protocol.TCP,
-                    start_time=start,
-                    end_time=start + rng.uniform(0.2, 2.0),
-                    packets=packets,
-                    bytes=packets * rng.randint(40, 120),
-                    flags=frozenset({"SYN"}),
-                    is_request=True,
-                )
-            )
-
-    def coordination(self, src: str, dst: str, port: int, window_start: float) -> None:
-        rng = self.rng
-        start = window_start + rng.uniform(0.0, 20.0)
-        packets = rng.randint(10, 40)
-        self.flows.append(
-            FlowRecord(
-                src_host=src,
-                dst_host=dst,
-                src_port=rng.randint(1024, 65535),
-                dst_port=port,
-                protocol=Protocol.TCP,
-                start_time=start,
-                end_time=start + rng.uniform(3.0, 8.0),
-                packets=packets,
-                bytes=packets * rng.randint(80, 300),
-                flags=frozenset({"ACK"}),
-                is_request=True,
-            )
-        )
+        start = window_start + rng.uniform(0.0, start_span)
+        n_packets = rng.randint(*packets)
+        src_port = rng.randint(1024, 65535)
+        end = start + rng.uniform(*duration)
+        bytes_ = n_packets * rng.randint(*per_packet)
+        self._flow(src, dst, src_port, port, start, end, n_packets, bytes_, flags)
 
     def mining(self, victim: str, pool: str, port: int, window_start: float, duration: float) -> None:
+        """Draw order: start offset, duration, packets, source port, bytes per packet."""
         rng = self.rng
         start = window_start + rng.uniform(0.0, 5.0)
         length = rng.uniform(duration * 0.9, duration * 1.2)
         packets = rng.randint(150, 400)
-        self.flows.append(
-            FlowRecord(
-                src_host=victim,
-                dst_host=pool,
-                src_port=rng.randint(1024, 65535),
-                dst_port=port,
-                protocol=Protocol.TCP,
-                start_time=start,
-                end_time=start + length,
-                packets=packets,
-                bytes=packets * rng.randint(60, 140),
-                flags=frozenset({"ACK", "PUSH"}),
-                is_request=True,
-            )
-        )
+        src_port = rng.randint(1024, 65535)
+        bytes_ = packets * rng.randint(60, 140)
+        self._flow(victim, pool, src_port, port, start, start + length, packets, bytes_, _ACK_PUSH)
 
 
 def generate(config: ScenarioConfig, seed: int | None = None) -> tuple[list[FlowRecord], GroundTruth]:
     """Emit the scenario's flows plus ground truth; deterministic per seed.
 
     Draw order: topology, victim selection, then window by window the
-    benign flows over sorted topology edges followed by the pool lifecycle
-    flows over victims in recruitment order.
+    benign flows over sorted topology edges, the lifecycle flows of each
+    victim's ``_state_at`` state over victims in recruitment order, and the
+    pool-mesh flows over meshed pairs.
     """
     rng = SplitMix64(config.seed if seed is None else seed)
     hosts = [config.host_id(i) for i in range(config.n_hosts)]
@@ -330,21 +290,12 @@ def generate(config: ScenarioConfig, seed: int | None = None) -> tuple[list[Flow
 
     # victim selection: distinct uniform draws, assigned to recruitment
     # windows in schedule order
-    victims: list[str] = []
-    taken: set[int] = set()
-    for _ in range(config.n_victims):
-        while True:
-            i = rng.randbelow(config.n_hosts)
-            if i not in taken:
-                taken.add(i)
-                victims.append(hosts[i])
-                break
-    recruit_at: dict[str, int] = {}
-    cursor = 0
-    for window, count in enumerate(config.recruitment_schedule):
-        for victim in victims[cursor : cursor + count]:
-            recruit_at[victim] = window
-        cursor += count
+    taken: dict[int, None] = {}  # insertion-ordered set
+    while len(taken) < config.n_victims:
+        taken[rng.randbelow(config.n_hosts)] = None
+    victims = [hosts[i] for i in taken]
+    windows = [w for w, count in enumerate(config.recruitment_schedule) for _ in range(count)]
+    recruit_at = dict(zip(victims, windows))
 
     primary, backup = config.pool_hosts[0], config.pool_hosts[1]
     emit = _Emitter(rng)
@@ -356,15 +307,16 @@ def generate(config: ScenarioConfig, seed: int | None = None) -> tuple[list[Flow
             for _ in range(config.benign_rate):
                 emit.benign(hosts[a], hosts[b], window_start, length)
 
-        meshed = [v for v in victims if recruit_at[v] + 1 <= w]
-        for victim in victims:
-            r = recruit_at[victim]
-            if w == r:
-                emit.registration(victim, primary, config.mining_port, window_start)
-                emit.registration(victim, backup, config.mining_port, window_start)
-            elif w == r + 1:
-                emit.coordination(victim, primary, _COORDINATION_PORT, window_start)
-            elif w >= r + 2:
+        states = [_state_at(recruit_at[v], w) for v in victims]
+        meshed = [v for v, state in zip(victims, states) if state in (State.S2, State.S3)]
+        for victim, state in zip(victims, states):
+            if state is State.S1:
+                for pool in (primary, backup):
+                    for _ in range(4):
+                        emit.short(victim, pool, config.mining_port, window_start, _REGISTRATION)
+            elif state is State.S2:
+                emit.short(victim, primary, _COORDINATION_PORT, window_start, _COORDINATION)
+            elif state is State.S3:
                 for _ in range(config.mining_flows_per_window):
                     emit.mining(
                         victim, primary, config.mining_port, window_start,
@@ -374,14 +326,14 @@ def generate(config: ScenarioConfig, seed: int | None = None) -> tuple[list[Flow
         for i, a in enumerate(meshed):
             for b in meshed[i + 1 :]:
                 src, dst = (a, b) if a <= b else (b, a)
-                emit.coordination(src, dst, _COORDINATION_PORT, window_start)
+                emit.short(src, dst, _COORDINATION_PORT, window_start, _COORDINATION)
 
     labels = {h: Label.NOT_MINER for h in hosts}
     for v in victims:
         labels[v] = Label.MINER
     truth = GroundTruth(
         labels=labels,
-        recruitment_window=dict(recruit_at),
+        recruitment_window=recruit_at,
         n_windows=config.n_windows,
     )
     return emit.flows, truth
@@ -399,8 +351,11 @@ def truth_to_csv(truth: GroundTruth) -> str:
     return csv_text(("host", "label", "recruitment_window"), rows)
 
 
-def parse_truth_csv(text: str | Iterable[str], n_windows: int | None = None) -> GroundTruth:
-    """Parse a ground-truth CSV; every host needs a Miner or NotMiner label."""
+def parse_truth_csv(text: str | Iterable[str]) -> GroundTruth:
+    """Parse a ground-truth CSV; every host needs a Miner or NotMiner label.
+
+    ``n_windows`` is the latest recruitment window in the file + 1.
+    """
     table = CsvTable(text)
     header = table.header
     if header[:3] != ["host", "label", "recruitment_window"]:
@@ -422,5 +377,5 @@ def parse_truth_csv(text: str | Iterable[str], n_windows: int | None = None) -> 
     return GroundTruth(
         labels=labels,
         recruitment_window=recruit,
-        n_windows=n_windows if n_windows is not None else max_window + 1,
+        n_windows=max_window + 1,
     )

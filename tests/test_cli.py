@@ -366,6 +366,9 @@ def test_report_of_json_that_is_no_report_exits_1(tmp_path, capsys, text, sectio
     ('{"hosts": {"a": 1}}', "hosts", "report hosts section is not an object of host records"),
     ('{"hosts": {"a": {"label": "Miner"}}}', "hosts", "host records: no 'score' field"),
     ('{"suspicious": [1]}', "suspicious", "report suspicious section is not a list of host names"),
+    ('{"metrics": {"knn": 0}}', "metrics", "report metrics section is not a metric table"),
+    ('{"metrics": {"knn": {}}}', "metrics", "is not a metric table: no 'per_class' field"),
+    ('{"metrics": {"knn": null}}', "metrics", "report metrics section has no knn table"),
 ])
 def test_report_csv_of_malformed_section_exits_1(tmp_path, capsys, text, section, message):
     report = tmp_path / "bad-section.json"
