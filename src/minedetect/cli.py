@@ -61,10 +61,18 @@ def _read_text(path: str) -> str:
         return fh.read()
 
 
+# pipeline config field -> (the flag that overrides it, its type, its help)
+_CONFIG_FLAGS = {
+    "window_length": ("--window", float, "graph window length in seconds (default 60)"),
+    "k_shared": ("--snn-k", int, "shared-neighbor threshold (default 2)"),
+    "knn_k": ("--knn-k", int, "KNN neighbor count (default 5)"),
+}
+
+
 def _load_pipeline_config(args) -> PipelineConfig:
     path = getattr(args, "config", None) or os.environ.get(CONFIG_ENV_VAR)
     config = PipelineConfig.from_kv(read_kv_file(path)) if path else PipelineConfig()
-    flags = {"window_length": args.window, "k_shared": args.snn_k, "knn_k": args.knn_k}
+    flags = {name: getattr(args, name, None) for name in _CONFIG_FLAGS}
     return dataclasses.replace(config, **{k: v for k, v in flags.items() if v is not None})
 
 
@@ -146,6 +154,8 @@ def _cmd_classify(args) -> int:
         raise MineDetectError("classify needs --labeled or --model")
     if args.labeled and args.model:
         raise MineDetectError("--labeled and --model are mutually exclusive")
+    if args.model and args.knn_k is not None:
+        raise MineDetectError("--knn-k does not apply to --model: the model file stores its own k")
 
     if args.model:
         # a stored model holds normalized examples, so the query features
@@ -254,11 +264,12 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="minedetect", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def add_common(p):
+    def add_config(p, *fields):
+        """--config plus the override flags of the given pipeline config fields."""
         p.add_argument("--config", help=f"config file (fallback: ${CONFIG_ENV_VAR})")
-        p.add_argument("--window", type=float, help="graph window length in seconds (default 60)")
-        p.add_argument("--snn-k", type=int, dest="snn_k", help="shared-neighbor threshold (default 2)")
-        p.add_argument("--knn-k", type=int, dest="knn_k", help="KNN neighbor count (default 5)")
+        for name in fields:
+            flag, kind, text = _CONFIG_FLAGS[name]
+            p.add_argument(flag, dest=name, type=kind, help=text)
 
     p = sub.add_parser("simulate", help="generate a synthetic scenario")
     p.add_argument("--scenario", required=True, help="scenario config file")
@@ -271,20 +282,20 @@ def build_parser() -> _Parser:
     p.add_argument("--flows", required=True)
     p.add_argument("--truth", help="ground-truth CSV supplying class labels")
     p.add_argument("--out", required=True)
-    add_common(p)
+    add_config(p)
     p.set_defaults(func=_cmd_features)
 
     p = sub.add_parser("graph", help="export per-window communication graphs")
     p.add_argument("--flows", required=True)
     p.add_argument("--out", required=True)
-    add_common(p)
+    add_config(p, "window_length")
     p.set_defaults(func=_cmd_graph)
 
     p = sub.add_parser("cluster", help="SNN-cluster the communication graph")
     p.add_argument("--flows", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--format", choices=("json", "csv"), default="csv")
-    add_common(p)
+    add_config(p, "window_length", "k_shared")
     p.set_defaults(func=_cmd_cluster)
 
     p = sub.add_parser("classify", help="KNN-classify feature vectors")
@@ -293,7 +304,7 @@ def build_parser() -> _Parser:
     p.add_argument("--model", help="stored model file (expects normalized features)")
     p.add_argument("--save-model", dest="save_model", help="persist the fitted model")
     p.add_argument("--out", required=True)
-    add_common(p)
+    add_config(p, "knn_k")
     p.set_defaults(func=_cmd_classify)
 
     p = sub.add_parser("evaluate", help="score predictions against ground truth")
@@ -307,7 +318,7 @@ def build_parser() -> _Parser:
     p.add_argument("--labeled", required=True, help="labeled feature CSV")
     p.add_argument("--ground-truth", dest="ground_truth", help="truth CSV enabling metrics")
     p.add_argument("--out", required=True, help="report JSON path (CSV tables written alongside)")
-    add_common(p)
+    add_config(p, *_CONFIG_FLAGS)
     p.set_defaults(func=_cmd_run)
 
     p = sub.add_parser("report", help="extract sections from a report JSON")

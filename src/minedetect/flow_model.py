@@ -289,6 +289,16 @@ class CsvTable:
         except StopIteration:
             raise MissingColumnError("empty input: no header row")
 
+    def require_columns(self, columns: Sequence[str], table: str) -> None:
+        """Raise MissingColumnError naming ``table`` unless the header starts with ``columns``.
+
+        Columns after them are ignored.
+        """
+        if self.header[: len(columns)] != list(columns):
+            raise MissingColumnError(
+                f"{table} header must start with {','.join(columns)}, got {self.header}"
+            )
+
     def rows(self, width: int, unique_host: bool = False) -> Iterator[tuple[int, int, list[str]]]:
         """Each data row as (record number, physical line, cells).
 
@@ -646,18 +656,15 @@ def features_sha256(vectors: Sequence[FeatureVector]) -> str:
 def parse_feature_csv(text: str | Iterable[str], normalized: bool = False) -> list[FeatureVector]:
     """Parse a feature CSV.
 
-    The eight feature columns plus 'class' must appear in canonical order;
-    a leading 'host' column is optional (rows without one get synthetic ids
-    'row<N>' and cannot be joined to graph features later).
+    The eight feature columns plus 'class' must appear in canonical order
+    (later columns are ignored); a leading 'host' column is optional (rows
+    without one get synthetic ids 'row<N>' and cannot be joined to graph
+    features later).
     """
     table = CsvTable(text)
-    header = table.header
-    with_host = bool(header) and header[0] == "host"
+    with_host = table.header[:1] == ["host"]
     expected = feature_csv_header(with_host=with_host)
-    if header != expected:
-        raise MissingColumnError(
-            f"feature CSV header must be {expected}, got {header}"
-        )
+    table.require_columns(expected, "feature CSV")
 
     vectors = []
     for row_no, line_no, row in table.rows(len(expected), unique_host=with_host):

@@ -24,7 +24,6 @@ from .errors import (
     EmptyTrainingSetError,
     InvalidConfigError,
     MalformedRowError,
-    MissingColumnError,
     MissingVectorError,
     UnnormalizedInputError,
 )
@@ -59,9 +58,7 @@ def predictions_to_csv(predictions: Sequence[Prediction]) -> str:
 def parse_predictions_csv(text: str | Iterable[str]) -> list[Prediction]:
     """Parse a prediction table: each host once, Miner or NotMiner, a score in [0, 1]."""
     table = CsvTable(text)
-    if table.header[:3] != list(PREDICTION_HEADER):
-        header = table.header
-        raise MissingColumnError(f"prediction CSV header must be host,label,score, got {header}")
+    table.require_columns(PREDICTION_HEADER, "prediction CSV")
     predictions = []
     for _, line_no, row in table.rows(3, unique_host=True):
         try:

@@ -1,9 +1,10 @@
 """Binary classification quality metrics.
 
 Confusion-matrix counts plus the usual derived quantities (TP/FP rate,
-precision, recall, F-measure, MCC) and the two ranking areas (ROC via the
-rank statistic, PRC via a descending-score threshold sweep with step-wise
-interpolation). Any 0/0 cell maps to 0 and the affected metric names are
+precision, recall, F-measure, MCC) and the two ranking areas. Both areas
+read one descending sweep over the tie groups of the scores: ROC as the
+Mann-Whitney pair count, PRC as a threshold sweep with step-wise
+interpolation. Any 0/0 cell maps to 0 and the affected metric names are
 flagged on the result so reports can mark them as degenerate rather than
 silently numeric.
 """
@@ -11,7 +12,7 @@ silently numeric.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 from .errors import (
@@ -152,40 +153,34 @@ def accuracy(m: ConfusionMatrix) -> float:
 # ranking areas
 # ---------------------------------------------------------------------------
 
-def _check_ranking_input(scores, labels, positive) -> tuple[int, int]:
+def _tie_groups(scores, labels, positive) -> tuple[int, int, list[list[int]]]:
+    """Class counts and one [positives, negatives] group per distinct score, highest first."""
     _check_equal_length(scores, labels, "scores / labels")
-    n_pos = sum(1 for label in labels if label == positive)
+    by_score: dict[float, list[int]] = {}
+    for score, label in zip(scores, labels):
+        by_score.setdefault(score, [0, 0])[label != positive] += 1
+    n_pos = sum(pos for pos, _ in by_score.values())
     n_neg = len(labels) - n_pos
     if n_pos == 0 or n_neg == 0:
         raise DegenerateLabelsError(
             f"need both classes present, got {n_pos} positive / {n_neg} negative"
         )
-    return n_pos, n_neg
+    return n_pos, n_neg, [by_score[score] for score in sorted(by_score, reverse=True)]
 
 
 def roc_auc(scores: Sequence[float], labels: Sequence, positive=True) -> float:
-    """Area under the ROC curve by the rank statistic.
+    """Area under the ROC curve as the normalized Mann-Whitney pair count.
 
-    Equivalent to the normalized Mann-Whitney U; tied scores contribute
-    half credit via midranks.
+    Each (positive, negative) pair scores 1 when the positive ranks higher
+    and 1/2 when the two are tied.
     """
-    n_pos, n_neg = _check_ranking_input(scores, labels, positive)
-
-    order = sorted(range(len(scores)), key=lambda i: scores[i])
-    ranks = [0.0] * len(scores)
-    i = 0
-    while i < len(order):
-        j = i
-        while j + 1 < len(order) and scores[order[j + 1]] == scores[order[i]]:
-            j += 1
-        midrank = (i + j) / 2.0 + 1.0  # 1-based average rank of the tie group
-        for pos in range(i, j + 1):
-            ranks[order[pos]] = midrank
-        i = j + 1
-
-    rank_sum = sum(r for r, label in zip(ranks, labels) if label == positive)
-    u = rank_sum - n_pos * (n_pos + 1) / 2.0
-    return u / (n_pos * n_neg)
+    n_pos, n_neg, groups = _tie_groups(scores, labels, positive)
+    pairs = 0.0
+    above = 0  # positives scored higher than the current group
+    for pos, neg in groups:
+        pairs += neg * (above + pos / 2)
+        above += pos
+    return pairs / (n_pos * n_neg)
 
 
 def prc_auc(scores: Sequence[float], labels: Sequence, positive=True) -> float:
@@ -196,32 +191,22 @@ def prc_auc(scores: Sequence[float], labels: Sequence, positive=True) -> float:
     step-wise rather than linear interpolation. The segment from recall 0
     to the first attained recall uses the first attained precision.
     """
-    n_pos, _ = _check_ranking_input(scores, labels, positive)
-
-    order = sorted(range(len(scores)), key=lambda i: -scores[i])
+    n_pos, _, groups = _tie_groups(scores, labels, positive)
     area = 0.0
     recall_prev = 0.0
     tp = fp = 0
-    i = 0
-    while i < len(order):
-        j = i
-        while j + 1 < len(order) and scores[order[j + 1]] == scores[order[i]]:
-            j += 1
-        for pos in range(i, j + 1):  # take the whole tie group at once
-            if labels[order[pos]] == positive:
-                tp += 1
-            else:
-                fp += 1
+    for pos, neg in groups:
+        tp += pos
+        fp += neg
         precision = tp / (tp + fp)
         recall = tp / n_pos
         area += (recall - recall_prev) * precision
         recall_prev = recall
-        i = j + 1
     return area
 
 
 def weighted_average(per_class: Sequence[tuple[ClassMetrics, float]]) -> ClassMetrics:
-    """Support-weighted mean of each metric across classes."""
+    """Support-weighted mean of each metric; an area unset in any class stays unset."""
     total = sum(support for _, support in per_class)
     if any(support < 0 for _, support in per_class):
         raise ValueError("supports must be >= 0")
@@ -237,21 +222,7 @@ def weighted_average(per_class: Sequence[tuple[ClassMetrics, float]]) -> ClassMe
     flagged = tuple(
         sorted({name for cm, _ in per_class for name in cm.zero_division})
     )
-    return ClassMetrics(
-        tp_rate=avg("tp_rate"),
-        fp_rate=avg("fp_rate"),
-        precision=avg("precision"),
-        recall=avg("recall"),
-        f_measure=avg("f_measure"),
-        mcc=avg("mcc"),
-        roc_area=avg("roc_area"),
-        prc_area=avg("prc_area"),
-        zero_division=flagged,
-    )
-
-
-def with_areas(cm: ClassMetrics, roc: float, prc: float) -> ClassMetrics:
-    return replace(cm, roc_area=roc, prc_area=prc)
+    return ClassMetrics(**{name: avg(name) for name in METRIC_COLUMNS}, zero_division=flagged)
 
 
 # ---------------------------------------------------------------------------

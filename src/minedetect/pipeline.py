@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
 from typing import Mapping, Sequence
 
@@ -148,30 +148,22 @@ def _detector_metrics(truth: Mapping[str, Label], predictions: Sequence[Predicti
     y_pred = [p.label for p in scored]
     scores = [p.score for p in scored]
     matrix = metrics_mod.confusion(y_true, y_pred, positive=Label.MINER)
-    miner = metrics_mod.class_metrics(matrix)
-    nonminer = metrics_mod.class_metrics(matrix.swapped())
-
-    roc_miner = metrics_mod.roc_auc(scores, y_true, positive=Label.MINER)
-    prc_miner = metrics_mod.prc_auc(scores, y_true, positive=Label.MINER)
-    inverted = [1.0 - s for s in scores]
-    roc_non = metrics_mod.roc_auc(inverted, y_true, positive=Label.NOT_MINER)
-    prc_non = metrics_mod.prc_auc(inverted, y_true, positive=Label.NOT_MINER)
-    miner = metrics_mod.with_areas(miner, roc_miner, prc_miner)
-    nonminer = metrics_mod.with_areas(nonminer, roc_non, prc_non)
-
-    support_miner = matrix.tp + matrix.fn
-    support_non = matrix.tn + matrix.fp
-    avg = metrics_mod.weighted_average(
-        [(nonminer, support_non), (miner, support_miner)]
-    )
+    rows = {}  # class -> (its row with both areas, its support)
+    for label, m, ranking in (
+        (Label.MINER, matrix, scores),
+        (Label.NOT_MINER, matrix.swapped(), [1.0 - s for s in scores]),
+    ):
+        row = replace(
+            metrics_mod.class_metrics(m),
+            roc_area=metrics_mod.roc_auc(ranking, y_true, positive=label),
+            prc_area=metrics_mod.prc_auc(ranking, y_true, positive=label),
+        )
+        rows[label.value] = (row, m.tp + m.fn)
     return {
         "confusion": {"tp": matrix.tp, "fp": matrix.fp, "fn": matrix.fn, "tn": matrix.tn},
         "accuracy": metrics_mod.accuracy(matrix),
-        "per_class": {
-            "NotMiner": metrics_mod.metrics_to_obj(nonminer),
-            "Miner": metrics_mod.metrics_to_obj(miner),
-        },
-        "avg": metrics_mod.metrics_to_obj(avg),
+        "per_class": {name: metrics_mod.metrics_to_obj(row) for name, (row, _) in rows.items()},
+        "avg": metrics_mod.metrics_to_obj(metrics_mod.weighted_average(list(rows.values()))),
         "evaluated_hosts": len(y_true),
     }
 
@@ -205,12 +197,19 @@ def lifecycle_states(
     """Step 3: the full-span graph and each vertex's highest-ranked state over all window pairs.
 
     The full-span graph is merged from the window graphs, so every flow is
-    read once, when it is filed into its window.
+    read once, when it is filed into its window. Internal prefixes that
+    match no host raise InvalidConfigError.
     """
     if not flows:
         return CommGraph(frozenset(), {}), {}
     snapshots = comm_graph.window_snapshots(flows, config.window_length)
     graph = comm_graph.merge_graphs(g for g, _, _ in snapshots)
+    prefixes = config.state.internal_prefixes
+    if prefixes and not any(v.startswith(prefixes) for v in graph.vertices):
+        # every host external would leave S3 unreachable
+        raise InvalidConfigError(
+            f"state.internal_prefixes {','.join(prefixes)} match no host of the capture"
+        )
     host_states = {v: State.S0 for v in graph.vertices}
     for deltas in comm_graph.window_deltas(snapshots, config.state):
         for host, d in deltas.items():

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from . import kvconfig
-from .errors import InvalidConfigError, MalformedRowError, MissingColumnError, WindowOutOfRangeError
+from .errors import InvalidConfigError, MalformedRowError, WindowOutOfRangeError
 from .flow_model import CsvTable, FlowRecord, Label, Protocol, csv_text, parse_class_label
 from .kvconfig import Key, comma_list
 from .rng import SplitMix64
@@ -51,6 +51,7 @@ _ACK_PUSH = frozenset({"ACK", "PUSH"})
 # (start offset span, packets, duration, bytes per packet, flags)
 _REGISTRATION = (10.0, (2, 6), (0.2, 2.0), (40, 120), _SYN)
 _COORDINATION = (20.0, (10, 40), (3.0, 8.0), (80, 300), _ACK)
+_TRUTH_HEADER = ("host", "label", "recruitment_window")
 
 
 @dataclass(frozen=True)
@@ -348,7 +349,7 @@ def truth_to_csv(truth: GroundTruth) -> str:
         (host, truth.labels[host].value, truth.recruitment_window.get(host, ""))
         for host in sorted(truth.labels)
     )
-    return csv_text(("host", "label", "recruitment_window"), rows)
+    return csv_text(_TRUTH_HEADER, rows)
 
 
 def parse_truth_csv(text: str | Iterable[str]) -> GroundTruth:
@@ -357,11 +358,7 @@ def parse_truth_csv(text: str | Iterable[str]) -> GroundTruth:
     ``n_windows`` is the latest recruitment window in the file + 1.
     """
     table = CsvTable(text)
-    header = table.header
-    if header[:3] != ["host", "label", "recruitment_window"]:
-        raise MissingColumnError(
-            f"ground truth header must be host,label,recruitment_window, got {header}"
-        )
+    table.require_columns(_TRUTH_HEADER, "ground truth")
     labels: dict[str, Label] = {}
     recruit: dict[str, int] = {}
     max_window = -1

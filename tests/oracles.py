@@ -154,7 +154,7 @@ def roc_auc_threshold_sweep(scores, labels, positive=True) -> float:
 
     Sweeping distinct thresholds descending and integrating with
     trapezoids gives tied scores exactly half credit, so this matches the
-    midrank formulation without sharing any code with it.
+    pair-count formulation without sharing any code with it.
     """
     n_pos = sum(1 for label in labels if label == positive)
     n_neg = len(labels) - n_pos

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import re
@@ -429,6 +430,67 @@ def test_classify_conflicting_flags_exit_1(tmp_path, capsys):
         "--model", str(feats), "--out", str(tmp_path / "o.csv"),
     ]) == 1
     assert "mutually exclusive" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("features", "--window"),
+    ("features", "--snn-k"),
+    ("features", "--knn-k"),
+    ("graph", "--snn-k"),
+    ("graph", "--knn-k"),
+    ("cluster", "--knn-k"),
+    ("classify", "--window"),
+    ("classify", "--snn-k"),
+])
+def test_subcommand_rejects_a_flag_it_does_not_read(tmp_path, capsys, command, flag):
+    inputs = ["--features", "f.csv"] if command == "classify" else ["--flows", "flows.csv"]
+    out = tmp_path / "out.csv"
+    assert dispatch([command, *inputs, flag, "3", "--out", str(out)]) == 1
+    assert f"unrecognized arguments: {flag} 3" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, overrides", [
+    (["graph", "--flows", "f.csv", "--window", "30"], {"window_length": 30.0}),
+    (["cluster", "--flows", "f.csv", "--window", "30", "--snn-k", "3"],
+     {"window_length": 30.0, "k_shared": 3}),
+    (["classify", "--features", "f.csv", "--knn-k", "3"], {"knn_k": 3}),
+    (["run", "--flows", "f.csv", "--labeled", "l.csv", "--window", "30", "--snn-k", "3",
+      "--knn-k", "7"], {"window_length": 30.0, "k_shared": 3, "knn_k": 7}),
+])
+def test_subcommand_flags_override_the_pipeline_config(monkeypatch, argv, overrides):
+    monkeypatch.delenv(CONFIG_ENV_VAR, raising=False)
+    args = build_parser().parse_args([*argv, "--out", "o"])
+    config = cli._load_pipeline_config(args)
+    assert config == dataclasses.replace(PipelineConfig(), **overrides)
+
+
+def test_classify_model_rejects_knn_k(tmp_path, capsys):
+    out = tmp_path / "o.csv"
+    assert dispatch([
+        "classify", "--features", str(tmp_path / "f.csv"), "--model", str(tmp_path / "m.txt"),
+        "--knn-k", "3", "--out", str(out),
+    ]) == 1
+    assert "--knn-k does not apply to --model" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_internal_prefixes_matching_no_host_exit_1(tmp_path, scenario_file, capsys):
+    flows, truth = simulate(tmp_path, scenario_file, seed=5)
+    labeled = tmp_path / "labeled.csv"
+    assert dispatch([
+        "features", "--flows", str(flows), "--truth", str(truth), "--out", str(labeled)
+    ]) == 0
+    cfg = tmp_path / "prefix.cfg"
+    cfg.write_text("state.internal_prefixes=10.\n")
+    for argv, where in (
+        (["cluster", "--flows", str(flows)], "cluster: error: "),
+        (["run", "--flows", str(flows), "--labeled", str(labeled)], "step 3 (graph_features): "),
+    ):
+        out = tmp_path / "out.json"
+        assert dispatch([*argv, "--config", str(cfg), "--out", str(out)]) == 1
+        assert f"{where}state.internal_prefixes 10. match no host" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_missing_input_file_exits_1(tmp_path, capsys):

@@ -42,7 +42,8 @@ from minedetect.flow_model import (
     parse_feature_csv,
     parse_flow_csv,
 )
-from minedetect.synthgen import ScenarioConfig, generate
+from minedetect.knn_classify import parse_predictions_csv
+from minedetect.synthgen import ScenarioConfig, generate, parse_truth_csv
 
 HEADER = ",".join(flow_model.FLOW_FIELDS)
 
@@ -779,6 +780,26 @@ def test_feature_csv_rejects_wrong_order():
     header = "host," + ",".join(reversed(FEATURE_ORDER)) + ",class\n"
     with pytest.raises(MissingColumnError):
         parse_feature_csv(header)
+
+
+@pytest.mark.parametrize("parse, text", [
+    (parse_feature_csv, "host," + ",".join(FEATURE_ORDER) + f",class,note\na,{FEATURES},Miner,x\n"),
+    (parse_feature_csv, ",".join(FEATURE_ORDER) + f",class,note\n{FEATURES},Miner,x\n"),
+    (parse_truth_csv, "host,label,recruitment_window,note\na,Miner,0,x\n"),
+    (parse_predictions_csv, "host,label,score,note\na,Miner,0.5,x\n"),
+], ids=["features", "features-without-host", "truth", "predictions"])
+def test_tables_ignore_columns_after_the_expected_ones(parse, text):
+    assert parse(text) == parse(text.replace(",note", "").replace(",x", ""))
+
+
+@pytest.mark.parametrize("parse, table", [
+    (parse_feature_csv, "feature CSV"),
+    (parse_truth_csv, "ground truth"),
+    (parse_predictions_csv, "prediction CSV"),
+])
+def test_table_header_error_names_the_table(parse, table):
+    with pytest.raises(MissingColumnError, match=f"^{table} header must start with host,"):
+        parse("host,label\n")
 
 
 def test_feature_csv_skips_whitespace_only_lines():

@@ -253,6 +253,13 @@ def test_weighted_average_of_reported_supports():
     assert avg.tp_rate == pytest.approx(0.9955, abs=5e-4)
 
 
+def test_weighted_average_keeps_an_area_unset_in_one_class():
+    avg = weighted_average([(flat(0.2, roc_area=None), 3), (flat(0.6), 1)])
+    assert avg.roc_area is None
+    assert avg.prc_area == pytest.approx(0.3)
+    assert avg.mcc == pytest.approx(0.3)
+
+
 def test_weighted_average_zero_support():
     with pytest.raises(ZeroSupportError):
         weighted_average([(flat(0.5), 0), (flat(0.6), 0)])

@@ -1,17 +1,21 @@
 import dataclasses
 import hashlib
 import json
+import random
 
 import pytest
+from oracles import prc_auc_all_thresholds, roc_auc_pair_counting
 
 from minedetect import comm_graph, flow_model
 from minedetect.comm_graph import MiningFingerprint, StateParams, window_snapshots
 from minedetect.errors import InvalidConfigError
 from minedetect.flow_model import Label, aggregate_host_features, fit_normalizer, hosts_in, normalize
-from minedetect.knn_classify import KnnClassifier
+from minedetect.knn_classify import KnnClassifier, Prediction
+from minedetect.metrics import METRIC_COLUMNS
 from minedetect.pipeline import (
     PipelineConfig,
     PipelineStepError,
+    _detector_metrics,
     lifecycle_states,
     report_clusters_csv,
     report_metrics_csv,
@@ -173,6 +177,19 @@ def test_run_tags_step_errors():
     with pytest.raises(PipelineStepError) as exc:
         run([make_flow()], [make_vector(host="a", label=Label.UNLABELED)], PipelineConfig())
     assert exc.value.step == 7
+
+
+def test_internal_prefixes_matching_no_host_fail_step_3():
+    labeled, eval_flows, _ = scenario_inputs()
+    config = PipelineConfig(state=StateParams(internal_prefixes=("10.", "192.168.")))
+    with pytest.raises(InvalidConfigError, match="internal_prefixes 10.,192.168. match no host"):
+        lifecycle_states(eval_flows, config)
+    with pytest.raises(PipelineStepError) as exc:
+        run(eval_flows, labeled, config)
+    assert exc.value.step == 3
+    # one prefix that matches some host is enough
+    config = PipelineConfig(state=StateParams(internal_prefixes=("10.", "host")))
+    assert lifecycle_states(eval_flows, config)[1]
 
 
 def test_run_counts_labeled_hosts_absent_from_capture_and_trains_on_them():
@@ -432,6 +449,49 @@ def test_pipeline_config_rejects_unknown_key(key):
 def test_pipeline_config_bad_value_names_its_key(key, value):
     with pytest.raises(InvalidConfigError, match=f"bad value for '{key}': "):
         PipelineConfig.from_kv({key: value})
+
+
+# ---------------------------------------------------------------------------
+# step 9 metric tables
+# ---------------------------------------------------------------------------
+
+def test_detector_metrics_match_oracles_on_tied_scores():
+    rng = random.Random(19)
+    classes = (Label.MINER, Label.NOT_MINER)
+    for _ in range(200):
+        # both classes present; scores are KNN-like vote shares, so ties abound
+        truth = {"h0": Label.MINER, "h1": Label.NOT_MINER}
+        truth.update((f"h{i}", rng.choice(classes)) for i in range(2, rng.randint(2, 40)))
+        predictions = [
+            Prediction(host, rng.choice(classes), rng.randint(0, 5) / 5) for host in truth
+        ]
+        predictions.insert(rng.randint(0, len(predictions)), Prediction("x", Label.MINER, 1.0))
+        table = _detector_metrics(truth, predictions)
+
+        scored = [p for p in predictions if p.host in truth]
+        y_true = [truth[p.host] for p in scored]
+        pairs = list(zip(y_true, (p.label for p in scored)))
+        miner, non = Label.MINER, Label.NOT_MINER
+        assert table["confusion"] == {
+            "tp": pairs.count((miner, miner)),
+            "fp": pairs.count((non, miner)),
+            "fn": pairs.count((miner, non)),
+            "tn": pairs.count((non, non)),
+        }
+        assert table["evaluated_hosts"] == len(truth)
+        scores = [p.score for p in scored]
+        supports = {}
+        for label, ranking in ((miner, scores), (non, [1.0 - s for s in scores])):
+            row = table["per_class"][label.value]
+            assert row["roc_area"] == roc_auc_pair_counting(ranking, y_true, positive=label)
+            assert row["prc_area"] == prc_auc_all_thresholds(ranking, y_true, positive=label)
+            supports[label.value] = y_true.count(label)
+            assert row["recall"] == pairs.count((label, label)) / supports[label.value]
+        for col in METRIC_COLUMNS:
+            expected = sum(
+                table["per_class"][name][col] * support for name, support in supports.items()
+            ) / len(y_true)
+            assert table["avg"][col] == pytest.approx(expected, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
