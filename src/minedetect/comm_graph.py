@@ -14,6 +14,8 @@ from __future__ import annotations
 import io
 import itertools
 import math
+import operator
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -419,42 +421,38 @@ def window_deltas(
     flows, (lo, hi)) per window, in order. Entry j - 1 compares window j - 1
     with window j and holds one HostDeltas per vertex of window j.
 
-    m_v counts the fingerprint flows starting in [hi - delta_t, hi), read
-    from every window that overlaps that interval; a flow starting exactly
-    at hi belongs to window j + 1. Each window's flows are tested against
-    the fingerprint once, and each host's mining_volume call gets only that
-    host's matching flows of the interval, so it counts every flow it reads.
-    Each window's host rows (degree split and clustering coefficient) are
-    computed once and reused as the earlier side of the next pair; a host
-    absent from window j - 1 reads (0, 0, 0.0) there, whatever it had
-    before. dc_peak is a running maximum per host, so the state kept across
-    pairs is one float per host.
+    m_v counts the fingerprint flows starting in [hi - delta_t, hi); a flow
+    starting exactly at hi belongs to window j + 1. Every flow is tested
+    against the fingerprint once, and each host's matches are kept sorted by
+    start time, so the interval is the slice two bisections cut from that
+    list: each host's mining_volume call gets only the flows it counts, and
+    a host without a fingerprint flow reads 0 without a call. Each window's
+    host rows (degree split and clustering coefficient) are computed once
+    and reused as the earlier side of the next pair; a host absent from
+    window j - 1 reads (0, 0, 0.0) there, whatever it had before. dc_peak is
+    a running maximum per host, so the state kept across pairs is one float
+    per host.
     """
     if len(snapshots) < 2:
         return []
     matches = params.fingerprint.matches
-    matching: dict[int, list[FlowRecord]] = {}  # window index -> its fingerprint flows
+    start = operator.attrgetter("start_time")
+    by_host = flows_by_host(
+        sorted((f for _, in_window, _ in snapshots for f in in_window if matches(f)), key=start)
+    )
     peak: dict[str, float] = {}  # host -> largest dc factor of its pairs so far
     rows = _host_rows(snapshots[0][0], params.is_internal)
     pairs = []
     for j in range(1, len(snapshots)):
         g_next, _, (_, hi) = snapshots[j]
         lo = hi - params.delta_t
-        first = j
-        while first > 0 and snapshots[first - 1][2][1] > lo:
-            first -= 1
-        for i in range(first, j + 1):
-            if i not in matching:
-                matching[i] = [f for f in snapshots[i][1] if matches(f)]
-        by_host = flows_by_host(
-            f for i in range(first, j + 1) for f in matching[i] if lo <= f.start_time
-        )
         rows_prev, rows = rows, _host_rows(g_next, params.is_internal)
         deltas: dict[str, HostDeltas] = {}
         for host, (ext_next, int_next, c_next) in rows.items():
             ext_prev, int_prev, c_prev = rows_prev.get(host, (0, 0, 0.0))
             dc_factor = dc_change_factor(c_prev, c_next, params.dc_cap)
             dc_peak = peak.get(host, 0.0)
+            found = by_host.get(host)
             deltas[host] = HostDeltas(
                 host=host,
                 dk_ext=ext_next - ext_prev,
@@ -462,8 +460,9 @@ def window_deltas(
                 dc_factor=dc_factor,
                 dc_peak=dc_peak,
                 m_v=mining_volume(
-                    by_host.get(host, []), host, params.delta_t, params.fingerprint, now=hi
-                ),
+                    found[bisect_left(found, lo, key=start) : bisect_left(found, hi, key=start)],
+                    host, params.delta_t, params.fingerprint, now=hi,
+                ) if found else 0,
                 window=j - 1,
             )
             peak[host] = max(dc_peak, dc_factor)

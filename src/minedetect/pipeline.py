@@ -214,8 +214,7 @@ def lifecycle_states(
     for deltas in comm_graph.window_deltas(snapshots, config.state):
         for host, d in deltas.items():
             state = snn_cluster.assign_state(d, config.state)
-            if STATE_RANK[state] > STATE_RANK[host_states.get(host, State.S0)]:
-                host_states[host] = state
+            host_states[host] = max(host_states[host], state, key=STATE_RANK.__getitem__)
     return graph, host_states
 
 

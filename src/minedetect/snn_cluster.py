@@ -167,13 +167,10 @@ def assign_state(d: HostDeltas, params: StateParams) -> State:
 
 def cluster_state(cluster: Cluster, host_states: Mapping[str, State]) -> State:
     """Most severe member state (S0 < S1 < S2 < S3)."""
-    worst = State.S0
-    for member in cluster.members:
-        if member not in host_states:
-            raise MissingHostStateError(f"no state for cluster member {member!r}")
-        if STATE_RANK[host_states[member]] > STATE_RANK[worst]:
-            worst = host_states[member]
-    return worst
+    missing = sorted(cluster.members - host_states.keys())
+    if missing:
+        raise MissingHostStateError(f"no state for cluster member {missing[0]!r}")
+    return max((host_states[m] for m in cluster.members), key=STATE_RANK.__getitem__)
 
 
 def cluster_profile(
