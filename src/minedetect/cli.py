@@ -77,7 +77,11 @@ def _load_pipeline_config(args) -> PipelineConfig:
 
 
 def _load_flows(path: str, config: PipelineConfig):
-    return flow_model.parse_flow_csv(_read_text(path), schema=config.schema())
+    """The capture at path; a capture without a flow is an input error."""
+    flows = flow_model.parse_flow_csv(_read_text(path), schema=config.schema())
+    if not flows:
+        raise MineDetectError("no flows in input")
+    return flows
 
 
 # ---------------------------------------------------------------------------
@@ -102,8 +106,6 @@ def _cmd_simulate(args) -> int:
 def _cmd_features(args) -> int:
     config = _load_pipeline_config(args)
     flows = _load_flows(args.flows, config)
-    if not flows:
-        raise MineDetectError("no flows in input")
     vectors = flow_model.host_vectors(flows)
     if args.truth:
         # the labeled universe: only hosts with ground truth, relabeled
@@ -119,8 +121,6 @@ def _cmd_features(args) -> int:
 def _cmd_graph(args) -> int:
     config = _load_pipeline_config(args)
     flows = _load_flows(args.flows, config)
-    if not flows:
-        raise MineDetectError("no flows in input")
     snapshots = comm_graph.window_snapshots(flows, config.window_length)
     write_atomic(args.out, "".join(comm_graph.graph_to_text(g) for g, _, _ in snapshots))
     print(f"graph: {len(snapshots)} windows -> {args.out}", file=sys.stderr)
@@ -130,8 +130,6 @@ def _cmd_graph(args) -> int:
 def _cmd_cluster(args) -> int:
     config = _load_pipeline_config(args)
     flows = _load_flows(args.flows, config)
-    if not flows:
-        raise MineDetectError("no flows in input")
     # pipeline steps 2, 3, 5 and 6; without a labeled set the centroids use the capture's scale
     host_norm, _ = pipeline.normalize_vectors(flow_model.host_vectors(flows), [])
     graph, host_states = pipeline.lifecycle_states(flows, config)
@@ -197,6 +195,8 @@ def _cmd_run(args) -> int:
     config = _load_pipeline_config(args)
     flows = _load_flows(args.flows, config)
     labeled = flow_model.parse_feature_csv(_read_text(args.labeled))
+    if not labeled:
+        raise MineDetectError("no labeled hosts in input")
     ground_truth = None
     if args.ground_truth:
         ground_truth = synthgen.parse_truth_csv(_read_text(args.ground_truth)).labels
@@ -344,13 +344,7 @@ def dispatch(argv) -> int:
         return exc.code if isinstance(exc.code, int) else 1
     try:
         return args.func(args)
-    except (
-        MineDetectError,
-        FileNotFoundError,
-        PermissionError,
-        ValueError,
-        json.JSONDecodeError,
-    ) as exc:
+    except (MineDetectError, OSError, ValueError) as exc:
         print(f"minedetect {args.subcommand}: error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # internal error

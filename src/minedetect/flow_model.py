@@ -575,8 +575,14 @@ def aggregate_host_features(
 
 
 def full_span(flows: Sequence[FlowRecord]) -> tuple[float, float]:
-    """The window [earliest start, latest end + 1e-6) holding every flow."""
-    return min(f.start_time for f in flows), max(f.end_time for f in flows) + 1e-6
+    """The window [earliest start, just past the latest end) holding every flow.
+
+    Its end is latest end + 1e-6, or the next float above the latest end
+    where adding 1e-6 rounds back to it (times beyond about 2**34 s, such
+    as epoch milliseconds).
+    """
+    end = max(f.end_time for f in flows)
+    return min(f.start_time for f in flows), max(end + 1e-6, math.nextafter(end, math.inf))
 
 
 def host_vectors(flows: Sequence[FlowRecord]) -> list[FeatureVector]:

@@ -250,7 +250,7 @@ class KnnClassifier:
                 f"model line {header['features'][0]}: feature order {stored_order} "
                 f"differs from {FEATURE_ORDER}"
             )
-        count = _header_int(header, "count", 0)
+        count = _header_int(header, "count", 1)
         rows = [(n, line) for n, line in enumerate(lines[4:], start=5) if line.strip()]
         if len(rows) != count:
             raise InvalidConfigError(f"expected {count} examples, found {len(rows)}")

@@ -167,9 +167,9 @@ def assign_state(d: HostDeltas, params: StateParams) -> State:
 
 def cluster_state(cluster: Cluster, host_states: Mapping[str, State]) -> State:
     """Most severe member state (S0 < S1 < S2 < S3)."""
-    missing = sorted(cluster.members - host_states.keys())
+    missing = cluster.members - host_states.keys()
     if missing:
-        raise MissingHostStateError(f"no state for cluster member {missing[0]!r}")
+        raise MissingHostStateError(f"no state for cluster member {min(missing)!r}")
     return max((host_states[m] for m in cluster.members), key=STATE_RANK.__getitem__)
 
 

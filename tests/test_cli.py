@@ -501,6 +501,50 @@ def test_missing_input_file_exits_1(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["features", "graph", "cluster", "run"])
+def test_capture_without_flows_exits_1(tmp_path, capsys, labeled_capture, command):
+    _, labeled = labeled_capture
+    empty = tmp_path / "empty.csv"
+    empty.write_text(flow_model.flows_to_csv([]))
+    out = tmp_path / "out"
+    argv = [command, "--flows", str(empty), "--out", str(out)]
+    if command == "run":
+        argv += ["--labeled", str(labeled)]
+    assert dispatch(argv) == 1
+    assert f"minedetect {command}: error: no flows in input" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_run_with_a_labeled_table_without_rows_exits_1(tmp_path, capsys, labeled_capture):
+    flows, _ = labeled_capture
+    empty = tmp_path / "labeled.csv"
+    empty.write_text(flow_model.features_to_csv([]))
+    out = tmp_path / "report.json"
+    assert dispatch(["run", "--flows", str(flows), "--labeled", str(empty), "--out", str(out)]) == 1
+    assert "minedetect run: error: no labeled hosts in input" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["features", "run"])
+def test_out_below_a_regular_file_exits_1(tmp_path, capsys, labeled_capture, command):
+    flows, labeled = labeled_capture
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    argv = [command, "--flows", str(flows), "--out", str(blocker / "x")]
+    if command == "run":
+        argv += ["--labeled", str(labeled)]
+    assert dispatch(argv) == 1
+    assert f"minedetect {command}: error: " in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["file"]
+
+
+def test_flows_path_that_is_a_directory_exits_1(tmp_path, capsys):
+    out = tmp_path / "features.csv"
+    assert dispatch(["features", "--flows", str(tmp_path), "--out", str(out)]) == 1
+    assert "minedetect features: error: " in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_bad_state_config_exits_1_before_reading_flows(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("state.delta_t=0\n")
@@ -854,6 +898,25 @@ def test_bad_model_file_exits_1_with_line_number(
         "classify", "--model", str(model), "--features", str(labeled), "--out", str(out),
     ]) == 1
     assert f"model line {line}: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_model_file_without_examples_exits_1_with_line_number(tmp_path, capsys, labeled_capture):
+    _, labeled = labeled_capture
+    model = tmp_path / "model.knn"
+    assert dispatch([
+        "classify", "--labeled", str(labeled), "--features", str(labeled),
+        "--out", str(tmp_path / "p.csv"), "--save-model", str(model),
+    ]) == 0
+    lines = model.read_text().splitlines()
+    assert lines[3].startswith("count=")
+    model.write_text("\n".join(lines[:3] + ["count=0"]) + "\n")
+    capsys.readouterr()
+    out = tmp_path / "out.csv"
+    assert dispatch([
+        "classify", "--model", str(model), "--features", str(labeled), "--out", str(out),
+    ]) == 1
+    assert "model line 4: count must be >= 1" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -568,6 +568,21 @@ def test_window_deltas_mining_volume_matches_scan_of_all_window_flows():
     assert counted > 0 and truth.miners
 
 
+@pytest.mark.parametrize("delta_t", [60.0, 150.0])
+def test_window_deltas_do_not_depend_on_flow_order(delta_t):
+    flows, _ = generate(ScenarioConfig(seed=9, n_hosts=30, ring_degree=4, n_windows=4,
+                                       recruitment_schedule=(0, 3, 2)))
+    shuffled = random.Random(31).sample(flows, len(flows))
+    assert shuffled != flows
+    params = StateParams(
+        internal_prefixes=("host",), delta_t=delta_t,
+        fingerprint=MiningFingerprint(pool_hosts=frozenset({"pool0"})),
+    )
+    expected = window_deltas(window_snapshots(flows, 60.0), params)
+    assert sum(d.m_v for deltas in expected for d in deltas.values()) > 0
+    assert window_deltas(window_snapshots(shuffled, 60.0), params) == expected
+
+
 def test_window_deltas_build_no_adjacency_sets():
     flows, _ = generate(ScenarioConfig(seed=9, n_hosts=30, ring_degree=4, n_windows=4,
                                        recruitment_schedule=(0, 3, 2)))

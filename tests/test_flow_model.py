@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import io
+import math
 import pickle
 import random
 import re
@@ -616,6 +617,20 @@ def test_flows_by_host_keeps_input_order_and_files_loopback_once():
     assert index["a"] == [flows[0], flows[3]]
     assert index["b"] == [flows[0], flows[2], flows[3]]
     assert index["c"] == [flows[1], flows[2]]
+
+
+def test_full_span_keeps_the_last_flow_at_epoch_millisecond_times():
+    # near 1.7e12 a float step is 2**-12 s, so adding 1e-6 rounds back
+    t = 1.7e12
+    flows = [
+        make_flow(src_host="a", dst_host="b", start_time=t, end_time=t + 5.0, packets=10),
+        make_flow(src_host="b", dst_host="c", start_time=t + 10.0, end_time=t + 10.0, packets=30),
+    ]
+    assert (t + 10.0) + 1e-6 == t + 10.0
+    assert full_span(flows) == (t, math.nextafter(t + 10.0, math.inf))
+    by_host = {v.host: v for v in host_vectors(flows)}
+    assert set(by_host) == {"a", "b", "c"}
+    assert by_host["b"].ppf == 20.0  # both of b's flows
 
 
 def naive_host_vectors(flows):

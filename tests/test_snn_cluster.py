@@ -298,7 +298,8 @@ def test_cluster_state_max_rule():
     single = Cluster(id="C1", members=frozenset({"z"}))
     assert cluster_state(single, {"z": State.S2}) is State.S2
 
-    with pytest.raises(MissingHostStateError):
+    # of the missing members b and c, the smallest is named, whatever the set order
+    with pytest.raises(MissingHostStateError, match="member 'b'$"):
         cluster_state(c, {"a": State.S0})
 
 
