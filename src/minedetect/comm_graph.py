@@ -339,12 +339,12 @@ def window_snapshots(
     flows: Sequence[FlowRecord],
     length: float,
 ) -> list[tuple[CommGraph, list[FlowRecord], tuple[float, float]]]:
-    """One graph per aligned window [i * length, (i + 1) * length).
+    """One graph per non-empty aligned window [i * length, (i + 1) * length).
 
-    Windows run from the one holding the earliest start time to the one
-    holding the latest, empty windows included; graph timestamps count
-    from 0. Each entry is (graph, the window's flows, (lo, hi)); a window's
-    flows keep capture order.
+    Windows come in index order; a graph's timestamp is its window's index
+    counted from the earliest start time's window, so it skips empty ones.
+    Each entry is (graph, the window's flows, (lo, hi)); a window's flows
+    keep capture order.
 
     Every flow is filed into its window in one pass. Its index i is the one
     that passes the exact test ``i * length <= start_time < (i + 1) * length``,
@@ -354,19 +354,25 @@ def window_snapshots(
     buckets: dict[int, list[FlowRecord]] = {}
     for f in flows:
         buckets.setdefault(_window_index(f.start_time, length), []).append(f)
-    i_min, i_max = min(buckets), max(buckets)
+    i_min = min(buckets)
     snapshots = []
-    for i in range(i_min, i_max + 1):
+    for i, in_window in sorted(buckets.items()):
         lo, hi = i * length, (i + 1) * length
-        in_window = buckets.get(i, [])
         g = build_graph(in_window, (lo, hi), timestamp=i - i_min)
         snapshots.append((g, in_window, (lo, hi)))
     return snapshots
 
 
 def _window_index(t: float, length: float) -> int:
-    """The i with i * length <= t < (i + 1) * length, in float arithmetic."""
-    i = math.floor(t / length)
+    """The i with i * length <= t < (i + 1) * length, in float arithmetic.
+
+    A start time 2**53 or more windows from 0 is a ValueError: from there on
+    the quotient cannot tell neighbouring indices apart.
+    """
+    q = t / length
+    if not abs(q) < 2**53:
+        raise ValueError(f"start time {t!r} is 2**53 or more windows of {length!r} s from 0")
+    i = math.floor(q)
     while i * length > t:
         i -= 1
     while (i + 1) * length <= t:
@@ -415,23 +421,23 @@ def window_deltas(
     snapshots: Sequence[tuple[CommGraph, Sequence[FlowRecord], tuple[float, float]]],
     params: StateParams,
 ) -> list[dict[str, HostDeltas]]:
-    """Per-host deltas for every pair of consecutive windows.
+    """Per-host deltas of each window graph against the window just before it.
 
     ``snapshots`` is the output of window_snapshots: (graph, the window's
-    flows, (lo, hi)) per window, in order. Entry j - 1 compares window j - 1
-    with window j and holds one HostDeltas per vertex of window j.
+    flows, (lo, hi)) per non-empty window, in order. Entry j - 1 holds one
+    HostDeltas per vertex of snapshot j against window ``window`` =
+    timestamp - 1: snapshot j - 1, or an empty window when the two are not
+    adjacent. A host absent from that window reads (0, 0, 0.0) there.
 
     m_v counts the fingerprint flows starting in [hi - delta_t, hi); a flow
-    starting exactly at hi belongs to window j + 1. Every flow is tested
+    starting exactly at hi belongs to the next window. Every flow is tested
     against the fingerprint once, and each host's matches are kept sorted by
     start time, so the interval is the slice two bisections cut from that
     list: each host's mining_volume call gets only the flows it counts, and
     a host without a fingerprint flow reads 0 without a call. Each window's
     host rows (degree split and clustering coefficient) are computed once
-    and reused as the earlier side of the next pair; a host absent from
-    window j - 1 reads (0, 0, 0.0) there, whatever it had before. dc_peak is
-    a running maximum per host, so the state kept across pairs is one float
-    per host.
+    and reused as the earlier side of the next pair. dc_peak is a running
+    maximum per host, so the state kept across pairs is one float per host.
     """
     if len(snapshots) < 2:
         return []
@@ -443,10 +449,11 @@ def window_deltas(
     peak: dict[str, float] = {}  # host -> largest dc factor of its pairs so far
     rows = _host_rows(snapshots[0][0], params.is_internal)
     pairs = []
-    for j in range(1, len(snapshots)):
-        g_next, _, (_, hi) = snapshots[j]
+    for (g_prev, _, _), (g_next, _, (_, hi)) in zip(snapshots, snapshots[1:]):
         lo = hi - params.delta_t
-        rows_prev, rows = rows, _host_rows(g_next, params.is_internal)
+        # after an empty window every host starts from (0, 0, 0.0)
+        rows_prev = rows if g_prev.timestamp == g_next.timestamp - 1 else {}
+        rows = _host_rows(g_next, params.is_internal)
         deltas: dict[str, HostDeltas] = {}
         for host, (ext_next, int_next, c_next) in rows.items():
             ext_prev, int_prev, c_prev = rows_prev.get(host, (0, 0, 0.0))
@@ -463,7 +470,7 @@ def window_deltas(
                     found[bisect_left(found, lo, key=start) : bisect_left(found, hi, key=start)],
                     host, params.delta_t, params.fingerprint, now=hi,
                 ) if found else 0,
-                window=j - 1,
+                window=g_next.timestamp - 1,
             )
             peak[host] = max(dc_peak, dc_factor)
         pairs.append(deltas)

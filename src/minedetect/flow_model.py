@@ -38,6 +38,9 @@ from .errors import (
 
 FLAG_NAMES = ("SYN", "ACK", "PUSH", "RST", "FIN")
 _FLAG_SET = frozenset(FLAG_NAMES)
+#: Largest packet or byte count of a flow: flow exports keep them in signed
+#: 64-bit counters, and the bound keeps every per-host ratio a finite float.
+_COUNT_MAX = 2**63 - 1
 
 #: Feature column order used everywhere (CSV files, centroids, KNN distance).
 FEATURE_ORDER = (
@@ -150,10 +153,10 @@ class FlowRecord:
             )
         if end_time < start_time:
             raise ValueError(f"end_time {end_time} before start_time {start_time}")
-        if packets < 1:
-            raise ValueError("packets must be >= 1")
-        if bytes < 0:
-            raise ValueError("bytes must be >= 0")
+        if not 1 <= packets <= _COUNT_MAX:
+            raise ValueError("packets must be >= 1" if packets < 1 else "packets must be < 2**63")
+        if not 0 <= bytes <= _COUNT_MAX:
+            raise ValueError("bytes must be >= 0" if bytes < 0 else "bytes must be < 2**63")
         if not _FLAG_SET.issuperset(flags):
             raise ValueError(f"unknown TCP flags {sorted(set(flags) - _FLAG_SET)}")
         if protocol is Protocol.UDP and flags:

@@ -197,8 +197,10 @@ def lifecycle_states(
     """Step 3: the full-span graph and each vertex's highest-ranked state over all window pairs.
 
     The full-span graph is merged from the window graphs, so every flow is
-    read once, when it is filed into its window. Internal prefixes that
-    match no host raise InvalidConfigError.
+    read once, when it is filed into its window. Only windows that hold a
+    flow get a graph and host rows, so the cost follows the flows, not the
+    capture's time span. Internal prefixes that match no host raise
+    InvalidConfigError.
     """
     if not flows:
         return CommGraph(frozenset(), {}), {}

@@ -34,6 +34,43 @@ def random_comm_graph(rng: random.Random, n: int, p: float, timestamp: int = 0) 
     return CommGraph(frozenset(vertices), weights, timestamp)
 
 
+def gapped_capture(seed: int, length: float = 60.0, delta_t: float = 60.0) -> list[FlowRecord]:
+    """A small capture whose busy windows are cut apart by runs of empty ones.
+
+    Three to six busy windows, the first at index 4-7, each followed by a
+    run of 0-4 empty windows (one run before the last busy window has at
+    least one), then one flow starting 20-60 windows after the last busy one. Each busy window
+    [lo, hi) holds a flow starting exactly at lo, a fingerprint flow
+    starting exactly at hi - delta_t (which may lie in an earlier, possibly
+    otherwise empty window) and 3-8 random links among h0-h5, x1 and pool0,
+    a third of them fingerprint flows (TCP to port 3333 with ACK and PUSH,
+    45 s long). Flows come back in shuffled order.
+    """
+    rng = random.Random(seed)
+    hosts = ["h0", "h1", "h2", "h3", "h4", "h5", "x1", "pool0"]
+
+    def flow(start, mining=None):
+        src, dst = rng.sample(hosts, 2)
+        if mining is None:
+            mining = rng.random() < 1 / 3
+        return FlowRecord(
+            src, dst, 40000, 3333 if mining else 443, Protocol.TCP, start, start + 45.0,
+            10, 1000, frozenset({"ACK", "PUSH"} if mining else {"SYN", "ACK"}), True,
+        )
+
+    gaps = [rng.randint(0, 4) for _ in range(rng.randint(3, 6))]
+    gaps[rng.randrange(len(gaps) - 1)] = rng.randint(1, 4)
+    flows, w = [], rng.randint(4, 7)
+    for gap in gaps:
+        lo, hi = w * length, (w + 1) * length
+        flows += [flow(lo), flow(hi - delta_t, mining=True)]
+        flows += [flow(rng.uniform(lo, hi)) for _ in range(rng.randint(3, 8))]
+        w += 1 + gap
+    flows.append(flow((w + rng.randint(20, 60) + rng.random()) * length))
+    rng.shuffle(flows)
+    return flows
+
+
 def adjacency_sets(g: CommGraph) -> dict[str, set[str]]:
     adj: dict[str, set[str]] = {v: set() for v in g.vertices}
     for a, b in g.edge_weight:

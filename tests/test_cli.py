@@ -12,6 +12,8 @@ from minedetect.errors import InvalidConfigError
 from minedetect.knn_classify import KnnClassifier
 from minedetect.pipeline import PipelineConfig
 
+from test_flow_model import make_flow
+
 SCENARIO = """\
 # desk-scale scenario
 scenario.seed=11
@@ -184,6 +186,25 @@ def test_graph_and_cluster_subcommands(tmp_path, scenario_file):
         "cluster", "--flows", str(flows), "--format", "json", "--out", str(clusters_json)
     ]) == 0
     assert isinstance(json.loads(clusters_json.read_text()), list)
+
+
+def test_graph_writes_one_section_per_window_with_flows(tmp_path, capsys):
+    def link(a, b, t):
+        return make_flow(src_host=a, dst_host=b, start_time=t, end_time=t + 1.0)
+
+    # 60 s windows 0, 1, 10 and 1,000,000; none between them holds a flow
+    flows = tmp_path / "gapped.csv"
+    flows.write_text(flow_model.flows_to_csv([
+        link("h1", "h2", 5.0), link("h2", "h3", 70.0), link("h1", "h3", 610.0),
+        link("h4", "h4", 6e7 + 5.0),
+    ]))
+    out = tmp_path / "graphs.txt"
+    assert dispatch(["graph", "--flows", str(flows), "--out", str(out)]) == 0
+    assert out.read_text() == (
+        "# timestamp=0\nh1,h2,1\n# timestamp=1\nh2,h3,1\n"
+        "# timestamp=10\nh1,h3,1\n# timestamp=1000000\nh4\n"
+    )
+    assert f"graph: 4 windows -> {out}" in capsys.readouterr().err
 
 
 def test_cluster_runs_only_the_clustering_stages(tmp_path, scenario_file, monkeypatch):
@@ -512,6 +533,34 @@ def test_capture_without_flows_exits_1(tmp_path, capsys, labeled_capture, comman
         argv += ["--labeled", str(labeled)]
     assert dispatch(argv) == 1
     assert f"minedetect {command}: error: no flows in input" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["graph", "cluster", "run"])
+def test_start_2_53_windows_from_0_exits_1(tmp_path, capsys, labeled_capture, command):
+    _, labeled = labeled_capture
+    flows = tmp_path / "far.csv"
+    flows.write_text(flow_model.flows_to_csv([make_flow(start_time=1e300, end_time=1e300)]))
+    out = tmp_path / "out"
+    argv = [command, "--flows", str(flows), "--window", "1e-10", "--out", str(out)]
+    if command == "run":
+        argv += ["--labeled", str(labeled)]
+    assert dispatch(argv) == 1
+    where = "step 3 (graph_features): " if command == "run" else ""
+    assert (
+        f"minedetect {command}: error: {where}start time 1e+300 is 2**53 or more windows"
+        " of 1e-10 s from 0"
+    ) in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_features_rejects_a_byte_count_above_int64_with_its_line(tmp_path, capsys):
+    flows = tmp_path / "flows.csv"
+    text = flow_model.flows_to_csv([make_flow(), make_flow(bytes=1234567)])
+    flows.write_text(text.replace(",1234567,", f",{'9' * 400},"))
+    out = tmp_path / "features.csv"
+    assert dispatch(["features", "--flows", str(flows), "--out", str(out)]) == 1
+    assert "minedetect features: error: line 3: bytes must be < 2**63" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -27,6 +27,7 @@ from oracles import (
     adjacency_sets,
     clustering_fraction,
     fingerprint_match_brute,
+    gapped_capture,
     random_comm_graph,
     triangles_brute,
     window_deltas_naive,
@@ -107,18 +108,22 @@ def test_window_snapshots_match_naive_filter(seed):
         for t in starts
     ]
     snapshots = window_snapshots(flows, length)
-    expected = naive_windows(flows, length)
+    # only a window that holds a flow gets a snapshot; its timestamp stays its index
+    expected = [
+        (timestamp, naive_flows, naive_span)
+        for timestamp, (naive_flows, naive_span) in enumerate(naive_windows(flows, length))
+        if naive_flows
+    ]
     assert len(snapshots) == len(expected)
-    for timestamp, (snapshot, (naive_flows, naive_span)) in enumerate(zip(snapshots, expected)):
-        g, in_window, span = snapshot
+    for (g, in_window, span), (timestamp, naive_flows, naive_span) in zip(snapshots, expected):
         assert span == naive_span
         assert in_window == naive_flows
         assert g.timestamp == timestamp
         assert g.vertices == {h for f in naive_flows for h in (f.src_host, f.dst_host)}
         assert g.edge_weight == build_graph(naive_flows, naive_span).edge_weight
     assert snapshots[0][2][0] == 4 * length
-    empty = [g for g, in_window, _ in snapshots if not in_window]
-    assert empty and all(not g.vertices for g in empty)
+    # window 6 is empty: the timestamps jump from 1 to 3
+    assert [g.timestamp for g, _, _ in snapshots][1:3] == [1, 3]
     assert sum(len(in_window) for _, in_window, _ in snapshots) == len(flows)
 
 
@@ -138,6 +143,23 @@ def test_window_snapshots_keep_flows_whose_index_division_rounds(starts):
     for g, in_window, (lo, hi) in snapshots:
         assert all(lo <= f.start_time < hi for f in in_window)
         assert g.edge_weight == {edge_key("h1", "h2"): 1}
+
+
+@pytest.mark.parametrize(
+    "start, length",
+    [(1.7e12, 1e-12), (1.7e12, 1e-9), (1e300, 1e-10), (-1e300, 1e-10), (2.0**53, 1.0)],
+)
+def test_window_snapshots_reject_a_start_2_53_windows_from_0(start, length):
+    flows = [make_flow(start_time=0.0, end_time=1.0), make_flow(start_time=start, end_time=start)]
+    with pytest.raises(ValueError) as exc:
+        window_snapshots(flows, length)
+    assert str(exc.value) == f"start time {start!r} is 2**53 or more windows of {length!r} s from 0"
+
+
+def test_window_snapshots_keep_a_start_just_below_2_53_windows():
+    start = 2.0**53 - 1
+    [(g, _, (lo, hi))] = window_snapshots([make_flow(start_time=start, end_time=start)], 1.0)
+    assert (lo, hi) == (start, start + 1) and g.timestamp == 0
 
 
 @pytest.mark.parametrize(
@@ -647,6 +669,34 @@ def returning_host_capture():
     return flows
 
 
+def delta_rows(pairs):
+    """window_deltas' pairs as (dk_ext, dk_int, dc_factor, dc_peak, m_v, window) rows."""
+    return [
+        {h: (d.dk_ext, d.dk_int, d.dc_factor, d.dc_peak, d.m_v, d.window)
+         for h, d in deltas.items()}
+        for deltas in pairs
+    ]
+
+
+def naive_delta_rows(flows, length, params):
+    """The oracle's rows over every aligned window, minus the pairs whose later window is empty.
+
+    Those pairs must be exactly the oracle's empty ones.
+    """
+    windows = naive_windows(flows, length)
+    naive = window_deltas_naive(
+        flows, [span for _, span in windows], params.internal_prefixes, params.delta_t,
+        params.dc_cap, params.fingerprint,
+    )
+    assert [not pair for pair in naive] == [not in_window for in_window, _ in windows[1:]]
+    # the oracle keeps each host's whole history; dc_peak is its maximum
+    return [
+        {h: (*row[:3], max(row[3], default=0.0), *row[4:]) for h, row in pair.items()}
+        for pair in naive
+        if pair
+    ]
+
+
 @pytest.mark.parametrize("delta_t", [60.0, 90.0, 120.0, 150.0])
 @pytest.mark.parametrize("capture", ["edge_cases", "synthgen", "returning_host"])
 def test_window_deltas_match_naive_pairwise_recomputation(capture, delta_t):
@@ -662,23 +712,13 @@ def test_window_deltas_match_naive_pairwise_recomputation(capture, delta_t):
         prefixes, fp = ("host",), MiningFingerprint(pool_hosts=frozenset({"pool0"}))
     params = StateParams(internal_prefixes=prefixes, delta_t=delta_t, fingerprint=fp)
     snapshots = window_snapshots(flows, 60.0)
-    naive = window_deltas_naive(
-        flows, [bounds for _, _, bounds in snapshots], prefixes, delta_t, params.dc_cap, fp
-    )
-    # the oracle keeps each host's whole history; dc_peak is its maximum
-    expected = [
-        {h: (*row[:3], max(row[3], default=0.0), *row[4:]) for h, row in pair.items()}
-        for pair in naive
-    ]
-    actual = [
-        {h: (d.dk_ext, d.dk_int, d.dc_factor, d.dc_peak, d.m_v, d.window)
-         for h, d in deltas.items()}
-        for deltas in window_deltas(snapshots, params)
-    ]
-    assert actual == expected
+    actual = delta_rows(window_deltas(snapshots, params))
+    assert actual == naive_delta_rows(flows, 60.0, params)
     assert len(actual) == len(snapshots) - 1
     if capture == "edge_cases":
-        assert [len(in_window) for _, in_window, _ in snapshots][3] == 0
+        # window 3 is empty: it gets no snapshot, and the pair ending there no entry
+        assert [g.timestamp for g, _, _ in snapshots] == [0, 1, 2, 4]
+        assert {row[5] for row in actual[-1].values()} == {3}
         # h1 returns in window 2: factor from 0 is the cap, despite window 0
         assert actual[1]["h1"][2] == params.dc_cap
         assert sum(row[4] for pair in actual for row in pair.values()) > 0
@@ -689,6 +729,20 @@ def test_window_deltas_match_naive_pairwise_recomputation(capture, delta_t):
         before = [pair["h3"][2] for pair in actual[:4]]
         assert actual[14]["h3"][3] == max(before) > 1.0
         assert sum(pair["h3"][4] for pair in actual[14:]) > 0
+
+
+@pytest.mark.parametrize("delta_t", [60.0, 150.0, 200.0])
+@pytest.mark.parametrize("seed", range(10))
+def test_window_deltas_on_gapped_captures_match_the_oracle_over_every_window(seed, delta_t):
+    flows = gapped_capture(seed, 60.0, delta_t)
+    params = StateParams(internal_prefixes=("h",) if seed % 2 else (), delta_t=delta_t)
+    snapshots = window_snapshots(flows, 60.0)
+    timestamps = [g.timestamp for g, _, _ in snapshots]
+    # the far start comes 20 or more empty windows after the rest
+    assert timestamps[-1] - timestamps[-2] > 20
+    actual = delta_rows(window_deltas(snapshots, params))
+    assert actual == naive_delta_rows(flows, 60.0, params)
+    assert sum(row[4] for pair in actual for row in pair.values()) > 0
 
 
 def test_state_params_validation():

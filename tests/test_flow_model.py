@@ -128,6 +128,8 @@ def test_flow_is_a_slotted_frozen_value():
         ({"end_time": -1.0}, "end_time -1.0 before start_time 0.0"),
         ({"packets": 0}, "packets must be >= 1"),
         ({"bytes": -1}, "bytes must be >= 0"),
+        ({"packets": 2**63}, "packets must be < 2**63"),
+        ({"bytes": 10**400}, "bytes must be < 2**63"),
         ({"flags": frozenset({"ACK", "XMAS"})}, "unknown TCP flags ['XMAS']"),
         ({"protocol": Protocol.UDP}, "UDP flow cannot carry TCP flags"),
         # several bad arguments: the checks run in a fixed order, the first failing one reports
@@ -137,7 +139,7 @@ def test_flow_is_a_slotted_frozen_value():
     ],
     ids=[
         "src-port", "dst-port", "nan-start", "inf-end", "end-before-start", "packets",
-        "bytes", "unknown-flag", "udp-flags", "first-of-three", "packets-before-bytes",
+        "bytes", "packets-above-int64", "bytes-above-int64", "unknown-flag", "udp-flags", "first-of-three", "packets-before-bytes",
         "flag-before-udp",
     ],
 )
@@ -390,8 +392,8 @@ def awkward_flows(hosts):
                     protocol=Protocol.UDP if udp else Protocol.TCP,
                     start_time=start,
                     end_time=end,
-                    packets=1 if j % 2 else 2**63 + j,
-                    bytes=0 if i % 2 else 10**30 + i,
+                    packets=1 if j % 2 else 2**63 - 1 - j,
+                    bytes=0 if i % 2 else 2**63 - 1 - i,
                     flags=frozenset() if udp or j == 1 else frozenset(flow_model.FLAG_NAMES[: j % 6]),
                     is_request=bool((i + j) % 2),
                 )

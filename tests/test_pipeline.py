@@ -319,6 +319,27 @@ def test_step3_reads_each_flow_once(monkeypatch):
     assert sum(rows) == len(eval_flows)
 
 
+def test_step3_builds_graphs_only_for_windows_with_flows(monkeypatch):
+    # 60 s windows 0 and 1,000,000: the 999,999 windows between hold no flow
+    flows = [
+        make_flow(src_host="h1", dst_host="h2", start_time=0.0, end_time=1.0),
+        make_flow(src_host="h1", dst_host="h3", start_time=1.0, end_time=2.0),
+        make_flow(src_host="h2", dst_host="h3", start_time=6e7, end_time=6e7 + 1.0),
+    ]
+    timestamps = []
+    build_graph = comm_graph.build_graph
+
+    def counting_build_graph(*args, **kwargs):
+        g = build_graph(*args, **kwargs)
+        timestamps.append(g.timestamp)
+        return g
+
+    monkeypatch.setattr(comm_graph, "build_graph", counting_build_graph)
+    graph, host_states = lifecycle_states(flows, PipelineConfig())
+    assert timestamps == [0, 1_000_000]
+    assert len(graph.edge_weight) == 3 and set(host_states) == {"h1", "h2", "h3"}
+
+
 def fingerprint_flow(src, dst, start):
     return make_flow(src_host=src, dst_host=dst, dst_port=3333, start_time=start,
                      end_time=start + 45.0, flags=frozenset({"ACK", "PUSH"}))
