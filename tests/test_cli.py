@@ -280,6 +280,10 @@ GOLDEN_SHA256 = {
     "classify --labeled": "14eba17768bfeb9ab7a1ec9339b82ef6f5f668575dfac595393d9cb30d081ec4",
     "classify --save-model": "20167e4dcc351b72c717a3b81632483f14b3871615886cee3ac2cd1e59372c8e",
     "evaluate": "ea3724bc9f35e283bbfaacf42921e09e52e5df19e966c71a7373c5238c3f5e6e",
+    "simulate --seed 7": "72f0baa42ebc8c9c5f646af6b6f76d872b602264fe26c26705c3bec50c9406a6",
+    "simulate --seed 7 truth": "c827cf92901a8da52f63808d1b7cda4cc98533ec181b725374caf2ab22aa2982",
+    "simulate --seed 11": "13055502899d11fef70b174530084071ebd984beecbff4be202e1a73b94624b6",
+    "simulate --seed 11 truth": "33ac240f0d2f516806e94d09c4d7b1fff01ac88370dcc21702be1218f300567e",
 }
 
 
@@ -319,6 +323,10 @@ def test_outputs_match_golden_digests(tmp_path, scenario_file):
         "classify --labeled": out["pred.csv"].read_text(),
         "classify --save-model": out["model.knn"].read_text(),
         "evaluate": out["eval_metrics.csv"].read_text(),
+        "simulate --seed 7": (tmp_path / "train.csv").read_text(),
+        "simulate --seed 7 truth": (tmp_path / "train.truth.csv").read_text(),
+        "simulate --seed 11": (tmp_path / "eval.csv").read_text(),
+        "simulate --seed 11 truth": (tmp_path / "eval.truth.csv").read_text(),
     }
     digests = {
         name: hashlib.sha256(text.encode("utf-8")).hexdigest()
