@@ -10,6 +10,12 @@ can be re-implemented bit-for-bit in any language:
     z <- (z XOR (z >> 27)) * 0x94D049BB133111EB   mod 2^64
     output <- z XOR (z >> 31)
 
+The state is a counter: output k (k = 1, 2, ...) is mix(seed + k * gamma
+mod 2^64), where gamma is the constant added above and mix the three lines
+after it. ``SplitMix64`` evaluates a block of consecutive outputs at once as
+one uint64 array expression and serves draws from it; every output is the
+same integer the step-by-step loop gives, so the stream above is unchanged.
+
 Derived draws are defined exactly as:
 
 * ``randbelow(n)`` = ``next_u64() % n`` (modulo reduction; the tiny bias is
@@ -18,47 +24,78 @@ Derived draws are defined exactly as:
 * ``randint(a, b)`` = ``a + randbelow(b - a + 1)``.
 * ``choice(seq)`` = ``seq[randbelow(len(seq))]``.
 
+Each draw takes exactly one output; a draw that raises takes none.
 Reproducing a scenario therefore needs only the seed and the documented
 draw order of the generator code.
 """
 
 from __future__ import annotations
 
+import numpy as np
+
 _MASK = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
-_MIX1 = 0xBF58476D1CE4E5B9
-_MIX2 = 0x94D049BB133111EB
+_BLOCK = 1024  # outputs evaluated per refill
+_BLOCK_STRIDE = _BLOCK * _GAMMA
+_UNIT = float(1 << 53)
+
+# _STEPS[j] = (j + 1) * gamma mod 2^64, the counter offsets within a block
+_STEPS = np.arange(1, _BLOCK + 1, dtype=np.uint64) * np.uint64(_GAMMA)
+_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
+_MIX2 = np.uint64(0x94D049BB133111EB)
+_S27, _S30, _S31 = np.uint64(27), np.uint64(30), np.uint64(31)
 
 
 class SplitMix64:
     """SplitMix64 PRNG with the standard constants."""
 
     def __init__(self, seed: int):
-        self.state = seed & _MASK
+        # _buf holds the current block's unserved outputs in reverse order,
+        # so a draw is one list.pop(); _origin is the state before
+        # the block's first output. An empty buffer reads as a fully served
+        # block that ended at the seed.
+        self._origin = (seed - _BLOCK_STRIDE) & _MASK
+        self._buf: list[int] = []
+
+    @property
+    def state(self) -> int:
+        """The step-by-step generator's state after the draws served so far."""
+        return (self._origin + (_BLOCK - len(self._buf)) * _GAMMA) & _MASK
+
+    def _refill(self) -> list[int]:
+        self._origin = (self._origin + _BLOCK_STRIDE) & _MASK
+        # every operand is np.uint64: numpy 1.x turns uint64 mixed with a
+        # Python int or a signed integer into float64, which would round
+        # the outputs; uint64 array arithmetic wraps mod 2^64
+        z = _STEPS + np.uint64(self._origin)
+        z = (z ^ (z >> _S30)) * _MIX1
+        z = (z ^ (z >> _S27)) * _MIX2
+        self._buf = buf = (z ^ (z >> _S31))[::-1].tolist()
+        return buf
 
     def next_u64(self) -> int:
-        self.state = (self.state + _GAMMA) & _MASK
-        z = self.state
-        z = ((z ^ (z >> 30)) * _MIX1) & _MASK
-        z = ((z ^ (z >> 27)) * _MIX2) & _MASK
-        return z ^ (z >> 31)
+        buf = self._buf or self._refill()
+        return buf.pop()
 
     def randbelow(self, n: int) -> int:
         if n <= 0:
             raise ValueError("randbelow() needs n >= 1")
-        return self.next_u64() % n
+        buf = self._buf or self._refill()
+        return buf.pop() % n
 
     def randint(self, a: int, b: int) -> int:
         """Uniform integer in [a, b], both ends inclusive."""
         if b < a:
             raise ValueError("randint() needs a <= b")
-        return a + self.randbelow(b - a + 1)
+        buf = self._buf or self._refill()
+        return a + buf.pop() % (b - a + 1)
 
     def uniform(self, lo: float = 0.0, hi: float = 1.0) -> float:
-        u = (self.next_u64() >> 11) / float(1 << 53)
-        return lo + (hi - lo) * u
+        buf = self._buf or self._refill()
+        return lo + (hi - lo) * ((buf.pop() >> 11) / _UNIT)
 
     def choice(self, seq):
         if not seq:
             raise ValueError("choice() from an empty sequence")
-        return seq[self.randbelow(len(seq))]
+        buf = self._buf or self._refill()
+        return seq[buf.pop() % len(seq)]

@@ -89,7 +89,15 @@ class ScenarioConfig:
         if sum(self.recruitment_schedule) > self.n_hosts:
             raise InvalidConfigError("cannot recruit more victims than hosts")
         if len(self.pool_hosts) < 2:
-            raise InvalidConfigError("need a primary and a backup pool host")
+            raise InvalidConfigError("pool_hosts needs a primary and a backup pool host")
+        # a host cell is stripped when a capture is parsed, so a padded id
+        # would not survive the CSV round trip
+        if not all(p and p == p.strip() for p in self.pool_hosts):
+            raise InvalidConfigError(
+                f"pool_hosts ids must be non-empty without surrounding whitespace, got {self.pool_hosts!r}"
+            )
+        if len(set(self.pool_hosts)) != len(self.pool_hosts):
+            raise InvalidConfigError(f"pool_hosts ids must be distinct, got {self.pool_hosts!r}")
         if self.benign_rate < 1:
             raise InvalidConfigError("benign_rate must be >= 1")
         if not 0 < self.mining_flow_duration < math.inf:
@@ -227,9 +235,10 @@ class _Emitter:
 
     def _flow(self, src: str, dst: str, src_port: int, dst_port: int, start: float, end: float,
               packets: int, bytes_: int, flags: frozenset[str], protocol: Protocol = Protocol.TCP) -> None:
+        # positional: FlowRecord's field order (src, dst, ports, protocol,
+        # times, packets, bytes, flags, is_request)
         self.flows.append(FlowRecord(
-            src_host=src, dst_host=dst, src_port=src_port, dst_port=dst_port, protocol=protocol,
-            start_time=start, end_time=end, packets=packets, bytes=bytes_, flags=flags, is_request=True,
+            src, dst, src_port, dst_port, protocol, start, end, packets, bytes_, flags, True,
         ))
 
     def benign(self, a: str, b: str, window_start: float, window_len: float) -> None:

@@ -442,3 +442,44 @@ def features_to_csv_writer(vectors):
     for v in vectors:
         writer.writerow([v.host, *v.values(), v.label.value])
     return out.getvalue()
+
+
+_MASK = (1 << 64) - 1
+_GAMMA = 0x9E3779B97F4A7C15
+_MIX1 = 0xBF58476D1CE4E5B9
+_MIX2 = 0x94D049BB133111EB
+
+
+class splitmix64_naive:
+    """SplitMix64 one step at a time, in Python integers: the reference
+    ``minedetect.rng.SplitMix64`` must match draw for draw."""
+
+    def __init__(self, seed: int):
+        self.state = seed & _MASK
+
+    def next_u64(self) -> int:
+        self.state = (self.state + _GAMMA) & _MASK
+        z = self.state
+        z = ((z ^ (z >> 30)) * _MIX1) & _MASK
+        z = ((z ^ (z >> 27)) * _MIX2) & _MASK
+        return z ^ (z >> 31)
+
+    def randbelow(self, n: int) -> int:
+        if n <= 0:
+            raise ValueError("randbelow() needs n >= 1")
+        return self.next_u64() % n
+
+    def randint(self, a: int, b: int) -> int:
+        """Uniform integer in [a, b], both ends inclusive."""
+        if b < a:
+            raise ValueError("randint() needs a <= b")
+        return a + self.randbelow(b - a + 1)
+
+    def uniform(self, lo: float = 0.0, hi: float = 1.0) -> float:
+        u = (self.next_u64() >> 11) / float(1 << 53)
+        return lo + (hi - lo) * u
+
+    def choice(self, seq):
+        if not seq:
+            raise ValueError("choice() from an empty sequence")
+        return seq[self.randbelow(len(seq))]

@@ -86,6 +86,15 @@ def test_repeated_scenario_key_exits_1(tmp_path, capsys, extra, message):
     assert not out.exists()
 
 
+def test_simulate_rejects_duplicate_pool_hosts(tmp_path, capsys):
+    scenario = tmp_path / "dup.cfg"
+    scenario.write_text(SCENARIO.replace("pool_hosts=pool0,pool1", "pool_hosts=pool0, pool0"))
+    out = tmp_path / "flows.csv"
+    assert dispatch(["simulate", "--scenario", str(scenario), "--out", str(out)]) == 1
+    assert "pool_hosts ids must be distinct" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_write_atomic_leaves_no_temp_files(tmp_path):
     target = tmp_path / "out.txt"
     write_atomic(str(target), "payload")

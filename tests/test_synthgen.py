@@ -51,7 +51,7 @@ def test_config_rejects_bad_values():
         small_config(recruitment_schedule=(100,))  # more victims than hosts
     with pytest.raises(InvalidConfigError):
         small_config(recruitment_schedule=(1,) * 10)  # longer than n_windows
-    with pytest.raises(InvalidConfigError):
+    with pytest.raises(InvalidConfigError, match="pool_hosts"):
         small_config(pool_hosts=("only-one",))
     with pytest.raises(InvalidConfigError):
         small_config(rewire_prob=1.5)
@@ -65,6 +65,18 @@ def test_config_rejects_bad_values():
     ):
         with pytest.raises(InvalidConfigError, match=field):
             small_config(**{field: value})
+
+
+@pytest.mark.parametrize("pool_hosts", [
+    ("pool0", "pool0"),
+    ("pool0", "pool1", "pool0"),
+    ("pool0", ""),
+    (" pool0", "pool1"),
+    ("pool0", "pool1\t"),
+])
+def test_config_rejects_duplicate_empty_or_padded_pool_hosts(pool_hosts):
+    with pytest.raises(InvalidConfigError, match="pool_hosts"):
+        small_config(pool_hosts=pool_hosts)
 
 
 def test_config_kv_round_trip():
