@@ -226,7 +226,7 @@ _CSV_SECTIONS = {
     "metrics": (metrics_mod.table_to_csv, "a metric table"),
     "clusters": (snn_cluster.clusters_to_csv, "a list of cluster records"),
     "hosts": (pipeline.hosts_to_csv, "an object of host records"),
-    "suspicious": (lambda hosts: "".join(host + "\n" for host in hosts), "a list of host names"),
+    "suspicious": (pipeline.suspicious_to_csv, "a list of host names"),
 }
 
 

@@ -11,7 +11,6 @@ machine in snn_cluster.
 
 from __future__ import annotations
 
-import io
 import itertools
 import math
 import operator
@@ -22,7 +21,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 import numpy as np
 
 from .errors import UnknownVertexError
-from .flow_model import FLAG_NAMES, FlowRecord, Protocol, flows_by_host
+from .flow_model import FLAG_NAMES, FlowRecord, Protocol, csv_text, flows_by_host
 
 Edge = tuple[str, str]
 
@@ -496,14 +495,8 @@ def _host_rows(
 # ---------------------------------------------------------------------------
 
 def graph_to_text(g: CommGraph) -> str:
-    """Edge-list export: 'a,b,weight' lines plus one bare line per isolated host."""
-    out = io.StringIO()
-    out.write(f"# timestamp={g.timestamp}\n")
-    connected: set[str] = set()
-    for (a, b) in sorted(g.edge_weight):
-        out.write(f"{a},{b},{g.edge_weight[(a, b)]}\n")
-        connected.add(a)
-        connected.add(b)
-    for v in sorted(g.vertices - connected):
-        out.write(f"{v}\n")
-    return out.getvalue()
+    """Edge-list export, a CSV table: '# timestamp=N', a,b,weight per edge, one cell per isolated host."""
+    edges = sorted(g.edge_weight)
+    isolated = sorted(g.vertices.difference(itertools.chain.from_iterable(edges)))
+    rows = [*((a, b, g.edge_weight[(a, b)]) for a, b in edges), *((v,) for v in isolated)]
+    return csv_text((f"# timestamp={g.timestamp}",), rows)

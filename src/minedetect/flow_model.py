@@ -25,7 +25,7 @@ import enum
 import hashlib
 import math
 from dataclasses import dataclass, replace
-from itertools import islice
+from itertools import chain, islice
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
@@ -336,26 +336,30 @@ _CHUNK_ROWS = 1 << 10
 class _Lines(list):
     """The rows ``csv.writer`` writes, one str each: an ``io.StringIO`` may take 4 B a character."""
 
-    write = list.append
+    def write(self, row: str) -> None:
+        # the writer's "\r\n" row end makes it quote a cell holding "\r"; a row ends in "\n"
+        self.append(row[:-2] + "\n")
 
 
-def _csv_chunks(header: Sequence, rows: Iterable[Sequence]) -> Iterator[str]:
-    """The table as ``csv.writer`` writes it, "\\n" ending each row.
+def _csv_chunks(header: Sequence | None, rows: Iterable[Sequence]) -> Iterator[str]:
+    """The table as ``csv.writer`` writes it, in chunks of at most ``_CHUNK_ROWS`` rows.
 
-    The header comes first, then chunks of at most ``_CHUNK_ROWS`` rows.
+    The header row comes first; a None ``header`` writes the rows alone.
     """
     lines = _Lines()
-    writer = csv.writer(lines, lineterminator="\n")
-    writer.writerow(header)
-    rows = iter(rows)
-    while lines:
+    writer = csv.writer(lines)
+    rows = iter(rows) if header is None else chain([header], rows)
+    for block in iter(lambda: list(islice(rows, _CHUNK_ROWS)), []):
+        writer.writerows(block)
         yield "".join(lines)
         lines.clear()
-        writer.writerows(islice(rows, _CHUNK_ROWS))
 
 
-def csv_text(header: Sequence, rows: Iterable[Sequence] = ()) -> str:
-    """The whole CSV text of a table: every table the tool writes goes through here."""
+def csv_text(header: Sequence | None, rows: Iterable[Sequence] = ()) -> str:
+    """The whole CSV text of a table: every table the tool writes goes through here.
+
+    A cell holding a comma, a quote or a line break is quoted.
+    """
     return "".join(_csv_chunks(header, rows))
 
 
@@ -472,15 +476,14 @@ def _flow_csv_chunks(flows: Sequence[FlowRecord]) -> Iterator[str]:
     """
     hosts, protocols, flag_cells = _CsvCells(), _CsvCells(), _CsvCells()
     flag_text = {flags: flag_cells[format_flags(flags)] for flags in {f.flags for f in flows}}
-    yield ",".join(FLOW_FIELDS) + "\n"
-    size = _CHUNK_ROWS
-    for lo in range(0, len(flows), size):
+    yield csv_text(FLOW_FIELDS)
+    for lo in range(0, len(flows), _CHUNK_ROWS):
         # csv.writer writes a float by its repr and an int by its str
         yield "".join([
             f"{hosts[f.src_host]},{hosts[f.dst_host]},{f.src_port},{f.dst_port},"
             f"{protocols[f.protocol]},{f.start_time!r},{f.end_time!r},{f.packets},{f.bytes},"
             f"{flag_text[f.flags]},{int(f.is_request)}\n"
-            for f in flows[lo : lo + size]
+            for f in flows[lo : lo + _CHUNK_ROWS]
         ])
 
 
@@ -641,15 +644,11 @@ def normalize(v: FeatureVector, params: NormalizationParams) -> FeatureVector:
 # feature CSV
 # ---------------------------------------------------------------------------
 
-def feature_csv_header(with_host: bool = True) -> list[str]:
-    cols = list(FEATURE_ORDER) + ["class"]
-    return (["host"] + cols) if with_host else cols
+_FEATURE_HEADER = ("host", *FEATURE_ORDER, "class")
 
 
 def _feature_csv_chunks(vectors: Sequence[FeatureVector]) -> Iterator[str]:
-    return _csv_chunks(
-        feature_csv_header(), ([v.host, *v.values(), v.label.value] for v in vectors)
-    )
+    return _csv_chunks(_FEATURE_HEADER, ([v.host, *v.values(), v.label.value] for v in vectors))
 
 
 def features_to_csv(vectors: Sequence[FeatureVector]) -> str:
@@ -672,7 +671,7 @@ def parse_feature_csv(text: str | Iterable[str], normalized: bool = False) -> li
     """
     table = CsvTable(text)
     with_host = table.header[:1] == ["host"]
-    expected = feature_csv_header(with_host=with_host)
+    expected = _FEATURE_HEADER if with_host else _FEATURE_HEADER[1:]
     table.require_columns(expected, "feature CSV")
 
     vectors = []

@@ -356,3 +356,10 @@ def hosts_to_csv(hosts: Mapping[str, Mapping]) -> str:
     """The hosts table of report.json: one host,label,score,state row per host, sorted."""
     rows = ((h, hosts[h]["label"], hosts[h]["score"], hosts[h]["state"]) for h in sorted(hosts))
     return flow_model.csv_text(("host", "label", "score", "state"), rows)
+
+
+def suspicious_to_csv(hosts: list[str]) -> str:
+    """The suspicious list of report.json: one host id per row, no header."""
+    if not isinstance(hosts, list) or not all(isinstance(h, str) for h in hosts):
+        raise TypeError("the suspicious list must be a list of str")
+    return flow_model.csv_text(None, ([h] for h in hosts))
