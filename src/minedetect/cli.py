@@ -57,7 +57,8 @@ def write_atomic(path: str, text: str) -> None:
 
 
 def _read_text(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as fh:
+    # newline="" keeps each "\r" as written: a quoted cell or a model-file id may hold one
+    with open(path, "r", encoding="utf-8", newline="") as fh:
         return fh.read()
 
 
@@ -169,9 +170,11 @@ def _cmd_classify(args) -> int:
         model = KnnClassifier(k=config.knn_k).fit(labeled)
 
     predictions = model.predict_all(queries)
+    # built first, so a model the file cannot hold leaves neither output behind
+    model_text = model.to_text() if args.save_model else None
     write_atomic(args.out, knn_classify.predictions_to_csv(predictions))
-    if args.save_model:
-        write_atomic(args.save_model, model.to_text())
+    if model_text is not None:
+        write_atomic(args.save_model, model_text)
     miners = sum(1 for p in predictions if p.label is Label.MINER)
     print(f"classify: {len(predictions)} hosts, {miners} miners -> {args.out}", file=sys.stderr)
     return 0

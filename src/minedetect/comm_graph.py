@@ -22,6 +22,7 @@ import numpy as np
 
 from .errors import UnknownVertexError
 from .flow_model import FLAG_NAMES, FlowRecord, Protocol, csv_text, flows_by_host
+from .kvconfig import check_list_entries
 
 Edge = tuple[str, str]
 
@@ -123,6 +124,7 @@ class MiningFingerprint:
             raise ValueError(f"port {outside[0]} outside 0-65535")
         if not self.ports and not self.pool_hosts:
             raise ValueError("fingerprint needs a port or a pool host")
+        check_list_entries("pool_hosts", self.pool_hosts)
 
     def matches(self, flow: FlowRecord) -> bool:
         return (
@@ -166,6 +168,7 @@ class StateParams:
             raise ValueError("dc_cap must be > 1")
         if self.t_star is not None and self.t_star < 0:
             raise ValueError("t_star must be >= 0")
+        check_list_entries("internal_prefixes", self.internal_prefixes)
 
     def is_internal(self, host: str) -> bool:
         return not self.internal_prefixes or host.startswith(self.internal_prefixes)
@@ -495,7 +498,7 @@ def _host_rows(
 # ---------------------------------------------------------------------------
 
 def graph_to_text(g: CommGraph) -> str:
-    """Edge-list export, a CSV table: '# timestamp=N', a,b,weight per edge, one cell per isolated host."""
+    """Edge-list CSV: a '# timestamp=N' row, a,b,weight per edge, one cell per isolated host."""
     edges = sorted(g.edge_weight)
     isolated = sorted(g.vertices.difference(itertools.chain.from_iterable(edges)))
     rows = [*((a, b, g.edge_weight[(a, b)]) for a, b in edges), *((v,) for v in isolated)]

@@ -31,6 +31,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 from .errors import (
     AlreadyNormalizedError,
     EmptyInputError,
+    InvalidConfigError,
     MalformedRowError,
     MissingColumnError,
     NoFlowsError,
@@ -372,24 +373,39 @@ def _sha256(chunks: Iterable[str]) -> str:
     return digest.hexdigest()
 
 
+def flow_columns(schema: Mapping[str, str] | None = None) -> dict[str, str]:
+    """Each FlowRecord field -> the CSV column it reads: its ``schema`` entry, else its own name.
+
+    Two fields reading one column raise InvalidConfigError naming both: one
+    would silently copy the other (``dst_host`` read from ``src_host`` makes
+    every flow a loopback).
+    """
+    columns = {f: (schema or {}).get(f, f) for f in FLOW_FIELDS}
+    reader: dict[str, str] = {}
+    for field, column in columns.items():
+        first = reader.setdefault(column, field)
+        if first != field:
+            raise InvalidConfigError(
+                f"flow fields {first!r} and {field!r} both read column {column!r}"
+            )
+    return columns
+
+
 def parse_flow_csv(
     text: str | Iterable[str],
     schema: Mapping[str, str] | None = None,
 ) -> list[FlowRecord]:
     """Parse a flow CSV into FlowRecord values.
 
-    ``schema`` maps FlowRecord field names to CSV column names; by default
-    columns carry the field names themselves. Flags are '|'-joined names,
-    times are decimal seconds. Rows violating a flow invariant raise
-    MalformedRowError with the 1-based line number.
+    ``schema`` maps FlowRecord field names to CSV column names (see
+    flow_columns); by default columns carry the field names themselves.
+    Flags are '|'-joined names, times are decimal seconds. Rows violating a
+    flow invariant raise MalformedRowError with the 1-based line number.
 
     Equal host ids share one ``str`` and equal flags cells one ``frozenset``
     across the returned records.
     """
-    columns = dict(schema) if schema else {f: f for f in FLOW_FIELDS}
-    for field in FLOW_FIELDS:
-        columns.setdefault(field, field)
-
+    columns = flow_columns(schema)
     table = CsvTable(text)
     position = {name: i for i, name in enumerate(table.header)}
 

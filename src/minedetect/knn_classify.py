@@ -215,7 +215,11 @@ class KnnClassifier:
     # ------------------------------------------------------------------
 
     def to_text(self) -> str:
-        """Serialize the fitted model: header (k, feature order, count) + examples."""
+        """Serialize the fitted model: header (k, feature order, count) + examples.
+
+        An example is one tab-separated line, so a host id holding a tab or
+        a "\\n" raises InvalidConfigError naming the host.
+        """
         self._check_fitted()
         lines = [
             FORMAT_TAG,
@@ -224,6 +228,10 @@ class KnnClassifier:
             f"count={len(self.examples_)}",
         ]
         for v, label in self.examples_:
+            if "\t" in v.host or "\n" in v.host:
+                raise InvalidConfigError(
+                    f"a model file cannot hold host {v.host!r}: it has a tab or a newline"
+                )
             values = "\t".join(repr(x) for x in v.values())
             lines.append(f"{v.host}\t{values}\t{label.value}")
         return "\n".join(lines) + "\n"
@@ -232,10 +240,11 @@ class KnnClassifier:
     def from_text(cls, text: str) -> "KnnClassifier":
         """Load a model file; a different feature order is an error, not a remap.
 
-        Every error names the model-file line it comes from.
+        Every error names the model-file line it comes from. Lines end at
+        "\\n" only, so any other character of a host id reads back as written.
         """
-        lines = text.splitlines()
-        if not lines or lines[0].strip() != FORMAT_TAG:
+        lines = text.split("\n")
+        if lines[0].strip() != FORMAT_TAG:
             raise InvalidConfigError(f"not a {FORMAT_TAG} file")
         header: dict[str, tuple[int, str]] = {}  # key -> (line number, value)
         for line_no, line in enumerate(lines[1:4], start=2):

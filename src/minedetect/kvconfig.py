@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import fields
-from typing import Any, Callable, Mapping, NamedTuple, Sequence
+from typing import Any, Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import InvalidConfigError
 
@@ -53,6 +53,20 @@ class Key(NamedTuple):
 def comma_list(item: Callable[[str], Any] = str, into: Callable = tuple) -> Callable[[str], Any]:
     """A parser of a comma list; entries are stripped and empty ones dropped."""
     return lambda text: into(item(p.strip()) for p in text.split(",") if p.strip())
+
+
+def check_list_entries(name: str, entries: Iterable[str], error: type = ValueError) -> None:
+    """Raise ``error`` naming ``name`` unless every entry reads back from a comma list.
+
+    comma_list splits on commas, strips entries and drops empty ones, so an
+    entry must be non-empty, without surrounding whitespace and without a comma.
+    """
+    for entry in sorted(entries):
+        if not entry or entry != entry.strip() or "," in entry:
+            raise error(
+                f"{name} entries must be non-empty, without surrounding whitespace "
+                f"or a comma, got {entry!r}"
+            )
 
 
 def optional_int(text: str) -> int | None:

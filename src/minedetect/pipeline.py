@@ -67,6 +67,7 @@ class PipelineConfig:
             raise InvalidConfigError("k_shared and knn_k must be >= 1")
         if not (0.0 <= self.suspicion_floor <= 1.0):
             raise InvalidConfigError("suspicion_floor must be in [0, 1]")
+        flow_model.flow_columns(self.schema())
 
     def schema(self) -> dict[str, str] | None:
         return dict(self.flow_schema) if self.flow_schema else None

@@ -90,12 +90,7 @@ class ScenarioConfig:
             raise InvalidConfigError("cannot recruit more victims than hosts")
         if len(self.pool_hosts) < 2:
             raise InvalidConfigError("pool_hosts needs a primary and a backup pool host")
-        # a host cell is stripped when a capture is parsed, so a padded id
-        # would not survive the CSV round trip
-        if not all(p and p == p.strip() for p in self.pool_hosts):
-            raise InvalidConfigError(
-                f"pool_hosts ids must be non-empty without surrounding whitespace, got {self.pool_hosts!r}"
-            )
+        kvconfig.check_list_entries("pool_hosts", self.pool_hosts, InvalidConfigError)
         if len(set(self.pool_hosts)) != len(self.pool_hosts):
             raise InvalidConfigError(f"pool_hosts ids must be distinct, got {self.pool_hosts!r}")
         if self.benign_rate < 1:

@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import hashlib
 import json
@@ -9,10 +10,11 @@ import pytest
 from minedetect import cli, flow_model, pipeline, snn_cluster
 from minedetect.cli import CONFIG_ENV_VAR, build_parser, dispatch, read_kv_file, write_atomic
 from minedetect.errors import InvalidConfigError
+from minedetect.flow_model import Label
 from minedetect.knn_classify import KnnClassifier
 from minedetect.pipeline import PipelineConfig
 
-from test_flow_model import make_flow
+from test_flow_model import make_flow, make_vector
 
 SCENARIO = """\
 # desk-scale scenario
@@ -92,6 +94,24 @@ def test_simulate_rejects_duplicate_pool_hosts(tmp_path, capsys):
     out = tmp_path / "flows.csv"
     assert dispatch(["simulate", "--scenario", str(scenario), "--out", str(out)]) == 1
     assert "pool_hosts ids must be distinct" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("subcommand", ["features", "graph", "cluster", "classify", "run"])
+def test_schema_reading_one_column_for_two_fields_exits_1_before_input(
+    tmp_path, capsys, subcommand
+):
+    cfg = tmp_path / "schema.cfg"
+    cfg.write_text("schema.dst_host=src_host\n")
+    absent = str(tmp_path / "absent.csv")
+    inputs = {
+        "classify": ["--labeled", absent, "--features", absent],
+        "run": ["--flows", absent, "--labeled", absent],
+    }.get(subcommand, ["--flows", absent])
+    out = tmp_path / "out"
+    assert dispatch([subcommand, *inputs, "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "flow fields 'src_host' and 'dst_host' both read column 'src_host'" in err
     assert not out.exists()
 
 
@@ -358,6 +378,28 @@ def test_report_section_extraction(tmp_path, scenario_file, capsys):
     assert json.loads(out) == json.loads(report.read_text())["suspicious"]
 
 
+@pytest.mark.parametrize("hosts", [["a,b", 'say "hi"', "c\nd", "e\rf", "plain"], []])
+def test_report_suspicious_csv_reads_back_with_csv_reader(tmp_path, hosts):
+    report = tmp_path / "report.json"
+    report.write_text(json.dumps({"suspicious": hosts}))
+    out = tmp_path / "suspicious.csv"
+    argv = ["report", "--in", str(report), "--section", "suspicious", "--format", "csv"]
+    assert dispatch([*argv, "--out", str(out)]) == 0
+    with open(out, newline="", encoding="utf-8") as fh:
+        assert list(csv.reader(fh)) == [[h] for h in hosts]
+    assert out.read_text().endswith("\nplain\n" if hosts else "")
+
+
+def test_graph_export_reads_back_with_csv_reader(tmp_path):
+    flows = [make_flow(src_host="a,b", dst_host="c"), make_flow(src_host="d\ne", dst_host="d\ne")]
+    capture = tmp_path / "flows.csv"
+    capture.write_bytes(flow_model.flows_to_csv(flows).encode("utf-8"))
+    out = tmp_path / "graph.txt"
+    assert dispatch(["graph", "--flows", str(capture), "--out", str(out)]) == 0
+    with open(out, newline="", encoding="utf-8") as fh:
+        assert list(csv.reader(fh)) == [["# timestamp=0"], ["a,b", "c", "1"], ["d\ne"]]
+
+
 def test_report_metrics_json_honours_detector(tmp_path, scenario_file, capsys):
     report = run_pipeline(tmp_path, scenario_file)
     metrics = json.loads(report.read_text())["metrics"]
@@ -405,6 +447,7 @@ def test_report_of_json_that_is_no_report_exits_1(tmp_path, capsys, text, sectio
     ('{"hosts": {"a": 1}}', "hosts", "report hosts section is not an object of host records"),
     ('{"hosts": {"a": {"label": "Miner"}}}', "hosts", "host records: no 'score' field"),
     ('{"suspicious": [1]}', "suspicious", "report suspicious section is not a list of host names"),
+    ('{"suspicious": "ab"}', "suspicious", "report suspicious section is not a list of host names"),
     ('{"metrics": {"knn": 0}}', "metrics", "report metrics section is not a metric table"),
     ('{"metrics": {"knn": {}}}', "metrics", "is not a metric table: no 'per_class' field"),
     ('{"metrics": {"knn": null}}', "metrics", "report metrics section has no knn table"),
@@ -984,6 +1027,34 @@ def test_model_file_without_examples_exits_1_with_line_number(tmp_path, capsys, 
     ]) == 1
     assert "model line 4: count must be >= 1" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("host", ["h\t1", "h\n1", "h\r1", "h\x1c1", "h\u20281"], ids=ascii)
+def test_saved_model_of_any_host_id_loads_or_is_refused_up_front(tmp_path, capsys, host):
+    # every feature in [0, 1], so the table reads as raw and as normalized features
+    vectors = [
+        make_vector(host=h, bpp=0.5, ppm=0.5, ppf=0.5, ackpush_all=ackpush, label=label)
+        for h, ackpush, label in ((host, 0.9, Label.MINER), ("b", 0.1, Label.NOT_MINER))
+    ]
+    labeled = tmp_path / "labeled.csv"
+    labeled.write_bytes(flow_model.features_to_csv(vectors).encode("utf-8"))
+    pred, model = tmp_path / "p.csv", tmp_path / "model.knn"
+    argv = [
+        "classify", "--labeled", str(labeled), "--features", str(labeled),
+        "--out", str(pred), "--save-model", str(model), "--knn-k", "1",
+    ]
+    if "\t" in host or "\n" in host:
+        assert dispatch(argv) == 1
+        assert f"a model file cannot hold host {host!r}" in capsys.readouterr().err
+        assert not pred.exists() and not model.exists()
+        return
+    assert dispatch(argv) == 0
+    reloaded = tmp_path / "p2.csv"
+    assert dispatch([
+        "classify", "--model", str(model), "--features", str(labeled), "--out", str(reloaded),
+    ]) == 0
+    assert reloaded.read_bytes() == pred.read_bytes()
+    assert flow_model.parse_feature_csv(labeled.read_bytes().decode())[0].host == host
 
 
 def test_cli_reads_and_writes_no_table_itself():

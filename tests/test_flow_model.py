@@ -21,6 +21,7 @@ from minedetect.cli import read_kv_file
 from minedetect.errors import (
     AlreadyNormalizedError,
     EmptyInputError,
+    InvalidConfigError,
     MalformedRowError,
     MissingColumnError,
     NoFlowsError,
@@ -245,6 +246,17 @@ def test_parse_with_schema_mapping():
     (flow,) = parse_flow_csv(text, schema=schema)
     assert flow.protocol is Protocol.UDP
     assert flow.is_request is False
+
+
+@pytest.mark.parametrize("schema, fields, column", [
+    ({"dst_host": "src_host"}, "'src_host' and 'dst_host'", "src_host"),
+    ({"src_host": "addr", "dst_host": "addr"}, "'src_host' and 'dst_host'", "addr"),
+    ({"end_time": "start_time"}, "'start_time' and 'end_time'", "start_time"),
+])
+def test_parse_rejects_a_schema_reading_one_column_for_two_fields(schema, fields, column):
+    # one field would silently copy the other: every flow a loopback, say
+    with pytest.raises(InvalidConfigError, match=f"flow fields {fields} both read column '{column}'"):
+        parse_flow_csv(HEADER + "\nh1,h2,1,2,TCP,0,1,3,300,,0\n", schema=schema)
 
 
 def test_flow_csv_round_trip():

@@ -401,6 +401,38 @@ def test_pipeline_config_kv_round_trip():
     assert spaced.state.is_internal("pool0")
 
 
+def test_report_config_reads_back_as_the_config_of_the_run():
+    labeled, eval_flows, _ = scenario_inputs()
+    config = PipelineConfig(
+        state=StateParams(
+            internal_prefixes=("host", "pool"),
+            fingerprint=MiningFingerprint(pool_hosts=frozenset({"pool0", 'pool "1"'})),
+        ),
+    )
+    report = json.loads(run(eval_flows, labeled, config).to_json())
+    assert PipelineConfig.from_kv(report["config"]) == config
+
+
+@pytest.mark.parametrize("make, field", [
+    (lambda e: StateParams(internal_prefixes=("10.", e)), "internal_prefixes"),
+    (lambda e: MiningFingerprint(pool_hosts=frozenset({"p", e})), "pool_hosts"),
+], ids=["state", "fingerprint"])
+@pytest.mark.parametrize("entry", ["10.0,1", "p,q", " host", "host\t", ""])
+def test_list_entry_that_config_text_cannot_carry_is_rejected(make, field, entry):
+    # to_kv would write it as a comma list that reads back as other entries
+    with pytest.raises(ValueError, match=f"{field} entries must be non-empty, without surrounding"):
+        make(entry)
+
+
+@pytest.mark.parametrize("kv", [
+    {"schema.dst_host": "src_host"},
+    {"schema.src_host": "addr", "schema.dst_host": "addr"},
+])
+def test_pipeline_config_rejects_two_flow_fields_reading_one_column(kv):
+    with pytest.raises(InvalidConfigError, match="flow fields 'src_host' and 'dst_host' both read"):
+        PipelineConfig.from_kv(kv)
+
+
 def test_pipeline_config_t_star_any_and_defaults():
     config = PipelineConfig.from_kv({"state.t_star": "any"})
     assert config.state.t_star is None

@@ -73,6 +73,7 @@ def test_config_rejects_bad_values():
     ("pool0", ""),
     (" pool0", "pool1"),
     ("pool0", "pool1\t"),
+    ("a,b", "c"),  # to_kv would write 'a,b,c', three pool hosts
 ])
 def test_config_rejects_duplicate_empty_or_padded_pool_hosts(pool_hosts):
     with pytest.raises(InvalidConfigError, match="pool_hosts"):
