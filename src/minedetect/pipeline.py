@@ -197,28 +197,44 @@ def lifecycle_states(
 ) -> tuple[CommGraph, dict[str, State]]:
     """Step 3: the full-span graph and each vertex's highest-ranked state over all window pairs.
 
-    The full-span graph is merged from the window graphs, so every flow is
-    read once, when it is filed into its window. Only windows that hold a
-    flow get a graph and host rows, so the cost follows the flows, not the
-    capture's time span. Internal prefixes that match no host raise
-    InvalidConfigError.
+    One pass over the windows: each window graph is built when window_deltas
+    reaches it, its pair's deltas are folded into the host states, and it is
+    added into the full-span graph (merge_graphs) before the next window is
+    built. So at most two window graphs and one pair of host rows are alive
+    at once, and every flow is read once, when it is filed into its window.
+    Only windows that hold a flow get a graph and host rows, so the cost
+    follows the flows, not the capture's time span. Internal prefixes that
+    match no host raise InvalidConfigError.
     """
     if not flows:
         return CommGraph(frozenset(), {}), {}
     snapshots = comm_graph.window_snapshots(flows, config.window_length)
-    graph = comm_graph.merge_graphs(g for g, _, _ in snapshots)
+    unmerged: list[CommGraph] = []  # window graphs window_deltas has read, not yet merged
+    states: dict[str, State] = {}
+
+    def noting_graphs():
+        for snapshot in snapshots:
+            unmerged.append(snapshot[0])
+            yield snapshot
+
+    def window_graphs():
+        """Each window graph, once window_deltas has read it and its pair is folded in."""
+        for deltas in comm_graph.window_deltas(noting_graphs(), config.state):
+            for host, d in deltas.items():
+                state = snn_cluster.assign_state(d, config.state)
+                states[host] = max(states.get(host, State.S0), state, key=STATE_RANK.__getitem__)
+            yield from unmerged
+            unmerged.clear()
+        yield from unmerged  # a lone window makes no pair
+
+    graph = comm_graph.merge_graphs(window_graphs())
     prefixes = config.state.internal_prefixes
     if prefixes and not any(v.startswith(prefixes) for v in graph.vertices):
         # every host external would leave S3 unreachable
         raise InvalidConfigError(
             f"state.internal_prefixes {','.join(prefixes)} match no host of the capture"
         )
-    host_states = {v: State.S0 for v in graph.vertices}
-    for deltas in comm_graph.window_deltas(snapshots, config.state):
-        for host, d in deltas.items():
-            state = snn_cluster.assign_state(d, config.state)
-            host_states[host] = max(host_states[host], state, key=STATE_RANK.__getitem__)
-    return graph, host_states
+    return graph, {v: states.get(v, State.S0) for v in graph.vertices}
 
 
 def cluster_hosts(graph: CommGraph, k_shared: int) -> list[Cluster]:

@@ -410,10 +410,21 @@ def parse_flow_csv_naive(text, schema=None):
     return flows
 
 
+class _RowsEndingInNewline(io.StringIO):
+    """Text of ``csv.writer`` rows, each written with the writer's "\\r\\n" end cut to "\\n".
+
+    The "\\r\\n" row end makes the writer quote a cell holding "\\r", as
+    flow_model.csv_text does; a "\\n" row end would leave it bare.
+    """
+
+    def write(self, row):
+        return super().write(row[:-2] + "\n")
+
+
 def flows_to_csv_writer(flows):
     """The canonical flow CSV as ``csv.writer`` writes it, one row per flow."""
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
+    out = _RowsEndingInNewline()
+    writer = csv.writer(out)
     writer.writerow(FLOW_FIELDS)
     for f in flows:
         writer.writerow(
@@ -436,8 +447,8 @@ def flows_to_csv_writer(flows):
 
 def features_to_csv_writer(vectors):
     """The feature CSV as ``csv.writer`` writes it, one row per vector."""
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
+    out = _RowsEndingInNewline()
+    writer = csv.writer(out)
     writer.writerow(["host", *FEATURE_ORDER, "class"])
     for v in vectors:
         writer.writerow([v.host, *v.values(), v.label.value])

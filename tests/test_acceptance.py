@@ -318,7 +318,7 @@ def test_criterion_7_state_machine_replay():
         in_window = [f for f in flows if w * L <= f.start_time < (w + 1) * L]
         window = (w * L, (w + 1) * L)
         snapshots.append((build_graph(in_window, window, timestamp=w), in_window, window))
-    pairs = window_deltas(snapshots, params)
+    pairs = list(window_deltas(snapshots, params))
 
     agree = total = 0
     mismatches = []

@@ -400,6 +400,16 @@ def test_graph_export_reads_back_with_csv_reader(tmp_path):
         assert list(csv.reader(fh)) == [["# timestamp=0"], ["a,b", "c", "1"], ["d\ne"]]
 
 
+def test_graph_export_refuses_a_host_that_reads_as_a_window_header(tmp_path, capsys):
+    flows = [make_flow(src_host="a", dst_host="b"), make_flow(src_host="# timestamp=9", dst_host="b")]
+    capture = tmp_path / "flows.csv"
+    capture.write_bytes(flow_model.flows_to_csv(flows).encode("utf-8"))
+    out = tmp_path / "graph.txt"
+    assert dispatch(["graph", "--flows", str(capture), "--out", str(out)]) == 1
+    assert "cannot hold host '# timestamp=9'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_report_metrics_json_honours_detector(tmp_path, scenario_file, capsys):
     report = run_pipeline(tmp_path, scenario_file)
     metrics = json.loads(report.read_text())["metrics"]

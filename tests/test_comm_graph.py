@@ -107,7 +107,7 @@ def test_window_snapshots_match_naive_filter(seed):
         )
         for t in starts
     ]
-    snapshots = window_snapshots(flows, length)
+    snapshots = list(window_snapshots(flows, length))
     # only a window that holds a flow gets a snapshot; its timestamp stays its index
     expected = [
         (timestamp, naive_flows, naive_span)
@@ -138,7 +138,7 @@ def test_window_snapshots_match_naive_filter(seed):
 )
 def test_window_snapshots_keep_flows_whose_index_division_rounds(starts):
     flows = [make_flow(start_time=t, end_time=t + 1.0) for t in starts]
-    snapshots = window_snapshots(flows, 0.1)
+    snapshots = list(window_snapshots(flows, 0.1))
     assert [in_window for _, in_window, _ in snapshots] == [[flows[0]], [flows[1]]]
     for g, in_window, (lo, hi) in snapshots:
         assert all(lo <= f.start_time < hi for f in in_window)
@@ -578,7 +578,7 @@ def test_window_deltas_mining_volume_matches_scan_of_all_window_flows():
                                            recruitment_schedule=(0, 3, 2)))
     fp = MiningFingerprint(pool_hosts=frozenset({"pool0"}))
     params = StateParams(fingerprint=fp)
-    snapshots = window_snapshots(flows, 60.0)
+    snapshots = list(window_snapshots(flows, 60.0))
     counted = 0
     pairs = window_deltas(snapshots, params)
     for (g_next, in_window, (_, hi)), deltas in zip(snapshots[1:], pairs):
@@ -600,16 +600,16 @@ def test_window_deltas_do_not_depend_on_flow_order(delta_t):
         internal_prefixes=("host",), delta_t=delta_t,
         fingerprint=MiningFingerprint(pool_hosts=frozenset({"pool0"})),
     )
-    expected = window_deltas(window_snapshots(flows, 60.0), params)
+    expected = list(window_deltas(window_snapshots(flows, 60.0), params))
     assert sum(d.m_v for deltas in expected for d in deltas.values()) > 0
-    assert window_deltas(window_snapshots(shuffled, 60.0), params) == expected
+    assert list(window_deltas(window_snapshots(shuffled, 60.0), params)) == expected
 
 
 def test_window_deltas_build_no_adjacency_sets():
     flows, _ = generate(ScenarioConfig(seed=9, n_hosts=30, ring_degree=4, n_windows=4,
                                        recruitment_schedule=(0, 3, 2)))
-    snapshots = window_snapshots(flows, 60.0)
-    pairs = window_deltas(snapshots, StateParams(internal_prefixes=("host",)))
+    snapshots = list(window_snapshots(flows, 60.0))
+    pairs = list(window_deltas(snapshots, StateParams(internal_prefixes=("host",))))
     assert len(pairs) == len(snapshots) - 1 > 1
     assert sum(d.dk_ext != 0 for deltas in pairs for d in deltas.values()) > 0
 
@@ -711,7 +711,7 @@ def test_window_deltas_match_naive_pairwise_recomputation(capture, delta_t):
                                            recruitment_schedule=(0, 2, 2)))
         prefixes, fp = ("host",), MiningFingerprint(pool_hosts=frozenset({"pool0"}))
     params = StateParams(internal_prefixes=prefixes, delta_t=delta_t, fingerprint=fp)
-    snapshots = window_snapshots(flows, 60.0)
+    snapshots = list(window_snapshots(flows, 60.0))
     actual = delta_rows(window_deltas(snapshots, params))
     assert actual == naive_delta_rows(flows, 60.0, params)
     assert len(actual) == len(snapshots) - 1
@@ -736,13 +736,15 @@ def test_window_deltas_match_naive_pairwise_recomputation(capture, delta_t):
 def test_window_deltas_on_gapped_captures_match_the_oracle_over_every_window(seed, delta_t):
     flows = gapped_capture(seed, 60.0, delta_t)
     params = StateParams(internal_prefixes=("h",) if seed % 2 else (), delta_t=delta_t)
-    snapshots = window_snapshots(flows, 60.0)
+    snapshots = list(window_snapshots(flows, 60.0))
     timestamps = [g.timestamp for g, _, _ in snapshots]
     # the far start comes 20 or more empty windows after the rest
     assert timestamps[-1] - timestamps[-2] > 20
     actual = delta_rows(window_deltas(snapshots, params))
     assert actual == naive_delta_rows(flows, 60.0, params)
     assert sum(row[4] for pair in actual for row in pair.values()) > 0
+    # a one-pass iterator of the snapshots gives the pairs a list gives
+    assert list(window_deltas(iter(snapshots), params)) == list(window_deltas(snapshots, params))
 
 
 def test_state_params_validation():

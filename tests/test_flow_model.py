@@ -377,7 +377,7 @@ def test_parse_matches_naive_parser_on_synthgen_capture(reference_csv):
     assert flows_to_csv(flows) == reference_csv
 
 
-_HOSTS = ["a,b", 'say "hi"', "x\ny", "", "h1", '"q",\n"r"']
+_HOSTS = ["a,b", 'say "hi"', "x\ny", "", "h1", '"q",\n"r"', "h\r1"]
 _PADDED_HOSTS = [" lead", "trail ", ' "q", \n']
 _TIMES = [
     (-0.0, -0.0),

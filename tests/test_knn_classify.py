@@ -193,6 +193,7 @@ def test_predict_all_is_independent_of_the_block_size(monkeypatch, cells):
     model = KnnClassifier(k=4).fit(train)
     whole = model.predict_cluster(cluster, queries)
     monkeypatch.setattr(knn_classify, "_BLOCK_CELLS", cells)
+    monkeypatch.setattr(knn_classify, "_MIN_BLOCK_ROWS", 1)
     assert model.predict_cluster(cluster, queries) == whole
     assert_matches_oracle(model, train, list(queries.values()))
 

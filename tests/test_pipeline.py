@@ -1,10 +1,12 @@
 import dataclasses
+import gc
 import hashlib
 import json
 import random
+import weakref
 
 import pytest
-from oracles import prc_auc_all_thresholds, roc_auc_pair_counting
+from oracles import gapped_capture, prc_auc_all_thresholds, roc_auc_pair_counting
 
 from minedetect import comm_graph, flow_model
 from minedetect.comm_graph import MiningFingerprint, StateParams, window_snapshots
@@ -241,7 +243,7 @@ def test_run_reads_each_host_flow_incidence_once(monkeypatch):
     # arriving window alone
     assert config.state.delta_t == config.window_length
     # each host's call reads exactly its fingerprint-matching flows
-    windows = window_snapshots(eval_flows, config.window_length)
+    windows = list(window_snapshots(eval_flows, config.window_length))
     matches = config.state.fingerprint.matches
     matching = [f for _, in_window, _ in windows[1:] for f in in_window if matches(f)]
     assert matching and sum(mined) == incidences(matching)
@@ -260,7 +262,7 @@ def test_run_computes_each_window_coefficient_once(monkeypatch):
     config = PipelineConfig()
     run(eval_flows, labeled, config, ground_truth=eval_truth.labels)
 
-    windows = window_snapshots(eval_flows, config.window_length)
+    windows = list(window_snapshots(eval_flows, config.window_length))
     assert len(windows) > 2
     # one pass per window graph, none for the full-span graph
     assert [(g.timestamp, g.vertices, g.edge_weight) for g in calls] == [
@@ -304,7 +306,7 @@ def test_full_span_graph_merged_from_windows_equals_one_pass_build(name):
 
 def test_step3_reads_each_flow_once(monkeypatch):
     labeled, eval_flows, eval_truth = scenario_inputs()
-    n_windows = len(window_snapshots(eval_flows, PipelineConfig().window_length))
+    n_windows = len(list(window_snapshots(eval_flows, PipelineConfig().window_length)))
     rows = []
     build_graph = comm_graph.build_graph
 
@@ -340,6 +342,30 @@ def test_step3_builds_graphs_only_for_windows_with_flows(monkeypatch):
     assert len(graph.edge_weight) == 3 and set(host_states) == {"h1", "h2", "h3"}
 
 
+@pytest.mark.parametrize("capture", ["scenario", "gapped-0", "gapped-1", "gapped-2", "gapped-3"])
+def test_step3_keeps_at_most_one_earlier_window_graph_alive(monkeypatch, capture):
+    if capture == "scenario":
+        labeled, flows, truth = scenario_inputs()
+        ground_truth = truth.labels
+    else:
+        labeled, flows, ground_truth = [], gapped_capture(int(capture[-1]), 60.0, 150.0), None
+    earlier_alive = []  # at each window graph's build, how many earlier ones are still alive
+    built = []
+    build_graph = comm_graph.build_graph
+
+    def tracking_build_graph(*args, **kwargs):
+        gc.collect()
+        earlier_alive.append(sum(ref() is not None for ref in built))
+        g = build_graph(*args, **kwargs)
+        built.append(weakref.ref(g))
+        return g
+
+    monkeypatch.setattr(comm_graph, "build_graph", tracking_build_graph)
+    run(flows, labeled, PipelineConfig(), ground_truth=ground_truth)
+    assert len(built) > 2
+    assert max(earlier_alive) <= 1
+
+
 def fingerprint_flow(src, dst, start):
     return make_flow(src_host=src, dst_host=dst, dst_port=3333, start_time=start,
                      end_time=start + 45.0, flags=frozenset({"ACK", "PUSH"}))
@@ -359,7 +385,7 @@ def test_mining_volume_reads_every_window_within_delta_t(monkeypatch, delta_t, m
     window_deltas = comm_graph.window_deltas
 
     def recording_window_deltas(*args, **kwargs):
-        seen.append(window_deltas(*args, **kwargs))
+        seen.append(list(window_deltas(*args, **kwargs)))
         return seen[-1]
 
     monkeypatch.setattr(comm_graph, "window_deltas", recording_window_deltas)
