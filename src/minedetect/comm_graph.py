@@ -15,6 +15,7 @@ import itertools
 import math
 import operator
 from bisect import bisect_left
+from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -34,37 +35,43 @@ def edge_key(a: str, b: str) -> Edge:
 
 @dataclass(frozen=True)
 class CommGraph:
-    """Immutable undirected host graph at one time window."""
+    """Immutable undirected host graph at one time window.
+
+    Construction numbers the vertices in sorted order (``order[i]`` is vertex
+    i) and stores each edge's endpoint numbers as the two rows of ``ends``,
+    in ``edge_weight`` order; every reader of the edges reads these. They
+    check every edge at numpy cost; a graph that fails is walked edge by
+    edge, so the error names its first bad edge.
+    """
 
     vertices: frozenset[str]
     edge_weight: dict[Edge, int]
     timestamp: int = 0
+    order: list[str] = field(init=False, repr=False, compare=False)
+    ends: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        for (a, b), w in self.edge_weight.items():
-            if a == b:
-                raise ValueError(f"self-loop on {a!r}")
-            if (a, b) != edge_key(a, b):
-                raise ValueError(f"edge ({a!r}, {b!r}) not in canonical order")
-            if a not in self.vertices or b not in self.vertices:
-                raise ValueError(f"edge ({a!r}, {b!r}) endpoint outside vertex set")
-            if w < 1:
-                raise ValueError(f"edge ({a!r}, {b!r}) weight {w} < 1")
-
-    @classmethod
-    def _built(
-        cls, vertices: frozenset[str], edge_weight: dict[Edge, int], timestamp: int = 0
-    ) -> "CommGraph":
-        """A graph the library built itself, stored without __post_init__'s edge checks.
-
-        For build_graph and merge_graphs only: their edges are canonical,
-        between distinct vertices of the set and of weight >= 1 by
-        construction.
-        """
-        g = object.__new__(cls)
-        # the frozen class refuses attribute stores; its fields live in __dict__
-        g.__dict__.update(vertices=vertices, edge_weight=edge_weight, timestamp=timestamp)
-        return g
+        order = sorted(self.vertices)
+        index = dict(zip(order, itertools.count()))
+        keys = self.edge_weight.keys()
+        pairs = set(map(len, keys)) <= {2}  # any other key would shift every later endpoint
+        # -1 numbers an endpoint outside the vertex set; as the numbers follow
+        # sorted ids, a < b is canonical order without a self-loop
+        numbers = map(index.get, itertools.chain.from_iterable(keys), itertools.repeat(-1))
+        a, b = ends = np.fromiter(numbers, np.int64, 2 * len(keys) * pairs).reshape(-1, 2).T
+        valid = pairs and (a >= 0).all() and (a < b).all()
+        if not valid or min(self.edge_weight.values(), default=1) < 1:
+            for (x, y), w in self.edge_weight.items():
+                if x == y:
+                    raise ValueError(f"self-loop on {x!r}")
+                if (x, y) != edge_key(x, y):
+                    raise ValueError(f"edge ({x!r}, {y!r}) not in canonical order")
+                if x not in self.vertices or y not in self.vertices:
+                    raise ValueError(f"edge ({x!r}, {y!r}) endpoint outside vertex set")
+                if w < 1:
+                    raise ValueError(f"edge ({x!r}, {y!r}) weight {w} < 1")
+        object.__setattr__(self, "order", order)  # the frozen class refuses plain stores
+        object.__setattr__(self, "ends", ends)
 
 
 @dataclass(frozen=True)
@@ -202,7 +209,7 @@ def build_graph(
         if f.src_host != f.dst_host:
             key = edge_key(f.src_host, f.dst_host)
             weights[key] = weights.get(key, 0) + 1
-    return CommGraph._built(frozenset(vertices), weights, timestamp)
+    return CommGraph(frozenset(vertices), weights, timestamp)
 
 
 def merge_graphs(graphs: Iterable[CommGraph]) -> CommGraph:
@@ -217,7 +224,7 @@ def merge_graphs(graphs: Iterable[CommGraph]) -> CommGraph:
         vertices.update(g.vertices)
         for key, w in g.edge_weight.items():
             weights[key] = weights.get(key, 0) + w
-    return CommGraph._built(frozenset(vertices), weights)
+    return CommGraph(frozenset(vertices), weights)
 
 
 def clustering_coefficient(g: CommGraph, v: str) -> float:
@@ -259,8 +266,8 @@ def graph_features(g: CommGraph) -> dict[str, HostGraphFeatures]:
     for a per-vertex count (a 3,000-leaf star has 0 against 4,498,500).
     Memory: O(|V| + |E|) index arrays and one block.
     """
-    order, a, b = _edge_index(g)
-    n = len(order)
+    a, b = g.ends
+    n = len(g.order)
     degree = np.bincount(np.concatenate([a, b]), minlength=n)
     # rank[i]: the position of vertex i in (degree, id) order; ids are sorted already
     rank = np.empty(n, np.int64)
@@ -276,20 +283,8 @@ def graph_features(g: CommGraph) -> dict[str, HostGraphFeatures]:
         triangles += np.bincount(np.concatenate([csr.src[second[found]], u, w]), minlength=n)
     return {
         v: HostGraphFeatures(v, k, _coefficient(k, t))
-        for v, k, t in zip(order, degree.tolist(), triangles[rank].tolist())
+        for v, k, t in zip(g.order, degree.tolist(), triangles[rank].tolist())
     }
-
-
-def _edge_index(g: CommGraph) -> tuple[list[str], np.ndarray, np.ndarray]:
-    """The vertices in sorted order and each edge's two endpoint positions in it."""
-    order = sorted(g.vertices)
-    index = {v: i for i, v in enumerate(order)}
-    ends = np.fromiter(
-        map(index.__getitem__, itertools.chain.from_iterable(g.edge_weight)),
-        np.int64,
-        2 * len(g.edge_weight),
-    )
-    return order, ends[0::2], ends[1::2]
 
 
 class _Csr:
@@ -358,9 +353,9 @@ def window_snapshots(
     ``floor(start_time / length)`` can miss by one when the division rounds
     (1.7 / 0.1 gives 17.0, but 17 * 0.1 > 1.7).
     """
-    buckets: dict[int, list[FlowRecord]] = {}
+    buckets: dict[int, list[FlowRecord]] = defaultdict(list)
     for f in flows:
-        buckets.setdefault(_window_index(f.start_time, length), []).append(f)
+        buckets[_window_index(f.start_time, length)].append(f)
     return _built_windows(buckets, min(buckets), length)
 
 
@@ -498,13 +493,11 @@ def _host_rows(
     g: CommGraph, is_internal: Callable[[str], bool]
 ) -> dict[str, tuple[int, int, float]]:
     """(external degree, internal degree, clustering coefficient) of every vertex."""
-    features = graph_features(g)  # in sorted vertex order, as _edge_index numbers them
-    external = np.fromiter((not is_internal(v) for v in features), bool, len(features))
-    if not external.any():
-        return {v: (0, f.k, f.c) for v, f in features.items()}
-    _, a, b = _edge_index(g)
+    features = graph_features(g)  # in sorted vertex order, as g numbers its vertices
+    external = np.fromiter((not is_internal(v) for v in g.order), bool, len(g.order))
+    a, b = g.ends
     # an edge adds to an endpoint's external degree when its other endpoint is external
-    ext = np.bincount(np.concatenate([a[external[b]], b[external[a]]]), minlength=len(features))
+    ext = np.bincount(np.concatenate([a[external[b]], b[external[a]]]), minlength=len(g.order))
     return {v: (e, f.k - e, f.c) for (v, f), e in zip(features.items(), ext.tolist())}
 
 
@@ -521,12 +514,15 @@ def graph_to_text(g: CommGraph) -> str:
     A vertex id that starts with '# timestamp=' raises ValueError naming it:
     a row that starts with it would read back as the header of a new window.
     """
-    clashing = sorted(v for v in g.vertices if v.startswith(_WINDOW_HEADER))
-    if clashing:
+    # the ids that start with the header sort together, from the first id >= it
+    i = bisect_left(g.order, _WINDOW_HEADER)
+    if i < len(g.order) and g.order[i].startswith(_WINDOW_HEADER):
         raise ValueError(
-            f"a graph export cannot hold host {clashing[0]!r}: it reads as a window header"
+            f"a graph export cannot hold host {g.order[i]!r}: it reads as a window header"
         )
-    edges = sorted(g.edge_weight)
-    isolated = sorted(g.vertices.difference(itertools.chain.from_iterable(edges)))
-    rows = [*((a, b, g.edge_weight[(a, b)]) for a, b in edges), *((v,) for v in isolated)]
+    (a, b), n = g.ends, len(g.order)
+    edges = list(g.edge_weight.items())  # numbers follow sorted ids: sorting them sorts the edges
+    rows = [(x, y, w) for (x, y), w in map(edges.__getitem__, np.argsort(a * n + b).tolist())]
+    degree = np.bincount(np.concatenate([a, b]), minlength=n)
+    rows += [(g.order[i],) for i in np.flatnonzero(degree == 0).tolist()]
     return csv_text((f"{_WINDOW_HEADER}{g.timestamp}",), rows)

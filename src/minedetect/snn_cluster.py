@@ -22,7 +22,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .comm_graph import CommGraph, Edge, HostDeltas, StateParams, _Csr, _edge_index
+from .comm_graph import CommGraph, Edge, HostDeltas, StateParams, _Csr
 from .errors import (
     MissingHostStateError,
     MissingVectorError,
@@ -82,7 +82,7 @@ def build_snn_graph(g: CommGraph, k_shared: int) -> SnnGraph:
     Every vertex m contributes each pair of its neighbors (i, j), i < j,
     once: a wedge of comm_graph._Csr, the sorted CSR that this and
     comm_graph.graph_features share, built here over both directions of
-    every edge with vertices numbered in sorted order. So the count of pair
+    every edge in the graph's own numbering (CommGraph.order). So the count of pair
     (i, j) is its number of common neighbors. The wedges are taken grouped
     by first endpoint: arc i -> m opens the wedge of row m whose first arc
     is m -> i. Each block of rows of first endpoints encodes its pairs as
@@ -99,7 +99,7 @@ def build_snn_graph(g: CommGraph, k_shared: int) -> SnnGraph:
     if not g.edge_weight:
         return SnnGraph(g, k_shared, frozenset())
 
-    order, a, b = _edge_index(g)
+    order, (a, b) = g.order, g.ends
     n = len(order)
     csr = _Csr(np.sort(np.concatenate([a * n + b, b * n + a])), n)
     reverse = np.searchsorted(csr.arcs, csr.nbr * n + csr.src)  # arc m -> i of each arc i -> m

@@ -79,6 +79,26 @@ def adjacency_sets(g: CommGraph) -> dict[str, set[str]]:
     return adj
 
 
+def check_edges_naive(vertices, edge_weight) -> None:
+    """Each edge in dict order, each rule in turn; raise ValueError at the first broken one."""
+    for (a, b), w in edge_weight.items():
+        if a == b:
+            raise ValueError(f"self-loop on {a!r}")
+        if (a, b) != edge_key(a, b):
+            raise ValueError(f"edge ({a!r}, {b!r}) not in canonical order")
+        if a not in vertices or b not in vertices:
+            raise ValueError(f"edge ({a!r}, {b!r}) endpoint outside vertex set")
+        if w < 1:
+            raise ValueError(f"edge ({a!r}, {b!r}) weight {w} < 1")
+
+
+def edge_index_naive(vertices, edge_weight) -> tuple[list[str], list[int], list[int]]:
+    """The vertices in sorted order and each edge's two endpoint positions in it."""
+    order = sorted(vertices)
+    position = {v: i for i, v in enumerate(order)}
+    return order, [position[a] for a, _ in edge_weight], [position[b] for _, b in edge_weight]
+
+
 def snn_edges_pairwise_scan(g: CommGraph, k_shared: int) -> set[tuple[str, str]]:
     """Literal pairwise scan: for every pair (i, j), count the vertices m
     adjacent to both, and connect when the count reaches k_shared."""

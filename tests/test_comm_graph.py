@@ -1,4 +1,6 @@
+import collections
 import random
+import re
 import tracemalloc
 
 import pytest
@@ -25,6 +27,8 @@ from minedetect.synthgen import ScenarioConfig, generate
 
 from oracles import (
     adjacency_sets,
+    check_edges_naive,
+    edge_index_naive,
     clustering_fraction,
     fingerprint_match_brute,
     gapped_capture,
@@ -177,21 +181,80 @@ def test_graph_rejects_each_malformed_edge(vertices, weights, message):
         CommGraph(frozenset(vertices), weights)
 
 
-def test_built_graphs_skip_the_checks_and_equal_validated_graphs(monkeypatch):
+def test_built_graphs_equal_validated_graphs():
     flows, _ = generate(ScenarioConfig(seed=9, n_hosts=30, ring_degree=4, n_windows=4,
                                        recruitment_schedule=(0, 3, 2)))
-
-    def refuse(self):
-        raise AssertionError("a library-built graph was re-validated")
-
-    with monkeypatch.context() as patch:
-        patch.setattr(CommGraph, "__post_init__", refuse)
-        windows = [g for g, _, _ in window_snapshots(flows, 60.0)]
-        built = [*windows, merge_graphs(windows), build_graph(flows, full_span(flows))]
+    windows = [g for g, _, _ in window_snapshots(flows, 60.0)]
+    built = [*windows, merge_graphs(windows), build_graph(flows, full_span(flows))]
     assert len(windows) > 1 and built[-2] == built[-1]
     for g in built:
         assert g == CommGraph(g.vertices, g.edge_weight, g.timestamp)
         assert sum(f.k for f in graph_features(g).values()) == 2 * len(g.edge_weight)
+
+
+def _planted_edges(rng):
+    """A small random graph, as (vertices, edge_weight), with 0-3 planted defects.
+
+    Each defect is one of: a self-loop, a reversed pair, an endpoint outside
+    the vertex set, a weight of 0 or below, a one-cell key and a three-cell
+    key. It goes to a random place in the dict order.
+    """
+    vertices = [f"v{i}" for i in range(rng.randint(1, 9))]
+    items = [
+        ((a, b), rng.randint(1, 4))
+        for i, a in enumerate(vertices)
+        for b in vertices[i + 1 :]
+        if rng.random() < 0.4
+    ]
+    for _ in range(rng.choice((0, 0, 1, 1, 2, 3))):
+        a, b = sorted(rng.sample(vertices, 2)) if len(vertices) > 1 else (vertices[0], "w")
+        defect = rng.choice((
+            ((a, a), 1),
+            ((b, a), 1),
+            (rng.choice(((a, "zz"), ("_x", a), ("_x", "zz"))), 1),
+            ((a, b), rng.choice((0, -2))),
+            ((a,), 1),
+            ((a, b, "v0"), 1),
+        ))
+        items.insert(rng.randint(0, len(items)), defect)
+    return frozenset(vertices), dict(items)
+
+
+@pytest.mark.parametrize("seed", range(300))
+def test_graph_checks_agree_with_the_per_edge_oracle(seed):
+    vertices, weights = _planted_edges(random.Random(seed))
+    try:
+        check_edges_naive(vertices, weights)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            CommGraph(vertices, weights)
+        assert str(got.value) == str(exc)
+        return
+    g = CommGraph(vertices, weights)
+    order, a, b = edge_index_naive(vertices, weights)
+    assert g.order == order
+    assert g.ends.tolist() == [a, b]
+
+
+def test_planted_graphs_reach_every_check():
+    kinds = collections.Counter()
+    for seed in range(300):
+        try:
+            check_edges_naive(*_planted_edges(random.Random(seed)))
+            kinds["valid"] += 1
+        except ValueError as exc:
+            # names, weights and the unpack counts (worded by Python version) read "_"
+            kinds[re.sub(r"'[^']*'|-?\d+ <| \(expected.*", "_", str(exc))] += 1
+    assert set(kinds) == {
+        "valid",
+        "self-loop on _",
+        "edge (_, _) not in canonical order",
+        "edge (_, _) endpoint outside vertex set",
+        "edge (_, _) weight _ 1",
+        "not enough values to unpack_",
+        "too many values to unpack_",
+    }
+    assert min(kinds.values()) >= 10
 
 
 # ---------------------------------------------------------------------------
