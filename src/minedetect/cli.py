@@ -3,8 +3,10 @@
 Subcommands: simulate, features, graph, cluster, classify, evaluate, run,
 report. Exit codes: 0 success, 1 input or validation problem, 2 internal
 error. Diagnostics go to stderr; data goes to the --out path (or stdout
-when --out is '-'). Output files are written to a temp file and renamed,
-so failures never leave partial outputs behind.
+when --out is '-'). A command writes all of its output files or none: each
+goes to a temp file, and the temps are renamed only once all are written.
+An output path that names an input or another output is refused before
+anything is read.
 
 Config files are flat ``section.key=value`` text (see kvconfig); the
 MINEDETECT_CONFIG environment variable supplies a config path when
@@ -14,11 +16,13 @@ MINEDETECT_CONFIG environment variable supplies a config path when
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import os
 import sys
 import tempfile
+from typing import Sequence
 
 from . import comm_graph, flow_model, knn_classify, pipeline, snn_cluster, synthgen
 from . import metrics as metrics_mod
@@ -39,21 +43,53 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def write_atomic(path: str, text: str) -> None:
-    """Write text to path via temp-file + rename; '-' writes to stdout."""
-    if path == "-":
-        sys.stdout.write(text)
-        return
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".minedetect-", suffix=".tmp")
+def write_atomic(outputs: Sequence[tuple[str, str]]) -> None:
+    """Write each (path, text): all of the files or none, then the '-' texts to stdout.
+
+    Every file is written to a temp file in its directory first, and the
+    temps are renamed only once all are written. A failure removes the temps
+    and every output already renamed, so a failed call leaves nothing behind.
+    """
+    files = [(path, text) for path, text in outputs if path != "-"]
+    temps: list[str] = []
+    renamed: list[str] = []
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
+        for path, text in files:
+            directory = os.path.dirname(os.path.abspath(path))
+            fd, tmp = tempfile.mkstemp(dir=directory, prefix=".minedetect-", suffix=".tmp")
+            temps.append(tmp)
+            with os.fdopen(fd, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        for (path, _), tmp in zip(files, temps):
+            os.replace(tmp, path)
+            renamed.append(path)
     except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        for leftover in [*temps[len(renamed) :], *renamed]:
+            with contextlib.suppress(OSError):
+                os.unlink(leftover)
         raise
+    for path, text in outputs:
+        if path == "-":
+            sys.stdout.write(text)
+
+
+def _refuse_shared_paths(inputs: dict[str, str | None], outputs: dict[str, str | None]) -> None:
+    """MineDetectError when an output names an input or another output, before anything is read.
+
+    Both map the flag that names a path to the path; an absent path (None)
+    and '-' are skipped, and two inputs may name one file. Paths compare
+    by os.path.realpath, so a symbolic link names its target.
+    """
+    first: dict[str, tuple[str, bool]] = {}  # real path -> its first flag, and whether an output
+    for flag, path, is_output in [
+        *((flag, path, False) for flag, path in inputs.items()),
+        *((flag, path, True) for flag, path in outputs.items()),
+    ]:
+        if path is None or path == "-":
+            continue
+        other, other_is_output = first.setdefault(os.path.realpath(path), (flag, is_output))
+        if other != flag and (is_output or other_is_output):
+            raise MineDetectError(f"{other} and {flag} name one file: {path}")
 
 
 def _read_text(path: str) -> str:
@@ -70,8 +106,15 @@ _CONFIG_FLAGS = {
 }
 
 
+def _config_input(args) -> dict[str, str | None]:
+    """The config file a pipeline command reads, keyed by the flag or variable that names it."""
+    if args.config:
+        return {"--config": args.config}
+    return {f"${CONFIG_ENV_VAR}": os.environ.get(CONFIG_ENV_VAR)}
+
+
 def _load_pipeline_config(args) -> PipelineConfig:
-    path = getattr(args, "config", None) or os.environ.get(CONFIG_ENV_VAR)
+    [path] = _config_input(args).values()
     config = PipelineConfig.from_kv(read_kv_file(path)) if path else PipelineConfig()
     flags = {name: getattr(args, name, None) for name in _CONFIG_FLAGS}
     return dataclasses.replace(config, **{k: v for k, v in flags.items() if v is not None})
@@ -92,11 +135,15 @@ def _load_flows(path: str, config: PipelineConfig):
 def _cmd_simulate(args) -> int:
     if args.out == "-" and not args.truth:
         raise InvalidConfigError("--out - writes the flows to stdout; give --truth a path")
+    truth_path = args.truth or _sibling(args.out, ".truth.csv")
+    truth_flag = "--truth" if args.truth else "--out's truth table"
+    _refuse_shared_paths({"--scenario": args.scenario}, {"--out": args.out, truth_flag: truth_path})
     config = synthgen.ScenarioConfig.from_kv(read_kv_file(args.scenario))
     flows, truth = synthgen.generate(config, seed=args.seed)
-    write_atomic(args.out, flow_model.flows_to_csv(flows))
-    truth_path = args.truth or _sibling(args.out, ".truth.csv")
-    write_atomic(truth_path, synthgen.truth_to_csv(truth))
+    write_atomic([
+        (args.out, flow_model.flows_to_csv(flows)),
+        (truth_path, synthgen.truth_to_csv(truth)),
+    ])
     print(
         f"simulate: {len(flows)} flows, {len(truth.miners)} miners -> {args.out}, {truth_path}",
         file=sys.stderr,
@@ -105,6 +152,8 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_features(args) -> int:
+    inputs = {"--flows": args.flows, "--truth": args.truth, **_config_input(args)}
+    _refuse_shared_paths(inputs, {"--out": args.out})
     config = _load_pipeline_config(args)
     flows = _load_flows(args.flows, config)
     vectors = flow_model.host_vectors(flows)
@@ -114,22 +163,24 @@ def _cmd_features(args) -> int:
         vectors = [
             dataclasses.replace(v, label=labels[v.host]) for v in vectors if v.host in labels
         ]
-    write_atomic(args.out, flow_model.features_to_csv(vectors))
+    write_atomic([(args.out, flow_model.features_to_csv(vectors))])
     print(f"features: {len(vectors)} hosts -> {args.out}", file=sys.stderr)
     return 0
 
 
 def _cmd_graph(args) -> int:
+    _refuse_shared_paths({"--flows": args.flows, **_config_input(args)}, {"--out": args.out})
     config = _load_pipeline_config(args)
     flows = _load_flows(args.flows, config)
     snapshots = comm_graph.window_snapshots(flows, config.window_length)
     sections = [comm_graph.graph_to_text(g) for g, _, _ in snapshots]
-    write_atomic(args.out, "".join(sections))
+    write_atomic([(args.out, "".join(sections))])
     print(f"graph: {len(sections)} windows -> {args.out}", file=sys.stderr)
     return 0
 
 
 def _cmd_cluster(args) -> int:
+    _refuse_shared_paths({"--flows": args.flows, **_config_input(args)}, {"--out": args.out})
     config = _load_pipeline_config(args)
     flows = _load_flows(args.flows, config)
     # pipeline steps 2, 3, 5 and 6; without a labeled set the centroids use the capture's scale
@@ -143,12 +194,16 @@ def _cmd_cluster(args) -> int:
         text = json.dumps(records, indent=2, sort_keys=True) + "\n"
     else:
         text = snn_cluster.clusters_to_csv(records)
-    write_atomic(args.out, text)
+    write_atomic([(args.out, text)])
     print(f"cluster: {len(clusters)} clusters -> {args.out}", file=sys.stderr)
     return 0
 
 
 def _cmd_classify(args) -> int:
+    inputs = {"--features": args.features, "--labeled": args.labeled, "--model": args.model}
+    _refuse_shared_paths(
+        {**inputs, **_config_input(args)}, {"--out": args.out, "--save-model": args.save_model}
+    )
     config = _load_pipeline_config(args)
     if not args.labeled and not args.model:
         raise MineDetectError("classify needs --labeled or --model")
@@ -171,21 +226,21 @@ def _cmd_classify(args) -> int:
         model = KnnClassifier(k=config.knn_k).fit(labeled)
 
     predictions = model.predict_all(queries)
-    # built first, so a model the file cannot hold leaves neither output behind
-    model_text = model.to_text() if args.save_model else None
-    write_atomic(args.out, knn_classify.predictions_to_csv(predictions))
-    if model_text is not None:
-        write_atomic(args.save_model, model_text)
+    outputs = [(args.out, knn_classify.predictions_to_csv(predictions))]
+    if args.save_model:
+        outputs.append((args.save_model, model.to_text()))
+    write_atomic(outputs)
     miners = sum(1 for p in predictions if p.label is Label.MINER)
     print(f"classify: {len(predictions)} hosts, {miners} miners -> {args.out}", file=sys.stderr)
     return 0
 
 
 def _cmd_evaluate(args) -> int:
+    _refuse_shared_paths({"--pred": args.pred, "--truth": args.truth}, {"--out": args.out})
     predictions = knn_classify.parse_predictions_csv(_read_text(args.pred))
     truth = synthgen.parse_truth_csv(_read_text(args.truth))
     table = pipeline._detector_metrics(truth.labels, predictions)
-    write_atomic(args.out, metrics_mod.table_to_csv(table))
+    write_atomic([(args.out, metrics_mod.table_to_csv(table))])
     hosts, accuracy = table["evaluated_hosts"], table["accuracy"]
     print(f"evaluate: {hosts} hosts, accuracy {accuracy:.4f} -> {args.out}", file=sys.stderr)
     return 0
@@ -196,6 +251,16 @@ def _sibling(path: str, suffix: str) -> str:
 
 
 def _cmd_run(args) -> int:
+    clusters_path = metrics_path = None  # the tables written alongside a report file
+    if args.out != "-":
+        clusters_path = _sibling(args.out, ".clusters.csv")
+        metrics_path = _sibling(args.out, ".metrics.csv") if args.ground_truth else None
+    inputs = {"--flows": args.flows, "--labeled": args.labeled, "--ground-truth": args.ground_truth}
+    _refuse_shared_paths({**inputs, **_config_input(args)}, {
+        "--out": args.out,
+        "--out's clusters table": clusters_path,
+        "--out's metrics table": metrics_path,
+    })
     config = _load_pipeline_config(args)
     flows = _load_flows(args.flows, config)
     labeled = flow_model.parse_feature_csv(_read_text(args.labeled))
@@ -206,17 +271,18 @@ def _cmd_run(args) -> int:
         ground_truth = synthgen.parse_truth_csv(_read_text(args.ground_truth)).labels
 
     report = pipeline.run(flows, labeled, config, ground_truth=ground_truth)
-    write_atomic(args.out, report.to_json())
+    outputs = [(args.out, report.to_json())]
+    if clusters_path:
+        outputs.append((clusters_path, pipeline.report_clusters_csv(report)))
+    if metrics_path and report.metrics:
+        outputs.append((metrics_path, pipeline.report_metrics_csv(report)))
     if args.out == "-":
         print(
             "run: tables not written; `minedetect report --section clusters|metrics "
             "--format csv` extracts them",
             file=sys.stderr,
         )
-    else:
-        write_atomic(_sibling(args.out, ".clusters.csv"), pipeline.report_clusters_csv(report))
-        if report.metrics:
-            write_atomic(_sibling(args.out, ".metrics.csv"), pipeline.report_metrics_csv(report))
+    write_atomic(outputs)
     print(
         f"run: {len(report.predictions)} hosts, {len(report.clusters)} clusters, "
         f"{len(report.suspicious)} suspicious -> {args.out}",
@@ -235,6 +301,7 @@ _CSV_SECTIONS = {
 
 
 def _cmd_report(args) -> int:
+    _refuse_shared_paths({"--in": args.infile}, {"--out": args.out})
     obj = json.loads(_read_text(args.infile))
     section = args.section
     payload = obj.get(section) if isinstance(obj, dict) else None
@@ -256,7 +323,7 @@ def _cmd_report(args) -> int:
         except (LookupError, TypeError) as exc:
             missing = f": no {exc.args[0]!r} field" if isinstance(exc, KeyError) else ""
             raise MineDetectError(f"report {section} section is not {shape}{missing}") from exc
-    write_atomic(args.out, text)
+    write_atomic([(args.out, text)])
     return 0
 
 

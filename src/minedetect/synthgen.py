@@ -359,7 +359,9 @@ def truth_to_csv(truth: GroundTruth) -> str:
 def parse_truth_csv(text: str | Iterable[str]) -> GroundTruth:
     """Parse a ground-truth CSV; every host needs a Miner or NotMiner label.
 
-    ``n_windows`` is the latest recruitment window in the file + 1.
+    A Miner row needs a recruitment window >= 0; a row without one, or with
+    a negative one, raises MalformedRowError naming its line. ``n_windows``
+    is the latest recruitment window in the file + 1.
     """
     table = CsvTable(text)
     table.require_columns(_TRUTH_HEADER, "ground truth")
@@ -375,6 +377,11 @@ def parse_truth_csv(text: str | Iterable[str]) -> GroundTruth:
                 max_window = max(max_window, recruit[host])
         except ValueError as exc:
             raise MalformedRowError(line_no, str(exc)) from exc
+        window = recruit.get(host)
+        if labels[host] is Label.MINER and window is None:
+            raise MalformedRowError(line_no, f"miner {host!r} has no recruitment window")
+        if labels[host] is Label.MINER and window < 0:
+            raise MalformedRowError(line_no, f"miner {host!r} has recruitment window {window} < 0")
     return GroundTruth(
         labels=labels,
         recruitment_window=recruit,

@@ -117,7 +117,7 @@ def test_schema_reading_one_column_for_two_fields_exits_1_before_input(
 
 def test_write_atomic_leaves_no_temp_files(tmp_path):
     target = tmp_path / "out.txt"
-    write_atomic(str(target), "payload")
+    write_atomic([(str(target), "payload")])
     assert target.read_text() == "payload"
     assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
 
@@ -1072,3 +1072,148 @@ def test_cli_reads_and_writes_no_table_itself():
     # library, so the CLI keeps no table code of its own
     source = Path(cli.__file__).read_text(encoding="utf-8")
     assert re.findall(r"\b(?:CsvTable|csv_text)\(", source) == []
+
+
+# ---------------------------------------------------------------------------
+# outputs: all or none, and never over an input
+# ---------------------------------------------------------------------------
+
+def test_write_atomic_writes_every_file_and_then_stdout(tmp_path, capsys):
+    a, b = tmp_path / "a.txt", tmp_path / "b.txt"
+    write_atomic([("-", "to stdout\n"), (str(a), "A"), (str(b), "B")])
+    assert (a.read_text(), b.read_text()) == ("A", "B")
+    assert capsys.readouterr().out == "to stdout\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a.txt", "b.txt"]
+
+
+def test_write_atomic_failure_removes_what_it_renamed(tmp_path, capsys):
+    a = tmp_path / "a.txt"
+    (tmp_path / "dir").mkdir()
+    with pytest.raises(IsADirectoryError):
+        write_atomic([(str(a), "A"), ("-", "never\n"), (str(tmp_path / "dir"), "B")])
+    assert capsys.readouterr().out == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["dir"]
+
+
+def test_run_with_a_directory_at_its_last_output_leaves_no_output(
+    tmp_path, capsys, labeled_capture
+):
+    flows, labeled = labeled_capture
+    (tmp_path / "o" / "r.clusters.csv").mkdir(parents=True)
+    argv = ["run", "--flows", str(flows), "--labeled", str(labeled)]
+    assert dispatch(argv + ["--out", str(tmp_path / "o" / "r.json")]) == 1
+    assert "minedetect run: error: " in capsys.readouterr().err
+    assert [p.name for p in (tmp_path / "o").iterdir()] == ["r.clusters.csv"]
+    assert list((tmp_path / "o" / "r.clusters.csv").iterdir()) == []
+
+
+def test_classify_with_a_directory_at_its_last_output_leaves_no_output(
+    tmp_path, capsys, labeled_capture
+):
+    _, labeled = labeled_capture
+    (tmp_path / "o2" / "m.knn").mkdir(parents=True)
+    assert dispatch([
+        "classify", "--labeled", str(labeled), "--features", str(labeled),
+        "--out", str(tmp_path / "o2" / "p.csv"), "--save-model", str(tmp_path / "o2" / "m.knn"),
+    ]) == 1
+    assert "minedetect classify: error: " in capsys.readouterr().err
+    assert [p.name for p in (tmp_path / "o2").iterdir()] == ["m.knn"]
+
+
+def test_simulate_with_a_directory_at_its_last_output_leaves_no_output(
+    tmp_path, capsys, scenario_file
+):
+    (tmp_path / "o3" / "s.truth.csv").mkdir(parents=True)
+    out = tmp_path / "o3" / "s.csv"
+    assert dispatch(["simulate", "--scenario", scenario_file, "--out", str(out)]) == 1
+    assert "minedetect simulate: error: " in capsys.readouterr().err
+    assert [p.name for p in (tmp_path / "o3").iterdir()] == ["s.truth.csv"]
+
+
+def shared_path_argv(tmp_path, command, labeled_capture, scenario_file):
+    """argv of ``command`` with one output path naming an input, the input, and the two flags."""
+    flows, labeled = labeled_capture
+    capture, table = tmp_path / "capture.csv", tmp_path / "table.csv"
+    capture.write_bytes(flows.read_bytes())
+    table.write_bytes(labeled.read_bytes())
+    report = tmp_path / "r.json"
+    report.write_text('{"suspicious": []}\n')
+    truth = tmp_path / "t.csv"
+    truth.write_text("host,label,recruitment_window\nhost000,Miner,1\n")
+    pred = tmp_path / "pred.csv"
+    pred.write_text("host,label,score\nhost000,Miner,1.0\n")
+    run_flows = tmp_path / "r.clusters.csv"  # the table run writes beside r.json
+    run_flows.write_bytes(flows.read_bytes())
+    return {
+        "simulate": (["simulate", "--scenario", scenario_file, "--out", str(truth),
+                      "--truth", str(truth)], truth, "--out and --truth"),
+        "features": (["features", "--flows", str(capture), "--out", str(capture)],
+                     capture, "--flows and --out"),
+        "graph": (["graph", "--flows", str(capture), "--out", str(capture)],
+                  capture, "--flows and --out"),
+        "cluster": (["cluster", "--flows", str(capture), "--out", str(capture)],
+                    capture, "--flows and --out"),
+        "classify": (["classify", "--labeled", str(table), "--features", str(table),
+                      "--out", str(tmp_path / "p.csv"), "--save-model", str(table)],
+                     table, "--features and --save-model"),
+        "evaluate": (["evaluate", "--pred", str(pred), "--truth", str(truth), "--out", str(truth)],
+                     truth, "--truth and --out"),
+        "run": (["run", "--flows", str(run_flows), "--labeled", str(table), "--out", str(report)],
+                run_flows, "--flows and --out's clusters table"),
+        "report": (["report", "--in", str(report), "--out", str(report)],
+                   report, "--in and --out"),
+    }[command]
+
+
+@pytest.mark.parametrize(
+    "command",
+    ["simulate", "features", "graph", "cluster", "classify", "evaluate", "run", "report"],
+)
+def test_output_path_naming_an_input_exits_1_and_keeps_the_input(
+    tmp_path, capsys, labeled_capture, scenario_file, command
+):
+    argv, kept, flags = shared_path_argv(tmp_path, command, labeled_capture, scenario_file)
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    assert dispatch(argv) == 1
+    assert f"minedetect {command}: error: {flags} name one file: " in capsys.readouterr().err
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+    assert kept.name in before
+
+
+def test_output_linked_to_an_input_exits_1(tmp_path, capsys, labeled_capture):
+    flows, _ = labeled_capture
+    link = tmp_path / "link.csv"
+    link.symlink_to(flows)
+    before = flows.read_bytes()
+    assert dispatch(["features", "--flows", str(flows), "--out", str(link)]) == 1
+    assert "--flows and --out name one file" in capsys.readouterr().err
+    assert flows.read_bytes() == before
+
+
+def test_two_outputs_naming_one_file_exit_1(tmp_path, capsys, labeled_capture):
+    _, labeled = labeled_capture
+    out = tmp_path / "p.csv"
+    assert dispatch([
+        "classify", "--labeled", str(labeled), "--features", str(labeled),
+        "--out", str(out), "--save-model", str(out),
+    ]) == 1
+    assert "--out and --save-model name one file" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("row, message", [
+    ("host001,Miner,", "line 3: miner 'host001' has no recruitment window"),
+    ("host001,Miner,-1", "line 3: miner 'host001' has recruitment window -1 < 0"),
+])
+def test_miner_truth_row_without_a_window_exits_1_with_line_number(
+    tmp_path, capsys, row, message
+):
+    pred = tmp_path / "pred.csv"
+    pred.write_text("host,label,score\nhost000,Miner,1.0\n")
+    truth = tmp_path / "truth.csv"
+    truth.write_text(TRUTH_OK + row + "\n")
+    out = tmp_path / "m.csv"
+    argv = ["evaluate", "--pred", str(pred), "--truth", str(truth), "--out", str(out)]
+    assert dispatch(argv) == 1
+    assert f"minedetect evaluate: error: {message}\n" in capsys.readouterr().err
+    assert not out.exists()
