@@ -212,21 +212,6 @@ def build_graph(
     return CommGraph(frozenset(vertices), weights, timestamp)
 
 
-def merge_graphs(graphs: Iterable[CommGraph]) -> CommGraph:
-    """The union of the graphs' vertices, each edge weighted by its summed weight.
-
-    Merging the window graphs of window_snapshots gives the graph that
-    build_graph makes over the span of every flow, without reading a flow.
-    """
-    vertices: set[str] = set()
-    weights: dict[Edge, int] = {}
-    for g in graphs:
-        vertices.update(g.vertices)
-        for key, w in g.edge_weight.items():
-            weights[key] = weights.get(key, 0) + w
-    return CommGraph(frozenset(vertices), weights)
-
-
 def clustering_coefficient(g: CommGraph, v: str) -> float:
     """Local clustering coefficient c(v) = 2T(v) / (k(v) * (k(v) - 1)), 0.0 below degree 2.
 
@@ -341,7 +326,7 @@ def window_snapshots(
     Windows come in index order; a graph's timestamp is its window's index
     counted from the earliest start time's window, so it skips empty ones.
     Each entry is (graph, the window's flows, (lo, hi)); a window's flows
-    keep capture order.
+    keep capture order. An empty capture yields no window.
 
     Every flow is filed into its window in one pass when this is called, so
     a start time too far from 0 raises here. The result is a one-pass
@@ -356,7 +341,7 @@ def window_snapshots(
     buckets: dict[int, list[FlowRecord]] = defaultdict(list)
     for f in flows:
         buckets[_window_index(f.start_time, length)].append(f)
-    return _built_windows(buckets, min(buckets), length)
+    return _built_windows(buckets, min(buckets, default=0), length)
 
 
 def _built_windows(

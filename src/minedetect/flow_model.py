@@ -605,8 +605,11 @@ def full_span(flows: Sequence[FlowRecord]) -> tuple[float, float]:
 
     Its end is latest end + 1e-6, or the next float above the latest end
     where adding 1e-6 rounds back to it (times beyond about 2**34 s, such
-    as epoch milliseconds).
+    as epoch milliseconds). A capture without a flow has no span:
+    EmptyInputError.
     """
+    if not flows:
+        raise EmptyInputError("full_span needs at least one flow")
     end = max(f.end_time for f in flows)
     return min(f.start_time for f in flows), max(end + 1e-6, math.nextafter(end, math.inf))
 
@@ -616,9 +619,12 @@ def host_vectors(flows: Sequence[FlowRecord]) -> list[FeatureVector]:
 
     Each host's vector is aggregated from its own flows in ``flows_by_host``,
     so the whole call reads every flow once per endpoint, not once per host.
+    A capture without a flow has no host and gives no vector.
     """
-    span = full_span(flows)
     index = flows_by_host(flows)
+    if not index:
+        return []
+    span = full_span(flows)
     return [aggregate_host_features(index[host], host, span) for host in sorted(index)]
 
 

@@ -198,43 +198,41 @@ def lifecycle_states(
     """Step 3: the full-span graph and each vertex's highest-ranked state over all window pairs.
 
     One pass over the windows: each window graph is built when window_deltas
-    reaches it, its pair's deltas are folded into the host states, and it is
-    added into the full-span graph (merge_graphs) before the next window is
-    built. So at most two window graphs and one pair of host rows are alive
-    at once, and every flow is read once, when it is filed into its window.
-    Only windows that hold a flow get a graph and host rows, so the cost
-    follows the flows, not the capture's time span. Internal prefixes that
-    match no host raise InvalidConfigError.
+    reaches it, its vertices and edge weights are added into running sums as
+    it streams by, and its pair's deltas are folded into the host states
+    before the next window is built. So at most two window graphs and one
+    pair of host rows are alive at once, and every flow is read once, when
+    it is filed into its window. The full-span graph is built once, from the
+    sums, after the last window. Only windows that hold a flow get a graph
+    and host rows, so the cost follows the flows, not the capture's time
+    span; an empty capture gives an empty graph. Internal prefixes that
+    match no host of a non-empty capture raise InvalidConfigError.
     """
-    if not flows:
-        return CommGraph(frozenset(), {}), {}
-    snapshots = comm_graph.window_snapshots(flows, config.window_length)
-    unmerged: list[CommGraph] = []  # window graphs window_deltas has read, not yet merged
-    states: dict[str, State] = {}
+    vertices: set[str] = set()
+    weights: dict[comm_graph.Edge, int] = {}
 
-    def noting_graphs():
+    def summed(snapshots):
+        """Each snapshot, once its graph is added into the full-span sums."""
         for snapshot in snapshots:
-            unmerged.append(snapshot[0])
+            g = snapshot[0]
+            vertices.update(g.vertices)
+            for key, w in g.edge_weight.items():
+                weights[key] = weights.get(key, 0) + w
             yield snapshot
 
-    def window_graphs():
-        """Each window graph, once window_deltas has read it and its pair is folded in."""
-        for deltas in comm_graph.window_deltas(noting_graphs(), config.state):
-            for host, d in deltas.items():
-                state = snn_cluster.assign_state(d, config.state)
-                states[host] = max(states.get(host, State.S0), state, key=STATE_RANK.__getitem__)
-            yield from unmerged
-            unmerged.clear()
-        yield from unmerged  # a lone window makes no pair
-
-    graph = comm_graph.merge_graphs(window_graphs())
+    states: dict[str, State] = {}
+    snapshots = comm_graph.window_snapshots(flows, config.window_length)
+    for deltas in comm_graph.window_deltas(summed(snapshots), config.state):
+        for host, d in deltas.items():
+            state = snn_cluster.assign_state(d, config.state)
+            states[host] = max(states.get(host, State.S0), state, key=STATE_RANK.__getitem__)
     prefixes = config.state.internal_prefixes
-    if prefixes and not any(v.startswith(prefixes) for v in graph.vertices):
+    if prefixes and vertices and not any(v.startswith(prefixes) for v in vertices):
         # every host external would leave S3 unreachable
         raise InvalidConfigError(
             f"state.internal_prefixes {','.join(prefixes)} match no host of the capture"
         )
-    return graph, {v: states.get(v, State.S0) for v in graph.vertices}
+    return CommGraph(frozenset(vertices), weights), {v: states.get(v, State.S0) for v in vertices}
 
 
 def cluster_hosts(graph: CommGraph, k_shared: int) -> list[Cluster]:
@@ -296,7 +294,7 @@ def run(
         "labeled_sha256": flow_model.features_sha256(labeled),
     }
     host_norm, labeled_norm = _stage(
-        2, lambda: normalize_vectors(flow_model.host_vectors(flows) if flows else [], labeled)
+        2, lambda: normalize_vectors(flow_model.host_vectors(flows), labeled)
     )
     normalized = {v.host: v for v in host_norm}
     graph, host_states = _stage(3, lifecycle_states, flows, config)

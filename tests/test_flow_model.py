@@ -647,6 +647,12 @@ def test_full_span_keeps_the_last_flow_at_epoch_millisecond_times():
     assert by_host["b"].ppf == 20.0  # both of b's flows
 
 
+def test_an_empty_capture_has_no_span_and_no_host_vector():
+    with pytest.raises(EmptyInputError, match="full_span needs at least one flow"):
+        full_span([])
+    assert host_vectors([]) == []
+
+
 def naive_host_vectors(flows):
     """Every host's vector over the full span, each from a scan of all flows."""
     span = full_span(flows)

@@ -192,6 +192,10 @@ def test_internal_prefixes_matching_no_host_fail_step_3():
     # one prefix that matches some host is enough
     config = PipelineConfig(state=StateParams(internal_prefixes=("10.", "host")))
     assert lifecycle_states(eval_flows, config)[1]
+    # a capture without a host has no S3 to lose
+    config = PipelineConfig(state=StateParams(internal_prefixes=("10.",)))
+    graph, host_states = lifecycle_states([], config)
+    assert graph == comm_graph.CommGraph(frozenset(), {}) and host_states == {}
 
 
 def test_run_counts_labeled_hosts_absent_from_capture_and_trains_on_them():
@@ -290,14 +294,25 @@ def step3_captures():
         "out-of-order": synth[::-1][:400] + synth[:-400],
         "loopback-only-host": loopback,
         "empty-middle-window": gap,
+        **{f"gapped-{seed}": gapped_capture(seed) for seed in range(4)},
+        "empty": [],
     }
 
 
-@pytest.mark.parametrize("name", ["synthgen", "out-of-order", "loopback-only-host", "empty-middle-window"])
+@pytest.mark.parametrize(
+    "name",
+    [
+        "synthgen", "out-of-order", "loopback-only-host", "empty-middle-window",
+        "gapped-0", "gapped-1", "gapped-2", "gapped-3", "empty",
+    ],
+)
 def test_full_span_graph_merged_from_windows_equals_one_pass_build(name):
     flows = step3_captures()[name]
     graph, host_states = lifecycle_states(flows, PipelineConfig())
-    expected = comm_graph.build_graph(flows, flow_model.full_span(flows))
+    if flows:
+        expected = comm_graph.build_graph(flows, flow_model.full_span(flows))
+    else:  # a capture without a flow has no span, and no vertex
+        expected = comm_graph.CommGraph(frozenset(), {})
     assert graph.vertices == expected.vertices
     assert graph.edge_weight == expected.edge_weight
     assert graph.timestamp == expected.timestamp
