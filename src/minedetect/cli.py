@@ -46,31 +46,60 @@ class _Parser(argparse.ArgumentParser):
 def write_atomic(outputs: Sequence[tuple[str, str]]) -> None:
     """Write each (path, text): all of the files or none, then the '-' texts to stdout.
 
-    Every file is written to a temp file in its directory first, and the
-    temps are renamed only once all are written. A failure removes the temps
-    and every output already renamed, so a failed call leaves nothing behind.
+    Every file is written to a temp file in its directory first, with the
+    mode ``open(path, "w")`` gives a new file (0o666 less the umask), and the
+    temps are renamed only once all are written. A file already at an output
+    path is moved to a temp name beside it just before the new one is renamed
+    in, and dropped once all are. A failure removes the temps and the new
+    outputs and puts back what was there, so a failed call leaves the files
+    as it found them.
     """
     files = [(path, text) for path, text in outputs if path != "-"]
+    umask = os.umask(0)  # the only way to read it is to set it
+    os.umask(umask)
     temps: list[str] = []
     renamed: list[str] = []
+    kept: list[tuple[str, str]] = []  # (output path, the temp its earlier file was moved to)
     try:
         for path, text in files:
-            directory = os.path.dirname(os.path.abspath(path))
-            fd, tmp = tempfile.mkstemp(dir=directory, prefix=".minedetect-", suffix=".tmp")
+            fd, tmp = _temp_beside(path)
             temps.append(tmp)
+            os.fchmod(fd, 0o666 & ~umask)
             with os.fdopen(fd, "w", encoding="utf-8") as fh:
                 fh.write(text)
         for (path, _), tmp in zip(files, temps):
+            # a directory is not kept: renaming a file over it fails, naming it
+            if os.path.lexists(path) and not os.path.isdir(path):
+                fd, aside = _temp_beside(path)
+                os.close(fd)
+                try:
+                    os.replace(path, aside)
+                except BaseException:
+                    os.unlink(aside)
+                    raise
+                kept.append((path, aside))
             os.replace(tmp, path)
             renamed.append(path)
     except BaseException:
         for leftover in [*temps[len(renamed) :], *renamed]:
             with contextlib.suppress(OSError):
                 os.unlink(leftover)
+        for path, aside in kept:
+            with contextlib.suppress(OSError):
+                os.replace(aside, path)
         raise
+    for _, aside in kept:
+        with contextlib.suppress(OSError):
+            os.unlink(aside)
     for path, text in outputs:
         if path == "-":
             sys.stdout.write(text)
+
+
+def _temp_beside(path: str) -> tuple[int, str]:
+    """A new temp file in path's directory, open for writing: (its descriptor, its name)."""
+    directory = os.path.dirname(os.path.abspath(path))
+    return tempfile.mkstemp(dir=directory, prefix=".minedetect-", suffix=".tmp")
 
 
 def _refuse_shared_paths(inputs: dict[str, str | None], outputs: dict[str, str | None]) -> None:

@@ -2,7 +2,9 @@ import csv
 import dataclasses
 import hashlib
 import json
+import os
 import re
+import stat
 from pathlib import Path
 
 import pytest
@@ -1105,6 +1107,36 @@ def test_run_with_a_directory_at_its_last_output_leaves_no_output(
     assert "minedetect run: error: " in capsys.readouterr().err
     assert [p.name for p in (tmp_path / "o").iterdir()] == ["r.clusters.csv"]
     assert list((tmp_path / "o" / "r.clusters.csv").iterdir()) == []
+
+
+def test_failed_run_puts_back_the_report_that_was_there(tmp_path, capsys, labeled_capture):
+    flows, labeled = labeled_capture
+    out = tmp_path / "o"
+    (out / "r.clusters.csv").mkdir(parents=True)
+    (out / "r.json").write_text('{"earlier": "report"}\n')
+    before = (out / "r.json").read_bytes()
+    argv = ["run", "--flows", str(flows), "--labeled", str(labeled)]
+    assert dispatch(argv + ["--out", str(out / "r.json")]) == 1
+    assert "minedetect run: error: " in capsys.readouterr().err
+    assert (out / "r.json").read_bytes() == before
+    assert sorted(p.name for p in out.iterdir()) == ["r.clusters.csv", "r.json"]
+
+
+def test_outputs_get_the_mode_of_a_new_file(tmp_path, labeled_capture):
+    flows, labeled = labeled_capture
+    report = tmp_path / "report.json"
+    report.write_text("{}\n")
+    report.chmod(0o600)  # a replaced file takes the new file's mode too
+    umask = os.umask(0o022)
+    try:
+        argv = ["run", "--flows", str(flows), "--labeled", str(labeled), "--out", str(report)]
+        assert dispatch(argv) == 0
+    finally:
+        os.umask(umask)
+    for path in (report, tmp_path / "report.clusters.csv"):
+        assert stat.S_IMODE(path.stat().st_mode) == 0o644
+    # the replaced report, moved aside during the rename, is gone
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["report.clusters.csv", "report.json"]
 
 
 def test_classify_with_a_directory_at_its_last_output_leaves_no_output(
