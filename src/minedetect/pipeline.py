@@ -226,13 +226,14 @@ def lifecycle_states(
         for host, d in deltas.items():
             state = snn_cluster.assign_state(d, config.state)
             states[host] = max(states.get(host, State.S0), state, key=STATE_RANK.__getitem__)
+    graph = CommGraph(frozenset(vertices), weights)
     prefixes = config.state.internal_prefixes
-    if prefixes and vertices and not any(v.startswith(prefixes) for v in vertices):
+    if prefixes and graph.vertices and not any(v.startswith(prefixes) for v in graph.vertices):
         # every host external would leave S3 unreachable
         raise InvalidConfigError(
             f"state.internal_prefixes {','.join(prefixes)} match no host of the capture"
         )
-    return CommGraph(frozenset(vertices), weights), {v: states.get(v, State.S0) for v in vertices}
+    return graph, {v: states.get(v, State.S0) for v in graph.vertices}
 
 
 def cluster_hosts(graph: CommGraph, k_shared: int) -> list[Cluster]:
