@@ -385,7 +385,9 @@ def mining_volume(
     """Count of the host's fingerprint-matching flows in the trailing window.
 
     The window is [now - delta_t, now) over flow start times, so a flow
-    starting exactly at ``now`` belongs to the next interval.
+    starting exactly at ``now`` belongs to the next interval. This defines
+    S3's m_v: window_deltas counts it without calling this, and its m_v for
+    a window ending at hi must equal this over the whole capture at now=hi.
     """
     if delta_t <= 0:
         raise ValueError("delta_t must be > 0")
@@ -425,49 +427,45 @@ def window_deltas(
     nothing.
 
     m_v counts the fingerprint flows starting in [hi - delta_t, hi); a flow
-    starting exactly at hi belongs to the next window. Every flow is tested
-    against the fingerprint once, as its window arrives, and its matches are
-    appended to each host's list sorted by start time. Windows come in index
-    order, so each list stays sorted and already holds every flow that
-    starts before hi: the interval is the slice two bisections cut from it.
-    Each host's mining_volume call gets only the flows it counts, and a host
-    without a fingerprint flow reads 0 without a call. Each window's host
+    starting exactly at hi belongs to the next window. It equals
+    mining_volume over the whole capture at now=hi. Every flow is tested
+    against the fingerprint once, as its window arrives, and the start times
+    of its matches are appended to each host's list in sorted order.
+    Windows come in index order, so each list stays sorted and already
+    holds every match that starts before hi: m_v is the difference of two
+    binary searches for hi - delta_t and hi in it. Each window's host
     rows (degree split and clustering coefficient) are computed once and
     reused as the earlier side of the next pair, so the state kept across
-    pairs is one window's rows, the fingerprint matches and a running
-    dc_peak maximum per host; no graph is kept.
+    pairs is one window's rows, the fingerprint matches' start times and a
+    running dc_peak maximum per host; no graph is kept.
     """
     matches = params.fingerprint.matches
     start = operator.attrgetter("start_time")
-    by_host: dict[str, list[FlowRecord]] = {}  # host -> its fingerprint flows, by start time
+    by_host: dict[str, list[float]] = {}  # host -> its fingerprint flows' start times, sorted
     peak: dict[str, float] = {}  # host -> largest dc factor of its pairs so far
     rows: dict[str, tuple[int, int, float]] = {}  # the previous window's host rows
     previous = None  # and its timestamp
     for j, (g, in_window, (_, hi)) in enumerate(snapshots):
         for host, found in flows_by_host(sorted(filter(matches, in_window), key=start)).items():
-            by_host.setdefault(host, []).extend(found)
+            by_host.setdefault(host, []).extend(map(start, found))
         # after an empty window every host starts from (0, 0, 0.0)
         rows_prev = rows if previous == g.timestamp - 1 else {}
         rows, previous = _host_rows(g, params.is_internal), g.timestamp
         if j == 0:
             continue  # the first window is only the earlier side of a pair
-        lo = hi - params.delta_t
         deltas: dict[str, HostDeltas] = {}
         for host, (ext_next, int_next, c_next) in rows.items():
             ext_prev, int_prev, c_prev = rows_prev.get(host, (0, 0, 0.0))
             dc_factor = dc_change_factor(c_prev, c_next, params.dc_cap)
             dc_peak = peak.get(host, 0.0)
-            found = by_host.get(host)
+            times = by_host.get(host, ())
             deltas[host] = HostDeltas(
                 host=host,
                 dk_ext=ext_next - ext_prev,
                 dk_int=int_next - int_prev,
                 dc_factor=dc_factor,
                 dc_peak=dc_peak,
-                m_v=mining_volume(
-                    found[bisect_left(found, lo, key=start) : bisect_left(found, hi, key=start)],
-                    host, params.delta_t, params.fingerprint, now=hi,
-                ) if found else 0,
+                m_v=bisect_left(times, hi) - bisect_left(times, hi - params.delta_t),
                 window=g.timestamp - 1,
             )
             peak[host] = max(dc_peak, dc_factor)

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from minedetect import pipeline
+from minedetect import comm_graph, pipeline
 from minedetect.pipeline import PipelineConfig
 
 from test_pipeline import scenario_inputs
@@ -22,7 +22,6 @@ REACHED_BY_RUN = (
     "flow_model.normalize",
     "comm_graph.build_graph",
     "comm_graph.window_deltas",
-    "comm_graph.mining_volume",
     "comm_graph.graph_features",
     "snn_cluster.build_snn_graph",
     "snn_cluster.extract_clusters",
@@ -61,18 +60,32 @@ def test_run_reaches_every_traced_stage_target():
 
 
 # the fingerprint flows of this capture start in the first seconds of a
-# window, so a 100 s interval also reads the window before it, whose
-# fingerprint flows all start before the interval does
+# window, so a 100 s interval also counts the window before it
 @pytest.mark.parametrize("delta_t", [None, 100.0], ids=["one-window", "window-and-a-part"])
-def test_traced_mining_volume_reads_only_matching_flows(delta_t):
+def test_traced_run_counts_mining_volume_without_calling_it(monkeypatch, delta_t):
     tracer = load_tracer()
     labeled, flows, truth = scenario_inputs()
     config = PipelineConfig()
     if delta_t is not None:
         config = dataclasses.replace(config, state=dataclasses.replace(config.state, delta_t=delta_t))
+    seen = []
+    window_deltas = comm_graph.window_deltas
+
+    def recording_window_deltas(*args, **kwargs):
+        for deltas in window_deltas(*args, **kwargs):
+            seen.append(deltas)
+            yield deltas
+
+    monkeypatch.setattr(comm_graph, "window_deltas", recording_window_deltas)
     with tracer.Tracer() as trace:
         pipeline.run(flows, labeled, config, ground_truth=truth.labels)
-    metrics = trace.layer_metrics()
-    matches = metrics["comm_graph.mining_volume_matches"][0]
-    assert matches > 0
-    assert metrics["comm_graph.mining_volume_rows_scanned"][0] == matches
+    assert trace.layer_metrics()["comm_graph.mining_volume_calls"][0] == 0
+    # pair j ends where snapshot j + 1 does
+    ends = [hi for _, _, (_, hi) in comm_graph.window_snapshots(flows, config.window_length)][1:]
+    state = config.state
+    counted = 0
+    for hi, deltas in zip(ends, seen, strict=True):
+        for host, d in deltas.items():
+            assert d.m_v == comm_graph.mining_volume(flows, host, state.delta_t, state.fingerprint, now=hi)
+            counted += d.m_v
+    assert counted > 0

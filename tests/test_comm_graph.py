@@ -639,18 +639,22 @@ def test_mining_volume_matches_brute_force_on_mixed_traffic():
         assert mining_volume(flows, host, 60.0, fp, now=now) == expected
 
 
-def test_window_deltas_mining_volume_matches_scan_of_all_window_flows():
+@pytest.mark.parametrize("shuffle", [False, True], ids=["capture-order", "shuffled"])
+@pytest.mark.parametrize("delta_t", [60.0, 150.0])
+def test_window_deltas_mining_volume_matches_scan_of_whole_capture(delta_t, shuffle):
     flows, truth = generate(ScenarioConfig(seed=9, n_hosts=30, ring_degree=4, n_windows=4,
                                            recruitment_schedule=(0, 3, 2)))
+    if shuffle:
+        flows = random.Random(31).sample(flows, len(flows))
     fp = MiningFingerprint(pool_hosts=frozenset({"pool0"}))
-    params = StateParams(fingerprint=fp)
+    params = StateParams(fingerprint=fp, delta_t=delta_t)
     snapshots = list(window_snapshots(flows, 60.0))
     counted = 0
     pairs = window_deltas(snapshots, params)
-    for (g_next, in_window, (_, hi)), deltas in zip(snapshots[1:], pairs):
+    for (g_next, _, (_, hi)), deltas in zip(snapshots[1:], pairs, strict=True):
         assert set(deltas) == g_next.vertices
         for host, d in deltas.items():
-            assert d.m_v == mining_volume(in_window, host, 60.0, fp, now=hi)
+            assert d.m_v == mining_volume(flows, host, delta_t, fp, now=hi)
             counted += d.m_v
     # the miners' pool flows were found, so the comparison was not all zeros
     assert counted > 0 and truth.miners

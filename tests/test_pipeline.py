@@ -3,7 +3,9 @@ import gc
 import hashlib
 import json
 import random
+import re
 import weakref
+from pathlib import Path
 
 import pytest
 from oracles import gapped_capture, prc_auc_all_thresholds, roc_auc_pair_counting
@@ -224,33 +226,32 @@ def incidences(flows):
 
 def test_run_reads_each_host_flow_incidence_once(monkeypatch):
     labeled, eval_flows, eval_truth = scenario_inputs()
-    aggregated, mined = [], []
+    aggregated = []
     aggregate = flow_model.aggregate_host_features
-    mining_volume = comm_graph.mining_volume
 
     def counting_aggregate(flows, *args, **kwargs):
         aggregated.append(len(flows))
         return aggregate(flows, *args, **kwargs)
 
-    def counting_mining_volume(flows, *args, **kwargs):
-        mined.append(len(flows))
-        return mining_volume(flows, *args, **kwargs)
-
     monkeypatch.setattr(flow_model, "aggregate_host_features", counting_aggregate)
-    monkeypatch.setattr(comm_graph, "mining_volume", counting_mining_volume)
-    config = PipelineConfig()
-    run(eval_flows, labeled, config, ground_truth=eval_truth.labels)
+    run(eval_flows, labeled, PipelineConfig(), ground_truth=eval_truth.labels)
 
     assert len(aggregated) == len(hosts_in(eval_flows))
     assert sum(aggregated) == incidences(eval_flows)
-    # with delta_t equal to the window, each pair's trailing windows are the
-    # arriving window alone
-    assert config.state.delta_t == config.window_length
-    # each host's call reads exactly its fingerprint-matching flows
-    windows = list(window_snapshots(eval_flows, config.window_length))
+
+
+def test_run_counts_mining_volume_without_calling_it(monkeypatch):
+    def raising_mining_volume(*args, **kwargs):
+        raise AssertionError("step 3 called comm_graph.mining_volume")
+
+    monkeypatch.setattr(comm_graph, "mining_volume", raising_mining_volume)
+    labeled, eval_flows, eval_truth = scenario_inputs()
+    config = PipelineConfig()
+    report = run(eval_flows, labeled, config, ground_truth=eval_truth.labels)
+    assert len(report.host_states) == len(hosts_in(eval_flows))
+    # fingerprint flows after the first window, where m_v is counted
     matches = config.state.fingerprint.matches
-    matching = [f for _, in_window, _ in windows[1:] for f in in_window if matches(f)]
-    assert matching and sum(mined) == incidences(matching)
+    assert any(matches(f) and f.start_time >= config.window_length for f in eval_flows)
 
 
 def test_run_computes_each_window_coefficient_once(monkeypatch):
@@ -410,6 +411,35 @@ def test_mining_volume_reads_every_window_within_delta_t(monkeypatch, delta_t, m
     assert pairs[0]["miner"].dk_int == 2
     assert pairs[0]["miner"].m_v == m_v
     assert report.host_states["miner"] is state
+
+
+def readme_python_blocks(section):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    body = readme.split(f"\n## {section}\n", 1)[1].split("\n## ", 1)[0]
+    return re.findall(r"```python\n(.*?)```", body, re.S)
+
+
+def test_readme_library_api_examples_run_and_agree_with_run():
+    scenario = dict(n_hosts=40, ring_degree=4, n_windows=5, recruitment_schedule=(0, 2, 1),
+                    pool_hosts=("pool0", "pool1"))
+    train_flows, train_truth = generate(ScenarioConfig(seed=7, **scenario))
+    flows, truth = generate(ScenarioConfig(seed=11, **scenario))
+    # the labeled set as `minedetect features --truth` writes it
+    labeled = [
+        dataclasses.replace(v, label=train_truth.labels[v.host])
+        for v in flow_model.host_vectors(train_flows) if v.host in train_truth.labels
+    ]
+    stages, windows = readme_python_blocks("Library API")
+    ns = {"flows": flows, "labeled": labeled, "ground_truth": truth.labels}
+    exec(stages, ns)
+    report = run(flows, labeled, ns["config"], ground_truth=truth.labels)
+    assert ns["predictions"] == report.predictions
+    assert ns["clusters"] == report.clusters
+    assert ns["host_states"] == report.host_states
+    assert ns["metrics"] == report.metrics
+    ns = {"flows": flows}
+    exec(windows, ns)
+    assert set(ns["states"]) == hosts_in(f for f in flows if f.start_time >= 4 * 60.0)
 
 
 # ---------------------------------------------------------------------------
