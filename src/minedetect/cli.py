@@ -330,6 +330,8 @@ _CSV_SECTIONS = {
 
 
 def _cmd_report(args) -> int:
+    if args.detector and args.section != "metrics":
+        raise MineDetectError(f"--detector needs --section metrics, not --section {args.section}")
     _refuse_shared_paths({"--in": args.infile}, {"--out": args.out})
     obj = json.loads(_read_text(args.infile))
     section = args.section

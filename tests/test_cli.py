@@ -425,6 +425,20 @@ def test_report_metrics_json_honours_detector(tmp_path, scenario_file, capsys):
         assert json.loads(capsys.readouterr().out) == metrics[detector]
 
 
+@pytest.mark.parametrize("section", ["clusters", "hosts", "suspicious"])
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_report_detector_outside_metrics_exits_1(tmp_path, capsys, section, fmt):
+    report = tmp_path / "report.json"
+    report.write_text(json.dumps({"clusters": [], "hosts": {}, "suspicious": []}))
+    out = tmp_path / "section.out"
+    assert dispatch([
+        "report", "--in", str(report), "--section", section, "--detector", "state_detector",
+        "--format", fmt, "--out", str(out),
+    ]) == 1
+    assert not out.exists()
+    assert f"--detector needs --section metrics, not --section {section}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("section", ["metrics", "clusters"])
 def test_report_csv_sections_equal_run_tables(tmp_path, scenario_file, section):
     report = run_pipeline(tmp_path, scenario_file)

@@ -413,12 +413,6 @@ def test_mining_volume_reads_every_window_within_delta_t(monkeypatch, delta_t, m
     assert report.host_states["miner"] is state
 
 
-def readme_python_blocks(section):
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
-    body = readme.split(f"\n## {section}\n", 1)[1].split("\n## ", 1)[0]
-    return re.findall(r"```python\n(.*?)```", body, re.S)
-
-
 def test_readme_library_api_examples_run_and_agree_with_run():
     scenario = dict(n_hosts=40, ring_degree=4, n_windows=5, recruitment_schedule=(0, 2, 1),
                     pool_hosts=("pool0", "pool1"))
@@ -429,7 +423,9 @@ def test_readme_library_api_examples_run_and_agree_with_run():
         dataclasses.replace(v, label=train_truth.labels[v.host])
         for v in flow_model.host_vectors(train_flows) if v.host in train_truth.labels
     ]
-    stages, windows = readme_python_blocks("Library API")
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Library API\n", 1)[1].split("\n## ", 1)[0]
+    stages, windows = re.findall(r"```python\n(.*?)```", section, re.S)
     ns = {"flows": flows, "labeled": labeled, "ground_truth": truth.labels}
     exec(stages, ns)
     report = run(flows, labeled, ns["config"], ground_truth=truth.labels)
@@ -439,6 +435,7 @@ def test_readme_library_api_examples_run_and_agree_with_run():
     assert ns["metrics"] == report.metrics
     ns = {"flows": flows}
     exec(windows, ns)
+    # the loop reached the last of the five 60 s windows
     assert set(ns["states"]) == hosts_in(f for f in flows if f.start_time >= 4 * 60.0)
 
 
