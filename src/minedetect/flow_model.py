@@ -25,7 +25,7 @@ import enum
 import hashlib
 import math
 import operator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import chain, islice
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -191,9 +191,16 @@ class FlowRecord:
 _FLOW_SLOT_SETTERS = tuple(vars(FlowRecord)[name].__set__ for name in FLOW_FIELDS)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class FeatureVector:
-    """Per-host traffic statistics, raw or min-max normalized."""
+    """Per-host traffic statistics, raw or min-max normalized.
+
+    Slotted, like FlowRecord: a vector has no ``__dict__`` and takes no
+    extra attributes. Every check runs in ``__init__`` before any field is
+    stored, so ``dataclasses.replace`` re-runs them all: the five ratios
+    must lie in [0, 1]; bpp, ppm and ppf in [0, 1] when ``normalized``, else
+    finite and >= 0; and ``label`` must be a Label member.
+    """
 
     host: str
     bpp: float
@@ -207,25 +214,66 @@ class FeatureVector:
     label: Label = Label.UNLABELED
     normalized: bool = False
 
-    def __post_init__(self):
-        for name in ("ackpush_all", "req_all", "syn_all", "rst_all", "fin_all"):
-            v = getattr(self, name)
-            if not (0.0 <= v <= 1.0):
-                raise ValueError(f"{name}={v} outside [0, 1]")
-        if self.normalized:
-            for name in RAW_FEATURES:
-                v = getattr(self, name)
-                if not (0.0 <= v <= 1.0):
-                    raise ValueError(f"normalized {name}={v} outside [0, 1]")
-        else:
-            for name in RAW_FEATURES:
-                v = getattr(self, name)
-                if not (0.0 <= v < math.inf):
+    def __init__(
+        self,
+        host: str,
+        bpp: float,
+        ppm: float,
+        ppf: float,
+        ackpush_all: float,
+        req_all: float,
+        syn_all: float,
+        rst_all: float,
+        fin_all: float,
+        label: Label = Label.UNLABELED,
+        normalized: bool = False,
+    ):
+        # one comparison per group in the common case; the per-name loops
+        # only word the error, naming the first bad field in FEATURE_ORDER
+        if not (
+            0.0 <= ackpush_all <= 1.0 and 0.0 <= req_all <= 1.0 and 0.0 <= syn_all <= 1.0
+            and 0.0 <= rst_all <= 1.0 and 0.0 <= fin_all <= 1.0
+        ):
+            ratios = (ackpush_all, req_all, syn_all, rst_all, fin_all)
+            for name, v in zip(FEATURE_ORDER[3:], ratios):
+                if not 0.0 <= v <= 1.0:
+                    raise ValueError(f"{name}={v} outside [0, 1]")
+        if normalized:
+            if not (0.0 <= bpp <= 1.0 and 0.0 <= ppm <= 1.0 and 0.0 <= ppf <= 1.0):
+                for name, v in zip(RAW_FEATURES, (bpp, ppm, ppf)):
+                    if not 0.0 <= v <= 1.0:
+                        raise ValueError(f"normalized {name}={v} outside [0, 1]")
+        elif not (0.0 <= bpp < math.inf and 0.0 <= ppm < math.inf and 0.0 <= ppf < math.inf):
+            for name, v in zip(RAW_FEATURES, (bpp, ppm, ppf)):
+                if not 0.0 <= v < math.inf:
                     raise ValueError(f"{name}={v} must be finite and >= 0")
+        if not isinstance(label, Label):
+            raise ValueError(f"label for {host!r} must be a Label member, got {label!r}")
+        (
+            set_host, set_bpp, set_ppm, set_ppf, set_ackpush_all, set_req_all,
+            set_syn_all, set_rst_all, set_fin_all, set_label, set_normalized,
+        ) = _VECTOR_SLOT_SETTERS
+        set_host(self, host)
+        set_bpp(self, bpp)
+        set_ppm(self, ppm)
+        set_ppf(self, ppf)
+        set_ackpush_all(self, ackpush_all)
+        set_req_all(self, req_all)
+        set_syn_all(self, syn_all)
+        set_rst_all(self, rst_all)
+        set_fin_all(self, fin_all)
+        set_label(self, label)
+        set_normalized(self, normalized)
 
     def values(self) -> tuple[float, ...]:
         """The eight features in FEATURE_ORDER."""
-        return tuple(getattr(self, name) for name in FEATURE_ORDER)
+        return _feature_values(self)
+
+
+_VECTOR_SLOT_SETTERS = tuple(
+    vars(FeatureVector)[name].__set__ for name in ("host", *FEATURE_ORDER, "label", "normalized")
+)
+_feature_values = operator.attrgetter(*FEATURE_ORDER)
 
 
 @dataclass(frozen=True)
@@ -479,11 +527,22 @@ def format_flags(flags: frozenset[str]) -> str:
 
 
 class _CsvCells(dict):
-    """Text -> its cell as ``csv.writer`` writes it, quoted once per text."""
+    """Text -> its cell as ``csv.writer`` writes it, quoted once per text.
+
+    The caches of one table share one writer, ``writerow``, and its sink:
+    a writer per text cost microseconds a miss, and each writer holds a
+    record buffer of 128 KiB once it has written a row.
+    """
+
+    def __init__(self, writerow, sink: _Lines):
+        super().__init__()
+        self.writerow, self.sink = writerow, sink
 
     def __missing__(self, text: str) -> str:
-        # a one-field row of "" would be written quoted, so add a second field
-        cell = self[text] = csv_text((text, ""))[:-2]
+        # a one-field row of "" would be written quoted, so add a second
+        # field; the cell is the row without its ",\r\n"
+        self.writerow((text, ""))
+        cell = self[text] = self.sink.pop()[:-3]
         return cell
 
 
@@ -494,7 +553,9 @@ def _flow_csv_chunks(flows: Sequence[FlowRecord]) -> Iterator[str]:
     numbers appear as ``csv.writer`` formats them, and each distinct host,
     protocol and flags text is written by ``csv.writer`` once.
     """
-    hosts, protocols, flag_cells = _CsvCells(), _CsvCells(), _CsvCells()
+    sink = _Lines()
+    writerow = csv.writer(sink).writerow
+    hosts, protocols, flag_cells = (_CsvCells(writerow, sink) for _ in range(3))
     flag_text = {flags: flag_cells[format_flags(flags)] for flags in {f.flags for f in flows}}
     yield csv_text(FLOW_FIELDS)
     for lo in range(0, len(flows), _CHUNK_ROWS):
@@ -588,15 +649,15 @@ def aggregate_host_features(
 
     minutes = (t1 - t0) / 60.0
     return FeatureVector(
-        host=host,
-        bpp=total_bytes / total_packets,
-        ppm=total_packets / minutes,
-        ppf=total_packets / n,
-        ackpush_all=ackpush / n,
-        req_all=requests / n,
-        syn_all=syn / n,
-        rst_all=rst / n,
-        fin_all=fin / n,
+        host,
+        total_bytes / total_packets,
+        total_packets / minutes,
+        total_packets / n,
+        ackpush / n,
+        requests / n,
+        syn / n,
+        rst / n,
+        fin / n,
     )
 
 
@@ -655,15 +716,14 @@ def normalize(v: FeatureVector, params: NormalizationParams) -> FeatureVector:
     """
     if v.normalized:
         raise AlreadyNormalizedError(f"vector for {v.host!r} is already normalized")
-    scaled = {}
-    for name in RAW_FEATURES:
-        lo, hi = getattr(params, name)
-        x = getattr(v, name)
-        if hi == lo:
-            scaled[name] = 0.0
-        else:
-            scaled[name] = min(1.0, max(0.0, (x - lo) / (hi - lo)))
-    return replace(v, normalized=True, **scaled)
+    bpp, ppm, ppf = [
+        0.0 if hi == lo else min(1.0, max(0.0, (x - lo) / (hi - lo)))
+        for x, (lo, hi) in zip((v.bpp, v.ppm, v.ppf), (params.bpp, params.ppm, params.ppf))
+    ]
+    return FeatureVector(
+        v.host, bpp, ppm, ppf, v.ackpush_all, v.req_all, v.syn_all, v.rst_all, v.fin_all,
+        v.label, True,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -707,14 +767,14 @@ def parse_feature_csv(text: str | Iterable[str], normalized: bool = False) -> li
                 host, rest = row[0].strip(), row[1:]
             else:
                 host, rest = f"row{row_no}", row
-            feats = [float(x) for x in rest[: len(FEATURE_ORDER)]]
-            label = parse_label(rest[len(FEATURE_ORDER)])
+            # the feature cells parse before the class cell, so a row bad in
+            # both reports its feature
             vectors.append(
                 FeatureVector(
-                    host=host,
-                    **dict(zip(FEATURE_ORDER, feats)),
-                    label=label,
-                    normalized=normalized,
+                    host,
+                    *map(float, rest[: len(FEATURE_ORDER)]),
+                    parse_label(rest[len(FEATURE_ORDER)]),
+                    normalized,
                 )
             )
         except ValueError as exc:

@@ -279,12 +279,7 @@ class KnnClassifier:
             host, *feats, label = parts
             try:
                 vectors.append(
-                    FeatureVector(
-                        host=host,
-                        **dict(zip(FEATURE_ORDER, (float(x) for x in feats))),
-                        label=parse_class_label(label, "model"),
-                        normalized=True,
-                    )
+                    FeatureVector(host, *map(float, feats), parse_class_label(label, "model"), True)
                 )
             except ValueError as exc:
                 raise InvalidConfigError(f"model line {line_no}: {exc}") from exc

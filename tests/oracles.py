@@ -7,12 +7,13 @@ implementations it verifies.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import io
 import random
 from fractions import Fraction
 
 from minedetect.comm_graph import CommGraph, edge_key
-from minedetect.errors import MalformedRowError, MissingColumnError
+from minedetect.errors import AlreadyNormalizedError, MalformedRowError, MissingColumnError
 from minedetect.flow_model import (
     FEATURE_ORDER,
     FLAG_NAMES,
@@ -20,6 +21,7 @@ from minedetect.flow_model import (
     FeatureVector,
     FlowRecord,
     Protocol,
+    parse_label,
 )
 
 
@@ -359,6 +361,76 @@ def aggregate_host_features_naive(flows, host, window):
         rst_all=share("RST"),
         fin_all=share("FIN"),
     )
+
+
+def normalize_naive(v, params):
+    """flow_model.normalize as it was: each raw feature looked up by name, the copy by replace."""
+    if v.normalized:
+        raise AlreadyNormalizedError(f"vector for {v.host!r} is already normalized")
+    scaled = {}
+    for name in ("bpp", "ppm", "ppf"):
+        lo, hi = getattr(params, name)
+        x = getattr(v, name)
+        if hi == lo:
+            scaled[name] = 0.0
+        else:
+            scaled[name] = min(1.0, max(0.0, (x - lo) / (hi - lo)))
+    return dataclasses.replace(v, normalized=True, **scaled)
+
+
+def parse_feature_csv_naive(text, normalized=False):
+    """The feature CSV parser as it was before vectors were built by position.
+
+    Copies the whole text into an ``io.StringIO`` and builds each vector
+    by keyword, with its own header, row-width and duplicate-host checks.
+    Rows without a host cell are named ``row<N>`` by record number; errors
+    name the physical line, ``reader.line_num``.
+    """
+    if isinstance(text, str):
+        text = io.StringIO(text)
+    reader = csv.reader(text)
+    try:
+        header = [h.strip() for h in next(reader)]
+    except StopIteration:
+        raise MissingColumnError("empty input: no header row")
+    with_host = header[:1] == ["host"]
+    expected = (["host"] if with_host else []) + [*FEATURE_ORDER, "class"]
+    if header[: len(expected)] != expected:
+        raise MissingColumnError(
+            f"feature CSV header must start with {','.join(expected)}, got {header}"
+        )
+
+    first_line = {}
+    vectors = []
+    for record_no, row in enumerate(reader, start=1):
+        if not row or (len(row) == 1 and not row[0].strip()):
+            continue
+        line_no = reader.line_num
+        if len(row) < len(expected):
+            raise MalformedRowError(line_no, f"expected {len(expected)} fields, got {len(row)}")
+        if with_host:
+            host, rest = row[0].strip(), row[1:]
+            if host in first_line:
+                raise MalformedRowError(
+                    line_no, f"duplicate host {host!r} (first on line {first_line[host]})"
+                )
+            first_line[host] = line_no
+        else:
+            host, rest = f"row{record_no}", row
+        try:
+            feats = [float(x) for x in rest[: len(FEATURE_ORDER)]]
+            label = parse_label(rest[len(FEATURE_ORDER)])
+            vectors.append(
+                FeatureVector(
+                    host=host,
+                    **dict(zip(FEATURE_ORDER, feats)),
+                    label=label,
+                    normalized=normalized,
+                )
+            )
+        except ValueError as exc:
+            raise MalformedRowError(line_no, str(exc)) from exc
+    return vectors
 
 
 def parse_flow_csv_naive(text, schema=None):

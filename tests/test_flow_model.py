@@ -1,6 +1,8 @@
+import copy
 import dataclasses
 import hashlib
 import io
+import itertools
 import math
 import pickle
 import random
@@ -13,6 +15,8 @@ from oracles import (
     aggregate_host_features_naive,
     features_to_csv_writer,
     flows_to_csv_writer,
+    normalize_naive,
+    parse_feature_csv_naive,
     parse_flow_csv_naive,
 )
 
@@ -31,6 +35,7 @@ from minedetect.flow_model import (
     FeatureVector,
     FlowRecord,
     Label,
+    NormalizationParams,
     Protocol,
     aggregate_host_features,
     features_to_csv,
@@ -160,6 +165,82 @@ def test_flow_rejects_bad_argument_alike_by_every_route(bad, message):
     with pytest.raises(ValueError):
         blank.__init__(**fields)
     assert [name for name in flow_model.FLOW_FIELDS if hasattr(blank, name)] == []
+
+
+# ---------------------------------------------------------------------------
+# FeatureVector invariants
+# ---------------------------------------------------------------------------
+
+VECTOR_FIELDS = [f.name for f in dataclasses.fields(FeatureVector)]
+
+
+def test_vector_is_a_slotted_frozen_value():
+    vector = make_vector(label=Label.MINER)
+    same = make_vector(label=Label.MINER)
+    assert vector == same and hash(vector) == hash(same) and vector is not same
+    assert vector != make_vector() and vector != make_vector(host="g", label=Label.MINER)
+    assert not hasattr(vector, "__dict__")
+    assert vector.values() == (100.0, 10.0, 5.0, 0.2, 0.5, 0.3, 0.0, 0.1)
+    assert repr(vector) == (
+        "FeatureVector(host='h', bpp=100.0, ppm=10.0, ppf=5.0, ackpush_all=0.2, req_all=0.5, "
+        "syn_all=0.3, rst_all=0.0, fin_all=0.1, label=<Label.MINER: 'Miner'>, normalized=False)"
+    )
+    doubled = dataclasses.replace(vector, bpp=200.0)
+    assert doubled.bpp == 200.0 and doubled != vector and vector.bpp == 100.0
+    assert doubled.label is Label.MINER
+    for twin in (pickle.loads(pickle.dumps(vector)), copy.deepcopy(vector), copy.copy(vector)):
+        assert twin == vector and hash(twin) == hash(vector) and twin.label is Label.MINER
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        vector.bpp = 5.0
+    # replace re-runs every check
+    with pytest.raises(ValueError, match=r"^syn_all=1.5 outside \[0, 1\]$"):
+        dataclasses.replace(vector, syn_all=1.5)
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        ({"bpp": math.nan}, "bpp=nan must be finite and >= 0"),
+        ({"ppm": math.inf}, "ppm=inf must be finite and >= 0"),
+        ({"ppf": -math.inf}, "ppf=-inf must be finite and >= 0"),
+        ({"ppf": -1.0}, "ppf=-1.0 must be finite and >= 0"),
+        ({"syn_all": 1.5}, "syn_all=1.5 outside [0, 1]"),
+        ({"fin_all": math.nan}, "fin_all=nan outside [0, 1]"),
+        ({"ackpush_all": -0.5}, "ackpush_all=-0.5 outside [0, 1]"),
+        ({"normalized": True, "bpp": 0.5, "ppm": 1.5, "ppf": 0.5}, "normalized ppm=1.5 outside [0, 1]"),
+        ({"normalized": True, "bpp": 0.5, "ppm": 0.5, "ppf": math.nan}, "normalized ppf=nan outside [0, 1]"),
+        ({"label": "Miner"}, "label for 'h' must be a Label member, got 'Miner'"),
+        ({"label": None}, "label for 'h' must be a Label member, got None"),
+        # several bad arguments: the ratios first, then bpp/ppm/ppf, then the label,
+        # each group in FEATURE_ORDER
+        ({"bpp": math.nan, "rst_all": 1.5, "req_all": -0.5}, "req_all=-0.5 outside [0, 1]"),
+        ({"ppf": math.inf, "bpp": -1.0, "label": "Miner"}, "bpp=-1.0 must be finite and >= 0"),
+        ({"normalized": True}, "normalized bpp=100.0 outside [0, 1]"),
+        ({"normalized": True, "fin_all": 2.0}, "fin_all=2.0 outside [0, 1]"),
+    ],
+    ids=[
+        "nan-raw", "inf-raw", "minus-inf-raw", "negative-raw", "ratio", "nan-ratio",
+        "negative-ratio", "normalized-raw", "nan-normalized-raw", "plain-string-label",
+        "no-label", "first-ratio-of-three", "raw-before-label", "first-normalized-raw",
+        "ratio-before-normalized-raw",
+    ],
+)
+def test_vector_rejects_bad_argument_alike_by_every_route(bad, message):
+    fields = {name: getattr(make_vector(), name) for name in VECTOR_FIELDS} | bad
+    routes = {
+        "positional": lambda: FeatureVector(*(fields[name] for name in VECTOR_FIELDS)),
+        "keyword": lambda: FeatureVector(**fields),
+        "replace": lambda: dataclasses.replace(make_vector(), **bad),
+    }
+    for route, build in routes.items():
+        with pytest.raises(ValueError) as exc:
+            build()
+        assert str(exc.value) == message, route
+    # the checks run before any field is stored
+    blank = object.__new__(FeatureVector)
+    with pytest.raises(ValueError):
+        blank.__init__(**fields)
+    assert [name for name in VECTOR_FIELDS if hasattr(blank, name)] == []
 
 
 # ---------------------------------------------------------------------------
@@ -756,6 +837,62 @@ def test_normalize_monotone_per_feature():
     assert outs == sorted(outs)
 
 
+_EDGE_VALUES = [0.0, -0.0, 5e-324, 0.25, 1.0, 3.5, 1e6, 1.7976931348623157e308]
+_EDGE_SPANS = [
+    (0.0, 0.0),
+    (-0.0, 0.0),
+    (5.0, 5.0),
+    (0.0, 5e-324),
+    (-0.0, 1.0),
+    (1.0, 2.0),
+    (5e-324, 1.7976931348623157e308),
+    (0.0, 1.7976931348623157e308),
+    (-1.7976931348623157e308, 1.7976931348623157e308),
+]
+
+
+def _same_vectors(fast, naive):
+    """Equal, and every float has the same repr (so -0.0 is told from 0.0)."""
+    assert fast == naive
+    assert [repr(x) for v in fast for x in v.values()] == [
+        repr(x) for v in naive for x in v.values()
+    ]
+    assert [(v.label, v.normalized) for v in fast] == [(v.label, v.normalized) for v in naive]
+
+
+def test_normalize_matches_naive_on_edge_values():
+    # raw values below, inside and above each fitted span, spans with hi == lo,
+    # signed zeros, the smallest subnormal and the largest float
+    fast, naive = [], []
+    n, m = len(_EDGE_VALUES), len(_EDGE_SPANS)
+    for i, j in itertools.product(range(n), range(m)):
+        v = make_vector(
+            host=f"h{i}-{j}",
+            bpp=_EDGE_VALUES[i],
+            ppm=_EDGE_VALUES[(i + 3) % n],
+            ppf=_EDGE_VALUES[(i + 5) % n],
+            label=list(Label)[(i + j) % 3],
+        )
+        params = NormalizationParams(
+            bpp=_EDGE_SPANS[j], ppm=_EDGE_SPANS[(j + 2) % m], ppf=_EDGE_SPANS[(j + 7) % m]
+        )
+        fast.append(normalize(v, params))
+        naive.append(normalize_naive(v, params))
+    _same_vectors(fast, naive)
+    scaled = [x for v in fast for x in v.values()[:3]]
+    assert 0.0 in scaled and 1.0 in scaled and any(0.0 < x < 1.0 for x in scaled)
+
+
+def test_normalize_matches_naive_on_synthgen_vectors(reference_flows):
+    raw = host_vectors(reference_flows)
+    params = fit_normalizer(raw)
+    _same_vectors([normalize(v, params) for v in raw], [normalize_naive(v, params) for v in raw])
+    already = normalize(raw[0], params)
+    for norm in (normalize, normalize_naive):
+        with pytest.raises(AlreadyNormalizedError, match=f"^vector for {raw[0].host!r} is already"):
+            norm(already, params)
+
+
 # ---------------------------------------------------------------------------
 # feature CSV
 # ---------------------------------------------------------------------------
@@ -852,6 +989,81 @@ def test_feature_csv_rejects_repeated_host_with_line_number():
 def test_feature_csv_without_host_column_allows_equal_rows():
     text = ",".join(FEATURE_ORDER) + ",class\n" + f"{FEATURES},Miner\n" * 2
     assert [v.host for v in parse_feature_csv(text)] == ["row1", "row2"]
+
+
+@pytest.fixture(scope="module")
+def reference_labeled_csv():
+    """Every host of the reference capture, labeled from its ground truth."""
+    flows, truth = generate(ScenarioConfig.from_kv(read_kv_file(str(REFERENCE_SCENARIO))))
+    vectors = [
+        dataclasses.replace(v, label=truth.labels[v.host])
+        for v in host_vectors(flows)
+        if v.host in truth.labels
+    ]
+    return features_to_csv(vectors)
+
+
+def _without_host_column(text):
+    return "".join(line.partition(",")[2] for line in text.splitlines(keepends=True))
+
+
+@pytest.mark.parametrize("with_host", [True, False])
+def test_feature_csv_matches_naive_parser_on_synthgen_table(reference_labeled_csv, with_host):
+    text = reference_labeled_csv if with_host else _without_host_column(reference_labeled_csv)
+    vectors = parse_feature_csv(text)
+    assert {v.label for v in vectors} == {Label.MINER, Label.NOT_MINER}
+    _same_vectors(vectors, parse_feature_csv_naive(text))
+    if with_host:
+        assert features_to_csv(vectors) == text
+    # the same table scaled, read back as normalized vectors
+    params = fit_normalizer(vectors)
+    scaled = features_to_csv([normalize(v, params) for v in vectors])
+    text = scaled if with_host else _without_host_column(scaled)
+    _same_vectors(
+        parse_feature_csv(text, normalized=True), parse_feature_csv_naive(text, normalized=True)
+    )
+
+
+_FEATURE_HEADER_TEXT = "host," + ",".join(FEATURE_ORDER) + ",class"
+_GOOD_FEATURE_ROW = "a,100,10,5,0.2,0.5,0.3,0,0.1,Miner"
+
+
+@pytest.mark.parametrize("normalized", [False, True])
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        ("b,nan,0.5,0.5,0.2,0.5,0.3,0,0.1,Miner", "bpp=nan"),
+        ("b,0.5,inf,0.5,0.2,0.5,0.3,0,0.1,Miner", "ppm=inf"),
+        ("b,0.5,0.5,0.5,0.2,0.5,1.5,0,0.1,Miner", "syn_all=1.5 outside [0, 1]"),
+        ("b,0.5,0.5,1.5,0.2,0.5,0.3,0,0.1,Miner", None),
+        ("b,0.5,0.5,0.5,0.2,0.5,0.3,0,0.1,Bogus", "unknown class label 'Bogus'"),
+        ("b,0.5,0.5,x,0.2,0.5,0.3,0,0.1,Bogus", "could not convert string to float: 'x'"),
+        ("b,0.5,0.5,0.5,0.2,0.5", "expected 10 fields, got 6"),
+        ("a,0.5,0.5,0.5,0.2,0.5,0.3,0,0.1,Miner", "duplicate host 'a' (first on line 2)"),
+        ("b,0.5,0.5,nan,0.2,2,0.3,0,0.1,Miner", "req_all=2.0 outside [0, 1]"),
+        ("b,nan,0.5,0.5,0.2,2,0.3,0,0.1,Bogus", "unknown class label 'Bogus'"),
+    ],
+    ids=[
+        "nan", "inf", "ratio", "raw-above-one", "unknown-class", "float-before-class", "short",
+        "duplicate-host", "ratio-before-raw", "class-before-values",
+    ],
+)
+def test_feature_csv_bad_rows_match_naive_parser(normalized, bad, message):
+    text = "\n".join([_FEATURE_HEADER_TEXT, _GOOD_FEATURE_ROW, bad]) + "\n"
+    if message is None:  # bad only once scaled
+        if not normalized:
+            assert parse_feature_csv(text) == parse_feature_csv_naive(text)
+            return
+        message = "normalized ppf=1.5 outside [0, 1]"
+    if normalized:  # the good row must be in range too
+        text = text.replace(_GOOD_FEATURE_ROW, "a,1,0.5,0.5,0.2,0.5,0.3,0,0.1,Miner")
+    with pytest.raises(MalformedRowError) as fast:
+        parse_feature_csv(text, normalized=normalized)
+    with pytest.raises(MalformedRowError) as naive:
+        parse_feature_csv_naive(text, normalized=normalized)
+    assert fast.value.line_no == naive.value.line_no == 3
+    assert str(fast.value) == str(naive.value)
+    assert message in str(fast.value)
 
 
 #: feature vectors with every awkward host cell, multi-byte UTF-8 included

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 import tracemalloc
 
@@ -72,6 +73,22 @@ def test_fit_rejects_raw_vectors_and_empty_set():
 def test_fit_rejects_unlabeled_examples():
     with pytest.raises(ValueError):
         KnnClassifier().fit([vec("a", [0.5] * 8, Label.UNLABELED)])
+
+
+def test_a_plain_string_label_cannot_train_the_wrong_class():
+    # "Miner" == Label.MINER, so fit's check would pass it, but the vote
+    # counts only Label.MINER: the vector itself refuses a bare string
+    message = r"^label for 'm0' must be a Label member, got 'Miner'$"
+    with pytest.raises(ValueError, match=message):
+        vec("m0", [0.5] * 8, "Miner")
+    with pytest.raises(ValueError, match=message):
+        dataclasses.replace(vec("m0", [0.5] * 8, Label.MINER), label="Miner")
+    model = KnnClassifier(k=1).fit([
+        vec("m0", [0.5] * 8, Label.MINER),
+        vec("m1", [0.9] * 8, Label.MINER),
+        vec("n0", [0.1] * 8, Label.NOT_MINER),
+    ])
+    assert model.predict(vec("q", [0.5] * 8)).score == 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -342,3 +359,21 @@ def test_model_file_rejects_unlabeled_example_with_line_number():
         match="^model line 6: model label must be Miner or NotMiner, got 'Unlabeled'$",
     ):
         KnnClassifier.from_text(text)
+
+
+def test_model_file_rejects_out_of_range_feature_with_line_number():
+    model = KnnClassifier(k=1).fit(
+        [vec("a", [0.5] * 8, Label.MINER), vec("b", [0.25] * 8, Label.NOT_MINER)]
+    )
+    lines = model.to_text().split("\n")
+    assert lines[5].startswith("b\t0.25\t")
+    lines[5] = lines[5].replace("b\t0.25\t", "b\t1.5\t", 1)
+    with pytest.raises(
+        InvalidConfigError, match=r"^model line 6: normalized bpp=1.5 outside \[0, 1\]$"
+    ):
+        KnnClassifier.from_text("\n".join(lines))
+    lines[5] = lines[5].replace("b\t1.5\t", "b\tx\t", 1)
+    with pytest.raises(
+        InvalidConfigError, match=r"^model line 6: could not convert string to float: 'x'$"
+    ):
+        KnnClassifier.from_text("\n".join(lines))
