@@ -25,7 +25,7 @@ import enum
 import hashlib
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from itertools import chain, islice
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -276,6 +276,23 @@ _VECTOR_SLOT_SETTERS = tuple(
 _feature_values = operator.attrgetter(*FEATURE_ORDER)
 
 
+def _refuse_store(self, name, value):
+    raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+
+def _refuse_delete(self, name):
+    raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+# The frozen __setattr__/__delattr__ that dataclass generates refer to the
+# class that slots=True replaces, so for a name that is not a field they
+# raise TypeError from super(); these refuse every name. __init__, pickling
+# and copy store through the slot descriptors or object.__setattr__.
+for _cls in (FlowRecord, FeatureVector):
+    _cls.__setattr__, _cls.__delattr__ = _refuse_store, _refuse_delete
+del _cls
+
+
 @dataclass(frozen=True)
 class NormalizationParams:
     """Per-feature (min, max) over a training set, for the raw features."""
@@ -454,8 +471,8 @@ def parse_flow_csv(
     Flags are '|'-joined names, times are decimal seconds. Rows violating a
     flow invariant raise MalformedRowError with the 1-based line number.
 
-    Equal host ids share one ``str`` and equal flags cells one ``frozenset``
-    across the returned records.
+    Equal host ids share one ``str``, equal ``dst_port`` cells one ``int``
+    and equal flags cells one ``frozenset`` across the returned records.
     """
     columns = flow_columns(schema)
     table = CsvTable(text)
@@ -471,8 +488,11 @@ def parse_flow_csv(
 
     # Parses memoised by raw cell text. A bad cell raises before it is
     # stored, so it raises again on every row that carries it; the
-    # FlowRecord checks run on every row whatever the memo holds.
+    # FlowRecord checks run on every row whatever the memo holds. Source
+    # ports and byte counts are mostly distinct: a memo of them would share
+    # nothing and hold an entry per flow until the parse ends.
     hosts: dict[str, str] = {}
+    dst_ports: dict[str, int] = {}
     protocols: dict[str, Protocol] = {}
     flag_sets: dict[str, frozenset[str]] = {}
     requests: dict[str, bool] = {}
@@ -485,7 +505,10 @@ def parse_flow_csv(
             src = row[i_src].strip()
             dst = row[i_dst].strip()
             src_port = int(row[i_sport])
-            dst_port = int(row[i_dport])
+            cell = row[i_dport]
+            dst_port = dst_ports.get(cell)
+            if dst_port is None:
+                dst_port = dst_ports[cell] = int(cell)
             cell = row[i_proto]
             protocol = protocols.get(cell)
             if protocol is None:

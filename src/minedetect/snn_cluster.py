@@ -17,6 +17,7 @@ Rules are evaluated in exactly that order; the first match wins.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
 
@@ -42,17 +43,40 @@ class State(str, enum.Enum):
 STATE_RANK = {State.S0: 0, State.S1: 1, State.S2: 2, State.S3: 3}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SnnGraph:
-    """G*: same vertices as the base graph, edges = pairs sharing >= k_shared neighbors."""
+    """G*: same vertices as the base graph, edges = pairs sharing >= k_shared neighbors.
+
+    ``pairs`` holds each edge as the key ``i * n + j`` (i < j) of its two
+    vertex numbers in ``base.order``, n vertices, ascending: 8 B per edge.
+    ``edges`` spells them as id pairs, built on first access. Two graphs
+    are equal when their base, k_shared and edges are.
+    """
 
     base: CommGraph
     k_shared: int
-    edges: frozenset[Edge]
+    pairs: np.ndarray
 
     @property
     def vertices(self) -> frozenset[str]:
         return self.base.vertices
+
+    @functools.cached_property
+    def edges(self) -> frozenset[Edge]:
+        # i < j, so (order[i], order[j]) is already the canonical edge_key order
+        order = self.base.order
+        first, second = np.divmod(self.pairs, len(order))
+        return frozenset(zip(map(order.__getitem__, first.tolist()),
+                             map(order.__getitem__, second.tolist())))
+
+    def __eq__(self, other):
+        if not isinstance(other, SnnGraph):
+            return NotImplemented
+        return (
+            self.base == other.base
+            and self.k_shared == other.k_shared
+            and np.array_equal(self.pairs, other.pairs)
+        )
 
 
 @dataclass(frozen=True)
@@ -75,6 +99,9 @@ class Cluster:
 #: row alone has more; bounds the key buffer of build_snn_graph.
 _BLOCK_KEYS = 1 << 15
 
+#: G* pair keys that extract_clusters turns into Python ints at a time.
+_UNION_KEYS = 1 << 12
+
 
 def build_snn_graph(g: CommGraph, k_shared: int) -> SnnGraph:
     """Connect i and j in G* iff they share at least k_shared neighbors in G.
@@ -92,12 +119,12 @@ def build_snn_graph(g: CommGraph, k_shared: int) -> SnnGraph:
 
     Cost: sum over vertices of C(deg, 2) pair keys. Memory: the neighbor
     arrays, one block of keys (``_BLOCK_KEYS``, or a single larger row,
-    which holds at most 2|E| keys), and the edges of G*.
+    which holds at most 2|E| keys), and the pair keys of G*.
     """
     if k_shared < 1:
         raise ValueError("k_shared must be >= 1")
     if not g.edge_weight:
-        return SnnGraph(g, k_shared, frozenset())
+        return SnnGraph(g, k_shared, np.empty(0, np.int64))
 
     order, (a, b) = g.order, g.ends
     n = len(order)
@@ -107,11 +134,8 @@ def build_snn_graph(g: CommGraph, k_shared: int) -> SnnGraph:
     for keys, _ in csr.wedges(reverse, csr.indptr, _BLOCK_KEYS):
         keys, hits = np.unique(keys, return_counts=True)
         pairs.append(keys[hits >= k_shared])
-
-    # i < j, so (order[i], order[j]) is already the canonical edge_key order
-    first, second = np.divmod(np.concatenate(pairs), n)
-    edges = zip(map(order.__getitem__, first.tolist()), map(order.__getitem__, second.tolist()))
-    return SnnGraph(g, k_shared, frozenset(edges))
+    # blocks follow ascending first endpoints, so the keys come out sorted
+    return SnnGraph(g, k_shared, np.concatenate(pairs))
 
 
 def extract_clusters(snn: SnnGraph) -> list[Cluster]:
@@ -120,29 +144,37 @@ def extract_clusters(snn: SnnGraph) -> list[Cluster]:
     Ordered by descending size, then by lexicographically smallest member;
     ids C0, C1, ... follow that order. Isolated vertices become singleton
     clusters, so the result partitions the vertex set.
+
+    A union-find over the vertex numbers of ``base.order`` labels the
+    components: path halving, and each union hangs the larger root under
+    the smaller, so a component's root is its smallest number, which is
+    its lexicographically smallest member. The pair keys are read
+    ``_UNION_KEYS`` at a time, so besides G* the memory is a few list slots
+    per vertex; ids are read only to fill the returned clusters.
     """
-    adj: dict[str, set[str]] = {v: set() for v in snn.vertices}
-    for a, b in snn.edges:
-        adj[a].add(b)
-        adj[b].add(a)
+    order, pairs = snn.base.order, snn.pairs
+    parent = list(range(len(order)))
 
-    seen: set[str] = set()
-    components: list[frozenset[str]] = []
-    for start in sorted(snn.vertices):
-        if start in seen:
-            continue
-        stack, comp = [start], set()
-        while stack:
-            v = stack.pop()
-            if v in comp:
-                continue
-            comp.add(v)
-            stack.extend(adj[v] - comp)
-        seen |= comp
-        components.append(frozenset(comp))
+    def root(v: int) -> int:
+        while parent[v] != v:
+            parent[v] = v = parent[parent[v]]  # path halving
+        return v
 
-    components.sort(key=lambda c: (-len(c), min(c)))
-    return [Cluster(id=f"C{i}", members=comp) for i, comp in enumerate(components)]
+    for lo in range(0, len(pairs), _UNION_KEYS):
+        first, second = np.divmod(pairs[lo : lo + _UNION_KEYS], len(order))
+        for i, j in zip(first.tolist(), second.tolist()):
+            i, j = root(i), root(j)
+            if i < j:
+                parent[j] = i
+            elif j < i:
+                parent[i] = j
+
+    members: dict[int, list[str]] = {}
+    for v, name in enumerate(order):
+        members.setdefault(root(v), []).append(name)
+    # roots ascend with insertion, so a stable sort by size keeps them ordered
+    components = sorted(members.values(), key=len, reverse=True)
+    return [Cluster(id=f"C{i}", members=frozenset(comp)) for i, comp in enumerate(components)]
 
 
 # ---------------------------------------------------------------------------

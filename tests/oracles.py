@@ -133,6 +133,35 @@ def snn_edges_dense_product(g: CommGraph, k_shared: int) -> set[tuple[str, str]]
     return {edge_key(order[i], order[j]) for i, j in zip(ii.tolist(), jj.tolist())}
 
 
+def components_naive(vertices, edges) -> list[frozenset[str]]:
+    """Connected components by a stack walk over adjacency sets.
+
+    Ordered by descending size, then by smallest member, as
+    snn_cluster.extract_clusters orders its clusters.
+    """
+    adj: dict[str, set[str]] = {v: set() for v in vertices}
+    for a, b in edges:
+        adj[a].add(b)
+        adj[b].add(a)
+
+    seen: set[str] = set()
+    components: list[frozenset[str]] = []
+    for start in sorted(vertices):
+        if start in seen:
+            continue
+        stack, comp = [start], set()
+        while stack:
+            v = stack.pop()
+            if v in comp:
+                continue
+            comp.add(v)
+            stack.extend(adj[v] - comp)
+        seen |= comp
+        components.append(frozenset(comp))
+    components.sort(key=lambda c: (-len(c), min(c)))
+    return components
+
+
 def triangles_brute(adj: dict[str, set[str]], v: str) -> int:
     """Edges among v's neighbors by checking every neighbor pair.
 

@@ -167,6 +167,19 @@ def test_flow_rejects_bad_argument_alike_by_every_route(bad, message):
     assert [name for name in flow_model.FLOW_FIELDS if hasattr(blank, name)] == []
 
 
+@pytest.mark.parametrize("record", [make_flow(), make_vector()], ids=["flow", "vector"])
+@pytest.mark.parametrize("name", ["host", "src_host", "note"])
+def test_records_refuse_every_store_and_delete(record, name):
+    # "note" is a field of neither class, "host" only of FeatureVector and
+    # "src_host" only of FlowRecord: each raises FrozenInstanceError
+    with pytest.raises(dataclasses.FrozenInstanceError, match=f"cannot assign to field '{name}'"):
+        setattr(record, name, 1)
+    with pytest.raises(dataclasses.FrozenInstanceError, match=f"cannot delete field '{name}'"):
+        delattr(record, name)
+    for twin in (pickle.loads(pickle.dumps(record)), copy.copy(record), copy.deepcopy(record)):
+        assert twin == record
+
+
 # ---------------------------------------------------------------------------
 # FeatureVector invariants
 # ---------------------------------------------------------------------------
@@ -568,9 +581,15 @@ _GOOD_UDP = "h1,h2,1,2,UDP,0,60,5,100,,1"
         ([_GOOD_TCP], "h1,h2,1,2,TCP,nan,60,5,100,ACK,1", "times must be finite"),
         ([_GOOD_TCP], "h1,h2,1,2,TCP,0,60,5,100,ACK", "expected 11 fields, got 10"),
         ([_GOOD_TCP], "h1,h2,1,2,TCP,0,60,5,100,ACK,maybe", "not a boolean: 'maybe'"),
+        ([_GOOD_TCP], "h1,h2,1,x,TCP,0,60,5,100,ACK,1", "invalid literal for int() with base 10: 'x'"),
+        # a cell that parses is memoised, and the range check still runs on its row
+        ([_GOOD_TCP], "h1,h2,1,70000,TCP,0,60,5,100,ACK,1", "port outside 0-65535"),
         ([_GOOD_TCP], "h1,h2,1,2,ICMP,nan,60,x,100,ACK|BOGUS,maybe", "'ICMP' is not a valid Protocol"),
     ],
-    ids=["protocol", "flag", "udp-flags", "non-finite", "short", "bool", "first-bad-cell"],
+    ids=[
+        "protocol", "flag", "udp-flags", "non-finite", "short", "bool", "dst-port",
+        "dst-port-range", "first-bad-cell",
+    ],
 )
 def test_parse_bad_rows_match_naive_parser(warm_up, bad, message):
     # Each bad row is parsed once first and once after good rows that share
@@ -602,6 +621,11 @@ def test_parse_memory_stays_small_and_shares_fields(reference_csv):
         for host in (f.src_host, f.dst_host):
             host_objects.setdefault(host, set()).add(id(host))
     assert all(len(ids) == 1 for ids in host_objects.values())
+    port_objects = {}
+    for f in flows:
+        port_objects.setdefault(f.dst_port, set()).add(id(f.dst_port))
+    assert max(port_objects) > 256  # above the ints CPython shares anyway
+    assert all(len(ids) == 1 for ids in port_objects.values())
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 from oracles import gapped_capture, prc_auc_all_thresholds, roc_auc_pair_counting
 
-from minedetect import comm_graph, flow_model
+from minedetect import comm_graph, flow_model, snn_cluster
 from minedetect.comm_graph import MiningFingerprint, StateParams, window_snapshots
 from minedetect.errors import InvalidConfigError
 from minedetect.flow_model import Label, aggregate_host_features, fit_normalizer, hosts_in, normalize
@@ -45,6 +45,22 @@ def scenario_inputs(train_seed=7, eval_seed=11, **overrides):
     labeled = labeled_vectors(train_flows, train_truth)
     eval_flows, eval_truth = generate(ScenarioConfig(seed=eval_seed, **base))
     return labeled, eval_flows, eval_truth
+
+
+def test_run_leaves_snn_edges_unspelled(monkeypatch):
+    # step 5 clusters from G*'s pair keys; the id-pair edge set is for readers
+    graphs = []
+    build = snn_cluster.build_snn_graph
+
+    def recording(g, k_shared):
+        graphs.append(build(g, k_shared))
+        return graphs[-1]
+
+    monkeypatch.setattr(snn_cluster, "build_snn_graph", recording)
+    labeled, eval_flows, eval_truth = scenario_inputs()
+    run(eval_flows, labeled, PipelineConfig(), ground_truth=eval_truth.labels)
+    (snn,) = graphs
+    assert len(snn.pairs) > 0 and "edges" not in vars(snn)
 
 
 def labeled_vectors(flows, truth):

@@ -1,11 +1,13 @@
 import random
+import time
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from minedetect import snn_cluster
+from minedetect import pipeline, snn_cluster
 from minedetect.cli import read_kv_file
 from minedetect.comm_graph import HostDeltas, StateParams, build_graph, edge_key
 from minedetect.errors import (
@@ -29,6 +31,7 @@ from minedetect.synthgen import ScenarioConfig, generate
 
 from oracles import (
     adjacency_sets,
+    components_naive,
     random_comm_graph,
     snn_edges_dense_product,
     snn_edges_pairwise_scan,
@@ -55,6 +58,8 @@ def test_build_snn_graph_examples():
 
     snn = build_snn_graph(path4(), 1)
     assert snn.edges == frozenset({("1", "3"), ("2", "4")})
+    assert snn.pairs.tolist() == [0 * 4 + 2, 1 * 4 + 3]  # keys i * n + j of the numbers
+    assert snn == build_snn_graph(path4(), 1) != build_snn_graph(path4(), 2)
 
     g = path4()
     assert build_snn_graph(g, len(g.vertices) - 1).edges == frozenset()
@@ -69,6 +74,20 @@ def test_build_snn_graph_matches_pairwise_scan():
         g = random_comm_graph(rng, rng.randint(2, 50), rng.uniform(0.05, 0.5))
         k = rng.randint(1, 4)
         assert build_snn_graph(g, k).edges == frozenset(snn_edges_pairwise_scan(g, k))
+
+
+def test_snn_graph_holds_sorted_pair_keys_and_spells_edges_on_first_access():
+    rng = random.Random(13)
+    for _ in range(20):
+        g = random_comm_graph(rng, rng.randint(2, 40), rng.uniform(0.1, 0.5))
+        k = rng.randint(1, 3)
+        snn = build_snn_graph(g, k)
+        assert snn.pairs.dtype == np.int64 and (np.diff(snn.pairs) > 0).all()
+        assert "edges" not in vars(snn)
+        assert snn.edges == frozenset(snn_edges_pairwise_scan(g, k))
+        assert snn.edges is snn.edges  # built once
+        # equal graphs compare equal whether or not their edges were spelled
+        assert snn == build_snn_graph(g, k)
 
 
 def test_raising_k_shared_never_adds_edges():
@@ -90,8 +109,13 @@ def full_span_graph(config):
     return build_graph(flows, full_span(flows))
 
 
-@pytest.mark.parametrize("config", [
-    pytest.param(ScenarioConfig.from_kv(read_kv_file(str(REFERENCE_SCENARIO))), id="reference"),
+REFERENCE_CONFIG = ScenarioConfig.from_kv(read_kv_file(str(REFERENCE_SCENARIO)))
+
+#: The reference scenario, the golden CLI captures (its seeds 7 and 11) and
+#: the other benchmark workloads' scenarios at seed 3: ring600 is
+#: wide_network's, pool_clique pool_mesh's.
+CAPTURES = [
+    pytest.param(REFERENCE_CONFIG, id="reference"),
     pytest.param(
         ScenarioConfig(seed=3, n_hosts=600, ring_degree=4, n_windows=4, benign_rate=1,
                        recruitment_schedule=(0, 12, 12)),
@@ -101,7 +125,13 @@ def full_span_graph(config):
         ScenarioConfig(seed=3, n_hosts=200, n_windows=4, recruitment_schedule=(0, 60, 60)),
         id="pool_clique",
     ),
-])
+    pytest.param(replace(REFERENCE_CONFIG, seed=3, n_windows=12), id="long_capture"),
+    pytest.param(replace(REFERENCE_CONFIG, seed=7), id="golden-train"),
+    pytest.param(replace(REFERENCE_CONFIG, seed=11), id="golden-eval"),
+]
+
+
+@pytest.mark.parametrize("config", CAPTURES)
 def test_build_snn_graph_matches_dense_product_on_captures(config):
     g = full_span_graph(config)
     for k in range(1, 7):
@@ -175,6 +205,76 @@ def test_build_snn_graph_hub_and_ring_memory_follows_edges():
 # ---------------------------------------------------------------------------
 # cluster extraction
 # ---------------------------------------------------------------------------
+
+def cluster_members(clusters):
+    """Member sets in cluster order, after checking the ids follow it."""
+    assert [c.id for c in clusters] == [f"C{i}" for i in range(len(clusters))]
+    return [c.members for c in clusters]
+
+
+def test_extract_clusters_matches_component_walk_on_random_graphs():
+    rng = random.Random(41)
+    for _ in range(60):
+        g = random_comm_graph(rng, rng.randint(1, 80), rng.uniform(0, 0.3))
+        for k in range(1, 5):
+            expected = components_naive(g.vertices, snn_edges_pairwise_scan(g, k))
+            assert cluster_members(extract_clusters(build_snn_graph(g, k))) == expected
+
+
+@pytest.mark.parametrize("config", CAPTURES)
+def test_extract_clusters_matches_component_walk_on_captures(config):
+    g = full_span_graph(config)
+    for k in (1, 2, 3, 5, 8):
+        snn = build_snn_graph(g, k)
+        assert cluster_members(extract_clusters(snn)) == components_naive(g.vertices, snn.edges)
+
+
+def test_extract_clusters_on_stars():
+    leaves = 3000
+    star = graph_of([("hub", f"leaf{i:04d}") for i in range(leaves)])
+    clusters = extract_clusters(build_snn_graph(star, 2))  # no two leaves share 2 neighbours
+    assert cluster_members(clusters) == components_naive(star.vertices, ())
+    assert [min(c.members) for c in clusters] == sorted(star.vertices)
+
+    small = graph_of([("hub", f"leaf{i:03d}") for i in range(300)])
+    snn = build_snn_graph(small, 1)  # every two leaves share the hub
+    assert len(snn.pairs) == 300 * 299 // 2
+    clusters = extract_clusters(snn)
+    assert cluster_members(clusters) == components_naive(small.vertices, snn.edges)
+    assert [c.size for c in clusters] == [300, 1]
+
+
+def test_extract_clusters_on_a_randomly_numbered_path():
+    # Vertex numbers follow sorted ids, so shuffled ids number the path at
+    # random; min-label propagation would need thousands of rounds here.
+    n = 100_000
+    ids = [f"p{i:06d}" for i in range(n)]
+    random.Random(5).shuffle(ids)
+    g = graph_of(zip(ids, ids[1:]))
+    snn = build_snn_graph(g, 1)  # joins each vertex to the one two steps on: two paths
+    started = time.perf_counter()
+    clusters = extract_clusters(snn)
+    elapsed = time.perf_counter() - started
+    assert cluster_members(clusters) == components_naive(g.vertices, snn.edges)
+    assert [c.size for c in clusters] == [n // 2, n // 2]
+    assert elapsed < 5.0, f"extract_clusters took {elapsed:.2f} s on a {n}-vertex path"
+
+
+def test_cluster_hosts_memory_per_snn_edge():
+    # 40 stars of 100 leaves: each star's leaves form a clique of G*, 198,000
+    # edges from 4,000. G* is kept as 8 B pair keys (16 B while they are
+    # joined), never as id tuples or adjacency sets (about 200 B per edge).
+    stars, leaves = 40, 100
+    g = graph_of([(f"s{s:02d}", f"s{s:02d}l{i:03d}") for s in range(stars) for i in range(leaves)])
+    snn_edges = stars * leaves * (leaves - 1) // 2
+    tracemalloc.start()
+    try:
+        clusters = pipeline.cluster_hosts(g, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [c.size for c in clusters] == [leaves] * stars + [1] * stars
+    assert peak < 4 * 2**20 + 128 * (len(g.vertices) + len(g.edge_weight)) + 24 * snn_edges
 
 def test_extract_clusters_edgeless_gives_singletons():
     g = graph_of([], extra_vertices=["a", "b", "c"])
