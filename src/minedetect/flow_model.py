@@ -26,7 +26,7 @@ import hashlib
 import math
 import operator
 from dataclasses import FrozenInstanceError, dataclass
-from itertools import chain, islice
+from itertools import chain, islice, repeat
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
@@ -144,9 +144,7 @@ class FlowRecord:
         flags: frozenset[str],
         is_request: bool,
     ):
-        # every check runs before any field is stored; the frozen class's
-        # __setattr__ refuses all stores, so they go through the slots'
-        # descriptors
+        # every check runs before any field is stored
         if not (0 <= src_port <= 65535 and 0 <= dst_port <= 65535):
             raise ValueError("port outside 0-65535")
         if not (math.isfinite(start_time) and math.isfinite(end_time)):
@@ -163,22 +161,21 @@ class FlowRecord:
             raise ValueError(f"unknown TCP flags {sorted(set(flags) - _FLAG_SET)}")
         if protocol is Protocol.UDP and flags:
             raise ValueError("UDP flow cannot carry TCP flags")
-        (
-            set_src_host, set_dst_host, set_src_port, set_dst_port, set_protocol,
-            set_start_time, set_end_time, set_packets, set_bytes, set_flags,
-            set_is_request,
-        ) = _FLOW_SLOT_SETTERS
-        set_src_host(self, src_host)
-        set_dst_host(self, dst_host)
-        set_src_port(self, src_port)
-        set_dst_port(self, dst_port)
-        set_protocol(self, protocol)
-        set_start_time(self, start_time)
-        set_end_time(self, end_time)
-        set_packets(self, packets)
-        set_bytes(self, bytes)
-        set_flags(self, flags)
-        set_is_request(self, is_request)
+        # the frozen class refuses stores, so self takes the class of its
+        # store-accepting twin while the fields are stored
+        object.__setattr__(self, "__class__", _FlowSlots)
+        self.src_host = src_host
+        self.dst_host = dst_host
+        self.src_port = src_port
+        self.dst_port = dst_port
+        self.protocol = protocol
+        self.start_time = start_time
+        self.end_time = end_time
+        self.packets = packets
+        self.bytes = bytes
+        self.flags = flags
+        self.is_request = is_request
+        self.__class__ = FlowRecord
 
     @property
     def duration(self) -> float:
@@ -188,7 +185,13 @@ class FlowRecord:
         return self.src_host == host or self.dst_host == host
 
 
-_FLOW_SLOT_SETTERS = tuple(vars(FlowRecord)[name].__set__ for name in FLOW_FIELDS)
+class _FlowSlots:
+    """FlowRecord's slots with plain stores: FlowRecord.__init__ fills a record through it.
+
+    Python swaps an object's class only for one with the same slots.
+    """
+
+    __slots__ = FLOW_FIELDS
 
 
 @dataclass(frozen=True, slots=True, init=False)
@@ -249,30 +252,31 @@ class FeatureVector:
                     raise ValueError(f"{name}={v} must be finite and >= 0")
         if not isinstance(label, Label):
             raise ValueError(f"label for {host!r} must be a Label member, got {label!r}")
-        (
-            set_host, set_bpp, set_ppm, set_ppf, set_ackpush_all, set_req_all,
-            set_syn_all, set_rst_all, set_fin_all, set_label, set_normalized,
-        ) = _VECTOR_SLOT_SETTERS
-        set_host(self, host)
-        set_bpp(self, bpp)
-        set_ppm(self, ppm)
-        set_ppf(self, ppf)
-        set_ackpush_all(self, ackpush_all)
-        set_req_all(self, req_all)
-        set_syn_all(self, syn_all)
-        set_rst_all(self, rst_all)
-        set_fin_all(self, fin_all)
-        set_label(self, label)
-        set_normalized(self, normalized)
+        object.__setattr__(self, "__class__", _VectorSlots)
+        self.host = host
+        self.bpp = bpp
+        self.ppm = ppm
+        self.ppf = ppf
+        self.ackpush_all = ackpush_all
+        self.req_all = req_all
+        self.syn_all = syn_all
+        self.rst_all = rst_all
+        self.fin_all = fin_all
+        self.label = label
+        self.normalized = normalized
+        self.__class__ = FeatureVector
 
     def values(self) -> tuple[float, ...]:
         """The eight features in FEATURE_ORDER."""
         return _feature_values(self)
 
 
-_VECTOR_SLOT_SETTERS = tuple(
-    vars(FeatureVector)[name].__set__ for name in ("host", *FEATURE_ORDER, "label", "normalized")
-)
+class _VectorSlots:
+    """FeatureVector's slots with plain stores: FeatureVector.__init__ fills a vector through it."""
+
+    __slots__ = ("host", *FEATURE_ORDER, "label", "normalized")
+
+
 _feature_values = operator.attrgetter(*FEATURE_ORDER)
 
 
@@ -286,8 +290,9 @@ def _refuse_delete(self, name):
 
 # The frozen __setattr__/__delattr__ that dataclass generates refer to the
 # class that slots=True replaces, so for a name that is not a field they
-# raise TypeError from super(); these refuse every name. __init__, pickling
-# and copy store through the slot descriptors or object.__setattr__.
+# raise TypeError from super(); these refuse every name. __init__ stores
+# through the record's twin class, pickling and copy through
+# object.__setattr__.
 for _cls in (FlowRecord, FeatureVector):
     _cls.__setattr__, _cls.__delattr__ = _refuse_store, _refuse_delete
 del _cls
@@ -345,19 +350,72 @@ def _csv_lines(text: str | Iterable[str]) -> Iterator[str]:
         start = end
 
 
+#: Characters the split reader cuts from a text at a time, up to the next line end
+_PIECE_CHARS = 1 << 16
+
+
+def _split_rows(text: str) -> Iterator[list[str]]:
+    """The rows ``csv.reader`` reads from a text holding no '"', "\\r" or NUL.
+
+    Without a quote no cell spans lines, so a row is one "\\n" line split at
+    commas. The text is split a piece at a time, each about ``_PIECE_CHARS``
+    long and cut at a line end. A blank first line reads as [], as
+    csv.reader reads it; a later one reads as [''], which CsvTable.rows
+    skips alike. A cell longer than ``csv.field_size_limit()`` raises
+    MalformedRowError with csv.reader's message; only a piece longer than
+    the limit can hold one, so only such a piece has its cells measured.
+    """
+    if not text:
+        return
+    start = line_no = 0
+    if text[0] == "\n":  # a blank header, which require_columns would print
+        yield []
+        start = line_no = 1
+    stop = len(text) - text.endswith("\n")  # where the last line ends
+    find = text.find
+    while start <= stop:
+        end = find("\n", start + _PIECE_CHARS)
+        if end < 0:
+            end = stop
+        lines = text[start:end].split("\n")
+        rows = map(str.split, lines, repeat(","))
+        limit = csv.field_size_limit()
+        if end - start > limit:
+            for line, row in enumerate(rows, line_no + 1):
+                if max(map(len, row)) > limit:
+                    raise MalformedRowError(line, f"field larger than field limit ({limit})")
+                yield row
+        else:
+            yield from rows
+        line_no += len(lines)
+        start = end + 1
+
+
 class CsvTable:
     """A CSV table read row by row: every table the tool reads goes through here.
 
     ``header`` is the header row, each cell stripped; empty input raises
     MissingColumnError. rows() then yields the data rows.
+
+    The text picks the reader. A ``str`` holding no '"', "\\r" or NUL has no
+    quoted cell, so _split_rows reads it with ``str.split``; any other text,
+    and any iterable of lines, goes to ``csv.reader``. Both give the same
+    rows, line numbers and errors: a ``csv.Error``, such as a cell longer
+    than ``csv.field_size_limit()``, raises MalformedRowError naming its
+    line.
     """
 
     def __init__(self, text: str | Iterable[str]):
-        self._reader = csv.reader(_csv_lines(text))
+        if isinstance(text, str) and not ('"' in text or "\r" in text or "\0" in text):
+            self._reader, self._csv_reader = _split_rows(text), None
+        else:
+            self._reader = self._csv_reader = csv.reader(_csv_lines(text))
         try:
             self.header = [h.strip() for h in next(self._reader)]
         except StopIteration:
             raise MissingColumnError("empty input: no header row")
+        except csv.Error as exc:
+            raise MalformedRowError(self._csv_reader.line_num, str(exc)) from exc
 
     def require_columns(self, columns: Sequence[str], table: str) -> None:
         """Raise MissingColumnError naming ``table`` unless the header starts with ``columns``.
@@ -378,22 +436,26 @@ class CsvTable:
         MalformedRowError, and so does a repeated first (host) cell when
         ``unique_host`` is set. Extra cells are passed on.
         """
-        reader = self._reader
+        reader, csv_reader = self._reader, self._csv_reader
         first_line: dict[str, int] = {}
-        for record_no, row in enumerate(reader, start=1):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            line_no = reader.line_num
-            if len(row) < width:
-                raise MalformedRowError(line_no, f"expected {width} fields, got {len(row)}")
-            if unique_host:
-                host = row[0].strip()
-                if host in first_line:
-                    raise MalformedRowError(
-                        line_no, f"duplicate host {host!r} (first on line {first_line[host]})"
-                    )
-                first_line[host] = line_no
-            yield record_no, line_no, row
+        try:
+            for record_no, row in enumerate(reader, start=1):
+                if not row or (len(row) == 1 and not row[0].strip()):
+                    continue
+                # a split row is one line, after the header's line 1
+                line_no = record_no + 1 if csv_reader is None else csv_reader.line_num
+                if len(row) < width:
+                    raise MalformedRowError(line_no, f"expected {width} fields, got {len(row)}")
+                if unique_host:
+                    host = row[0].strip()
+                    if host in first_line:
+                        raise MalformedRowError(
+                            line_no, f"duplicate host {host!r} (first on line {first_line[host]})"
+                        )
+                    first_line[host] = line_no
+                yield record_no, line_no, row
+        except csv.Error as exc:
+            raise MalformedRowError(csv_reader.line_num, str(exc)) from exc
 
 
 #: Most rows one chunk of a written table holds.

@@ -16,7 +16,7 @@ from minedetect.flow_model import Label
 from minedetect.knn_classify import KnnClassifier
 from minedetect.pipeline import PipelineConfig
 
-from test_flow_model import make_flow, make_vector
+from test_flow_model import make_flow, make_vector, quote_first_cell
 
 SCENARIO = """\
 # desk-scale scenario
@@ -647,6 +647,21 @@ def test_features_rejects_a_byte_count_above_int64_with_its_line(tmp_path, capsy
     out = tmp_path / "features.csv"
     assert dispatch(["features", "--flows", str(flows), "--out", str(out)]) == 1
     assert "minedetect features: error: line 3: bytes must be < 2**63" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("quoted", [False, True], ids=["split", "csv-reader"])
+def test_graph_rejects_an_over_long_host_with_its_line(tmp_path, capsys, quoted):
+    flows = tmp_path / "flows.csv"
+    text = flow_model.flows_to_csv([make_flow(), make_flow(src_host="h" * 200_000)])
+    flows.write_text(quote_first_cell(text) if quoted else text)
+    out = tmp_path / "graph.txt"
+    assert dispatch(["graph", "--flows", str(flows), "--out", str(out)]) == 1
+    limit = csv.field_size_limit()
+    assert (
+        f"minedetect graph: error: line 3: field larger than field limit ({limit})"
+        in capsys.readouterr().err
+    )
     assert not out.exists()
 
 

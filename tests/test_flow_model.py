@@ -1,4 +1,5 @@
 import copy
+import csv
 import dataclasses
 import hashlib
 import io
@@ -7,6 +8,7 @@ import math
 import pickle
 import random
 import re
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -50,7 +52,7 @@ from minedetect.flow_model import (
     parse_flow_csv,
 )
 from minedetect.knn_classify import parse_predictions_csv
-from minedetect.synthgen import ScenarioConfig, generate, parse_truth_csv
+from minedetect.synthgen import ScenarioConfig, generate, parse_truth_csv, truth_to_csv
 
 HEADER = ",".join(flow_model.FLOW_FIELDS)
 
@@ -256,6 +258,47 @@ def test_vector_rejects_bad_argument_alike_by_every_route(bad, message):
     assert [name for name in VECTOR_FIELDS if hasattr(blank, name)] == []
 
 
+@pytest.mark.parametrize(
+    "record_type, twin",
+    [(FlowRecord, flow_model._FlowSlots), (FeatureVector, flow_model._VectorSlots)],
+    ids=["flow", "vector"],
+)
+def test_record_twin_has_exactly_the_record_fields_as_slots(record_type, twin):
+    # __init__ fills a record through its twin class: a field added to one
+    # and not the other fails here
+    names = tuple(f.name for f in dataclasses.fields(record_type))
+    assert twin.__slots__ == names == record_type.__slots__
+
+
+def test_built_records_are_of_their_own_class():
+    flow, vector = make_flow(), make_vector()
+    flows = [
+        flow,
+        FlowRecord(*(getattr(flow, name) for name in flow_model.FLOW_FIELDS)),
+        dataclasses.replace(flow, packets=3),
+        pickle.loads(pickle.dumps(flow)),
+        copy.copy(flow),
+        copy.deepcopy(flow),
+        *parse_flow_csv(flows_to_csv([flow, make_flow(src_host="h3")])),
+    ]
+    vectors = [
+        vector,
+        dataclasses.replace(vector, bpp=1.0),
+        pickle.loads(pickle.dumps(vector)),
+        copy.copy(vector),
+        normalize(vector, fit_normalizer([vector])),
+        *parse_feature_csv(features_to_csv([vector, make_vector(host="g")])),
+        *host_vectors(flows),
+    ]
+    assert {type(f) for f in flows} == {FlowRecord}
+    assert {type(v) for v in vectors} == {FeatureVector}
+    # a record whose checks fail keeps its own class
+    blank = object.__new__(FlowRecord)
+    with pytest.raises(ValueError):
+        blank.__init__(**{**dataclasses.asdict(flow), "packets": 0})
+    assert type(blank) is FlowRecord
+
+
 # ---------------------------------------------------------------------------
 # CSV parsing
 # ---------------------------------------------------------------------------
@@ -386,10 +429,31 @@ def test_flow_csv_round_trip():
 
 REFERENCE_SCENARIO = Path(__file__).resolve().parent.parent / "scenarios" / "reference.cfg"
 
+REFERENCE_CONFIG = ScenarioConfig.from_kv(read_kv_file(str(REFERENCE_SCENARIO)))
+
+#: The reference scenario, the golden CLI captures (its seeds 7 and 11) and
+#: the other benchmark workloads' scenarios at seed 3: ring600 is
+#: wide_network's, pool_clique pool_mesh's.
+CAPTURES = [
+    pytest.param(REFERENCE_CONFIG, id="reference"),
+    pytest.param(
+        ScenarioConfig(seed=3, n_hosts=600, ring_degree=4, n_windows=4, benign_rate=1,
+                       recruitment_schedule=(0, 12, 12)),
+        id="ring600",
+    ),
+    pytest.param(
+        ScenarioConfig(seed=3, n_hosts=200, n_windows=4, recruitment_schedule=(0, 60, 60)),
+        id="pool_clique",
+    ),
+    pytest.param(dataclasses.replace(REFERENCE_CONFIG, seed=3, n_windows=12), id="long_capture"),
+    pytest.param(dataclasses.replace(REFERENCE_CONFIG, seed=7), id="golden-train"),
+    pytest.param(dataclasses.replace(REFERENCE_CONFIG, seed=11), id="golden-eval"),
+]
+
 
 @pytest.fixture(scope="module")
 def reference_flows():
-    flows, _ = generate(ScenarioConfig.from_kv(read_kv_file(str(REFERENCE_SCENARIO))))
+    flows, _ = generate(REFERENCE_CONFIG)
     return flows
 
 
@@ -626,6 +690,121 @@ def test_parse_memory_stays_small_and_shares_fields(reference_csv):
         port_objects.setdefault(f.dst_port, set()).add(id(f.dst_port))
     assert max(port_objects) > 256  # above the ints CPython shares anyway
     assert all(len(ids) == 1 for ids in port_objects.values())
+
+
+# ---------------------------------------------------------------------------
+# the split reader against csv.reader
+# ---------------------------------------------------------------------------
+
+def table_outcome(source, width=0, unique_host=False):
+    """What CsvTable reads from ``source``: its header and numbered rows, or its error."""
+    try:
+        table = flow_model.CsvTable(source)
+        return table.header, list(table.rows(width, unique_host))
+    except (MalformedRowError, MissingColumnError) as exc:
+        return type(exc).__name__, getattr(exc, "line_no", None), str(exc)
+
+
+def quote_first_cell(text):
+    """``text`` with its header's first cell quoted, which makes CsvTable read it with csv.reader."""
+    first, rest = text.split(",", 1)
+    return f'"{first}",{rest}'
+
+
+#: ``\x0b``, ``\x1c``, ``\x85`` and ``\u2028`` end a line for str.splitlines, not for csv.reader
+_SPLIT_ALPHABET = ",,,\n\n\n  \x0b\x1c\x85\u2028abc"
+
+
+def quote_free_texts(seed):
+    rng = random.Random(seed)
+    for _ in range(150):
+        text = "".join(rng.choice(_SPLIT_ALPHABET) for _ in range(rng.randint(0, 40)))
+        yield from dict.fromkeys([text, text.rstrip("\n"), text + "\n"])
+
+
+def test_csv_table_reads_a_quote_free_str_without_csv_reader(monkeypatch):
+    calls = []
+    reader = csv.reader
+    monkeypatch.setattr(csv, "reader", lambda lines: calls.append(1) or reader(lines))
+    text = HEADER + "\nh1,h2,1,2,TCP,0,60,5,100,,1\n"
+    for source in (text, text.replace("h1", "h\0"), text.replace("\n", "\r\n"), quote_first_cell(text)):
+        flow_model.CsvTable(source)
+    assert len(calls) == 3
+    flow_model.CsvTable(io.StringIO(text))
+    assert len(calls) == 4
+
+
+@pytest.mark.parametrize("piece", [0, 1, 3, 8, 1 << 16])
+@pytest.mark.parametrize("limit", [None, 1, 4])
+def test_split_reader_reads_as_csv_reader_does(monkeypatch, piece, limit):
+    # the pieces are cut a few characters apart, so cuts fall everywhere
+    monkeypatch.setattr(flow_model, "_PIECE_CHARS", piece)
+    default = csv.field_size_limit()
+    if limit is not None:
+        csv.field_size_limit(limit)
+    try:
+        for text in quote_free_texts(piece * 10 + (limit or 0)):
+            if limit is None:
+                # csv.reader reads a blank line as []; _split_rows after the first as ['']
+                rows = list(csv.reader(io.StringIO(text)))
+                assert list(flow_model._split_rows(text)) == rows[:1] + [r or [""] for r in rows[1:]]
+            for width, unique_host in ((0, False), (2, False), (1, True)):
+                # an iterable of lines is read by csv.reader
+                assert table_outcome(text, width, unique_host) == table_outcome(
+                    io.StringIO(text), width, unique_host
+                ), text
+    finally:
+        csv.field_size_limit(default)
+
+
+@pytest.mark.parametrize("quoted", [False, True], ids=["split", "csv-reader"])
+def test_over_long_cell_raises_malformed_row_naming_its_line(quoted):
+    limit = csv.field_size_limit()
+    text = flows_to_csv([make_flow(), make_flow(src_host="h" * limit), make_flow(src_host="x" * (limit + 1))])
+    if quoted:
+        text = quote_first_cell(text)
+    with pytest.raises(MalformedRowError) as exc:
+        parse_flow_csv(text)
+    assert str(exc.value) == f"line 4: field larger than field limit ({limit})"
+    assert exc.value.line_no == 4
+    # the header is line 1
+    with pytest.raises(MalformedRowError, match=r"^line 1: field larger than field limit"):
+        parse_flow_csv("y" * (limit + 1) + "," + text)
+
+
+def test_nul_reads_through_csv_reader():
+    text = HEADER + "\nh1,h2,1,2,TCP,0,60,5,100,,1\nh\0,h2,1,2,TCP,0,60,5,100,,1\n"
+    if sys.version_info < (3, 11):
+        # csv.reader refuses a NUL before Python 3.11
+        with pytest.raises(MalformedRowError, match=r"^line 3: line contains NUL"):
+            parse_flow_csv(text)
+    else:
+        assert parse_flow_csv(text)[1].src_host == "h\0"
+
+
+@pytest.mark.parametrize("config", CAPTURES)
+def test_both_readers_parse_each_capture_alike(config):
+    flows, truth = generate(config)
+    text = flows_to_csv(flows)
+    assert parse_flow_csv(text) == parse_flow_csv(quote_first_cell(text)) == flows
+    assert parse_flow_csv_naive(text) == parse_flow_csv_naive(quote_first_cell(text)) == flows
+    lines = text.splitlines(keepends=True)
+    k = len(lines) // 2
+    cells = lines[k].split(",")
+    short = ",".join(cells[:-1]) + "\n"
+    no_packets = ",".join([*cells[:7], "0", *cells[8:]])
+    for bad, message in ((short, "expected 11 fields, got 10"), (no_packets, "packets must be >= 1")):
+        broken = "".join([*lines[:k], bad, *lines[k + 1 :]])
+        for source in (broken, quote_first_cell(broken)):
+            for parse in (parse_flow_csv, parse_flow_csv_naive):
+                with pytest.raises(MalformedRowError) as exc:
+                    parse(source)
+                assert str(exc.value) == f"line {k + 1}: {message}"
+    for table, parse in (
+        (truth_to_csv(truth), parse_truth_csv),
+        (features_to_csv(host_vectors(flows)), parse_feature_csv),
+    ):
+        assert parse(table) == parse(quote_first_cell(table))
 
 
 # ---------------------------------------------------------------------------
@@ -1018,7 +1197,7 @@ def test_feature_csv_without_host_column_allows_equal_rows():
 @pytest.fixture(scope="module")
 def reference_labeled_csv():
     """Every host of the reference capture, labeled from its ground truth."""
-    flows, truth = generate(ScenarioConfig.from_kv(read_kv_file(str(REFERENCE_SCENARIO))))
+    flows, truth = generate(REFERENCE_CONFIG)
     vectors = [
         dataclasses.replace(v, label=truth.labels[v.host])
         for v in host_vectors(flows)

@@ -1,14 +1,11 @@
 import random
 import time
 import tracemalloc
-from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 import pytest
 
 from minedetect import pipeline, snn_cluster
-from minedetect.cli import read_kv_file
 from minedetect.comm_graph import HostDeltas, StateParams, build_graph, edge_key
 from minedetect.errors import (
     MissingHostStateError,
@@ -27,7 +24,7 @@ from minedetect.snn_cluster import (
     clusters_to_obj,
     extract_clusters,
 )
-from minedetect.synthgen import ScenarioConfig, generate
+from minedetect.synthgen import generate
 
 from oracles import (
     adjacency_sets,
@@ -37,7 +34,7 @@ from oracles import (
     snn_edges_pairwise_scan,
 )
 from test_comm_graph import graph_of
-from test_flow_model import make_vector
+from test_flow_model import CAPTURES, make_vector
 
 
 def k4():
@@ -101,34 +98,9 @@ def test_raising_k_shared_never_adds_edges():
             previous = current
 
 
-REFERENCE_SCENARIO = Path(__file__).resolve().parent.parent / "scenarios" / "reference.cfg"
-
-
 def full_span_graph(config):
     flows, _ = generate(config)
     return build_graph(flows, full_span(flows))
-
-
-REFERENCE_CONFIG = ScenarioConfig.from_kv(read_kv_file(str(REFERENCE_SCENARIO)))
-
-#: The reference scenario, the golden CLI captures (its seeds 7 and 11) and
-#: the other benchmark workloads' scenarios at seed 3: ring600 is
-#: wide_network's, pool_clique pool_mesh's.
-CAPTURES = [
-    pytest.param(REFERENCE_CONFIG, id="reference"),
-    pytest.param(
-        ScenarioConfig(seed=3, n_hosts=600, ring_degree=4, n_windows=4, benign_rate=1,
-                       recruitment_schedule=(0, 12, 12)),
-        id="ring600",
-    ),
-    pytest.param(
-        ScenarioConfig(seed=3, n_hosts=200, n_windows=4, recruitment_schedule=(0, 60, 60)),
-        id="pool_clique",
-    ),
-    pytest.param(replace(REFERENCE_CONFIG, seed=3, n_windows=12), id="long_capture"),
-    pytest.param(replace(REFERENCE_CONFIG, seed=7), id="golden-train"),
-    pytest.param(replace(REFERENCE_CONFIG, seed=11), id="golden-eval"),
-]
 
 
 @pytest.mark.parametrize("config", CAPTURES)
