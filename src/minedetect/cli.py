@@ -22,6 +22,7 @@ import json
 import os
 import sys
 import tempfile
+import warnings
 from typing import Sequence
 
 from . import comm_graph, flow_model, knn_classify, pipeline, snn_cluster, synthgen
@@ -122,8 +123,9 @@ def _refuse_shared_paths(inputs: dict[str, str | None], outputs: dict[str, str |
 
 
 def _read_text(path: str) -> str:
-    # newline="" keeps each "\r" as written: a quoted cell or a model-file id may hold one
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    # newline="" keeps each "\r" as written: a quoted cell may hold one;
+    # utf-8-sig drops the byte-order mark some editors start a file with
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         return fh.read()
 
 
@@ -229,36 +231,16 @@ def _cmd_cluster(args) -> int:
 
 
 def _cmd_classify(args) -> int:
-    inputs = {"--features": args.features, "--labeled": args.labeled, "--model": args.model}
-    _refuse_shared_paths(
-        {**inputs, **_config_input(args)}, {"--out": args.out, "--save-model": args.save_model}
-    )
+    inputs = {"--features": args.features, "--labeled": args.labeled}
+    _refuse_shared_paths({**inputs, **_config_input(args)}, {"--out": args.out})
     config = _load_pipeline_config(args)
-    if not args.labeled and not args.model:
-        raise MineDetectError("classify needs --labeled or --model")
-    if args.labeled and args.model:
-        raise MineDetectError("--labeled and --model are mutually exclusive")
-    if args.model and args.knn_k is not None:
-        raise MineDetectError("--knn-k does not apply to --model: the model file stores its own k")
-
-    if args.model:
-        # a stored model holds normalized examples, so the query features
-        # must already be normalized too
-        model = KnnClassifier.from_text(_read_text(args.model))
-        queries = flow_model.parse_feature_csv(_read_text(args.features), normalized=True)
-    else:
-        # pipeline steps 2 and 7: one scale for both files, then train
-        labeled = flow_model.parse_feature_csv(_read_text(args.labeled))
-        queries, labeled = pipeline.normalize_vectors(
-            flow_model.parse_feature_csv(_read_text(args.features)), labeled
-        )
-        model = KnnClassifier(k=config.knn_k).fit(labeled)
-
-    predictions = model.predict_all(queries)
-    outputs = [(args.out, knn_classify.predictions_to_csv(predictions))]
-    if args.save_model:
-        outputs.append((args.save_model, model.to_text()))
-    write_atomic(outputs)
+    # pipeline steps 2, 7 and 8: one scale for both files, train, then vote
+    labeled = flow_model.parse_feature_csv(_read_text(args.labeled))
+    queries, labeled = pipeline.normalize_vectors(
+        flow_model.parse_feature_csv(_read_text(args.features)), labeled
+    )
+    predictions = KnnClassifier(k=config.knn_k).fit(labeled).predict_all(queries)
+    write_atomic([(args.out, knn_classify.predictions_to_csv(predictions))])
     miners = sum(1 for p in predictions if p.label is Label.MINER)
     print(f"classify: {len(predictions)} hosts, {miners} miners -> {args.out}", file=sys.stderr)
     return 0
@@ -402,9 +384,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("classify", help="KNN-classify feature vectors")
     p.add_argument("--features", required=True, help="feature CSV to classify")
-    p.add_argument("--labeled", help="labeled feature CSV to train on")
-    p.add_argument("--model", help="stored model file (expects normalized features)")
-    p.add_argument("--save-model", dest="save_model", help="persist the fitted model")
+    p.add_argument("--labeled", required=True, help="labeled feature CSV to train on")
     p.add_argument("--out", required=True)
     add_config(p, "knn_k")
     p.set_defaults(func=_cmd_classify)
@@ -445,7 +425,13 @@ def dispatch(argv) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1
     try:
-        return args.func(args)
+        # a library warning is one diagnostic line, not a source location
+        with warnings.catch_warnings():
+            warnings.simplefilter("always")
+            warnings.showwarning = lambda message, *_: print(
+                f"minedetect {args.subcommand}: warning: {message}", file=sys.stderr
+            )
+            return args.func(args)
     except (MineDetectError, OSError, ValueError) as exc:
         print(f"minedetect {args.subcommand}: error: {exc}", file=sys.stderr)
         return 1

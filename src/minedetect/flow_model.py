@@ -832,7 +832,7 @@ def features_sha256(vectors: Sequence[FeatureVector]) -> str:
     return _sha256(_feature_csv_chunks(vectors))
 
 
-def parse_feature_csv(text: str | Iterable[str], normalized: bool = False) -> list[FeatureVector]:
+def parse_feature_csv(text: str | Iterable[str]) -> list[FeatureVector]:
     """Parse a feature CSV.
 
     The eight feature columns plus 'class' must appear in canonical order
@@ -859,7 +859,6 @@ def parse_feature_csv(text: str | Iterable[str], normalized: bool = False) -> li
                     host,
                     *map(float, rest[: len(FEATURE_ORDER)]),
                     parse_label(rest[len(FEATURE_ORDER)]),
-                    normalized,
                 )
             )
         except ValueError as exc:

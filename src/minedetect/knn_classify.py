@@ -22,7 +22,6 @@ import numpy as np
 
 from .errors import (
     EmptyTrainingSetError,
-    InvalidConfigError,
     MalformedRowError,
     MissingVectorError,
     UnnormalizedInputError,
@@ -36,8 +35,6 @@ from .flow_model import (
     parse_class_label,
 )
 from .snn_cluster import Cluster
-
-FORMAT_TAG = "minedetect-knn v1"
 
 
 @dataclass(frozen=True)
@@ -216,86 +213,3 @@ class KnnClassifier:
         mean_score = sum(p.score for p in predictions.values()) / len(predictions)
         verdict = Label.MINER if mean_score > 0.5 else Label.NOT_MINER
         return predictions, verdict
-
-    # ------------------------------------------------------------------
-    # persistence: versioned flat file
-    # ------------------------------------------------------------------
-
-    def to_text(self) -> str:
-        """Serialize the fitted model: header (k, feature order, count) + examples.
-
-        An example is one tab-separated line, so a host id holding a tab or
-        a "\\n" raises InvalidConfigError naming the host.
-        """
-        self._check_fitted()
-        lines = [
-            FORMAT_TAG,
-            f"k={self.k}",
-            f"features={','.join(FEATURE_ORDER)}",
-            f"count={len(self.examples_)}",
-        ]
-        for v, label in self.examples_:
-            if "\t" in v.host or "\n" in v.host:
-                raise InvalidConfigError(
-                    f"a model file cannot hold host {v.host!r}: it has a tab or a newline"
-                )
-            values = "\t".join(repr(x) for x in v.values())
-            lines.append(f"{v.host}\t{values}\t{label.value}")
-        return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_text(cls, text: str) -> "KnnClassifier":
-        """Load a model file; a different feature order is an error, not a remap.
-
-        Every error names the model-file line it comes from. Lines end at
-        "\\n" only, so any other character of a host id reads back as written.
-        """
-        lines = text.split("\n")
-        if lines[0].strip() != FORMAT_TAG:
-            raise InvalidConfigError(f"not a {FORMAT_TAG} file")
-        header: dict[str, tuple[int, str]] = {}  # key -> (line number, value)
-        for line_no, line in enumerate(lines[1:4], start=2):
-            key, _, value = line.partition("=")
-            header[key.strip()] = (line_no, value.strip())
-        for needed in ("k", "features", "count"):
-            if needed not in header:
-                raise InvalidConfigError(f"model file missing {needed}= header line")
-        stored_order = tuple(header["features"][1].split(","))
-        if stored_order != FEATURE_ORDER:
-            raise InvalidConfigError(
-                f"model line {header['features'][0]}: feature order {stored_order} "
-                f"differs from {FEATURE_ORDER}"
-            )
-        count = _header_int(header, "count", 1)
-        rows = [(n, line) for n, line in enumerate(lines[4:], start=5) if line.strip()]
-        if len(rows) != count:
-            raise InvalidConfigError(f"expected {count} examples, found {len(rows)}")
-
-        vectors = []
-        for line_no, row in rows:
-            parts = row.split("\t")
-            if len(parts) != len(FEATURE_ORDER) + 2:
-                raise InvalidConfigError(f"model line {line_no}: malformed example {row!r}")
-            host, *feats, label = parts
-            try:
-                vectors.append(
-                    FeatureVector(host, *map(float, feats), parse_class_label(label, "model"), True)
-                )
-            except ValueError as exc:
-                raise InvalidConfigError(f"model line {line_no}: {exc}") from exc
-        model = cls(k=_header_int(header, "k", 1))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            model.fit(vectors)
-        return model
-
-
-def _header_int(header: dict[str, tuple[int, str]], key: str, minimum: int) -> int:
-    line_no, value = header[key]
-    try:
-        n = int(value)
-    except ValueError as exc:
-        raise InvalidConfigError(f"model line {line_no}: {key}={value!r} is not an integer") from exc
-    if n < minimum:
-        raise InvalidConfigError(f"model line {line_no}: {key} must be >= {minimum}")
-    return n

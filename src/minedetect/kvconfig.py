@@ -18,7 +18,7 @@ def read_kv_file(path: str) -> dict[str, str]:
     """Parse a flat key=value config file ('#' starts a comment line); a key may appear once."""
     kv: dict[str, str] = {}
     first_line: dict[str, int] = {}
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:  # a leading byte-order mark is dropped
         for line_no, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):

@@ -149,13 +149,11 @@ def test_features_classify_evaluate_chain(tmp_path, scenario_file):
     ]) == 0
 
     pred = tmp_path / "pred.csv"
-    model = tmp_path / "model.knn"
     assert dispatch([
         "classify", "--labeled", str(train_feats), "--features", str(eval_feats),
-        "--out", str(pred), "--save-model", str(model),
+        "--out", str(pred),
     ]) == 0
     assert pred.read_text().splitlines()[0] == "host,label,score"
-    assert model.exists()
 
     metrics = tmp_path / "metrics.csv"
     assert dispatch([
@@ -164,41 +162,6 @@ def test_features_classify_evaluate_chain(tmp_path, scenario_file):
     lines = metrics.read_text().splitlines()
     assert lines[0].startswith("Class,TP Rate,")
     assert len(lines) == 4
-
-
-def test_classify_with_stored_model_expects_normalized_features(tmp_path, scenario_file):
-    from minedetect.flow_model import (
-        features_to_csv,
-        fit_normalizer,
-        normalize,
-        parse_feature_csv,
-    )
-
-    flows, truth = simulate(tmp_path, scenario_file, "train.csv", seed=7)
-    train_feats = tmp_path / "train_feats.csv"
-    assert dispatch([
-        "features", "--flows", str(flows), "--truth", str(truth), "--out", str(train_feats)
-    ]) == 0
-
-    # train once and persist the model
-    pred1 = tmp_path / "p1.csv"
-    model = tmp_path / "model.knn"
-    assert dispatch([
-        "classify", "--labeled", str(train_feats), "--features", str(train_feats),
-        "--out", str(pred1), "--save-model", str(model),
-    ]) == 0
-
-    # re-classify with the stored model: queries must arrive normalized
-    raw = parse_feature_csv(train_feats.read_text())
-    params = fit_normalizer(raw + raw)
-    normalized_csv = tmp_path / "normalized.csv"
-    normalized_csv.write_text(features_to_csv([normalize(v, params) for v in raw]))
-    pred2 = tmp_path / "p2.csv"
-    assert dispatch([
-        "classify", "--model", str(model), "--features", str(normalized_csv),
-        "--out", str(pred2),
-    ]) == 0
-    assert pred1.read_text() == pred2.read_text()
 
 
 def test_graph_and_cluster_subcommands(tmp_path, scenario_file):
@@ -309,7 +272,6 @@ GOLDEN_SHA256 = {
     "cluster": "a0df280c91a6b45dd9e9c96aae5e1debcf4b8de674dcff26232a415a3948e1c8",
     "cluster --format json --snn-k 3": "ca36c95628efd53e3ab0f56c470c7dbcec4a563864762b4e3eaabce34e51b427",
     "classify --labeled": "14eba17768bfeb9ab7a1ec9339b82ef6f5f668575dfac595393d9cb30d081ec4",
-    "classify --save-model": "20167e4dcc351b72c717a3b81632483f14b3871615886cee3ac2cd1e59372c8e",
     "evaluate": "ea3724bc9f35e283bbfaacf42921e09e52e5df19e966c71a7373c5238c3f5e6e",
     "simulate --seed 7": "72f0baa42ebc8c9c5f646af6b6f76d872b602264fe26c26705c3bec50c9406a6",
     "simulate --seed 7 truth": "c827cf92901a8da52f63808d1b7cda4cc98533ec181b725374caf2ab22aa2982",
@@ -323,7 +285,7 @@ def test_outputs_match_golden_digests(tmp_path, scenario_file):
     eval_flows = str(tmp_path / "eval.csv")
     out = {name: tmp_path / name for name in (
         "graph.txt", "clusters.csv", "clusters.json", "eval_feats.csv", "pred.csv",
-        "model.knn", "eval_metrics.csv",
+        "eval_metrics.csv",
     )}
     for argv in (
         ["graph", "--flows", eval_flows, "--out", str(out["graph.txt"])],
@@ -332,8 +294,7 @@ def test_outputs_match_golden_digests(tmp_path, scenario_file):
          "--out", str(out["clusters.json"])],
         ["features", "--flows", eval_flows, "--out", str(out["eval_feats.csv"])],
         ["classify", "--labeled", str(tmp_path / "labeled.csv"),
-         "--features", str(out["eval_feats.csv"]), "--out", str(out["pred.csv"]),
-         "--save-model", str(out["model.knn"])],
+         "--features", str(out["eval_feats.csv"]), "--out", str(out["pred.csv"])],
         ["evaluate", "--pred", str(out["pred.csv"]), "--truth", str(tmp_path / "eval.truth.csv"),
          "--out", str(out["eval_metrics.csv"])],
     ):
@@ -352,7 +313,6 @@ def test_outputs_match_golden_digests(tmp_path, scenario_file):
         "cluster": out["clusters.csv"].read_text(),
         "cluster --format json --snn-k 3": out["clusters.json"].read_text(),
         "classify --labeled": out["pred.csv"].read_text(),
-        "classify --save-model": out["model.knn"].read_text(),
         "evaluate": out["eval_metrics.csv"].read_text(),
         "simulate --seed 7": (tmp_path / "train.csv").read_text(),
         "simulate --seed 7 truth": (tmp_path / "train.truth.csv").read_text(),
@@ -364,6 +324,11 @@ def test_outputs_match_golden_digests(tmp_path, scenario_file):
         for name, text in outputs.items()
     }
     assert digests == GOLDEN_SHA256
+    # classify is run's step 8: the same label and score for every host
+    hosts = json.loads(report.read_text())["hosts"]
+    with open(out["pred.csv"], newline="", encoding="utf-8") as fh:
+        predicted = {row["host"]: (row["label"], float(row["score"])) for row in csv.DictReader(fh)}
+    assert predicted == {h: (r["label"], r["score"]) for h, r in hosts.items()}
 
 
 def test_report_section_extraction(tmp_path, scenario_file, capsys):
@@ -529,14 +494,13 @@ def test_unknown_subcommand_exits_1(capsys):
     assert dispatch(["frobnicate"]) == 1
 
 
-def test_classify_conflicting_flags_exit_1(tmp_path, capsys):
+def test_classify_without_labeled_exits_1_and_writes_nothing(tmp_path, capsys):
     feats = tmp_path / "f.csv"
     feats.write_text("host,bpp,ppm,ppf,ackpush_all,req_all,syn_all,rst_all,fin_all,class\n")
-    assert dispatch([
-        "classify", "--features", str(feats), "--labeled", str(feats),
-        "--model", str(feats), "--out", str(tmp_path / "o.csv"),
-    ]) == 1
-    assert "mutually exclusive" in capsys.readouterr().err
+    out = tmp_path / "o.csv"
+    assert dispatch(["classify", "--features", str(feats), "--out", str(out)]) == 1
+    assert "the following arguments are required: --labeled" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command, flag", [
@@ -548,9 +512,14 @@ def test_classify_conflicting_flags_exit_1(tmp_path, capsys):
     ("cluster", "--knn-k"),
     ("classify", "--window"),
     ("classify", "--snn-k"),
+    ("classify", "--model"),
+    ("classify", "--save-model"),
 ])
 def test_subcommand_rejects_a_flag_it_does_not_read(tmp_path, capsys, command, flag):
-    inputs = ["--features", "f.csv"] if command == "classify" else ["--flows", "flows.csv"]
+    if command == "classify":
+        inputs = ["--features", "f.csv", "--labeled", "l.csv"]
+    else:
+        inputs = ["--flows", "flows.csv"]
     out = tmp_path / "out.csv"
     assert dispatch([command, *inputs, flag, "3", "--out", str(out)]) == 1
     assert f"unrecognized arguments: {flag} 3" in capsys.readouterr().err
@@ -561,7 +530,7 @@ def test_subcommand_rejects_a_flag_it_does_not_read(tmp_path, capsys, command, f
     (["graph", "--flows", "f.csv", "--window", "30"], {"window_length": 30.0}),
     (["cluster", "--flows", "f.csv", "--window", "30", "--snn-k", "3"],
      {"window_length": 30.0, "k_shared": 3}),
-    (["classify", "--features", "f.csv", "--knn-k", "3"], {"knn_k": 3}),
+    (["classify", "--features", "f.csv", "--labeled", "l.csv", "--knn-k", "3"], {"knn_k": 3}),
     (["run", "--flows", "f.csv", "--labeled", "l.csv", "--window", "30", "--snn-k", "3",
       "--knn-k", "7"], {"window_length": 30.0, "k_shared": 3, "knn_k": 7}),
 ])
@@ -570,16 +539,6 @@ def test_subcommand_flags_override_the_pipeline_config(monkeypatch, argv, overri
     args = build_parser().parse_args([*argv, "--out", "o"])
     config = cli._load_pipeline_config(args)
     assert config == dataclasses.replace(PipelineConfig(), **overrides)
-
-
-def test_classify_model_rejects_knn_k(tmp_path, capsys):
-    out = tmp_path / "o.csv"
-    assert dispatch([
-        "classify", "--features", str(tmp_path / "f.csv"), "--model", str(tmp_path / "m.txt"),
-        "--knn-k", "3", "--out", str(out),
-    ]) == 1
-    assert "--knn-k does not apply to --model" in capsys.readouterr().err
-    assert not out.exists()
 
 
 def test_internal_prefixes_matching_no_host_exit_1(tmp_path, scenario_file, capsys):
@@ -1019,90 +978,62 @@ def test_simulate_out_dash_needs_truth_path(tmp_path, monkeypatch, capsys):
     assert list(cwd.iterdir()) == []
 
 
-@pytest.mark.parametrize("line, old, new, message", [
-    (2, "k=5", "k=zero", "k='zero' is not an integer"),
-    (2, "k=5", "k=0", "k must be >= 1"),
-    (6, None, "abc", "could not convert string to float: 'abc'"),
-])
-def test_bad_model_file_exits_1_with_line_number(
-    tmp_path, capsys, labeled_capture, line, old, new, message
-):
-    _, labeled = labeled_capture
-    model = tmp_path / "model.knn"
-    assert dispatch([
-        "classify", "--labeled", str(labeled), "--features", str(labeled),
-        "--out", str(tmp_path / "p.csv"), "--save-model", str(model),
-    ]) == 0
-    lines = model.read_text().splitlines()
-    if old is None:  # the first feature cell of the example on that line
-        cells = lines[line - 1].split("\t")
-        cells[1] = new
-        lines[line - 1] = "\t".join(cells)
-    else:
-        assert lines[line - 1] == old
-        lines[line - 1] = new
-    model.write_text("\n".join(lines) + "\n")
-    capsys.readouterr()
-    out = tmp_path / "out.csv"
-    assert dispatch([
-        "classify", "--model", str(model), "--features", str(labeled), "--out", str(out),
-    ]) == 1
-    assert f"model line {line}: {message}" in capsys.readouterr().err
-    assert not out.exists()
-
-
-def test_model_file_without_examples_exits_1_with_line_number(tmp_path, capsys, labeled_capture):
-    _, labeled = labeled_capture
-    model = tmp_path / "model.knn"
-    assert dispatch([
-        "classify", "--labeled", str(labeled), "--features", str(labeled),
-        "--out", str(tmp_path / "p.csv"), "--save-model", str(model),
-    ]) == 0
-    lines = model.read_text().splitlines()
-    assert lines[3].startswith("count=")
-    model.write_text("\n".join(lines[:3] + ["count=0"]) + "\n")
-    capsys.readouterr()
-    out = tmp_path / "out.csv"
-    assert dispatch([
-        "classify", "--model", str(model), "--features", str(labeled), "--out", str(out),
-    ]) == 1
-    assert "model line 4: count must be >= 1" in capsys.readouterr().err
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("host", ["h\t1", "h\n1", "h\r1", "h\x1c1", "h\u20281"], ids=ascii)
-def test_saved_model_of_any_host_id_loads_or_is_refused_up_front(tmp_path, capsys, host):
-    # every feature in [0, 1], so the table reads as raw and as normalized features
-    vectors = [
-        make_vector(host=h, bpp=0.5, ppm=0.5, ppf=0.5, ackpush_all=ackpush, label=label)
-        for h, ackpush, label in ((host, 0.9, Label.MINER), ("b", 0.1, Label.NOT_MINER))
-    ]
-    labeled = tmp_path / "labeled.csv"
-    labeled.write_bytes(flow_model.features_to_csv(vectors).encode("utf-8"))
-    pred, model = tmp_path / "p.csv", tmp_path / "model.knn"
-    argv = [
-        "classify", "--labeled", str(labeled), "--features", str(labeled),
-        "--out", str(pred), "--save-model", str(model), "--knn-k", "1",
-    ]
-    if "\t" in host or "\n" in host:
-        assert dispatch(argv) == 1
-        assert f"a model file cannot hold host {host!r}" in capsys.readouterr().err
-        assert not pred.exists() and not model.exists()
-        return
-    assert dispatch(argv) == 0
-    reloaded = tmp_path / "p2.csv"
-    assert dispatch([
-        "classify", "--model", str(model), "--features", str(labeled), "--out", str(reloaded),
-    ]) == 0
-    assert reloaded.read_bytes() == pred.read_bytes()
-    assert flow_model.parse_feature_csv(labeled.read_bytes().decode())[0].host == host
-
-
 def test_cli_reads_and_writes_no_table_itself():
     # the prediction, hosts, cluster and metric tables are read and written by the
     # library, so the CLI keeps no table code of its own
     source = Path(cli.__file__).read_text(encoding="utf-8")
     assert re.findall(r"\b(?:CsvTable|csv_text)\(", source) == []
+
+
+@pytest.mark.parametrize(
+    "kind", ["flows", "labeled", "truth", "predictions", "config", "scenario", "report"]
+)
+def test_input_with_a_byte_order_mark_reads_as_without(
+    tmp_path, labeled_capture, scenario_file, kind
+):
+    flows, labeled = labeled_capture
+    truth = flows.with_name("flows.truth.csv")
+    pred = tmp_path / "pred.csv"
+    argv = ["classify", "--features", str(labeled), "--labeled", str(labeled), "--out", str(pred)]
+    assert dispatch(argv) == 0
+    config = tmp_path / "window.cfg"
+    config.write_text("# half-minute windows\npipeline.window=30\n")
+    report = tmp_path / "report.json"
+    report.write_text('{"suspicious": ["a", "b"]}\n')
+    source, command = {
+        "flows": (flows, ["features", "--flows", "IN"]),
+        "labeled": (labeled, ["classify", "--features", str(labeled), "--labeled", "IN"]),
+        "truth": (truth, ["features", "--flows", str(flows), "--truth", "IN"]),
+        "predictions": (pred, ["evaluate", "--pred", "IN", "--truth", str(truth)]),
+        "config": (config, ["graph", "--flows", str(flows), "--config", "IN"]),
+        "scenario": (Path(scenario_file), ["simulate", "--scenario", "IN"]),
+        "report": (report, ["report", "--in", "IN", "--section", "suspicious", "--format", "csv"]),
+    }[kind]
+    outputs = []
+    for mark in (b"", b"\xef\xbb\xbf"):
+        given = tmp_path / f"in{len(mark)}{source.suffix}"
+        given.write_bytes(mark + source.read_bytes())
+        out = tmp_path / f"out{len(mark)}.csv"
+        argv = [str(given) if arg == "IN" else arg for arg in command]
+        assert dispatch([*argv, "--out", str(out)]) == 0
+        # simulate also writes the truth table beside --out
+        outputs.append([p.read_bytes() for p in sorted(tmp_path.glob(f"out{len(mark)}*"))])
+    assert outputs[0] == outputs[1]
+    assert len(outputs[0]) == (2 if kind == "scenario" else 1)
+
+
+@pytest.mark.parametrize("command", ["classify", "run"])
+def test_library_warning_prints_as_one_diagnostic_line(tmp_path, capsys, labeled_capture, command):
+    flows, labeled = labeled_capture
+    few = tmp_path / "few.csv"  # the header and three rows, below the default knn.k=5
+    few.write_text("".join(labeled.read_text().splitlines(keepends=True)[:4]))
+    inputs = {"classify": ["--features", str(labeled)], "run": ["--flows", str(flows)]}[command]
+    capsys.readouterr()
+    out = tmp_path / "out"
+    assert dispatch([command, *inputs, "--labeled", str(few), "--out", str(out)]) == 0
+    err = capsys.readouterr().err
+    assert f"minedetect {command}: warning: k=5 larger than training set; clamped to 3\n" in err
+    assert ".py:" not in err and "UserWarning" not in err
 
 
 # ---------------------------------------------------------------------------
@@ -1172,13 +1103,14 @@ def test_classify_with_a_directory_at_its_last_output_leaves_no_output(
     tmp_path, capsys, labeled_capture
 ):
     _, labeled = labeled_capture
-    (tmp_path / "o2" / "m.knn").mkdir(parents=True)
+    (tmp_path / "o2" / "p.csv").mkdir(parents=True)
     assert dispatch([
         "classify", "--labeled", str(labeled), "--features", str(labeled),
-        "--out", str(tmp_path / "o2" / "p.csv"), "--save-model", str(tmp_path / "o2" / "m.knn"),
+        "--out", str(tmp_path / "o2" / "p.csv"),
     ]) == 1
     assert "minedetect classify: error: " in capsys.readouterr().err
-    assert [p.name for p in (tmp_path / "o2").iterdir()] == ["m.knn"]
+    assert [p.name for p in (tmp_path / "o2").iterdir()] == ["p.csv"]
+    assert list((tmp_path / "o2" / "p.csv").iterdir()) == []
 
 
 def test_simulate_with_a_directory_at_its_last_output_leaves_no_output(
@@ -1214,9 +1146,9 @@ def shared_path_argv(tmp_path, command, labeled_capture, scenario_file):
                   capture, "--flows and --out"),
         "cluster": (["cluster", "--flows", str(capture), "--out", str(capture)],
                     capture, "--flows and --out"),
-        "classify": (["classify", "--labeled", str(table), "--features", str(table),
-                      "--out", str(tmp_path / "p.csv"), "--save-model", str(table)],
-                     table, "--features and --save-model"),
+        "classify": (["classify", "--features", str(capture), "--labeled", str(table),
+                      "--out", str(table)],
+                     table, "--labeled and --out"),
         "evaluate": (["evaluate", "--pred", str(pred), "--truth", str(truth), "--out", str(truth)],
                      truth, "--truth and --out"),
         "run": (["run", "--flows", str(run_flows), "--labeled", str(table), "--out", str(report)],
@@ -1251,15 +1183,13 @@ def test_output_linked_to_an_input_exits_1(tmp_path, capsys, labeled_capture):
     assert flows.read_bytes() == before
 
 
-def test_two_outputs_naming_one_file_exit_1(tmp_path, capsys, labeled_capture):
-    _, labeled = labeled_capture
-    out = tmp_path / "p.csv"
+def test_two_outputs_naming_one_file_exit_1(tmp_path, capsys, scenario_file):
+    out = tmp_path / "s.csv"
     assert dispatch([
-        "classify", "--labeled", str(labeled), "--features", str(labeled),
-        "--out", str(out), "--save-model", str(out),
+        "simulate", "--scenario", scenario_file, "--out", str(out), "--truth", str(out),
     ]) == 1
-    assert "--out and --save-model name one file" in capsys.readouterr().err
-    assert list(tmp_path.iterdir()) == []
+    assert "--out and --truth name one file" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["scenario.cfg"]
 
 
 @pytest.mark.parametrize("row, message", [

@@ -7,7 +7,6 @@ import pytest
 from minedetect import knn_classify
 from minedetect.errors import (
     EmptyTrainingSetError,
-    InvalidConfigError,
     MissingVectorError,
     UnnormalizedInputError,
 )
@@ -315,65 +314,3 @@ def test_predict_cluster_verdicts():
 
     with pytest.raises(MissingVectorError):
         model.predict_cluster(Cluster(id="C3", members=frozenset({"missing"})), {})
-
-
-# ---------------------------------------------------------------------------
-# persistence
-# ---------------------------------------------------------------------------
-
-def test_model_round_trip():
-    rng = random.Random(9)
-    train = two_blobs(rng, 10)
-    model = KnnClassifier(k=3).fit(train)
-    loaded = KnnClassifier.from_text(model.to_text())
-    assert loaded.k == 3
-    assert loaded.examples_ == model.examples_
-    q = random_vec(rng, "q", Label.UNLABELED)
-    assert loaded.predict(q) == model.predict(q)
-
-
-def test_model_file_rejects_different_feature_order(tmp_path):
-    model = KnnClassifier(k=1).fit([vec("a", [0.5] * 8, Label.MINER)])
-    text = model.to_text()
-    scrambled = text.replace("features=bpp,ppm", "features=ppm,bpp")
-    with pytest.raises(InvalidConfigError, match="feature order"):
-        KnnClassifier.from_text(scrambled)
-
-
-def test_model_file_rejects_bad_count_and_tag():
-    model = KnnClassifier(k=1).fit([vec("a", [0.5] * 8, Label.MINER)])
-    text = model.to_text()
-    with pytest.raises(InvalidConfigError):
-        KnnClassifier.from_text(text.replace("count=1", "count=2"))
-    with pytest.raises(InvalidConfigError):
-        KnnClassifier.from_text("something else\n" + text)
-
-
-def test_model_file_rejects_unlabeled_example_with_line_number():
-    model = KnnClassifier(k=1).fit(
-        [vec("a", [0.5] * 8, Label.MINER), vec("b", [0.25] * 8, Label.NOT_MINER)]
-    )
-    text = model.to_text().replace("\tNotMiner\n", "\tUnlabeled\n")
-    with pytest.raises(
-        InvalidConfigError,
-        match="^model line 6: model label must be Miner or NotMiner, got 'Unlabeled'$",
-    ):
-        KnnClassifier.from_text(text)
-
-
-def test_model_file_rejects_out_of_range_feature_with_line_number():
-    model = KnnClassifier(k=1).fit(
-        [vec("a", [0.5] * 8, Label.MINER), vec("b", [0.25] * 8, Label.NOT_MINER)]
-    )
-    lines = model.to_text().split("\n")
-    assert lines[5].startswith("b\t0.25\t")
-    lines[5] = lines[5].replace("b\t0.25\t", "b\t1.5\t", 1)
-    with pytest.raises(
-        InvalidConfigError, match=r"^model line 6: normalized bpp=1.5 outside \[0, 1\]$"
-    ):
-        KnnClassifier.from_text("\n".join(lines))
-    lines[5] = lines[5].replace("b\t1.5\t", "b\tx\t", 1)
-    with pytest.raises(
-        InvalidConfigError, match=r"^model line 6: could not convert string to float: 'x'$"
-    ):
-        KnnClassifier.from_text("\n".join(lines))

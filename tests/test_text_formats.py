@@ -15,7 +15,7 @@ from minedetect import flow_model, knn_classify, pipeline, synthgen
 from minedetect.comm_graph import CommGraph, MiningFingerprint, StateParams, edge_key, graph_to_text
 from minedetect.errors import InvalidConfigError
 from minedetect.flow_model import Label
-from minedetect.knn_classify import KnnClassifier, Prediction
+from minedetect.knn_classify import Prediction
 from minedetect.pipeline import PipelineConfig
 from minedetect.synthgen import GroundTruth, ScenarioConfig
 
@@ -50,15 +50,6 @@ def _predictions(host):
     return knn_classify.parse_predictions_csv(text), predictions
 
 
-def _model(host):
-    examples = [
-        make_vector(host=h, bpp=0.5, ppm=0.5, ppf=0.5, label=label, normalized=True)
-        for h, label in ((host, Label.MINER), ("b", Label.NOT_MINER))
-    ]
-    model = KnnClassifier(k=1).fit(examples)
-    return KnnClassifier.from_text(model.to_text()).examples_, model.examples_
-
-
 def _graph(host):
     g = CommGraph(frozenset({host, "b", "c", "lone"}), {edge_key(host, "b"): 2, ("b", "c"): 1}, 4)
     header, *rows = _csv_rows(graph_to_text(g))
@@ -91,7 +82,6 @@ FORMATS = {
     "features": _features,
     "truth": _truth,
     "predictions": _predictions,
-    "model": _model,
     "graph": _graph,
     "suspicious": _suspicious,
     "config": _config,
@@ -99,7 +89,6 @@ FORMATS = {
 
 # the writers that refuse an id instead of writing text that reads back wrong
 REFUSED = {
-    "model": "\t\n",
     "config": ",",
 }
 
@@ -113,7 +102,7 @@ def test_written_text_reads_back_the_same_values(fmt, host):
             FORMATS[fmt](host)
         return
     if any(c in host for c in REFUSED.get(fmt, "")):
-        with pytest.raises(InvalidConfigError, match="cannot hold host|entries must be"):
+        with pytest.raises(InvalidConfigError, match="entries must be"):
             FORMATS[fmt](host)
         return
     read, written = FORMATS[fmt](host)
