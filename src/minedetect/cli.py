@@ -427,7 +427,6 @@ def dispatch(argv) -> int:
     try:
         # a library warning is one diagnostic line, not a source location
         with warnings.catch_warnings():
-            warnings.simplefilter("always")
             warnings.showwarning = lambda message, *_: print(
                 f"minedetect {args.subcommand}: warning: {message}", file=sys.stderr
             )

@@ -1022,6 +1022,7 @@ def test_input_with_a_byte_order_mark_reads_as_without(
     assert len(outputs[0]) == (2 if kind == "scenario" else 1)
 
 
+@pytest.mark.filterwarnings("default::UserWarning")
 @pytest.mark.parametrize("command", ["classify", "run"])
 def test_library_warning_prints_as_one_diagnostic_line(tmp_path, capsys, labeled_capture, command):
     flows, labeled = labeled_capture
