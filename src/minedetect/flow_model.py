@@ -531,14 +531,21 @@ def parse_flow_csv(
     ``schema`` maps FlowRecord field names to CSV column names (see
     flow_columns); by default columns carry the field names themselves.
     Flags are '|'-joined names, times are decimal seconds. Rows violating a
-    flow invariant raise MalformedRowError with the 1-based line number.
+    flow invariant raise MalformedRowError with the 1-based line number, and
+    so does a header naming a column that a field reads twice (line 1).
 
     Equal host ids share one ``str``, equal ``dst_port`` cells one ``int``
     and equal flags cells one ``frozenset`` across the returned records.
     """
     columns = flow_columns(schema)
     table = CsvTable(text)
-    position = {name: i for i, name in enumerate(table.header)}
+    position: dict[str, int] = {}
+    for i, name in enumerate(table.header):
+        first = position.setdefault(name, i)
+        if first != i and name in columns.values():
+            raise MalformedRowError(
+                1, f"header names column {name!r} twice (cells {first + 1} and {i + 1})"
+            )
 
     missing = [columns[f] for f in FLOW_FIELDS if columns[f] not in position]
     if missing:

@@ -87,14 +87,12 @@ def _check_normalized(v: FeatureVector) -> None:
 class KnnClassifier:
     """KNN over normalized feature vectors.
 
-    After fit: ``examples_`` holds the training pairs verbatim and
-    ``effective_k_`` the neighbor count actually used (k clamped to the
-    training-set size, with a warning when clamping happened).
+    After fit, ``effective_k_`` is the neighbor count actually used (k
+    clamped to the training-set size, with a warning when clamping happened).
     """
 
     def __init__(self, k: int = 5):
         self.k = k
-        self.examples_: list[tuple[FeatureVector, Label]] | None = None
         self.effective_k_: int | None = None
         self._columns: np.ndarray | None = None
         self._miner: np.ndarray | None = None
@@ -114,7 +112,6 @@ class KnnClassifier:
             if v.label not in (Label.MINER, Label.NOT_MINER):
                 raise ValueError(f"training label for {v.host!r} must be Miner or NotMiner")
 
-        self.examples_ = [(v, v.label) for v in vectors]
         self.effective_k_ = min(self.k, len(vectors))
         if self.effective_k_ < self.k:
             warnings.warn(
@@ -127,7 +124,7 @@ class KnnClassifier:
         return self
 
     def _check_fitted(self) -> None:
-        if self.examples_ is None:
+        if self._columns is None:
             raise RuntimeError("KnnClassifier is not fitted; call fit() first")
 
     def predict(self, v: FeatureVector) -> Prediction:
@@ -197,19 +194,24 @@ class KnnClassifier:
 
     def predict_cluster(
         self,
-        cluster: Cluster,
+        clusters: Sequence[Cluster],
         vectors: Mapping[str, FeatureVector],
-    ) -> tuple[dict[str, Prediction], Label]:
-        """Per-member predictions plus a cluster verdict.
+    ) -> tuple[dict[str, Prediction], dict[str, Label]]:
+        """Step 8: each member's prediction, from one predict_all call, and each cluster's verdict.
 
-        The cluster is Miner iff the mean member score exceeds 0.5.
+        Members are scored cluster by cluster, each cluster's in sorted
+        order. A cluster is Miner iff its members' mean score exceeds 0.5.
+        The name stays singular because the benchmark tracer
+        (bench/tracer.py) wraps the method by it.
         """
-        members = sorted(cluster.members)
-        for member in members:
-            if member not in vectors:
-                raise MissingVectorError(f"no feature vector for cluster member {member!r}")
-        scored = self.predict_all([vectors[member] for member in members])
-        predictions = dict(zip(members, scored))
-        mean_score = sum(p.score for p in predictions.values()) / len(predictions)
-        verdict = Label.MINER if mean_score > 0.5 else Label.NOT_MINER
-        return predictions, verdict
+        members = [sorted(cluster.members) for cluster in clusters]
+        hosts = [host for group in members for host in group]
+        for host in hosts:
+            if host not in vectors:
+                raise MissingVectorError(f"no feature vector for cluster member {host!r}")
+        predictions = dict(zip(hosts, self.predict_all([vectors[host] for host in hosts])))
+        verdicts = {}
+        for cluster, group in zip(clusters, members):
+            mean_score = sum(predictions[host].score for host in group) / len(group)
+            verdicts[cluster.id] = Label.MINER if mean_score > 0.5 else Label.NOT_MINER
+        return predictions, verdicts

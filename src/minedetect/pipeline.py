@@ -7,7 +7,8 @@ the capture, SNN-cluster, attach states to clusters, train KNN, classify
 hosts and clusters, compute metrics when ground truth is available, and
 assemble the report. There is no randomness anywhere, so identical inputs
 and config produce identical reports (up to the provenance timestamp).
-Steps 2, 3, 5, 8 and 9 are stage functions that can be called on their own.
+Steps 2, 3, 5 and 9 are stage functions that can be called on their own;
+step 8 is one KnnClassifier.predict_cluster call.
 """
 
 from __future__ import annotations
@@ -241,22 +242,6 @@ def cluster_hosts(graph: CommGraph, k_shared: int) -> list[Cluster]:
     return snn_cluster.extract_clusters(snn_cluster.build_snn_graph(graph, k_shared))
 
 
-def classify(
-    model: KnnClassifier,
-    clusters: Sequence[Cluster],
-    vectors: Mapping[str, FeatureVector],
-) -> tuple[dict[str, Prediction], dict[str, Label]]:
-    """Step 8: per-host predictions and per-cluster verdicts."""
-    predictions: dict[str, Prediction] = {}
-    verdicts: dict[str, Label] = {}
-    # clusters partition the hosts, so their members' predictions cover
-    # every host exactly once
-    for cluster in clusters:
-        member_predictions, verdicts[cluster.id] = model.predict_cluster(cluster, vectors)
-        predictions.update(member_predictions)
-    return predictions, verdicts
-
-
 def evaluate(
     predictions: Mapping[str, Prediction],
     host_states: Mapping[str, State],
@@ -307,7 +292,7 @@ def run(
     predictions, cluster_verdicts = {}, {}
     if labeled_norm and normalized:
         model = _stage(7, KnnClassifier(k=config.knn_k).fit, labeled_norm)
-        predictions, cluster_verdicts = _stage(8, classify, model, clusters, normalized)
+        predictions, cluster_verdicts = _stage(8, model.predict_cluster, clusters, normalized)
     report_metrics = _stage(9, evaluate, predictions, host_states, ground_truth)
     # step 10: suspicious hosts and report assembly
     suspicious = sorted(
@@ -327,7 +312,7 @@ def run(
         (len(labeled_norm), len(labeled_norm)),
         (len(host_states), len(clusters)),
         (len(clusters), len(clusters)),
-        (len(labeled_norm), 0 if model is None else len(model.examples_)),
+        (len(labeled_norm), len(labeled_norm) if model else 0),
         (len(normalized), len(predictions)),
         (len(predictions), int(report_metrics is not None)),
         (len(predictions), len(suspicious)),

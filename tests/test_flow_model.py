@@ -396,6 +396,32 @@ def test_parse_rejects_a_schema_reading_one_column_for_two_fields(schema, fields
         parse_flow_csv(HEADER + "\nh1,h2,1,2,TCP,0,1,3,300,,0\n", schema=schema)
 
 
+@pytest.mark.parametrize("extra, schema, column", [
+    ("src_host", None, "src_host"),
+    (" src_host ", None, "src_host"),  # header cells are stripped
+    ("Src", {"src_host": "Src"}, "Src"),
+], ids=["plain", "padded", "schema-renamed"])
+def test_parse_rejects_a_header_repeating_a_read_column(extra, schema, column):
+    # else the last cell would win unseen: src_host read as "zzz"
+    header = HEADER.replace("src_host", column, 1) + "," + extra
+    with pytest.raises(MalformedRowError, match=(
+        rf"^line 1: header names column '{column}' twice \(cells 1 and 12\)$"
+    )):
+        parse_flow_csv(header + "\na,b,1,2,TCP,0,1,3,300,,1,zzz\n", schema=schema)
+
+
+@pytest.mark.parametrize("first, extra, schema", [
+    ("src_host", "note,note", None),
+    ("Src", "src_host,src_host", {"src_host": "Src"}),  # no field reads src_host
+], ids=["plain", "schema-renamed"])
+def test_parse_allows_a_header_repeating_an_unread_column(first, extra, schema):
+    header = HEADER.replace("src_host", first, 1)
+    row = "a,b,1,2,TCP,0,1,3,300,,1"
+    (flow,) = parse_flow_csv(f"{header},{extra}\n{row},y,z\n", schema=schema)
+    assert flow == parse_flow_csv(f"{header}\n{row}\n", schema=schema)[0]
+    assert flow.src_host == "a"
+
+
 def test_flow_csv_round_trip():
     rng = random.Random(7)
     flows = []

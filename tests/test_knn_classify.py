@@ -106,8 +106,8 @@ def test_zero_distance_wins_with_k1():
     rng = random.Random(3)
     train = two_blobs(rng, 10)
     model = KnnClassifier(k=1).fit(train)
-    for example, label in model.examples_:
-        assert model.predict(example).label is label
+    for example in train:
+        assert model.predict(example).label is example.label
 
 
 def test_predict_rejects_raw_query():
@@ -207,10 +207,10 @@ def test_predict_all_is_independent_of_the_block_size(monkeypatch, cells):
     queries = {f"q{i}": random_vec(rng, f"q{i}", Label.UNLABELED) for i in range(25)}
     cluster = Cluster(id="C0", members=frozenset(queries))
     model = KnnClassifier(k=4).fit(train)
-    whole = model.predict_cluster(cluster, queries)
+    whole = model.predict_cluster([cluster], queries)
     monkeypatch.setattr(knn_classify, "_BLOCK_CELLS", cells)
     monkeypatch.setattr(knn_classify, "_MIN_BLOCK_ROWS", 1)
-    assert model.predict_cluster(cluster, queries) == whole
+    assert model.predict_cluster([cluster], queries) == whole
     assert_matches_oracle(model, train, list(queries.values()))
 
 
@@ -293,8 +293,8 @@ def test_predict_cluster_verdicts():
 
     nonminers = {f"x{i}": vec(f"x{i}", [0.1] * 8) for i in range(3)}
     cluster = Cluster(id="C0", members=frozenset(nonminers))
-    _, verdict = model.predict_cluster(cluster, nonminers)
-    assert verdict is Label.NOT_MINER
+    _, verdicts = model.predict_cluster([cluster], nonminers)
+    assert verdicts == {"C0": Label.NOT_MINER}
 
     mixed = {
         "a": vec("a", [0.9] * 8),
@@ -302,15 +302,59 @@ def test_predict_cluster_verdicts():
         "c": vec("c", [0.1] * 8),
     }
     cluster = Cluster(id="C1", members=frozenset(mixed))
-    preds, verdict = model.predict_cluster(cluster, mixed)
+    preds, verdicts = model.predict_cluster([cluster], mixed)
     mean = sum(p.score for p in preds.values()) / 3
-    assert verdict is (Label.MINER if mean > 0.5 else Label.NOT_MINER)
-    assert verdict is Label.MINER
+    assert verdicts["C1"] is (Label.MINER if mean > 0.5 else Label.NOT_MINER)
+    assert verdicts["C1"] is Label.MINER
 
     single = {"z": vec("z", [0.95] * 8)}
     cluster = Cluster(id="C2", members=frozenset(single))
-    preds, verdict = model.predict_cluster(cluster, single)
-    assert verdict is preds["z"].label
+    preds, verdicts = model.predict_cluster([cluster], single)
+    assert verdicts["C2"] is preds["z"].label
 
     with pytest.raises(MissingVectorError):
-        model.predict_cluster(Cluster(id="C3", members=frozenset({"missing"})), {})
+        model.predict_cluster([Cluster(id="C3", members=frozenset({"missing"}))], {})
+
+    assert model.predict_cluster([], {}) == ({}, {})
+
+
+def test_predict_cluster_scores_every_cluster_in_one_call(monkeypatch):
+    rng = random.Random(9)
+    model = KnnClassifier(k=3).fit(two_blobs(rng, 15))
+    corner = {"q0": 0.7, "q2": 0.7, "q4": 0.7, "q7": 0.0, "q5": 0.0,
+              "q1": 0.7, "q3": 0.0, "q6": 0.0, "q8": 0.7}
+    vectors = {
+        h: vec(h, [lo + rng.random() * 0.3 for _ in FEATURE_ORDER]) for h, lo in corner.items()
+    }
+    clusters = [
+        Cluster(id="C0", members=frozenset({"q7", "q2", "q4", "q0"})),
+        Cluster(id="C1", members=frozenset({"q5"})),
+        Cluster(id="C2", members=frozenset({"q8", "q1", "q3", "q6"})),
+    ]
+    # what scoring each cluster on its own gives
+    alone = {c.id: model.predict_all([vectors[h] for h in sorted(c.members)]) for c in clusters}
+    calls = []
+    predict_all = model.predict_all
+
+    def counting(queries):
+        calls.append([q.host for q in queries])
+        return predict_all(queries)
+
+    monkeypatch.setattr(model, "predict_all", counting)
+    predictions, verdicts = model.predict_cluster(clusters, vectors)
+    in_cluster_order = [h for c in clusters for h in sorted(c.members)]
+    assert calls == [in_cluster_order]
+    assert list(predictions) == in_cluster_order
+    assert list(verdicts) == ["C0", "C1", "C2"]
+    for c in clusters:
+        assert [predictions[h] for h in sorted(c.members)] == alone[c.id]
+        mean = sum(p.score for p in alone[c.id]) / len(alone[c.id])
+        assert verdicts[c.id] is (Label.MINER if mean > 0.5 else Label.NOT_MINER)
+    assert set(verdicts.values()) == {Label.MINER, Label.NOT_MINER}
+
+    # q1 sorts before q5, but C1 comes before C2: the error names q5, before any scoring
+    calls.clear()
+    del vectors["q1"], vectors["q5"]
+    with pytest.raises(MissingVectorError, match="cluster member 'q5'"):
+        model.predict_cluster(clusters, vectors)
+    assert calls == []

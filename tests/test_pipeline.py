@@ -47,6 +47,28 @@ def scenario_inputs(train_seed=7, eval_seed=11, **overrides):
     return labeled, eval_flows, eval_truth
 
 
+def test_clusters_change_no_host_vote_and_run_scores_once(monkeypatch):
+    # a host's KNN vote never depends on its cluster: k_shared=8 splits G*
+    # into a cluster per host, and the hosts section is the default run's
+    labeled, flows, truth = scenario_inputs()
+    predict_all = KnnClassifier.predict_all
+    calls = []
+
+    def counting(self, vectors):
+        calls.append(len(vectors))
+        return predict_all(self, vectors)
+
+    monkeypatch.setattr(KnnClassifier, "predict_all", counting)
+    hosts = {}
+    for k_shared in (2, 8):
+        calls.clear()
+        report = run(flows, labeled, PipelineConfig(k_shared=k_shared), ground_truth=truth.labels)
+        assert calls == [len(report.predictions)]
+        hosts[k_shared] = (len(report.clusters), report.to_obj()["hosts"])
+    assert hosts[2][0] < hosts[8][0]
+    assert hosts[2][1] == hosts[8][1]
+
+
 def test_run_leaves_snn_edges_unspelled(monkeypatch):
     # step 5 clusters from G*'s pair keys; the id-pair edge set is for readers
     graphs = []
@@ -446,6 +468,7 @@ def test_readme_library_api_examples_run_and_agree_with_run():
     exec(stages, ns)
     report = run(flows, labeled, ns["config"], ground_truth=truth.labels)
     assert ns["predictions"] == report.predictions
+    assert ns["verdicts"] == report.cluster_verdicts
     assert ns["clusters"] == report.clusters
     assert ns["host_states"] == report.host_states
     assert ns["metrics"] == report.metrics
