@@ -22,6 +22,7 @@ from .flow_model import (
     FEATURE_ORDER,
     FeatureVector,
     FlowRecord,
+    FlowTable,
     Label,
     NormalizationParams,
     Protocol,

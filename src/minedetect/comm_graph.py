@@ -15,14 +15,16 @@ import itertools
 import math
 import operator
 from bisect import bisect_left
-from collections import defaultdict
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Mapping
 
 import numpy as np
 
 from .errors import UnknownVertexError
-from .flow_model import FLAG_NAMES, FlowRecord, Protocol, csv_text, flows_by_host
+from .flow_model import (
+    FLAG_NAMES, PROTOCOLS, FlowRecord, FlowTable, Memo, Protocol, csv_text, numbering,
+)
 from .kvconfig import check_list_entries
 
 Edge = tuple[str, str]
@@ -72,6 +74,28 @@ class CommGraph:
                     raise ValueError(f"edge ({x!r}, {y!r}) weight {w} < 1")
         object.__setattr__(self, "order", order)  # the frozen class refuses plain stores
         object.__setattr__(self, "ends", ends)
+
+    @classmethod
+    def _numbered(
+        cls, order: list[str], a: np.ndarray, b: np.ndarray, weights: np.ndarray, timestamp: int
+    ) -> CommGraph:
+        """The graph over the sorted, distinct ids ``order`` with edges (order[a], order[b]).
+
+        The caller vouches for what __post_init__ checks: every a < b, and
+        no edge twice. The edges keep the order given.
+        """
+        g = object.__new__(cls)
+        ids = order.__getitem__
+        edges = zip(map(ids, a.tolist()), map(ids, b.tolist()))
+        for name, value in (
+            ("vertices", frozenset(order)),
+            ("edge_weight", dict(zip(edges, weights.tolist()))),
+            ("timestamp", timestamp),
+            ("order", order),
+            ("ends", np.stack([a, b])),
+        ):
+            object.__setattr__(g, name, value)
+        return g
 
 
 @dataclass(frozen=True)
@@ -194,7 +218,9 @@ def build_graph(
 
     Every host appearing in a windowed flow becomes a vertex; two distinct
     hosts are joined iff at least one flow ran between them, weighted by
-    flow count. Loopback flows contribute the vertex but no edge.
+    flow count. Loopback flows contribute the vertex but no edge. This is
+    the definition table_graph computes from a table's columns; the
+    pipeline does not call it.
     """
     t0, t1 = window
     if not t1 > t0:
@@ -212,6 +238,55 @@ def build_graph(
     return CommGraph(frozenset(vertices), weights, timestamp)
 
 
+#: Rows of a flow table that step 3 reads into scratch arrays at a time
+_BLOCK_ROWS = 1 << 14
+
+
+def table_graph(flows: FlowTable, timestamp: int = 0) -> CommGraph:
+    """The communication graph of every flow of ``flows``, from its columns.
+
+    It equals build_graph over any window holding every flow: each host of
+    a flow is a vertex, and each pair of distinct hosts an edge weighted by
+    its flow count. Each pair is keyed by its hosts' places among the
+    table's sorted ids. The flows are read ``_BLOCK_ROWS`` at a time, each
+    block's keys sorted and counted, and the blocks' counts summed per key
+    at the end, so the scratch memory follows the block and the edges, not
+    the flows. The edges come in sorted order.
+    """
+    names, position = flows.host_order()
+    ids = len(names)
+    seen = np.zeros(ids, bool)
+    keys, weights = [np.empty(0, np.int64)], [np.empty(0, np.int64)]
+    for lo in range(0, len(flows), _BLOCK_ROWS):
+        a = position[flows.src[lo : lo + _BLOCK_ROWS]]
+        b = position[flows.dst[lo : lo + _BLOCK_ROWS]]
+        seen[a] = seen[b] = True
+        apart = a != b
+        block = np.sort(np.minimum(a, b)[apart] * ids + np.maximum(a, b)[apart])
+        first = _run_starts(block)
+        keys.append(block[first])
+        weights.append(np.diff(first, append=len(block)))
+    keys, weights = np.concatenate(keys), np.concatenate(weights)
+    by_key = np.argsort(keys, kind="stable")
+    keys = keys[by_key]
+    first = _run_starts(keys)
+    weights = np.add.reduceat(weights[by_key], first) if len(keys) else weights
+    present = np.flatnonzero(seen)  # the vertices, in sorted id order
+    vertex = np.empty(ids, np.int64)  # each sorted place's vertex number
+    vertex[present] = np.arange(len(present))
+    a, b = np.divmod(keys[first], ids)
+    order = [names[i] for i in present.tolist()]
+    return CommGraph._numbered(order, vertex[a], vertex[b], weights, timestamp)
+
+
+def _run_starts(keys: np.ndarray) -> np.ndarray:
+    """Where each run of equal values of the sorted ``keys`` starts; 1 B of scratch a key."""
+    starts = np.empty(len(keys), bool)
+    starts[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=starts[1:])
+    return np.flatnonzero(starts)
+
+
 def clustering_coefficient(g: CommGraph, v: str) -> float:
     """Local clustering coefficient c(v) = 2T(v) / (k(v) * (k(v) - 1)), 0.0 below degree 2.
 
@@ -220,11 +295,6 @@ def clustering_coefficient(g: CommGraph, v: str) -> float:
     if v not in g.vertices:
         raise UnknownVertexError(f"vertex {v!r} not in graph")
     return graph_features(g)[v].c
-
-
-def _coefficient(k: int, t: int) -> float:
-    """c = 2t / (k(k - 1)) from exact integers; 0.0 below degree 2."""
-    return 2.0 * t / (k * (k - 1)) if k >= 2 else 0.0
 
 
 #: Most wedges one block of graph_features may hold, unless a single vertex
@@ -266,10 +336,10 @@ def graph_features(g: CommGraph) -> dict[str, HostGraphFeatures]:
         found = csr.arcs[np.minimum(np.searchsorted(csr.arcs, keys), m - 1)] == keys
         u, w = np.divmod(keys[found], n)
         triangles += np.bincount(np.concatenate([csr.src[second[found]], u, w]), minlength=n)
-    return {
-        v: HostGraphFeatures(v, k, _coefficient(k, t))
-        for v, k, t in zip(g.order, degree.tolist(), triangles[rank].tolist())
-    }
+    # c = 2T / (k(k - 1)): the float division of the exact integers, as Python divides them
+    with np.errstate(divide="ignore", invalid="ignore"):
+        c = np.where(degree >= 2, 2.0 * triangles[rank] / (degree * (degree - 1)), 0.0)
+    return dict(zip(g.order, map(HostGraphFeatures, g.order, degree.tolist(), c.tolist())))
 
 
 class _Csr:
@@ -312,63 +382,80 @@ class _Csr:
             lo, hi = runs[run], runs[stop]
             counts = lengths[lo:hi]
             offsets = np.cumsum(counts) - counts  # of each first arc's wedges within the block
-            second = np.arange(ends[stop] - done) + np.repeat(starts[lo:hi] - offsets, counts)
-            yield np.repeat(self.nbr[first[lo:hi]], counts) * self.n + self.nbr[second], second
+            # in place where it can be, so a block holds at most three key-sized arrays
+            second = np.arange(ends[stop] - done)
+            second += np.repeat(starts[lo:hi] - offsets, counts)
+            keys = np.repeat(self.nbr[first[lo:hi]], counts)
+            keys *= self.n
+            keys += self.nbr[second]
+            yield keys, second
+            del keys, second  # so the next block is not built while this one is held
             run, done = stop, int(ends[stop])
 
 
 def window_snapshots(
-    flows: Sequence[FlowRecord],
+    flows: FlowTable | Iterable[FlowRecord],
     length: float,
-) -> Iterator[tuple[CommGraph, list[FlowRecord], tuple[float, float]]]:
+) -> Iterator[tuple[CommGraph, FlowTable, tuple[float, float]]]:
     """One graph per non-empty aligned window [i * length, (i + 1) * length), one at a time.
 
     Windows come in index order; a graph's timestamp is its window's index
     counted from the earliest start time's window, so it skips empty ones.
     Each entry is (graph, the window's flows, (lo, hi)); a window's flows
-    keep capture order. An empty capture yields no window.
+    are a FlowTable sharing the capture's hosts, in capture order. An
+    empty capture yields no window.
 
-    Every flow is filed into its window in one pass when this is called, so
-    a start time too far from 0 raises here. The result is a one-pass
-    iterator that builds each window's graph only when it is reached and
-    drops its own hold on the window once it has passed it on, so a caller
-    that keeps nothing holds one window graph at a time. A flow's index i is
-    the one that passes the exact test
-    ``i * length <= start_time < (i + 1) * length``, which
-    ``floor(start_time / length)`` can miss by one when the division rounds
-    (1.7 / 0.1 gives 17.0, but 17 * 0.1 > 1.7).
+    Every flow's window index is computed when this is called, so a start
+    time too far from 0 raises here. The result is a one-pass iterator
+    that takes each window's rows and builds its graph (table_graph) only
+    when it is reached, so a caller that keeps nothing holds one window at
+    a time.
     """
-    buckets: dict[int, list[FlowRecord]] = defaultdict(list)
-    for f in flows:
-        buckets[_window_index(f.start_time, length)].append(f)
-    return _built_windows(buckets, min(buckets, default=0), length)
+    table = FlowTable.from_records(flows)
+    index = np.empty(len(table), np.int64)
+    for lo in range(0, len(table), _BLOCK_ROWS):
+        index[lo : lo + _BLOCK_ROWS] = _window_indices(table.start_time[lo : lo + _BLOCK_ROWS], length)
+    rows = None  # a capture already in window order holds each window as one run of rows
+    if not (index[1:] >= index[:-1]).all():
+        rows = np.argsort(index, kind="stable")  # by window, in capture order within one
+        index = index[rows]
+    first = _run_starts(index)
+    cuts = [*first.tolist(), len(index)]
+    return _built_windows(table, rows, index[first].tolist(), cuts, length)
 
 
 def _built_windows(
-    buckets: dict[int, list[FlowRecord]], i_min: int, length: float
-) -> Iterator[tuple[CommGraph, list[FlowRecord], tuple[float, float]]]:
-    """window_snapshots' entries, each graph built when it is asked for."""
-    for i in sorted(buckets):
-        in_window = buckets.pop(i)
-        lo, hi = i * length, (i + 1) * length
-        yield build_graph(in_window, (lo, hi), timestamp=i - i_min), in_window, (lo, hi)
+    table: FlowTable, rows: np.ndarray | None, windows: list[int], cuts: list[int], length: float
+) -> Iterator[tuple[CommGraph, FlowTable, tuple[float, float]]]:
+    """window_snapshots' entries, each window taken and its graph built when it is asked for."""
+    for i, lo, hi in zip(windows, cuts, cuts[1:]):
+        in_window = table.take(slice(lo, hi) if rows is None else rows[lo:hi])
+        yield table_graph(in_window, i - windows[0]), in_window, (i * length, (i + 1) * length)
 
 
-def _window_index(t: float, length: float) -> int:
-    """The i with i * length <= t < (i + 1) * length, in float arithmetic.
+def _window_indices(starts: np.ndarray, length: float) -> np.ndarray:
+    """Each start time t's window index: the i with i * length <= t < (i + 1) * length, in float arithmetic.
 
-    A start time 2**53 or more windows from 0 is a ValueError: from there on
-    the quotient cannot tell neighbouring indices apart.
+    ``floor(t / length)`` can miss by one when the division rounds (1.7 /
+    0.1 gives 17.0, but 17 * 0.1 > 1.7), so each index is moved until it
+    passes that exact test. Every index is below 2**53 in size, so it and
+    its successor are exact floats, and each product is the one a Python
+    int times ``length`` gives. The first start time 2**53 or more windows
+    from 0 is a ValueError: from there on the quotient cannot tell
+    neighbouring indices apart.
     """
-    q = t / length
-    if not abs(q) < 2**53:
+    with np.errstate(over="ignore"):  # an infinite quotient is refused below
+        q = starts / length
+    far = ~(np.abs(q) < 2**53)
+    if far.any():
+        t = float(starts[np.argmax(far)])
         raise ValueError(f"start time {t!r} is 2**53 or more windows of {length!r} s from 0")
-    i = math.floor(q)
-    while i * length > t:
-        i -= 1
-    while (i + 1) * length <= t:
-        i += 1
-    return i
+    i = np.floor(q)
+    while (above := i * length > starts).any():
+        i[above] -= 1
+    while (below := (i + 1) * length <= starts).any():
+        i[below] += 1
+    return i.astype(np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -411,77 +498,128 @@ def dc_change_factor(c_prev: float, c_next: float, cap: float = 1000.0) -> float
 
 
 def window_deltas(
-    snapshots: Iterable[tuple[CommGraph, Sequence[FlowRecord], tuple[float, float]]],
+    snapshots: Iterable[tuple[CommGraph, FlowTable | Iterable[FlowRecord], tuple[float, float]]],
     params: StateParams,
 ) -> Iterator[dict[str, HostDeltas]]:
     """Per-host deltas of each window graph against the window just before it, one pair at a time.
 
     ``snapshots`` is the output of window_snapshots, or any iterable of the
-    same entries: (graph, the window's flows, (lo, hi)) per non-empty
-    window, in order. It is read once, and the result is a one-pass
-    iterator: the dict for snapshot j is yielded once snapshot j is read,
-    before snapshot j + 1 is asked for. It holds one HostDeltas per vertex
-    of snapshot j against window ``window`` = timestamp - 1: snapshot j - 1,
-    or an empty window when the two are not adjacent. A host absent from
-    that window reads (0, 0, 0.0) there. Fewer than two snapshots yield
-    nothing.
+    same entries: (graph, the window's flows as a FlowTable or records,
+    (lo, hi)) per non-empty window, in order. It is read once, and the
+    result is a one-pass iterator: the dict for snapshot j is yielded once
+    snapshot j is read, before snapshot j + 1 is asked for. It holds one
+    HostDeltas per vertex of snapshot j against window ``window`` =
+    timestamp - 1: snapshot j - 1, or an empty window when the two are not
+    adjacent. A host absent from that window reads (0, 0, 0.0) there. Fewer
+    than two snapshots yield nothing.
 
     m_v counts the fingerprint flows starting in [hi - delta_t, hi); a flow
     starting exactly at hi belongs to the next window. It equals
-    mining_volume over the whole capture at now=hi. Every flow is tested
-    against the fingerprint once, as its window arrives, and the start times
-    of its matches are appended to each host's list in sorted order.
-    Windows come in index order, so each list stays sorted and already
-    holds every match that starts before hi: m_v is the difference of two
-    binary searches for hi - delta_t and hi in it. Each window's host
-    rows (degree split and clustering coefficient) are computed once and
-    reused as the earlier side of the next pair, so the state kept across
-    pairs is one window's rows, the fingerprint matches' start times and a
-    running dc_peak maximum per host; no graph is kept.
+    mining_volume over the whole capture at now=hi. Each window's flows are
+    tested against the fingerprint as one mask when the window arrives, and
+    each match's start time is kept once per distinct endpoint. Windows come
+    in index order, so the kept times stay sorted and already hold every
+    match that starts before hi: m_v is a bincount over the hosts of the
+    matches from one ``searchsorted`` for hi - delta_t on. A window whose
+    matches all start before that can never count again, so it is dropped.
+    Each window's host rows (degree split and clustering coefficient) are
+    computed once and reused as the earlier side of the next pair; whether
+    a host is internal is asked once per host. So the state kept across
+    pairs is one window's rows, the recent matches and a running dc_peak
+    maximum per host; no graph is kept.
     """
-    matches = params.fingerprint.matches
-    start = operator.attrgetter("start_time")
-    by_host: dict[str, list[float]] = {}  # host -> its fingerprint flows' start times, sorted
-    peak: dict[str, float] = {}  # host -> largest dc factor of its pairs so far
-    rows: dict[str, tuple[int, int, float]] = {}  # the previous window's host rows
-    previous = None  # and its timestamp
+    number = numbering()  # host -> its number, by first sight
+    external = Memo(lambda host: not params.is_internal(host))
+    recent: deque[tuple[np.ndarray, np.ndarray]] = deque()  # per window: match start times, hosts
+    peak = np.zeros(0)  # by host number: the largest dc factor of its pairs so far
+    previous = None  # the previous window's timestamp, vertex numbers and host rows
     for j, (g, in_window, (_, hi)) in enumerate(snapshots):
-        for host, found in flows_by_host(sorted(filter(matches, in_window), key=start)).items():
-            by_host.setdefault(host, []).extend(map(start, found))
-        # after an empty window every host starts from (0, 0, 0.0)
-        rows_prev = rows if previous == g.timestamp - 1 else {}
-        rows, previous = _host_rows(g, params.is_internal), g.timestamp
+        recent.append(_fingerprint_matches(FlowTable.from_records(in_window), params.fingerprint, number))
+        vertices = np.fromiter(map(number.__getitem__, g.order), np.int64, len(g.order))
+        rows = _host_rows(g, external)
+        # the previous window's rows by host number: (0, 0, 0.0) for a host
+        # absent from it, and for every host after an empty window
+        earlier = [np.zeros(len(number), row.dtype) for row in rows]
+        if previous is not None and previous[0] == g.timestamp - 1:
+            for by_number, row in zip(earlier, previous[2]):
+                by_number[previous[1]] = row
+        previous = (g.timestamp, vertices, rows)
         if j == 0:
             continue  # the first window is only the earlier side of a pair
-        deltas: dict[str, HostDeltas] = {}
-        for host, (ext_next, int_next, c_next) in rows.items():
-            ext_prev, int_prev, c_prev = rows_prev.get(host, (0, 0, 0.0))
-            dc_factor = dc_change_factor(c_prev, c_next, params.dc_cap)
-            dc_peak = peak.get(host, 0.0)
-            times = by_host.get(host, ())
-            deltas[host] = HostDeltas(
-                host=host,
-                dk_ext=ext_next - ext_prev,
-                dk_int=int_next - int_prev,
-                dc_factor=dc_factor,
-                dc_peak=dc_peak,
-                m_v=bisect_left(times, hi) - bisect_left(times, hi - params.delta_t),
-                window=g.timestamp - 1,
-            )
-            peak[host] = max(dc_peak, dc_factor)
-        yield deltas
+        ext_next, int_next, c_next = rows
+        ext_prev, int_prev, c_prev = (by_number[vertices] for by_number in earlier)
+        factor = _change_factors(c_prev, c_next, params.dc_cap)
+        peak = np.concatenate([peak, np.zeros(len(number) - len(peak))])
+        dc_peak = peak[vertices]
+        peak[vertices] = np.maximum(dc_peak, factor)
+        since = hi - params.delta_t
+        # a window whose matches all start before ``since`` counts no more, now or later
+        while len(recent) > 1 and not (recent[0][0][-1:] >= since).any():
+            recent.popleft()
+        times, hosts = (np.concatenate(column) for column in zip(*recent))
+        m_v = np.bincount(hosts[np.searchsorted(times, since):], minlength=len(number))[vertices]
+        yield dict(zip(g.order, map(
+            HostDeltas,
+            g.order,
+            (ext_next - ext_prev).tolist(),
+            (int_next - int_prev).tolist(),
+            factor.tolist(),
+            dc_peak.tolist(),
+            m_v.tolist(),
+            itertools.repeat(g.timestamp - 1),
+        )))
+
+
+def _change_factors(c_prev: np.ndarray, c_next: np.ndarray, cap: float) -> np.ndarray:
+    """dc_change_factor of each (c_prev, c_next) pair, the same floats."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(c_prev == 0.0, np.where(c_next == 0.0, 1.0, cap), c_next / c_prev)
+
+
+def _fingerprint_matches(
+    flows: FlowTable, fingerprint: MiningFingerprint, number: Mapping[str, int]
+) -> tuple[np.ndarray, np.ndarray]:
+    """The start time and host number of each (fingerprint flow, distinct endpoint), sorted by time.
+
+    The flows' hosts are numbered through ``number``; a loopback flow
+    counts once.
+    """
+    carries = np.array([fingerprint.required_flags <= s for s in flows.flag_sets], bool)
+    match = (
+        (flows.protocol == PROTOCOLS.index(Protocol.TCP))
+        & (flows.end_time - flows.start_time >= fingerprint.min_duration)
+        & carries[flows.flags]
+    )
+    target = np.isin(flows.dst_port, list(fingerprint.ports))
+    if fingerprint.pool_hosts:
+        pool = np.array([h in fingerprint.pool_hosts for h in flows.hosts], bool)
+        target |= pool[flows.dst]
+    match = np.flatnonzero(match & target)
+    src, dst = flows.src[match], flows.dst[match]
+    apart = src != dst
+    times = np.concatenate([flows.start_time[match], flows.start_time[match][apart]])
+    ends = np.concatenate([src, dst[apart]])
+    numbers = np.fromiter(map(number.__getitem__, flows.hosts), np.int64, len(flows.hosts))
+    by_time = np.argsort(times, kind="stable")
+    return times[by_time], numbers[ends][by_time]
+
+
+_degree = operator.attrgetter("k")
+_coefficient = operator.attrgetter("c")
 
 
 def _host_rows(
-    g: CommGraph, is_internal: Callable[[str], bool]
-) -> dict[str, tuple[int, int, float]]:
-    """(external degree, internal degree, clustering coefficient) of every vertex."""
-    features = graph_features(g)  # in sorted vertex order, as g numbers its vertices
-    external = np.fromiter((not is_internal(v) for v in g.order), bool, len(g.order))
+    g: CommGraph, external: Mapping[str, bool]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The external degree, internal degree and clustering coefficient of each vertex, in g.order."""
+    features = graph_features(g).values()  # in sorted vertex order, as g numbers its vertices
+    n = len(g.order)
+    degree = np.fromiter(map(_degree, features), np.int64, n)
+    outside = np.fromiter(map(external.__getitem__, g.order), bool, n)
     a, b = g.ends
     # an edge adds to an endpoint's external degree when its other endpoint is external
-    ext = np.bincount(np.concatenate([a[external[b]], b[external[a]]]), minlength=len(g.order))
-    return {v: (e, f.k - e, f.c) for (v, f), e in zip(features.items(), ext.tolist())}
+    ext = np.bincount(np.concatenate([a[outside[b]], b[outside[a]]]), minlength=n)
+    return ext, degree - ext, np.fromiter(map(_coefficient, features), np.float64, n)
 
 
 # ---------------------------------------------------------------------------

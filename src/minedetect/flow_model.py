@@ -16,6 +16,11 @@ centroids both run on these eight numbers:
 
 The three unbounded statistics (bpp, ppm, ppf) are min-max scaled to
 [0, 1]; the five ratios are already in [0, 1] and pass through unchanged.
+
+A parsed capture is a FlowTable: int-coded numpy columns, read by the
+pipeline without building a FlowRecord per flow. The per-record functions
+(flows_by_host, aggregate_host_features) define what host_vectors
+computes from the columns, and the tests hold it to them.
 """
 
 from __future__ import annotations
@@ -25,9 +30,12 @@ import enum
 import hashlib
 import math
 import operator
+from collections.abc import Sequence as SequenceABC
 from dataclasses import FrozenInstanceError, dataclass
-from itertools import chain, islice, repeat
+from itertools import chain, count, islice, repeat
 from typing import Iterable, Iterator, Mapping, Sequence
+
+import numpy as np
 
 from .errors import (
     AlreadyNormalizedError,
@@ -159,8 +167,12 @@ class FlowRecord:
             raise ValueError("bytes must be >= 0" if bytes < 0 else "bytes must be < 2**63")
         if not _FLAG_SET.issuperset(flags):
             raise ValueError(f"unknown TCP flags {sorted(set(flags) - _FLAG_SET)}")
+        if not isinstance(protocol, Protocol):
+            raise ValueError(f"protocol must be a Protocol member, got {protocol!r}")
         if protocol is Protocol.UDP and flags:
             raise ValueError("UDP flow cannot carry TCP flags")
+        if not isinstance(is_request, bool):
+            raise ValueError(f"is_request must be a bool, got {is_request!r}")
         # the frozen class refuses stores, so self takes the class of its
         # store-accepting twin while the fields are stored
         object.__setattr__(self, "__class__", _FlowSlots)
@@ -188,10 +200,28 @@ class FlowRecord:
 class _FlowSlots:
     """FlowRecord's slots with plain stores: FlowRecord.__init__ fills a record through it.
 
-    Python swaps an object's class only for one with the same slots.
+    Python swaps an object's class only for one with the same slots. Built
+    by position, it stores its fields unchecked: FlowTable builds its
+    records so, from rows that passed every check, then swaps their class.
     """
 
     __slots__ = FLOW_FIELDS
+
+    def __init__(
+        self, src_host, dst_host, src_port, dst_port, protocol, start_time, end_time, packets,
+        bytes, flags, is_request,
+    ):
+        self.src_host = src_host
+        self.dst_host = dst_host
+        self.src_port = src_port
+        self.dst_port = dst_port
+        self.protocol = protocol
+        self.start_time = start_time
+        self.end_time = end_time
+        self.packets = packets
+        self.bytes = bytes
+        self.flags = flags
+        self.is_request = is_request
 
 
 @dataclass(frozen=True, slots=True, init=False)
@@ -314,6 +344,278 @@ class NormalizationParams:
 
 
 # ---------------------------------------------------------------------------
+# flow tables
+# ---------------------------------------------------------------------------
+
+#: The Protocol of each protocol code, in code order
+PROTOCOLS = tuple(Protocol)
+_PROTOCOL_CODE = {p: code for code, p in enumerate(PROTOCOLS)}
+
+#: FlowTable's numpy columns, one per FlowRecord field in FLOW_FIELDS order, and their dtypes
+_COLUMNS = (
+    ("src", np.int32),
+    ("dst", np.int32),
+    ("src_port", np.int32),
+    ("dst_port", np.int32),
+    ("protocol", np.int8),
+    ("start_time", np.float64),
+    ("end_time", np.float64),
+    ("packets", np.int64),
+    ("bytes", np.int64),
+    ("flags", np.uint8),
+    ("is_request", np.bool_),
+)
+
+
+class FlowTable(SequenceABC):
+    """A read-only flow capture: one row per flow, in int-coded numpy columns.
+
+    ``hosts`` holds each host id once, in first-seen order (a flow's source,
+    then its destination), and the ``src`` and ``dst`` columns hold host
+    numbers into it. ``protocol`` holds indices into PROTOCOLS, ``flags``
+    indices into ``flag_sets`` and ``is_request`` bools; every other column
+    holds its FlowRecord field, times as float64 and counts as int64. Every
+    row passed every FlowRecord check. No column can be written.
+
+    A table is also a Sequence of FlowRecord. The records are built on the
+    first iteration or index, and kept; equal host ids share one ``str``,
+    equal ``dst_port`` values one ``int`` and equal flags sets one
+    ``frozenset``. The pipeline steps read the columns and build none. A
+    table equals a list, or another table, of equal records.
+    """
+
+    __slots__ = ("hosts", "flag_sets", *(name for name, _ in _COLUMNS), "_records", "_host_order")
+
+    def __init__(
+        self,
+        hosts: tuple[str, ...],
+        flag_sets: tuple[frozenset[str], ...],
+        columns: Sequence[np.ndarray],
+        host_order: list | None = None,
+    ):
+        self.hosts = hosts
+        self.flag_sets = flag_sets
+        for (name, _), column in zip(_COLUMNS, columns, strict=True):
+            column.flags.writeable = False
+            setattr(self, name, column)
+        self._records: list[FlowRecord] | None = None
+        # [None] or [host_order()'s result], one list shared with every table taken from this one
+        self._host_order = [None] if host_order is None else host_order
+
+    @classmethod
+    def from_records(cls, records: Iterable[FlowRecord]) -> FlowTable:
+        """The table of ``records``, in order; a FlowTable is returned as it is."""
+        if isinstance(records, FlowTable):
+            return records
+        builder = _TableBuilder()
+        builder.add_records(records)
+        return builder.table()
+
+    def take(self, rows: np.ndarray | slice) -> FlowTable:
+        """The table of the given rows, sharing this table's hosts and flag sets."""
+        columns = [getattr(self, name)[rows] for name, _ in _COLUMNS]
+        return FlowTable(self.hosts, self.flag_sets, columns, self._host_order)
+
+    def host_order(self) -> tuple[list[str], np.ndarray]:
+        """The host ids sorted, and the position of each host number among them."""
+        if self._host_order[0] is None:
+            order = sorted(range(len(self.hosts)), key=self.hosts.__getitem__)
+            position = np.empty(len(order), np.int64)
+            position[order] = np.arange(len(order))
+            self._host_order[0] = ([self.hosts[i] for i in order], position)
+        return self._host_order[0]
+
+    def _rows(self) -> list[FlowRecord]:
+        if self._records is None:
+            hosts, ports = self.hosts.__getitem__, {}
+            dst_port = self.dst_port.tolist()
+            # every row passed FlowRecord's checks, so each record is filled
+            # unchecked through its twin class, which then gives way to FlowRecord
+            records = list(map(
+                _FlowSlots,
+                map(hosts, self.src.tolist()),
+                map(hosts, self.dst.tolist()),
+                self.src_port.tolist(),
+                map(ports.setdefault, dst_port, dst_port),  # one int per distinct port
+                map(PROTOCOLS.__getitem__, self.protocol.tolist()),
+                self.start_time.tolist(),
+                self.end_time.tolist(),
+                self.packets.tolist(),
+                self.bytes.tolist(),
+                map(self.flag_sets.__getitem__, self.flags.tolist()),
+                self.is_request.tolist(),
+            ))
+            for record in records:
+                record.__class__ = FlowRecord
+            self._records = records
+        return self._records
+
+    def __len__(self) -> int:
+        return len(self.start_time)
+
+    def __getitem__(self, index):
+        return self._rows()[index]
+
+    def __iter__(self) -> Iterator[FlowRecord]:
+        return iter(self._rows())
+
+    def __eq__(self, other):
+        if isinstance(other, FlowTable):
+            other = other._rows()
+        if not isinstance(other, list):
+            return NotImplemented
+        return self._rows() == other
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return f"<FlowTable: {len(self)} flows, {len(self.hosts)} hosts>"
+
+
+class Memo(dict):
+    """Key -> ``compute(key)``, computed on the key's first lookup; a key that raises is not kept."""
+
+    def __init__(self, compute):
+        super().__init__()
+        self.compute = compute
+
+    def __missing__(self, key):
+        value = self[key] = self.compute(key)
+        return value
+
+
+def numbering() -> Memo:
+    """Key -> its number: 0, 1, 2, ... in the order the keys are first looked up."""
+    return Memo(lambda _, numbers=count(): next(numbers))
+
+
+_ENDPOINTS = operator.attrgetter("src_host", "dst_host")
+_FIELDS = {name: operator.attrgetter(name) for name in FLOW_FIELDS}
+
+
+class _TableBuilder:
+    """Fills a FlowTable a piece at a time, from records or from raw CSV cells."""
+
+    def __init__(self):
+        self.hosts = numbering()
+        self.flag_sets = numbering()
+        self.pieces: list[list[np.ndarray | None]] = []
+        # each distinct raw cell of a column read with few distinct values -> its code or
+        # value; no memo refers to the builder, so a builder is freed as soon as it is dropped
+        hosts, flag_sets = self.hosts, self.flag_sets
+
+        def flag_code(cell: str) -> int:
+            flags = _parse_flags(cell)
+            if not _FLAG_SET.issuperset(flags):
+                raise ValueError("unknown TCP flags")  # the row-by-row read words it
+            return flag_sets[flags]
+
+        self.host_cells = Memo(lambda cell: hosts[cell.strip()])
+        self.port_cells = Memo(int)
+        self.protocol_cells = Memo(lambda cell: _PROTOCOL_CODE[Protocol(cell.strip().upper())])
+        self.flag_cells = Memo(flag_code)
+        self.request_cells = Memo(_parse_bool)
+
+    def add_records(self, records: Iterable[FlowRecord]) -> None:
+        """Append records, which passed every check when they were built."""
+        if not isinstance(records, (list, tuple)):
+            records = list(records)
+        n = len(records)
+        if not n:
+            return
+
+        def column(name, dtype):
+            return np.fromiter(map(_FIELDS[name], records), dtype, n)
+
+        # numbered a flow's source, then its destination, so new hosts number in first-seen order
+        hosts = np.fromiter(
+            map(self.hosts.__getitem__, chain.from_iterable(map(_ENDPOINTS, records))), np.int32, 2 * n
+        )
+        self.pieces.append([
+            hosts[0::2],
+            hosts[1::2],
+            column("src_port", np.int32),
+            column("dst_port", np.int32),
+            np.fromiter(map(_PROTOCOL_CODE.__getitem__, map(_FIELDS["protocol"], records)), np.int8, n),
+            column("start_time", np.float64),
+            column("end_time", np.float64),
+            column("packets", np.int64),
+            column("bytes", np.int64),
+            np.fromiter(map(self.flag_sets.__getitem__, map(_FIELDS["flags"], records)), np.uint8, n),
+            column("is_request", np.bool_),
+        ])
+
+    def add_cells(self, rows: list[list[str]], positions: Sequence[int]) -> bool:
+        """Append rows of raw cells if every row passes every FlowRecord check.
+
+        ``positions`` holds the cell of each field, in FLOW_FIELDS order;
+        every row has a cell there. Each cell reads as parse_flow_csv's
+        row-by-row path reads it: numbers by ``int()`` and ``float()``, one
+        column at a time, and each distinct host, destination port,
+        protocol, flags and request cell once. False, with nothing appended,
+        when a cell does not read or a row fails a check; the caller then
+        reads the rows one at a time, so that the first bad row raises.
+        """
+        columns = list(zip(*rows))
+        src, dst, src_port, dst_port, protocol, start, end, packets, n_bytes, flags, request = (
+            columns[i] for i in positions
+        )
+        n = len(rows)
+
+        def read(cells, memo, dtype):
+            return np.fromiter(map(memo.__getitem__, cells), dtype, n)
+
+        try:
+            hosts = np.fromiter(
+                map(self.host_cells.__getitem__, chain.from_iterable(zip(src, dst))), np.int32, 2 * n
+            )
+            src_port, packets, n_bytes = (
+                np.fromiter(map(int, cells), np.int64, n) for cells in (src_port, packets, n_bytes)
+            )
+            dst_port = read(dst_port, self.port_cells, np.int64)
+            start, end = (np.fromiter(map(float, cells), np.float64, n) for cells in (start, end))
+            protocol = read(protocol, self.protocol_cells, np.int8)
+            flags = read(flags, self.flag_cells, np.uint8)
+            request = read(request, self.request_cells, np.bool_)
+        except (ValueError, OverflowError):  # a number too large for int64 is out of range
+            return False
+        has_flags = np.array(list(map(bool, self.flag_sets)), bool)
+        if not (
+            ((0 <= src_port) & (src_port <= 65535) & (0 <= dst_port) & (dst_port <= 65535)).all()
+            and np.isfinite(start).all()
+            and np.isfinite(end).all()
+            and (start <= end).all()
+            and (packets >= 1).all()
+            and (n_bytes >= 0).all()
+            and not (has_flags[flags] & (protocol == _PROTOCOL_CODE[Protocol.UDP])).any()
+        ):
+            return False
+        self.pieces.append([
+            hosts[0::2],
+            hosts[1::2],
+            src_port.astype(np.int32),
+            dst_port.astype(np.int32),
+            protocol,
+            start,
+            end,
+            packets,
+            n_bytes,
+            flags,
+            request,
+        ])
+        return True
+
+    def table(self) -> FlowTable:
+        columns = []
+        for i, (_, dtype) in enumerate(_COLUMNS):
+            # each piece's column is dropped once joined, so the join holds one extra column
+            columns.append(np.concatenate([piece[i] for piece in self.pieces] or [np.empty(0, dtype)]))
+            for piece in self.pieces:
+                piece[i] = None
+        return FlowTable(tuple(self.hosts), tuple(self.flag_sets), columns)
+
+
+# ---------------------------------------------------------------------------
 # flow CSV parsing / serialization
 # ---------------------------------------------------------------------------
 
@@ -353,69 +655,137 @@ def _csv_lines(text: str | Iterable[str]) -> Iterator[str]:
 #: Characters the split reader cuts from a text at a time, up to the next line end
 _PIECE_CHARS = 1 << 16
 
+#: Rows csv.reader reads into one piece
+_CSV_PIECE_ROWS = 1 << 10
 
-def _split_rows(text: str) -> Iterator[list[str]]:
-    """The rows ``csv.reader`` reads from a text holding no '"', "\\r" or NUL.
+#: A piece of a table: each row's physical line number (a range when the
+#: rows are consecutive lines), and the rows
+Piece = tuple[Sequence[int], list[list[str]]]
 
-    Without a quote no cell spans lines, so a row is one "\\n" line split at
-    commas. The text is split a piece at a time, each about ``_PIECE_CHARS``
-    long and cut at a line end. A blank first line reads as [], as
-    csv.reader reads it; a later one reads as [''], which CsvTable.rows
-    skips alike. A cell longer than ``csv.field_size_limit()`` raises
-    MalformedRowError with csv.reader's message; only a piece longer than
-    the limit can hold one, so only such a piece has its cells measured.
+
+def _splits(text: str) -> bool:
+    """Whether _split_pieces reads ``text`` as csv.reader does.
+
+    It does when the text holds no '"' or NUL, so no cell is quoted and no
+    row spans lines, and every "\\r" starts a "\\r\\n" line end.
+    """
+    if '"' in text or "\0" in text:
+        return False
+    return "\r" not in text or text.count("\r") == text.count("\r\n")
+
+
+def _split_pieces(text: str) -> Iterator[Piece]:
+    """The rows ``csv.reader`` reads from a text that _splits, a piece at a time.
+
+    A row is one line split at commas, without its "\\n" or "\\r\\n" end.
+    Each piece is about ``_PIECE_CHARS`` long and cut at a line end. A blank
+    first line reads as [], as csv.reader reads it; a later one reads as
+    [''], which CsvTable skips alike. A cell longer than
+    ``csv.field_size_limit()`` raises MalformedRowError with csv.reader's
+    message, once the rows before it are passed on; only a piece longer
+    than the limit can hold one, so only such a piece has its cells
+    measured.
     """
     if not text:
         return
+    crlf = "\r" in text  # then every "\r" ends a line
     start = line_no = 0
-    if text[0] == "\n":  # a blank header, which require_columns would print
-        yield []
-        start = line_no = 1
+    if text[0] == "\n" or text.startswith("\r\n"):  # a blank header, which require_columns would print
+        yield range(1, 2), [[]]
+        start, line_no = 1 + (text[0] == "\r"), 1
     stop = len(text) - text.endswith("\n")  # where the last line ends
     find = text.find
     while start <= stop:
         end = find("\n", start + _PIECE_CHARS)
         if end < 0:
             end = stop
-        lines = text[start:end].split("\n")
-        rows = map(str.split, lines, repeat(","))
+        piece = text[start:end]
+        if crlf:
+            piece = piece.replace("\r\n", "\n").removesuffix("\r")
+        rows = list(map(str.split, piece.split("\n"), repeat(",")))
+        lines = range(line_no + 1, line_no + 1 + len(rows))
         limit = csv.field_size_limit()
-        if end - start > limit:
-            for line, row in enumerate(rows, line_no + 1):
+        if len(piece) > limit:
+            for k, row in enumerate(rows):
                 if max(map(len, row)) > limit:
-                    raise MalformedRowError(line, f"field larger than field limit ({limit})")
-                yield row
-        else:
-            yield from rows
-        line_no += len(lines)
+                    if k:
+                        yield lines[:k], rows[:k]
+                    raise MalformedRowError(lines[k], f"field larger than field limit ({limit})")
+        line_no += len(rows)
         start = end + 1
+        yield lines, rows
+        del rows, piece  # so the next piece is not built while this one is held
+
+
+def _split_rows(text: str) -> Iterator[list[str]]:
+    """The rows of _split_pieces, one at a time."""
+    for _, rows in _split_pieces(text):
+        yield from rows
+
+
+def _csv_pieces(reader) -> Iterator[Piece]:
+    """The rows of a ``csv.reader``, ``_CSV_PIECE_ROWS`` at a time, each with its last physical line.
+
+    A ``csv.Error`` raises MalformedRowError naming its line, once the rows
+    before it are passed on.
+    """
+    while True:
+        lines, rows = [], []
+        try:
+            for row in islice(reader, _CSV_PIECE_ROWS):
+                rows.append(row)
+                lines.append(reader.line_num)
+        except csv.Error as exc:
+            error = MalformedRowError(reader.line_num, str(exc))
+            if rows:
+                yield lines, rows
+            raise error from exc
+        if not rows:
+            return
+        yield lines, rows
+
+
+def _is_blank(row: list[str]) -> bool:
+    return not row or (len(row) == 1 and not row[0].strip())
 
 
 class CsvTable:
-    """A CSV table read row by row: every table the tool reads goes through here.
+    """A CSV table read a piece at a time: every table the tool reads goes through here.
 
     ``header`` is the header row, each cell stripped; empty input raises
-    MissingColumnError. rows() then yields the data rows.
+    MissingColumnError. rows() then yields the data rows one at a time, or
+    pieces() a piece of rows at a time.
 
-    The text picks the reader. A ``str`` holding no '"', "\\r" or NUL has no
-    quoted cell, so _split_rows reads it with ``str.split``; any other text,
-    and any iterable of lines, goes to ``csv.reader``. Both give the same
-    rows, line numbers and errors: a ``csv.Error``, such as a cell longer
-    than ``csv.field_size_limit()``, raises MalformedRowError naming its
-    line.
+    The text picks the reader. A ``str`` holding no '"' or NUL, in which
+    every "\\r" starts a "\\r\\n", has no quoted cell, so _split_pieces
+    reads it with ``str.split``; any other text, and any iterable of lines,
+    goes to ``csv.reader``. Both give the same rows, line numbers and
+    errors: a ``csv.Error``, such as a cell longer than
+    ``csv.field_size_limit()``, raises MalformedRowError naming its line.
     """
 
     def __init__(self, text: str | Iterable[str]):
-        if isinstance(text, str) and not ('"' in text or "\r" in text or "\0" in text):
-            self._reader, self._csv_reader = _split_rows(text), None
+        if isinstance(text, str) and _splits(text):
+            self._pieces = _split_pieces(text)
         else:
-            self._reader = self._csv_reader = csv.reader(_csv_lines(text))
+            self._pieces = _csv_pieces(csv.reader(_csv_lines(text)))
         try:
-            self.header = [h.strip() for h in next(self._reader)]
+            lines, rows = next(self._pieces)
         except StopIteration:
             raise MissingColumnError("empty input: no header row")
-        except csv.Error as exc:
-            raise MalformedRowError(self._csv_reader.line_num, str(exc)) from exc
+        self.header = [h.strip() for h in rows[0]]
+        self._first = (lines[1:], rows[1:])  # the data rows of the header's piece
+
+    def pieces(self) -> Iterator[Piece]:
+        """The data rows a piece at a time, blank rows included, each row with its physical line.
+
+        A row's line is its last physical line, as a quoted cell may span
+        lines.
+        """
+        first, self._first = self._first, None
+        yield first
+        del first  # so the next piece is not built while this one is held
+        yield from self._pieces
 
     def require_columns(self, columns: Sequence[str], table: str) -> None:
         """Raise MissingColumnError naming ``table`` unless the header starts with ``columns``.
@@ -436,16 +806,14 @@ class CsvTable:
         MalformedRowError, and so does a repeated first (host) cell when
         ``unique_host`` is set. Extra cells are passed on.
         """
-        reader, csv_reader = self._reader, self._csv_reader
         first_line: dict[str, int] = {}
-        try:
-            for record_no, row in enumerate(reader, start=1):
-                if not row or (len(row) == 1 and not row[0].strip()):
+        record_no = 0
+        for lines, rows in self.pieces():
+            for line_no, row in zip(lines, rows):
+                record_no += 1
+                if _is_blank(row):
                     continue
-                # a split row is one line, after the header's line 1
-                line_no = record_no + 1 if csv_reader is None else csv_reader.line_num
-                if len(row) < width:
-                    raise MalformedRowError(line_no, f"expected {width} fields, got {len(row)}")
+                _check_width(row, width, line_no)
                 if unique_host:
                     host = row[0].strip()
                     if host in first_line:
@@ -454,8 +822,11 @@ class CsvTable:
                         )
                     first_line[host] = line_no
                 yield record_no, line_no, row
-        except csv.Error as exc:
-            raise MalformedRowError(csv_reader.line_num, str(exc)) from exc
+
+
+def _check_width(row: list[str], width: int, line_no: int) -> None:
+    if len(row) < width:
+        raise MalformedRowError(line_no, f"expected {width} fields, got {len(row)}")
 
 
 #: Most rows one chunk of a written table holds.
@@ -525,8 +896,8 @@ def flow_columns(schema: Mapping[str, str] | None = None) -> dict[str, str]:
 def parse_flow_csv(
     text: str | Iterable[str],
     schema: Mapping[str, str] | None = None,
-) -> list[FlowRecord]:
-    """Parse a flow CSV into FlowRecord values.
+) -> FlowTable:
+    """Parse a flow CSV into a FlowTable.
 
     ``schema`` maps FlowRecord field names to CSV column names (see
     flow_columns); by default columns carry the field names themselves.
@@ -534,8 +905,11 @@ def parse_flow_csv(
     flow invariant raise MalformedRowError with the 1-based line number, and
     so does a header naming a column that a field reads twice (line 1).
 
-    Equal host ids share one ``str``, equal ``dst_port`` cells one ``int``
-    and equal flags cells one ``frozenset`` across the returned records.
+    The table is filled a piece of rows at a time, each column of a piece
+    read with ``int()`` or ``float()`` and checked at numpy cost. A piece
+    that holds a blank row or fails a check is read again one row at a
+    time through FlowRecord, so the first bad row raises what a row-by-row
+    parse raises.
     """
     columns = flow_columns(schema)
     table = CsvTable(text)
@@ -550,68 +924,54 @@ def parse_flow_csv(
     missing = [columns[f] for f in FLOW_FIELDS if columns[f] not in position]
     if missing:
         raise MissingColumnError(f"columns absent from header: {missing}")
-    (
-        i_src, i_dst, i_sport, i_dport, i_proto, i_start,
-        i_end, i_packets, i_bytes, i_flags, i_request,
-    ) = (position[columns[f]] for f in FLOW_FIELDS)
+    positions = [position[columns[f]] for f in FLOW_FIELDS]
+    width = len(table.header)
+    builder = _TableBuilder()
+    for lines, rows in table.pieces():
+        filled = rows
+        if min(map(len, filled), default=width) < width:
+            filled = [row for row in rows if not _is_blank(row)]
+        if min(map(len, filled), default=width) < width or (
+            filled and not builder.add_cells(filled, positions)
+        ):
+            builder.add_records(_flow_records(lines, rows, positions, width))
+        del rows, filled  # so the next piece is not read while this one is held
+    return builder.table()
 
-    # Parses memoised by raw cell text. A bad cell raises before it is
-    # stored, so it raises again on every row that carries it; the
-    # FlowRecord checks run on every row whatever the memo holds. Source
-    # ports and byte counts are mostly distinct: a memo of them would share
-    # nothing and hold an entry per flow until the parse ends.
-    hosts: dict[str, str] = {}
-    dst_ports: dict[str, int] = {}
-    protocols: dict[str, Protocol] = {}
-    flag_sets: dict[str, frozenset[str]] = {}
-    requests: dict[str, bool] = {}
 
-    flows = []
-    for _, line_no, row in table.rows(len(table.header)):
+def _flow_records(
+    lines: Sequence[int], rows: list[list[str]], positions: Sequence[int], width: int
+) -> list[FlowRecord]:
+    """The records of a piece of rows, read one row at a time: the first bad row raises."""
+    i_src, i_dst, i_sport, i_dport, i_proto, i_start, i_end, i_packets, i_bytes, i_flags, i_request = (
+        positions
+    )
+    records = []
+    for line_no, row in zip(lines, rows):
+        if _is_blank(row):
+            continue
+        _check_width(row, width, line_no)
         try:
-            # same order as the fields, so a row with two bad cells reports
-            # the first
-            src = row[i_src].strip()
-            dst = row[i_dst].strip()
-            src_port = int(row[i_sport])
-            cell = row[i_dport]
-            dst_port = dst_ports.get(cell)
-            if dst_port is None:
-                dst_port = dst_ports[cell] = int(cell)
-            cell = row[i_proto]
-            protocol = protocols.get(cell)
-            if protocol is None:
-                protocol = protocols[cell] = Protocol(cell.strip().upper())
-            start_time = float(row[i_start])
-            end_time = float(row[i_end])
-            packets = int(row[i_packets])
-            n_bytes = int(row[i_bytes])
-            cell = row[i_flags]
-            flags = flag_sets.get(cell)
-            if flags is None:
-                flags = flag_sets[cell] = _parse_flags(cell)
-            cell = row[i_request]
-            is_request = requests.get(cell)
-            if is_request is None:
-                is_request = requests[cell] = _parse_bool(cell)
-            flows.append(
+            # the cells parse in field order, so a row with two bad cells
+            # reports the first
+            records.append(
                 FlowRecord(
-                    hosts.setdefault(src, src),
-                    hosts.setdefault(dst, dst),
-                    src_port,
-                    dst_port,
-                    protocol,
-                    start_time,
-                    end_time,
-                    packets,
-                    n_bytes,
-                    flags,
-                    is_request,
+                    row[i_src].strip(),
+                    row[i_dst].strip(),
+                    int(row[i_sport]),
+                    int(row[i_dport]),
+                    Protocol(row[i_proto].strip().upper()),
+                    float(row[i_start]),
+                    float(row[i_end]),
+                    int(row[i_packets]),
+                    int(row[i_bytes]),
+                    _parse_flags(row[i_flags]),
+                    _parse_bool(row[i_request]),
                 )
             )
         except ValueError as exc:
             raise MalformedRowError(line_no, str(exc)) from exc
-    return flows
+    return records
 
 
 def format_flags(flags: frozenset[str]) -> str:
@@ -638,29 +998,63 @@ class _CsvCells(dict):
         return cell
 
 
-def _flow_csv_chunks(flows: Sequence[FlowRecord]) -> Iterator[str]:
-    """The canonical flow CSV in pieces: the header, then at most ``_CHUNK_ROWS`` rows each.
+#: One canonical flow row from its cells: csv.writer writes an int by its
+#: str and a float by its repr, which is its str
+_FLOW_ROW = ",".join(["%s"] * len(FLOW_FIELDS)) + "\n"
 
-    The bytes are those ``csv.writer`` writes. Each row is one f-string:
-    numbers appear as ``csv.writer`` formats them, and each distinct host,
-    protocol and flags text is written by ``csv.writer`` once.
+
+#: Most rows of one block of a table's flow CSV: formatting a block holds
+#: a Python object per cell, about 0.25 MiB for 256 rows
+_FLOW_BLOCK_ROWS = 1 << 8
+
+
+def _flow_csv_chunks(flows: FlowTable | Iterable[FlowRecord]) -> Iterator[str]:
+    """The canonical flow CSV in pieces: the header, then blocks of at most ``_CHUNK_ROWS`` rows.
+
+    The bytes are those ``csv.writer`` writes: numbers as it formats them
+    (a float by its repr, an int by its str), and each distinct host,
+    protocol and flags text written by ``csv.writer`` once. A table's rows
+    are formatted from its columns, ``_FLOW_BLOCK_ROWS`` at a time; records
+    are formatted one f-string each, which reads their fields faster than
+    putting them into a table would. Either way a time is written as the
+    float a table holds, so a record and its table give the same bytes.
     """
     sink = _Lines()
-    writerow = csv.writer(sink).writerow
-    hosts, protocols, flag_cells = (_CsvCells(writerow, sink) for _ in range(3))
-    flag_text = {flags: flag_cells[format_flags(flags)] for flags in {f.flags for f in flows}}
+    cells = _CsvCells(csv.writer(sink).writerow, sink)
     yield csv_text(FLOW_FIELDS)
-    for lo in range(0, len(flows), _CHUNK_ROWS):
-        # csv.writer writes a float by its repr and an int by its str
-        yield "".join([
-            f"{hosts[f.src_host]},{hosts[f.dst_host]},{f.src_port},{f.dst_port},"
-            f"{protocols[f.protocol]},{f.start_time!r},{f.end_time!r},{f.packets},{f.bytes},"
-            f"{flag_text[f.flags]},{int(f.is_request)}\n"
-            for f in flows[lo : lo + _CHUNK_ROWS]
-        ])
+    if not isinstance(flows, FlowTable):
+        flag_text = Memo(lambda flags: cells[format_flags(flags)])
+        records = iter(flows)
+        while block := list(islice(records, _CHUNK_ROWS)):
+            yield "".join([
+                f"{cells[f.src_host]},{cells[f.dst_host]},{f.src_port},{f.dst_port},"
+                f"{cells[f.protocol]},{float(f.start_time)!r},{float(f.end_time)!r},{f.packets},{f.bytes},"
+                f"{flag_text[f.flags]},{int(f.is_request)}\n"
+                for f in block
+            ])
+        return
+    names = list(map(cells.__getitem__, flows.hosts))
+    protocols = [cells[p.value] for p in PROTOCOLS]
+    flags = [cells[format_flags(s)] for s in flows.flag_sets]
+    rows = min(_FLOW_BLOCK_ROWS, _CHUNK_ROWS)
+    for lo in range(0, len(flows), rows):
+        block = flows.take(slice(lo, lo + rows))
+        yield "".join(map(_FLOW_ROW.__mod__, zip(
+            map(names.__getitem__, block.src.tolist()),
+            map(names.__getitem__, block.dst.tolist()),
+            block.src_port.tolist(),
+            block.dst_port.tolist(),
+            map(protocols.__getitem__, block.protocol.tolist()),
+            block.start_time.tolist(),
+            block.end_time.tolist(),
+            block.packets.tolist(),
+            block.bytes.tolist(),
+            map(flags.__getitem__, block.flags.tolist()),
+            block.is_request.view(np.uint8).tolist(),
+        )))
 
 
-def flows_to_csv(flows: Sequence[FlowRecord]) -> str:
+def flows_to_csv(flows: FlowTable | Iterable[FlowRecord]) -> str:
     """Serialize flows back to the canonical CSV schema (round-trips exactly).
 
     The bytes are those ``csv.writer`` writes; the text is built whole, for
@@ -669,7 +1063,7 @@ def flows_to_csv(flows: Sequence[FlowRecord]) -> str:
     return "".join(_flow_csv_chunks(flows))
 
 
-def flows_sha256(flows: Sequence[FlowRecord]) -> str:
+def flows_sha256(flows: FlowTable | Iterable[FlowRecord]) -> str:
     """Hex sha256 of the UTF-8 bytes of ``flows_to_csv(flows)``, hashed chunk by chunk."""
     return _sha256(_flow_csv_chunks(flows))
 
@@ -712,7 +1106,9 @@ def aggregate_host_features(
     whether to skip the host (the pipeline does) or substitute.
 
     All eight statistics are accumulated in one loop over ``flows``, which
-    may hold other hosts' flows and flows outside the window.
+    may hold other hosts' flows and flows outside the window. This is the
+    definition host_vectors computes for every host at once from a table's
+    columns; the pipeline does not call it.
     """
     t0, t1 = window
     if not t1 > t0:
@@ -753,7 +1149,7 @@ def aggregate_host_features(
     )
 
 
-def full_span(flows: Sequence[FlowRecord]) -> tuple[float, float]:
+def full_span(flows: FlowTable | Iterable[FlowRecord]) -> tuple[float, float]:
     """The window [earliest start, just past the latest end) holding every flow.
 
     Its end is latest end + 1e-6, or the next float above the latest end
@@ -761,24 +1157,88 @@ def full_span(flows: Sequence[FlowRecord]) -> tuple[float, float]:
     as epoch milliseconds). A capture without a flow has no span:
     EmptyInputError.
     """
-    if not flows:
+    table = FlowTable.from_records(flows)
+    if not len(table):
         raise EmptyInputError("full_span needs at least one flow")
-    end = max(f.end_time for f in flows)
-    return min(f.start_time for f in flows), max(end + 1e-6, math.nextafter(end, math.inf))
+    end = float(table.end_time.max())
+    return float(table.start_time.min()), max(end + 1e-6, math.nextafter(end, math.inf))
 
 
-def host_vectors(flows: Sequence[FlowRecord]) -> list[FeatureVector]:
+#: The flags each flag count of a vector needs, in FEATURE_ORDER: ackpush_all, syn_all, rst_all, fin_all
+_COUNTED_FLAGS = tuple(map(frozenset, (("ACK", "PUSH"), ("SYN",), ("RST",), ("FIN",))))
+
+
+def host_vectors(flows: FlowTable | Iterable[FlowRecord]) -> list[FeatureVector]:
     """Raw vectors of every host, sorted by host, each over the full span.
 
-    Each host's vector is aggregated from its own flows in ``flows_by_host``,
-    so the whole call reads every flow once per endpoint, not once per host.
-    A capture without a flow has no host and gives no vector.
+    Each equals aggregate_host_features of the host over full_span(flows),
+    computed for every host at once from the table's columns: a flow counts
+    once per distinct endpoint, so a loopback flow once. The packet and
+    byte sums are exact integers (_exact_sums), and one np.bincount over
+    (host, flags set) pairs gives the flow and flag counts; the final
+    divisions are the same Python divisions of the same ints, so every
+    float is the one a per-host scan gives. A capture without a flow has no
+    host and gives no vector.
     """
-    index = flows_by_host(flows)
-    if not index:
+    table = FlowTable.from_records(flows)
+    if not len(table):
         return []
-    span = full_span(flows)
-    return [aggregate_host_features(index[host], host, span) for host in sorted(index)]
+    t0, t1 = full_span(table)
+    n, n_sets = len(table.hosts), len(table.flag_sets)
+    apart = table.src != table.dst
+
+    def at_both_ends(column: np.ndarray) -> np.ndarray:
+        # each flow's value at its source, then at its destination unless that is the source
+        return np.concatenate([column, column[apart]])
+
+    ends = np.concatenate([table.src, table.dst[apart]]).astype(np.int64)
+    packets = _exact_sums(ends, at_both_ends(table.packets), n)
+    n_bytes = _exact_sums(ends, at_both_ends(table.bytes), n)
+    requests = np.bincount(table.src[table.is_request], minlength=n).tolist()
+    by_set = np.bincount(ends * n_sets + at_both_ends(table.flags), minlength=n * n_sets)
+    by_set = by_set.reshape(n, n_sets)
+    carries = np.array([[need <= s for s in table.flag_sets] for need in _COUNTED_FLAGS], np.int64)
+    flow_counts = by_set.sum(axis=1).tolist()
+    ackpush, syn, rst, fin = (by_set @ carries.T).T.tolist()
+    minutes = (t1 - t0) / 60.0
+    vectors = []
+    for i in sorted(range(n), key=table.hosts.__getitem__):
+        k, p = flow_counts[i], packets[i]
+        vectors.append(FeatureVector(
+            table.hosts[i],
+            n_bytes[i] / p,
+            p / minutes,
+            p / k,
+            ackpush[i] / k,
+            requests[i] / k,
+            syn[i] / k,
+            rst[i] / k,
+            fin[i] / k,
+        ))
+    return vectors
+
+
+#: Bits of each of the three limbs _exact_sums cuts a count into
+_LIMB_BITS = 21
+
+
+def _exact_sums(groups: np.ndarray, values: np.ndarray, n: int) -> list[int]:
+    """Each group's sum of the non-negative int64 ``values``, as an exact Python int.
+
+    np.bincount sums in float64, which is exact while every partial sum
+    stays below 2**53. When the values could pass that, each is cut into
+    three 21-bit limbs, summed per group alike: a sum of fewer than 2**32
+    limbs stays below 2**53, however large the counts, and the limbs' sums
+    are then joined as ints.
+    """
+    if int(values.max(initial=0)) * len(values) < 2**53:
+        return np.bincount(groups, weights=values, minlength=n).astype(np.int64).tolist()
+    sums = [0] * n
+    mask = (1 << _LIMB_BITS) - 1
+    for shift in (2 * _LIMB_BITS, _LIMB_BITS, 0):
+        limb = np.bincount(groups, weights=(values >> shift) & mask, minlength=n)
+        sums = [(s << _LIMB_BITS) + int(t) for s, t in zip(sums, limb.tolist())]
+    return sums
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ import json
 import math
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from . import comm_graph, flow_model, kvconfig, metrics as metrics_mod, snn_cluster
 from .comm_graph import CommGraph, StateParams
@@ -193,48 +193,38 @@ def normalize_vectors(
 
 
 def lifecycle_states(
-    flows: Sequence[FlowRecord],
+    flows: flow_model.FlowTable | Iterable[FlowRecord],
     config: PipelineConfig,
 ) -> tuple[CommGraph, dict[str, State]]:
     """Step 3: the full-span graph and each vertex's highest-ranked state over all window pairs.
 
-    One pass over the windows: each window graph is built when window_deltas
-    reaches it, its vertices and edge weights are added into running sums as
-    it streams by, and its pair's deltas are folded into the host states
-    before the next window is built. So at most two window graphs and one
-    pair of host rows are alive at once, and every flow is read once, when
-    it is filed into its window. The full-span graph is built once, from the
-    sums, after the last window. Only windows that hold a flow get a graph
-    and host rows, so the cost follows the flows, not the capture's time
-    span; an empty capture gives an empty graph. Internal prefixes that
-    match no host of a non-empty capture raise InvalidConfigError.
+    One pass over the windows of the flow table: each window graph is built
+    when window_deltas reaches it, and its pair's deltas are folded into
+    the host states before the next window is built. So at most two window
+    graphs and one pair of host rows are alive at once. The full-span graph
+    is built from the whole table after the last window. Only windows that
+    hold a flow get a graph and host rows, so the cost follows the flows,
+    not the capture's time span; an empty capture gives an empty graph.
+    Internal prefixes that match no host of a non-empty capture raise
+    InvalidConfigError.
     """
-    vertices: set[str] = set()
-    weights: dict[comm_graph.Edge, int] = {}
-
-    def summed(snapshots):
-        """Each snapshot, once its graph is added into the full-span sums."""
-        for snapshot in snapshots:
-            g = snapshot[0]
-            vertices.update(g.vertices)
-            for key, w in g.edge_weight.items():
-                weights[key] = weights.get(key, 0) + w
-            yield snapshot
-
-    states: dict[str, State] = {}
-    snapshots = comm_graph.window_snapshots(flows, config.window_length)
-    for deltas in comm_graph.window_deltas(summed(snapshots), config.state):
+    table = flow_model.FlowTable.from_records(flows)
+    ranks: dict[str, int] = {}  # host -> the rank of its highest state above S0
+    snapshots = comm_graph.window_snapshots(table, config.window_length)
+    for deltas in comm_graph.window_deltas(snapshots, config.state):
         for host, d in deltas.items():
-            state = snn_cluster.assign_state(d, config.state)
-            states[host] = max(states.get(host, State.S0), state, key=STATE_RANK.__getitem__)
-    graph = CommGraph(frozenset(vertices), weights)
+            rank = STATE_RANK[snn_cluster.assign_state(d, config.state)]
+            if rank > ranks.get(host, 0):
+                ranks[host] = rank
+    graph = comm_graph.table_graph(table)
     prefixes = config.state.internal_prefixes
     if prefixes and graph.vertices and not any(v.startswith(prefixes) for v in graph.vertices):
         # every host external would leave S3 unreachable
         raise InvalidConfigError(
             f"state.internal_prefixes {','.join(prefixes)} match no host of the capture"
         )
-    return graph, {v: states.get(v, State.S0) for v in graph.vertices}
+    states = list(STATE_RANK)  # in rank order
+    return graph, {v: states[ranks.get(v, 0)] for v in graph.order}
 
 
 def cluster_hosts(graph: CommGraph, k_shared: int) -> list[Cluster]:
@@ -265,15 +255,19 @@ def evaluate(
 
 
 def run(
-    flows: Sequence[FlowRecord],
-    labeled: Sequence[FeatureVector],
+    flows: flow_model.FlowTable | Iterable[FlowRecord],
+    labeled: Iterable[FeatureVector],
     config: PipelineConfig | None = None,
     ground_truth: Mapping[str, Label] | None = None,
 ) -> DetectionReport:
-    """Execute the ten pipeline steps and return the detection report."""
+    """Execute the ten pipeline steps and return the detection report.
+
+    ``flows`` is a FlowTable, such as parse_flow_csv returns, or records,
+    which are put into one; steps 1-3 read its columns and build no record.
+    """
     config = config or PipelineConfig()
     # step 1: inputs arrive parsed; record sizes and digests
-    flows = list(flows)
+    flows = flow_model.FlowTable.from_records(flows)
     labeled = list(labeled)
     digests = {
         "flows_sha256": flow_model.flows_sha256(flows),

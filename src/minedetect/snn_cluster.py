@@ -132,8 +132,16 @@ def build_snn_graph(g: CommGraph, k_shared: int) -> SnnGraph:
     reverse = np.searchsorted(csr.arcs, csr.nbr * n + csr.src)  # arc m -> i of each arc i -> m
     pairs = [np.empty(0, np.int64)]
     for keys, _ in csr.wedges(reverse, csr.indptr, _BLOCK_KEYS):
-        keys, hits = np.unique(keys, return_counts=True)
-        pairs.append(keys[hits >= k_shared])
+        keys.sort()  # in place: the block is this loop's own
+        # the last key of each run of equal keys at least k_shared long: sorted,
+        # such a run ends where the key equals the one k_shared - 1 places back
+        last = np.empty(len(keys), bool)
+        np.not_equal(keys[1:], keys[:-1], out=last[:-1])
+        last[-1:] = True
+        last[: k_shared - 1] = False
+        last[k_shared - 1 :] &= keys[k_shared - 1 :] == keys[: len(keys) - k_shared + 1]
+        pairs.append(keys[last])
+        del keys, last  # so the next block is not built while this one is held
     # blocks follow ascending first endpoints, so the keys come out sorted
     return SnnGraph(g, k_shared, np.concatenate(pairs))
 

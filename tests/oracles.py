@@ -9,6 +9,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import io
+import math
 import random
 from fractions import Fraction
 
@@ -362,6 +363,59 @@ def window_deltas_naive(flows, bounds, internal_prefixes, delta_t, dc_cap, finge
             history.setdefault(host, []).append(row[2])
         pairs.append(out)
     return pairs
+
+
+def window_index_naive(t, length):
+    """The i with i * length <= t < (i + 1) * length: a float floor, then one step at a time.
+
+    A start time 2**53 or more windows from 0 is a ValueError.
+    """
+    q = t / length
+    if not abs(q) < 2**53:
+        raise ValueError(f"start time {t!r} is 2**53 or more windows of {length!r} s from 0")
+    i = math.floor(q)
+    while i * length > t:
+        i -= 1
+    while (i + 1) * length <= t:
+        i += 1
+    return i
+
+
+def lifecycle_states_naive(flows, length, params):
+    """Step 3 from the records alone: the full-span graph's edges and each host's highest state.
+
+    Every aligned window from the first flow's to the last one's, empty ones
+    included, is rebuilt by window_deltas_naive, and each pair's rows go
+    through the S0-S3 rules as written. Returns (vertices, edge weights keyed
+    by sorted id pairs, host -> state name).
+    """
+    if not flows:
+        return set(), {}, {}
+    index = [window_index_naive(f.start_time, length) for f in flows]
+    bounds = [(i * length, (i + 1) * length) for i in range(min(index), max(index) + 1)]
+    fingerprint = params.fingerprint
+    pairs = window_deltas_naive(
+        flows, bounds, params.internal_prefixes, params.delta_t, params.dc_cap, fingerprint
+    )
+    rank = {}
+    for pair in pairs:
+        for host, (dk_ext, dk_int, factor, history, m_v, window) in pair.items():
+            if dk_ext > 1 and params.t_star in (None, window):
+                state = 1
+            elif dk_int > dk_ext and factor > 1.0 and factor > max(history, default=0.0):
+                state = 2
+            elif dk_int > 1 and m_v > params.x_threshold:
+                state = 3
+            else:
+                state = 0
+            rank[host] = max(rank.get(host, 0), state)
+    vertices = {h for f in flows for h in (f.src_host, f.dst_host)}
+    weights = {}
+    for f in flows:
+        if f.src_host != f.dst_host:
+            key = tuple(sorted((f.src_host, f.dst_host)))
+            weights[key] = weights.get(key, 0) + 1
+    return vertices, weights, {h: f"S{rank.get(h, 0)}" for h in vertices}
 
 
 def aggregate_host_features_naive(flows, host, window):

@@ -17,10 +17,8 @@ TRACER = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
 #: ground truth must reach; a stage that calls one through a name imported
 #: with ``from ... import`` bypasses the tracer's wrapper and shows 0 calls
 REACHED_BY_RUN = (
-    "flow_model.aggregate_host_features",
     "flow_model.fit_normalizer",
     "flow_model.normalize",
-    "comm_graph.build_graph",
     "comm_graph.window_deltas",
     "comm_graph.graph_features",
     "snn_cluster.build_snn_graph",

@@ -742,10 +742,15 @@ _SPLIT_ALPHABET = ",,,\n\n\n  \x0b\x1c\x85\u2028abc"
 
 
 def quote_free_texts(seed):
+    """Quote-free texts: with "\n" line ends, "\r\n" ones, a mix, and a lone "\r"."""
     rng = random.Random(seed)
     for _ in range(150):
         text = "".join(rng.choice(_SPLIT_ALPHABET) for _ in range(rng.randint(0, 40)))
-        yield from dict.fromkeys([text, text.rstrip("\n"), text + "\n"])
+        crlf = text.replace("\n", "\r\n")
+        mixed = "".join(rng.choice(["\n", "\r\n"]) + part for part in text.split("\n"))[1:]
+        lone = text.replace("\n", "\r", 1) if "\n" in text[:-1] else text + "\r"
+        for variant in dict.fromkeys([text, crlf, mixed, lone]):
+            yield from dict.fromkeys([variant, variant.rstrip("\r\n"), variant + "\n"])
 
 
 def test_csv_table_reads_a_quote_free_str_without_csv_reader(monkeypatch):
@@ -753,7 +758,11 @@ def test_csv_table_reads_a_quote_free_str_without_csv_reader(monkeypatch):
     reader = csv.reader
     monkeypatch.setattr(csv, "reader", lambda lines: calls.append(1) or reader(lines))
     text = HEADER + "\nh1,h2,1,2,TCP,0,60,5,100,,1\n"
-    for source in (text, text.replace("h1", "h\0"), text.replace("\n", "\r\n"), quote_first_cell(text)):
+    # "\r\n" line ends keep the split reader; a NUL, a lone "\r" or a quote does not
+    for source in (text, text.replace("\n", "\r\n"), text.replace("\n", "\r\n", 1)):
+        flow_model.CsvTable(source)
+    assert calls == []
+    for source in (text.replace("h1", "h\0"), text.replace("h1", "h\r1"), quote_first_cell(text)):
         flow_model.CsvTable(source)
     assert len(calls) == 3
     flow_model.CsvTable(io.StringIO(text))
@@ -770,7 +779,9 @@ def test_split_reader_reads_as_csv_reader_does(monkeypatch, piece, limit):
         csv.field_size_limit(limit)
     try:
         for text in quote_free_texts(piece * 10 + (limit or 0)):
-            if limit is None:
+            # a lone "\r" keeps a text from the split reader
+            assert flow_model._splits(text) == (text.count("\r") == text.count("\r\n"))
+            if limit is None and flow_model._splits(text):
                 # csv.reader reads a blank line as []; _split_rows after the first as ['']
                 rows = list(csv.reader(io.StringIO(text)))
                 assert list(flow_model._split_rows(text)) == rows[:1] + [r or [""] for r in rows[1:]]

@@ -264,18 +264,22 @@ def incidences(flows):
 
 def test_run_reads_each_host_flow_incidence_once(monkeypatch):
     labeled, eval_flows, eval_truth = scenario_inputs()
-    aggregated = []
-    aggregate = flow_model.aggregate_host_features
+    summed = []  # the incidences each exact per-host sum reads
+    exact_sums = flow_model._exact_sums
 
-    def counting_aggregate(flows, *args, **kwargs):
-        aggregated.append(len(flows))
-        return aggregate(flows, *args, **kwargs)
+    def recording_exact_sums(groups, values, n):
+        summed.append((len(groups), n))
+        return exact_sums(groups, values, n)
 
-    monkeypatch.setattr(flow_model, "aggregate_host_features", counting_aggregate)
+    def refusing_aggregate(*args, **kwargs):
+        raise AssertionError("step 2 called aggregate_host_features")
+
+    monkeypatch.setattr(flow_model, "_exact_sums", recording_exact_sums)
+    monkeypatch.setattr(flow_model, "aggregate_host_features", refusing_aggregate)
     run(eval_flows, labeled, PipelineConfig(), ground_truth=eval_truth.labels)
 
-    assert len(aggregated) == len(hosts_in(eval_flows))
-    assert sum(aggregated) == incidences(eval_flows)
+    # one sum of packets and one of bytes, each over every incidence once
+    assert summed == [(incidences(eval_flows), len(hosts_in(eval_flows)))] * 2
 
 
 def test_run_counts_mining_volume_without_calling_it(monkeypatch):
@@ -362,17 +366,17 @@ def test_step3_reads_each_flow_once(monkeypatch):
     labeled, eval_flows, eval_truth = scenario_inputs()
     n_windows = len(list(window_snapshots(eval_flows, PipelineConfig().window_length)))
     rows = []
-    build_graph = comm_graph.build_graph
+    table_graph = comm_graph.table_graph
 
-    def counting_build_graph(flows, *args, **kwargs):
-        flows = list(flows)
+    def counting_table_graph(flows, *args, **kwargs):
         rows.append(len(flows))
-        return build_graph(flows, *args, **kwargs)
+        return table_graph(flows, *args, **kwargs)
 
-    monkeypatch.setattr(comm_graph, "build_graph", counting_build_graph)
+    monkeypatch.setattr(comm_graph, "table_graph", counting_table_graph)
     run(eval_flows, labeled, PipelineConfig(), ground_truth=eval_truth.labels)
-    assert len(rows) == n_windows
-    assert sum(rows) == len(eval_flows)
+    # one graph per window, then the full-span graph of the whole table
+    assert len(rows) == n_windows + 1
+    assert sum(rows[:-1]) == rows[-1] == len(eval_flows)
 
 
 def test_step3_builds_graphs_only_for_windows_with_flows(monkeypatch):
@@ -383,16 +387,16 @@ def test_step3_builds_graphs_only_for_windows_with_flows(monkeypatch):
         make_flow(src_host="h2", dst_host="h3", start_time=6e7, end_time=6e7 + 1.0),
     ]
     timestamps = []
-    build_graph = comm_graph.build_graph
+    table_graph = comm_graph.table_graph
 
-    def counting_build_graph(*args, **kwargs):
-        g = build_graph(*args, **kwargs)
+    def counting_table_graph(*args, **kwargs):
+        g = table_graph(*args, **kwargs)
         timestamps.append(g.timestamp)
         return g
 
-    monkeypatch.setattr(comm_graph, "build_graph", counting_build_graph)
+    monkeypatch.setattr(comm_graph, "table_graph", counting_table_graph)
     graph, host_states = lifecycle_states(flows, PipelineConfig())
-    assert timestamps == [0, 1_000_000]
+    assert timestamps == [0, 1_000_000, 0]  # the two windows, then the full-span graph
     assert len(graph.edge_weight) == 3 and set(host_states) == {"h1", "h2", "h3"}
 
 
@@ -403,18 +407,18 @@ def test_step3_keeps_at_most_one_earlier_window_graph_alive(monkeypatch, capture
         ground_truth = truth.labels
     else:
         labeled, flows, ground_truth = [], gapped_capture(int(capture[-1]), 60.0, 150.0), None
-    earlier_alive = []  # at each window graph's build, how many earlier ones are still alive
+    earlier_alive = []  # at each graph's build, how many earlier ones are still alive
     built = []
-    build_graph = comm_graph.build_graph
+    table_graph = comm_graph.table_graph
 
-    def tracking_build_graph(*args, **kwargs):
+    def tracking_table_graph(*args, **kwargs):
         gc.collect()
         earlier_alive.append(sum(ref() is not None for ref in built))
-        g = build_graph(*args, **kwargs)
+        g = table_graph(*args, **kwargs)
         built.append(weakref.ref(g))
         return g
 
-    monkeypatch.setattr(comm_graph, "build_graph", tracking_build_graph)
+    monkeypatch.setattr(comm_graph, "table_graph", tracking_table_graph)
     run(flows, labeled, PipelineConfig(), ground_truth=ground_truth)
     assert len(built) > 2
     assert max(earlier_alive) <= 1

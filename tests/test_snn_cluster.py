@@ -120,13 +120,14 @@ def test_build_snn_graph_blocks_split_rows(monkeypatch):
     block = 6
     monkeypatch.setattr(snn_cluster, "_BLOCK_KEYS", block)
     sizes = []
-    unique = np.unique
+    wedges = snn_cluster._Csr.wedges
 
-    def recording_unique(keys, **kwargs):
-        sizes.append(len(keys))
-        return unique(keys, **kwargs)
+    def recording_wedges(*args, **kwargs):
+        for keys, second in wedges(*args, **kwargs):
+            sizes.append(len(keys))
+            yield keys, second
 
-    monkeypatch.setattr(np, "unique", recording_unique)
+    monkeypatch.setattr(snn_cluster._Csr, "wedges", recording_wedges)
     rng = random.Random(23)
     for _ in range(30):
         g = random_comm_graph(rng, rng.randint(12, 30), rng.uniform(0.3, 0.6))
