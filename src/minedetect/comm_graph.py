@@ -248,35 +248,74 @@ def table_graph(flows: FlowTable, timestamp: int = 0) -> CommGraph:
     It equals build_graph over any window holding every flow: each host of
     a flow is a vertex, and each pair of distinct hosts an edge weighted by
     its flow count. Each pair is keyed by its hosts' places among the
-    table's sorted ids. The flows are read ``_BLOCK_ROWS`` at a time, each
-    block's keys sorted and counted, and the blocks' counts summed per key
-    at the end, so the scratch memory follows the block and the edges, not
-    the flows. The edges come in sorted order.
+    table's sorted ids. The flows are read ``_BLOCK_ROWS`` at a time, and
+    each block's keys sorted, counted and added into a GraphSum, so the
+    scratch memory follows the block and the edges, not the flows. The
+    edges come in sorted order.
     """
     names, position = flows.host_order()
-    ids = len(names)
-    seen = np.zeros(ids, bool)
-    keys, weights = [np.empty(0, np.int64)], [np.empty(0, np.int64)]
+    total = GraphSum(names)
     for lo in range(0, len(flows), _BLOCK_ROWS):
         a = position[flows.src[lo : lo + _BLOCK_ROWS]]
         b = position[flows.dst[lo : lo + _BLOCK_ROWS]]
-        seen[a] = seen[b] = True
         apart = a != b
-        block = np.sort(np.minimum(a, b)[apart] * ids + np.maximum(a, b)[apart])
+        block = np.sort(np.minimum(a, b)[apart] * len(names) + np.maximum(a, b)[apart])
         first = _run_starts(block)
-        keys.append(block[first])
-        weights.append(np.diff(first, append=len(block)))
-    keys, weights = np.concatenate(keys), np.concatenate(weights)
-    by_key = np.argsort(keys, kind="stable")
-    keys = keys[by_key]
-    first = _run_starts(keys)
-    weights = np.add.reduceat(weights[by_key], first) if len(keys) else weights
-    present = np.flatnonzero(seen)  # the vertices, in sorted id order
-    vertex = np.empty(ids, np.int64)  # each sorted place's vertex number
-    vertex[present] = np.arange(len(present))
-    a, b = np.divmod(keys[first], ids)
-    order = [names[i] for i in present.tolist()]
-    return CommGraph._numbered(order, vertex[a], vertex[b], weights, timestamp)
+        total.add(np.concatenate([a, b]), block[first], np.diff(first, append=len(block)))
+    return total.graph(timestamp)
+
+
+class GraphSum:
+    """Graphs over one capture's hosts, added into one: vertices united, each edge's weights summed.
+
+    ``names`` are the capture's host ids, sorted (FlowTable.host_order).
+    An edge is keyed ``a * len(names) + b`` by its endpoints' places a < b
+    among them. The added keys are summed with one sort whenever they
+    outnumber the keys summed so far, so the memory follows the summed
+    edges, not the number of graphs added.
+    """
+
+    def __init__(self, names: list[str]):
+        self.names = names
+        self.seen = np.zeros(len(names), bool)
+        self.parts = [(np.empty(0, np.int64), np.empty(0, np.int64))]  # the sum, then added parts
+        self.added = 0  # keys in the added parts
+        self.place: dict[str, int] | None = None  # id -> its place, built on the first add_graph
+
+    def add(self, vertices: np.ndarray, keys: np.ndarray, weights: np.ndarray) -> None:
+        """Add the vertices at places ``vertices`` and the edges of ``keys``, weighted ``weights``."""
+        self.seen[vertices] = True
+        self.parts.append((keys, weights))
+        self.added += len(keys)
+        if self.added > max(len(self.parts[0][0]), _BLOCK_ROWS):
+            self.parts, self.added = [self._summed()], 0
+
+    def add_graph(self, g: CommGraph) -> None:
+        """Add ``g``, whose vertices are among ``names``."""
+        if self.place is None:
+            self.place = dict(zip(self.names, itertools.count()))
+        # g numbers its vertices in sorted order, so a < b keeps to places
+        at = np.fromiter(map(self.place.__getitem__, g.order), np.int64, len(g.order))
+        a, b = g.ends
+        weights = np.fromiter(g.edge_weight.values(), np.int64, len(g.edge_weight))
+        self.add(at, at[a] * len(self.names) + at[b], weights)
+
+    def _summed(self) -> tuple[np.ndarray, np.ndarray]:
+        keys, weights = map(np.concatenate, zip(*self.parts))
+        by_key = np.argsort(keys, kind="stable")
+        keys = keys[by_key]
+        first = _run_starts(keys)
+        return keys[first], np.add.reduceat(weights[by_key], first) if len(keys) else weights
+
+    def graph(self, timestamp: int = 0) -> CommGraph:
+        """The graph of everything added, its edges in sorted order."""
+        keys, weights = self._summed()
+        present = np.flatnonzero(self.seen)  # the vertices, in sorted id order
+        vertex = np.empty(len(self.names), np.int64)  # each sorted place's vertex number
+        vertex[present] = np.arange(len(present))
+        a, b = np.divmod(keys, len(self.names))
+        order = [self.names[i] for i in present.tolist()]
+        return CommGraph._numbered(order, vertex[a], vertex[b], weights, timestamp)
 
 
 def _run_starts(keys: np.ndarray) -> np.ndarray:
@@ -524,17 +563,22 @@ def window_deltas(
     matches all start before that can never count again, so it is dropped.
     Each window's host rows (degree split and clustering coefficient) are
     computed once and reused as the earlier side of the next pair; whether
-    a host is internal is asked once per host. So the state kept across
-    pairs is one window's rows, the recent matches and a running dc_peak
-    maximum per host; no graph is kept.
+    a host is internal is asked once per host, and the window tables of one
+    window_snapshots share one hosts tuple, which is coded once. So the
+    state kept across pairs is one window's rows, the recent matches and a
+    running dc_peak maximum per host; no graph is kept.
     """
     number = numbering()  # host -> its number, by first sight
     external = Memo(lambda host: not params.is_internal(host))
+    coded = None  # the last window table's hosts tuple, and its _host_codes
     recent: deque[tuple[np.ndarray, np.ndarray]] = deque()  # per window: match start times, hosts
     peak = np.zeros(0)  # by host number: the largest dc factor of its pairs so far
     previous = None  # the previous window's timestamp, vertex numbers and host rows
     for j, (g, in_window, (_, hi)) in enumerate(snapshots):
-        recent.append(_fingerprint_matches(FlowTable.from_records(in_window), params.fingerprint, number))
+        table = FlowTable.from_records(in_window)
+        if coded is None or coded[0] is not table.hosts:
+            coded = table.hosts, _host_codes(table.hosts, number, params.fingerprint.pool_hosts)
+        recent.append(_fingerprint_matches(table, params.fingerprint, *coded[1]))
         vertices = np.fromiter(map(number.__getitem__, g.order), np.int64, len(g.order))
         rows = _host_rows(g, external)
         # the previous window's rows by host number: (0, 0, 0.0) for a host
@@ -576,13 +620,22 @@ def _change_factors(c_prev: np.ndarray, c_next: np.ndarray, cap: float) -> np.nd
         return np.where(c_prev == 0.0, np.where(c_next == 0.0, 1.0, cap), c_next / c_prev)
 
 
+def _host_codes(
+    hosts: tuple[str, ...], number: Mapping[str, int], pool_hosts: frozenset[str]
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Each host's number through ``number``, and whether it is a pool host (None without any)."""
+    numbers = np.fromiter(map(number.__getitem__, hosts), np.int64, len(hosts))
+    pool = np.fromiter(map(pool_hosts.__contains__, hosts), bool, len(hosts)) if pool_hosts else None
+    return numbers, pool
+
+
 def _fingerprint_matches(
-    flows: FlowTable, fingerprint: MiningFingerprint, number: Mapping[str, int]
+    flows: FlowTable, fingerprint: MiningFingerprint, numbers: np.ndarray, pool: np.ndarray | None
 ) -> tuple[np.ndarray, np.ndarray]:
     """The start time and host number of each (fingerprint flow, distinct endpoint), sorted by time.
 
-    The flows' hosts are numbered through ``number``; a loopback flow
-    counts once.
+    ``numbers`` and ``pool`` are _host_codes of the flows' hosts; a
+    loopback flow counts once.
     """
     carries = np.array([fingerprint.required_flags <= s for s in flows.flag_sets], bool)
     match = (
@@ -591,15 +644,13 @@ def _fingerprint_matches(
         & carries[flows.flags]
     )
     target = np.isin(flows.dst_port, list(fingerprint.ports))
-    if fingerprint.pool_hosts:
-        pool = np.array([h in fingerprint.pool_hosts for h in flows.hosts], bool)
+    if pool is not None:
         target |= pool[flows.dst]
     match = np.flatnonzero(match & target)
     src, dst = flows.src[match], flows.dst[match]
     apart = src != dst
     times = np.concatenate([flows.start_time[match], flows.start_time[match][apart]])
     ends = np.concatenate([src, dst[apart]])
-    numbers = np.fromiter(map(number.__getitem__, flows.hosts), np.int64, len(flows.hosts))
     by_time = np.argsort(times, kind="stable")
     return times[by_time], numbers[ends][by_time]
 

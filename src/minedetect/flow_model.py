@@ -717,12 +717,6 @@ def _split_pieces(text: str) -> Iterator[Piece]:
         del rows, piece  # so the next piece is not built while this one is held
 
 
-def _split_rows(text: str) -> Iterator[list[str]]:
-    """The rows of _split_pieces, one at a time."""
-    for _, rows in _split_pieces(text):
-        yield from rows
-
-
 def _csv_pieces(reader) -> Iterator[Piece]:
     """The rows of a ``csv.reader``, ``_CSV_PIECE_ROWS`` at a time, each with its last physical line.
 
@@ -1015,9 +1009,10 @@ def _flow_csv_chunks(flows: FlowTable | Iterable[FlowRecord]) -> Iterator[str]:
     (a float by its repr, an int by its str), and each distinct host,
     protocol and flags text written by ``csv.writer`` once. A table's rows
     are formatted from its columns, ``_FLOW_BLOCK_ROWS`` at a time; records
-    are formatted one f-string each, which reads their fields faster than
-    putting them into a table would. Either way a time is written as the
-    float a table holds, so a record and its table give the same bytes.
+    are formatted one f-string each: putting them into tables first made
+    the benchmark's set-up, which writes generated records, about 5%
+    slower. Either way a time is written as the float a table holds, so a
+    record and its table give the same bytes.
     """
     sink = _Lines()
     cells = _CsvCells(csv.writer(sink).writerow, sink)
@@ -1177,8 +1172,9 @@ def host_vectors(flows: FlowTable | Iterable[FlowRecord]) -> list[FeatureVector]
     byte sums are exact integers (_exact_sums), and one np.bincount over
     (host, flags set) pairs gives the flow and flag counts; the final
     divisions are the same Python divisions of the same ints, so every
-    float is the one a per-host scan gives. A capture without a flow has no
-    host and gives no vector.
+    float is the one a per-host scan gives. A host of ``hosts`` without a
+    flow in the table, as a table taken from a larger one can hold, gives
+    no vector; so a capture without a flow gives none.
     """
     table = FlowTable.from_records(flows)
     if not len(table):
@@ -1198,11 +1194,13 @@ def host_vectors(flows: FlowTable | Iterable[FlowRecord]) -> list[FeatureVector]
     by_set = np.bincount(ends * n_sets + at_both_ends(table.flags), minlength=n * n_sets)
     by_set = by_set.reshape(n, n_sets)
     carries = np.array([[need <= s for s in table.flag_sets] for need in _COUNTED_FLAGS], np.int64)
-    flow_counts = by_set.sum(axis=1).tolist()
+    flow_counts = by_set.sum(axis=1)
+    present = np.flatnonzero(flow_counts).tolist()
+    flow_counts = flow_counts.tolist()
     ackpush, syn, rst, fin = (by_set @ carries.T).T.tolist()
     minutes = (t1 - t0) / 60.0
     vectors = []
-    for i in sorted(range(n), key=table.hosts.__getitem__):
+    for i in sorted(present, key=table.hosts.__getitem__):
         k, p = flow_counts[i], packets[i]
         vectors.append(FeatureVector(
             table.hosts[i],

@@ -199,24 +199,33 @@ def lifecycle_states(
     """Step 3: the full-span graph and each vertex's highest-ranked state over all window pairs.
 
     One pass over the windows of the flow table: each window graph is built
-    when window_deltas reaches it, and its pair's deltas are folded into
-    the host states before the next window is built. So at most two window
-    graphs and one pair of host rows are alive at once. The full-span graph
-    is built from the whole table after the last window. Only windows that
-    hold a flow get a graph and host rows, so the cost follows the flows,
-    not the capture's time span; an empty capture gives an empty graph.
-    Internal prefixes that match no host of a non-empty capture raise
-    InvalidConfigError.
+    when window_deltas reaches it, added into a running GraphSum as it
+    streams by, and its pair's deltas are folded into the host states
+    before the next window is built. So at most two window graphs and one
+    pair of host rows are alive at once, and every flow is read once, when
+    its window's graph is built. The full-span graph is built once, from
+    the sum, after the last window. Only windows that hold a flow get a
+    graph and host rows, so the cost follows the flows, not the capture's
+    time span; an empty capture gives an empty graph. Internal prefixes
+    that match no host of a non-empty capture raise InvalidConfigError.
     """
     table = flow_model.FlowTable.from_records(flows)
+    total = comm_graph.GraphSum(table.host_order()[0])
+
+    def summed(snapshots):
+        """Each snapshot, once its graph is added into the full-span sum."""
+        for snapshot in snapshots:
+            total.add_graph(snapshot[0])
+            yield snapshot
+
     ranks: dict[str, int] = {}  # host -> the rank of its highest state above S0
     snapshots = comm_graph.window_snapshots(table, config.window_length)
-    for deltas in comm_graph.window_deltas(snapshots, config.state):
+    for deltas in comm_graph.window_deltas(summed(snapshots), config.state):
         for host, d in deltas.items():
             rank = STATE_RANK[snn_cluster.assign_state(d, config.state)]
             if rank > ranks.get(host, 0):
                 ranks[host] = rank
-    graph = comm_graph.table_graph(table)
+    graph = total.graph()
     prefixes = config.state.internal_prefixes
     if prefixes and graph.vertices and not any(v.startswith(prefixes) for v in graph.vertices):
         # every host external would leave S3 unreachable

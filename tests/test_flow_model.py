@@ -782,9 +782,10 @@ def test_split_reader_reads_as_csv_reader_does(monkeypatch, piece, limit):
             # a lone "\r" keeps a text from the split reader
             assert flow_model._splits(text) == (text.count("\r") == text.count("\r\n"))
             if limit is None and flow_model._splits(text):
-                # csv.reader reads a blank line as []; _split_rows after the first as ['']
+                # csv.reader reads a blank line as []; the split reader after the first as ['']
                 rows = list(csv.reader(io.StringIO(text)))
-                assert list(flow_model._split_rows(text)) == rows[:1] + [r or [""] for r in rows[1:]]
+                split = [row for _, piece in flow_model._split_pieces(text) for row in piece]
+                assert split == rows[:1] + [r or [""] for r in rows[1:]]
             for width, unique_host in ((0, False), (2, False), (1, True)):
                 # an iterable of lines is read by csv.reader
                 assert table_outcome(text, width, unique_host) == table_outcome(

@@ -250,8 +250,12 @@ def test_host_vectors_from_columns_equal_the_record_referee(config):
 @pytest.mark.parametrize("name", sorted(special_captures()))
 def test_host_vectors_of_special_captures_equal_the_record_referee(name):
     flows = special_captures()[name]
-    assert host_vectors(flows) == host_vectors(parse_flow_csv(flows_to_csv(flows)))
+    table = parse_flow_csv(flows_to_csv(flows))
+    assert host_vectors(flows) == host_vectors(table)
     assert host_vectors(flows) == naive_host_vectors(flows)
+    for _, in_window, _ in window_snapshots(table, 60.0):
+        # a window's table keeps every host of the capture, with or without a flow in it
+        assert host_vectors(in_window) == host_vectors(list(in_window))
 
 
 def test_host_sums_past_2_53_and_2_63_stay_exact():
@@ -354,6 +358,22 @@ def test_lifecycle_states_from_columns_equal_the_record_referee(monkeypatch, nam
     # a capture with a state above S0, so the comparison is not vacuous
     if name in ("synthgen", "gapped-0"):
         assert any(s != "S0" for s in expected.values())
+
+
+def test_step3_codes_the_shared_hosts_of_its_windows_once(monkeypatch):
+    flows, _ = capture(CAPTURES[0].values[0])
+    table = parse_flow_csv(flows_to_csv(flows))
+    coded = []
+    host_codes = comm_graph._host_codes
+
+    def counting_host_codes(hosts, *args):
+        coded.append(len(hosts))
+        return host_codes(hosts, *args)
+
+    monkeypatch.setattr(comm_graph, "_host_codes", counting_host_codes)
+    params = StateParams(fingerprint=MiningFingerprint(pool_hosts=frozenset({"pool0"})))
+    lifecycle_states(table, PipelineConfig(state=params))
+    assert coded == [len(table.hosts)]
 
 
 # ---------------------------------------------------------------------------

@@ -374,9 +374,8 @@ def test_step3_reads_each_flow_once(monkeypatch):
 
     monkeypatch.setattr(comm_graph, "table_graph", counting_table_graph)
     run(eval_flows, labeled, PipelineConfig(), ground_truth=eval_truth.labels)
-    # one graph per window, then the full-span graph of the whole table
-    assert len(rows) == n_windows + 1
-    assert sum(rows[:-1]) == rows[-1] == len(eval_flows)
+    assert len(rows) == n_windows
+    assert sum(rows) == len(eval_flows)
 
 
 def test_step3_builds_graphs_only_for_windows_with_flows(monkeypatch):
@@ -396,7 +395,7 @@ def test_step3_builds_graphs_only_for_windows_with_flows(monkeypatch):
 
     monkeypatch.setattr(comm_graph, "table_graph", counting_table_graph)
     graph, host_states = lifecycle_states(flows, PipelineConfig())
-    assert timestamps == [0, 1_000_000, 0]  # the two windows, then the full-span graph
+    assert timestamps == [0, 1_000_000]
     assert len(graph.edge_weight) == 3 and set(host_states) == {"h1", "h2", "h3"}
 
 
@@ -407,7 +406,7 @@ def test_step3_keeps_at_most_one_earlier_window_graph_alive(monkeypatch, capture
         ground_truth = truth.labels
     else:
         labeled, flows, ground_truth = [], gapped_capture(int(capture[-1]), 60.0, 150.0), None
-    earlier_alive = []  # at each graph's build, how many earlier ones are still alive
+    earlier_alive = []  # at each window graph's build, how many earlier ones are still alive
     built = []
     table_graph = comm_graph.table_graph
 
