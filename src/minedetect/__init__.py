@@ -8,9 +8,11 @@ traffic generator for desk-scale validation.
 
 from .comm_graph import (
     CommGraph,
+    GraphFeatures,
     HostDeltas,
     HostGraphFeatures,
     MiningFingerprint,
+    PairDeltas,
     StateParams,
     build_graph,
     clustering_coefficient,
@@ -54,6 +56,7 @@ from .snn_cluster import (
     cluster_profile,
     cluster_state,
     extract_clusters,
+    state_ranks,
 )
 from .synthgen import GroundTruth, ScenarioConfig, expected_states, generate
 

@@ -11,13 +11,14 @@ machine in snn_cluster.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
-import operator
 from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Mapping
+from numbers import Integral
+from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -35,45 +36,55 @@ def edge_key(a: str, b: str) -> Edge:
     return (a, b) if a <= b else (b, a)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False, repr=False)
 class CommGraph:
     """Immutable undirected host graph at one time window.
 
-    Construction numbers the vertices in sorted order (``order[i]`` is vertex
-    i) and stores each edge's endpoint numbers as the two rows of ``ends``,
-    in ``edge_weight`` order; every reader of the edges reads these. They
-    check every edge at numpy cost; a graph that fails is walked edge by
-    edge, so the error names its first bad edge.
+    The vertices are numbered in sorted order (``order[i]`` is vertex i);
+    edge e joins vertices ``ends[0, e]`` < ``ends[1, e]`` with int64 weight
+    ``weights[e]``. Every reader of the edges reads these arrays.
+    ``vertices`` and ``edge_weight`` spell them as ids, built on first
+    access. Two graphs are equal when their vertices, weighted edges and
+    timestamps are, whatever the order of their edges.
+
+    CommGraph(vertices, edge_weight, timestamp) checks every edge at numpy
+    cost; a graph that fails is walked edge by edge, so the error names its
+    first bad edge.
     """
 
-    vertices: frozenset[str]
-    edge_weight: dict[Edge, int]
-    timestamp: int = 0
-    order: list[str] = field(init=False, repr=False, compare=False)
-    ends: np.ndarray = field(init=False, repr=False, compare=False)
+    order: list[str]
+    ends: np.ndarray
+    weights: np.ndarray
+    timestamp: int
 
-    def __post_init__(self):
-        order = sorted(self.vertices)
+    def __init__(self, vertices: Iterable[str], edge_weight: Mapping[Edge, int], timestamp: int = 0):
+        vertices, edge_weight = frozenset(vertices), dict(edge_weight)
+        order = sorted(vertices)
         index = dict(zip(order, itertools.count()))
-        keys = self.edge_weight.keys()
+        keys, values = edge_weight.keys(), list(edge_weight.values())
         pairs = set(map(len, keys)) <= {2}  # any other key would shift every later endpoint
         # -1 numbers an endpoint outside the vertex set; as the numbers follow
         # sorted ids, a < b is canonical order without a self-loop
-        numbers = map(index.get, itertools.chain.from_iterable(keys), itertools.repeat(-1))
-        a, b = ends = np.fromiter(numbers, np.int64, 2 * len(keys) * pairs).reshape(-1, 2).T
+        numbered = map(index.get, itertools.chain.from_iterable(keys), itertools.repeat(-1))
+        a, b = ends = np.fromiter(numbered, np.int64, 2 * len(keys) * pairs).reshape(-1, 2).T
+        try:
+            weights = np.fromiter(values, np.int64, len(values))
+        except (TypeError, ValueError, OverflowError):
+            weights = None  # a weight that is no int64; the walk below names it
         valid = pairs and (a >= 0).all() and (a < b).all()
-        if not valid or min(self.edge_weight.values(), default=1) < 1:
-            for (x, y), w in self.edge_weight.items():
+        if not valid or weights is None or weights.tolist() != values or (weights < 1).any():
+            for (x, y), w in edge_weight.items():
                 if x == y:
                     raise ValueError(f"self-loop on {x!r}")
                 if (x, y) != edge_key(x, y):
                     raise ValueError(f"edge ({x!r}, {y!r}) not in canonical order")
-                if x not in self.vertices or y not in self.vertices:
+                if x not in vertices or y not in vertices:
                     raise ValueError(f"edge ({x!r}, {y!r}) endpoint outside vertex set")
+                if not isinstance(w, Integral) or w >= 2**63:
+                    raise ValueError(f"edge ({x!r}, {y!r}) weight {w!r} is not an int64")
                 if w < 1:
                     raise ValueError(f"edge ({x!r}, {y!r}) weight {w} < 1")
-        object.__setattr__(self, "order", order)  # the frozen class refuses plain stores
-        object.__setattr__(self, "ends", ends)
+        self._fill(order, ends, weights, timestamp, vertices=vertices, edge_weight=edge_weight)
 
     @classmethod
     def _numbered(
@@ -81,21 +92,52 @@ class CommGraph:
     ) -> CommGraph:
         """The graph over the sorted, distinct ids ``order`` with edges (order[a], order[b]).
 
-        The caller vouches for what __post_init__ checks: every a < b, and
-        no edge twice. The edges keep the order given.
+        The caller vouches for what __init__ checks: every a < b, no edge
+        twice, and int64 weights of at least 1. The edges keep the order
+        given.
         """
         g = object.__new__(cls)
-        ids = order.__getitem__
-        edges = zip(map(ids, a.tolist()), map(ids, b.tolist()))
-        for name, value in (
-            ("vertices", frozenset(order)),
-            ("edge_weight", dict(zip(edges, weights.tolist()))),
-            ("timestamp", timestamp),
-            ("order", order),
-            ("ends", np.stack([a, b])),
-        ):
-            object.__setattr__(g, name, value)
+        g._fill(order, np.stack([a, b]), weights, timestamp)
         return g
+
+    def _fill(self, order, ends, weights, timestamp, **built) -> None:
+        for name, value in (
+            ("order", order), ("ends", ends), ("weights", weights), ("timestamp", timestamp),
+        ):
+            object.__setattr__(self, name, value)  # the frozen class refuses plain stores
+        self.__dict__.update(built)  # what the cached properties would build
+
+    @functools.cached_property
+    def vertices(self) -> frozenset[str]:
+        return frozenset(self.order)
+
+    @functools.cached_property
+    def edge_weight(self) -> dict[Edge, int]:
+        # a < b, so (order[a], order[b]) is already the canonical edge_key order
+        ids, (a, b) = self.order.__getitem__, self.ends
+        return dict(zip(zip(map(ids, a.tolist()), map(ids, b.tolist())), self.weights.tolist()))
+
+    def _sorted_edges(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each edge's key ``a * len(order) + b`` and its weight, by key."""
+        a, b = self.ends
+        keys = a * len(self.order) + b
+        by_key = np.argsort(keys)
+        return keys[by_key], self.weights[by_key]
+
+    def __eq__(self, other):
+        if not isinstance(other, CommGraph):
+            return NotImplemented
+        return (
+            self.timestamp == other.timestamp
+            and self.order == other.order
+            and all(map(np.array_equal, self._sorted_edges(), other._sorted_edges()))
+        )
+
+    def __repr__(self):
+        return (
+            f"CommGraph(vertices={self.vertices!r}, edge_weight={self.edge_weight!r}, "
+            f"timestamp={self.timestamp!r})"
+        )
 
 
 @dataclass(frozen=True)
@@ -124,6 +166,70 @@ class HostDeltas:
     dc_peak: float
     m_v: int
     window: int
+
+
+class _HostArrays(Mapping):
+    """A read-only mapping of each host of the sorted ``order`` to a record built from arrays in that order.
+
+    A record is built only when its host is looked up; a host's place is
+    found by bisection, so no per-host object is kept. Each mapping owns
+    its arrays, which are read-only.
+    """
+
+    order: list[str]
+
+    def _place(self, host) -> int:
+        i = bisect_left(self.order, host) if isinstance(host, str) else len(self.order)
+        if i == len(self.order) or self.order[i] != host:
+            raise KeyError(host)
+        return i
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self.order)
+
+    def __len__(self) -> int:
+        return len(self.order)
+
+    def __repr__(self):
+        return f"{type(self).__name__}({dict(self)!r})"
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
+class GraphFeatures(_HostArrays):
+    """graph_features' result: the degree ``k`` and clustering coefficient ``c`` of each vertex of ``order``."""
+
+    def __init__(self, order: list[str], k: np.ndarray, c: np.ndarray):
+        self.order, self.k, self.c = order, _read_only(k), _read_only(c)
+
+    def __getitem__(self, host) -> HostGraphFeatures:
+        i = self._place(host)
+        return HostGraphFeatures(host, self.k.item(i), self.c.item(i))
+
+
+class PairDeltas(_HostArrays):
+    """One item of window_deltas: the HostDeltas fields of each vertex of ``order``, as arrays.
+
+    ``window`` is the same for every host: the index of the pair's earlier window.
+    """
+
+    def __init__(
+        self, order: list[str], dk_ext: np.ndarray, dk_int: np.ndarray,
+        dc_factor: np.ndarray, dc_peak: np.ndarray, m_v: np.ndarray, window: int,
+    ):
+        self.order, self.window = order, window
+        self.dk_ext, self.dk_int, self.m_v = map(_read_only, (dk_ext, dk_int, m_v))
+        self.dc_factor, self.dc_peak = map(_read_only, (dc_factor, dc_peak))
+
+    def __getitem__(self, host) -> HostDeltas:
+        i = self._place(host)
+        return HostDeltas(
+            host, self.dk_ext.item(i), self.dk_int.item(i), self.dc_factor.item(i),
+            self.dc_peak.item(i), self.m_v.item(i), self.window,
+        )
 
 
 @dataclass(frozen=True)
@@ -290,15 +396,15 @@ class GraphSum:
         if self.added > max(len(self.parts[0][0]), _BLOCK_ROWS):
             self.parts, self.added = [self._summed()], 0
 
-    def add_graph(self, g: CommGraph) -> None:
-        """Add ``g``, whose vertices are among ``names``."""
+    def add_graph(self, g: CommGraph) -> np.ndarray:
+        """Add ``g``, whose vertices are among ``names``; the place of each vertex of g.order."""
         if self.place is None:
             self.place = dict(zip(self.names, itertools.count()))
         # g numbers its vertices in sorted order, so a < b keeps to places
         at = np.fromiter(map(self.place.__getitem__, g.order), np.int64, len(g.order))
         a, b = g.ends
-        weights = np.fromiter(g.edge_weight.values(), np.int64, len(g.edge_weight))
-        self.add(at, at[a] * len(self.names) + at[b], weights)
+        self.add(at, at[a] * len(self.names) + at[b], g.weights)
+        return at
 
     def _summed(self) -> tuple[np.ndarray, np.ndarray]:
         keys, weights = map(np.concatenate, zip(*self.parts))
@@ -331,9 +437,10 @@ def clustering_coefficient(g: CommGraph, v: str) -> float:
 
     v's entry of graph_features, so each call costs a pass over the whole graph.
     """
-    if v not in g.vertices:
+    features = graph_features(g)
+    if v not in features:
         raise UnknownVertexError(f"vertex {v!r} not in graph")
-    return graph_features(g)[v].c
+    return features[v].c
 
 
 #: Most wedges one block of graph_features may hold, unless a single vertex
@@ -341,8 +448,12 @@ def clustering_coefficient(g: CommGraph, v: str) -> float:
 _BLOCK_KEYS = 1 << 14
 
 
-def graph_features(g: CommGraph) -> dict[str, HostGraphFeatures]:
-    """Degree and clustering coefficient of every vertex, in sorted vertex order.
+def graph_features(g: CommGraph) -> GraphFeatures:
+    """Degree and clustering coefficient of every vertex, as arrays in g.order.
+
+    The result maps each vertex, in sorted order, to its HostGraphFeatures,
+    built when it is looked up; its arrays ``k`` and ``c`` hold every
+    vertex's values.
 
     One pass over the edges, without adjacency sets (the degree-ordered
     forward algorithm of Chiba & Nishizeki 1985; Latapy 2008). Each edge is
@@ -378,7 +489,7 @@ def graph_features(g: CommGraph) -> dict[str, HostGraphFeatures]:
     # c = 2T / (k(k - 1)): the float division of the exact integers, as Python divides them
     with np.errstate(divide="ignore", invalid="ignore"):
         c = np.where(degree >= 2, 2.0 * triangles[rank] / (degree * (degree - 1)), 0.0)
-    return dict(zip(g.order, map(HostGraphFeatures, g.order, degree.tolist(), c.tolist())))
+    return GraphFeatures(g.order, degree, c)
 
 
 class _Csr:
@@ -449,7 +560,12 @@ def window_snapshots(
     that takes each window's rows and builds its graph (table_graph) only
     when it is reached, so a caller that keeps nothing holds one window at
     a time.
+
+    A length that is not finite and above 0 raises ValueError before any
+    index is computed.
     """
+    if not 0 < length < math.inf:
+        raise ValueError("window length must be finite and > 0")
     table = FlowTable.from_records(flows)
     index = np.empty(len(table), np.int64)
     for lo in range(0, len(table), _BLOCK_ROWS):
@@ -539,18 +655,21 @@ def dc_change_factor(c_prev: float, c_next: float, cap: float = 1000.0) -> float
 def window_deltas(
     snapshots: Iterable[tuple[CommGraph, FlowTable | Iterable[FlowRecord], tuple[float, float]]],
     params: StateParams,
-) -> Iterator[dict[str, HostDeltas]]:
+) -> Iterator[PairDeltas]:
     """Per-host deltas of each window graph against the window just before it, one pair at a time.
 
     ``snapshots`` is the output of window_snapshots, or any iterable of the
     same entries: (graph, the window's flows as a FlowTable or records,
-    (lo, hi)) per non-empty window, in order. It is read once, and the
-    result is a one-pass iterator: the dict for snapshot j is yielded once
-    snapshot j is read, before snapshot j + 1 is asked for. It holds one
-    HostDeltas per vertex of snapshot j against window ``window`` =
-    timestamp - 1: snapshot j - 1, or an empty window when the two are not
-    adjacent. A host absent from that window reads (0, 0, 0.0) there. Fewer
-    than two snapshots yield nothing.
+    (lo, hi)) per non-empty window, in order of rising timestamp; a
+    timestamp not above the one before raises ValueError naming both. It
+    is read once, and the result is a one-pass iterator: the PairDeltas of
+    snapshot j is yielded once snapshot j is read, before snapshot j + 1 is
+    asked for. It maps each vertex of snapshot j, in g.order, to its
+    HostDeltas against window ``window`` = timestamp - 1: snapshot j - 1,
+    or an empty window when the two are not adjacent. Its arrays hold
+    every vertex's values, and a HostDeltas is built only when a host is
+    looked up. A host absent from that window reads (0, 0, 0.0) there.
+    Fewer than two snapshots yield nothing.
 
     m_v counts the fingerprint flows starting in [hi - delta_t, hi); a flow
     starting exactly at hi belongs to the next window. It equals
@@ -575,6 +694,10 @@ def window_deltas(
     peak = np.zeros(0)  # by host number: the largest dc factor of its pairs so far
     previous = None  # the previous window's timestamp, vertex numbers and host rows
     for j, (g, in_window, (_, hi)) in enumerate(snapshots):
+        if previous is not None and not g.timestamp > previous[0]:
+            raise ValueError(
+                f"snapshot timestamp {g.timestamp} is not above the previous one, {previous[0]}"
+            )
         table = FlowTable.from_records(in_window)
         if coded is None or coded[0] is not table.hosts:
             coded = table.hosts, _host_codes(table.hosts, number, params.fingerprint.pool_hosts)
@@ -602,16 +725,10 @@ def window_deltas(
             recent.popleft()
         times, hosts = (np.concatenate(column) for column in zip(*recent))
         m_v = np.bincount(hosts[np.searchsorted(times, since):], minlength=len(number))[vertices]
-        yield dict(zip(g.order, map(
-            HostDeltas,
-            g.order,
-            (ext_next - ext_prev).tolist(),
-            (int_next - int_prev).tolist(),
-            factor.tolist(),
-            dc_peak.tolist(),
-            m_v.tolist(),
-            itertools.repeat(g.timestamp - 1),
-        )))
+        # every array is new to this pair, so a kept item never changes
+        yield PairDeltas(
+            g.order, ext_next - ext_prev, int_next - int_prev, factor, dc_peak, m_v, g.timestamp - 1
+        )
 
 
 def _change_factors(c_prev: np.ndarray, c_next: np.ndarray, cap: float) -> np.ndarray:
@@ -655,22 +772,17 @@ def _fingerprint_matches(
     return times[by_time], numbers[ends][by_time]
 
 
-_degree = operator.attrgetter("k")
-_coefficient = operator.attrgetter("c")
-
-
 def _host_rows(
     g: CommGraph, external: Mapping[str, bool]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The external degree, internal degree and clustering coefficient of each vertex, in g.order."""
-    features = graph_features(g).values()  # in sorted vertex order, as g numbers its vertices
+    features = graph_features(g)
     n = len(g.order)
-    degree = np.fromiter(map(_degree, features), np.int64, n)
     outside = np.fromiter(map(external.__getitem__, g.order), bool, n)
     a, b = g.ends
     # an edge adds to an endpoint's external degree when its other endpoint is external
     ext = np.bincount(np.concatenate([a[outside[b]], b[outside[a]]]), minlength=n)
-    return ext, degree - ext, np.fromiter(map(_coefficient, features), np.float64, n)
+    return ext, features.k - ext, features.c
 
 
 # ---------------------------------------------------------------------------
@@ -693,8 +805,10 @@ def graph_to_text(g: CommGraph) -> str:
             f"a graph export cannot hold host {g.order[i]!r}: it reads as a window header"
         )
     (a, b), n = g.ends, len(g.order)
-    edges = list(g.edge_weight.items())  # numbers follow sorted ids: sorting them sorts the edges
-    rows = [(x, y, w) for (x, y), w in map(edges.__getitem__, np.argsort(a * n + b).tolist())]
+    by_key = np.argsort(a * n + b)  # numbers follow sorted ids: sorting them sorts the edges
+    ids = g.order.__getitem__
+    ends = (map(ids, a[by_key].tolist()), map(ids, b[by_key].tolist()))
+    rows = list(zip(*ends, g.weights[by_key].tolist()))
     degree = np.bincount(np.concatenate([a, b]), minlength=n)
     rows += [(g.order[i],) for i in np.flatnonzero(degree == 0).tolist()]
     return csv_text((f"{_WINDOW_HEADER}{g.timestamp}",), rows)

@@ -19,6 +19,8 @@ from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
 from typing import Iterable, Mapping, Sequence
 
+import numpy as np
+
 from . import comm_graph, flow_model, kvconfig, metrics as metrics_mod, snn_cluster
 from .comm_graph import CommGraph, StateParams
 from .errors import InvalidConfigError, MineDetectError
@@ -200,40 +202,42 @@ def lifecycle_states(
 
     One pass over the windows of the flow table: each window graph is built
     when window_deltas reaches it, added into a running GraphSum as it
-    streams by, and its pair's deltas are folded into the host states
-    before the next window is built. So at most two window graphs and one
-    pair of host rows are alive at once, and every flow is read once, when
-    its window's graph is built. The full-span graph is built once, from
-    the sum, after the last window. Only windows that hold a flow get a
-    graph and host rows, so the cost follows the flows, not the capture's
-    time span; an empty capture gives an empty graph. Internal prefixes
-    that match no host of a non-empty capture raise InvalidConfigError.
+    streams by, and its pair's deltas are ranked as arrays (state_ranks)
+    and folded with np.maximum into one rank per capture host before the
+    next window is built; the host -> State dict is built once, at the
+    end. So at most two window graphs and one pair of host rows are alive
+    at once, and every flow is read once, when its window's graph is
+    built. The full-span graph is built once, from the sum, after the last
+    window. Only windows that hold a flow get a graph and host rows, so
+    the cost follows the flows, not the capture's time span; an empty
+    capture gives an empty graph. Internal prefixes that match no host of
+    a non-empty capture raise InvalidConfigError.
     """
     table = flow_model.FlowTable.from_records(flows)
     total = comm_graph.GraphSum(table.host_order()[0])
+    places = {}  # window timestamp -> the places of its graph's vertices among total.names
 
     def summed(snapshots):
         """Each snapshot, once its graph is added into the full-span sum."""
         for snapshot in snapshots:
-            total.add_graph(snapshot[0])
+            places[snapshot[0].timestamp] = total.add_graph(snapshot[0])
             yield snapshot
 
-    ranks: dict[str, int] = {}  # host -> the rank of its highest state above S0
+    ranks = np.zeros(len(total.names), np.int64)  # by place: the rank of the highest state so far
     snapshots = comm_graph.window_snapshots(table, config.window_length)
     for deltas in comm_graph.window_deltas(summed(snapshots), config.state):
-        for host, d in deltas.items():
-            rank = STATE_RANK[snn_cluster.assign_state(d, config.state)]
-            if rank > ranks.get(host, 0):
-                ranks[host] = rank
+        at = places.pop(deltas.window + 1)  # the pair's later window
+        ranks[at] = np.maximum(ranks[at], snn_cluster.state_ranks(deltas, config.state))
     graph = total.graph()
     prefixes = config.state.internal_prefixes
-    if prefixes and graph.vertices and not any(v.startswith(prefixes) for v in graph.vertices):
+    if prefixes and graph.order and not any(v.startswith(prefixes) for v in graph.order):
         # every host external would leave S3 unreachable
         raise InvalidConfigError(
             f"state.internal_prefixes {','.join(prefixes)} match no host of the capture"
         )
     states = list(STATE_RANK)  # in rank order
-    return graph, {v: states[ranks.get(v, 0)] for v in graph.order}
+    # graph.order is total.names at the places seen, in order
+    return graph, dict(zip(graph.order, map(states.__getitem__, ranks[total.seen].tolist())))
 
 
 def cluster_hosts(graph: CommGraph, k_shared: int) -> list[Cluster]:

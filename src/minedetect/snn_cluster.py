@@ -23,7 +23,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .comm_graph import CommGraph, Edge, HostDeltas, StateParams, _Csr
+from .comm_graph import CommGraph, Edge, HostDeltas, PairDeltas, StateParams, _Csr
 from .errors import (
     MissingHostStateError,
     MissingVectorError,
@@ -123,7 +123,7 @@ def build_snn_graph(g: CommGraph, k_shared: int) -> SnnGraph:
     """
     if k_shared < 1:
         raise ValueError("k_shared must be >= 1")
-    if not g.edge_weight:
+    if not len(g.weights):
         return SnnGraph(g, k_shared, np.empty(0, np.int64))
 
     order, (a, b) = g.order, g.ends
@@ -203,6 +203,21 @@ def assign_state(d: HostDeltas, params: StateParams) -> State:
     if d.dk_int > 1 and d.m_v > params.x_threshold:
         return State.S3
     return State.S0
+
+
+def state_ranks(d: PairDeltas, params: StateParams) -> np.ndarray:
+    """The STATE_RANK of assign_state for every host of one pair's deltas, in d.order.
+
+    The same rules as masks, in the same order (S1 with its t_star gate,
+    then S2, then S3, else S0); the first that matches a host wins.
+    """
+    s1 = d.dk_ext > 1
+    if params.t_star is not None and d.window != params.t_star:
+        s1[:] = False
+    s2 = (d.dk_int > d.dk_ext) & (d.dc_factor > 1.0) & (d.dc_factor > d.dc_peak)
+    s3 = (d.dk_int > 1) & (d.m_v > params.x_threshold)
+    ranks = [STATE_RANK[s] for s in (State.S1, State.S2, State.S3)]
+    return np.select([s1, s2, s3], ranks, STATE_RANK[State.S0])
 
 
 def cluster_state(cluster: Cluster, host_states: Mapping[str, State]) -> State:

@@ -1,4 +1,5 @@
 import collections
+import math
 import random
 import re
 import tracemalloc
@@ -8,6 +9,8 @@ import pytest
 from minedetect import comm_graph
 from minedetect.comm_graph import (
     CommGraph,
+    HostDeltas,
+    HostGraphFeatures,
     MiningFingerprint,
     StateParams,
     build_graph,
@@ -159,6 +162,15 @@ def test_window_snapshots_reject_a_start_2_53_windows_from_0(start, length):
     assert str(exc.value) == f"start time {start!r} is 2**53 or more windows of {length!r} s from 0"
 
 
+# a negative length once sent the index correction into an endless loop,
+# and 0 or NaN raised the 2**53 refusal for the first start time
+@pytest.mark.parametrize("length", [-60.0, 0.0, -0.0, math.nan, math.inf, -math.inf])
+def test_window_snapshots_refuse_a_length_not_finite_and_above_0(length):
+    flows = [make_flow(start_time=5.0, end_time=6.0), make_flow(start_time=70.0, end_time=71.0)]
+    with pytest.raises(ValueError, match=r"^window length must be finite and > 0$"):
+        window_snapshots(flows, length)
+
+
 def test_window_snapshots_of_an_empty_capture_yield_nothing():
     assert list(window_snapshots([], 60.0)) == []
 
@@ -176,8 +188,11 @@ def test_window_snapshots_keep_a_start_just_below_2_53_windows():
         ({"a", "b"}, {("b", "a"): 1}, "not in canonical order"),
         ({"a"}, {("a", "b"): 1}, "endpoint outside vertex set"),
         ({"a", "b"}, {("a", "b"): 0}, "weight 0 < 1"),
+    ({"a", "b"}, {("a", "b"): 1.5}, "weight 1.5 is not an int64"),
+    ({"a", "b"}, {("a", "b"): math.nan}, "weight nan is not an int64"),
+    ({"a", "b"}, {("a", "b"): 2**63}, "weight 9223372036854775808 is not an int64"),
     ],
-    ids=["self-loop", "order", "endpoint", "weight"],
+    ids=["self-loop", "order", "endpoint", "weight", "fraction", "nan", "too-large"],
 )
 def test_graph_rejects_each_malformed_edge(vertices, weights, message):
     with pytest.raises(ValueError, match=message):
@@ -682,6 +697,60 @@ def test_window_deltas_build_no_adjacency_sets():
     pairs = list(window_deltas(snapshots, StateParams(internal_prefixes=("host",))))
     assert len(pairs) == len(snapshots) - 1 > 1
     assert sum(d.dk_ext != 0 for deltas in pairs for d in deltas.values()) > 0
+
+
+def test_window_deltas_refuse_a_snapshot_not_after_the_one_before():
+    snapshots = list(window_snapshots(edge_case_capture(), 60.0))
+    assert [g.timestamp for g, _, _ in snapshots] == [0, 1, 2, 4]
+    with pytest.raises(ValueError, match=r"^snapshot timestamp 2 is not above the previous one, 4$"):
+        list(window_deltas(reversed(snapshots), StateParams()))
+    with pytest.raises(ValueError, match=r"^snapshot timestamp 1 is not above the previous one, 1$"):
+        list(window_deltas([snapshots[0], snapshots[1], snapshots[1]], StateParams()))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_window_deltas_and_graph_features_equal_plain_dicts_of_their_records(seed):
+    flows = gapped_capture(seed, 60.0, 150.0)
+    params = StateParams(internal_prefixes=("h",), delta_t=150.0)
+    snapshots = list(window_snapshots(flows, 60.0))
+    kept, plain = [], []
+    for (g, _, _), deltas in zip(snapshots[1:], window_deltas(snapshots, params), strict=True):
+        # each record as it reads when its pair is yielded
+        plain.append({h: deltas[h] for h in g.order})
+        kept.append(deltas)
+        assert list(deltas) == g.order and len(deltas) == len(g.order)
+        assert all(isinstance(d, HostDeltas) and d.host == h for h, d in deltas.items())
+    # the kept items did not change as the iterator moved on
+    assert kept == plain and plain == kept
+    assert list(window_deltas(snapshots, params)) == plain
+    for g, _, _ in snapshots:
+        features = graph_features(g)
+        adj = adjacency_sets(g)
+        expected = {}
+        for v in sorted(g.vertices):
+            k, t = len(adj[v]), triangles_brute(adj, v)
+            expected[v] = HostGraphFeatures(v, k, 0.0 if k < 2 else 2.0 * t / (k * (k - 1)))
+        assert features == expected and expected == features
+
+
+def test_graph_features_and_window_deltas_are_read_only_mappings():
+    snapshots = list(window_snapshots(edge_case_capture(), 60.0))
+    [deltas, *_] = window_deltas(snapshots, StateParams(internal_prefixes=("h",)))
+    features = graph_features(snapshots[0][0])
+    for mapping, arrays in ((features, "k c"), (deltas, "dk_ext dk_int dc_factor dc_peak m_v")):
+        assert "h2" in mapping and "nobody" not in mapping and 1 not in mapping
+        with pytest.raises(KeyError):
+            mapping["nobody"]
+        with pytest.raises(TypeError):
+            mapping["h2"] = None
+        for name in arrays.split():
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(mapping, name)[0] = 0
+    assert type(features["h2"].k) is int and type(features["h2"].c) is float
+    d = deltas["h2"]
+    assert [type(v) for v in (d.dk_ext, d.dk_int, d.dc_factor, d.dc_peak, d.m_v, d.window)] == [
+        int, int, float, float, int, int
+    ]
 
 
 def edge_case_capture():

@@ -228,10 +228,16 @@ def special_captures():
     gap = [link("a", "b", 10.0), link("c", "a", 20.0), link("b", "a", 150.0), link("d", "b", 151.0),
            link("d", "c", 152.0), pool("a", 153.0), pool("a", 154.0)]
     gap.append(make_flow(src_host="c", dst_host="d", start_time=170.0, end_time=900.0))
+    # h0's coefficient rises from 0 to 1/6 at a steady degree (a factor of dc_cap, no S2),
+    # then to 0.4 as its degree grows: a factor of 2.4, S2 only when dc_cap is below it
+    rise = [link("h0", f"h{i}", 60.0 * w + i) for w in range(3) for i in range(1, 5)]
+    rise += [link("h1", "h2", 70.0), link("h0", "h5", 130.0)]
+    rise += [link(f"h{i}", f"h{i + 1}", 140.0 + i) for i in range(1, 5)]
     return {
         "loopback": loopback,
         "epoch-milliseconds": epoch,
         "empty-middle-window": gap,
+        "coefficient-rise-from-zero": rise,
         **{f"gapped-{seed}": gapped_capture(seed, 60.0, 150.0) for seed in range(3)},
         "empty": [],
     }
@@ -328,6 +334,10 @@ def step3_params():
         StateParams(internal_prefixes=("h", "a", "b", "host"), delta_t=150.0),
         StateParams(internal_prefixes=("h", "a", "host"), x_threshold=1, delta_t=90.0,
                     fingerprint=MiningFingerprint(pool_hosts=frozenset({"pool0"}))),
+        # S1 fires in pair 1 of the loopback and empty-middle-window captures
+        # with these prefixes, and in pair 0 of synthgen, which t_star gates off
+        StateParams(internal_prefixes=("h", "a", "host"), t_star=1, dc_cap=2.0),
+        StateParams(internal_prefixes=("h", "a", "host"), t_star=10**6),  # no window
     ]
 
 
@@ -355,6 +365,10 @@ def test_lifecycle_states_from_columns_equal_the_record_referee(monkeypatch, nam
         assert (graph.vertices, graph.edge_weight) == (vertices, weights)
         assert {h: s.value for h, s in states.items()} == expected
         assert table._records is None
+        if params.t_star == 1 and name in ("loopback", "empty-middle-window"):
+            assert "S1" in expected.values()  # so t_star's gate is tested on both sides
+        if name == "coefficient-rise-from-zero":
+            assert expected["h0"] == ("S2" if params.dc_cap == 2.0 else "S0")
     # a capture with a state above S0, so the comparison is not vacuous
     if name in ("synthgen", "gapped-0"):
         assert any(s != "S0" for s in expected.values())
@@ -397,6 +411,34 @@ def test_run_on_a_parsed_table_builds_no_flow_record(monkeypatch):
     monkeypatch.undo()
     assert from_table == report_json(list(table), labeled, config, truth.labels)
     assert from_table == report_json(flows, labeled, config, truth.labels)
+
+
+def test_run_on_a_parsed_table_builds_no_per_host_step3_object(monkeypatch):
+    labeled, flows, truth = scenario_inputs()
+    table = parse_flow_csv(flows_to_csv(flows))
+    built = []
+
+    def counting(name, original):
+        def wrapper(self, *args, **kwargs):
+            built.append(name)
+            return original(self, *args, **kwargs)
+        return wrapper
+
+    for cls in (comm_graph.HostDeltas, comm_graph.HostGraphFeatures):
+        monkeypatch.setattr(cls, "__init__", counting(cls.__name__, cls.__init__))
+    for name in ("vertices", "edge_weight"):
+        # a property, unlike the cached one, counts every read, even of a value already built
+        monkeypatch.setattr(
+            comm_graph.CommGraph, name,
+            property(counting(name, vars(comm_graph.CommGraph)[name].func)),
+        )
+    report = run(table, labeled, PipelineConfig(), ground_truth=truth.labels)
+    assert built == []
+    assert any(state is not pipeline.State.S0 for state in report.host_states.values())
+    # the counters count
+    g = comm_graph.table_graph(table)
+    comm_graph.graph_features(g)[g.order[0]]
+    assert (g.vertices, g.edge_weight) and built == ["HostGraphFeatures", "vertices", "edge_weight"]
 
 
 def test_run_digests_a_table_as_its_records():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from minedetect import pipeline, snn_cluster
-from minedetect.comm_graph import HostDeltas, StateParams, build_graph, edge_key
+from minedetect.comm_graph import HostDeltas, PairDeltas, StateParams, build_graph, edge_key
 from minedetect.errors import (
     MissingHostStateError,
     MissingVectorError,
@@ -15,6 +15,7 @@ from minedetect.errors import (
 from minedetect.flow_model import FEATURE_ORDER, full_span
 from minedetect.snn_cluster import (
     Cluster,
+    STATE_RANK,
     State,
     assign_state,
     build_snn_graph,
@@ -23,6 +24,7 @@ from minedetect.snn_cluster import (
     clusters_to_csv,
     clusters_to_obj,
     extract_clusters,
+    state_ranks,
 )
 from minedetect.synthgen import generate
 
@@ -357,6 +359,44 @@ def test_assign_state_exactly_one_branch_fires():
         else:
             expected = State.S0
         assert assign_state(d, p) is expected
+
+
+def boundary_deltas(rng, n, window, x_threshold):
+    """A PairDeltas of n hosts whose values sit on and around every threshold of the rules."""
+    dk_ext = [rng.choice([-1, 0, 1, 2, 3]) for _ in range(n)]
+    # dk_int equal to dk_ext for a third of the hosts
+    dk_int = [e if rng.random() < 1 / 3 else rng.choice([-1, 0, 1, 2, 3]) for e in dk_ext]
+    factors = [0.0, 0.5, 1.0, 1.5, 2.0, 1000.0]
+    dc_factor = [rng.choice(factors) for _ in range(n)]
+    # dc_peak equal to dc_factor for a third of the hosts
+    dc_peak = [f if rng.random() < 1 / 3 else rng.choice(factors) for f in dc_factor]
+    m_v = [x_threshold + rng.choice([-1, 0, 1]) for _ in range(n)]
+    order = [f"h{i:03d}" for i in range(n)]
+    return PairDeltas(
+        order, np.array(dk_ext), np.array(dk_int), np.array(dc_factor), np.array(dc_peak),
+        np.array(m_v), window,
+    )
+
+
+@pytest.mark.parametrize("t_star", [None, 0, 2])
+def test_state_ranks_equal_assign_state_host_by_host_at_every_boundary(t_star):
+    rng = random.Random(23 if t_star is None else t_star)
+    seen = set()
+    for window in range(4):
+        for x_threshold in (1, 5):
+            p = StateParams(x_threshold=x_threshold, t_star=t_star)
+            d = boundary_deltas(rng, 300, window, x_threshold)
+            expected = [STATE_RANK[assign_state(d[h], p)] for h in d]
+            assert state_ranks(d, p).tolist() == expected
+            seen.update(expected)
+            # each boundary value occurs, so the rules are tested on both sides of it
+            hosts = d.values()
+            assert {h.dk_ext for h in hosts} >= {1, 2}
+            assert any(h.dk_int == h.dk_ext for h in hosts)
+            assert any(h.dc_factor == h.dc_peak for h in hosts)
+            assert any(h.dc_factor == 1.0 for h in hosts)
+            assert any(h.m_v == x_threshold for h in hosts)
+    assert seen == {0, 1, 2, 3}
 
 
 # ---------------------------------------------------------------------------
