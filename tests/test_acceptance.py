@@ -25,6 +25,7 @@ from minedetect.comm_graph import (
 from minedetect.flow_model import (
     FEATURE_ORDER,
     FeatureVector,
+    FlowTable,
     Label,
     aggregate_host_features,
     hosts_in,
@@ -239,10 +240,11 @@ ACCEPTANCE_SCENARIO = dict(
 def labeled_from(flows, truth):
     t0 = min(f.start_time for f in flows)
     t1 = max(f.end_time for f in flows) + 1e-6
+    table = FlowTable.from_records(flows)  # one conversion, not one per host
     out = []
     for host in sorted(hosts_in(flows)):
         if host in truth.labels:
-            v = aggregate_host_features(flows, host, (t0, t1))
+            v = aggregate_host_features(table, host, (t0, t1))
             out.append(dataclasses.replace(v, label=truth.labels[host]))
     return out
 

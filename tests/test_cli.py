@@ -609,6 +609,20 @@ def test_features_rejects_a_byte_count_above_int64_with_its_line(tmp_path, capsy
     assert not out.exists()
 
 
+def test_features_on_a_span_too_long_for_a_float_exits_1(tmp_path, capsys):
+    # the span's length overflows to inf, over which every host's ppm would read 0.0
+    flows = tmp_path / "flows.csv"
+    flows.write_text(flow_model.flows_to_csv([
+        make_flow(start_time=-1e308, end_time=-1e308), make_flow(start_time=1e308, end_time=1e308),
+    ]))
+    out = tmp_path / "features.csv"
+    assert dispatch(["features", "--flows", str(flows), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("minedetect features: error: window [-1e+308, ")
+    assert err.endswith(") needs a finite length > 0, got inf\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("quoted", [False, True], ids=["split", "csv-reader"])
 def test_graph_rejects_an_over_long_host_with_its_line(tmp_path, capsys, quoted):
     flows = tmp_path / "flows.csv"

@@ -969,6 +969,28 @@ def test_full_span_keeps_the_last_flow_at_epoch_millisecond_times():
     assert by_host["b"].ppf == 20.0  # both of b's flows
 
 
+@pytest.mark.parametrize("window, length", [
+    ((0.0, math.inf), "inf"),
+    ((-math.inf, 5.0), "inf"),
+    ((-1e308, 1e308), "inf"),
+    ((0.0, math.nan), "nan"),
+    ((5.0, 5.0), "0.0"),
+])
+def test_aggregate_refuses_a_window_of_length_not_finite_and_above_0(window, length):
+    message = f"window [{window[0]}, {window[1]}) needs a finite length > 0, got {length}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        aggregate_host_features([make_flow()], "h1", window)
+
+
+def test_a_span_too_long_for_a_float_is_refused():
+    flows = [make_flow(start_time=-1e308, end_time=-1e308), make_flow(start_time=1e308, end_time=1e308)]
+    # the span ends at the next float above the last end, as adding 1e-6 rounds back to it
+    message = f"window [-1e+308, {math.nextafter(1e308, math.inf)}) needs a finite length > 0, got inf"
+    for fn in (full_span, host_vectors):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            fn(flows)
+
+
 def test_an_empty_capture_has_no_span_and_no_host_vector():
     with pytest.raises(EmptyInputError, match="full_span needs at least one flow"):
         full_span([])
@@ -976,9 +998,9 @@ def test_an_empty_capture_has_no_span_and_no_host_vector():
 
 
 def naive_host_vectors(flows):
-    """Every host's vector over the full span, each from a scan of all flows."""
+    """Every host's vector over the full span, each from the record oracle's scan of all flows."""
     span = full_span(flows)
-    return [aggregate_host_features(flows, host, span) for host in sorted(hosts_in(flows))]
+    return [aggregate_host_features_naive(flows, host, span) for host in sorted(hosts_in(flows))]
 
 
 def test_host_vectors_match_per_host_full_scan():

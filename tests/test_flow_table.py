@@ -11,7 +11,7 @@ import pytest
 
 from minedetect import comm_graph, flow_model, pipeline
 from minedetect.comm_graph import MiningFingerprint, StateParams, build_graph, window_snapshots
-from minedetect.errors import MalformedRowError
+from minedetect.errors import MalformedRowError, NoFlowsError
 from minedetect.flow_model import (
     FLOW_FIELDS,
     FlowRecord,
@@ -26,8 +26,14 @@ from minedetect.flow_model import (
 from minedetect.pipeline import PipelineConfig, lifecycle_states, run
 from minedetect.synthgen import ScenarioConfig, generate
 
-from oracles import gapped_capture, lifecycle_states_naive, parse_flow_csv_naive, window_index_naive
-from test_flow_model import CAPTURES, HEADER, make_flow, quote_first_cell
+from oracles import (
+    aggregate_host_features_naive,
+    gapped_capture,
+    lifecycle_states_naive,
+    parse_flow_csv_naive,
+    window_index_naive,
+)
+from test_flow_model import CAPTURES, HEADER, REFERENCE_CONFIG, make_flow, quote_first_cell
 from test_pipeline import scenario_inputs
 
 
@@ -70,7 +76,7 @@ def first_seen_hosts(records):
 
 
 def naive_host_vectors(records):
-    """aggregate_host_features of each host over its own flows and the full span."""
+    """The record oracle's vector of each host over its own flows and the full span."""
     if not records:
         return []
     span = (
@@ -79,7 +85,7 @@ def naive_host_vectors(records):
             math.nextafter(max(f.end_time for f in records), math.inf)),
     )
     index = flows_by_host(records)
-    return [aggregate_host_features(index[h], h, span) for h in sorted(index)]
+    return [aggregate_host_features_naive(index[h], h, span) for h in sorted(index)]
 
 
 def report_json(flows, labeled, config, truth):
@@ -264,15 +270,31 @@ def test_host_vectors_of_special_captures_equal_the_record_referee(name):
         assert host_vectors(in_window) == host_vectors(list(in_window))
 
 
-def test_host_sums_past_2_53_and_2_63_stay_exact():
-    big, odd = 2**63 - 1, 2**52 + 1
-    flows = [
-        make_flow(src_host="a", dst_host="b", packets=big, bytes=big),
-        make_flow(src_host="b", dst_host="a", packets=big, bytes=big - 2),
-        make_flow(src_host="a", dst_host="a", packets=odd, bytes=odd),
-        make_flow(src_host="c", dst_host="a", packets=odd, bytes=3),
+BIG, ODD = 2**63 - 1, 2**52 + 1
+
+
+def big_count_flows():
+    """Packet and byte sums past 2**63 at a and b, and loopback flows at a and d.
+
+    d's three flows hold 2**53 + 1 packets and as many bytes, which float64
+    sums round to 2**53: its ppf (2**53 + 1) / 3 would then be another
+    float, and its bpp 1.0 only if both sums round.
+    """
+    return [
+        make_flow(src_host="a", dst_host="b", packets=BIG, bytes=BIG),
+        make_flow(src_host="b", dst_host="a", packets=BIG, bytes=BIG - 2),
+        make_flow(src_host="a", dst_host="a", packets=ODD, bytes=ODD),
+        make_flow(src_host="c", dst_host="a", packets=ODD, bytes=3),
         make_flow(src_host="c", dst_host="b", packets=1, bytes=0),
+        make_flow(src_host="d", dst_host="e", packets=2**53 - 1, bytes=1),
+        make_flow(src_host="e", dst_host="d", packets=1, bytes=2**53 - 1),
+        make_flow(src_host="d", dst_host="d", packets=1, bytes=1),
     ]
+
+
+def test_host_sums_past_2_53_and_2_63_stay_exact():
+    big, odd = BIG, ODD
+    flows = big_count_flows()
     sums = flow_model._exact_sums(
         np.array([0, 0, 1, 0, 2]), np.array([big, big, big, odd, odd]), 3
     )
@@ -284,6 +306,78 @@ def test_host_sums_past_2_53_and_2_63_stay_exact():
     assert vectors == naive_host_vectors(flows)
     # float sums would have rounded a's bytes to its packets: bpp would read 1.0
     assert vectors[0].host == "a" and vectors[0].bpp != 1.0
+
+
+def aggregation_cases():
+    """Name -> (records, windows): windows over the whole capture and windows cutting it."""
+    cases = {}
+    for seed in range(4):
+        flows = gapped_capture(seed)
+        t0, t1 = flow_model.full_span(flows)
+        mid = (t0 + t1) / 2
+        # t0 + 60 and t0 + 120 are window bounds at which gapped flows start
+        cases[f"gapped-{seed}"] = (flows, [(t0, t1), (t0, mid), (mid, t1), (t0 + 60.0, t0 + 120.0)])
+    loopback = special_captures()["loopback"]
+    cases["loopback"] = (loopback, [flow_model.full_span(loopback), (0.0, 71.0), (71.0, 140.0)])
+    big = big_count_flows()
+    big[1] = dataclasses.replace(big[1], start_time=5.0, end_time=6.0)
+    cases["past-2**63"] = (big, [flow_model.full_span(big), (0.0, 5.0), (5.0, 60.0)])
+    return cases
+
+
+def same_bits(got, expected):
+    return got == expected and list(map(float.hex, got.values())) == list(
+        map(float.hex, expected.values())
+    )
+
+
+@pytest.mark.parametrize("name", sorted(aggregation_cases()))
+def test_aggregate_host_features_equals_the_record_oracle(name):
+    records, windows = aggregation_cases()[name]
+    table = parse_flow_csv(flows_to_csv(records))
+    for window in windows:
+        for host in [*table.hosts, "absent"]:
+            expected = aggregate_host_features_naive(records, host, window)
+            for flows in (table, records):
+                if expected is None:
+                    with pytest.raises(NoFlowsError, match=f"^host '{host}' has no flows in "):
+                        aggregate_host_features(flows, host, window)
+                else:
+                    assert same_bits(aggregate_host_features(flows, host, window), expected)
+    assert table._records is None
+
+
+def test_aggregate_host_features_of_a_taken_table_sees_only_its_rows():
+    records = special_captures()["loopback"]
+    table = parse_flow_csv(flows_to_csv(records))
+    lonely = table.hosts.index("lonely")
+    taken = table.take(np.flatnonzero((table.src != lonely) & (table.dst != lonely)))
+    kept = [f for f in records if "lonely" not in (f.src_host, f.dst_host)]
+    assert taken.hosts == table.hosts and len(taken) == len(kept)
+    span = flow_model.full_span(records)
+    with pytest.raises(NoFlowsError, match="^host 'lonely' has no flows in "):
+        aggregate_host_features(taken, "lonely", span)
+    for host in sorted(set(taken.hosts) - {"lonely"}):
+        assert same_bits(aggregate_host_features(taken, host, span),
+                         aggregate_host_features_naive(kept, host, span))
+
+
+def test_per_host_calls_on_a_parsed_capture_build_no_flow_record(monkeypatch):
+    flows, _ = capture(REFERENCE_CONFIG)
+    table = parse_flow_csv(flows_to_csv(flows))
+    span = flow_model.full_span(table)
+    calls = []
+    init = FlowRecord.__init__
+
+    def counting_init(self, *args, **kwargs):
+        calls.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(FlowRecord, "__init__", counting_init)
+    vectors = [aggregate_host_features(table, host, span) for host in sorted(table.hosts)]
+    assert len(vectors) >= 200 and calls == [] and table._records is None
+    monkeypatch.undo()
+    assert vectors == host_vectors(table)
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,14 @@ from oracles import gapped_capture, prc_auc_all_thresholds, roc_auc_pair_countin
 from minedetect import comm_graph, flow_model, snn_cluster
 from minedetect.comm_graph import MiningFingerprint, StateParams, window_snapshots
 from minedetect.errors import InvalidConfigError
-from minedetect.flow_model import Label, aggregate_host_features, fit_normalizer, hosts_in, normalize
+from minedetect.flow_model import (
+    FlowTable,
+    Label,
+    aggregate_host_features,
+    fit_normalizer,
+    hosts_in,
+    normalize,
+)
 from minedetect.knn_classify import KnnClassifier, Prediction
 from minedetect.metrics import METRIC_COLUMNS
 from minedetect.pipeline import (
@@ -88,11 +95,12 @@ def test_run_leaves_snn_edges_unspelled(monkeypatch):
 def labeled_vectors(flows, truth):
     t0 = min(f.start_time for f in flows)
     t1 = max(f.end_time for f in flows) + 1e-6
+    table = FlowTable.from_records(flows)  # one conversion, not one per host
     out = []
     for host in sorted(hosts_in(flows)):
         if host not in truth.labels:
             continue
-        v = aggregate_host_features(flows, host, (t0, t1))
+        v = aggregate_host_features(table, host, (t0, t1))
         out.append(dataclasses.replace(v, label=truth.labels[host]))
     return out
 
