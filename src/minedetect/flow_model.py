@@ -17,11 +17,11 @@ centroids both run on these eight numbers:
 The three unbounded statistics (bpp, ppm, ppf) are min-max scaled to
 [0, 1]; the five ratios are already in [0, 1] and pass through unchanged.
 
-A parsed capture is a FlowTable: int-coded numpy columns, read without
-building a FlowRecord per flow. host_vectors (every host at once) and
-aggregate_host_features (one host, any window) compute the statistics
-from the columns and share the final divisions; the tests hold both to
-brute-force record oracles.
+A parsed or generated capture is a FlowTable: int-coded numpy columns,
+read or drawn without building a FlowRecord per flow. host_vectors
+(every host at once) and aggregate_host_features (one host, any window)
+compute the statistics from the columns and share the final divisions;
+the tests hold both to brute-force record oracles.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ import math
 import operator
 from collections.abc import Sequence as SequenceABC
 from dataclasses import FrozenInstanceError, dataclass
-from itertools import chain, count, islice, repeat
+from itertools import chain, compress, count, islice, repeat
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -385,14 +385,14 @@ class FlowTable(SequenceABC):
     table equals a list, or another table, of equal records.
     """
 
-    __slots__ = ("hosts", "flag_sets", *(name for name, _ in _COLUMNS), "_records", "_host_order")
+    __slots__ = ("hosts", "flag_sets", *(name for name, _ in _COLUMNS), "_records", "_host_cache")
 
     def __init__(
         self,
         hosts: tuple[str, ...],
         flag_sets: tuple[frozenset[str], ...],
         columns: Sequence[np.ndarray],
-        host_order: list | None = None,
+        host_cache: dict | None = None,
     ):
         self.hosts = hosts
         self.flag_sets = flag_sets
@@ -400,8 +400,9 @@ class FlowTable(SequenceABC):
             column.flags.writeable = False
             setattr(self, name, column)
         self._records: list[FlowRecord] | None = None
-        # [None] or [host_order()'s result], one list shared with every table taken from this one
-        self._host_order = [None] if host_order is None else host_order
+        # host_order()'s and host_number()'s lookups once computed, one dict
+        # shared with every table taken from this one
+        self._host_cache = {} if host_cache is None else host_cache
 
     @classmethod
     def from_records(cls, records: Iterable[FlowRecord]) -> FlowTable:
@@ -412,19 +413,43 @@ class FlowTable(SequenceABC):
         builder.add_records(records)
         return builder.table()
 
+    @classmethod
+    def from_columns(
+        cls,
+        hosts: Sequence[str],
+        flag_sets: Sequence[frozenset[str]],
+        pieces: Iterable[Sequence[np.ndarray]],
+    ) -> FlowTable:
+        """The table of rows given a piece at a time, as one array per FlowRecord field in
+        FLOW_FIELDS order; the source, destination and flags are indices into ``hosts`` and
+        ``flag_sets``, protocols PROTOCOLS codes. The table numbers hosts and flag sets in
+        first-seen order, as parse_flow_csv does. ValueError unless every row passes every
+        FlowRecord check.
+        """
+        builder = _TableBuilder()
+        for columns in pieces:
+            builder.add_columns(hosts, flag_sets, columns)
+        return builder.table()
+
     def take(self, rows: np.ndarray | slice) -> FlowTable:
         """The table of the given rows, sharing this table's hosts and flag sets."""
         columns = [getattr(self, name)[rows] for name, _ in _COLUMNS]
-        return FlowTable(self.hosts, self.flag_sets, columns, self._host_order)
+        return FlowTable(self.hosts, self.flag_sets, columns, self._host_cache)
 
     def host_order(self) -> tuple[list[str], np.ndarray]:
         """The host ids sorted, and the position of each host number among them."""
-        if self._host_order[0] is None:
+        if "order" not in self._host_cache:
             order = sorted(range(len(self.hosts)), key=self.hosts.__getitem__)
             position = np.empty(len(order), np.int64)
             position[order] = np.arange(len(order))
-            self._host_order[0] = ([self.hosts[i] for i in order], position)
-        return self._host_order[0]
+            self._host_cache["order"] = ([self.hosts[i] for i in order], position)
+        return self._host_cache["order"]
+
+    def host_number(self, host: str) -> int:
+        """The number of ``host`` in ``hosts``, or -1 (which no row holds) for a host not there."""
+        if "number" not in self._host_cache:
+            self._host_cache["number"] = dict(zip(self.hosts, count()))
+        return self._host_cache["number"].get(host, -1)
 
     def _rows(self) -> list[FlowRecord]:
         if self._records is None:
@@ -580,16 +605,7 @@ class _TableBuilder:
             request = read(request, self.request_cells, np.bool_)
         except (ValueError, OverflowError):  # a number too large for int64 is out of range
             return False
-        has_flags = np.array(list(map(bool, self.flag_sets)), bool)
-        if not (
-            ((0 <= src_port) & (src_port <= 65535) & (0 <= dst_port) & (dst_port <= 65535)).all()
-            and np.isfinite(start).all()
-            and np.isfinite(end).all()
-            and (start <= end).all()
-            and (packets >= 1).all()
-            and (n_bytes >= 0).all()
-            and not (has_flags[flags] & (protocol == _PROTOCOL_CODE[Protocol.UDP])).any()
-        ):
+        if not _rows_pass(src_port, dst_port, protocol, start, end, packets, n_bytes, flags, self.flag_sets):
             return False
         self.pieces.append([
             hosts[0::2],
@@ -606,6 +622,36 @@ class _TableBuilder:
         ])
         return True
 
+    def add_columns(
+        self,
+        hosts: Sequence[str],
+        flag_sets: Sequence[frozenset[str]],
+        columns: Sequence[np.ndarray],
+    ) -> None:
+        """Append a piece of FlowTable.from_columns; ValueError, with nothing appended, unless
+        every row passes every FlowRecord check (int64 packets and bytes are below the bound).
+        """
+        src, dst, src_port, dst_port, protocol, start, end, packets, n_bytes, flags, request = columns
+        if not _rows_pass(src_port, dst_port, protocol, start, end, packets, n_bytes, flags, flag_sets):
+            raise ValueError("a flow fails a FlowRecord check")
+        ends = np.empty(2 * len(src), np.int64)
+        ends[0::2], ends[1::2] = src, dst  # a flow's source, then its destination
+        host_code = _first_seen_codes(self.hosts, hosts, ends, np.int32)
+        flag_code = _first_seen_codes(self.flag_sets, flag_sets, flags, np.uint8)
+        self.pieces.append([
+            host_code[src],
+            host_code[dst],
+            src_port.astype(np.int32),
+            dst_port.astype(np.int32),
+            protocol.astype(np.int8),
+            start,
+            end,
+            packets.astype(np.int64),
+            n_bytes.astype(np.int64),
+            flag_code[flags],
+            request.astype(np.bool_),
+        ])
+
     def table(self) -> FlowTable:
         columns = []
         for i, (_, dtype) in enumerate(_COLUMNS):
@@ -614,6 +660,29 @@ class _TableBuilder:
             for piece in self.pieces:
                 piece[i] = None
         return FlowTable(tuple(self.hosts), tuple(self.flag_sets), columns)
+
+
+def _rows_pass(src_port, dst_port, protocol, start, end, packets, n_bytes, flags, flag_sets) -> bool:
+    """Whether every row of the columns passes FlowRecord's checks; flags index ``flag_sets``."""
+    has_flags = np.array(list(map(bool, flag_sets)), bool)
+    return bool(
+        ((0 <= src_port) & (src_port <= 65535) & (0 <= dst_port) & (dst_port <= 65535)).all()
+        and np.isfinite(start).all()
+        and np.isfinite(end).all()
+        and (start <= end).all()
+        and (packets >= 1).all()
+        and (n_bytes >= 0).all()
+        and not (has_flags[flags] & (protocol == _PROTOCOL_CODE[Protocol.UDP])).any()
+    )
+
+
+def _first_seen_codes(numbers: Memo, keys: Sequence, codes: np.ndarray, dtype) -> np.ndarray:
+    """Code -> the number ``numbers`` gives its key; keys are looked up in first-seen order of their codes."""
+    seen, first = np.unique(codes, return_index=True)
+    seen = seen[np.argsort(first)]
+    number = np.zeros(len(keys), dtype)
+    number[seen] = [numbers[keys[c]] for c in seen.tolist()]
+    return number
 
 
 # ---------------------------------------------------------------------------
@@ -1068,7 +1137,13 @@ def flows_sha256(flows: FlowTable | Iterable[FlowRecord]) -> str:
 # per-host aggregation
 # ---------------------------------------------------------------------------
 
-def hosts_in(flows: Iterable[FlowRecord]) -> set[str]:
+def hosts_in(flows: FlowTable | Iterable[FlowRecord]) -> set[str]:
+    """Every host id that is a flow's source or destination; a table's are read from its columns."""
+    if isinstance(flows, FlowTable):
+        # a taken table shares the hosts of the table it was taken from, rowless ones too
+        in_rows = np.zeros(len(flows.hosts), bool)
+        in_rows[flows.src] = in_rows[flows.dst] = True
+        return set(compress(flows.hosts, in_rows.tolist()))
     hosts: set[str] = set()
     for f in flows:
         hosts.add(f.src_host)
@@ -1157,7 +1232,7 @@ def aggregate_host_features(
     t0, t1 = window
     minutes = _window_minutes(window)
     table = FlowTable.from_records(flows)
-    h = table.hosts.index(host) if host in table.hosts else -1  # no row holds host number -1
+    h = table.host_number(host)
     rows = np.flatnonzero(
         ((table.src == h) | (table.dst == h)) & (t0 <= table.start_time) & (table.start_time < t1)
     )

@@ -16,8 +16,11 @@ recruited victim walks the lifecycle:
                   mesh connections persist
 
 Everything is drawn from one SplitMix64 stream (see rng.py) in the fixed
-order implemented here (each flow kind's docstring lists its draws), so a
-(config, seed) pair reproduces the flow list bit for bit.
+order implemented here (generate and each flow kind's docstring list the
+draws), so a (config, seed) pair reproduces the flow list bit for bit.
+The topology and the victims are drawn one value at a time; each window's
+flows are drawn as arrays from the window's run of outputs, with the
+scalar draws' arithmetic, and generate returns them as a FlowTable.
 """
 
 from __future__ import annotations
@@ -26,11 +29,13 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
+import numpy as np
+
 from . import kvconfig
 from .errors import InvalidConfigError, MalformedRowError, WindowOutOfRangeError
-from .flow_model import CsvTable, FlowRecord, Label, Protocol, csv_text, parse_class_label
+from .flow_model import PROTOCOLS, CsvTable, FlowTable, Label, Protocol, csv_text, parse_class_label
 from .kvconfig import Key, comma_list
-from .rng import SplitMix64
+from .rng import SplitMix64, below, randint_of, uniform_of
 from .snn_cluster import State
 
 _BENIGN_FLAG_COMBOS = (
@@ -41,16 +46,12 @@ _BENIGN_FLAG_COMBOS = (
     frozenset({"ACK", "FIN"}),
     frozenset({"ACK", "RST"}),
 )
-_BENIGN_TCP_PORTS = (80, 443, 22, 8080, 8443, 993)
-_BENIGN_UDP_PORTS = (53, 123)
+_BENIGN_TCP_PORTS = np.array((80, 443, 22, 8080, 8443, 993), np.int64)
+_BENIGN_UDP_PORTS = np.array((53, 123), np.int64)
 _COORDINATION_PORT = 7777
 _SYN = frozenset({"SYN"})
 _ACK = frozenset({"ACK"})
 _ACK_PUSH = frozenset({"ACK", "PUSH"})
-# the two short lifecycle flow kinds drawn by _Emitter.short:
-# (start offset span, packets, duration, bytes per packet, flags)
-_REGISTRATION = (10.0, (2, 6), (0.2, 2.0), (40, 120), _SYN)
-_COORDINATION = (20.0, (10, 40), (3.0, 8.0), (80, 300), _ACK)
 _TRUTH_HEADER = ("host", "label", "recruitment_window")
 
 
@@ -223,68 +224,163 @@ def small_world_edges(n: int, ring_degree: int, rewire_prob: float, rng: SplitMi
 # flow emission
 # ---------------------------------------------------------------------------
 
-class _Emitter:
-    def __init__(self, rng: SplitMix64):
-        self.rng = rng
-        self.flows: list[FlowRecord] = []
-
-    def _flow(self, src: str, dst: str, src_port: int, dst_port: int, start: float, end: float,
-              packets: int, bytes_: int, flags: frozenset[str], protocol: Protocol = Protocol.TCP) -> None:
-        # positional: FlowRecord's field order (src, dst, ports, protocol,
-        # times, packets, bytes, flags, is_request)
-        self.flows.append(FlowRecord(
-            src, dst, src_port, dst_port, protocol, start, end, packets, bytes_, flags, True,
-        ))
-
-    def benign(self, a: str, b: str, window_start: float, window_len: float) -> None:
-        """Draw order: direction, start offset, duration, packets, bytes per
-        packet, protocol, flags (TCP only), destination port, source port."""
-        rng = self.rng
-        src, dst = (a, b) if rng.randbelow(2) == 0 else (b, a)
-        start = window_start + rng.uniform(0.0, window_len * 0.8)
-        duration = rng.uniform(0.5, 15.0)
-        packets = rng.randint(5, 60)
-        bytes_ = packets * rng.randint(200, 1200)
-        if rng.randbelow(10) == 0:
-            proto, flags = Protocol.UDP, frozenset()
-            dst_port = rng.choice(_BENIGN_UDP_PORTS)
-        else:
-            proto = Protocol.TCP
-            flags = rng.choice(_BENIGN_FLAG_COMBOS)
-            dst_port = rng.choice(_BENIGN_TCP_PORTS)
-        src_port = rng.randint(1024, 65535)
-        self._flow(src, dst, src_port, dst_port, start, start + duration, packets, bytes_, flags, proto)
-
-    def short(self, src: str, dst: str, port: int, window_start: float, kind: tuple) -> None:
-        """A registration or coordination flow (``kind``). Draw order: start
-        offset, packets, source port, duration, bytes per packet."""
-        start_span, packets, duration, per_packet, flags = kind
-        rng = self.rng
-        start = window_start + rng.uniform(0.0, start_span)
-        n_packets = rng.randint(*packets)
-        src_port = rng.randint(1024, 65535)
-        end = start + rng.uniform(*duration)
-        bytes_ = n_packets * rng.randint(*per_packet)
-        self._flow(src, dst, src_port, port, start, end, n_packets, bytes_, flags)
-
-    def mining(self, victim: str, pool: str, port: int, window_start: float, duration: float) -> None:
-        """Draw order: start offset, duration, packets, source port, bytes per packet."""
-        rng = self.rng
-        start = window_start + rng.uniform(0.0, 5.0)
-        length = rng.uniform(duration * 0.9, duration * 1.2)
-        packets = rng.randint(150, 400)
-        src_port = rng.randint(1024, 65535)
-        bytes_ = packets * rng.randint(60, 140)
-        self._flow(victim, pool, src_port, port, start, start + length, packets, bytes_, _ACK_PUSH)
+#: Every flags set a generated flow carries; the flags column indexes it
+_FLAG_SETS = (*_BENIGN_FLAG_COMBOS, frozenset(), _SYN)
+_NO_FLAGS = _FLAG_SETS.index(frozenset())
+_TCP, _UDP = PROTOCOLS.index(Protocol.TCP), PROTOCOLS.index(Protocol.UDP)
+_REGISTRATION, _COORDINATION, _MINING = range(3)  # the lifecycle flow kinds
+#: Draws of one benign flow whose protocol draw picks UDP (it skips the flags draw), or TCP
+_UDP_DRAWS, _TCP_DRAWS = 8, 9
+_LIFECYCLE_DRAWS = 5
 
 
-def generate(config: ScenarioConfig, seed: int | None = None) -> tuple[list[FlowRecord], GroundTruth]:
+def _benign(out: np.ndarray, a: np.ndarray, b: np.ndarray, window_start: float, window_len: float):
+    """The columns of one window's benign flows, one between a[i] and b[i] each, and the
+    number of draws they take from the head of ``out``.
+
+    Draw order of a flow: direction, start offset, duration, packets, bytes
+    per packet, protocol, flags (TCP only), destination port, source port.
+    A flow therefore takes 9 draws, or 8 when its protocol draw picks UDP;
+    one pass over those picks finds the first draw of every flow, and each
+    field is then drawn for all flows at once.
+    """
+    draws = np.where(below(out[5:], 10) == 0, _UDP_DRAWS, _TCP_DRAWS).tolist()
+    first, p = [], 0
+    for _ in range(len(a)):
+        first.append(p)
+        p += draws[p]  # draws[p] reads the protocol draw of the flow starting at p
+    s = np.array(first, np.int64)
+    forward = below(out[s], 2) == 0
+    start = window_start + uniform_of(out[s + 1], 0.0, window_len * 0.8)
+    duration = uniform_of(out[s + 2], 0.5, 15.0)
+    packets = randint_of(out[s + 3], 5, 60)
+    n_bytes = packets * randint_of(out[s + 4], 200, 1200)
+    udp = below(out[s + 5], 10) == 0
+    columns = (
+        np.where(forward, a, b),
+        np.where(forward, b, a),
+        randint_of(out[s + np.where(udp, 7, 8)], 1024, 65535),
+        np.where(udp, _BENIGN_UDP_PORTS[below(out[s + 6], 2)], _BENIGN_TCP_PORTS[below(out[s + 7], 6)]),
+        np.where(udp, _UDP, _TCP),
+        start,
+        start + duration,
+        packets,
+        n_bytes,
+        np.where(udp, _NO_FLAGS, below(out[s + 6], 6)),
+    )
+    return columns, p
+
+
+def _lifecycle_kinds(config: ScenarioConfig) -> dict[str, np.ndarray]:
+    """Per lifecycle flow kind (registration, coordination, mining), its parameters and the
+    position of its packets, source port and duration draws among its five."""
+    d = config.mining_flow_duration
+    kinds = (
+        # start offset span, packets, duration, bytes per packet, flags, destination port, draws
+        (10.0, (2, 6), (0.2, 2.0), (40, 120), _SYN, config.mining_port, (1, 2, 3)),
+        (20.0, (10, 40), (3.0, 8.0), (80, 300), _ACK, _COORDINATION_PORT, (1, 2, 3)),
+        (5.0, (150, 400), (d * 0.9, d * 1.2), (60, 140), _ACK_PUSH, config.mining_port, (2, 3, 1)),
+    )
+    span, packets, duration, per_packet, flags, port, draws = zip(*kinds)
+    return {
+        "span": np.array(span),
+        "packets": np.array(packets, np.int64),
+        "duration": np.array(duration),
+        "per_packet": np.array(per_packet, np.int64),
+        "flags": np.array([_FLAG_SETS.index(f) for f in flags], np.int64),
+        "port": np.array(port, np.int64),
+        "draws": np.array(draws, np.int64),
+    }
+
+
+def _lifecycle(out: np.ndarray, kind: np.ndarray, src: np.ndarray, dst: np.ndarray,
+               window_start: float, kinds: dict[str, np.ndarray]):
+    """The columns of one window's lifecycle flows from the ``5 * len(kind)`` draws ``out``.
+
+    Every flow takes five draws. A registration or coordination flow draws
+    its start offset, packets, source port, duration and bytes per packet;
+    a mining flow draws its start offset, duration, packets, source port and
+    bytes per packet.
+    """
+    x = out.reshape(len(kind), _LIFECYCLE_DRAWS)
+    row = np.arange(len(kind))
+    i_packets, i_src_port, i_duration = kinds["draws"][kind].T
+    lo, hi = kinds["packets"][kind].T
+    packets = randint_of(x[row, i_packets], lo, hi)
+    lo, hi = kinds["per_packet"][kind].T
+    n_bytes = packets * randint_of(x[:, 4], lo, hi)
+    start = window_start + uniform_of(x[:, 0], 0.0, kinds["span"][kind])
+    lo, hi = kinds["duration"][kind].T
+    return (
+        src,
+        dst,
+        randint_of(x[row, i_src_port], 1024, 65535),
+        kinds["port"][kind],
+        np.full(len(kind), _TCP),
+        start,
+        start + uniform_of(x[row, i_duration], lo, hi),
+        packets,
+        n_bytes,
+        kinds["flags"][kind],
+    )
+
+
+def _windows(config: ScenarioConfig, rng: SplitMix64, topology, victims: list[int], recruited: list[int]):
+    """Each window's flow columns in turn, hosts numbered as generate's ``names``: the
+    config's host numbers, then the primary and the backup pool."""
+    primary, backup = config.n_hosts, config.n_hosts + 1
+    plans = {  # (kind, destination) of each flow a victim in that state sends
+        State.S0: [],
+        State.S1: [(_REGISTRATION, primary)] * 4 + [(_REGISTRATION, backup)] * 4,
+        State.S2: [(_COORDINATION, primary)],
+        State.S3: [(_MINING, primary)] * config.mining_flows_per_window,
+    }
+    kinds = _lifecycle_kinds(config)
+    a, b = np.array(topology, np.int64).reshape(-1, 2).repeat(config.benign_rate, axis=0).T
+    length = config.window_length
+    for w in range(config.n_windows):
+        window_start = w * length
+        states = [_state_at(r, w) for r in recruited]
+        sent = [plans[state] for state in states]
+        kind, dst = np.array([f for plan in sent for f in plan], np.int64).reshape(-1, 2).T
+        src = np.repeat(np.array(victims, np.int64), list(map(len, sent)))
+        # the pool mesh: host ids share one width, so id order is number order
+        meshed = np.array([v for v, s in zip(victims, states) if s in (State.S2, State.S3)], np.int64)
+        i, j = np.triu_indices(len(meshed), 1)
+        kind = np.concatenate([kind, np.full(len(i), _COORDINATION)])
+        src = np.concatenate([src, np.minimum(meshed[i], meshed[j])])
+        dst = np.concatenate([dst, np.maximum(meshed[i], meshed[j])])
+
+        n_lifecycle = _LIFECYCLE_DRAWS * len(kind)
+        out = rng.peek(_TCP_DRAWS * len(a) + n_lifecycle)
+        with np.errstate(over="ignore", invalid="ignore"):  # a time past the floats fails the row checks
+            benign, used = _benign(out, a, b, window_start, length)
+            lifecycle = _lifecycle(out[used : used + n_lifecycle], kind, src, dst, window_start, kinds)
+        rng.advance(used + n_lifecycle)
+        columns = [np.concatenate(pair) for pair in zip(benign, lifecycle)]
+        yield [*columns, np.ones(len(columns[0]), np.bool_)]
+
+
+def generate(config: ScenarioConfig, seed: int | None = None) -> tuple[FlowTable, GroundTruth]:
     """Emit the scenario's flows plus ground truth; deterministic per seed.
 
     Draw order: topology, victim selection, then window by window the
-    benign flows over sorted topology edges, the lifecycle flows of each
-    victim's ``_state_at`` state over victims in recruitment order, and the
-    pool-mesh flows over meshed pairs.
+    benign flows over sorted topology edges (``benign_rate`` flows per
+    edge), the lifecycle flows of each victim's ``_state_at`` state over
+    victims in recruitment order, and the pool-mesh flows over meshed
+    pairs. In its recruitment window a victim sends four registration flows
+    to the primary pool and four to the backup; in the next, one
+    coordination flow to the primary; from then on ``mining_flows_per_window``
+    mining flows to the primary. Each meshed pair sends one coordination
+    flow, from the lesser host id to the greater.
+
+    The topology and the victims are drawn one value at a time; each
+    window's flows are drawn as arrays from its run of outputs (``peek``,
+    then ``advance`` past the draws taken), so they are the flows that
+    drawing one value at a time in the order above gives, bit for bit. They
+    come back as a FlowTable, hosts and flag sets numbered in first-seen
+    order, as parse_flow_csv numbers them; ValueError when a flow fails a
+    FlowRecord check (a time past the floats).
     """
     rng = SplitMix64(config.seed if seed is None else seed)
     hosts = [config.host_id(i) for i in range(config.n_hosts)]
@@ -298,50 +394,19 @@ def generate(config: ScenarioConfig, seed: int | None = None) -> tuple[list[Flow
     taken: dict[int, None] = {}  # insertion-ordered set
     while len(taken) < config.n_victims:
         taken[rng.randbelow(config.n_hosts)] = None
-    victims = [hosts[i] for i in taken]
-    windows = [w for w, count in enumerate(config.recruitment_schedule) for _ in range(count)]
-    recruit_at = dict(zip(victims, windows))
-
-    primary, backup = config.pool_hosts[0], config.pool_hosts[1]
-    emit = _Emitter(rng)
-    length = config.window_length
-
-    for w in range(config.n_windows):
-        window_start = w * length
-        for a, b in topology:
-            for _ in range(config.benign_rate):
-                emit.benign(hosts[a], hosts[b], window_start, length)
-
-        states = [_state_at(recruit_at[v], w) for v in victims]
-        meshed = [v for v, state in zip(victims, states) if state in (State.S2, State.S3)]
-        for victim, state in zip(victims, states):
-            if state is State.S1:
-                for pool in (primary, backup):
-                    for _ in range(4):
-                        emit.short(victim, pool, config.mining_port, window_start, _REGISTRATION)
-            elif state is State.S2:
-                emit.short(victim, primary, _COORDINATION_PORT, window_start, _COORDINATION)
-            elif state is State.S3:
-                for _ in range(config.mining_flows_per_window):
-                    emit.mining(
-                        victim, primary, config.mining_port, window_start,
-                        config.mining_flow_duration,
-                    )
-        # pool mesh: one coordination flow per meshed pair per window
-        for i, a in enumerate(meshed):
-            for b in meshed[i + 1 :]:
-                src, dst = (a, b) if a <= b else (b, a)
-                emit.short(src, dst, _COORDINATION_PORT, window_start, _COORDINATION)
-
+    victims = list(taken)
+    recruited = [w for w, count in enumerate(config.recruitment_schedule) for _ in range(count)]
     labels = {h: Label.NOT_MINER for h in hosts}
     for v in victims:
-        labels[v] = Label.MINER
+        labels[hosts[v]] = Label.MINER
     truth = GroundTruth(
         labels=labels,
-        recruitment_window=recruit_at,
+        recruitment_window={hosts[v]: w for v, w in zip(victims, recruited)},
         n_windows=config.n_windows,
     )
-    return emit.flows, truth
+    names = (*hosts, *config.pool_hosts[:2])
+    windows = _windows(config, rng, topology, victims, recruited)
+    return FlowTable.from_columns(names, _FLAG_SETS, windows), truth
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@ from minedetect.flow_model import (
     FLOW_FIELDS,
     FeatureVector,
     FlowRecord,
+    Label,
     Protocol,
     parse_label,
 )
@@ -669,3 +670,125 @@ class splitmix64_naive:
         if not seq:
             raise ValueError("choice() from an empty sequence")
         return seq[self.randbelow(len(seq))]
+
+
+_BENIGN_FLAG_COMBOS = (
+    frozenset({"SYN", "ACK"}),
+    frozenset({"SYN", "ACK", "FIN"}),
+    frozenset({"ACK"}),
+    frozenset({"ACK", "PUSH"}),
+    frozenset({"ACK", "FIN"}),
+    frozenset({"ACK", "RST"}),
+)
+# the two short lifecycle flow kinds drawn by _Emitter.short:
+# (start offset span, packets, duration, bytes per packet, flags)
+_REGISTRATION = (10.0, (2, 6), (0.2, 2.0), (40, 120), frozenset({"SYN"}))
+_COORDINATION = (20.0, (10, 40), (3.0, 8.0), (80, 300), frozenset({"ACK"}))
+
+
+class _Emitter:
+    """synthgen's flows drawn one draw and one checked FlowRecord at a time."""
+
+    def __init__(self, rng):
+        self.rng = rng
+        self.flows: list[FlowRecord] = []
+
+    def _flow(self, src, dst, src_port, dst_port, start, end, packets, bytes_, flags, protocol=Protocol.TCP):
+        self.flows.append(FlowRecord(
+            src, dst, src_port, dst_port, protocol, start, end, packets, bytes_, flags, True,
+        ))
+
+    def benign(self, a, b, window_start, window_len):
+        """Draw order: direction, start offset, duration, packets, bytes per
+        packet, protocol, flags (TCP only), destination port, source port."""
+        rng = self.rng
+        src, dst = (a, b) if rng.randbelow(2) == 0 else (b, a)
+        start = window_start + rng.uniform(0.0, window_len * 0.8)
+        duration = rng.uniform(0.5, 15.0)
+        packets = rng.randint(5, 60)
+        bytes_ = packets * rng.randint(200, 1200)
+        if rng.randbelow(10) == 0:
+            proto, flags = Protocol.UDP, frozenset()
+            dst_port = rng.choice((53, 123))
+        else:
+            proto = Protocol.TCP
+            flags = rng.choice(_BENIGN_FLAG_COMBOS)
+            dst_port = rng.choice((80, 443, 22, 8080, 8443, 993))
+        src_port = rng.randint(1024, 65535)
+        self._flow(src, dst, src_port, dst_port, start, start + duration, packets, bytes_, flags, proto)
+
+    def short(self, src, dst, port, window_start, kind):
+        """A registration or coordination flow (``kind``). Draw order: start
+        offset, packets, source port, duration, bytes per packet."""
+        start_span, packets, duration, per_packet, flags = kind
+        rng = self.rng
+        start = window_start + rng.uniform(0.0, start_span)
+        n_packets = rng.randint(*packets)
+        src_port = rng.randint(1024, 65535)
+        end = start + rng.uniform(*duration)
+        bytes_ = n_packets * rng.randint(*per_packet)
+        self._flow(src, dst, src_port, port, start, end, n_packets, bytes_, flags)
+
+    def mining(self, victim, pool, port, window_start, duration):
+        """Draw order: start offset, duration, packets, source port, bytes per packet."""
+        rng = self.rng
+        start = window_start + rng.uniform(0.0, 5.0)
+        length = rng.uniform(duration * 0.9, duration * 1.2)
+        packets = rng.randint(150, 400)
+        src_port = rng.randint(1024, 65535)
+        bytes_ = packets * rng.randint(60, 140)
+        flags = frozenset({"ACK", "PUSH"})
+        self._flow(victim, pool, src_port, port, start, start + length, packets, bytes_, flags)
+
+
+def generate_naive(config, seed=None):
+    """synthgen.generate one draw at a time from the step-by-step SplitMix64:
+    the flows as a list of FlowRecord, and the ground truth.
+
+    The topology is synthgen.small_world_edges itself, which draws one
+    value at a time on both sides.
+    """
+    from minedetect.snn_cluster import State
+    from minedetect.synthgen import GroundTruth, _state_at, small_world_edges
+
+    rng = splitmix64_naive(config.seed if seed is None else seed)
+    hosts = [config.host_id(i) for i in range(config.n_hosts)]
+    topology = small_world_edges(config.n_hosts, config.ring_degree, config.rewire_prob, rng)
+    taken: dict[int, None] = {}
+    while len(taken) < config.n_victims:
+        taken[rng.randbelow(config.n_hosts)] = None
+    victims = [hosts[i] for i in taken]
+    windows = [w for w, count in enumerate(config.recruitment_schedule) for _ in range(count)]
+    recruit_at = dict(zip(victims, windows))
+
+    primary, backup = config.pool_hosts[0], config.pool_hosts[1]
+    emit = _Emitter(rng)
+    length = config.window_length
+    for w in range(config.n_windows):
+        window_start = w * length
+        for a, b in topology:
+            for _ in range(config.benign_rate):
+                emit.benign(hosts[a], hosts[b], window_start, length)
+        states = [_state_at(recruit_at[v], w) for v in victims]
+        meshed = [v for v, state in zip(victims, states) if state in (State.S2, State.S3)]
+        for victim, state in zip(victims, states):
+            if state is State.S1:
+                for pool in (primary, backup):
+                    for _ in range(4):
+                        emit.short(victim, pool, config.mining_port, window_start, _REGISTRATION)
+            elif state is State.S2:
+                emit.short(victim, primary, 7777, window_start, _COORDINATION)
+            elif state is State.S3:
+                for _ in range(config.mining_flows_per_window):
+                    emit.mining(
+                        victim, primary, config.mining_port, window_start, config.mining_flow_duration
+                    )
+        for i, a in enumerate(meshed):
+            for b in meshed[i + 1 :]:
+                src, dst = (a, b) if a <= b else (b, a)
+                emit.short(src, dst, 7777, window_start, _COORDINATION)
+
+    labels = {h: Label.NOT_MINER for h in hosts}
+    for v in victims:
+        labels[v] = Label.MINER
+    return emit.flows, GroundTruth(labels=labels, recruitment_window=recruit_at, n_windows=config.n_windows)

@@ -135,6 +135,18 @@ def test_simulate_is_reproducible(tmp_path, scenario_file):
     assert truth1.read_bytes() == truth2.read_bytes()
 
 
+def test_simulate_builds_no_flow_record(tmp_path, scenario_file, monkeypatch):
+    def no_records(table):
+        raise AssertionError("simulate built the table's records")
+
+    monkeypatch.setattr(flow_model.FlowTable, "_rows", no_records)
+    monkeypatch.setattr(flow_model.FlowRecord, "__init__", no_records)
+    out, _ = simulate(tmp_path, scenario_file, seed=7)
+    monkeypatch.undo()
+    flows = flow_model.parse_flow_csv(out.read_text())
+    assert len(flows) > 0 and flow_model.flows_to_csv(flows) == out.read_text()
+
+
 def test_features_classify_evaluate_chain(tmp_path, scenario_file):
     flows, truth = simulate(tmp_path, scenario_file, "train.csv", seed=7)
     train_feats = tmp_path / "train_feats.csv"

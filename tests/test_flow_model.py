@@ -36,6 +36,7 @@ from minedetect.flow_model import (
     FEATURE_ORDER,
     FeatureVector,
     FlowRecord,
+    FlowTable,
     Label,
     NormalizationParams,
     Protocol,
@@ -628,6 +629,7 @@ _DIGEST_CAPTURES = {
     "padded-hosts": lambda request: awkward_flows(_PADDED_HOSTS + _HOSTS),
     "empty": lambda request: [],
     "synthgen": lambda request: request.getfixturevalue("reference_flows"),
+    "synthgen-records": lambda request: list(request.getfixturevalue("reference_flows")),
 }
 
 
@@ -642,10 +644,10 @@ def test_flows_sha256_hashes_the_bytes_of_flows_to_csv(request, monkeypatch, cap
     assert flow_model.flows_sha256(flows) == hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def test_flows_sha256_memory_does_not_grow_with_the_capture(reference_flows):
-    doubled = reference_flows * 2
+def digest_peaks(captures):
+    """The tracemalloc peak of flows_sha256 on each capture, one-time allocations left out."""
     peaks = []
-    for flows in (reference_flows, doubled):
+    for flows in captures:
         flow_model.flows_sha256(flows)  # so one-time allocations are not counted
         tracemalloc.start()
         try:
@@ -653,7 +655,20 @@ def test_flows_sha256_memory_does_not_grow_with_the_capture(reference_flows):
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
-    single, double = peaks
+    return peaks
+
+
+def test_flows_sha256_memory_does_not_grow_with_the_capture(reference_flows):
+    records = list(reference_flows)
+    doubled = records * 2
+    single, double = digest_peaks([records, doubled])
+    assert double <= single + 64 * 1024
+    assert double < len(flows_to_csv(doubled)) / 2
+
+
+def test_flows_sha256_memory_of_a_table_does_not_grow_with_the_capture(reference_flows):
+    doubled = FlowTable.from_records(list(reference_flows) * 2)
+    single, double = digest_peaks([reference_flows, doubled])
     assert double <= single + 64 * 1024
     assert double < len(flows_to_csv(doubled)) / 2
 

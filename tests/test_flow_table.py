@@ -380,6 +380,86 @@ def test_per_host_calls_on_a_parsed_capture_build_no_flow_record(monkeypatch):
     assert vectors == host_vectors(table)
 
 
+def test_host_lookup_of_a_generated_table_keeps_every_vector():
+    config = ScenarioConfig(seed=3, n_hosts=120, ring_degree=4, n_windows=3, recruitment_schedule=(0, 6))
+    table, _ = generate(config)
+    records = list(table)
+    span = flow_model.full_span(table)
+    taken = table.take(slice(0, len(table) // 2))
+    kept = records[: len(table) // 2]
+    for host in table.hosts:
+        assert table.host_number(host) == taken.host_number(host) == table.hosts.index(host)
+        assert same_bits(aggregate_host_features(table, host, span),
+                         aggregate_host_features_naive(records, host, span))
+        expected = aggregate_host_features_naive(kept, host, span)
+        if expected is not None:
+            assert same_bits(aggregate_host_features(taken, host, span), expected)
+    for absent in ("absent", "", " host000", "host000 ", "pool2"):
+        assert table.host_number(absent) == -1
+        with pytest.raises(NoFlowsError, match=f"^host '{absent}' has no flows in "):
+            aggregate_host_features(table, absent, span)
+
+
+def test_hosts_in_a_table_are_its_flows_endpoints():
+    config = ScenarioConfig(seed=3, n_hosts=40, ring_degree=4, n_windows=2, recruitment_schedule=(0, 2))
+    table, _ = generate(config)
+    parsed = parse_flow_csv(flows_to_csv(table))
+    assert flow_model.hosts_in(table) == flow_model.hosts_in(parsed) == set(table.hosts)
+    assert table._records is None and parsed._records is None  # read from the columns
+    records = list(table)
+    assert flow_model.hosts_in(records) == set(table.hosts)
+    # a taken table shares every host id of its source, those without a row too
+    to_pool = np.isin(table.dst, [table.hosts.index(p) for p in config.pool_hosts])
+    for rows in (np.flatnonzero(~to_pool), np.arange(3), np.arange(0)):
+        assert flow_model.hosts_in(table.take(rows)) == flow_model.hosts_in([records[i] for i in rows])
+    assert not set(config.pool_hosts) & flow_model.hosts_in(table.take(np.flatnonzero(~to_pool)))
+
+
+def column_rows(**changes):
+    """Two good TCP rows and one UDP row as FlowTable.from_columns columns, with ``changes``
+    (field -> value) put into the last row."""
+    columns = {
+        "src_host": [2, 0, 1], "dst_host": [1, 2, 0], "src_port": [5, 6, 7], "dst_port": [80, 22, 53],
+        "protocol": [0, 0, 1], "start_time": [0.0, 1.0, 2.0], "end_time": [1.0, 1.0, 2.5],
+        "packets": [1, 2, 3], "bytes": [0, 10, 20], "flags": [1, 0, 2], "is_request": [True, False, True],
+    }
+    for field, value in changes.items():
+        columns[field][-1] = value
+    return [np.array(columns[field]) for field in FLOW_FIELDS]
+
+
+HOSTS = ("h0", "h1", "h2")
+FLAG_SETS = (frozenset({"SYN"}), frozenset({"ACK", "PUSH"}), frozenset())
+
+
+def test_table_from_columns_numbers_hosts_and_flags_in_first_seen_order():
+    # the first piece holds the first row only, so the second numbers h0 and the empty flags set
+    table = FlowTable.from_columns(HOSTS, FLAG_SETS, [[c[:1] for c in column_rows()], column_rows()])
+    records = [
+        FlowRecord("h2", "h1", 5, 80, Protocol.TCP, 0.0, 1.0, 1, 0, FLAG_SETS[1], True),
+        FlowRecord("h2", "h1", 5, 80, Protocol.TCP, 0.0, 1.0, 1, 0, FLAG_SETS[1], True),
+        FlowRecord("h0", "h2", 6, 22, Protocol.TCP, 1.0, 1.0, 2, 10, FLAG_SETS[0], False),
+        FlowRecord("h1", "h0", 7, 53, Protocol.UDP, 2.0, 2.5, 3, 20, FLAG_SETS[2], True),
+    ]
+    assert table == records
+    assert table.hosts == ("h2", "h1", "h0") and table.flag_sets == (FLAG_SETS[1], FLAG_SETS[0], FLAG_SETS[2])
+    assert decoded(table) == decoded(FlowTable.from_records(records))
+    assert len(FlowTable.from_columns(HOSTS, FLAG_SETS, [])) == 0
+
+
+@pytest.mark.parametrize("changes", [
+    {"src_port": -1}, {"dst_port": 65536}, {"start_time": math.nan}, {"end_time": math.inf},
+    {"start_time": -math.inf}, {"end_time": 1.5}, {"packets": 0}, {"bytes": -1}, {"flags": 0},
+], ids=repr)
+def test_table_from_columns_refuses_a_row_that_fails_a_record_check(changes):
+    fields = {field: column[-1].item() for field, column in zip(FLOW_FIELDS, column_rows(**changes))}
+    fields.update(src_host="h1", dst_host="h2", protocol=Protocol.UDP, flags=FLAG_SETS[fields["flags"]])
+    with pytest.raises(ValueError):
+        FlowRecord(**fields)  # the row-by-row check refuses the same row
+    with pytest.raises(ValueError, match="^a flow fails a FlowRecord check$"):
+        FlowTable.from_columns(HOSTS, FLAG_SETS, [column_rows(), column_rows(**changes)])
+
+
 # ---------------------------------------------------------------------------
 # step 3
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ from minedetect.comm_graph import (
     mining_volume,
 )
 from minedetect.errors import InvalidConfigError, MalformedRowError, WindowOutOfRangeError
-from minedetect.flow_model import Label, flows_to_csv
+from minedetect.flow_model import FLOW_FIELDS, FlowTable, Label, flows_to_csv
 from minedetect.rng import SplitMix64
 from minedetect.snn_cluster import State
 from minedetect.synthgen import (
@@ -23,7 +23,7 @@ from minedetect.synthgen import (
     truth_to_csv,
 )
 
-from oracles import fingerprint_match_brute
+from oracles import fingerprint_match_brute, generate_naive
 
 
 def small_config(**overrides):
@@ -118,6 +118,57 @@ def test_seed_override_and_divergence():
     assert flows_to_csv(flows1) != flows_to_csv(flows2)
     flows3, _ = generate(small_config(seed=999))
     assert flows_to_csv(flows2) == flows_to_csv(flows3)
+
+
+# ---------------------------------------------------------------------------
+# the array draws against the scalar emitter
+# ---------------------------------------------------------------------------
+
+GENERATE_GRID = {
+    "default": small_config(),  # benign_rate 2, rewire_prob 0.1
+    "benign_rate-1": small_config(benign_rate=1),
+    "benign_rate-3": small_config(benign_rate=3),
+    "rewire-0": small_config(rewire_prob=0.0),
+    "rewire-1": small_config(rewire_prob=1.0),
+    "one-window": small_config(n_windows=1, recruitment_schedule=(2,)),
+    "no-victims": small_config(recruitment_schedule=()),
+    "pool_mesh": ScenarioConfig(seed=1, n_hosts=200, n_windows=4, recruitment_schedule=(0, 60, 60)),
+    "one-mining-flow": small_config(mining_flows_per_window=1, recruitment_schedule=(3, 0, 2)),
+}
+
+
+def bits(value):
+    """A field value with every bit of a float shown, and its type."""
+    return (type(value), float.hex(value) if isinstance(value, float) else value)
+
+
+@pytest.mark.parametrize("seed", [0, 2**64 - 1])
+@pytest.mark.parametrize("name", sorted(GENERATE_GRID))
+def test_generate_equals_the_scalar_emitter(name, seed):
+    config = GENERATE_GRID[name]
+    table, truth = generate(config, seed=seed)
+    flows, want_truth = generate_naive(config, seed=seed)
+    assert isinstance(table, FlowTable) and len(table) == len(flows) > 0
+    for field in FLOW_FIELDS:
+        got = [bits(getattr(f, field)) for f in table]
+        assert got == [bits(getattr(f, field)) for f in flows], field
+    assert flows_to_csv(table) == flows_to_csv(flows)
+    assert truth == want_truth
+    # hosts and flag sets numbered in first-seen order, a flow's source before its destination
+    assert table.hosts == tuple(dict.fromkeys(h for f in flows for h in (f.src_host, f.dst_host)))
+    assert table.flag_sets == tuple(dict.fromkeys(f.flags for f in flows))
+
+
+@pytest.mark.parametrize("field, value", [
+    ("window_length", 1e308),  # the third window starts at inf
+    ("mining_flow_duration", 1.7e308),  # 1.2 times it overflows
+])
+def test_generated_flow_that_fails_a_record_check_raises(field, value):
+    config = small_config(**{field: value})
+    with pytest.raises(ValueError):
+        generate_naive(config)
+    with pytest.raises(ValueError, match="fails a FlowRecord check"):
+        generate(config)
 
 
 # ---------------------------------------------------------------------------
