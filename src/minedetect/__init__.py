@@ -22,6 +22,7 @@ from .comm_graph import (
 )
 from .flow_model import (
     FEATURE_ORDER,
+    FeatureTable,
     FeatureVector,
     FlowRecord,
     FlowTable,

@@ -218,7 +218,7 @@ def _cmd_cluster(args) -> int:
     host_norm, _ = pipeline.normalize_vectors(flow_model.host_vectors(flows), [])
     graph, host_states = pipeline.lifecycle_states(flows, config)
     clusters = snn_cluster.finalize_clusters(
-        pipeline.cluster_hosts(graph, config.k_shared), host_states, {v.host: v for v in host_norm}
+        pipeline.cluster_hosts(graph, config.k_shared), host_states, host_norm
     )
     records = snn_cluster.clusters_to_obj(clusters)
     if args.format == "json":

@@ -641,17 +641,6 @@ def mining_volume(
     )
 
 
-def dc_change_factor(c_prev: float, c_next: float, cap: float = 1000.0) -> float:
-    """Multiplicative clustering-coefficient change c(t+1) / c(t).
-
-    Defined as 1 when both coefficients are zero; a rise from exactly zero
-    yields the cap sentinel so downstream comparisons stay total.
-    """
-    if c_prev == 0.0:
-        return 1.0 if c_next == 0.0 else cap
-    return c_next / c_prev
-
-
 def window_deltas(
     snapshots: Iterable[tuple[CommGraph, FlowTable | Iterable[FlowRecord], tuple[float, float]]],
     params: StateParams,
@@ -732,7 +721,7 @@ def window_deltas(
 
 
 def _change_factors(c_prev: np.ndarray, c_next: np.ndarray, cap: float) -> np.ndarray:
-    """dc_change_factor of each (c_prev, c_next) pair, the same floats."""
+    """c_next / c_prev of each pair; 1 where both are zero, ``cap`` for a rise from zero (S2 stays total)."""
     with np.errstate(divide="ignore", invalid="ignore"):
         return np.where(c_prev == 0.0, np.where(c_next == 0.0, 1.0, cap), c_next / c_prev)
 

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import csv
 import enum
+import functools
 import hashlib
 import math
 import operator
@@ -45,6 +46,7 @@ from .errors import (
     MalformedRowError,
     MissingColumnError,
     NoFlowsError,
+    UnnormalizedInputError,
 )
 
 FLAG_NAMES = ("SYN", "ACK", "PUSH", "RST", "FIN")
@@ -140,17 +142,8 @@ class FlowRecord:
     is_request: bool
 
     def __init__(
-        self,
-        src_host: str,
-        dst_host: str,
-        src_port: int,
-        dst_port: int,
-        protocol: Protocol,
-        start_time: float,
-        end_time: float,
-        packets: int,
-        bytes: int,
-        flags: frozenset[str],
+        self, src_host: str, dst_host: str, src_port: int, dst_port: int, protocol: Protocol,
+        start_time: float, end_time: float, packets: int, bytes: int, flags: frozenset[str],
         is_request: bool,
     ):
         # every check runs before any field is stored
@@ -177,17 +170,10 @@ class FlowRecord:
         # the frozen class refuses stores, so self takes the class of its
         # store-accepting twin while the fields are stored
         object.__setattr__(self, "__class__", _FlowSlots)
-        self.src_host = src_host
-        self.dst_host = dst_host
-        self.src_port = src_port
-        self.dst_port = dst_port
-        self.protocol = protocol
-        self.start_time = start_time
-        self.end_time = end_time
-        self.packets = packets
-        self.bytes = bytes
-        self.flags = flags
-        self.is_request = is_request
+        _FlowSlots.__init__(
+            self, src_host, dst_host, src_port, dst_port, protocol, start_time, end_time, packets,
+            bytes, flags, is_request,
+        )
         self.__class__ = FlowRecord
 
     @property
@@ -249,17 +235,8 @@ class FeatureVector:
     normalized: bool = False
 
     def __init__(
-        self,
-        host: str,
-        bpp: float,
-        ppm: float,
-        ppf: float,
-        ackpush_all: float,
-        req_all: float,
-        syn_all: float,
-        rst_all: float,
-        fin_all: float,
-        label: Label = Label.UNLABELED,
+        self, host: str, bpp: float, ppm: float, ppf: float, ackpush_all: float, req_all: float,
+        syn_all: float, rst_all: float, fin_all: float, label: Label = Label.UNLABELED,
         normalized: bool = False,
     ):
         # one comparison per group in the common case; the per-name loops
@@ -284,17 +261,10 @@ class FeatureVector:
         if not isinstance(label, Label):
             raise ValueError(f"label for {host!r} must be a Label member, got {label!r}")
         object.__setattr__(self, "__class__", _VectorSlots)
-        self.host = host
-        self.bpp = bpp
-        self.ppm = ppm
-        self.ppf = ppf
-        self.ackpush_all = ackpush_all
-        self.req_all = req_all
-        self.syn_all = syn_all
-        self.rst_all = rst_all
-        self.fin_all = fin_all
-        self.label = label
-        self.normalized = normalized
+        self.host, self.bpp, self.ppm, self.ppf, self.label = host, bpp, ppm, ppf, label
+        self.ackpush_all, self.req_all, self.syn_all, self.rst_all, self.fin_all, self.normalized = (
+            ackpush_all, req_all, syn_all, rst_all, fin_all, normalized
+        )
         self.__class__ = FeatureVector
 
     def values(self) -> tuple[float, ...]:
@@ -345,6 +315,102 @@ class NormalizationParams:
 
 
 # ---------------------------------------------------------------------------
+# feature tables
+# ---------------------------------------------------------------------------
+
+#: The Label of each label code, in code order
+LABELS = tuple(Label)
+
+
+class _RowTable(SequenceABC):
+    """A Sequence of the rows its _rows() builds on first read; equal to a list or table of equal rows."""
+
+    __slots__ = ()
+
+    def __getitem__(self, index):
+        return self._rows()[index]
+
+    def __iter__(self) -> Iterator:
+        return iter(self._rows())
+
+    def __eq__(self, other):
+        if not isinstance(other, (type(self), list)):
+            return NotImplemented
+        return self._rows() == list(other)
+
+    __hash__ = None
+
+
+class FeatureTable(_RowTable):
+    """Feature vectors as one read-only float64 matrix, a row per host.
+
+    ``hosts`` holds the row ids in row order (sorted by host_vectors, in
+    file order by parse_feature_csv), ``matrix`` the C-ordered (n, 8)
+    features in FEATURE_ORDER and ``label`` each row's index into LABELS.
+    Every row is raw, or every row normalized, as ``normalized`` says, and
+    passed every FeatureVector check. The vectors of the Sequence are built
+    on the first iteration or index; steps 2-8 read the matrix and build none.
+    """
+
+    __slots__ = ("hosts", "matrix", "label", "normalized", "_vectors")
+
+    def __init__(self, hosts: Sequence[str], matrix: np.ndarray, label: Sequence, normalized: bool = False):
+        self.hosts = tuple(hosts)
+        self.matrix = np.ascontiguousarray(matrix, np.float64).reshape(len(self.hosts), len(FEATURE_ORDER))
+        self.label = np.asarray(label, np.int8).reshape(len(self.hosts))
+        self.matrix.flags.writeable = self.label.flags.writeable = False
+        self.normalized = normalized
+        self._vectors: list[FeatureVector] | None = None
+
+    @classmethod
+    def from_vectors(cls, vectors: Iterable[FeatureVector]) -> FeatureTable:
+        """The table of ``vectors``, in order (a table as it is); ValueError if raw and normalized mix."""
+        if isinstance(vectors, FeatureTable):
+            return vectors
+        vectors = list(vectors)
+        kinds = {v.normalized for v in vectors}
+        if len(kinds) > 1:
+            raise ValueError("a feature table holds raw or normalized vectors, not both")
+        values, labels = [v.values() for v in vectors], [LABELS.index(v.label) for v in vectors]
+        return cls([v.host for v in vectors], np.array(values), labels, kinds == {True})
+
+    def _rows(self) -> list[FeatureVector]:
+        if self._vectors is None:
+            labels = map(LABELS.__getitem__, self.label.tolist())
+            columns = self.matrix.T.tolist()
+            self._vectors = list(map(FeatureVector, self.hosts, *columns, labels, repeat(self.normalized)))
+        return self._vectors
+
+    def __len__(self) -> int:
+        return len(self.hosts)
+
+
+def feature_table(vectors: Iterable[FeatureVector], normalized: bool) -> FeatureTable:
+    """``vectors`` as a FeatureTable, all normalized or all raw as ``normalized`` says.
+
+    The first other vector (a table: its first row) raises UnnormalizedInputError or AlreadyNormalizedError.
+    """
+    if isinstance(vectors, FeatureTable):
+        odd = vectors.hosts[:1] if vectors.normalized != normalized else ()
+    else:
+        vectors = list(vectors)
+        odd = [v.host for v in vectors if v.normalized != normalized]
+    if odd:
+        error = UnnormalizedInputError if normalized else AlreadyNormalizedError
+        raise error(f"vector for {odd[0]!r} is {'not' if normalized else 'already'} normalized")
+    return FeatureTable.from_vectors(vectors)
+
+
+#: Each raw feature's largest value in FEATURE_ORDER: any finite float, or 1 for a ratio
+_RAW_TOP = np.where(np.isin(FEATURE_ORDER, RAW_FEATURES), np.finfo(np.float64).max, 1.0)
+
+
+def _raw_rows_valid(matrix: np.ndarray) -> np.ndarray:
+    """Whether each row of raw features passes FeatureVector's checks (a NaN fails them)."""
+    return ((matrix >= 0.0) & (matrix <= _RAW_TOP)).all(axis=1)
+
+
+# ---------------------------------------------------------------------------
 # flow tables
 # ---------------------------------------------------------------------------
 
@@ -368,7 +434,7 @@ _COLUMNS = (
 )
 
 
-class FlowTable(SequenceABC):
+class FlowTable(_RowTable):
     """A read-only flow capture: one row per flow, in int-coded numpy columns.
 
     ``hosts`` holds each host id once, in first-seen order (a flow's source,
@@ -381,8 +447,7 @@ class FlowTable(SequenceABC):
     A table is also a Sequence of FlowRecord. The records are built on the
     first iteration or index, and kept; equal host ids share one ``str``,
     equal ``dst_port`` values one ``int`` and equal flags sets one
-    ``frozenset``. The pipeline steps read the columns and build none. A
-    table equals a list, or another table, of equal records.
+    ``frozenset``. The pipeline steps read the columns and build none.
     """
 
     __slots__ = ("hosts", "flag_sets", *(name for name, _ in _COLUMNS), "_records", "_host_cache")
@@ -479,21 +544,6 @@ class FlowTable(SequenceABC):
     def __len__(self) -> int:
         return len(self.start_time)
 
-    def __getitem__(self, index):
-        return self._rows()[index]
-
-    def __iter__(self) -> Iterator[FlowRecord]:
-        return iter(self._rows())
-
-    def __eq__(self, other):
-        if isinstance(other, FlowTable):
-            other = other._rows()
-        if not isinstance(other, list):
-            return NotImplemented
-        return self._rows() == other
-
-    __hash__ = None
-
     def __repr__(self) -> str:
         return f"<FlowTable: {len(self)} flows, {len(self.hosts)} hosts>"
 
@@ -538,7 +588,7 @@ class _TableBuilder:
 
         self.host_cells = Memo(lambda cell: hosts[cell.strip()])
         self.port_cells = Memo(int)
-        self.protocol_cells = Memo(lambda cell: _PROTOCOL_CODE[Protocol(cell.strip().upper())])
+        self.protocol_cells = Memo(lambda cell: _PROTOCOL_CODE[_parse_protocol(cell)])
         self.flag_cells = Memo(flag_code)
         self.request_cells = Memo(_parse_bool)
 
@@ -549,27 +599,16 @@ class _TableBuilder:
         n = len(records)
         if not n:
             return
-
-        def column(name, dtype):
-            return np.fromiter(map(_FIELDS[name], records), dtype, n)
-
         # numbered a flow's source, then its destination, so new hosts number in first-seen order
         hosts = np.fromiter(
             map(self.hosts.__getitem__, chain.from_iterable(map(_ENDPOINTS, records))), np.int32, 2 * n
         )
-        self.pieces.append([
-            hosts[0::2],
-            hosts[1::2],
-            column("src_port", np.int32),
-            column("dst_port", np.int32),
-            np.fromiter(map(_PROTOCOL_CODE.__getitem__, map(_FIELDS["protocol"], records)), np.int8, n),
-            column("start_time", np.float64),
-            column("end_time", np.float64),
-            column("packets", np.int64),
-            column("bytes", np.int64),
-            np.fromiter(map(self.flag_sets.__getitem__, map(_FIELDS["flags"], records)), np.uint8, n),
-            column("is_request", np.bool_),
-        ])
+        coded = {"protocol": _PROTOCOL_CODE.__getitem__, "flags": self.flag_sets.__getitem__}
+        columns = []
+        for name, (_, dtype) in zip(FLOW_FIELDS[2:], _COLUMNS[2:]):
+            values = map(_FIELDS[name], records)
+            columns.append(np.fromiter(map(coded[name], values) if name in coded else values, dtype, n))
+        self._add(hosts[0::2], hosts[1::2], *columns)
 
     def add_cells(self, rows: list[list[str]], positions: Sequence[int]) -> bool:
         """Append rows of raw cells if every row passes every FlowRecord check.
@@ -607,19 +646,10 @@ class _TableBuilder:
             return False
         if not _rows_pass(src_port, dst_port, protocol, start, end, packets, n_bytes, flags, self.flag_sets):
             return False
-        self.pieces.append([
-            hosts[0::2],
-            hosts[1::2],
-            src_port.astype(np.int32),
-            dst_port.astype(np.int32),
-            protocol,
-            start,
-            end,
-            packets,
-            n_bytes,
-            flags,
-            request,
-        ])
+        self._add(
+            hosts[0::2], hosts[1::2], src_port, dst_port, protocol, start, end, packets, n_bytes,
+            flags, request,
+        )
         return True
 
     def add_columns(
@@ -638,19 +668,14 @@ class _TableBuilder:
         ends[0::2], ends[1::2] = src, dst  # a flow's source, then its destination
         host_code = _first_seen_codes(self.hosts, hosts, ends, np.int32)
         flag_code = _first_seen_codes(self.flag_sets, flag_sets, flags, np.uint8)
-        self.pieces.append([
-            host_code[src],
-            host_code[dst],
-            src_port.astype(np.int32),
-            dst_port.astype(np.int32),
-            protocol.astype(np.int8),
-            start,
-            end,
-            packets.astype(np.int64),
-            n_bytes.astype(np.int64),
-            flag_code[flags],
-            request.astype(np.bool_),
-        ])
+        self._add(
+            host_code[src], host_code[dst], src_port, dst_port, protocol, start, end, packets, n_bytes,
+            flag_code[flags], request,
+        )
+
+    def _add(self, *columns: np.ndarray) -> None:
+        """Append a piece, one column per FlowRecord field in FLOW_FIELDS order, in FlowTable's dtypes."""
+        self.pieces.append([c.astype(t, copy=False) for c, (_, t) in zip(columns, _COLUMNS, strict=True)])
 
     def table(self) -> FlowTable:
         columns = []
@@ -703,6 +728,16 @@ def _parse_bool(text: str) -> bool:
     if key in ("0", "false", "no"):
         return False
     raise ValueError(f"not a boolean: {text!r}")
+
+
+def _parse_protocol(text: str) -> Protocol:
+    return Protocol(text.strip().upper())
+
+
+#: How a flow CSV cell reads, per FlowRecord field in FLOW_FIELDS order
+_CELL_READERS = (
+    str.strip, str.strip, int, int, _parse_protocol, float, float, int, int, _parse_flags, _parse_bool,
+)
 
 
 def _csv_lines(text: str | Iterable[str]) -> Iterator[str]:
@@ -1007,32 +1042,14 @@ def _flow_records(
     lines: Sequence[int], rows: list[list[str]], positions: Sequence[int], width: int
 ) -> list[FlowRecord]:
     """The records of a piece of rows, read one row at a time: the first bad row raises."""
-    i_src, i_dst, i_sport, i_dport, i_proto, i_start, i_end, i_packets, i_bytes, i_flags, i_request = (
-        positions
-    )
     records = []
     for line_no, row in zip(lines, rows):
         if _is_blank(row):
             continue
         _check_width(row, width, line_no)
         try:
-            # the cells parse in field order, so a row with two bad cells
-            # reports the first
-            records.append(
-                FlowRecord(
-                    row[i_src].strip(),
-                    row[i_dst].strip(),
-                    int(row[i_sport]),
-                    int(row[i_dport]),
-                    Protocol(row[i_proto].strip().upper()),
-                    float(row[i_start]),
-                    float(row[i_end]),
-                    int(row[i_packets]),
-                    int(row[i_bytes]),
-                    _parse_flags(row[i_flags]),
-                    _parse_bool(row[i_request]),
-                )
-            )
+            # the cells read in field order, so a row with two bad cells reports the first
+            records.append(FlowRecord(*[read(row[i]) for read, i in zip(_CELL_READERS, positions)]))
         except ValueError as exc:
             raise MalformedRowError(line_no, str(exc)) from exc
     return records
@@ -1138,31 +1155,12 @@ def flows_sha256(flows: FlowTable | Iterable[FlowRecord]) -> str:
 # ---------------------------------------------------------------------------
 
 def hosts_in(flows: FlowTable | Iterable[FlowRecord]) -> set[str]:
-    """Every host id that is a flow's source or destination; a table's are read from its columns."""
-    if isinstance(flows, FlowTable):
-        # a taken table shares the hosts of the table it was taken from, rowless ones too
-        in_rows = np.zeros(len(flows.hosts), bool)
-        in_rows[flows.src] = in_rows[flows.dst] = True
-        return set(compress(flows.hosts, in_rows.tolist()))
-    hosts: set[str] = set()
-    for f in flows:
-        hosts.add(f.src_host)
-        hosts.add(f.dst_host)
-    return hosts
-
-
-def flows_by_host(flows: Iterable[FlowRecord]) -> dict[str, list[FlowRecord]]:
-    """Host -> the flows it takes part in, built in one pass over the flows.
-
-    Each list keeps input order; a loopback flow is filed once under its
-    host. The keys are exactly ``hosts_in(flows)``.
-    """
-    index: dict[str, list[FlowRecord]] = {}
-    for f in flows:
-        index.setdefault(f.src_host, []).append(f)
-        if f.dst_host != f.src_host:
-            index.setdefault(f.dst_host, []).append(f)
-    return index
+    """Every host id that is a flow's source or destination, read from a table's columns."""
+    table = FlowTable.from_records(flows)
+    # a taken table shares the hosts of the table it was taken from, rowless ones too
+    in_rows = np.zeros(len(table.hosts), bool)
+    in_rows[table.src] = in_rows[table.dst] = True
+    return set(compress(table.hosts, in_rows.tolist()))
 
 
 def full_span(flows: FlowTable | Iterable[FlowRecord]) -> tuple[float, float]:
@@ -1195,16 +1193,23 @@ def _window_minutes(window: tuple[float, float]) -> float:
 _COUNTED_FLAGS = tuple(map(frozenset, (("ACK", "PUSH"), ("SYN",), ("RST",), ("FIN",))))
 
 
-def _flag_counts(by_set: np.ndarray, flag_sets: Sequence[frozenset[str]]) -> list:
+def _flag_counts(by_set: np.ndarray, flag_sets: tuple[frozenset[str], ...]) -> list:
     """Flow counts by flags set along the last axis -> per _COUNTED_FLAGS entry, its count(s)."""
-    carries = np.array([[need <= s for s in flag_sets] for need in _COUNTED_FLAGS], np.int64)
-    return (by_set @ carries.T).T.tolist()
+    return (by_set @ _carries(flag_sets)).T.tolist()
 
 
-def _raw_vector(host, flows, packets, n_bytes, requests, ackpush, syn, rst, fin, minutes) -> FeatureVector:
-    """A host's raw vector from its int counts over a window: the eight divisions, made once here."""
-    return FeatureVector(
-        host, n_bytes / packets, packets / minutes, packets / flows,
+@functools.lru_cache(maxsize=64)  # asked for by every aggregate_host_features call
+def _carries(flag_sets: tuple[frozenset[str], ...]) -> np.ndarray:
+    """A 0/1 column per _COUNTED_FLAGS entry: whether each flags set carries its flags (read-only)."""
+    carries = np.array([[need <= s for need in _COUNTED_FLAGS] for s in flag_sets], np.int64)
+    carries.flags.writeable = False
+    return carries.reshape(-1, len(_COUNTED_FLAGS))
+
+
+def _raw_row(flows, packets, n_bytes, requests, ackpush, syn, rst, fin, minutes) -> tuple[float, ...]:
+    """A host's raw features from its int counts over a window: the eight divisions, made once here."""
+    return (
+        n_bytes / packets, packets / minutes, packets / flows,
         ackpush / flows, requests / flows, syn / flows, rst / flows, fin / flows,
     )
 
@@ -1243,26 +1248,27 @@ def aggregate_host_features(
     (n_bytes,) = _exact_sums(one_group, table.bytes[rows], 1)
     requests = int(np.count_nonzero(table.is_request[rows] & (table.src[rows] == h)))
     by_set = np.bincount(table.flags[rows], minlength=len(table.flag_sets))
-    ackpush, syn, rst, fin = _flag_counts(by_set, table.flag_sets)
-    return _raw_vector(host, len(rows), packets, n_bytes, requests, ackpush, syn, rst, fin, minutes)
+    flags = _flag_counts(by_set, table.flag_sets)  # ackpush, syn, rst, fin
+    return FeatureVector(host, *_raw_row(len(rows), packets, n_bytes, requests, *flags, minutes))
 
 
-def host_vectors(flows: FlowTable | Iterable[FlowRecord]) -> list[FeatureVector]:
-    """Raw vectors of every host, sorted by host, each over the full span.
+def host_vectors(flows: FlowTable | Iterable[FlowRecord]) -> FeatureTable:
+    """The raw table of every host, sorted by host, each row over the full span.
 
-    Each equals aggregate_host_features of the host over full_span(flows),
+    Each row equals aggregate_host_features of the host over full_span(flows),
     computed for every host at once from the table's columns: a flow counts
     once per distinct endpoint, so a loopback flow once. The packet and
     byte sums are exact integers (_exact_sums), and one np.bincount over
     (host, flags set) pairs gives the flow and flag counts; the final
-    divisions are _raw_vector's, which aggregate_host_features makes of the
+    divisions are _raw_row's, which aggregate_host_features makes of the
     same ints, so every float is the one a per-host call gives. A host of
     ``hosts`` without a flow in the table, as a table taken from a larger
-    one can hold, gives no vector; so a capture without a flow gives none.
+    one can hold, gives no row; so a capture without a flow gives none.
+    A row that fails a FeatureVector check raises its ValueError.
     """
     table = FlowTable.from_records(flows)
     if not len(table):
-        return []
+        return FeatureTable((), np.empty((0, len(FEATURE_ORDER))), ())
     minutes = _window_minutes(full_span(table))
     n, n_sets = len(table.hosts), len(table.flag_sets)
     apart = table.src != table.dst
@@ -1278,17 +1284,15 @@ def host_vectors(flows: FlowTable | Iterable[FlowRecord]) -> list[FeatureVector]
     by_set = np.bincount(ends * n_sets + at_both_ends(table.flags), minlength=n * n_sets)
     by_set = by_set.reshape(n, n_sets)
     flow_counts = by_set.sum(axis=1)
-    present = np.flatnonzero(flow_counts).tolist()
-    flow_counts = flow_counts.tolist()
+    rows = sorted(np.flatnonzero(flow_counts).tolist(), key=table.hosts.__getitem__)
+    hosts = [table.hosts[i] for i in rows]
     # a list per count, not per host: with 600 lists of four a 600-host run() measured 3% slower
-    ackpush, syn, rst, fin = _flag_counts(by_set, table.flag_sets)
-    return [
-        _raw_vector(
-            table.hosts[i], flow_counts[i], packets[i], n_bytes[i], requests[i],
-            ackpush[i], syn[i], rst[i], fin[i], minutes,
-        )
-        for i in sorted(present, key=table.hosts.__getitem__)
-    ]
+    counts = (flow_counts.tolist(), packets, n_bytes, requests, *_flag_counts(by_set, table.flag_sets))
+    raw = chain.from_iterable(map(_raw_row, *(map(c.__getitem__, rows) for c in counts), repeat(minutes)))
+    matrix = np.fromiter(raw, np.float64, len(rows) * len(FEATURE_ORDER)).reshape(len(rows), -1)
+    for bad in np.flatnonzero(~_raw_rows_valid(matrix))[:1].tolist():
+        FeatureVector(hosts[bad], *matrix[bad].tolist())  # raises the row's ValueError
+    return FeatureTable(hosts, matrix, [LABELS.index(Label.UNLABELED)] * len(hosts))
 
 
 #: Bits of each of the three limbs _exact_sums cuts a count into
@@ -1318,37 +1322,35 @@ def _exact_sums(groups: np.ndarray, values: np.ndarray, n: int) -> list[int]:
 # normalization
 # ---------------------------------------------------------------------------
 
-def fit_normalizer(vectors: Sequence[FeatureVector]) -> NormalizationParams:
-    """Per-feature min/max over a non-empty set of raw vectors."""
-    if not vectors:
-        raise EmptyInputError("fit_normalizer needs at least one vector")
-    for v in vectors:
-        if v.normalized:
-            raise AlreadyNormalizedError(f"vector for {v.host!r} is already normalized")
-    spans = {}
-    for name in RAW_FEATURES:
-        values = [getattr(v, name) for v in vectors]
-        spans[name] = (min(values), max(values))
-    return NormalizationParams(**spans)
+def fit_normalizer(vectors: Iterable[FeatureVector], *more: Iterable[FeatureVector]) -> NormalizationParams:
+    """Per-feature min/max of the raw features over one or more sets (tables or vectors), as one set.
 
-
-def normalize(v: FeatureVector, params: NormalizationParams) -> FeatureVector:
-    """Min-max scale the raw features of ``v`` into [0, 1].
-
-    Features with max == min map to 0. Values outside the fitted range are
-    clamped so the normalized-vector invariant (all fields in [0, 1]) holds
-    for any input. Ratio features pass through unchanged.
+    Of equal extremes, such as 0.0 and -0.0, a bound is the first, as min() and max() pick it.
     """
-    if v.normalized:
-        raise AlreadyNormalizedError(f"vector for {v.host!r} is already normalized")
-    bpp, ppm, ppf = [
-        0.0 if hi == lo else min(1.0, max(0.0, (x - lo) / (hi - lo)))
-        for x, (lo, hi) in zip((v.bpp, v.ppm, v.ppf), (params.bpp, params.ppm, params.ppf))
-    ]
-    return FeatureVector(
-        v.host, bpp, ppm, ppf, v.ackpush_all, v.req_all, v.syn_all, v.rst_all, v.fin_all,
-        v.label, True,
-    )
+    raw = np.concatenate([feature_table(v, False).matrix[:, : len(RAW_FEATURES)] for v in (vectors, *more)])
+    if not len(raw):
+        raise EmptyInputError("fit_normalizer needs at least one vector")
+    lo, hi = (raw[first(axis=0), range(len(RAW_FEATURES))].tolist() for first in (raw.argmin, raw.argmax))
+    return NormalizationParams(*zip(lo, hi))
+
+
+def normalize(vectors: FeatureTable | FeatureVector | Iterable[FeatureVector], params: NormalizationParams):
+    """The normalized table of a raw table (a vector: its normalized vector).
+
+    A raw feature x of span (lo, hi) becomes (x - lo) / (hi - lo), clamped
+    as ``min(1.0, max(0.0, ...))`` clamps it, or 0 where hi == lo, so every
+    feature lies in [0, 1]. Ratio features pass through unchanged.
+    """
+    if isinstance(vectors, FeatureVector):
+        return normalize([vectors], params)[0]
+    table = feature_table(vectors, normalized=False)
+    lo, hi = np.array([params.bpp, params.ppm, params.ppf], np.float64).T
+    raw, ratios = np.hsplit(table.matrix, [len(RAW_FEATURES)])
+    with np.errstate(all="ignore"):  # an inf span, or 0 / 0 where hi == lo, is masked below
+        scaled = (raw - lo) / (hi - lo)
+        # max(0.0, s) keeps 0.0 unless s > 0.0, so NaN and -0.0 become 0.0
+        scaled = np.where(hi == lo, 0.0, np.where(scaled > 0.0, np.minimum(scaled, 1.0), 0.0))
+    return FeatureTable(table.hosts, np.hstack([scaled, ratios]), table.label, True)
 
 
 # ---------------------------------------------------------------------------
@@ -1359,6 +1361,10 @@ _FEATURE_HEADER = ("host", *FEATURE_ORDER, "class")
 
 
 def _feature_csv_chunks(vectors: Sequence[FeatureVector]) -> Iterator[str]:
+    if isinstance(vectors, FeatureTable):  # from the matrix, building no vector
+        names = [label.value for label in LABELS]
+        cells = zip(vectors.hosts, vectors.matrix.tolist(), vectors.label.tolist())
+        return _csv_chunks(_FEATURE_HEADER, ([host, *x, names[code]] for host, x, code in cells))
     return _csv_chunks(_FEATURE_HEADER, ([v.host, *v.values(), v.label.value] for v in vectors))
 
 
@@ -1372,35 +1378,46 @@ def features_sha256(vectors: Sequence[FeatureVector]) -> str:
     return _sha256(_feature_csv_chunks(vectors))
 
 
-def parse_feature_csv(text: str | Iterable[str]) -> list[FeatureVector]:
-    """Parse a feature CSV.
+def parse_feature_csv(text: str | Iterable[str]) -> FeatureTable:
+    """Parse a feature CSV into a raw FeatureTable, in row order.
 
     The eight feature columns plus 'class' must appear in canonical order
     (later columns are ignored); a leading 'host' column is optional (rows
     without one get synthetic ids 'row<N>' and cannot be joined to graph
     features later).
+
+    The cells are read a column at a time and checked at numpy cost. When a
+    cell or row fails, the rows up to it are read again one at a time, so the
+    first bad row raises what a row-by-row parse raises.
     """
     table = CsvTable(text)
     with_host = table.header[:1] == ["host"]
     expected = _FEATURE_HEADER if with_host else _FEATURE_HEADER[1:]
     table.require_columns(expected, "feature CSV")
 
-    vectors = []
-    for row_no, line_no, row in table.rows(len(expected), unique_host=with_host):
+    hosts, lines, rows = [], [], []
+    labels = Memo(lambda cell: LABELS.index(parse_label(cell)))
+    try:
+        for row_no, line_no, row in table.rows(len(expected), unique_host=with_host):
+            hosts.append(row[0].strip() if with_host else f"row{row_no}")
+            lines.append(line_no)
+            rows.append(row[int(with_host) : len(expected)])  # the feature and class cells
+        *features, classes = list(zip(*rows)) or [()] * (len(FEATURE_ORDER) + 1)
+        matrix = np.array([list(map(float, cells)) for cells in features]).T
+        codes = np.fromiter(map(labels.__getitem__, classes), np.int8, len(rows))
+    except (MalformedRowError, ValueError):
+        _feature_rows(hosts, lines, rows)  # raises for a bad row read before the error, if one is
+        raise
+    if not _raw_rows_valid(matrix).all():
+        _feature_rows(hosts, lines, rows)
+    return FeatureTable(hosts, matrix, codes)
+
+
+def _feature_rows(hosts: list[str], lines: list[int], rows: list[list[str]]) -> None:
+    """Read each row's cells as a FeatureVector, in order: the first bad row raises MalformedRowError."""
+    for host, line_no, (*features, label) in zip(hosts, lines, rows):
         try:
-            if with_host:
-                host, rest = row[0].strip(), row[1:]
-            else:
-                host, rest = f"row{row_no}", row
-            # the feature cells parse before the class cell, so a row bad in
-            # both reports its feature
-            vectors.append(
-                FeatureVector(
-                    host,
-                    *map(float, rest[: len(FEATURE_ORDER)]),
-                    parse_label(rest[len(FEATURE_ORDER)]),
-                )
-            )
+            # the feature cells parse before the class cell: a row bad in both reports its feature
+            FeatureVector(host, *map(float, features), parse_label(label))
         except ValueError as exc:
             raise MalformedRowError(line_no, str(exc)) from exc
-    return vectors

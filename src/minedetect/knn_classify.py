@@ -16,25 +16,23 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import (
-    EmptyTrainingSetError,
-    MalformedRowError,
-    MissingVectorError,
-    UnnormalizedInputError,
-)
+from .errors import EmptyTrainingSetError, MalformedRowError
 from .flow_model import (
     FEATURE_ORDER,
+    LABELS,
     CsvTable,
+    FeatureTable,
     FeatureVector,
     Label,
     csv_text,
+    feature_table,
     parse_class_label,
 )
-from .snn_cluster import Cluster
+from .snn_cluster import Cluster, MemberVectors, member_table
 
 
 @dataclass(frozen=True)
@@ -70,18 +68,13 @@ def parse_predictions_csv(text: str | Iterable[str]) -> list[Prediction]:
 
 
 #: Most distance cells (query rows x training examples) one block of
-#: predict_all may hold, unless _MIN_BLOCK_ROWS query rows alone have more;
+#: KnnClassifier.vote may hold, unless _MIN_BLOCK_ROWS query rows alone have more;
 #: bounds the kernel's scratch memory.
 _BLOCK_CELLS = 1 << 14
 #: Fewest query rows a block holds: with thousands of training examples,
 #: smaller blocks pay numpy's fixed cost per call often enough to slow the
 #: scan (by a fifth with 6,400 examples and two rows a block).
 _MIN_BLOCK_ROWS = 8
-
-
-def _check_normalized(v: FeatureVector) -> None:
-    if not v.normalized:
-        raise UnnormalizedInputError(f"vector for {v.host!r} is not normalized")
 
 
 class KnnClassifier:
@@ -97,30 +90,25 @@ class KnnClassifier:
         self._columns: np.ndarray | None = None
         self._miner: np.ndarray | None = None
 
-    def fit(self, vectors: Sequence[FeatureVector]):
-        """Store the labeled examples; vectors must be normalized.
-
-        Each vector's own ``label`` field is its class and must be Miner or
-        NotMiner.
-        """
+    def fit(self, vectors: FeatureTable | Sequence[FeatureVector]):
+        """Store a normalized table (or vectors, put into one) of Miner and NotMiner examples."""
         if self.k < 1:
             raise ValueError("k must be >= 1")
-        if not vectors:
+        table = feature_table(vectors, normalized=True)
+        if not len(table):
             raise EmptyTrainingSetError("fit() needs at least one labeled example")
-        for v in vectors:
-            _check_normalized(v)
-            if v.label not in (Label.MINER, Label.NOT_MINER):
-                raise ValueError(f"training label for {v.host!r} must be Miner or NotMiner")
+        for i in np.flatnonzero(table.label == LABELS.index(Label.UNLABELED))[:1].tolist():
+            raise ValueError(f"training label for {table.hosts[i]!r} must be Miner or NotMiner")
 
-        self.effective_k_ = min(self.k, len(vectors))
+        self.effective_k_ = min(self.k, len(table))
         if self.effective_k_ < self.k:
             warnings.warn(
                 f"k={self.k} larger than training set; clamped to {self.effective_k_}",
                 stacklevel=2,
             )
         # column-major: row j holds feature j of every example, contiguously
-        self._columns = np.array([v.values() for v in vectors], dtype=np.float64).T.copy()
-        self._miner = np.array([v.label is Label.MINER for v in vectors], dtype=bool)
+        self._columns = table.matrix.T.copy()
+        self._miner = table.label == LABELS.index(Label.MINER)
         return self
 
     def _check_fitted(self) -> None:
@@ -131,31 +119,30 @@ class KnnClassifier:
         """Majority vote of the k nearest training examples."""
         return self.predict_all([v])[0]
 
-    def predict_all(self, vectors: Sequence[FeatureVector]) -> list[Prediction]:
-        """One prediction per vector, in order: the majority vote of its k nearest examples."""
+    def predict_all(self, vectors: FeatureTable | Iterable[FeatureVector]) -> list[Prediction]:
+        """One prediction per row or vector, in order: the majority vote of its k nearest examples."""
+        queries = feature_table(vectors, normalized=True)
+        return self._predictions(queries.hosts, *self.vote(queries))
+
+    def _predictions(self, hosts: Sequence[str], votes: np.ndarray, miner: np.ndarray) -> list[Prediction]:
+        labels = map([Label.NOT_MINER, Label.MINER].__getitem__, miner.tolist())
+        return list(map(Prediction, hosts, labels, (v / self.effective_k_ for v in votes.tolist())))
+
+    def vote(self, queries: FeatureTable) -> tuple[np.ndarray, np.ndarray]:
+        """Each query row's Miner votes among its k nearest examples, and whether it is a Miner.
+
+        A row is one when over half of its k votes are, or half are and its nearest example is one.
+        """
         self._check_fitted()
-        for v in vectors:
-            _check_normalized(v)
-        queries = np.array([v.values() for v in vectors], dtype=np.float64).reshape(
-            len(vectors), len(FEATURE_ORDER)
-        )
-        n_train = self._columns.shape[1]
+        queries = feature_table(queries, normalized=True)
+        n, n_train = len(queries), self._columns.shape[1]
         block = max(_MIN_BLOCK_ROWS, _BLOCK_CELLS // n_train)
-        votes = np.empty(len(vectors), dtype=np.int64)
-        nearest_miner = np.empty(len(vectors), dtype=bool)
-        for lo in range(0, len(vectors), block):
-            hi = min(lo + block, len(vectors))
-            votes[lo:hi], nearest_miner[lo:hi] = self._score_block(queries[lo:hi])
+        votes, nearest_miner = np.empty(n, np.int64), np.empty(n, bool)
+        for lo in range(0, n, block):
+            rows = slice(lo, lo + block)
+            votes[rows], nearest_miner[rows] = self._score_block(queries.matrix[rows])
         k = self.effective_k_
-        predictions = []
-        for v, miner_votes, miner_nearest in zip(vectors, votes.tolist(), nearest_miner.tolist()):
-            score = miner_votes / k
-            if score > 0.5 or (score == 0.5 and miner_nearest):
-                label = Label.MINER
-            else:
-                label = Label.NOT_MINER
-            predictions.append(Prediction(host=v.host, label=label, score=score))
-        return predictions
+        return votes, (2 * votes > k) | ((2 * votes == k) & nearest_miner)
 
     def _score_block(self, queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Miner votes among each query's k nearest, and whether its nearest is a miner.
@@ -195,23 +182,22 @@ class KnnClassifier:
     def predict_cluster(
         self,
         clusters: Sequence[Cluster],
-        vectors: Mapping[str, FeatureVector],
+        vectors: MemberVectors,
     ) -> tuple[dict[str, Prediction], dict[str, Label]]:
-        """Step 8: each member's prediction, from one predict_all call, and each cluster's verdict.
+        """Step 8: each member's prediction, from one vote call, and each cluster's verdict.
 
-        Members are scored cluster by cluster, each cluster's in sorted
-        order. A cluster is Miner iff its members' mean score exceeds 0.5.
-        The name stays singular because the benchmark tracer
-        (bench/tracer.py) wraps the method by it.
+        Members are scored cluster by cluster, each cluster's in sorted order
+        (member_table). A cluster is Miner iff its members' mean score exceeds
+        0.5, decided exactly on the integer votes: 2 * sum(votes) > k * size.
+        The name stays singular as bench/tracer.py wraps the method by it.
         """
-        members = [sorted(cluster.members) for cluster in clusters]
-        hosts = [host for group in members for host in group]
-        for host in hosts:
-            if host not in vectors:
-                raise MissingVectorError(f"no feature vector for cluster member {host!r}")
-        predictions = dict(zip(hosts, self.predict_all([vectors[host] for host in hosts])))
-        verdicts = {}
-        for cluster, group in zip(clusters, members):
-            mean_score = sum(predictions[host].score for host in group) / len(group)
-            verdicts[cluster.id] = Label.MINER if mean_score > 0.5 else Label.NOT_MINER
+        queries = member_table(clusters, vectors)
+        votes, miner = self.vote(queries)
+        predictions = dict(zip(queries.hosts, self._predictions(queries.hosts, votes, miner)))
+        sizes = [cluster.size for cluster in clusters]
+        totals = np.add.reduceat(votes, np.cumsum([0, *sizes[:-1]])).tolist() if sizes else []
+        verdicts = {
+            cluster.id: Label.MINER if 2 * total > self.effective_k_ * size else Label.NOT_MINER
+            for cluster, total, size in zip(clusters, totals, sizes)
+        }
         return predictions, verdicts

@@ -24,7 +24,7 @@ import numpy as np
 from . import comm_graph, flow_model, kvconfig, metrics as metrics_mod, snn_cluster
 from .comm_graph import CommGraph, StateParams
 from .errors import InvalidConfigError, MineDetectError
-from .flow_model import FeatureVector, FlowRecord, Label
+from .flow_model import FeatureTable, FeatureVector, FlowRecord, Label
 from .knn_classify import KnnClassifier, Prediction
 from .kvconfig import Key, comma_list, optional_int
 from .snn_cluster import Cluster, State, STATE_RANK
@@ -181,17 +181,14 @@ def _stage(step: int, fn, *args):
 
 
 def normalize_vectors(
-    raw: Sequence[FeatureVector],
-    labeled: Sequence[FeatureVector],
-) -> tuple[list[FeatureVector], list[FeatureVector]]:
-    """Step 2: min-max scale raw and labeled vectors on one shared scale, each list in order."""
-    if not raw and not labeled:
-        return [], []
-    params = flow_model.fit_normalizer([*raw, *labeled])
-    return (
-        [flow_model.normalize(v, params) for v in raw],
-        [flow_model.normalize(v, params) for v in labeled],
-    )
+    raw: Sequence[FeatureVector], labeled: Sequence[FeatureVector]
+) -> tuple[FeatureTable, FeatureTable]:
+    """Step 2: min-max scale the raw and labeled tables (or vectors) on one scale, fitted on both."""
+    raw, labeled = map(FeatureTable.from_vectors, (raw, labeled))
+    if not len(raw) and not len(labeled):
+        return raw, labeled
+    params = flow_model.fit_normalizer(raw, labeled)
+    return flow_model.normalize(raw, params), flow_model.normalize(labeled, params)
 
 
 def lifecycle_states(
@@ -281,7 +278,7 @@ def run(
     config = config or PipelineConfig()
     # step 1: inputs arrive parsed; record sizes and digests
     flows = flow_model.FlowTable.from_records(flows)
-    labeled = list(labeled)
+    labeled = FeatureTable.from_vectors(labeled)
     digests = {
         "flows_sha256": flow_model.flows_sha256(flows),
         "labeled_sha256": flow_model.features_sha256(labeled),
@@ -289,17 +286,16 @@ def run(
     host_norm, labeled_norm = _stage(
         2, lambda: normalize_vectors(flow_model.host_vectors(flows), labeled)
     )
-    normalized = {v.host: v for v in host_norm}
     graph, host_states = _stage(3, lifecycle_states, flows, config)
     # labeled hosts absent from the capture still train the KNN
-    unmatched = sum(1 for v in labeled_norm if v.host not in normalized)
+    unmatched = len(labeled_norm) - sum(map(set(host_norm.hosts).__contains__, labeled_norm.hosts))
     clusters = _stage(5, cluster_hosts, graph, config.k_shared)
-    clusters = _stage(6, snn_cluster.finalize_clusters, clusters, host_states, normalized)
+    clusters = _stage(6, snn_cluster.finalize_clusters, clusters, host_states, host_norm)
     model = None
     predictions, cluster_verdicts = {}, {}
-    if labeled_norm and normalized:
+    if len(labeled_norm) and len(host_norm):
         model = _stage(7, KnnClassifier(k=config.knn_k).fit, labeled_norm)
-        predictions, cluster_verdicts = _stage(8, model.predict_cluster, clusters, normalized)
+        predictions, cluster_verdicts = _stage(8, model.predict_cluster, clusters, host_norm)
     report_metrics = _stage(9, evaluate, predictions, host_states, ground_truth)
     # step 10: suspicious hosts and report assembly
     suspicious = sorted(
@@ -314,13 +310,13 @@ def run(
     n_inputs = len(flows) + len(labeled)
     rows = (  # (rows_in, rows_out) of each step
         (n_inputs, n_inputs),
-        (n_inputs, len(normalized) + len(labeled_norm)),
+        (n_inputs, len(host_norm) + len(labeled_norm)),
         (len(flows), len(host_states)),
         (len(labeled_norm), len(labeled_norm)),
         (len(host_states), len(clusters)),
         (len(clusters), len(clusters)),
         (len(labeled_norm), len(labeled_norm) if model else 0),
-        (len(normalized), len(predictions)),
+        (len(host_norm), len(predictions)),
         (len(predictions), int(report_metrics is not None)),
         (len(predictions), len(suspicious)),
     )

@@ -24,12 +24,8 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .comm_graph import CommGraph, Edge, HostDeltas, PairDeltas, StateParams, _Csr
-from .errors import (
-    MissingHostStateError,
-    MissingVectorError,
-    UnnormalizedInputError,
-)
-from .flow_model import FEATURE_ORDER, FeatureVector, csv_text
+from .errors import MissingHostStateError, MissingVectorError
+from .flow_model import FEATURE_ORDER, FeatureTable, FeatureVector, csv_text, feature_table
 
 
 class State(str, enum.Enum):
@@ -38,6 +34,9 @@ class State(str, enum.Enum):
     S2 = "S2"
     S3 = "S3"
 
+
+#: The feature vectors of cluster members: a table, or vectors by host
+MemberVectors = FeatureTable | Mapping[str, FeatureVector]
 
 #: Severity order used by cluster_state and the suspicious-host rule.
 STATE_RANK = {State.S0: 0, State.S1: 1, State.S2: 2, State.S3: 3}
@@ -221,44 +220,56 @@ def state_ranks(d: PairDeltas, params: StateParams) -> np.ndarray:
 
 
 def cluster_state(cluster: Cluster, host_states: Mapping[str, State]) -> State:
-    """Most severe member state (S0 < S1 < S2 < S3)."""
+    """Most severe member state (S0 < S1 < S2 < S3, as the str values compare)."""
     missing = cluster.members - host_states.keys()
     if missing:
         raise MissingHostStateError(f"no state for cluster member {min(missing)!r}")
-    return max((host_states[m] for m in cluster.members), key=STATE_RANK.__getitem__)
+    return max(map(host_states.__getitem__, cluster.members))
 
 
-def cluster_profile(
-    cluster: Cluster,
-    vectors: Mapping[str, FeatureVector],
-) -> tuple[float, ...]:
+def member_table(clusters: Sequence[Cluster], vectors: MemberVectors) -> FeatureTable:
+    """The normalized rows of every cluster's members, cluster by cluster, each cluster's sorted.
+
+    A Mapping's vectors are put into one table first; a member's row is the
+    last of its host. Raw vectors raise UnnormalizedInputError and the first
+    member without a vector MissingVectorError.
+    """
+    hosts = [host for cluster in clusters for host in sorted(cluster.members)]
+    table = feature_table(vectors if isinstance(vectors, FeatureTable) else vectors.values(), normalized=True)
+    index = {host: row for row, host in enumerate(table.hosts)}
+    try:
+        rows = np.fromiter(map(index.__getitem__, hosts), np.int64, len(hosts))
+    except KeyError as exc:
+        raise MissingVectorError(f"no feature vector for cluster member {exc.args[0]!r}") from None
+    return FeatureTable(hosts, table.matrix[rows], table.label[rows], True)
+
+
+def _profiles(clusters: Sequence[Cluster], vectors: MemberVectors) -> list[tuple[float, ...]]:
+    """Each cluster's per-feature centroid (arithmetic mean) over its normalized member vectors.
+
+    A cluster's rows, sorted by member, are summed along axis 0: a C-ordered
+    block sums a row at a time, in order, as sum() folded floats before
+    Python 3.12, so a centroid is one float on every Python version. The
+    + 0.0 is sum()'s start of 0: a column of -0.0 sums to 0.0 whatever numpy starts from.
+    """
+    rows, sizes = member_table(clusters, vectors).matrix, [cluster.size for cluster in clusters]
+    ends = np.cumsum([0, *sizes]).tolist()
+    sums = (rows[lo:hi].sum(axis=0) + 0.0 for lo, hi in zip(ends, ends[1:]))
+    return [tuple((total / size).tolist()) for total, size in zip(sums, sizes)]
+
+
+def cluster_profile(cluster: Cluster, vectors: MemberVectors) -> tuple[float, ...]:
     """Per-feature centroid (arithmetic mean) over normalized member vectors."""
-    rows = []
-    for member in sorted(cluster.members):
-        if member not in vectors:
-            raise MissingVectorError(f"no feature vector for cluster member {member!r}")
-        v = vectors[member]
-        if not v.normalized:
-            raise UnnormalizedInputError(f"vector for {member!r} is not normalized")
-        rows.append(v.values())
-    n = len(rows)
-    return tuple(sum(col) / n for col in zip(*rows))
+    return _profiles([cluster], vectors)[0]
 
 
 def finalize_clusters(
-    clusters: Sequence[Cluster],
-    host_states: Mapping[str, State],
-    vectors: Mapping[str, FeatureVector],
+    clusters: Sequence[Cluster], host_states: Mapping[str, State], vectors: MemberVectors
 ) -> list[Cluster]:
     """Attach states and centroids to extracted clusters."""
-    return [
-        replace(
-            c,
-            state=cluster_state(c, host_states),
-            profile=cluster_profile(c, vectors),
-        )
-        for c in clusters
-    ]
+    states = [cluster_state(c, host_states) for c in clusters]
+    profiles = _profiles(clusters, vectors)
+    return [replace(c, state=s, profile=p) for c, s, p in zip(clusters, states, profiles)]
 
 
 # ---------------------------------------------------------------------------

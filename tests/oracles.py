@@ -291,6 +291,17 @@ def fingerprint_match_brute(flow, ports, min_duration, required_flags, pool_host
     return flow.dst_port in ports or flow.dst_host in pool_hosts
 
 
+def dc_change_factor(c_prev: float, c_next: float, cap: float = 1000.0) -> float:
+    """Multiplicative clustering-coefficient change c(t+1) / c(t), one pair at a time.
+
+    Defined as 1 when both coefficients are zero; a rise from exactly zero
+    yields the cap sentinel so downstream comparisons stay total.
+    """
+    if c_prev == 0.0:
+        return 1.0 if c_next == 0.0 else cap
+    return c_next / c_prev
+
+
 def window_deltas_naive(flows, bounds, internal_prefixes, delta_t, dc_cap, fingerprint):
     """Per-pair host deltas recomputed from the raw flows, one pair at a time.
 
@@ -417,6 +428,20 @@ def lifecycle_states_naive(flows, length, params):
             key = tuple(sorted((f.src_host, f.dst_host)))
             weights[key] = weights.get(key, 0) + 1
     return vertices, weights, {h: f"S{rank.get(h, 0)}" for h in vertices}
+
+
+def flows_by_host(flows):
+    """Host -> the flows it takes part in, built in one pass over the flows.
+
+    Each list keeps input order; a loopback flow is filed once under its
+    host. The keys are exactly ``hosts_in(flows)``.
+    """
+    index = {}
+    for f in flows:
+        index.setdefault(f.src_host, []).append(f)
+        if f.dst_host != f.src_host:
+            index.setdefault(f.dst_host, []).append(f)
+    return index
 
 
 def aggregate_host_features_naive(flows, host, window):

@@ -4,6 +4,7 @@ import random
 import re
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from minedetect import comm_graph
@@ -15,7 +16,6 @@ from minedetect.comm_graph import (
     StateParams,
     build_graph,
     clustering_coefficient,
-    dc_change_factor,
     edge_key,
     graph_features,
     graph_to_text,
@@ -32,6 +32,7 @@ from oracles import (
     check_edges_naive,
     edge_index_naive,
     clustering_fraction,
+    dc_change_factor,
     fingerprint_match_brute,
     gapped_capture,
     random_comm_graph,
@@ -541,6 +542,10 @@ def test_dc_factor_conventions():
     assert dc_change_factor(0.0, 0.0) == 1.0
     assert dc_change_factor(0.0, 0.4, cap=1000.0) == 1000.0
     assert dc_change_factor(0.5, 0.25) == 0.5
+    # window_deltas' array form gives the same floats, the conventions included
+    c_prev, c_next = [0.0, 0.0, 0.5, 0.3, 1.0], [0.0, 0.4, 0.25, 0.7, 0.0]
+    factors = comm_graph._change_factors(np.array(c_prev), np.array(c_next), 1000.0)
+    assert factors.tolist() == [dc_change_factor(p, n) for p, n in zip(c_prev, c_next)]
 
 
 def test_dc_peak_equals_max_of_earlier_factors():

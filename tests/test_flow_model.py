@@ -15,6 +15,7 @@ from pathlib import Path
 import pytest
 from oracles import (
     aggregate_host_features_naive,
+    flows_by_host,
     features_to_csv_writer,
     flows_to_csv_writer,
     normalize_naive,
@@ -22,7 +23,7 @@ from oracles import (
     parse_flow_csv_naive,
 )
 
-from minedetect import flow_model
+from minedetect import flow_model, pipeline
 from minedetect.cli import read_kv_file
 from minedetect.errors import (
     AlreadyNormalizedError,
@@ -34,6 +35,7 @@ from minedetect.errors import (
 )
 from minedetect.flow_model import (
     FEATURE_ORDER,
+    FeatureTable,
     FeatureVector,
     FlowRecord,
     FlowTable,
@@ -43,7 +45,6 @@ from minedetect.flow_model import (
     aggregate_host_features,
     features_to_csv,
     fit_normalizer,
-    flows_by_host,
     flows_to_csv,
     full_span,
     host_vectors,
@@ -1330,6 +1331,101 @@ def test_feature_csv_bad_rows_match_naive_parser(bad, message):
     assert fast.value.line_no == naive.value.line_no == 3
     assert str(fast.value) == str(naive.value)
     assert message in str(fast.value)
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        ["b,0.5,0.5,0.5,0.2,0.5,1.5,0,0.1,Miner", "a,1,1,1,0.2,0.5,0.3,0,0.1,Miner"],
+        ["b,0.5,0.5,0.5,0.2,0.5,1.5,0,0.1,Miner", "c,x,1,1,0.2,0.5,0.3,0,0.1,Miner"],
+        ["b,-1,0.5,0.5,0.2,0.5,0.3,0,0.1,Miner", "c,1,1,1,0.2,0.5,0.3,0,0.1,Bogus"],
+        ["b,0.5,0.5,0.5,0.2,0.5,0.3,0,nan,Miner", "", "c,1,1"],
+        ["b,1,1,1,0.2,0.5,0.3,0,0.1,Miner", "c,1,1,1,0.2,0.5,0.3,0,0.1,Bogus", "d,nan,1,1,0,0,0,0,0,Miner"],
+        ["b,1,1,1,0.2,0.5,0.3,0,0.1,Miner", "", "c,1,1,1,0.2,0.5,0.3,0,0.1,Miner", "d,1,inf,1,0,0,0,0,0,x"],
+    ],
+    ids=[
+        "range-before-duplicate", "range-before-float", "range-before-class", "range-before-short",
+        "class-before-range", "range-after-blank",
+    ],
+)
+@pytest.mark.parametrize("with_host", [True, False], ids=["host", "row-ids"])
+def test_feature_csv_names_the_first_bad_row_like_the_naive_parser(rows, with_host):
+    # the column read checks every row at once; the first bad row in the file still raises
+    text = "\n".join([_FEATURE_HEADER_TEXT, _GOOD_FEATURE_ROW, *rows]) + "\n"
+    text = text if with_host else _without_host_column(text)
+    with pytest.raises(MalformedRowError) as fast:
+        parse_feature_csv(text)
+    with pytest.raises(MalformedRowError) as naive:
+        parse_feature_csv_naive(text)
+    assert (fast.value.line_no, str(fast.value)) == (naive.value.line_no, str(naive.value))
+
+
+def test_feature_table_rows_and_digest_equal_the_parsed_vectors(reference_labeled_csv):
+    # row<N> ids count blank rows, as the naive parser numbers them
+    text = _without_host_column(reference_labeled_csv).replace("\n", "\n\n", 3)
+    for csv_text in (reference_labeled_csv, text):
+        table = parse_feature_csv(csv_text)
+        assert isinstance(table, FeatureTable) and table.matrix.flags.c_contiguous
+        assert not table.matrix.flags.writeable and not table.normalized
+        _same_vectors(list(table), parse_feature_csv_naive(csv_text))
+        assert list(table.hosts) == [v.host for v in table]
+        expected = hashlib.sha256(features_to_csv(list(table)).encode("utf-8")).hexdigest()
+        assert flow_model.features_sha256(table) == expected
+        assert features_to_csv(table) == features_to_csv(list(table))
+    assert FeatureTable.from_vectors(table) is table
+    assert table == list(table) and table[1:3] == list(table)[1:3] and table[-1] == list(table)[-1]
+    with pytest.raises(ValueError, match="raw or normalized"):
+        FeatureTable.from_vectors([table[0], normalize(table[1], fit_normalizer([table[1]]))])
+
+
+def test_normalized_tables_match_naive_at_the_clamp_edges():
+    # every _EDGE_VALUES row in one table per span: values below, at and above lo and hi,
+    # hi == lo, signed zeros, subnormals and the largest float
+    n, m = len(_EDGE_VALUES), len(_EDGE_SPANS)
+    for j in range(m):
+        params = NormalizationParams(
+            bpp=_EDGE_SPANS[j], ppm=_EDGE_SPANS[(j + 2) % m], ppf=_EDGE_SPANS[(j + 7) % m]
+        )
+        vectors = [
+            make_vector(
+                host=f"h{i}", bpp=_EDGE_VALUES[i], ppm=_EDGE_VALUES[(i + 3) % n],
+                ppf=_EDGE_VALUES[(i + 5) % n], label=list(Label)[(i + j) % 3],
+            )
+            for i in range(n)
+        ]
+        table = normalize(FeatureTable.from_vectors(vectors), params)
+        assert table.normalized
+        _same_vectors(list(table), [normalize_naive(v, params) for v in vectors])
+
+
+def test_normalize_vectors_fits_one_scale_on_both_tables():
+    # the labeled set alone holds the bpp extremes; ppm is one value everywhere (hi == lo)
+    raw = [make_vector(host=f"r{i}", bpp=b, ppm=3.0) for i, b in enumerate([10.0, 20.0, 0.5])]
+    labeled = [
+        make_vector(host="lo", bpp=0.25, ppm=3.0, label=Label.MINER),
+        make_vector(host="hi", bpp=40.0, ppm=3.0, label=Label.NOT_MINER),
+    ]
+    params = fit_normalizer(raw, labeled)
+    assert params == fit_normalizer([*raw, *labeled]) == NormalizationParams(
+        bpp=(0.25, 40.0), ppm=(3.0, 3.0), ppf=(5.0, 5.0)
+    )
+    host_norm, labeled_norm = pipeline.normalize_vectors(FeatureTable.from_vectors(raw), labeled)
+    _same_vectors(list(host_norm), [normalize_naive(v, params) for v in raw])
+    _same_vectors(list(labeled_norm), [normalize_naive(v, params) for v in labeled])
+    assert [v.bpp for v in labeled_norm] == [0.0, 1.0]
+    assert {v.ppm for v in [*host_norm, *labeled_norm]} == {0.0}
+    # Python's min() and max() keep the first of equal extremes: so do the table bounds
+    zeros = [make_vector(host="p", bpp=0.0), make_vector(host="n", bpp=-0.0)]
+    assert repr(fit_normalizer(zeros).bpp) == repr(fit_normalizer_naive(zeros).bpp)
+    assert repr(fit_normalizer(zeros[::-1]).bpp) == repr(fit_normalizer_naive(zeros[::-1]).bpp)
+    with pytest.raises(AlreadyNormalizedError, match="'lo' is already normalized"):
+        fit_normalizer(raw, labeled_norm)
+
+
+def fit_normalizer_naive(vectors):
+    """fit_normalizer as it was: Python's min() and max() of each raw feature."""
+    values = {name: [getattr(v, name) for v in vectors] for name in ("bpp", "ppm", "ppf")}
+    return NormalizationParams(**{name: (min(x), max(x)) for name, x in values.items()})
 
 
 #: feature vectors with every awkward host cell, multi-byte UTF-8 included

@@ -18,7 +18,6 @@ from minedetect.flow_model import (
     FlowTable,
     Protocol,
     aggregate_host_features,
-    flows_by_host,
     flows_to_csv,
     host_vectors,
     parse_flow_csv,
@@ -28,6 +27,7 @@ from minedetect.synthgen import ScenarioConfig, generate
 
 from oracles import (
     aggregate_host_features_naive,
+    flows_by_host,
     gapped_capture,
     lifecycle_states_naive,
     parse_flow_csv_naive,

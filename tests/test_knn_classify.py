@@ -10,7 +10,7 @@ from minedetect.errors import (
     MissingVectorError,
     UnnormalizedInputError,
 )
-from minedetect.flow_model import FEATURE_ORDER, FeatureVector, Label
+from minedetect.flow_model import FEATURE_ORDER, FeatureTable, FeatureVector, Label
 from minedetect.knn_classify import KnnClassifier
 from minedetect.snn_cluster import Cluster
 
@@ -334,13 +334,13 @@ def test_predict_cluster_scores_every_cluster_in_one_call(monkeypatch):
     # what scoring each cluster on its own gives
     alone = {c.id: model.predict_all([vectors[h] for h in sorted(c.members)]) for c in clusters}
     calls = []
-    predict_all = model.predict_all
+    vote = model.vote
 
     def counting(queries):
-        calls.append([q.host for q in queries])
-        return predict_all(queries)
+        calls.append(list(queries.hosts))
+        return vote(queries)
 
-    monkeypatch.setattr(model, "predict_all", counting)
+    monkeypatch.setattr(model, "vote", counting)
     predictions, verdicts = model.predict_cluster(clusters, vectors)
     in_cluster_order = [h for c in clusters for h in sorted(c.members)]
     assert calls == [in_cluster_order]
@@ -358,3 +358,64 @@ def test_predict_cluster_scores_every_cluster_in_one_call(monkeypatch):
     with pytest.raises(MissingVectorError, match="cluster member 'q5'"):
         model.predict_cluster(clusters, vectors)
     assert calls == []
+
+
+# ---------------------------------------------------------------------------
+# feature tables
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("grid", [1, 2, 4])
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_tables_vote_like_the_stable_sort_oracle_and_clusters_decide_on_integer_votes(grid, k):
+    rng = random.Random(1000 * grid + k)
+    train = tied_set(rng, 60, grid)
+    queries = [
+        vec(f"q{i:02d}", [round(rng.random() * grid) / grid for _ in FEATURE_ORDER])
+        for i in range(60)
+    ]
+    model = KnnClassifier(k=k).fit(FeatureTable.from_vectors(train))
+    table = FeatureTable.from_vectors(queries)
+    expected = oracle_votes(train, queries, k)
+    got = model.predict_all(table)
+    assert [(p.label is Label.MINER, p.score) for p in got] == expected
+    assert got == KnnClassifier(k=k).fit(train).predict_all(queries)
+    # clusters of 1 to 6 members, members given out of sorted order
+    hosts = [q.host for q in queries]
+    rng.shuffle(hosts)
+    clusters, start = [], 0
+    while start < len(hosts):
+        size = rng.randint(1, 6)
+        clusters.append(Cluster(id=f"C{len(clusters)}", members=frozenset(hosts[start : start + size])))
+        start += size
+    predictions, verdicts = model.predict_cluster(clusters, table)
+    assert (predictions, verdicts) == model.predict_cluster(clusters, {q.host: q for q in queries})
+    by_host = dict(zip((q.host for q in queries), expected))
+    assert [predictions[q.host] for q in queries] == got
+    for cluster in clusters:
+        votes = sum(round(by_host[h][1] * k) for h in cluster.members)
+        assert verdicts[cluster.id] is (Label.MINER if 2 * votes > k * cluster.size else Label.NOT_MINER)
+
+
+def test_a_cluster_at_exactly_half_the_votes_is_not_a_miner():
+    # one member with 2 of 2 votes and one with 0 of 2: mean score 0.5, not above
+    train = [vec("m", [1.0] * 8, Label.MINER), vec("m2", [0.9] * 8, Label.MINER),
+             vec("n", [0.0] * 8, Label.NOT_MINER), vec("n2", [0.1] * 8, Label.NOT_MINER)]
+    model = KnnClassifier(k=2).fit(train)
+    members = FeatureTable.from_vectors([vec("a", [1.0] * 8), vec("b", [0.0] * 8)])
+    predictions, verdicts = model.predict_cluster([Cluster("C0", frozenset({"a", "b"}))], members)
+    assert [predictions[h].score for h in ("a", "b")] == [1.0, 0.0]
+    assert verdicts == {"C0": Label.NOT_MINER}
+
+
+def test_tables_of_the_wrong_kind_are_refused_by_the_first_host():
+    train = FeatureTable.from_vectors([vec("t0", [0.5] * 8, Label.MINER)])
+    raw = FeatureTable.from_vectors([vec("r0", [0.5] * 8, normalized=False)])
+    with pytest.raises(UnnormalizedInputError, match="'r0' is not normalized"):
+        KnnClassifier(k=1).fit(raw)
+    model = KnnClassifier(k=1).fit(train)
+    with pytest.raises(UnnormalizedInputError, match="'r0' is not normalized"):
+        model.predict_all(raw)
+    with pytest.raises(UnnormalizedInputError, match="'r0' is not normalized"):
+        model.predict_cluster([Cluster("C0", frozenset({"r0"}))], raw)
+    with pytest.raises(MissingVectorError, match="'zz'"):
+        model.predict_cluster([Cluster("C0", frozenset({"t0", "zz"}))], train)

@@ -1,5 +1,7 @@
+import builtins
 import dataclasses
 import gc
+import math
 import hashlib
 import json
 import random
@@ -35,7 +37,7 @@ from minedetect.pipeline import (
 from minedetect.snn_cluster import STATE_RANK, State
 from minedetect.synthgen import ScenarioConfig, generate
 
-from test_flow_model import make_flow, make_vector
+from test_flow_model import REFERENCE_CONFIG, make_flow, make_vector
 
 
 def scenario_inputs(train_seed=7, eval_seed=11, **overrides):
@@ -58,14 +60,14 @@ def test_clusters_change_no_host_vote_and_run_scores_once(monkeypatch):
     # a host's KNN vote never depends on its cluster: k_shared=8 splits G*
     # into a cluster per host, and the hosts section is the default run's
     labeled, flows, truth = scenario_inputs()
-    predict_all = KnnClassifier.predict_all
+    vote = KnnClassifier.vote
     calls = []
 
-    def counting(self, vectors):
-        calls.append(len(vectors))
-        return predict_all(self, vectors)
+    def counting(self, queries):
+        calls.append(len(queries))
+        return vote(self, queries)
 
-    monkeypatch.setattr(KnnClassifier, "predict_all", counting)
+    monkeypatch.setattr(KnnClassifier, "vote", counting)
     hosts = {}
     for k_shared in (2, 8):
         calls.clear()
@@ -167,16 +169,60 @@ def test_run_digests_the_labeled_set_without_serializing_it(monkeypatch):
 def test_run_predicts_each_host_once(monkeypatch):
     labeled, eval_flows, eval_truth = scenario_inputs()
     scored = []
-    original = KnnClassifier.predict_all
+    original = KnnClassifier.vote
 
-    def counting_predict_all(self, vectors):
-        scored.extend(v.host for v in vectors)
-        return original(self, vectors)
+    def counting_vote(self, queries):
+        scored.extend(queries.hosts)
+        return original(self, queries)
 
-    monkeypatch.setattr(KnnClassifier, "predict_all", counting_predict_all)
+    monkeypatch.setattr(KnnClassifier, "vote", counting_vote)
     report = run(eval_flows, labeled, PipelineConfig(), ground_truth=eval_truth.labels)
     assert sorted(scored) == sorted(hosts_in(eval_flows))
     assert set(report.predictions) == hosts_in(eval_flows)
+
+
+def compensated_sum(iterable, /, start=0):
+    """sum() as Python 3.12 adds floats: the first to ``start``, then Neumaier's compensated steps.
+
+    Anything but an int start and exact floats goes to the builtin sum().
+    """
+    items = list(iterable)
+    if not items or type(start) is not int or any(type(x) is not float for x in items):
+        return BUILTIN_SUM(items, start)
+    total, compensation = start + items[0], 0.0
+    for x in items[1:]:
+        t = total + x
+        compensation += (total - t) + x if abs(total) >= abs(x) else (x - t) + total
+        total = t
+    return total + compensation if compensation and math.isfinite(compensation) else total
+
+
+BUILTIN_SUM = sum
+
+
+def test_compensated_sum_differs_from_a_fold():
+    values = [0.1] * 10
+    assert BUILTIN_SUM(values) == 0.9999999999999999 and compensated_sum(values) == 1.0
+    assert compensated_sum([1, 2]) == 3 and repr(compensated_sum([-0.0])) == "0.0"
+
+
+def test_report_does_not_depend_on_how_sum_adds_floats(monkeypatch):
+    # from Python 3.12 on, sum() of floats is compensated; no floats of a
+    # report may come from it, so each Python gives the same bytes
+    train_flows, train_truth = generate(dataclasses.replace(REFERENCE_CONFIG, seed=7))
+    flows, truth = generate(REFERENCE_CONFIG)
+    labeled = labeled_vectors(train_flows, train_truth)
+
+    def report_text():
+        report = run(flows, labeled, PipelineConfig(), ground_truth=truth.labels)
+        report.provenance["generated_at"] = None
+        return report.to_json() + report_clusters_csv(report) + report_metrics_csv(report)
+
+    folded = report_text()
+    with monkeypatch.context() as patch:
+        patch.setattr(builtins, "sum", compensated_sum)
+        compensated = report_text()
+    assert compensated == folded
 
 
 def test_run_empty_flows_gives_empty_report():

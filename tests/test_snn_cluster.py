@@ -1,3 +1,5 @@
+import functools
+import operator
 import random
 import time
 import tracemalloc
@@ -12,7 +14,7 @@ from minedetect.errors import (
     MissingVectorError,
     UnnormalizedInputError,
 )
-from minedetect.flow_model import FEATURE_ORDER, full_span
+from minedetect.flow_model import FEATURE_ORDER, FeatureTable, full_span
 from minedetect.snn_cluster import (
     Cluster,
     STATE_RANK,
@@ -467,3 +469,27 @@ def test_clusters_to_csv_writes_null_state_and_centroid_as_empty_cells():
     (record,) = clusters_to_obj([c])
     assert record["state"] is None and record["centroid"] is None
     assert clusters_to_csv([record]).splitlines()[1] == "C0,2,," + "," * len(FEATURE_ORDER) + "a|b"
+
+
+def sequential_centroid(rows):
+    """Per-feature mean of the rows, each column summed one float at a time from 0, in order."""
+    return tuple(functools.reduce(operator.add, column, 0) / len(rows) for column in zip(*rows))
+
+
+# numpy sums a contiguous run in blocks of 8 and pairwise from 128 on: its edges
+@pytest.mark.parametrize("m", [1, 7, 8, 9, 127, 128, 129, 1000])
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_centroids_fold_member_rows_in_sorted_order(m, order):
+    rng = np.random.default_rng(m)
+    matrix = rng.random((m + 3, len(FEATURE_ORDER)))
+    matrix[:, 2] = rng.random(m + 3) ** 40  # values far apart in size, which rounding tells apart
+    matrix[:, 5] = -0.0  # Python's sum() starts at 0, so a column of -0.0 sums to 0.0
+    hosts = [f"h{i:04d}" for i in rng.permutation(m + 3)]  # rows not in host order
+    table = FeatureTable(hosts, np.asarray(matrix, order=order), [2] * (m + 3), normalized=True)
+    members = sorted(hosts)[:m]
+    expected = sequential_centroid([matrix[hosts.index(h)].tolist() for h in members])
+    cluster = Cluster(id="C0", members=frozenset(members))
+    profile = cluster_profile(cluster, table)
+    assert list(map(repr, profile)) == list(map(repr, expected))
+    (done,) = snn_cluster.finalize_clusters([cluster], {h: State.S0 for h in members}, table)
+    assert done.profile == profile
