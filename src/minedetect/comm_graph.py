@@ -455,25 +455,48 @@ def graph_features(g: CommGraph) -> GraphFeatures:
     built when it is looked up; its arrays ``k`` and ``c`` hold every
     vertex's values.
 
-    One pass over the edges, without adjacency sets (the degree-ordered
-    forward algorithm of Chiba & Nishizeki 1985; Latapy 2008). Each edge is
-    oriented from the lower to the higher (degree, id) rank, so a vertex has
-    d+(v) out-neighbours, and every triangle is the wedge of exactly one
-    vertex, its lowest-ranked corner: the two out-arcs v -> u, v -> w with
-    u -> w also an arc. The wedges of the sorted out-arc CSR come from
-    _Csr.wedges in blocks of at most ``_BLOCK_KEYS``; ``searchsorted`` on
-    the sorted arc keys tests each for its closing edge, and ``bincount``
-    adds each triangle to all three corners. k and T are exact integers and
-    c is the one division 2T / (k(k - 1)) of them, so c is the correctly
-    rounded value of the exact fraction; 0.0 below degree 2.
+    A dense graph (``_Dense.fits``) counts the triangles T(v) of each
+    vertex from row panels of A·A, A its 0/1 adjacency matrix: 2T(v) =
+    Σ_j (A·A)[v, j] · A[v, j], the common neighbours of v and each of its
+    neighbours. Any other graph takes one pass over the edges, without
+    adjacency sets (the degree-ordered forward algorithm of Chiba &
+    Nishizeki 1985; Latapy 2008). Each edge is oriented from the lower to
+    the higher (degree, id) rank, so a vertex has d+(v) out-neighbours, and
+    every triangle is the wedge of exactly one vertex, its lowest-ranked
+    corner: the two out-arcs v -> u, v -> w with u -> w also an arc. The
+    wedges of the sorted out-arc CSR come from _Csr.wedges in blocks of at
+    most ``_BLOCK_KEYS``; ``searchsorted`` on the sorted arc keys tests each
+    for its closing edge, and ``bincount`` adds each triangle to all three
+    corners. Either way k and T are exact integers and c is the one
+    division 2T / (k(k - 1)) of them, so c is the correctly rounded value
+    of the exact fraction; 0.0 below degree 2.
 
-    Cost: Σ C(d+(v), 2) wedges, at most O(|E|^1.5), against Σ C(deg(v), 2)
+    Cost: n³ multiply-adds in BLAS for a dense graph, where n² ≤ 16 |E|;
+    else Σ C(d+(v), 2) wedges, at most O(|E|^1.5), against Σ C(deg(v), 2)
     for a per-vertex count (a 3,000-leaf star has 0 against 4,498,500).
-    Memory: O(|V| + |E|) index arrays and one block.
+    Memory: O(|V| + |E|) index arrays and one block, or the n² float32
+    cells of A (at most 64 B per edge) and one panel.
     """
     a, b = g.ends
     n = len(g.order)
     degree = np.bincount(np.concatenate([a, b]), minlength=n)
+    if _Dense.fits(n, len(a)):
+        dense = _Dense(n, a, b)
+        # the products are integers of at most n, the float64 row sums exact to 2**53
+        twice = [
+            (product * dense.adj[rows]).sum(axis=1, dtype=np.float64) for rows, product in dense.panels()
+        ]
+        triangles = np.concatenate(twice).astype(np.int64) // 2
+    else:
+        triangles = _wedge_triangles(n, a, b, degree)
+    # c = 2T / (k(k - 1)): the float division of the exact integers, as Python divides them
+    with np.errstate(divide="ignore", invalid="ignore"):
+        c = np.where(degree >= 2, 2.0 * triangles / (degree * (degree - 1)), 0.0)
+    return GraphFeatures(g.order, degree, c)
+
+
+def _wedge_triangles(n: int, a: np.ndarray, b: np.ndarray, degree: np.ndarray) -> np.ndarray:
+    """The triangles of each vertex of edges (a, b), by the degree-ordered wedges of graph_features."""
     # rank[i]: the position of vertex i in (degree, id) order; ids are sorted already
     rank = np.empty(n, np.int64)
     rank[np.argsort(degree, kind="stable")] = np.arange(n)
@@ -486,10 +509,7 @@ def graph_features(g: CommGraph) -> GraphFeatures:
         found = csr.arcs[np.minimum(np.searchsorted(csr.arcs, keys), m - 1)] == keys
         u, w = np.divmod(keys[found], n)
         triangles += np.bincount(np.concatenate([csr.src[second[found]], u, w]), minlength=n)
-    # c = 2T / (k(k - 1)): the float division of the exact integers, as Python divides them
-    with np.errstate(divide="ignore", invalid="ignore"):
-        c = np.where(degree >= 2, 2.0 * triangles[rank] / (degree * (degree - 1)), 0.0)
-    return GraphFeatures(g.order, degree, c)
+    return triangles[rank]
 
 
 class _Csr:
@@ -541,6 +561,59 @@ class _Csr:
             yield keys, second
             del keys, second  # so the next block is not built while this one is held
             run, done = stop, int(ends[stop])
+
+
+#: A graph is dense when its n × n adjacency matrix has at most this many
+#: cells per edge: then the matrix touches fewer cells than Σ deg(v)²
+#: neighbour pairs, and holds at most 64 B per edge
+_DENSE_CELLS_PER_EDGE = 16
+
+#: Most multiply-adds of one panel product: OpenBLAS runs a product no
+#: larger than this on the calling thread
+_PANEL_MACS = 1 << 18
+
+#: Most cells of one panel once a single row's product exceeds _PANEL_MACS
+_PANEL_CELLS = 1 << 16
+
+
+class _Dense:
+    """The 0/1 float32 adjacency matrix A of a dense graph, and A·A in row panels.
+
+    (A·A)[i, j] is the number of common neighbours of i and j; graph_features
+    and build_snn_graph read it where ``fits`` holds, and walk the wedges of
+    _Csr otherwise. Every product and partial sum of A·A is an integer of at
+    most n < 2**24, which float32 holds exactly whatever order BLAS sums in,
+    so the counts depend neither on the BLAS build, nor on its threads or FMA.
+
+    The panels keep each product on the calling thread: rows of at most
+    ``_PANEL_MACS`` multiply-adds. Where a single row is larger (n > 512)
+    BLAS may thread, and panels of at most ``_PANEL_CELLS`` cells keep the
+    calls few. G* of a 202-vertex graph took 0.7-0.8 ms in panels of 6 or 8
+    rows and 32-96 ms in threaded panels of 32 or 128 rows; at 800
+    vertices, panels of 2**16 cells took 9-17 ms where one-row panels took
+    52-67 ms (2-vCPU VM).
+    """
+
+    __slots__ = ("n", "adj")
+
+    @staticmethod
+    def fits(n: int, edges: int) -> bool:
+        """Whether a graph of n vertices and ``edges`` edges is dense: n² ≤ 16 |E|."""
+        return 0 < n * n <= _DENSE_CELLS_PER_EDGE * edges and n < 1 << 24
+
+    def __init__(self, n: int, a: np.ndarray, b: np.ndarray):
+        self.n = n
+        self.adj = np.zeros((n, n), np.float32)
+        self.adj[a, b] = 1.0
+        self.adj[b, a] = 1.0
+
+    def panels(self) -> Iterator[tuple[slice, np.ndarray]]:
+        """(rows, (A·A)[rows]) for consecutive row slices that cover A, ascending."""
+        n = self.n
+        step = _PANEL_MACS // (n * n) or max(1, _PANEL_CELLS // n)
+        for lo in range(0, n, step):
+            rows = slice(lo, lo + step)
+            yield rows, self.adj[rows] @ self.adj
 
 
 def window_snapshots(

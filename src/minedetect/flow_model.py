@@ -1360,12 +1360,31 @@ def normalize(vectors: FeatureTable | FeatureVector | Iterable[FeatureVector], p
 _FEATURE_HEADER = ("host", *FEATURE_ORDER, "class")
 
 
+#: One feature row from its cells: csv.writer writes a float by its repr, which is its str
+_FEATURE_ROW = ",".join(["%s"] * len(_FEATURE_HEADER)) + "\n"
+
+
 def _feature_csv_chunks(vectors: Sequence[FeatureVector]) -> Iterator[str]:
-    if isinstance(vectors, FeatureTable):  # from the matrix, building no vector
-        names = [label.value for label in LABELS]
-        cells = zip(vectors.hosts, vectors.matrix.tolist(), vectors.label.tolist())
-        return _csv_chunks(_FEATURE_HEADER, ([host, *x, names[code]] for host, x, code in cells))
-    return _csv_chunks(_FEATURE_HEADER, ([v.host, *v.values(), v.label.value] for v in vectors))
+    """The feature CSV in pieces: the header, then blocks of at most ``_CHUNK_ROWS`` rows.
+
+    A table's rows are formatted from its matrix columns with ``%``, building
+    no vector, and each host cell is written by ``csv.writer`` once: the
+    bytes csv.writer writes for the vectors.
+    """
+    if not isinstance(vectors, FeatureTable):
+        yield from _csv_chunks(_FEATURE_HEADER, ([v.host, *v.values(), v.label.value] for v in vectors))
+        return
+    sink = _Lines()
+    cells = _CsvCells(csv.writer(sink).writerow, sink)
+    names = [label.value for label in LABELS]
+    yield csv_text(_FEATURE_HEADER)
+    for lo in range(0, len(vectors.hosts), _CHUNK_ROWS):
+        hi = lo + _CHUNK_ROWS
+        yield "".join(map(_FEATURE_ROW.__mod__, zip(
+            map(cells.__getitem__, vectors.hosts[lo:hi]),
+            *vectors.matrix[lo:hi].T.tolist(),
+            map(names.__getitem__, vectors.label[lo:hi].tolist()),
+        )))
 
 
 def features_to_csv(vectors: Sequence[FeatureVector]) -> str:

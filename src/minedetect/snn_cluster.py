@@ -23,7 +23,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .comm_graph import CommGraph, Edge, HostDeltas, PairDeltas, StateParams, _Csr
+from .comm_graph import CommGraph, Edge, HostDeltas, PairDeltas, StateParams, _Csr, _Dense, _run_starts
 from .errors import MissingHostStateError, MissingVectorError
 from .flow_model import FEATURE_ORDER, FeatureTable, FeatureVector, csv_text, feature_table
 
@@ -98,27 +98,34 @@ class Cluster:
 #: row alone has more; bounds the key buffer of build_snn_graph.
 _BLOCK_KEYS = 1 << 15
 
-#: G* pair keys that extract_clusters turns into Python ints at a time.
-_UNION_KEYS = 1 << 12
+#: G* pair keys that one block of extract_clusters' hooking reads at a time.
+_HOOK_KEYS = 1 << 15
 
 
 def build_snn_graph(g: CommGraph, k_shared: int) -> SnnGraph:
     """Connect i and j in G* iff they share at least k_shared neighbors in G.
 
-    Every vertex m contributes each pair of its neighbors (i, j), i < j,
-    once: a wedge of comm_graph._Csr, the sorted CSR that this and
-    comm_graph.graph_features share, built here over both directions of
-    every edge in the graph's own numbering (CommGraph.order). So the count of pair
-    (i, j) is its number of common neighbors. The wedges are taken grouped
-    by first endpoint: arc i -> m opens the wedge of row m whose first arc
-    is m -> i. Each block of rows of first endpoints encodes its pairs as
-    ``i * n + j`` and counts them with one ``np.unique``. A pair comes from
-    exactly one row, hence from one block, so counts are never merged
-    across blocks.
+    A dense graph (comm_graph._Dense.fits: n² ≤ 16 |E|) reads the number
+    of common neighbours of every pair from row panels of A·A, A its exact
+    0/1 float32 adjacency matrix, and keeps each pair i < j whose count
+    reaches k_shared.
 
-    Cost: sum over vertices of C(deg, 2) pair keys. Memory: the neighbor
-    arrays, one block of keys (``_BLOCK_KEYS``, or a single larger row,
-    which holds at most 2|E| keys), and the pair keys of G*.
+    Any other graph enumerates neighbour pairs: every vertex m contributes
+    each pair of its neighbors (i, j), i < j, once: a wedge of
+    comm_graph._Csr, the sorted CSR that this and comm_graph.graph_features
+    share, built here over both directions of every edge in the graph's own
+    numbering (CommGraph.order). So the count of pair (i, j) is its number
+    of common neighbors. The wedges are taken grouped by first endpoint:
+    arc i -> m opens the wedge of row m whose first arc is m -> i. Each
+    block of rows of first endpoints encodes its pairs as ``i * n + j`` and
+    counts them sorted in place. A pair comes from exactly one row, hence
+    from one block, so counts are never merged across blocks.
+
+    Cost: n³ multiply-adds in BLAS for a dense graph; else the sum over
+    vertices of C(deg, 2) pair keys. Memory: the n² float32 cells of A (at
+    most 64 B per edge) and one panel; else the neighbor arrays and one
+    block of keys (``_BLOCK_KEYS``, or a single larger row, which holds at
+    most 2|E| keys). Either way, the pair keys of G*.
     """
     if k_shared < 1:
         raise ValueError("k_shared must be >= 1")
@@ -127,6 +134,14 @@ def build_snn_graph(g: CommGraph, k_shared: int) -> SnnGraph:
 
     order, (a, b) = g.order, g.ends
     n = len(order)
+    if _Dense.fits(n, len(a)):
+        # a panel's flat index i * n + j is the pair key less lo * n; pairs j > i only
+        dense = _Dense(n, a, b)
+        pairs = [
+            rows.start * n + np.flatnonzero(np.triu(product >= k_shared, rows.start + 1))
+            for rows, product in dense.panels()
+        ]
+        return SnnGraph(g, k_shared, np.concatenate(pairs))
     csr = _Csr(np.sort(np.concatenate([a * n + b, b * n + a])), n)
     reverse = np.searchsorted(csr.arcs, csr.nbr * n + csr.src)  # arc m -> i of each arc i -> m
     pairs = [np.empty(0, np.int64)]
@@ -152,36 +167,56 @@ def extract_clusters(snn: SnnGraph) -> list[Cluster]:
     ids C0, C1, ... follow that order. Isolated vertices become singleton
     clusters, so the result partitions the vertex set.
 
-    A union-find over the vertex numbers of ``base.order`` labels the
-    components: path halving, and each union hangs the larger root under
-    the smaller, so a component's root is its smallest number, which is
-    its lexicographically smallest member. The pair keys are read
-    ``_UNION_KEYS`` at a time, so besides G* the memory is a few list slots
-    per vertex; ids are read only to fill the returned clusters.
+    The components are labelled by hooking on the vertex numbers of
+    ``base.order`` (_component_roots), so a component's root is its
+    smallest number, which is its lexicographically smallest member.
+    Besides G* the memory is a few int64 arrays of its edges and vertices;
+    ids are read only to fill the returned clusters.
     """
-    order, pairs = snn.base.order, snn.pairs
-    parent = list(range(len(order)))
+    order = snn.base.order
+    root = _component_roots(len(order), snn.pairs)
+    # the ids of each component, the components by ascending root
+    names = list(map(order.__getitem__, np.argsort(root, kind="stable").tolist()))
+    sizes = np.bincount(root)
+    ends = np.cumsum(sizes[sizes > 0]).tolist()
+    components = [frozenset(names[lo:hi]) for lo, hi in zip([0, *ends], ends)]
+    # a stable sort by descending size keeps equal sizes in ascending root order
+    components.sort(key=len, reverse=True)
+    return [Cluster(id=f"C{i}", members=members) for i, members in enumerate(components)]
 
-    def root(v: int) -> int:
-        while parent[v] != v:
-            parent[v] = v = parent[parent[v]]  # path halving
-        return v
 
-    for lo in range(0, len(pairs), _UNION_KEYS):
-        first, second = np.divmod(pairs[lo : lo + _UNION_KEYS], len(order))
-        for i, j in zip(first.tolist(), second.tolist()):
-            i, j = root(i), root(j)
-            if i < j:
-                parent[j] = i
-            elif j < i:
-                parent[i] = j
+def _component_roots(n: int, pairs: np.ndarray) -> np.ndarray:
+    """The smallest vertex number in each vertex's component of the G* pair keys ``pairs``.
 
-    members: dict[int, list[str]] = {}
-    for v, name in enumerate(order):
-        members.setdefault(root(v), []).append(name)
-    # roots ascend with insertion, so a stable sort by size keeps them ordered
-    components = sorted(members.values(), key=len, reverse=True)
-    return [Cluster(id=f"C{i}", members=frozenset(comp)) for i, comp in enumerate(components)]
+    Each round hooks every root onto the smallest root that its edges
+    reach, then jumps pointers until every vertex points at its root; it
+    stops when no root moves. A root only ever hooks onto a smaller one, so
+    the parents stay a forest whose roots are their trees' smallest
+    numbers. The edges are read ``_HOOK_KEYS`` at a time: each block's
+    smallest reach per root comes from its sorted keys ``hi * n + lo``
+    (``np.minimum.at`` is slow before numpy 1.25). An edge inside one tree
+    stays inside it, so each round keeps only the edges still between two.
+    """
+    parent = np.arange(n)
+    live = pairs
+    while len(live):
+        reach = parent.copy()
+        apart = np.empty(len(live), bool)
+        for lo in range(0, len(live), _HOOK_KEYS):
+            first, second = np.divmod(live[lo : lo + _HOOK_KEYS], n)
+            first, second = parent[first], parent[second]  # their roots
+            cut = np.not_equal(first, second, out=apart[lo : lo + _HOOK_KEYS])
+            keys = np.maximum(first[cut], second[cut]) * n + np.minimum(first[cut], second[cut])
+            keys.sort()
+            roots, smallest = np.divmod(keys[_run_starts(keys // n)], n)
+            reach[roots] = np.minimum(reach[roots], smallest)  # roots are distinct within a block
+            del first, second, keys  # so the next block is not built while this one is held
+        if not apart.all():
+            live = live[apart]
+        parent = reach
+        while not np.array_equal(up := parent[parent], parent):
+            parent = up
+    return parent
 
 
 # ---------------------------------------------------------------------------

@@ -38,6 +38,14 @@ def random_comm_graph(rng: random.Random, n: int, p: float, timestamp: int = 0) 
     return CommGraph(frozenset(vertices), weights, timestamp)
 
 
+def comm_graph_of_density(rng: random.Random, n: int, cells_per_edge: float) -> CommGraph:
+    """n vertices and ceil(n² / cells_per_edge) distinct random edges: n² / |E| just at most cells_per_edge."""
+    vertices = [f"v{i:03d}" for i in range(n)]
+    pairs = [(vertices[i], vertices[j]) for i in range(n) for j in range(i + 1, n)]
+    chosen = rng.sample(pairs, math.ceil(n * n / cells_per_edge))
+    return CommGraph(frozenset(vertices), {edge: rng.randint(1, 5) for edge in chosen})
+
+
 def gapped_capture(seed: int, length: float = 60.0, delta_t: float = 60.0) -> list[FlowRecord]:
     """A small capture whose busy windows are cut apart by runs of empty ones.
 

@@ -32,6 +32,7 @@ from oracles import (
     check_edges_naive,
     edge_index_naive,
     clustering_fraction,
+    comm_graph_of_density,
     dc_change_factor,
     fingerprint_match_brute,
     gapped_capture,
@@ -347,7 +348,7 @@ def assert_features_match_oracle(g):
         k, t = len(adj[v]), triangles_brute(adj, v)
         assert (f.host, f.k) == (v, k)
         assert f.c == (0.0 if k < 2 else 2.0 * t / (k * (k - 1)))
-        assert f.c == float(clustering_fraction(k, t))
+        assert f.c.hex() == float(clustering_fraction(k, t)).hex()  # bit for bit
     assert sum(f.k for f in features.values()) == 2 * len(g.edge_weight)
 
 
@@ -368,6 +369,9 @@ GRAPH_CASES = {
         [("a", "b"), ("b", "c"), ("a", "c"), ("c", "d")], extra_vertices=["x", "y", "z"]
     ),
     "equal-degree-ties": tie_graph,
+    "single-edge": lambda: graph_of([("a", "b")]),
+    "single-edge-and-isolated": lambda: graph_of([("a", "b")], extra_vertices=list("cdefgh")),
+    "K30": lambda: graph_of([(f"v{i:02d}", f"v{j:02d}") for i in range(30) for j in range(i + 1, 30)]),
 }
 
 
@@ -382,9 +386,46 @@ def test_graph_features_match_brute_force_on_random_graphs():
         assert_features_match_oracle(random_comm_graph(rng, rng.randint(1, 70), rng.uniform(0.0, 0.6)))
 
 
+def counting_dense(monkeypatch):
+    """The vertex count of each dense product taken from now on, in a list."""
+    calls = []
+    panels = comm_graph._Dense.panels
+
+    def counting(dense):
+        calls.append(dense.n)
+        return panels(dense)
+
+    monkeypatch.setattr(comm_graph._Dense, "panels", counting)
+    return calls
+
+
+#: n² / |E| of graphs on both sides of the dense switch (dense up to 16)
+SWITCH_RATIOS = [8, 15, 16, 17, 60]
+
+
+@pytest.mark.parametrize("ratio", SWITCH_RATIOS)
+@pytest.mark.parametrize("n", [40, 64])
+def test_graph_features_match_brute_force_on_both_sides_of_the_dense_switch(monkeypatch, n, ratio):
+    dense = counting_dense(monkeypatch)
+    rng = random.Random(n * 100 + ratio)
+    for _ in range(3):
+        g = comm_graph_of_density(rng, n, ratio)
+        dense.clear()
+        assert_features_match_oracle(g)
+        assert dense == ([n] if ratio <= 16 else [])
+
+
+def test_graph_features_dense_beyond_single_thread_panels(monkeypatch):
+    # at n > 512 one row of A·A is more than 2^18 multiply-adds, which BLAS may thread
+    dense = counting_dense(monkeypatch)
+    assert_features_match_oracle(comm_graph_of_density(random.Random(7), 520, 16))
+    assert dense == [520]
+
+
 @pytest.mark.parametrize("block", [1, 7])
 def test_graph_features_blocks_split_a_vertex_wedges(monkeypatch, block):
     monkeypatch.setattr(comm_graph, "_BLOCK_KEYS", block)
+    monkeypatch.setattr(comm_graph, "_DENSE_CELLS_PER_EDGE", 0)  # these graphs would go dense
     rows_per_block, sizes = [], []
     wedges = comm_graph._Csr.wedges
 
@@ -409,9 +450,10 @@ def test_graph_features_blocks_split_a_vertex_wedges(monkeypatch, block):
 
 
 def counted_wedges(monkeypatch, g):
-    """graph_features(g) and the number of pair keys it enumerated."""
+    """graph_features(g) by its wedges, and the number of pair keys it enumerated."""
     total = []
     wedges = comm_graph._Csr.wedges
+    monkeypatch.setattr(comm_graph, "_DENSE_CELLS_PER_EDGE", 0)  # a clique would go dense
 
     def counting_wedges(csr, *args):
         for keys, second in wedges(csr, *args):

@@ -1446,6 +1446,18 @@ def test_features_sha256_hashes_the_bytes_of_features_to_csv(monkeypatch, chunk_
     assert flow_model.features_sha256(vectors) == hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
+@pytest.mark.parametrize("chunk_rows", [None, 1, 3])
+def test_feature_table_csv_is_the_writer_csv_of_its_vectors(monkeypatch, chunk_rows):
+    # a table's rows are formatted from the matrix; its host cells are still quoted as csv.writer quotes them
+    if chunk_rows is not None:
+        monkeypatch.setattr(flow_model, "_CHUNK_ROWS", chunk_rows)
+    for vectors in (_AWKWARD_VECTORS, _AWKWARD_VECTORS[:1], []):
+        table = FeatureTable.from_vectors(vectors)
+        text = features_to_csv(table)
+        assert text == features_to_csv(vectors) == features_to_csv_writer(vectors)
+        assert flow_model.features_sha256(table) == hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
 def test_only_flow_model_builds_csv_readers_and_writers():
     # every table is read and written by flow_model.CsvTable and flow_model.csv_text,
     # so the row rules live in one place

@@ -225,6 +225,45 @@ def test_report_does_not_depend_on_how_sum_adds_floats(monkeypatch):
     assert compensated == folded
 
 
+def test_run_on_a_pool_mesh_capture_takes_the_dense_products(monkeypatch):
+    # 120 miners in one clique, as the pool_mesh benchmark workload: G* and the
+    # densest window have n² ≤ 16 |E|, so both are counted from A·A panels
+    labeled, flows, truth = scenario_inputs(n_hosts=200, n_windows=4, recruitment_schedule=(0, 60, 60))
+    reached, caller = [], []
+    panels = comm_graph._Dense.panels
+
+    def counting(dense):
+        reached.append(caller[-1])
+        return panels(dense)
+
+    def entered(module, name):
+        inner = getattr(module, name)
+
+        def wrapper(*args):
+            caller.append(name)
+            try:
+                return inner(*args)
+            finally:
+                caller.pop()
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    def report_text():
+        report = run(flows, labeled, PipelineConfig(), ground_truth=truth.labels)
+        report.provenance["generated_at"] = None
+        return report.to_json() + report_clusters_csv(report) + report_metrics_csv(report)
+
+    monkeypatch.setattr(comm_graph._Dense, "panels", counting)
+    entered(comm_graph, "graph_features")
+    entered(snn_cluster, "build_snn_graph")
+    dense = report_text()
+    assert "graph_features" in reached and reached.count("build_snn_graph") == 1
+    # the wedge paths give the same bytes
+    monkeypatch.setattr(comm_graph, "_DENSE_CELLS_PER_EDGE", 0)
+    reached.clear()
+    assert report_text() == dense and reached == []
+
+
 def test_run_empty_flows_gives_empty_report():
     labeled, _, _ = scenario_inputs()
     report = run([], labeled, PipelineConfig())

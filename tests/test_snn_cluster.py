@@ -7,8 +7,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from minedetect import pipeline, snn_cluster
-from minedetect.comm_graph import HostDeltas, PairDeltas, StateParams, build_graph, edge_key
+from minedetect import comm_graph, pipeline, snn_cluster
+from minedetect.comm_graph import CommGraph, HostDeltas, PairDeltas, StateParams, build_graph, edge_key
 from minedetect.errors import (
     MissingHostStateError,
     MissingVectorError,
@@ -18,6 +18,7 @@ from minedetect.flow_model import FEATURE_ORDER, FeatureTable, full_span
 from minedetect.snn_cluster import (
     Cluster,
     STATE_RANK,
+    SnnGraph,
     State,
     assign_state,
     build_snn_graph,
@@ -32,12 +33,13 @@ from minedetect.synthgen import generate
 
 from oracles import (
     adjacency_sets,
+    comm_graph_of_density,
     components_naive,
     random_comm_graph,
     snn_edges_dense_product,
     snn_edges_pairwise_scan,
 )
-from test_comm_graph import graph_of
+from test_comm_graph import SWITCH_RATIOS, counting_dense, graph_of
 from test_flow_model import CAPTURES, make_vector
 
 
@@ -114,6 +116,57 @@ def test_build_snn_graph_matches_dense_product_on_captures(config):
         assert build_snn_graph(g, k).edges == frozenset(snn_edges_dense_product(g, k))
 
 
+def assert_snn_matches_referees(g, k, pairwise=True):
+    snn = build_snn_graph(g, k)
+    assert snn.pairs.dtype == np.int64 and (np.diff(snn.pairs) > 0).all()
+    expected = frozenset(snn_edges_dense_product(g, k))
+    assert snn.edges == expected
+    if pairwise:
+        assert expected == frozenset(snn_edges_pairwise_scan(g, k))
+
+
+@pytest.mark.parametrize("ratio", SWITCH_RATIOS)
+@pytest.mark.parametrize("n", [40, 64])
+def test_build_snn_graph_matches_referees_on_both_sides_of_the_dense_switch(monkeypatch, n, ratio):
+    dense = counting_dense(monkeypatch)
+    rng = random.Random(n * 100 + ratio)
+    for _ in range(3):
+        g = comm_graph_of_density(rng, n, ratio)
+        assert (n * n <= 16 * len(g.edge_weight)) == (ratio <= 16)
+        for k in range(1, 5):
+            dense.clear()
+            assert_snn_matches_referees(g, k)
+            assert dense == ([n] if ratio <= 16 else [])
+
+
+SNN_EDGE_CASES = {
+    "isolated-vertices-dense": lambda: graph_of(
+        [(f"k{i}", f"k{j}") for i in range(5) for j in range(i + 1, 5)], extra_vertices=["x", "y", "z"]
+    ),
+    "isolated-vertices-sparse": lambda: graph_of([("a", "b"), ("b", "c")], extra_vertices=list("uvwxyz")),
+    "single-edge": lambda: graph_of([("a", "b")]),
+    "single-edge-and-isolated": lambda: graph_of([("a", "b")], extra_vertices=list("cdefgh")),
+    "K3": lambda: graph_of([("a", "b"), ("b", "c"), ("a", "c")]),
+    "K30": lambda: graph_of([(f"v{i:02d}", f"v{j:02d}") for i in range(30) for j in range(i + 1, 30)]),
+}
+
+
+@pytest.mark.parametrize("name", list(SNN_EDGE_CASES))
+def test_build_snn_graph_matches_referees_on_edge_cases(name):
+    g = SNN_EDGE_CASES[name]()
+    for k in range(1, 5):
+        assert_snn_matches_referees(g, k)
+
+
+def test_build_snn_graph_dense_beyond_single_thread_panels(monkeypatch):
+    # at n > 512 one row of A·A is more than 2^18 multiply-adds, which BLAS may thread
+    dense = counting_dense(monkeypatch)
+    g = comm_graph_of_density(random.Random(7), 520, 16)
+    for k in (1, 4, 40):
+        assert_snn_matches_referees(g, k, pairwise=k == 4)
+    assert dense == [520] * 3
+
+
 def first_endpoint_rows(g):
     """Pair keys per first endpoint i: one per neighbor m of i and neighbor j > i of m."""
     adj = adjacency_sets(g)
@@ -123,6 +176,7 @@ def first_endpoint_rows(g):
 def test_build_snn_graph_blocks_split_rows(monkeypatch):
     block = 6
     monkeypatch.setattr(snn_cluster, "_BLOCK_KEYS", block)
+    monkeypatch.setattr(comm_graph, "_DENSE_CELLS_PER_EDGE", 0)  # these graphs would go dense
     sizes = []
     wedges = snn_cluster._Csr.wedges
 
@@ -252,6 +306,49 @@ def test_cluster_hosts_memory_per_snn_edge():
         tracemalloc.stop()
     assert [c.size for c in clusters] == [leaves] * stars + [1] * stars
     assert peak < 4 * 2**20 + 128 * (len(g.vertices) + len(g.edge_weight)) + 24 * snn_edges
+
+
+def snn_of(n, edges):
+    """G* of the numbered edges over vertices v00000, v00001, ..., on an edgeless base graph."""
+    base = CommGraph(frozenset(f"v{i:05d}" for i in range(n)), {})
+    pairs = sorted({min(i, j) * n + max(i, j) for i, j in edges})
+    return SnnGraph(base, 1, np.array(pairs, np.int64))
+
+
+def zig_zag_path(n):
+    # 0, n-1, 1, n-2, ...: each step crosses the whole numbering
+    walk = [v for i in range((n + 1) // 2) for v in (i, n - 1 - i)][:n]
+    return list(zip(walk, walk[1:]))
+
+
+def random_forest(rng, n, trees):
+    # each vertex but the first of each tree hangs from an earlier one, at random numbers
+    numbers = list(range(n))
+    rng.shuffle(numbers)
+    cuts = sorted(rng.sample(range(1, n), trees - 1))
+    edges = []
+    for lo, hi in zip([0, *cuts], [*cuts, n]):
+        edges += [(numbers[rng.randrange(lo, v)], numbers[v]) for v in range(lo + 1, hi)]
+    return edges
+
+
+COMPONENT_CASES = {
+    "zig-zag-path": lambda: snn_of(1001, zig_zag_path(1001)),
+    "star-largest-centre": lambda: snn_of(500, [(499, i) for i in range(499)]),
+    "random-forest": lambda: snn_of(3000, random_forest(random.Random(3), 3000, 40)),
+    "empty-g-star": lambda: snn_of(7, []),
+    "no-vertices": lambda: snn_of(0, []),
+}
+
+
+@pytest.mark.parametrize("hook_keys", [snn_cluster._HOOK_KEYS, 3])
+@pytest.mark.parametrize("name", list(COMPONENT_CASES))
+def test_extract_clusters_matches_component_walk_on_shapes(monkeypatch, name, hook_keys):
+    monkeypatch.setattr(snn_cluster, "_HOOK_KEYS", hook_keys)  # 3: a root's edges span blocks
+    snn = COMPONENT_CASES[name]()
+    clusters = extract_clusters(snn)
+    assert cluster_members(clusters) == components_naive(snn.vertices, snn.edges)
+
 
 def test_extract_clusters_edgeless_gives_singletons():
     g = graph_of([], extra_vertices=["a", "b", "c"])
